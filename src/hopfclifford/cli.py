@@ -63,6 +63,7 @@ def _load(args) -> Scenario:
 
 
 def _seed(args) -> Optional[int]:
+    """--seed, else HOPF_CLIFFORD_SEED; the scenarios module validates it."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("HOPF_CLIFFORD_SEED")

@@ -1,10 +1,12 @@
 """Clifford theory across a normal Hopf subalgebra B of A.
 
-Pipeline per irreducible B-character alpha:
+An Extension holds A, B and everything derived from the pair once: the
+decompositions, the matched equivalence classes of Irr(A) and Irr(B) with
+class sums and restriction table, and the conjugation matrix C_d of each
+irreducible dual character d.  Pipeline per irreducible B-character alpha:
 
-  * matched equivalence classes of Irr(A) and Irr(B) with class sums,
   * the stabilizer Hopf subalgebra Z built from dual characters d
-    with conjugate character  d.alpha = eps(d) alpha,
+    with conjugate character  alpha C_d = eps(d) alpha,
   * the dimension bound |Z| <= |A| alpha(1)^2 / b_i(1) together with the
     socle multiplicity test, and the direct check that induction from Z
     is a bijection onto the class of alpha,
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,17 +32,130 @@ from . import linalg
 from .errors import (ConsistencyError, NormalityError, PreconditionError,
                      TheoremViolationError)
 from .groups import FiniteGroup, MatchedPair, orbit_and_stabilizer
-from .hopf import (HopfAlgebraData, HopfInclusion, HopfSurjection,
+from .hopf import (TOL_ALG, HopfAlgebraData, HopfInclusion, HopfSurjection,
                    SubspaceBasis, coefficient_space, dual_hopf,
-                   is_hopf_subalgebra, is_normal_hopf_subalgebra,
-                   subalgebra_data, subspace_product)
+                   graded_component, is_cocentral, is_hopf_subalgebra,
+                   is_normal_hopf_subalgebra, quotient_hopf, subalgebra_data,
+                   subspace_product)
 from .repcalc import (Character, DEFAULT_SEED, ExplicitModule,
-                      SemisimpleDecomposition, construct_irreducible_module,
-                      decompose, induce_character, multiplicity,
-                      restrict_character, wedderburn)
+                      SemisimpleDecomposition, as_group_algebra_surjection,
+                      construct_irreducible_module, decompose,
+                      induce_character, restrict_character, restriction_table,
+                      wedderburn)
 
-TOL_ALG = 1e-8
 TOL_MATCH = 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the per-scenario context
+
+class Extension:
+    """A normal Hopf subalgebra B of A with everything derived from the pair.
+
+    Each derived object is built on first use and kept: the dual A*, the
+    Wedderburn decompositions of A, B and A*, the equivalence classes with
+    their restriction table, the group-algebra quotient kF and its graded
+    components, and the conjugation matrix of every irreducible dual
+    character.  `piF` and `F` may be given (bismash products); otherwise
+    the quotient A/AB+ is built and recognized as kF when it is one.
+    """
+
+    def __init__(self, A: HopfAlgebraData, inc: HopfInclusion,
+                 seed: int = DEFAULT_SEED,
+                 piF: Optional[HopfSurjection] = None,
+                 F: Optional[FiniteGroup] = None,
+                 mp: Optional[MatchedPair] = None):
+        self.A = A
+        self.inc = inc
+        self.seed = seed
+        self.mp = mp
+        self._given_quotient = (piF, F)
+
+    @cached_property
+    def dual(self) -> HopfAlgebraData:
+        return dual_hopf(self.A)
+
+    @cached_property
+    def dec_a(self) -> SemisimpleDecomposition:
+        return wedderburn(self.A, seed=self.seed)
+
+    @cached_property
+    def dec_b(self) -> SemisimpleDecomposition:
+        return wedderburn(self.inc.small, seed=self.seed)
+
+    @cached_property
+    def dec_dual(self) -> SemisimpleDecomposition:
+        return wedderburn(self.dual, seed=self.seed)
+
+    @cached_property
+    def b_sub(self) -> SubspaceBasis:
+        return SubspaceBasis.from_vectors(self.A, self.inc.embedding)
+
+    @cached_property
+    def ecd(self) -> "EquivalenceClassData":
+        return equivalence_classes(self)
+
+    @cached_property
+    def quotient(self) -> tuple[Optional[HopfSurjection], Optional[FiniteGroup]]:
+        """(piF, F) for a quotient A -> kF, or (None, None) if A/AB+ is no group algebra."""
+        if self._given_quotient[0] is not None:
+            return self._given_quotient
+        _, pi_q = quotient_hopf(self.A, self.b_sub)
+        found = as_group_algebra_surjection(pi_q, seed=self.seed)
+        return (None, None) if found is None else (found[1], found[0])
+
+    @property
+    def piF(self) -> Optional[HopfSurjection]:
+        return self.quotient[0]
+
+    @property
+    def F(self) -> Optional[FiniteGroup]:
+        return self.quotient[1]
+
+    @cached_property
+    def components(self) -> Optional[list[SubspaceBasis]]:
+        """Graded components A_f, f in F; None without a kF quotient."""
+        if self.piF is None:
+            return None
+        return [graded_component(self.A, self.piF, f) for f in range(self.F.order)]
+
+    @cached_property
+    def cocentral(self) -> Optional[bool]:
+        return None if self.piF is None else is_cocentral(self.A, self.piF)
+
+    @cached_property
+    def coefficient_spaces(self) -> list[SubspaceBasis]:
+        """Simple subcoalgebra of each irreducible dual character."""
+        return [coefficient_space(self.A, d.values) for d in self.dec_dual.irr]
+
+    @cached_property
+    def conjugation(self) -> list[np.ndarray]:
+        """C_d for each irreducible dual character d: alpha o conj_d = alpha C_d."""
+        return [conjugation_matrix(self.A, self.inc, d.values)
+                for d in self.dec_dual.irr]
+
+    @cached_property
+    def supports(self) -> list[Optional[int]]:
+        """B-basis index of each irreducible B-character that is a 0/1 indicator, else None."""
+        out: list[Optional[int]] = []
+        for ch in self.dec_b.irr:
+            k = int(np.argmax(np.abs(ch.values)))
+            indicator = np.eye(len(ch.values))[k]
+            out.append(k if float(np.max(np.abs(ch.values - indicator))) < TOL_ALG else None)
+        return out
+
+    @cached_property
+    def alpha_labels(self) -> list[str]:
+        """Group-element label of each indicator character, else chiK."""
+        labels = []
+        for k, sup in enumerate(self.supports):
+            if sup is None:
+                labels.append(f"chi{k}")
+            elif self.mp is not None:
+                labels.append(self.mp.g_group.labels[sup])
+            else:
+                labels.append(self.inc.small.labels[sup])
+        return labels
 
 
 # ---------------------------------------------------------------------------
@@ -64,19 +180,13 @@ class EquivalenceClassData:
         raise ValueError(f"alpha index {alpha_index} not in any class")
 
 
-def equivalence_classes(A: HopfAlgebraData, inc: HopfInclusion,
-                        dec_a: SemisimpleDecomposition,
-                        dec_b: SemisimpleDecomposition,
-                        check_normality: bool = True) -> EquivalenceClassData:
+def equivalence_classes(ext: Extension) -> EquivalenceClassData:
     """Matched partitions of Irr(A) and Irr(B) from the restriction graph."""
-    if check_normality:
-        Bsub = SubspaceBasis.from_vectors(A, inc.embedding)
-        if not is_normal_hopf_subalgebra(A, Bsub):
-            raise NormalityError("B is not a normal Hopf subalgebra of A")
+    A, inc, dec_a, dec_b = ext.A, ext.inc, ext.dec_a, ext.dec_b
+    if not is_normal_hopf_subalgebra(A, ext.b_sub):
+        raise NormalityError("B is not a normal Hopf subalgebra of A")
     na, nb = len(dec_a.irr), len(dec_b.irr)
-    table = np.zeros((na, nb), dtype=np.int64)
-    for c, chi in enumerate(dec_a.irr):
-        table[c] = decompose(restrict_character(chi, inc), dec_b)
+    table = restriction_table(inc, dec_b, dec_a)
 
     # connected components of the bipartite support graph
     a_comp = [-1] * na
@@ -130,10 +240,9 @@ def equivalence_classes(A: HopfAlgebraData, inc: HopfInclusion,
                                 restriction_table=table)
 
 
-def verify_class_formulas(ecd: EquivalenceClassData, inc: HopfInclusion,
-                          dec_a: SemisimpleDecomposition,
-                          dec_b: SemisimpleDecomposition) -> dict[str, float]:
+def verify_class_formulas(ext: Extension) -> dict[str, float]:
     """Residuals of the three restriction/induction proportionality identities."""
+    ecd, inc, dec_a, dec_b = ext.ecd, ext.inc, ext.dec_a, ext.dec_b
     A, B = inc.big, inc.small
     s = Fraction(A.dim, B.dim)
     r_restrict = 0.0
@@ -149,7 +258,7 @@ def verify_class_formulas(ecd: EquivalenceClassData, inc: HopfInclusion,
             r_restrict = max(r_restrict, float(np.max(np.abs(lhs - rhs))))
         for k in ecd.b_classes[i]:
             alpha = dec_b.irr[k]
-            ind = induce_character(alpha, inc, dec_b, dec_a)
+            ind = induce_character(alpha, inc, dec_b, dec_a, ecd.restriction_table)
             lhs = ind.values / alpha.degree
             rhs = float(s) * a_i.values / a_i.degree
             r_induce = max(r_induce, float(np.max(np.abs(lhs - rhs))))
@@ -164,24 +273,24 @@ def verify_class_formulas(ecd: EquivalenceClassData, inc: HopfInclusion,
 # ---------------------------------------------------------------------------
 # conjugate characters and modules
 
-def conjugate_character(A: HopfAlgebraData, inc: HopfInclusion,
-                        d_vec: np.ndarray, alpha: Character,
-                        tol: float = TOL_ALG) -> Character:
-    """The conjugate character x -> alpha(S(d_1) x d_2) on B."""
-    d_vec = np.asarray(d_vec, complex)
+def conjugation_matrix(A: HopfAlgebraData, inc: HopfInclusion,
+                       d_vec: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
+    """C_d with C_d[j, m] the coordinate on b_j of S(d_1) b_m d_2.
+
+    The conjugate of a B-character alpha by d, x -> alpha(S(d_1) x d_2),
+    is the row vector alpha C_d; C_d does not depend on alpha.
+    """
     E = np.asarray(inc.embedding, complex)
-    X = A.apply_comult(d_vec)
+    X = A.apply_comult(np.asarray(d_vec, complex))
     S, M = A.antipode, A.mult
     # U[p, m, :] = S(e_p) * (m-th basis vector of B)
     U = np.einsum("rp,jm,rjk->pmk", S, E, M, optimize=True)
-    V = np.einsum("pma,aqk->pmqk", U, M, optimize=True)          # ... * e_q
-    W = np.einsum("pq,pmqk->mk", X, V, optimize=True)            # rows: S(d_1) x_m d_2
+    W = np.einsum("pq,pma,aqk->mk", X, U, M, optimize=True)      # rows: S(d_1) b_m d_2
     coords, resid = linalg.lstsq_coords(E, W.T)
     if resid > tol * max(1.0, float(np.max(np.abs(W)))):
         raise ConsistencyError(
             f"conjugation left the subalgebra (residual {resid:.2e})")
-    values = alpha.values @ coords
-    return Character(alpha.parent, values)
+    return coords
 
 
 def subcoalgebra_as_dual_module(A: HopfAlgebraData, C: SubspaceBasis,
@@ -243,48 +352,46 @@ class StabilizerResult:
     z_alg: object                      # AlgebraData on the orthonormal basis of Z
     z_dec: SemisimpleDecomposition
     b_in_z: np.ndarray                 # embedding of B into Z coordinates
+    b_inc: HopfInclusion               # B -> Z
+    z_inc: HopfInclusion               # Z -> A
+    table_bz: np.ndarray               # restriction table Irr(Z) x Irr(B)
+    table_za: np.ndarray               # restriction table Irr(A) x Irr(Z)
     z_class: tuple[int, ...]           # indices of Irr(Z) lying over alpha
     psi_alpha: Character
 
 
-def compute_stabilizer(A: HopfAlgebraData, inc: HopfInclusion,
-                       alpha_index: int, dec_b: SemisimpleDecomposition,
-                       dec_dual: SemisimpleDecomposition,
-                       seed: int = DEFAULT_SEED,
-                       tol: float = TOL_ALG) -> StabilizerResult:
+def compute_stabilizer(ext: Extension, alpha_index: int) -> StabilizerResult:
     """Z = sum of the simple subcoalgebras whose dual characters fix alpha."""
-    alpha = dec_b.irr[alpha_index]
+    A, inc = ext.A, ext.inc
+    alpha = ext.dec_b.irr[alpha_index]
     stabilizing = []
-    spans = []
     expected_dim = 0
-    for idx, d in enumerate(dec_dual.irr):
-        conj = conjugate_character(A, inc, d.values, alpha)
+    for idx, (d, C) in enumerate(zip(ext.dec_dual.irr, ext.conjugation)):
         eps_d = d.degree
-        if float(np.max(np.abs(conj.values - eps_d * alpha.values))) < TOL_MATCH:
+        if float(np.max(np.abs(alpha.values @ C - eps_d * alpha.values))) < TOL_MATCH:
             stabilizing.append(idx)
-            spans.append(coefficient_space(A, d.values).matrix)
             expected_dim += eps_d * eps_d
-    Z = SubspaceBasis.from_vectors(A, np.hstack(spans))
+    Z = SubspaceBasis.from_vectors(
+        A, np.hstack([ext.coefficient_spaces[idx].matrix for idx in stabilizing]))
     if Z.dim != expected_dim:
         raise ConsistencyError(
             f"dim Z = {Z.dim} but the stabilizing degrees predict {expected_dim}")
-    Bsub = SubspaceBasis.from_vectors(A, inc.embedding)
-    if not Z.contains(Bsub, tol):
+    if not Z.contains(ext.b_sub):
         raise ConsistencyError("Z does not contain B")
-    if not is_hopf_subalgebra(A, Z, tol):
+    if not is_hopf_subalgebra(A, Z):
         raise ConsistencyError("stabilizing subcoalgebras do not close into a Hopf subalgebra")
 
-    z_alg = subalgebra_data(A, Z, tol, labels=[f"z{i}" for i in range(Z.dim)])
-    z_dec = wedderburn(z_alg, seed=seed)
+    z_alg = subalgebra_data(A, Z, labels=[f"z{i}" for i in range(Z.dim)])
+    z_dec = wedderburn(z_alg, seed=ext.seed)
     b_in_z, resid = linalg.lstsq_coords(Z.matrix, np.asarray(inc.embedding, complex))
-    if resid > tol:
+    if resid > TOL_ALG:
         raise ConsistencyError("B does not sit inside Z numerically")
+    b_inc = HopfInclusion(small=inc.small, big=z_alg, embedding=b_in_z)
+    z_inc = HopfInclusion(small=z_alg, big=A, embedding=Z.matrix)
+    table_bz = restriction_table(b_inc, ext.dec_b, z_dec)
+    table_za = restriction_table(z_inc, z_dec, ext.dec_a)
 
-    z_class = []
-    for j, psi in enumerate(z_dec.irr):
-        down = Character(inc.small, b_in_z.T @ psi.values)
-        if decompose(down, dec_b)[alpha_index] > 0:
-            z_class.append(j)
+    z_class = tuple(int(j) for j in np.nonzero(table_bz[:, alpha_index])[0])
     psi_alpha = Character(z_alg, sum(z_dec.irr[j].degree * z_dec.irr[j].values
                                      for j in z_class))
     expected = Fraction(Z.dim, inc.small.dim) * alpha.degree ** 2
@@ -293,24 +400,16 @@ def compute_stabilizer(A: HopfAlgebraData, inc: HopfInclusion,
     return StabilizerResult(alpha_index=alpha_index, alpha=alpha,
                             stabilizing=stabilizing, Z=Z, dim_z=Z.dim,
                             z_alg=z_alg, z_dec=z_dec, b_in_z=b_in_z,
-                            z_class=tuple(z_class), psi_alpha=psi_alpha)
+                            b_inc=b_inc, z_inc=z_inc,
+                            table_bz=table_bz, table_za=table_za,
+                            z_class=z_class, psi_alpha=psi_alpha)
 
 
-def z_inclusion(A: HopfAlgebraData, sr: StabilizerResult) -> HopfInclusion:
-    return HopfInclusion(small=sr.z_alg, big=A, embedding=sr.Z.matrix)
-
-
-def b_into_z_inclusion(inc: HopfInclusion, sr: StabilizerResult) -> HopfInclusion:
-    return HopfInclusion(small=inc.small, big=sr.z_alg, embedding=sr.b_in_z)
-
-
-def check_stabilizer_induction(A: HopfAlgebraData, inc: HopfInclusion,
-                               sr: StabilizerResult, ecd: EquivalenceClassData,
-                               dec_a: SemisimpleDecomposition) -> dict[str, float]:
+def check_stabilizer_induction(ext: Extension, sr: StabilizerResult) -> dict[str, float]:
     """Induce psi_alpha up to A and compare with the scaled class sum."""
+    ecd = ext.ecd
     i = ecd.class_of_alpha(sr.alpha_index)
-    zinc = z_inclusion(A, sr)
-    ind = induce_character(sr.psi_alpha, zinc, sr.z_dec, dec_a)
+    ind = induce_character(sr.psi_alpha, sr.z_inc, sr.z_dec, ext.dec_a, sr.table_za)
     scale = Fraction(sr.alpha.degree ** 2, ecd.b_sums[i].degree)
     target = float(scale) * ecd.a_sums[i].values
     residual = float(np.max(np.abs(ind.values - target)))
@@ -326,17 +425,17 @@ class BoundReport:
     mult_z: int
 
 
-def stabilizer_dimension_bound(A: HopfAlgebraData, inc: HopfInclusion,
-                               sr: StabilizerResult, ecd: EquivalenceClassData,
-                               dec_a: SemisimpleDecomposition,
-                               dec_b: SemisimpleDecomposition) -> BoundReport:
+def stabilizer_dimension_bound(ext: Extension, sr: StabilizerResult) -> BoundReport:
     """dim Z <= |A| alpha(1)^2 / b_i(1), with the socle multiplicity test.
 
     The bound is attained exactly when inducing to Z and inducing to A give
-    the same alpha-multiplicity after restricting back to B.
+    the same alpha-multiplicity after restricting back to B.  By Frobenius
+    reciprocity m(alpha^A|, alpha) is the squared norm of the alpha column
+    of the restriction table, and likewise for Z.
     """
-    alpha = sr.alpha
-    i = ecd.class_of_alpha(sr.alpha_index)
+    A, inc, ecd = ext.A, ext.inc, ext.ecd
+    alpha, k = sr.alpha, sr.alpha_index
+    i = ecd.class_of_alpha(k)
     b_deg = ecd.b_sums[i].degree
     bound = Fraction(A.dim * alpha.degree ** 2, b_deg)
     if sr.dim_z > bound:
@@ -344,17 +443,15 @@ def stabilizer_dimension_bound(A: HopfAlgebraData, inc: HopfInclusion,
             f"dim Z = {sr.dim_z} exceeds the bound {bound}")
 
     s = Fraction(A.dim, inc.small.dim)
-    up_a = induce_character(alpha, inc, dec_b, dec_a)
-    down_a = restrict_character(up_a, inc)
-    mult_full = multiplicity(down_a, alpha, dec_b)
+    up_a = ecd.restriction_table[:, k]
+    mult_full = int(up_a @ up_a)
     if Fraction(mult_full) != s * alpha.degree ** 2 / b_deg:
         raise ConsistencyError(
             f"m(alpha^A|, alpha) = {mult_full} != s alpha(1)^2/b_i(1)")
 
-    binc = b_into_z_inclusion(inc, sr)
-    up_z = induce_character(alpha, binc, dec_b, sr.z_dec)
-    down_z = Character(inc.small, sr.b_in_z.T @ up_z.values)
-    mult_z = multiplicity(down_z, alpha, dec_b)
+    induce_character(alpha, sr.b_inc, ext.dec_b, sr.z_dec, sr.table_bz)  # index-degree check
+    up_z = sr.table_bz[:, k]
+    mult_z = int(up_z @ up_z)
     if Fraction(mult_z) != Fraction(sr.dim_z, inc.small.dim):
         raise ConsistencyError(f"m(alpha^Z|, alpha) = {mult_z} != |Z|/|B|")
 
@@ -374,20 +471,17 @@ class DirectReport:
     image_indices: list[Optional[int]]
 
 
-def direct_correspondence_check(A: HopfAlgebraData, sr: StabilizerResult,
-                                ecd: EquivalenceClassData,
-                                dec_a: SemisimpleDecomposition) -> DirectReport:
+def direct_correspondence_check(ext: Extension, sr: StabilizerResult) -> DirectReport:
     """Is psi -> psi^A a bijection from the class over alpha onto A_i?"""
-    i = ecd.class_of_alpha(sr.alpha_index)
-    target = set(ecd.a_classes[i])
-    zinc = z_inclusion(A, sr)
+    i = ext.ecd.class_of_alpha(sr.alpha_index)
+    target = set(ext.ecd.a_classes[i])
     table = []
     images: list[Optional[int]] = []
     all_irreducible = True
     for j in sr.z_class:
         psi = sr.z_dec.irr[j]
-        ind = induce_character(psi, zinc, sr.z_dec, dec_a)
-        coeffs = decompose(ind, dec_a)
+        induce_character(psi, sr.z_inc, sr.z_dec, ext.dec_a, sr.table_za)  # index-degree check
+        coeffs = sr.table_za[:, j]
         irreducible = int(coeffs @ coeffs) == 1
         img = int(np.argmax(coeffs)) if irreducible else None
         images.append(img)
@@ -415,14 +509,12 @@ def crosscheck_correspondence(bound: BoundReport, direct: DirectReport) -> bool:
     return direct.direct_holds
 
 
-def conjugate_class_indices(A: HopfAlgebraData, inc: HopfInclusion,
-                            alpha: Character, dec_b: SemisimpleDecomposition,
-                            dec_dual: SemisimpleDecomposition) -> tuple[int, ...]:
+def conjugate_class_indices(ext: Extension, alpha_index: int) -> tuple[int, ...]:
     """Irreducible constituents of all conjugates of alpha, as Irr(B) indices."""
+    alpha = ext.dec_b.irr[alpha_index]
     seen: set[int] = set()
-    for d in dec_dual.irr:
-        conj = conjugate_character(A, inc, d.values, alpha)
-        coeffs = decompose(conj, dec_b)
+    for C in ext.conjugation:
+        coeffs = decompose(Character(alpha.parent, alpha.values @ C), ext.dec_b)
         seen.update(int(k) for k in np.nonzero(coeffs)[0])
     return tuple(sorted(seen))
 
@@ -487,23 +579,17 @@ class GradedSection:
     cocentral: bool
 
 
-def graded_stabilizer_analysis(A: HopfAlgebraData, inc: HopfInclusion,
-                               piF: HopfSurjection, F: FiniteGroup,
-                               components: list[SubspaceBasis],
-                               sr: StabilizerResult, ecd: EquivalenceClassData,
-                               dec_b: SemisimpleDecomposition,
-                               M_mod: ExplicitModule,
-                               cocentral: bool,
-                               mp: Optional[MatchedPair] = None,
-                               alpha_group_index: Optional[int] = None,
-                               tol: float = TOL_ALG) -> GradedSection:
+def graded_stabilizer_analysis(ext: Extension, sr: StabilizerResult) -> GradedSection:
     """Stabilizer subgroup H of alpha under the grading action, and S = A(H)."""
+    A, inc, F, components = ext.A, ext.inc, ext.F, ext.components
     alpha = sr.alpha
+    M_mod = construct_irreducible_module(inc.small, ext.dec_b, sr.alpha_index,
+                                         seed=ext.seed)
     h_members = []
     orbit_class: set[int] = set()
     for f in range(F.order):
-        ch = graded_tensor_character(A, inc, components[f], M_mod, tol)
-        coeffs = decompose(ch, dec_b)
+        ch = graded_tensor_character(A, inc, components[f], M_mod)
+        coeffs = decompose(ch, ext.dec_b)
         if int(coeffs @ coeffs) != 1:
             raise ConsistencyError("grading action did not send a simple to a simple")
         orbit_class.add(int(np.argmax(coeffs)))
@@ -520,22 +606,23 @@ def graded_stabilizer_analysis(A: HopfAlgebraData, inc: HopfInclusion,
         raise ConsistencyError("stabilizer order does not divide |F|")
     orbit_size = F.order // len(h_members)
 
-    i = ecd.class_of_alpha(sr.alpha_index)
-    if Fraction(ecd.b_sums[i].degree) * len(h_members) != Fraction(F.order) * alpha.degree ** 2:
+    i = ext.ecd.class_of_alpha(sr.alpha_index)
+    if Fraction(ext.ecd.b_sums[i].degree) * len(h_members) != Fraction(F.order) * alpha.degree ** 2:
         raise TheoremViolationError("orbit identity b_i(1) |H| = |F| alpha(1)^2 fails")
 
     S = SubspaceBasis.from_vectors(
         A, np.hstack([components[f].matrix for f in h_members]))
     if S.dim != inc.small.dim * len(h_members):
         raise ConsistencyError("dim A(H) != |B| |H|")
-    s_hopf = is_hopf_subalgebra(A, S, tol)
-    z_in_s = S.contains(sr.Z, tol)
+    s_hopf = is_hopf_subalgebra(A, S)
+    z_in_s = S.contains(sr.Z)
     if not z_in_s:
         raise TheoremViolationError("Z is not contained in S = A(H)")
     z_eq_s = z_in_s and sr.dim_z == S.dim
 
-    if mp is not None and alpha_group_index is not None:
-        orbit, stab = orbit_and_stabilizer(mp, alpha_group_index)
+    alpha_group_index = ext.supports[sr.alpha_index]
+    if ext.mp is not None and alpha_group_index is not None:
+        orbit, stab = orbit_and_stabilizer(ext.mp, alpha_group_index)
         if tuple(sorted(h_members)) != tuple(stab.members):
             raise ConsistencyError(
                 "grading stabilizer disagrees with the matched-pair action")
@@ -547,14 +634,10 @@ def graded_stabilizer_analysis(A: HopfAlgebraData, inc: HopfInclusion,
         h_labels=[F.labels[f] for f in sorted(h_members)],
         orbit_size=orbit_size, dim_s=S.dim, s_is_hopf=bool(s_hopf),
         z_in_s=bool(z_in_s), z_equals_s=bool(z_eq_s),
-        orbit_class=tuple(sorted(orbit_class)), cocentral=bool(cocentral))
+        orbit_class=tuple(sorted(orbit_class)), cocentral=bool(ext.cocentral))
 
 
-def coset_projection_check(A: HopfAlgebraData, inc: HopfInclusion,
-                           piF: HopfSurjection, F: FiniteGroup,
-                           components: list[SubspaceBasis],
-                           dec_dual: SemisimpleDecomposition,
-                           tol: float = TOL_ALG) -> dict:
+def coset_projection_check(ext: Extension) -> dict:
     """Projections of dual characters, their images, and the coset decomposition.
 
     For every irreducible dual character d: pi(d) is eps(d)/|F_j| times the
@@ -562,14 +645,14 @@ def coset_projection_check(A: HopfAlgebraData, inc: HopfInclusion,
     span{F_j}, B C_d equals the sum of the graded components over F_j, the
     supports partition F, and the distinct subspaces B C_d decompose A.
     """
+    A, piF, F, components = ext.A, ext.piF, ext.F, ext.components
     piM = piF.matrix
-    Bsub = SubspaceBasis.from_vectors(A, inc.embedding)
     uniform_resid = 0.0
     image_resid = 0.0
     coset_resid = 0.0
     supports = []
     cosets: list[SubspaceBasis] = []
-    for d in dec_dual.irr:
+    for d, C in zip(ext.dec_dual.irr, ext.coefficient_spaces):
         pd = piM @ d.values
         support = tuple(sorted(int(f) for f in np.nonzero(np.abs(pd) > TOL_MATCH)[0]))
         if not support:
@@ -581,18 +664,17 @@ def coset_projection_check(A: HopfAlgebraData, inc: HopfInclusion,
         uniform_resid = max(uniform_resid, float(np.max(np.abs(pd - expect))))
         supports.append(support)
 
-        C = coefficient_space(A, d.values)
         img = SubspaceBasis.from_vectors(piF.target, piM @ C.matrix)
         span = np.zeros((F.order, len(support)), dtype=complex)
         for c, f in enumerate(support):
             span[f, c] = 1.0
         image_resid = max(image_resid, 0.0 if img.equals(
-            SubspaceBasis(piF.target, span), tol) else 1.0)
+            SubspaceBasis(piF.target, span)) else 1.0)
 
-        bc = subspace_product(Bsub, C)
+        bc = subspace_product(ext.b_sub, C)
         graded = SubspaceBasis.from_vectors(
             A, np.hstack([components[f].matrix for f in support]))
-        coset_resid = max(coset_resid, 0.0 if bc.equals(graded, tol) else 1.0)
+        coset_resid = max(coset_resid, 0.0 if bc.equals(graded) else 1.0)
         cosets.append(bc)
 
     support_sets = sorted(set(supports))
@@ -600,8 +682,8 @@ def coset_projection_check(A: HopfAlgebraData, inc: HopfInclusion,
     partition_ok = sorted(flat) == list(range(F.order))
 
     distinct: list[SubspaceBasis] = []
-    for sup, bc in zip(supports, cosets):
-        if not any(bc.equals(other, tol) for other in distinct):
+    for bc in cosets:
+        if not any(bc.equals(other) for other in distinct):
             distinct.append(bc)
     total = sum(bc.dim for bc in distinct)
     disjoint_ok = True
@@ -645,37 +727,23 @@ class AlphaReport:
         return "HOLDS" if self.direct_holds else "FAILS"
 
 
-def analyze_alpha(A: HopfAlgebraData, inc: HopfInclusion, alpha_index: int,
-                  ecd: EquivalenceClassData,
-                  dec_a: SemisimpleDecomposition,
-                  dec_b: SemisimpleDecomposition,
-                  dec_dual: SemisimpleDecomposition,
-                  alpha_label: str = "",
-                  piF: Optional[HopfSurjection] = None,
-                  F: Optional[FiniteGroup] = None,
-                  components: Optional[list[SubspaceBasis]] = None,
-                  cocentral: bool = False,
-                  mp: Optional[MatchedPair] = None,
-                  alpha_group_index: Optional[int] = None,
-                  seed: int = DEFAULT_SEED) -> AlphaReport:
+def analyze_alpha(ext: Extension, alpha_index: int) -> AlphaReport:
     """Full stabilizer pipeline for one irreducible B-character."""
-    sr = compute_stabilizer(A, inc, alpha_index, dec_b, dec_dual, seed=seed)
-    lemma = check_stabilizer_induction(A, inc, sr, ecd, dec_a)
-    bound = stabilizer_dimension_bound(A, inc, sr, ecd, dec_a, dec_b)
-    direct = direct_correspondence_check(A, sr, ecd, dec_a)
+    sr = compute_stabilizer(ext, alpha_index)
+    lemma = check_stabilizer_induction(ext, sr)
+    bound = stabilizer_dimension_bound(ext, sr)
+    direct = direct_correspondence_check(ext, sr)
     crosscheck_correspondence(bound, direct)
-    conj_class = conjugate_class_indices(A, inc, sr.alpha, dec_b, dec_dual)
+    conj_class = conjugate_class_indices(ext, alpha_index)
+    ecd = ext.ecd
     i = ecd.class_of_alpha(alpha_index)
     if conj_class != tuple(sorted(ecd.b_classes[i])):
         raise TheoremViolationError(
             "conjugates of alpha do not span exactly its equivalence class")
 
     graded = None
-    if piF is not None and F is not None and components is not None:
-        M_mod = construct_irreducible_module(inc.small, dec_b, alpha_index, seed=seed)
-        graded = graded_stabilizer_analysis(
-            A, inc, piF, F, components, sr, ecd, dec_b, M_mod,
-            cocentral=cocentral, mp=mp, alpha_group_index=alpha_group_index)
+    if ext.piF is not None:
+        graded = graded_stabilizer_analysis(ext, sr)
         if graded.z_equals_s != direct.direct_holds:
             raise TheoremViolationError(
                 "Z = S criterion disagrees with the direct check")
@@ -687,7 +755,7 @@ def analyze_alpha(A: HopfAlgebraData, inc: HopfInclusion, alpha_index: int,
                 "grading orbit does not reproduce the equivalence class")
 
     return AlphaReport(
-        alpha_index=alpha_index, alpha_label=alpha_label,
+        alpha_index=alpha_index, alpha_label=ext.alpha_labels[alpha_index],
         alpha_degree=sr.alpha.degree, class_index=i,
         b_class_degree=ecd.b_sums[i].degree,
         bound=bound.bound, dim_z=sr.dim_z, stabilizing=sr.stabilizing,

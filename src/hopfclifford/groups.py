@@ -31,13 +31,6 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def inverse_perm(p: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
 def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 

@@ -58,14 +58,10 @@ def contains_vectors(basis: np.ndarray, vectors: np.ndarray, tol: float) -> bool
     return bool(np.max(np.abs(resid), initial=0.0) < tol)
 
 
-def subspace_contains(big: np.ndarray, small: np.ndarray, tol: float) -> bool:
-    return contains_vectors(big, small, tol)
-
-
 def subspace_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     if a.shape[1] != b.shape[1]:
         return False
-    return subspace_contains(a, b, tol) and subspace_contains(b, a, tol)
+    return contains_vectors(a, b, tol) and contains_vectors(b, a, tol)
 
 
 def lstsq_coords(basis: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, float]:

@@ -18,12 +18,11 @@ from . import linalg
 from .errors import (ConsistencyError, NotACharacterError,
                      NumericDegeneracyError, SemisimplicityError)
 from .groups import FiniteGroup
-from .hopf import (AlgebraData, HopfAlgebraData, HopfSurjection,
+from .hopf import (TOL_ALG, AlgebraData, HopfAlgebraData, HopfSurjection,
                    dual_hopf, group_algebra)
 
 DEFAULT_SEED = 1729
 TOL_INT = 1e-6
-TOL_ALG = 1e-8
 COND_LIMIT = 1e8
 
 
@@ -41,12 +40,6 @@ class Character:
         if abs(d - n) > 1e-6:
             raise ConsistencyError(f"character degree {d} is not an integer")
         return n
-
-    def __add__(self, other: "Character") -> "Character":
-        return Character(self.parent, self.values + other.values)
-
-    def __rmul__(self, scalar) -> "Character":
-        return Character(self.parent, scalar * self.values)
 
     def close_to(self, other: "Character", tol: float = TOL_ALG) -> bool:
         return float(np.max(np.abs(self.values - other.values))) < tol
@@ -191,14 +184,24 @@ def restrict_character(chi: Character, inc) -> Character:
     return Character(inc.small, values)
 
 
+def restriction_table(inc, dec_small: SemisimpleDecomposition,
+                      dec_big: SemisimpleDecomposition) -> np.ndarray:
+    """table[c, k] = multiplicity of Irr(small)[k] in Irr(big)[c] restricted."""
+    table = np.zeros((len(dec_big.irr), len(dec_small.irr)), dtype=np.int64)
+    for c, chi in enumerate(dec_big.irr):
+        table[c] = decompose(restrict_character(chi, inc), dec_small)
+    return table
+
+
 def induce_character(alpha: Character, inc, dec_small: SemisimpleDecomposition,
-                     dec_big: SemisimpleDecomposition) -> Character:
-    """Induction by Frobenius reciprocity: m(alpha^, chi) = m(alpha, chi|)."""
-    m_small = decompose(alpha, dec_small)
-    values = np.zeros(inc.big.dim, dtype=complex)
-    for chi in dec_big.irr:
-        row = decompose(restrict_character(chi, inc), dec_small)
-        values += int(m_small @ row) * chi.values
+                     dec_big: SemisimpleDecomposition, table: np.ndarray) -> Character:
+    """Induction by Frobenius reciprocity: m(alpha^, chi) = m(alpha, chi|).
+
+    `table` is restriction_table(inc, dec_small, dec_big), so the induced
+    multiplicities are table @ m(alpha).
+    """
+    coeffs = table @ decompose(alpha, dec_small)
+    values = sum(int(n) * chi.values for n, chi in zip(coeffs, dec_big.irr))
     ind = Character(inc.big, values)
     expected = Fraction(inc.big.dim, inc.small.dim) * alpha.degree
     if Fraction(ind.degree) != expected:

@@ -13,6 +13,7 @@ package:
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,7 +24,7 @@ from . import clifford, hopf, linalg, repcalc
 from .errors import ConfigError, ConsistencyError
 from .groups import (FiniteGroup, MatchedPair, Subgroup, derive_actions,
                      group_from_permutations, parse_cycles, subgroup_as_group,
-                     subgroup_closure, verify_matched_pair)
+                     subgroup_closure)
 
 BUILTIN_NAMES = ("s4_counterexample", "s3_a3_classical", "cocentral_c4_c2")
 
@@ -55,7 +56,7 @@ class Scenario:
     alpha: object = "all"
     seed: Optional[int] = None
     size_cap: int = 10000
-    tol_alg: float = 1e-8
+    tol_alg: float = hopf.TOL_ALG
     expected_ract: Optional[dict] = None
     expected_lact: Optional[dict] = None
 
@@ -66,7 +67,10 @@ class Scenario:
             if construction not in ("group_algebra", "dual_group_algebra", "bismash"):
                 raise ConfigError(f"unknown construction {construction!r}")
             group = data.get("sigma") or data.get("group") or {}
-            tolerances = data.get("tolerances", {})
+            tol_alg = data.get("tolerances", {}).get("alg", hopf.TOL_ALG)
+            if isinstance(tol_alg, bool) or not 0 < float(tol_alg) < math.inf:
+                raise ConfigError(
+                    f"tolerances.alg must be a finite number > 0, got {tol_alg!r}")
             sc = cls(
                 name=str(data.get("name", "scenario")),
                 construction=construction,
@@ -79,8 +83,10 @@ class Scenario:
                 alpha=data.get("alpha", "all"),
                 seed=data.get("seed"),
                 size_cap=int(data.get("size_cap", 10000)),
-                tol_alg=float(tolerances.get("alg", 1e-8)),
+                tol_alg=float(tol_alg),
             )
+            if sc.seed is not None:
+                check_seed(sc.seed, "scenario seed")
         except ConfigError:
             raise
         except Exception as exc:
@@ -118,6 +124,20 @@ class Scenario:
         return out
 
 
+def check_seed(seed, source: str) -> int:
+    """A splitting seed must be a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+def resolve_seed(sc: Scenario, seed: Optional[int] = None) -> int:
+    """The given seed, else the scenario's, else the default."""
+    if seed is None:
+        seed = sc.seed if sc.seed is not None else repcalc.DEFAULT_SEED
+    return check_seed(seed, "seed")
+
+
 def builtin_scenario(name: str) -> Scenario:
     if name == "s4_counterexample":
         return Scenario(
@@ -150,19 +170,6 @@ def load_scenario(path: str) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # building the extension named by a scenario
-
-@dataclass
-class BuiltExtension:
-    scenario: Scenario
-    A: hopf.HopfAlgebraData
-    inc: hopf.HopfInclusion
-    mp: Optional[MatchedPair]
-    pair_report: Optional[object]
-    piF: Optional[hopf.HopfSurjection]
-    F: Optional[FiniteGroup]
-    alpha_aliases: dict[str, int] = field(default_factory=dict)
-    group: Optional[FiniteGroup] = None
-
 
 def _resolve_elements(group: FiniteGroup, refs: list[str],
                       names: Optional[list[str]],
@@ -214,7 +221,8 @@ def _quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]
     return FiniteGroup(cayley, labels=labels), coset_of
 
 
-def build_scenario(sc: Scenario, seed: int) -> BuiltExtension:
+def build_scenario(sc: Scenario, seed: int) -> clifford.Extension:
+    """The extension a scenario names; derived data is built on first use."""
     try:
         if sc.group_cayley is not None:
             group = FiniteGroup.from_json_dict(sc.group_cayley)
@@ -233,14 +241,11 @@ def build_scenario(sc: Scenario, seed: int) -> BuiltExtension:
         f_sub = subgroup_closure(group, f_idx)
         g_sub = subgroup_closure(group, g_idx)
         mp = derive_actions(group, f_sub, g_sub)
-        pair_report = verify_matched_pair(mp)
         if sc.expected_ract is not None:
             _assert_action_tables(mp, sc.expected_ract, sc.expected_lact)
-        bm = hopf.bismash(mp)
-        aliases = {mp.g_group.labels[g]: g for g in mp.g_group.elements()}
-        return BuiltExtension(scenario=sc, A=bm.algebra, inc=bm.b_inclusion,
-                              mp=mp, pair_report=pair_report, piF=bm.pi,
-                              F=mp.f_group, alpha_aliases=aliases, group=group)
+        bm = hopf.bismash(mp)  # refuses a pair that fails verification
+        return clifford.Extension(bm.algebra, bm.b_inclusion, seed=seed,
+                                  piF=bm.pi, F=mp.f_group, mp=mp)
 
     n_idx = _resolve_elements(group, sc.b_generators, sc.group_names,
                               sc.group_generators)
@@ -251,7 +256,6 @@ def build_scenario(sc: Scenario, seed: int) -> BuiltExtension:
         E = np.zeros((group.order, n_sub.order), dtype=complex)
         for i, m in enumerate(n_sub.members):
             E[m, i] = 1.0
-        inc = hopf.HopfInclusion(small=B, big=A, embedding=E)
     else:
         A = hopf.dual_group_algebra(group)
         Q, coset_of = _quotient_group(group, n_sub)
@@ -259,29 +263,22 @@ def build_scenario(sc: Scenario, seed: int) -> BuiltExtension:
         E = np.zeros((group.order, Q.order), dtype=complex)
         for a in group.elements():
             E[a, coset_of[a]] = 1.0
-        inc = hopf.HopfInclusion(small=B, big=A, embedding=E)
-    resid = hopf.verify_hopf_inclusion(inc)
-    if resid > 1e-8:
+    resid = hopf.hopf_map_residual(B, A, E)
+    if resid > hopf.TOL_ALG:
         raise ConsistencyError(f"B embedding fails Hopf-map checks ({resid:.2e})")
-    return BuiltExtension(scenario=sc, A=A, inc=inc, mp=None, pair_report=None,
-                          piF=None, F=None, group=group)
+    return clifford.Extension(A, hopf.HopfInclusion(small=B, big=A, embedding=E),
+                              seed=seed)
 
 
 def _assert_action_tables(mp: MatchedPair, ract_expect: dict, lact_expect: dict) -> None:
-    for x_label, row in ract_expect.items():
-        for g_label, want in row.items():
-            got = mp.ract_label(g_label, x_label)
-            if got != want:
-                raise ConsistencyError(
-                    f"derived right action at ({g_label}, {x_label}) is "
-                    f"{got}, expected {want}")
-    for g_label, row in lact_expect.items():
-        for x_label, want in row.items():
-            got = mp.lact_label(g_label, x_label)
-            if got != want:
-                raise ConsistencyError(
-                    f"derived left action at ({g_label}, {x_label}) is "
-                    f"{got}, expected {want}")
+    cells = [("right", g, x, want, mp.ract_label(g, x))
+             for x, row in ract_expect.items() for g, want in row.items()]
+    cells += [("left", g, x, want, mp.lact_label(g, x))
+              for g, row in lact_expect.items() for x, want in row.items()]
+    for side, g, x, want, got in cells:
+        if got != want:
+            raise ConsistencyError(
+                f"derived {side} action at ({g}, {x}) is {got}, expected {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +299,6 @@ class RunReport:
     formula_residuals: dict[str, float]
     coset_check: Optional[dict]
     alpha_reports: list[clifford.AlphaReport]
-    alpha_labels: list[str]
     action_tables: Optional[dict]
     elapsed: float
 
@@ -372,7 +368,7 @@ class RunReport:
         lines.append(f"  dims: A {self.dims_a}  B {self.dims_b}  A* {self.dims_dual}")
         worst = max(self.axiom_residuals.values())
         lines.append(f"  axioms: max residual {worst:.2e} "
-                     f"({'pass' if worst < 1e-8 else 'FAIL'})")
+                     f"({'pass' if worst < sc.tol_alg else 'FAIL'})")
         if self.pair_ok is not None:
             lines.append(f"  matched pair verified: {self.pair_ok}")
         if self.action_tables is not None:
@@ -438,13 +434,13 @@ def _action_table_rows(mp: MatchedPair) -> dict:
     return {"ract_rows": ract_rows, "lact_rows": lact_rows}
 
 
-def resolve_alpha_selection(selection, dec_b: repcalc.SemisimpleDecomposition,
-                            aliases: dict[str, int],
-                            support_of: list[Optional[int]]) -> list[int]:
+def resolve_alpha_selection(selection, ext: clifford.Extension) -> list[int]:
     """Indices of Irr(B) selected by 'all', an index, or a label."""
-    n = len(dec_b.irr)
+    n = len(ext.dec_b.irr)
     if selection is None or selection == "all":
         return list(range(n))
+    if isinstance(selection, bool):
+        raise ConfigError(f"cannot resolve alpha selection {selection!r}")
     if isinstance(selection, int) or (isinstance(selection, str) and selection.isdigit()):
         k = int(selection)
         if not 0 <= k < n:
@@ -452,93 +448,48 @@ def resolve_alpha_selection(selection, dec_b: repcalc.SemisimpleDecomposition,
         return [k]
     if isinstance(selection, str):
         if selection.startswith("chi") and selection[3:].isdigit():
-            return resolve_alpha_selection(selection[3:], dec_b, aliases, support_of)
-        if selection in aliases:
-            want = aliases[selection]
-            hits = [k for k, sup in enumerate(support_of) if sup == want]
+            return resolve_alpha_selection(selection[3:], ext)
+        if ext.mp is not None and selection in ext.mp.g_group.labels:
+            want = ext.mp.g_group.labels.index(selection)
+            hits = [k for k, sup in enumerate(ext.supports) if sup == want]
             if len(hits) == 1:
                 return hits
         raise ConfigError(f"cannot resolve alpha selection {selection!r}")
     raise ConfigError(f"cannot resolve alpha selection {selection!r}")
 
 
-def _character_supports(dec_b: repcalc.SemisimpleDecomposition) -> list[Optional[int]]:
-    """Basis support when a character is a 0/1 indicator, else None."""
-    out: list[Optional[int]] = []
-    for ch in dec_b.irr:
-        v = ch.values
-        k = int(np.argmax(np.abs(v)))
-        ind = np.zeros_like(v)
-        ind[k] = 1.0
-        out.append(k if float(np.max(np.abs(v - ind))) < 1e-8 else None)
-    return out
+def axiom_gate(ext: clifford.Extension, tol: float
+               ) -> list[tuple[str, hopf.HopfAlgebraData, hopf.AxiomReport]]:
+    """Hopf-axiom residuals of A, B and A*, judged at the scenario's tolerance."""
+    return [(tag, alg, hopf.verify_hopf_axioms(alg, tol=tol))
+            for tag, alg in (("A", ext.A), ("B", ext.inc.small), ("A_dual", ext.dual))]
 
 
 def run_scenario(sc: Scenario, alpha_selection=None, seed: Optional[int] = None) -> RunReport:
     """Build, verify, and analyze one scenario end to end."""
     t0 = time.perf_counter()
-    if seed is None:
-        seed = sc.seed if sc.seed is not None else repcalc.DEFAULT_SEED
-    built = build_scenario(sc, seed)
-    A, inc = built.A, built.inc
+    seed = resolve_seed(sc, seed)
+    ext = build_scenario(sc, seed)
 
     axioms: dict[str, float] = {}
-    for tag, alg in (("A", A), ("B", inc.small), ("A_dual", hopf.dual_hopf(A))):
-        rep = hopf.verify_hopf_axioms(alg, tol=sc.tol_alg)
+    for tag, _, rep in axiom_gate(ext, sc.tol_alg):
         axioms.update({f"{tag}.{k}": v for k, v in rep.residuals.items()})
         if not rep.ok:
             raise ConsistencyError(f"{tag} fails Hopf axioms: {rep.failing()}")
 
-    dec_a = repcalc.wedderburn(A, seed=seed)
-    dec_b = repcalc.wedderburn(inc.small, seed=seed)
-    dec_dual = repcalc.wedderburn(hopf.dual_hopf(A), seed=seed)
-
-    ecd = clifford.equivalence_classes(A, inc, dec_a, dec_b)
-    formulas = clifford.verify_class_formulas(ecd, inc, dec_a, dec_b)
-
-    piF, F = built.piF, built.F
-    if piF is None:
-        Bsub = hopf.SubspaceBasis.from_vectors(A, inc.embedding)
-        _, pi_q = hopf.quotient_hopf(A, Bsub)
-        found = repcalc.as_group_algebra_surjection(pi_q, seed=seed)
-        if found is not None:
-            F, piF = found
-
+    dims = [list(dec.dims) for dec in (ext.dec_a, ext.dec_b, ext.dec_dual)]
+    formulas = clifford.verify_class_formulas(ext)
     coset_check = None
-    cocentral = None
-    components = None
-    if piF is not None and F is not None:
-        components = [hopf.graded_component(A, piF, f) for f in range(F.order)]
-        cocentral = hopf.is_cocentral(A, piF)
-        coset_check = clifford.coset_projection_check(
-            A, inc, piF, F, components, dec_dual)
+    if ext.piF is not None:
+        coset_check = clifford.coset_projection_check(ext)
 
-    supports = _character_supports(dec_b)
     selected = resolve_alpha_selection(
-        alpha_selection if alpha_selection is not None else sc.alpha,
-        dec_b, built.alpha_aliases, supports)
-
-    alpha_labels = []
-    for k, sup in enumerate(supports):
-        if sup is not None and built.mp is not None:
-            alpha_labels.append(built.mp.g_group.labels[sup])
-        elif sup is not None:
-            alpha_labels.append(inc.small.labels[sup])
-        else:
-            alpha_labels.append(f"chi{k}")
-
-    reports = []
-    for k in selected:
-        alpha_group_index = supports[k] if built.mp is not None else None
-        rep = clifford.analyze_alpha(
-            A, inc, k, ecd, dec_a, dec_b, dec_dual,
-            alpha_label=alpha_labels[k], piF=piF, F=F, components=components,
-            cocentral=bool(cocentral), mp=built.mp,
-            alpha_group_index=alpha_group_index, seed=seed)
-        reports.append(rep)
-    if cocentral and len(selected) == len(dec_b.irr):
+        alpha_selection if alpha_selection is not None else sc.alpha, ext)
+    reports = [clifford.analyze_alpha(ext, k) for k in selected]
+    if ext.cocentral and len(selected) == len(ext.dec_b.irr):
         clifford.cocentral_sweep_check(reports)
 
+    ecd = ext.ecd
     class_data = {
         "a_classes": [list(c) for c in ecd.a_classes],
         "b_classes": [list(c) for c in ecd.b_classes],
@@ -546,49 +497,34 @@ def run_scenario(sc: Scenario, alpha_selection=None, seed: Optional[int] = None)
         "b_degrees": [c.degree for c in ecd.b_sums],
     }
     return RunReport(
-        scenario=sc, seed=seed,
-        dims_a=list(dec_a.dims), dims_b=list(dec_b.dims), dims_dual=list(dec_dual.dims),
+        scenario=sc, seed=seed, dims_a=dims[0], dims_b=dims[1], dims_dual=dims[2],
         axiom_residuals=axioms,
-        pair_ok=None if built.pair_report is None else built.pair_report.ok,
-        cocentral=cocentral,
-        f_labels=None if F is None else list(F.labels),
+        pair_ok=None if ext.mp is None else True,
+        cocentral=ext.cocentral,
+        f_labels=None if ext.F is None else list(ext.F.labels),
         class_data=class_data, formula_residuals=formulas,
         coset_check=coset_check, alpha_reports=reports,
-        alpha_labels=alpha_labels,
-        action_tables=None if built.mp is None else _action_table_rows(built.mp),
+        action_tables=None if ext.mp is None else _action_table_rows(ext.mp),
         elapsed=time.perf_counter() - t0)
 
 
 def list_irr(sc: Scenario, seed: Optional[int] = None) -> tuple[str, dict]:
     """Degrees and labels of Irr(A), Irr(B), Irr(A^*) in canonical order."""
-    if seed is None:
-        seed = sc.seed if sc.seed is not None else repcalc.DEFAULT_SEED
-    built = build_scenario(sc, seed)
-    dec_a = repcalc.wedderburn(built.A, seed=seed)
-    dec_b = repcalc.wedderburn(built.inc.small, seed=seed)
-    dec_dual = repcalc.wedderburn(hopf.dual_hopf(built.A), seed=seed)
-    data = {
-        "A_degrees": list(dec_a.dims),
-        "B_degrees": list(dec_b.dims),
-        "A_dual_degrees": list(dec_dual.dims),
-    }
-    lines = [f"scenario {sc.name}"]
-    for tag, dims in (("Irr(A)", dec_a.dims), ("Irr(B)", dec_b.dims),
-                      ("Irr(A*)", dec_dual.dims)):
-        lines.append(f"  {tag}: {len(dims)} characters, degrees {dims}")
+    ext = build_scenario(sc, resolve_seed(sc, seed))
+    data, lines = {}, [f"scenario {sc.name}"]
+    for key, title, dec in (("A", "Irr(A)", ext.dec_a), ("B", "Irr(B)", ext.dec_b),
+                            ("A_dual", "Irr(A*)", ext.dec_dual)):
+        data[f"{key}_degrees"] = list(dec.dims)
+        lines.append(f"  {title}: {len(dec.dims)} characters, degrees {dec.dims}")
     return "\n".join(lines) + "\n", data
 
 
 def verify_axioms(sc: Scenario, seed: Optional[int] = None) -> tuple[str, dict]:
     """Axiom residual report for the scenario's algebras."""
-    if seed is None:
-        seed = sc.seed if sc.seed is not None else repcalc.DEFAULT_SEED
-    built = build_scenario(sc, seed)
+    ext = build_scenario(sc, resolve_seed(sc, seed))
     out = {}
     lines = [f"scenario {sc.name}"]
-    for tag, alg in (("A", built.A), ("B", built.inc.small),
-                     ("A_dual", hopf.dual_hopf(built.A))):
-        rep = hopf.verify_hopf_axioms(alg)
+    for tag, alg, rep in axiom_gate(ext, sc.tol_alg):
         out[tag] = {"ok": rep.ok, "max_residual": rep.max_residual}
         lines.append(f"  {tag} (dim {alg.dim}): max residual "
                      f"{rep.max_residual:.2e} ({'pass' if rep.ok else 'FAIL'})")

@@ -1,48 +1,21 @@
-"""Shared fixtures: the three extensions and their decompositions.
+"""Shared fixtures: the three builtin extensions as per-scenario contexts.
 
-Session scope keeps the expensive dim-24 objects built once.
+Session scope keeps the expensive dim-24 objects built once; each context
+computes its decompositions, classes and conjugation matrices on first use.
 """
 
 import time
 
-import numpy as np
 import pytest
 
-from hopfclifford import clifford, hopf, repcalc
 from hopfclifford.groups import (derive_actions, group_from_permutations,
-                                 subgroup_as_group, subgroup_closure)
+                                 subgroup_closure)
+from hopfclifford.repcalc import DEFAULT_SEED
+from hopfclifford.scenarios import build_scenario, builtin_scenario
 
 
-class Extension:
-    """Bundle of everything the per-scenario tests keep reaching for."""
-
-    def __init__(self, A, inc, piF=None, F=None, mp=None, group=None):
-        self.A = A
-        self.inc = inc
-        self.piF = piF
-        self.F = F
-        self.mp = mp
-        self.group = group
-        self.dec_a = repcalc.wedderburn(A)
-        self.dec_b = repcalc.wedderburn(inc.small)
-        self.dual = hopf.dual_hopf(A)
-        self.dec_dual = repcalc.wedderburn(self.dual)
-        self.ecd = clifford.equivalence_classes(A, inc, self.dec_a, self.dec_b)
-        self.b_sub = hopf.SubspaceBasis.from_vectors(A, inc.embedding)
-        self.components = None
-        if piF is not None and F is not None:
-            self.components = [hopf.graded_component(A, piF, f)
-                               for f in range(F.order)]
-
-    def alpha_with_support(self, label):
-        """Index of the Irr(B) indicator character supported on `label`."""
-        want = self.inc.small.labels.index(label)
-        for k, ch in enumerate(self.dec_b.irr):
-            v = np.zeros_like(ch.values)
-            v[want] = 1.0
-            if float(np.max(np.abs(ch.values - v))) < 1e-8:
-                return k
-        raise AssertionError(f"no indicator character on {label}")
+def _builtin(name):
+    return build_scenario(builtin_scenario(name), DEFAULT_SEED)
 
 
 @pytest.fixture(scope="session")
@@ -60,10 +33,8 @@ def s4_pair(s4_sigma):
 
 
 @pytest.fixture(scope="session")
-def counterexample(s4_pair):
-    bm = hopf.bismash(s4_pair)
-    return Extension(bm.algebra, bm.b_inclusion, piF=bm.pi,
-                     F=s4_pair.f_group, mp=s4_pair)
+def counterexample():
+    return _builtin("s4_counterexample")
 
 
 @pytest.fixture(scope="session")
@@ -75,10 +46,8 @@ def c4c2_pair():
 
 
 @pytest.fixture(scope="session")
-def cocentral8(c4c2_pair):
-    bm = hopf.bismash(c4c2_pair)
-    return Extension(bm.algebra, bm.b_inclusion, piF=bm.pi,
-                     F=c4c2_pair.f_group, mp=c4c2_pair)
+def cocentral8():
+    return _builtin("cocentral_c4_c2")
 
 
 @pytest.fixture(scope="session")
@@ -87,21 +56,9 @@ def s3_group():
 
 
 @pytest.fixture(scope="session")
-def classical(s3_group):
-    kS3 = hopf.group_algebra(s3_group)
-    a3 = subgroup_closure(s3_group, [s3_group.label_index("s")])
-    kA3 = hopf.group_algebra(subgroup_as_group(a3))
-    E = np.zeros((6, 3), dtype=complex)
-    for i, m in enumerate(a3.members):
-        E[m, i] = 1.0
-    inc = hopf.HopfInclusion(small=kA3, big=kS3, embedding=E)
-    assert hopf.verify_hopf_inclusion(inc) < 1e-10
-    Bsub = hopf.SubspaceBasis.from_vectors(kS3, E)
-    _, pi_q = hopf.quotient_hopf(kS3, Bsub)
-    F, piF = repcalc.as_group_algebra_surjection(pi_q)
-    ext = Extension(kS3, inc, piF=piF, F=F, group=s3_group)
-    ext.a3_sub = a3
-    return ext
+def classical():
+    # kS3 over kA3; the quotient kC2 is found from the generic quotient
+    return _builtin("s3_a3_classical")
 
 
 def pytest_sessionstart(session):

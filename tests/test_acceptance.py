@@ -75,8 +75,7 @@ def test_acceptance_2_classical_positive(classical):
                      for c in np.nonzero(row["image"])[0]]
         ok &= image_dim == [2]
         # the stabilizer is literally the span of the normal subgroup
-        sr = compute_stabilizer(classical.A, classical.inc, rep.alpha_index,
-                                classical.dec_b, classical.dec_dual)
+        sr = compute_stabilizer(classical, rep.alpha_index)
         ok &= sr.Z.equals(classical.b_sub)
     ok &= report.all_verdicts_hold()
     ok &= max(report.formula_residuals.values()) < 1e-8

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from hopfclifford import clifford, hopf
-from hopfclifford.clifford import (analyze_alpha, compute_stabilizer,
-                                   conjugate_character, conjugate_class_indices,
-                                   conjugate_module, coset_projection_check,
-                                   direct_correspondence_check,
-                                   equivalence_classes,
+from hopfclifford.clifford import (Extension, analyze_alpha,
                                    check_stabilizer_induction,
+                                   compute_stabilizer, conjugate_class_indices,
+                                   conjugate_module, conjugation_matrix,
+                                   coset_projection_check,
+                                   direct_correspondence_check,
                                    graded_tensor_character,
                                    stabilizer_dimension_bound,
                                    subcoalgebra_as_dual_module,
@@ -21,16 +21,9 @@ from hopfclifford.repcalc import (Character, construct_irreducible_module,
                                   decompose)
 
 
-def analyze(ext, k, **kw):
-    sup = None
-    if ext.mp is not None:
-        v = ext.dec_b.irr[k].values
-        sup = int(np.argmax(np.abs(v)))
-    return analyze_alpha(ext.A, ext.inc, k, ext.ecd, ext.dec_a, ext.dec_b,
-                         ext.dec_dual, piF=ext.piF, F=ext.F,
-                         components=ext.components,
-                         cocentral=hopf.is_cocentral(ext.A, ext.piF),
-                         mp=ext.mp, alpha_group_index=sup, **kw)
+def alpha_with_support(ext, label):
+    """Index of the Irr(B) indicator character supported on `label`."""
+    return ext.supports.index(ext.inc.small.labels.index(label))
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +42,7 @@ def test_classes_classical(classical):
 def test_classes_counterexample(counterexample):
     ecd = counterexample.ecd
     assert ecd.num_classes == 2
-    trivial = counterexample.alpha_with_support("d(1)")
+    trivial = alpha_with_support(counterexample, "d(1)")
     i0 = ecd.class_of_alpha(trivial)
     assert len(ecd.b_classes[i0]) == 1
     i1 = 1 - i0
@@ -63,15 +56,14 @@ def test_classes_when_b_equals_a(classical):
     A = classical.A
     inc = hopf.HopfInclusion(small=A, big=A,
                              embedding=np.eye(A.dim, dtype=complex))
-    dec = classical.dec_a
-    ecd = equivalence_classes(A, inc, dec, dec)
-    assert ecd.num_classes == len(dec.irr)
+    ecd = Extension(A, inc).ecd
+    assert ecd.num_classes == len(classical.dec_a.irr)
     assert all(len(c) == 1 for c in ecd.a_classes)
 
 
 def test_class_formulas(classical, counterexample, cocentral8):
     for ext in (classical, counterexample, cocentral8):
-        res = verify_class_formulas(ext.ecd, ext.inc, ext.dec_a, ext.dec_b)
+        res = verify_class_formulas(ext)
         assert max(res.values()) < 1e-10, res
 
 
@@ -80,9 +72,8 @@ def test_class_formulas(classical, counterexample, cocentral8):
 
 def test_conjugate_by_unit(classical):
     A = classical.A
-    alpha = classical.dec_b.irr[0]
-    conj = conjugate_character(A, classical.inc, A.unit, alpha)
-    assert conj.close_to(alpha)
+    C = conjugation_matrix(A, classical.inc, A.unit)
+    assert np.max(np.abs(C - np.eye(classical.inc.small.dim))) < 1e-8
 
 
 def test_conjugate_by_transposition_swaps_omegas(classical, s3_group):
@@ -93,56 +84,48 @@ def test_conjugate_by_transposition_swaps_omegas(classical, s3_group):
     omegas = [k for k, ch in enumerate(dec_b.irr)
               if np.max(np.abs(ch.values - 1.0)) > 1e-8]
     a, b = omegas
-    conj = conjugate_character(A, classical.inc, t_vec, dec_b.irr[a])
-    assert conj.close_to(dec_b.irr[b])
-    conj = conjugate_character(A, classical.inc, t_vec, dec_b.irr[b])
-    assert conj.close_to(dec_b.irr[a])
+    C = conjugation_matrix(A, classical.inc, t_vec)
+    assert np.max(np.abs(dec_b.irr[a].values @ C - dec_b.irr[b].values)) < 1e-8
+    assert np.max(np.abs(dec_b.irr[b].values @ C - dec_b.irr[a].values)) < 1e-8
 
 
 def test_conjugate_by_element_of_b(counterexample):
-    # dual characters with coefficient space inside B act by eps(d)
-    A = counterexample.A
-    alpha = counterexample.dec_b.irr[counterexample.alpha_with_support("d(g)")]
+    # dual characters with coefficient space inside the commutative B act
+    # by eps(d) on every B-character: C_d = eps(d) I
+    ext = counterexample
+    eye = np.eye(ext.inc.small.dim)
     found = 0
-    for d in counterexample.dec_dual.irr:
-        C = hopf.coefficient_space(A, d.values)
-        if counterexample.b_sub.contains(C):
-            conj = conjugate_character(A, counterexample.inc, d.values, alpha)
-            assert conj.close_to(Character(alpha.parent, d.degree * alpha.values))
+    for d, space, C in zip(ext.dec_dual.irr, ext.coefficient_spaces,
+                           ext.conjugation):
+        if ext.b_sub.contains(space):
+            assert np.max(np.abs(C - d.degree * eye)) < 1e-8
             found += 1
     assert found == 4
 
 
 def test_conjugation_composes(classical):
+    # conjugating by d2 and then by d1 is conjugating by d1 d2
     A = classical.A
-    inc = classical.inc
-    alpha = classical.dec_b.irr[0]
-    duals = classical.dec_dual.irr
-    for d1 in duals:
-        for d2 in duals:
-            lhs = conjugate_character(A, inc, d1.values,
-                                      conjugate_character(A, inc, d2.values, alpha))
+    duals, mats = classical.dec_dual.irr, classical.conjugation
+    for d1, C1 in zip(duals, mats):
+        for d2, C2 in zip(duals, mats):
             prod = A.product(d1.values, d2.values)
-            rhs = conjugate_character(A, inc, prod, alpha)
-            assert float(np.max(np.abs(lhs.values - rhs.values))) < 1e-8
+            rhs = conjugation_matrix(A, classical.inc, prod)
+            assert float(np.max(np.abs(C2 @ C1 - rhs))) < 1e-8
 
 
 def test_conjugation_composes_counterexample(counterexample):
     # same identity on the order-24 algebra, including the 4-dim dual block
     ext = counterexample
-    alpha = ext.dec_b.irr[ext.alpha_with_support("d(g)")]
     duals = ext.dec_dual.irr
-    d4 = [ch for ch in duals if ch.degree == 4][0]
-    one = [ch for ch in duals if np.max(np.abs(ch.values - ext.A.unit)) < 1e-8]
-    picks = [d4] + duals[:3]
-    for d1 in picks:
-        for d2 in picks:
-            lhs = conjugate_character(
-                ext.A, ext.inc, d1.values,
-                conjugate_character(ext.A, ext.inc, d2.values, alpha))
-            rhs = conjugate_character(ext.A, ext.inc,
-                                      ext.A.product(d1.values, d2.values), alpha)
-            assert float(np.max(np.abs(lhs.values - rhs.values))) < 1e-7
+    i4 = [i for i, ch in enumerate(duals) if ch.degree == 4][0]
+    picks = [i4, 0, 1, 2]
+    for i1 in picks:
+        for i2 in picks:
+            prod = ext.A.product(duals[i1].values, duals[i2].values)
+            rhs = conjugation_matrix(ext.A, ext.inc, prod)
+            lhs = ext.conjugation[i2] @ ext.conjugation[i1]
+            assert float(np.max(np.abs(lhs - rhs))) < 1e-7
 
 
 def test_conjugate_module_matches_character(classical, s3_group):
@@ -156,7 +139,8 @@ def test_conjugate_module_matches_character(classical, s3_group):
               if np.max(np.abs(ch.values - 1.0)) > 1e-8]
     M = construct_irreducible_module(classical.inc.small, dec_b, omegas[0])
     out = conjugate_module(A, classical.inc, W, M)
-    want = conjugate_character(A, classical.inc, t_vec, dec_b.irr[omegas[0]])
+    conj = conjugation_matrix(A, classical.inc, t_vec)
+    want = Character(dec_b.algebra, dec_b.irr[omegas[0]].values @ conj)
     assert out.character().close_to(want)
 
 
@@ -174,12 +158,11 @@ def test_isotypic_iff_stabilized(counterexample):
     # C (x) M is a sum of copies of M exactly when the dual character fixes alpha
     ext = counterexample
     A = ext.A
-    k = ext.alpha_with_support("d(g)")
+    k = alpha_with_support(ext, "d(g)")
     alpha = ext.dec_b.irr[k]
     M = construct_irreducible_module(ext.inc.small, ext.dec_b, k)
-    sr = compute_stabilizer(A, ext.inc, k, ext.dec_b, ext.dec_dual)
-    for idx, d in enumerate(ext.dec_dual.irr):
-        C = hopf.coefficient_space(A, d.values)
+    sr = compute_stabilizer(ext, k)
+    for idx, C in enumerate(ext.coefficient_spaces):
         W = subcoalgebra_as_dual_module(A, C)
         out = conjugate_module(A, ext.inc, W, M)
         isotypic = out.character().close_to(
@@ -193,8 +176,7 @@ def test_isotypic_iff_stabilized(counterexample):
 def test_stabilizer_of_counit_is_everything(classical):
     eps_index = [k for k, ch in enumerate(classical.dec_b.irr)
                  if np.max(np.abs(ch.values - 1.0)) < 1e-8][0]
-    sr = compute_stabilizer(classical.A, classical.inc, eps_index,
-                            classical.dec_b, classical.dec_dual)
+    sr = compute_stabilizer(classical, eps_index)
     assert sr.dim_z == classical.A.dim
 
 
@@ -202,17 +184,15 @@ def test_stabilizer_classical_omega(classical):
     dec_b = classical.dec_b
     omegas = [k for k, ch in enumerate(dec_b.irr)
               if np.max(np.abs(ch.values - 1.0)) > 1e-8]
-    sr = compute_stabilizer(classical.A, classical.inc, omegas[0],
-                            dec_b, classical.dec_dual)
+    sr = compute_stabilizer(classical, omegas[0])
     assert sr.dim_z == 3
     assert sr.Z.equals(classical.b_sub)
     assert sr.z_class == (omegas[0],) or len(sr.z_class) == 1
 
 
 def test_stabilizer_counterexample_is_b(counterexample):
-    k = counterexample.alpha_with_support("d(g)")
-    sr = compute_stabilizer(counterexample.A, counterexample.inc, k,
-                            counterexample.dec_b, counterexample.dec_dual)
+    k = alpha_with_support(counterexample, "d(g)")
+    sr = compute_stabilizer(counterexample, k)
     assert sr.dim_z == 4
     assert sr.Z.equals(counterexample.b_sub)
     assert len(sr.stabilizing) == 4
@@ -223,16 +203,15 @@ def test_stabilizing_set_closed(counterexample):
     # products and duals of stabilizing characters stabilize
     ext = counterexample
     A = ext.A
-    k = ext.alpha_with_support("d(g)")
+    k = alpha_with_support(ext, "d(g)")
     alpha = ext.dec_b.irr[k]
-    sr = compute_stabilizer(A, ext.inc, k, ext.dec_b, ext.dec_dual)
+    sr = compute_stabilizer(ext, k)
     stab = set(sr.stabilizing)
     for i in stab:
         d = ext.dec_dual.irr[i]
         # the dual character S(d) stabilizes
-        sdual = A.antipode @ d.values
-        conj = conjugate_character(A, ext.inc, sdual, alpha)
-        assert float(np.max(np.abs(conj.values - d.degree * alpha.values))) < 1e-8
+        C = conjugation_matrix(A, ext.inc, A.antipode @ d.values)
+        assert float(np.max(np.abs(alpha.values @ C - d.degree * alpha.values))) < 1e-8
         for j in stab:
             prod = Character(ext.dual, A.product(d.values,
                                                  ext.dec_dual.irr[j].values))
@@ -243,8 +222,7 @@ def test_stabilizing_set_closed(counterexample):
 def test_conjugates_span_the_class(counterexample):
     ext = counterexample
     for k in range(len(ext.dec_b.irr)):
-        got = conjugate_class_indices(ext.A, ext.inc, ext.dec_b.irr[k],
-                                      ext.dec_b, ext.dec_dual)
+        got = conjugate_class_indices(ext, k)
         i = ext.ecd.class_of_alpha(k)
         assert got == tuple(sorted(ext.ecd.b_classes[i]))
 
@@ -254,7 +232,7 @@ def test_restriction_within_z_class(counterexample, classical):
     for ext in (classical, counterexample):
         for k in range(len(ext.dec_b.irr)):
             alpha = ext.dec_b.irr[k]
-            sr = compute_stabilizer(ext.A, ext.inc, k, ext.dec_b, ext.dec_dual)
+            sr = compute_stabilizer(ext, k)
             for j in sr.z_class:
                 psi = sr.z_dec.irr[j]
                 down = Character(ext.inc.small, sr.b_in_z.T @ psi.values)
@@ -266,9 +244,7 @@ def test_restriction_within_z_class(counterexample, classical):
 def test_stabilizer_induction_formula(classical, counterexample, cocentral8):
     for ext in (classical, counterexample, cocentral8):
         for k in range(len(ext.dec_b.irr)):
-            sr = compute_stabilizer(ext.A, ext.inc, k, ext.dec_b, ext.dec_dual)
-            rep = check_stabilizer_induction(ext.A, ext.inc, sr, ext.ecd,
-                                             ext.dec_a)
+            rep = check_stabilizer_induction(ext, compute_stabilizer(ext, k))
             assert rep["residual"] < 1e-8
 
 
@@ -276,41 +252,31 @@ def test_bound_classical(classical):
     dec_b = classical.dec_b
     omegas = [k for k, ch in enumerate(dec_b.irr)
               if np.max(np.abs(ch.values - 1.0)) > 1e-8]
-    sr = compute_stabilizer(classical.A, classical.inc, omegas[0],
-                            dec_b, classical.dec_dual)
-    rep = stabilizer_dimension_bound(classical.A, classical.inc, sr,
-                                     classical.ecd, classical.dec_a, dec_b)
+    sr = compute_stabilizer(classical, omegas[0])
+    rep = stabilizer_dimension_bound(classical, sr)
     assert rep.bound == 3 and rep.equality and rep.socle_equality
 
 
 def test_bound_counterexample_strict(counterexample):
-    k = counterexample.alpha_with_support("d(g)")
-    sr = compute_stabilizer(counterexample.A, counterexample.inc, k,
-                            counterexample.dec_b, counterexample.dec_dual)
-    rep = stabilizer_dimension_bound(counterexample.A, counterexample.inc, sr,
-                                     counterexample.ecd, counterexample.dec_a,
-                                     counterexample.dec_b)
+    k = alpha_with_support(counterexample, "d(g)")
+    sr = compute_stabilizer(counterexample, k)
+    rep = stabilizer_dimension_bound(counterexample, sr)
     assert rep.bound == 8 and sr.dim_z == 4
     assert not rep.equality and not rep.socle_equality
     assert rep.mult_z == 1 and rep.mult_full == 2
 
 
 def test_bound_trivial_class(counterexample):
-    k = counterexample.alpha_with_support("d(1)")
-    sr = compute_stabilizer(counterexample.A, counterexample.inc, k,
-                            counterexample.dec_b, counterexample.dec_dual)
-    rep = stabilizer_dimension_bound(counterexample.A, counterexample.inc, sr,
-                                     counterexample.ecd, counterexample.dec_a,
-                                     counterexample.dec_b)
+    k = alpha_with_support(counterexample, "d(1)")
+    sr = compute_stabilizer(counterexample, k)
+    rep = stabilizer_dimension_bound(counterexample, sr)
     assert rep.bound == 24 and rep.equality
 
 
 def test_direct_check_counterexample(counterexample):
-    k = counterexample.alpha_with_support("d(g)")
-    sr = compute_stabilizer(counterexample.A, counterexample.inc, k,
-                            counterexample.dec_b, counterexample.dec_dual)
-    rep = direct_correspondence_check(counterexample.A, sr, counterexample.ecd,
-                                      counterexample.dec_a)
+    k = alpha_with_support(counterexample, "d(g)")
+    sr = compute_stabilizer(counterexample, k)
+    rep = direct_correspondence_check(counterexample, sr)
     assert not rep.direct_holds
     assert len(rep.induction_table) == 1
     row = rep.induction_table[0]
@@ -328,7 +294,7 @@ def test_full_sweep_consistency(classical, counterexample, cocentral8):
     for name, ext in (("classical", classical), ("counterexample", counterexample),
                       ("cocentral", cocentral8)):
         for k in range(len(ext.dec_b.irr)):
-            rep = analyze(ext, k)
+            rep = analyze_alpha(ext, k)
             verdicts[(name, k)] = rep.direct_holds
             assert rep.socle_equality == rep.direct_holds
             if rep.graded is not None:
@@ -341,8 +307,8 @@ def test_full_sweep_consistency(classical, counterexample, cocentral8):
 
 def test_graded_section_counterexample(counterexample):
     ext = counterexample
-    k = ext.alpha_with_support("d(g)")
-    rep = analyze(ext, k)
+    k = alpha_with_support(ext, "d(g)")
+    rep = analyze_alpha(ext, k)
     g = rep.graded
     assert g.h_labels == ["1", "t"]
     assert g.orbit_size == 3
@@ -355,8 +321,8 @@ def test_graded_section_counterexample(counterexample):
 
 def test_graded_section_cocentral(cocentral8):
     ext = cocentral8
-    k = ext.alpha_with_support("d(g)")
-    rep = analyze(ext, k)
+    k = alpha_with_support(ext, "d(g)")
+    rep = analyze_alpha(ext, k)
     g = rep.graded
     assert g.h_labels == ["1"]
     assert g.orbit_size == 2
@@ -367,8 +333,8 @@ def test_graded_section_cocentral(cocentral8):
 
 def test_graded_section_trivial_alpha(counterexample):
     ext = counterexample
-    k = ext.alpha_with_support("d(1)")
-    rep = analyze(ext, k)
+    k = alpha_with_support(ext, "d(1)")
+    rep = analyze_alpha(ext, k)
     g = rep.graded
     assert len(g.h_members) == ext.F.order
     assert g.dim_s == ext.A.dim
@@ -378,7 +344,7 @@ def test_graded_section_trivial_alpha(counterexample):
 
 def test_graded_tensor_dimensions(counterexample):
     ext = counterexample
-    k = ext.alpha_with_support("d(g)")
+    k = alpha_with_support(ext, "d(g)")
     M = construct_irreducible_module(ext.inc.small, ext.dec_b, k)
     for f in range(ext.F.order):
         ch = graded_tensor_character(ext.A, ext.inc, ext.components[f], M)
@@ -389,7 +355,7 @@ def test_orbit_identity_integers(counterexample, cocentral8, classical):
     # b_i(1) |H| = |F| alpha(1)^2 holds exactly for every alpha
     for ext in (classical, counterexample, cocentral8):
         for k in range(len(ext.dec_b.irr)):
-            rep = analyze(ext, k)
+            rep = analyze_alpha(ext, k)
             g = rep.graded
             i = rep.class_index
             assert (ext.ecd.b_sums[i].degree * len(g.h_members)
@@ -398,8 +364,7 @@ def test_orbit_identity_integers(counterexample, cocentral8, classical):
 
 def test_coset_projection_checks(classical, counterexample, cocentral8):
     for ext in (classical, counterexample, cocentral8):
-        out = coset_projection_check(ext.A, ext.inc, ext.piF, ext.F,
-                                     ext.components, ext.dec_dual)
+        out = coset_projection_check(ext)
         assert out["uniform_coefficient_residual"] < 1e-10
         assert out["image_spans_match"]
         assert out["coset_components_match"]
@@ -408,31 +373,22 @@ def test_coset_projection_checks(classical, counterexample, cocentral8):
 
 
 def test_counterexample_coset_count(counterexample):
-    out = coset_projection_check(counterexample.A, counterexample.inc,
-                                 counterexample.piF, counterexample.F,
-                                 counterexample.components,
-                                 counterexample.dec_dual)
+    out = coset_projection_check(counterexample)
     assert out["num_cosets"] == 3
 
 
 def test_cocentral_sweep(classical, cocentral8):
     for ext in (classical, cocentral8):
         assert hopf.is_cocentral(ext.A, ext.piF)
-        reports = [analyze(ext, k) for k in range(len(ext.dec_b.irr))]
+        reports = [analyze_alpha(ext, k) for k in range(len(ext.dec_b.irr))]
         clifford.cocentral_sweep_check(reports)
 
 
 def test_crosscheck_raises_on_forged_mismatch(counterexample):
-    k = counterexample.alpha_with_support("d(g)")
-    sr = compute_stabilizer(counterexample.A, counterexample.inc, k,
-                            counterexample.dec_b, counterexample.dec_dual)
-    bound = stabilizer_dimension_bound(counterexample.A, counterexample.inc,
-                                       sr, counterexample.ecd,
-                                       counterexample.dec_a,
-                                       counterexample.dec_b)
-    direct = direct_correspondence_check(counterexample.A, sr,
-                                         counterexample.ecd,
-                                         counterexample.dec_a)
+    k = alpha_with_support(counterexample, "d(g)")
+    sr = compute_stabilizer(counterexample, k)
+    bound = stabilizer_dimension_bound(counterexample, sr)
+    direct = direct_correspondence_check(counterexample, sr)
     forged = clifford.DirectReport(direct_holds=True,
                                    induction_table=direct.induction_table,
                                    image_indices=direct.image_indices)

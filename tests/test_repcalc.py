@@ -167,7 +167,7 @@ def test_restriction_classical(classical):
 def test_restriction_bismash(counterexample):
     # each 3-dim block restricts to the full nontrivial orbit of B-characters
     dec_a, dec_b = counterexample.dec_a, counterexample.dec_b
-    trivial_b = counterexample.alpha_with_support("d(1)")
+    trivial_b = counterexample.supports.index(counterexample.inc.small.labels.index("d(1)"))
     for c, chi in enumerate(dec_a.irr):
         if dec_a.dims[c] != 3:
             continue
@@ -180,21 +180,24 @@ def test_induction_classical(classical):
     dec_a, dec_b = classical.dec_a, classical.dec_b
     trivial_b = [k for k, ch in enumerate(dec_b.irr)
                  if np.max(np.abs(ch.values - 1.0)) < 1e-8][0]
-    ind = induce_character(dec_b.irr[trivial_b], classical.inc, dec_b, dec_a)
+    ind = induce_character(dec_b.irr[trivial_b], classical.inc, dec_b, dec_a,
+                           classical.ecd.restriction_table)
     coeffs = decompose(ind, dec_a)
     # trivial + sign, not the 2-dim
     assert sum(coeffs) == 2
     assert all(coeffs[c] == 0 for c in range(3) if dec_a.dims[c] == 2)
     omega = [k for k in range(3) if k != trivial_b][0]
-    ind = induce_character(dec_b.irr[omega], classical.inc, dec_b, dec_a)
+    ind = induce_character(dec_b.irr[omega], classical.inc, dec_b, dec_a,
+                           classical.ecd.restriction_table)
     coeffs = decompose(ind, dec_a)
     assert [dec_a.dims[c] for c in np.nonzero(coeffs)[0]] == [2]
 
 
 def test_induction_bismash(counterexample):
     dec_a, dec_b = counterexample.dec_a, counterexample.dec_b
-    g_char = counterexample.alpha_with_support("d(g)")
-    ind = induce_character(dec_b.irr[g_char], counterexample.inc, dec_b, dec_a)
+    g_char = counterexample.supports.index(counterexample.inc.small.labels.index("d(g)"))
+    ind = induce_character(dec_b.irr[g_char], counterexample.inc, dec_b, dec_a,
+                           counterexample.ecd.restriction_table)
     coeffs = decompose(ind, dec_a)
     assert [dec_a.dims[c] for c in np.nonzero(coeffs)[0]] == [3, 3]
     assert ind.degree == 6
@@ -203,7 +206,8 @@ def test_induction_bismash(counterexample):
 def test_frobenius_reciprocity(classical, counterexample, cocentral8):
     for ext in (classical, counterexample, cocentral8):
         for alpha in ext.dec_b.irr:
-            ind = induce_character(alpha, ext.inc, ext.dec_b, ext.dec_a)
+            ind = induce_character(alpha, ext.inc, ext.dec_b, ext.dec_a,
+                                   ext.ecd.restriction_table)
             for chi in ext.dec_a.irr:
                 lhs = multiplicity(ind, chi, ext.dec_a)
                 rhs = multiplicity(alpha, restrict_character(chi, ext.inc),
@@ -247,7 +251,8 @@ def test_induced_degree_consistency(classical):
     # a forged decomposition with a wrong-degree character must be caught
     dec_b = classical.dec_b
     alpha = dec_b.irr[0]
-    ind = induce_character(alpha, classical.inc, dec_b, classical.dec_a)
+    ind = induce_character(alpha, classical.inc, dec_b, classical.dec_a,
+                           classical.ecd.restriction_table)
     assert ind.degree == 2
 
 

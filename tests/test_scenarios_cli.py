@@ -1,13 +1,29 @@
 """Scenario configuration, run reports, and the command-line interface."""
 
+import dataclasses
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from hopfclifford import cli, scenarios
+from hopfclifford import cli, clifford, scenarios
+from hopfclifford.clifford import conjugation_matrix
 from hopfclifford.errors import ConfigError, NormalityError
-from hopfclifford.scenarios import (Scenario, builtin_scenario, load_scenario,
-                                    run_scenario)
+from hopfclifford.scenarios import (Scenario, build_scenario, builtin_scenario,
+                                    load_scenario, resolve_seed, run_scenario)
+
+
+def _classical(**extra):
+    return {"construction": "group_algebra",
+            "group": {"generators": ["(1 2)", "(1 2 3)"], "names": ["t", "s"]},
+            "b_generators": ["s"], **extra}
+
+
+def _scenario_file(tmp_path, **extra):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(_classical(**extra)))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -34,15 +50,7 @@ def test_scenario_parsing_errors():
 
 
 def test_scenario_file_round_trip(tmp_path):
-    path = tmp_path / "sc.json"
-    path.write_text(json.dumps({
-        "name": "classical",
-        "construction": "group_algebra",
-        "group": {"generators": ["(1 2)", "(1 2 3)"], "names": ["t", "s"]},
-        "b_generators": ["s"],
-        "alpha": "all",
-    }))
-    sc = load_scenario(str(path))
+    sc = load_scenario(_scenario_file(tmp_path, name="classical", alpha="all"))
     rep = run_scenario(sc)
     assert rep.all_verdicts_hold()
     assert rep.dims_a == [1, 1, 2]
@@ -223,3 +231,101 @@ def test_text_report_mentions_tables(s4_report):
     assert "g|>t = ts" in text
     assert "g<|t = g" in text
     assert "FAILS" in text
+
+
+BAD_SEEDS = [
+    ("flag", ["--seed", "-3"], {}, {}),
+    ("env", [], {"HOPF_CLIFFORD_SEED": "-3"}, {}),
+    ("env-text", [], {"HOPF_CLIFFORD_SEED": "abc"}, {}),
+    ("scenario-text", [], {}, {"seed": "abc"}),
+    ("scenario-negative", [], {}, {"seed": -5}),
+    ("scenario-float", [], {}, {"seed": 1.5}),
+    ("scenario-bool", [], {}, {"seed": True}),
+]
+
+
+@pytest.mark.parametrize("command", ["analyze", "list-irr", "verify-axioms"])
+@pytest.mark.parametrize("flags,env,extra", [c[1:] for c in BAD_SEEDS],
+                         ids=[c[0] for c in BAD_SEEDS])
+def test_cli_rejects_bad_seed(tmp_path, monkeypatch, capsys, command, flags,
+                              env, extra):
+    monkeypatch.delenv("HOPF_CLIFFORD_SEED", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [command, "--scenario", _scenario_file(tmp_path, **extra)] + flags
+    assert cli.main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_rejects_boolean_alpha(tmp_path, capsys):
+    path = _scenario_file(tmp_path, alpha=True)
+    assert cli.main(["analyze", "--scenario", path]) == 2
+    capsys.readouterr()
+    with pytest.raises(ConfigError):
+        run_scenario(builtin_scenario("s3_a3_classical"), alpha_selection=True)
+
+
+@pytest.mark.parametrize("alg", [0, -1, "nan", "inf", True])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, alg):
+    with pytest.raises(ConfigError):
+        Scenario.from_dict(_classical(tolerances={"alg": alg}))
+    path = _scenario_file(tmp_path, tolerances={"alg": alg})
+    assert cli.main(["analyze", "--scenario", path]) == 2
+    assert cli.main(["verify-axioms", "--scenario", path]) == 2
+    capsys.readouterr()
+
+
+def test_text_report_judges_axioms_at_scenario_tolerance(s4_report):
+    forged = dataclasses.replace(s4_report, axiom_residuals={"A.unit": 1e-7})
+    assert "(FAIL)" in forged.render_text()
+    loose = dataclasses.replace(
+        forged, scenario=dataclasses.replace(forged.scenario, tol_alg=1e-6))
+    assert "(pass)" in loose.render_text()
+
+
+# sha256 of the --json report of each builtin at seed 1729, fixed before the
+# per-scenario context replaced the per-alpha recomputation
+BUILTIN_REPORT_SHA256 = {"s4_counterexample": "76bf2a890a20",
+                         "s3_a3_classical": "dd5880b240ed",
+                         "cocentral_c4_c2": "1d8f3dfd5fef"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_REPORT_SHA256))
+def test_builtin_report_bytes_pinned(tmp_path, capsys, name):
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--builtin", name, "--seed", "1729",
+                     "--json", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest.startswith(BUILTIN_REPORT_SHA256[name])
+
+
+@pytest.mark.parametrize("alpha", ["g", "all"])
+def test_conjugation_matrices_built_once_per_request(monkeypatch, capsys, alpha):
+    built = []
+
+    def counting(A, inc, d_vec, *args, **kw):
+        built.append(np.array(d_vec))
+        return conjugation_matrix(A, inc, d_vec, *args, **kw)
+
+    monkeypatch.setattr(clifford, "conjugation_matrix", counting)
+    assert cli.main(["analyze", "--builtin", "s4_counterexample",
+                     "--alpha", alpha]) == 0
+    capsys.readouterr()
+    sc = builtin_scenario("s4_counterexample")
+    duals = build_scenario(sc, resolve_seed(sc)).dec_dual.irr
+    assert len(built) == len(duals)
+    for d_vec, d in zip(built, duals):
+        assert np.array_equal(d_vec, d.values)
+
+
+def test_context_is_lazy(monkeypatch, capsys):
+    def forbidden(*args, **kw):
+        raise AssertionError("computed by a command that does not need it")
+
+    monkeypatch.setattr(clifford, "equivalence_classes", forbidden)
+    monkeypatch.setattr(clifford, "conjugation_matrix", forbidden)
+    assert cli.main(["list-irr", "--builtin", "s4_counterexample"]) == 0
+    monkeypatch.setattr(clifford, "wedderburn", forbidden)
+    assert cli.main(["verify-axioms", "--builtin", "s4_counterexample"]) == 0
+    capsys.readouterr()
