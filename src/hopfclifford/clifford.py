@@ -35,8 +35,7 @@ from .groups import FiniteGroup, MatchedPair, orbit_and_stabilizer
 from .hopf import (TOL_ALG, HopfAlgebraData, HopfInclusion, HopfSurjection,
                    SubspaceBasis, coefficient_space, dual_hopf,
                    graded_component, is_cocentral, is_hopf_subalgebra,
-                   is_normal_hopf_subalgebra, quotient_hopf, subalgebra_data,
-                   subspace_product)
+                   quotient_hopf, subalgebra_data, subspace_product)
 from .repcalc import (Character, DEFAULT_SEED, ExplicitModule,
                       SemisimpleDecomposition, as_group_algebra_surjection,
                       construct_irreducible_module, decompose,
@@ -53,23 +52,28 @@ class Extension:
     """A normal Hopf subalgebra B of A with everything derived from the pair.
 
     Each derived object is built on first use and kept: the dual A*, the
-    Wedderburn decompositions of A, B and A*, the equivalence classes with
-    their restriction table, the group-algebra quotient kF and its graded
-    components, and the conjugation matrix of every irreducible dual
-    character.  `piF` and `F` may be given (bismash products); otherwise
-    the quotient A/AB+ is built and recognized as kF when it is one.
+    Wedderburn decompositions of A, B and A*, the quotient A/AB+ (the one
+    normality test of B), the equivalence classes with their restriction
+    table, the group-algebra quotient kF with its graded components and
+    their B-bimodule matrices, and the conjugation matrix of every
+    irreducible dual character.  Bismash products give `piF`, `F` and the
+    A/AB+ `pi_q` they were checked against; otherwise A/AB+ is built and
+    recognized as kF when it is one.
     """
 
     def __init__(self, A: HopfAlgebraData, inc: HopfInclusion,
                  seed: int = DEFAULT_SEED,
                  piF: Optional[HopfSurjection] = None,
                  F: Optional[FiniteGroup] = None,
-                 mp: Optional[MatchedPair] = None):
+                 mp: Optional[MatchedPair] = None,
+                 pi_q: Optional[HopfSurjection] = None):
         self.A = A
         self.inc = inc
         self.seed = seed
         self.mp = mp
         self._given_quotient = (piF, F)
+        if pi_q is not None:
+            self.generic_quotient = pi_q
 
     @cached_property
     def dual(self) -> HopfAlgebraData:
@@ -96,12 +100,16 @@ class Extension:
         return equivalence_classes(self)
 
     @cached_property
+    def generic_quotient(self) -> HopfSurjection:
+        """A -> A/AB+; raises NormalityError unless B is normal in A."""
+        return quotient_hopf(self.A, self.b_sub)[1]
+
+    @cached_property
     def quotient(self) -> tuple[Optional[HopfSurjection], Optional[FiniteGroup]]:
         """(piF, F) for a quotient A -> kF, or (None, None) if A/AB+ is no group algebra."""
         if self._given_quotient[0] is not None:
             return self._given_quotient
-        _, pi_q = quotient_hopf(self.A, self.b_sub)
-        found = as_group_algebra_surjection(pi_q, seed=self.seed)
+        found = as_group_algebra_surjection(self.generic_quotient, seed=self.seed)
         return (None, None) if found is None else (found[1], found[0])
 
     @property
@@ -118,6 +126,11 @@ class Extension:
         if self.piF is None:
             return None
         return [graded_component(self.A, self.piF, f) for f in range(self.F.order)]
+
+    @cached_property
+    def bimodules(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """B-bimodule matrices of each graded component A_f (see component_bimodule)."""
+        return [component_bimodule(self.A, self.inc, comp) for comp in self.components]
 
     @cached_property
     def cocentral(self) -> Optional[bool]:
@@ -183,8 +196,7 @@ class EquivalenceClassData:
 def equivalence_classes(ext: Extension) -> EquivalenceClassData:
     """Matched partitions of Irr(A) and Irr(B) from the restriction graph."""
     A, inc, dec_a, dec_b = ext.A, ext.inc, ext.dec_a, ext.dec_b
-    if not is_normal_hopf_subalgebra(A, ext.b_sub):
-        raise NormalityError("B is not a normal Hopf subalgebra of A")
+    ext.generic_quotient  # raises NormalityError unless B is normal in A
     na, nb = len(dec_a.irr), len(dec_b.irr)
     table = restriction_table(inc, dec_b, dec_a)
 
@@ -522,44 +534,39 @@ def conjugate_class_indices(ext: Extension, alpha_index: int) -> tuple[int, ...]
 # ---------------------------------------------------------------------------
 # group-graded picture for quotients kF
 
-def graded_tensor_character(A: HopfAlgebraData, inc: HopfInclusion,
-                            comp: SubspaceBasis, M_mod: ExplicitModule,
-                            tol: float = TOL_ALG) -> Character:
-    """B-character of A_f (x)_B M, the quotient of A_f (x) M by ab (x) m - a (x) bm."""
+def component_bimodule(A: HopfAlgebraData, inc: HopfInclusion, comp: SubspaceBasis,
+                       tol: float = TOL_ALG) -> tuple[np.ndarray, np.ndarray]:
+    """(right, left): right[:, j, m] and left[:, m, j] are the coordinates in A_f of
+    a_j b_m and of b_m a_j, for a_j in A_f and b_m in B; both must stay in A_f."""
     U = comp.matrix
     E = np.asarray(inc.embedding, complex)
-    r, b, n = U.shape[1], E.shape[1], M_mod.dimension
-    proj = U.conj().T
+    out = []
+    for side, prods in (("right", A.products(U, E)), ("left", A.products(E, U))):
+        coords = np.tensordot(U.conj().T, prods, axes=1)
+        if float(np.max(np.abs(np.tensordot(U, coords, axes=1) - prods))) > tol:
+            raise ConsistencyError(f"component is not stable under {side} B-multiplication")
+        out.append(coords)
+    return out[0], out[1]
 
-    rels = []
-    for j in range(r):
-        for m in range(b):
-            ab = A.product(U[:, j], E[:, m])
-            ab_coords = proj @ ab
-            if float(np.max(np.abs(U @ ab_coords - ab))) > tol:
-                raise ConsistencyError("component is not stable under right B-multiplication")
-            act = M_mod.matrices[m]
-            for i in range(n):
-                v1 = np.kron(ab_coords, np.eye(n)[i])
-                v2 = np.kron(np.eye(r)[j], act[:, i])
-                rels.append(v1 - v2)
-    rel_basis = linalg.orthonormal_columns(np.stack(rels, axis=1))
+
+def graded_tensor_character(bimodule: tuple[np.ndarray, np.ndarray],
+                            M_mod: ExplicitModule) -> Character:
+    """B-character of A_f (x)_B M, the quotient of A_f (x) M by ab (x) m - a (x) bm;
+    `bimodule` is component_bimodule of A_f."""
+    right, left = bimodule
+    r, b, n = right.shape[0], right.shape[2], M_mod.dimension
+    act = np.stack(M_mod.matrices)                  # act[m] is the action of b_m on M
+
+    # relation (j, m, i): (a_j b_m) (x) e_i - a_j (x) b_m e_i, on the basis (p, q)
+    rels = (right[:, None, :, :, None] * np.eye(n)[None, :, None, None, :]
+            - np.eye(r)[:, None, :, None, None] * act.transpose(1, 0, 2)[None, :, None, :, :])
+    rel_basis = linalg.orthonormal_columns(rels.reshape(r * n, r * b * n))
     C = linalg.null_space(rel_basis.conj().T)
     if C.shape[1] != n:
         raise ConsistencyError(
             f"tensor over B has dimension {C.shape[1]}, expected {n}")
 
-    mats = []
-    for m in range(b):
-        ba = np.zeros((r, r), dtype=complex)
-        for j in range(r):
-            prod = A.product(E[:, m], U[:, j])
-            coords = proj @ prod
-            if float(np.max(np.abs(U @ coords - prod))) > tol:
-                raise ConsistencyError("component is not stable under left B-multiplication")
-            ba[:, j] = coords
-        act = np.kron(ba, np.eye(n))
-        mats.append(C.conj().T @ act @ C)
+    mats = [C.conj().T @ np.kron(left[:, m, :], np.eye(n)) @ C for m in range(b)]
     out = ExplicitModule(M_mod.parent, mats)
     if out.verify() > 1e-6:
         raise ConsistencyError("tensor over B does not carry a B-module structure")
@@ -588,7 +595,7 @@ def graded_stabilizer_analysis(ext: Extension, sr: StabilizerResult) -> GradedSe
     h_members = []
     orbit_class: set[int] = set()
     for f in range(F.order):
-        ch = graded_tensor_character(A, inc, components[f], M_mod)
+        ch = graded_tensor_character(ext.bimodules[f], M_mod)
         coeffs = decompose(ch, ext.dec_b)
         if int(coeffs @ coeffs) != 1:
             raise ConsistencyError("grading action did not send a simple to a simple")

@@ -35,8 +35,10 @@ def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-def parse_cycles(text: str, degree: Optional[int] = None) -> tuple[int, ...]:
-    """Parse 1-based cycle notation like "(1 2 3 4)" or "(1 2)(3 4)"."""
+def parse_cycles(text: str, degree: Optional[int] = None,
+                 limit: Optional[int] = None) -> tuple[int, ...]:
+    """Parse 1-based cycle notation like "(1 2 3 4)" or "(1 2)(3 4)" into at least
+    `degree` points; a point above `limit` is rejected before anything is built."""
     text = text.strip()
     if text in ("e", "()", "1", "id"):
         return identity_perm(degree or 1)
@@ -45,6 +47,8 @@ def parse_cycles(text: str, degree: Optional[int] = None) -> tuple[int, ...]:
         pts = [int(tok) for tok in re.split(r"[,\s]+", chunk.strip()) if tok]
         if len(pts) != len(set(pts)) or any(p < 1 for p in pts):
             raise ValueError(f"bad cycle {chunk!r} in {text!r}")
+        if limit is not None and any(p > limit for p in pts):
+            raise ValueError(f"point {max(pts)} in {text!r} is above {limit}")
         cycles.append(pts)
     if not cycles:
         raise ValueError(f"cannot parse permutation {text!r}")
@@ -107,6 +111,8 @@ class FiniteGroup:
         if labels is None:
             labels = ["1"] + [f"x{i}" for i in range(1, self.order)]
         self.labels = list(labels)
+        if len(self.labels) != self.order or len(set(self.labels)) != self.order:
+            raise ValueError(f"need {self.order} distinct labels, got {self.labels!r}")
         self.perms = list(perms) if perms is not None else None
         if validate:
             self._validate()
@@ -152,9 +158,16 @@ class FiniteGroup:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteGroup":
-        n = int(data["order"])
-        cayley = np.asarray(data["cayley"], dtype=np.int64).reshape(n, n)
-        return cls(cayley, labels=data.get("labels"))
+        n, flat, labels = data.get("order"), data.get("cayley"), data.get("labels")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"group order must be a positive integer, got {n!r}")
+        if not isinstance(flat, list) or len(flat) != n * n or any(
+                isinstance(v, bool) or not isinstance(v, int) for v in flat):
+            raise ValueError(f"Cayley table must be a list of {n * n} integers")
+        if labels is not None and not (isinstance(labels, list)
+                                       and all(isinstance(x, str) for x in labels)):
+            raise ValueError("group labels must be a list of strings")
+        return cls(np.asarray(flat, dtype=np.int64).reshape(n, n), labels=labels)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -169,7 +182,7 @@ def group_from_permutations(generators: Iterable, names: Optional[Sequence[str]]
     """
     gens = []
     for g in generators:
-        gens.append(parse_cycles(g) if isinstance(g, str) else tuple(g))
+        gens.append(parse_cycles(g, limit=size_cap) if isinstance(g, str) else tuple(g))
     degree = max(len(g) for g in gens)
     gens = [tuple(g) + tuple(range(len(g), degree)) for g in gens]
     for g in gens:

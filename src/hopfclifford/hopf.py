@@ -38,16 +38,25 @@ class AlgebraData:
             raise ValueError("mult tensor shape mismatch")
         self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(self.dim)]
 
+    def products(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """All pairwise products: out[:, a, b] = U[:, a] * V[:, b], shape (d, |U|, |V|)."""
+        d = self.dim
+        U, V = np.asarray(U, complex), np.asarray(V, complex)
+        T = (U.T @ self.mult.reshape(d, d * d)).reshape(-1, d, d)   # T[a, j] = U[:, a] * e_j
+        out = V.T @ T.transpose(1, 0, 2).reshape(d, -1)              # out[b, (a, k)]
+        return out.reshape(V.shape[1], U.shape[1], d).transpose(2, 1, 0)
+
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.mult, optimize=True)
+        return self.left_mult_matrix(x) @ y
 
     def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix L with L @ y = x * y."""
-        return np.einsum("i,ijk->jk", np.asarray(x, complex), self.mult, optimize=True).T
+        d = self.dim
+        return (np.asarray(x, complex) @ self.mult.reshape(d, d * d)).reshape(d, d).T
 
     def right_mult_matrix(self, y: np.ndarray) -> np.ndarray:
         """Matrix R with R @ x = x * y."""
-        return np.einsum("j,ijk->ik", np.asarray(y, complex), self.mult, optimize=True).T
+        return (np.asarray(y, complex) @ self.mult).T
 
     def regular_trace_vector(self) -> np.ndarray:
         """tr of left multiplication by each basis element."""
@@ -68,8 +77,8 @@ class HopfAlgebraData(AlgebraData):
         self.antipode = None if antipode is None else np.asarray(antipode, dtype=complex)
 
     def apply_comult(self, x: np.ndarray) -> np.ndarray:
-        """Delta(x) as a (d, d) coefficient matrix over e_i (x) e_j."""
-        return np.einsum("k,kij->ij", np.asarray(x, complex), self.comult, optimize=True)
+        """Delta(x) as a (d, d) coefficient matrix over e_i (x) e_j; (n, d, d) for rows x."""
+        return np.tensordot(np.asarray(x, complex), self.comult, axes=1)
 
     def is_group_like_basis(self, tol: float = TOL_ALG) -> bool:
         """True iff every basis element is group-like with counit one."""
@@ -147,9 +156,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return int(self.matrix.shape[1])
 
-    def contains_vector(self, v: np.ndarray, tol: float = TOL_ALG) -> bool:
-        return linalg.projection_residual(self.matrix, v) < tol
-
     def contains(self, other: "SubspaceBasis", tol: float = TOL_ALG) -> bool:
         return linalg.contains_vectors(self.matrix, other.matrix, tol)
 
@@ -191,7 +197,7 @@ def group_algebra(G: FiniteGroup) -> HopfAlgebraData:
     unit[0] = 1.0
     counit = np.ones(n, dtype=complex)
     A = HopfAlgebraData(mult, unit, comult, counit, labels=list(G.labels))
-    return _with_inversion_antipode(A, G, "g -> g^{-1}")
+    return _with_checked_antipode(A, np.eye(n, dtype=complex)[:, G.inverse], "g -> g^{-1}")
 
 
 def dual_group_algebra(G: FiniteGroup) -> HopfAlgebraData:
@@ -208,18 +214,17 @@ def dual_group_algebra(G: FiniteGroup) -> HopfAlgebraData:
     counit[0] = 1.0
     labels = [f"d({lbl})" for lbl in G.labels]
     A = HopfAlgebraData(mult, unit, comult, counit, labels=labels)
-    return _with_inversion_antipode(A, G, "delta_g -> delta_{g^{-1}}")
+    return _with_checked_antipode(A, np.eye(n, dtype=complex)[:, G.inverse],
+                                  "delta_g -> delta_{g^{-1}}")
 
 
-def _with_inversion_antipode(A: HopfAlgebraData, G: FiniteGroup,
-                             formula: str) -> HopfAlgebraData:
-    """Set the closed-form antipode e_g -> e_{g^{-1}} once it matches the solved one."""
-    closed = np.zeros((G.order, G.order), dtype=complex)
-    for j in range(G.order):
-        closed[G.inverse[j], j] = 1.0
-    if float(np.max(np.abs(solve_antipode(A) - closed))) > TOL_ALG:
-        raise ConsistencyError(f"solved antipode disagrees with {formula}")
-    A.antipode = closed
+def _with_checked_antipode(A: HopfAlgebraData, S: np.ndarray,
+                           formula: str) -> HopfAlgebraData:
+    """Set a closed-form antipode once it passes the antipode axioms."""
+    res = antipode_residuals(A, S)
+    if max(res.values()) > TOL_ALG:
+        raise ConsistencyError(f"closed-form antipode {formula} fails the axioms: {res}")
+    A.antipode = S
     return A
 
 
@@ -251,12 +256,25 @@ def solve_antipode(A: HopfAlgebraData, tol: float = TOL_ALG) -> np.ndarray:
     if float(np.max(np.abs(K @ sol - rhs))) > tol:
         raise NoAntipodeError("antipode system has no solution within tolerance")
     S = sol.reshape(d, d)
-    right = np.einsum("kij,pj,ipq->kq", A.comult, S, A.mult, optimize=True)
-    if float(np.max(np.abs(right - np.outer(A.counit, A.unit)))) > tol:
+    res = antipode_residuals(A, S)
+    if res["antipode_right"] > tol:
         raise ConsistencyError("left antipode fails the right convolution law")
-    if float(np.max(np.abs(S @ S - np.eye(d)))) > tol:
+    if res["antipode_squared"] > tol:
         raise ConsistencyError("S^2 is not the identity")
     return S
+
+
+def antipode_residuals(A: HopfAlgebraData, S: np.ndarray) -> dict[str, float]:
+    """Max residuals of S(a_1) a_2 = eps(a) 1 = a_1 S(a_2) and of S^2 = id."""
+    d = A.dim
+    eye = np.eye(d)
+    D = A.comult.reshape(d, d * d)
+    target = np.outer(A.counit, A.unit)
+    left = D @ A.products(S, eye).reshape(d, d * d).T     # [k, q]: sum S(e_i) e_j
+    right = D @ A.products(eye, S).reshape(d, d * d).T    # [k, q]: sum e_i S(e_j)
+    return {"antipode_left": float(np.max(np.abs(left - target))),
+            "antipode_right": float(np.max(np.abs(right - target))),
+            "antipode_squared": float(np.max(np.abs(S @ S - eye)))}
 
 
 @dataclass
@@ -265,6 +283,7 @@ class BismashResult:
     b_inclusion: HopfInclusion
     pi: HopfSurjection
     pair: MatchedPair
+    quotient: HopfSurjection           # the generic A -> A/AB+ it was checked against
 
 
 def bismash(mp: MatchedPair) -> BismashResult:
@@ -274,7 +293,7 @@ def bismash(mp: MatchedPair) -> BismashResult:
     and Delta(delta_g x) = sum_{st=g} delta_s (t |> x) (x) delta_t x.
     The k^G factor embeds as span{delta_g 1}; the projection sends
     delta_g x to [g = 1] x and is cross-checked against the quotient
-    construction.
+    construction.  The antipode is S(delta_g x) = delta_{(g<|x)^{-1}} (g|>x)^{-1}.
     """
     rep = verify_matched_pair(mp)
     if not rep.ok:
@@ -291,10 +310,12 @@ def bismash(mp: MatchedPair) -> BismashResult:
     comult = np.zeros((d, d, d), dtype=complex)
     counit = np.zeros(d, dtype=complex)
     unit = np.zeros(d, dtype=complex)
+    S = np.zeros((d, d), dtype=complex)
     for g in range(nG):
         unit[bi(g, 0)] = 1.0
         for x in range(nF):
             h = int(mp.ract[g, x])
+            S[bi(G.inv(h), F.inv(int(mp.lact[g, x]))), bi(g, x)] = 1.0
             for y in range(nF):
                 mult[bi(g, x), bi(h, y), bi(g, F.mul(x, y))] = 1.0
             for t in range(nG):
@@ -303,8 +324,8 @@ def bismash(mp: MatchedPair) -> BismashResult:
     for x in range(nF):
         counit[bi(0, x)] = 1.0
     labels = [f"d({G.labels[g]})*{F.labels[x]}" for g in range(nG) for x in range(nF)]
-    A = HopfAlgebraData(mult, unit, comult, counit, labels=labels)
-    A.antipode = solve_antipode(A)
+    A = _with_checked_antipode(HopfAlgebraData(mult, unit, comult, counit, labels=labels),
+                               S, "delta_g x -> delta_{(g<|x)^{-1}} (g|>x)^{-1}")
 
     kG = dual_group_algebra(G)
     embed = np.zeros((d, nG), dtype=complex)
@@ -324,13 +345,13 @@ def bismash(mp: MatchedPair) -> BismashResult:
     if rep_pi > TOL_ALG:
         raise ConsistencyError(f"projection onto kF fails Hopf-map checks ({rep_pi:.2e})")
 
-    _crosscheck_bismash_quotient(A, inc, pi)
-    return BismashResult(algebra=A, b_inclusion=inc, pi=pi, pair=mp)
+    return BismashResult(algebra=A, b_inclusion=inc, pi=pi, pair=mp,
+                         quotient=_crosscheck_bismash_quotient(A, inc, pi))
 
 
 def _crosscheck_bismash_quotient(A: HopfAlgebraData, inc: HopfInclusion,
-                                 pi: HopfSurjection) -> None:
-    """The closed-form projection must agree with the generic quotient."""
+                                 pi: HopfSurjection) -> HopfSurjection:
+    """The closed-form projection must agree with the generic quotient, which is returned."""
     Bsub = SubspaceBasis.from_vectors(A, inc.embedding)
     Hq, pi_q = quotient_hopf(A, Bsub)
     # transport the quotient onto the closed form through any linear section
@@ -344,6 +365,7 @@ def _crosscheck_bismash_quotient(A: HopfAlgebraData, inc: HopfInclusion,
     if resid > 1e-7:
         raise ConsistencyError(
             f"quotient is not isomorphic to kF via the closed form ({resid:.2e})")
+    return pi_q
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +420,7 @@ def verify_hopf_axioms(A: HopfAlgebraData, tol: float = TOL_ALG) -> AxiomReport:
         abs(complex(A.counit @ A.unit) - 1.0))
 
     if A.antipode is not None:
-        S = A.antipode
-        target = np.outer(A.counit, A.unit)
-        left = np.einsum("kij,pi,pjq->kq", D, S, M, optimize=True)
-        right = np.einsum("kij,pj,ipq->kq", D, S, M, optimize=True)
-        res["antipode_left"] = float(np.max(np.abs(left - target)))
-        res["antipode_right"] = float(np.max(np.abs(right - target)))
-        res["antipode_squared"] = float(np.max(np.abs(S @ S - eye)))
+        res.update(antipode_residuals(A, A.antipode))
     return AxiomReport(residuals=res, tol=tol)
 
 
@@ -416,17 +432,15 @@ def is_hopf_subalgebra(A: HopfAlgebraData, V: SubspaceBasis, tol: float = TOL_AL
     if A.antipode is None:
         raise PreconditionError("is_hopf_subalgebra needs the antipode")
     Vb = V.matrix
-    if not V.contains_vector(A.unit, tol):
+    P = Vb @ Vb.conj().T
+    if np.linalg.norm(A.unit - P @ A.unit) >= tol:
         return False
-    k = Vb.shape[1]
-    prods = np.einsum("ia,jb,ijk->kab", Vb, Vb, A.mult, optimize=True).reshape(A.dim, k * k)
-    if not linalg.contains_vectors(Vb, prods, tol):
+    if not linalg.contains_vectors(Vb, A.products(Vb, Vb).reshape(A.dim, -1), tol):
         return False
-    kron = np.kron(Vb, Vb)
-    for c in range(k):
-        vec = A.apply_comult(Vb[:, c]).reshape(-1)
-        if linalg.projection_residual(kron, vec) >= tol:
-            return False
+    # Delta(v) in V (x) V iff P Delta(v) P^T = Delta(v), P the projector onto V
+    coprods = A.apply_comult(Vb.T)
+    if np.max(np.linalg.norm(coprods - P @ coprods @ P.T, axis=(1, 2))) >= tol:
+        return False
     if not linalg.contains_vectors(Vb, A.antipode @ Vb, tol):
         return False
     return True
@@ -437,15 +451,11 @@ def is_normal_hopf_subalgebra(A: HopfAlgebraData, B: SubspaceBasis,
     """True iff a_1 b S(a_2) stays in span(B) for all basis a and b in B."""
     if not is_hopf_subalgebra(A, B, tol):
         raise PreconditionError("B is not a Hopf subalgebra")
-    S, M, D = A.antipode, A.mult, A.comult
-    for c in range(B.dim):
-        b = B.matrix[:, c]
-        pb = np.einsum("j,pjk->pk", b, M, optimize=True)                # e_p * b
-        t2 = np.einsum("rq,ark->aqk", S, M, optimize=True)              # e_a * S(e_q)
-        w = np.einsum("kpq,pa,aqr->kr", D, pb, t2, optimize=True)       # rows: a_1 b S(a_2)
-        if not linalg.contains_vectors(B.matrix, w.T, tol):
-            return False
-    return True
+    d, k = A.dim, B.dim
+    pb = A.products(np.eye(d), B.matrix).reshape(d, d * k)                # e_p b_c
+    sand = A.products(pb, A.antipode).reshape(d, d, k, d)                 # e_p b_c S(e_q)
+    w = A.comult.reshape(d, d * d) @ sand.transpose(1, 3, 2, 0).reshape(d * d, k * d)
+    return linalg.contains_vectors(B.matrix, w.reshape(d * k, d).T, tol)  # a_1 b_c S(a_2)
 
 
 def subspace_product(U: SubspaceBasis, V: SubspaceBasis) -> SubspaceBasis:
@@ -453,8 +463,7 @@ def subspace_product(U: SubspaceBasis, V: SubspaceBasis) -> SubspaceBasis:
     if U.parent is not V.parent:
         raise PreconditionError("subspaces live in different algebras")
     A = U.parent
-    prods = np.einsum("ia,jb,ijk->kab", U.matrix, V.matrix, A.mult, optimize=True)
-    return SubspaceBasis.from_vectors(A, prods.reshape(A.dim, -1))
+    return SubspaceBasis.from_vectors(A, A.products(U.matrix, V.matrix).reshape(A.dim, -1))
 
 
 def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray,
@@ -514,23 +523,18 @@ def quotient_hopf(A: HopfAlgebraData, B: SubspaceBasis,
     eps_on_b = (A.counit @ B.matrix)[None, :]
     bplus_coords = linalg.null_space(eps_on_b)
     bplus = B.matrix @ bplus_coords
-    cols = [A.right_mult_matrix(bplus[:, j]) for j in range(bplus.shape[1])]
-    ideal = linalg.orthonormal_columns(np.hstack(cols)) if cols else np.zeros((A.dim, 0))
-    for j in range(bplus.shape[1]):
-        left = A.left_mult_matrix(bplus[:, j])
-        if not linalg.contains_vectors(ideal, left, tol):
-            raise ConsistencyError("A B+ is not a two-sided ideal")
+    eye = np.eye(A.dim)
+    # columns e_i b_j, ordered by j then i
+    ideal = linalg.orthonormal_columns(
+        A.products(eye, bplus).transpose(0, 2, 1).reshape(A.dim, -1))
+    if not linalg.contains_vectors(ideal, A.products(bplus, eye).reshape(A.dim, -1), tol):
+        raise ConsistencyError("A B+ is not a two-sided ideal")
     comp = linalg.null_space(ideal.conj().T)
     piM = comp.conj().T
     h = comp.shape[1]
-    mult = np.zeros((h, h, h), dtype=complex)
-    for i in range(h):
-        for j in range(h):
-            mult[i, j] = piM @ A.product(comp[:, i], comp[:, j])
+    mult = (piM @ A.products(comp, comp).reshape(A.dim, -1)).reshape(h, h, h).transpose(1, 2, 0)
     unit = piM @ A.unit
-    comult = np.zeros((h, h, h), dtype=complex)
-    for k in range(h):
-        comult[k] = piM @ A.apply_comult(comp[:, k]) @ piM.T
+    comult = piM @ A.apply_comult(comp.T) @ piM.T
     counit = A.counit @ comp
     H = HopfAlgebraData(mult, unit, comult, counit,
                         labels=[f"h{i}" for i in range(h)])
@@ -575,15 +579,12 @@ def subalgebra_data(A: AlgebraData, basis: SubspaceBasis,
     """Algebra structure induced on a unital subalgebra (orthonormal basis)."""
     Vb = basis.matrix
     k = Vb.shape[1]
-    mult = np.zeros((k, k, k), dtype=complex)
     proj = Vb.conj().T
-    for i in range(k):
-        for j in range(k):
-            prod = A.product(Vb[:, i], Vb[:, j])
-            coords = proj @ prod
-            if float(np.max(np.abs(Vb @ coords - prod))) > tol:
-                raise PreconditionError("subspace is not closed under multiplication")
-            mult[i, j] = coords
+    prods = A.products(Vb, Vb).reshape(A.dim, k * k)
+    coords = proj @ prods
+    if float(np.max(np.abs(Vb @ coords - prods))) > tol:
+        raise PreconditionError("subspace is not closed under multiplication")
+    mult = coords.reshape(k, k, k).transpose(1, 2, 0)
     unit = proj @ A.unit
     if float(np.max(np.abs(Vb @ unit - A.unit))) > tol:
         raise PreconditionError("subspace does not contain the unit")

@@ -40,15 +40,6 @@ def null_space(mat: np.ndarray, rtol: float = RANK_RTOL,
     return np.ascontiguousarray(vh[rank:].conj().T)
 
 
-def projection_residual(basis: np.ndarray, v: np.ndarray) -> float:
-    """Norm of the component of `v` outside span(basis); basis orthonormal."""
-    v = np.asarray(v, dtype=complex)
-    if basis.shape[1] == 0:
-        return float(np.linalg.norm(v))
-    r = v - basis @ (basis.conj().T @ v)
-    return float(np.linalg.norm(r))
-
-
 def contains_vectors(basis: np.ndarray, vectors: np.ndarray, tol: float) -> bool:
     """True iff every column of `vectors` lies in span(basis) within tol."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))

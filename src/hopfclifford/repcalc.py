@@ -92,8 +92,7 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
 
     for _ in range(max_retries):
         z = center @ linalg.random_complex(rng, r)
-        images = np.stack([A.product(z, center[:, k]) for k in range(r)], axis=1)
-        zop = center.conj().T @ images
+        zop = center.conj().T @ A.left_mult_matrix(z) @ center
         vals, vecs = np.linalg.eig(zop)
         scale = max(1.0, float(np.max(np.abs(vals))))
         if r > 1:
@@ -146,10 +145,10 @@ def _check_decomposition(dec: SemisimpleDecomposition) -> None:
     A = dec.algebra
     if sum(n * n for n in dec.dims) != A.dim:
         raise ConsistencyError("block squares do not sum to the dimension")
-    for i, e in enumerate(dec.idempotents):
-        for j in range(i + 1, dec.num_blocks):
-            if float(np.max(np.abs(A.product(e, dec.idempotents[j])))) > 1e-7:
-                raise ConsistencyError("central idempotents are not orthogonal")
+    E = np.stack(dec.idempotents, axis=1)
+    i, j = np.triu_indices(dec.num_blocks, 1)
+    if float(np.max(np.abs(A.products(E, E)[:, i, j]), initial=0.0)) > 1e-7:
+        raise ConsistencyError("central idempotents are not orthogonal")
 
 
 def regular_character(A: AlgebraData) -> Character:
@@ -301,20 +300,11 @@ def construct_irreducible_module(A: AlgebraData, dec: SemisimpleDecomposition,
         V = linalg.orthonormal_columns(A.right_mult_matrix(p))
         if V.shape[1] != n:
             continue
-        proj = V.conj().T
-        mats = []
-        ok = True
-        for k in range(A.dim):
-            Lk = A.mult[k].T  # columns e_k * e_j
-            img = Lk @ V
-            coords = proj @ img
-            if float(np.max(np.abs(V @ coords - img))) > 1e-7:
-                ok = False
-                break
-            mats.append(coords)
-        if not ok:
+        imgs = A.products(np.eye(A.dim), V)             # imgs[:, k, :] = e_k V
+        coords = np.tensordot(V.conj().T, imgs, axes=1)
+        if float(np.max(np.abs(np.tensordot(V, coords, axes=1) - imgs))) > 1e-7:
             continue
-        mod = ExplicitModule(A, mats)
+        mod = ExplicitModule(A, list(coords.transpose(1, 0, 2)))
         if mod.verify() > 1e-6:
             continue
         if not mod.character().close_to(chi, 1e-6):
@@ -350,20 +340,16 @@ def group_algebra_form(H: HopfAlgebraData, seed: int = DEFAULT_SEED
     if len(ident) != 1:
         raise ConsistencyError("group-like basis has no unique identity")
     order = [ident[0]] + [k for k in range(len(grouplikes)) if k != ident[0]]
-    vecs = [grouplikes[k] for k in order]
-    n = len(vecs)
-    cayley = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            prod = H.product(vecs[i], vecs[j])
-            hits = [k for k, v in enumerate(vecs)
-                    if float(np.max(np.abs(prod - v))) < 1e-6]
-            if len(hits) != 1:
-                raise ConsistencyError("group-like elements are not closed under product")
-            cayley[i, j] = hits[0]
+    P = np.stack([grouplikes[k] for k in order], axis=1)
+    n = P.shape[1]
+    # hits[i, j, k]: the product of group-likes i and j is group-like k
+    prods = H.products(P, P)
+    hits = np.stack([np.max(np.abs(prods - P[:, k, None, None]), axis=0) < 1e-6
+                     for k in range(n)], axis=2)
+    if np.any(hits.sum(axis=2) != 1):
+        raise ConsistencyError("group-like elements are not closed under product")
     labels = ["1"] + [f"q{i}" for i in range(1, n)]
-    F = FiniteGroup(cayley, labels=labels)
-    P = np.stack(vecs, axis=1)
+    F = FiniteGroup(np.argmax(hits, axis=2), labels=labels)
     return F, P
 
 
@@ -374,8 +360,7 @@ def as_group_algebra_surjection(pi: HopfSurjection, seed: int = DEFAULT_SEED
     if not isinstance(target, HopfAlgebraData):
         return None
     if target.is_group_like_basis():
-        F, _ = _group_from_group_like_basis(target)
-        return F, pi
+        return _group_from_group_like_basis(target), pi
     form = group_algebra_form(target, seed=seed)
     if form is None:
         return None
@@ -386,14 +371,10 @@ def as_group_algebra_surjection(pi: HopfSurjection, seed: int = DEFAULT_SEED
     return F, new_pi
 
 
-def _group_from_group_like_basis(H: HopfAlgebraData) -> tuple[FiniteGroup, np.ndarray]:
-    n = H.dim
-    cayley = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            prod = H.product(np.eye(n, dtype=complex)[i], np.eye(n, dtype=complex)[j])
-            k = int(np.argmax(np.abs(prod)))
-            if abs(prod[k] - 1.0) > 1e-7:
-                raise ConsistencyError("basis is not closed as a group")
-            cayley[i, j] = k
-    return FiniteGroup(cayley, labels=list(H.labels)), np.eye(n, dtype=complex)
+def _group_from_group_like_basis(H: HopfAlgebraData) -> FiniteGroup:
+    """The group a group-like basis forms: mult[i, j] must be one basis vector."""
+    cayley = np.argmax(np.abs(H.mult), axis=2)
+    hit = np.take_along_axis(H.mult, cayley[:, :, None], axis=2)
+    if float(np.max(np.abs(hit - 1.0))) > 1e-7:
+        raise ConsistencyError("basis is not closed as a group")
+    return FiniteGroup(cayley, labels=list(H.labels))

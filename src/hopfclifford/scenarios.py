@@ -186,7 +186,8 @@ def _resolve_elements(group: FiniteGroup, refs: list[str],
         if group.perms is None:
             raise ConfigError(f"cannot resolve element {ref!r} without permutations")
         try:
-            perm = parse_cycles(text, degree=len(group.perms[0]))
+            degree = len(group.perms[0])
+            perm = parse_cycles(text, degree=degree, limit=degree)
         except ValueError as exc:
             raise ConfigError(f"cannot resolve element {ref!r}: {exc}") from exc
         hits = [i for i, p in enumerate(group.perms) if p == perm]
@@ -245,7 +246,7 @@ def build_scenario(sc: Scenario, seed: int) -> clifford.Extension:
             _assert_action_tables(mp, sc.expected_ract, sc.expected_lact)
         bm = hopf.bismash(mp)  # refuses a pair that fails verification
         return clifford.Extension(bm.algebra, bm.b_inclusion, seed=seed,
-                                  piF=bm.pi, F=mp.f_group, mp=mp)
+                                  piF=bm.pi, F=mp.f_group, mp=mp, pi_q=bm.quotient)
 
     n_idx = _resolve_elements(group, sc.b_generators, sc.group_names,
                               sc.group_generators)

@@ -347,7 +347,7 @@ def test_graded_tensor_dimensions(counterexample):
     k = alpha_with_support(ext, "d(g)")
     M = construct_irreducible_module(ext.inc.small, ext.dec_b, k)
     for f in range(ext.F.order):
-        ch = graded_tensor_character(ext.A, ext.inc, ext.components[f], M)
+        ch = graded_tensor_character(ext.bimodules[f], M)
         assert abs(ch.degree - M.dimension) < 1e-8
 
 

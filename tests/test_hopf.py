@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hopfclifford import hopf, repcalc
-from hopfclifford.errors import NormalityError, PreconditionError
+from hopfclifford.errors import (ConsistencyError, NormalityError,
+                                 PreconditionError)
 from hopfclifford.groups import group_from_permutations, subgroup_closure
 from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis,
                                coefficient_space, comodule_map_rho,
@@ -56,7 +57,7 @@ def test_dual_group_algebra(c4, s3_group):
     assert not D.is_cocommutative()
 
 
-def test_antipode_closed_forms(c4, s3_group):
+def test_antipode_closed_forms(c4, s3_group, counterexample, cocentral8):
     for G in (c4, s3_group):
         A = group_algebra(G)
         S = solve_antipode(A)
@@ -64,8 +65,33 @@ def test_antipode_closed_forms(c4, s3_group):
         for j in range(G.order):
             want[G.inverse[j], j] = 1.0
         assert np.max(np.abs(S - want)) < 1e-10
+        assert np.array_equal(A.antipode, want)
         B = dual_group_algebra(G)
         assert np.max(np.abs(solve_antipode(B) - want)) < 1e-10
+        assert np.array_equal(B.antipode, want)
+    # bismash: S(delta_g x) = delta_{(g<|x)^{-1}} (g|>x)^{-1}
+    for ext in (counterexample, cocentral8):
+        assert np.max(np.abs(solve_antipode(ext.A) - ext.A.antipode)) < 1e-10
+    # a closed form that fails the antipode axioms is refused
+    with pytest.raises(ConsistencyError):
+        hopf._with_checked_antipode(group_algebra(c4), np.eye(4, dtype=complex), "id")
+
+
+def test_products_match_einsum_definition(counterexample, cocentral8, classical):
+    rng = np.random.default_rng(7)
+    for ext in (counterexample, cocentral8, classical):
+        A = ext.A
+        U = rng.standard_normal((A.dim, 3)) + 1j * rng.standard_normal((A.dim, 3))
+        V = rng.standard_normal((A.dim, 4)) + 1j * rng.standard_normal((A.dim, 4))
+        want = np.einsum("ia,jb,ijk->kab", U, V, A.mult)
+        assert A.products(U, V).shape == (A.dim, 3, 4)
+        assert np.max(np.abs(A.products(U, V) - want)) < 1e-12
+        for a in range(3):
+            assert np.max(np.abs(A.left_mult_matrix(U[:, a]) @ V - want[:, a, :])) < 1e-12
+            for b in range(4):
+                assert np.max(np.abs(A.product(U[:, a], V[:, b]) - want[:, a, b])) < 1e-12
+        for b in range(4):
+            assert np.max(np.abs(A.right_mult_matrix(V[:, b]) @ U - want[:, :, b])) < 1e-12
 
 
 def test_dual_is_involution(counterexample):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hopfclifford import cli, clifford, scenarios
-from hopfclifford.clifford import conjugation_matrix
+from hopfclifford.clifford import component_bimodule, conjugation_matrix
 from hopfclifford.errors import ConfigError, NormalityError
 from hopfclifford.scenarios import (Scenario, build_scenario, builtin_scenario,
                                     load_scenario, resolve_seed, run_scenario)
@@ -265,6 +265,34 @@ def test_cli_rejects_boolean_alpha(tmp_path, capsys):
         run_scenario(builtin_scenario("s3_a3_classical"), alpha_selection=True)
 
 
+C2_TABLE = {"order": 2, "cayley": [0, 1, 1, 0], "labels": ["1", "x"]}
+BAD_GROUPS = [
+    ("cayley-order-zero", {"group": {"order": 0, "cayley": [], "labels": []},
+                           "b_generators": ["x"]}, "order"),
+    ("cayley-fraction", {"group": {**C2_TABLE, "cayley": [0, 1, 1, 0.5]},
+                         "b_generators": ["x"]}, "integers"),
+    ("labels-too-few", {"group": {**C2_TABLE, "labels": ["1"]},
+                        "b_generators": ["x"]}, "labels"),
+    ("labels-repeated", {"group": {**C2_TABLE, "labels": ["x", "x"]},
+                         "b_generators": ["x"]}, "labels"),
+    ("labels-not-strings", {"group": {**C2_TABLE, "labels": [["1"], ["x"]]},
+                            "b_generators": ["x"]}, "labels"),
+    # points just above the bound: the bound is checked before allocating
+    ("generator-above-size-cap", {"group": {"generators": ["(1 2)", "(1 25)"]},
+                                  "b_generators": ["(1 2)"], "size_cap": 24}, "above 24"),
+    ("element-beyond-degree", {"b_generators": ["(1 4)"]}, "above 3"),
+]
+
+
+@pytest.mark.parametrize("command", ["analyze", "list-irr", "verify-axioms"])
+@pytest.mark.parametrize("extra,message", [c[1:] for c in BAD_GROUPS],
+                         ids=[c[0] for c in BAD_GROUPS])
+def test_cli_rejects_bad_group_data(tmp_path, capsys, command, extra, message):
+    assert cli.main([command, "--scenario", _scenario_file(tmp_path, **extra)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
 @pytest.mark.parametrize("alg", [0, -1, "nan", "inf", True])
 def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, alg):
     with pytest.raises(ConfigError):
@@ -317,6 +345,25 @@ def test_conjugation_matrices_built_once_per_request(monkeypatch, capsys, alpha)
     assert len(built) == len(duals)
     for d_vec, d in zip(built, duals):
         assert np.array_equal(d_vec, d.values)
+
+
+@pytest.mark.parametrize("alpha", ["g", "all"])
+def test_component_bimodules_built_once_per_request(monkeypatch, capsys, alpha):
+    built = []
+
+    def counting(A, inc, comp, *args, **kw):
+        built.append(comp.matrix)
+        return component_bimodule(A, inc, comp, *args, **kw)
+
+    monkeypatch.setattr(clifford, "component_bimodule", counting)
+    assert cli.main(["analyze", "--builtin", "s4_counterexample",
+                     "--alpha", alpha]) == 0
+    capsys.readouterr()
+    sc = builtin_scenario("s4_counterexample")
+    comps = build_scenario(sc, resolve_seed(sc)).components
+    assert len(built) == len(comps)
+    for got, comp in zip(built, comps):
+        assert np.array_equal(got, comp.matrix)
 
 
 def test_context_is_lazy(monkeypatch, capsys):
