@@ -32,10 +32,12 @@ def null_space(mat: np.ndarray, rtol: float = RANK_RTOL,
                atol: float = RANK_ATOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the kernel of `mat`."""
     mat = np.asarray(mat, dtype=complex)
-    n = mat.shape[1]
-    if mat.shape[0] == 0:
+    m, n = mat.shape
+    if m == 0:
         return np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    # vh must be n x n; the thin SVD of a matrix with m >= n already gives
+    # that, and asking for the full one would build an m x m U for nothing
+    _, s, vh = np.linalg.svd(mat, full_matrices=m < n)
     rank = _rank(s, rtol, atol)
     return np.ascontiguousarray(vh[rank:].conj().T)
 

@@ -265,7 +265,7 @@ def build_scenario(sc: Scenario, seed: int) -> clifford.Extension:
         for a in group.elements():
             E[a, coset_of[a]] = 1.0
     resid = hopf.hopf_map_residual(B, A, E)
-    if resid > hopf.TOL_ALG:
+    if not resid <= hopf.TOL_ALG:
         raise ConsistencyError(f"B embedding fails Hopf-map checks ({resid:.2e})")
     return clifford.Extension(A, hopf.HopfInclusion(small=B, big=A, embedding=E),
                               seed=seed)

@@ -7,9 +7,13 @@ sweep of further exact factorizations where every internal theorem
 cross-check runs for every character.
 """
 
+import tracemalloc
+
 import pytest
 
-from hopfclifford.scenarios import Scenario, run_scenario
+from hopfclifford.hopf import verify_hopf_axioms
+from hopfclifford.repcalc import DEFAULT_SEED
+from hopfclifford.scenarios import Scenario, build_scenario, run_scenario
 
 
 def test_functions_on_s4_over_v4_cosets():
@@ -111,3 +115,41 @@ def test_order_six_bismash_with_inversion():
         assert r.dim_z == 3
         assert len(r.graded.h_members) == 1
         assert r.graded.orbit_size == 2
+
+
+LARGE_BISMASH = [
+    # (name, sigma generators, names, f generators, g generators,
+    #  Irr(A) degrees, peak MB of the axiom gate on A).  Crossed-product
+    # Clifford theory (Montgomery-Witherspoon) predicts the degrees: the
+    # F-orbit {1} of G = C5 gives Irr(F), and the orbit of size 4 with
+    # stabilizer H gives 4 * Irr(H), H = C3 in A4 and H = S3 in S4.
+    ("a5_a4_c5", ["(1 2 3 4 5)", "(1 2 3)", "(1 2)(3 4)"], ["c", "a", "v"],
+     ["a", "v"], ["c"], [1, 1, 1, 3, 4, 4, 4], 100),
+    ("s5_s4_c5", ["(1 2 3 4 5)", "(1 2 3 4)", "(1 2)"], ["c", "r", "t"],
+     ["r", "t"], ["c"], [1, 1, 2, 3, 3, 4, 4, 8], 200),
+]
+
+
+@pytest.mark.parametrize(
+    "name,gens,names,f_gens,g_gens,dims,peak_mb",
+    LARGE_BISMASH, ids=[c[0] for c in LARGE_BISMASH])
+def test_large_bismash(name, gens, names, f_gens, g_gens, dims, peak_mb):
+    sc = Scenario.from_dict({
+        "name": name, "construction": "bismash",
+        "group": {"generators": gens, "names": names},
+        "f_generators": f_gens, "g_generators": g_gens,
+    })
+    rep = run_scenario(sc)
+    assert rep.dims_a == dims
+    assert rep.cocentral is False
+    verdicts = [r.direct_holds for r in rep.alpha_reports]
+    assert (verdicts.count(False), verdicts.count(True)) == (4, 1)
+    # the dense gate held d^4 complex arrays: 1.6 GB at d=60, 3.3 GB each at d=120
+    A = build_scenario(sc, DEFAULT_SEED).A
+    tracemalloc.start()
+    try:
+        assert verify_hopf_axioms(A).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_mb * 1e6

@@ -136,15 +136,108 @@ def test_bismash_trivial_factor(c4):
     assert np.allclose(bm.algebra.comult, want.comult)
 
 
+def _broken(A, tensor, index, value):
+    """A copy of A with one entry of mult, comult or the antipode replaced."""
+    parts = {"mult": A.mult.copy(), "comult": A.comult.copy(), "antipode": A.antipode.copy()}
+    parts[tensor][index] = value
+    return HopfAlgebraData(parts["mult"], A.unit, parts["comult"], A.counit,
+                           antipode=parts["antipode"])
+
+
+def _dense_gate(A, monkeypatch):
+    """The axiom gate with the sparse contractions refused: the dense reference."""
+    def refuse(*args, **kwargs):
+        raise hopf._TooManyPairs("dense reference")
+    with monkeypatch.context() as m:
+        m.setattr(hopf, "_sparse_contraction_residuals", refuse)
+        return verify_hopf_axioms(A)
+
+
+def _takes_sparse_path(A):
+    try:
+        hopf._sparse_contraction_residuals(A.mult, A.comult)
+    except hopf._TooManyPairs:
+        return False
+    return True
+
+
 def test_injected_fault_reported(c4):
     A = group_algebra(c4)
-    mult = A.mult.copy()
-    mult[1, 1, 0] += 0.1
-    broken = HopfAlgebraData(mult, A.unit, A.comult, A.counit,
-                             antipode=A.antipode)
+    broken = _broken(A, "mult", (1, 1, 0), A.mult[1, 1, 0] + 0.1)
     rep = verify_hopf_axioms(broken)
     assert not rep.ok
     assert 0.05 < rep.residuals["associativity"] < 0.5
+    broken = _broken(A, "comult", (1, 2, 2), A.comult[1, 2, 2] + 0.1)
+    rep = verify_hopf_axioms(broken)
+    assert not rep.ok
+    assert 0.05 < rep.residuals["coassociativity"] < 0.5
+    assert {"coassociativity", "counit", "bialgebra_mult"} <= set(rep.failing())
+
+
+@pytest.mark.parametrize("tensor,index,axiom", [
+    ("mult", (1, 1, 0), "associativity"),
+    ("comult", (1, 2, 2), "coassociativity"),
+    ("antipode", (2, 1), "antipode_left"),
+], ids=["mult", "comult", "antipode"])
+def test_nan_fails_every_gate(tensor, index, axiom, monkeypatch):
+    A = group_algebra(group_from_permutations(["(1 2 3)"]))
+    broken = _broken(A, tensor, index, np.nan)
+    assert _takes_sparse_path(broken)
+    for rep in (verify_hopf_axioms(broken), _dense_gate(broken, monkeypatch)):
+        assert not rep.ok
+        assert np.isnan(rep.max_residual)
+        assert axiom in rep.failing()
+    assert np.isnan(hopf_map_residual(broken, A, np.eye(3)))
+    if tensor == "antipode":
+        with pytest.raises(ConsistencyError):
+            hopf._with_checked_antipode(A, broken.antipode, "with a NaN")
+
+
+def test_sparse_gate_matches_dense(counterexample, cocentral8, classical, monkeypatch):
+    dense_path = []
+    for name, ext in (("counterexample", counterexample), ("cocentral8", cocentral8),
+                      ("classical", classical)):
+        for tag, alg in (("A", ext.A), ("B", ext.inc.small), ("A*", ext.dual),
+                         ("A/AB+", ext.generic_quotient.target)):
+            assert verify_hopf_axioms(alg).residuals == _dense_gate(alg, monkeypatch).residuals
+            if not _takes_sparse_path(alg):
+                dense_path.append((name, tag))
+    # the d=2 generic quotient kC2 has dense tensors: 256 pairs > d^4 = 16
+    assert dense_path == [("classical", "A/AB+")]
+
+
+@pytest.mark.parametrize("tensor", ["mult", "comult"])
+@pytest.mark.parametrize("build", [group_algebra, dual_group_algebra])
+def test_sparse_gate_matches_dense_under_faults(build, tensor, s3_group, s4_sigma,
+                                                monkeypatch):
+    rng = np.random.default_rng(5)
+    for G in (s3_group, s4_sigma):
+        A = build(G)
+        for value in (0.1, -0.3, 0.05j, 1.0, 0.7 + 0.2j):
+            index = tuple(int(i) for i in rng.integers(0, A.dim, 3))
+            broken = _broken(A, tensor, index, getattr(A, tensor)[index] + value)
+            sparse, dense = verify_hopf_axioms(broken), _dense_gate(broken, monkeypatch)
+            assert _takes_sparse_path(broken)
+            assert sparse.residuals == dense.residuals
+            assert sparse.failing() == dense.failing() != []
+
+
+def test_dense_basis_takes_dense_path(s3_group, s4_sigma, monkeypatch):
+    rng = np.random.default_rng(11)
+    for G in (s3_group, s4_sigma):
+        A = group_algebra(G)
+        d = A.dim
+        # f_i = sum_a P[a, i] e_a for a random unitary P
+        P, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        Q = P.conj().T
+        T = HopfAlgebraData(np.einsum("ai,bj,abc,kc->ijk", P, P, A.mult, Q),
+                            Q @ A.unit,
+                            np.einsum("ck,cab,ia,jb->kij", P, A.comult, Q, Q),
+                            A.counit @ P, antipode=Q @ A.antipode @ P)
+        assert not _takes_sparse_path(T)
+        rep = verify_hopf_axioms(T)
+        assert rep.ok
+        assert rep.residuals == _dense_gate(T, monkeypatch).residuals
 
 
 def test_no_antipode_for_monoid_bialgebra():

@@ -1,0 +1,40 @@
+"""Dense linear algebra helpers."""
+
+import numpy as np
+import pytest
+
+from hopfclifford import linalg
+
+
+def _full_svd_null_space(mat, rank):
+    """Reference: the last n - rank rows of the full SVD's vh."""
+    _, _, vh = np.linalg.svd(mat, full_matrices=True)
+    return vh[rank:].conj().T
+
+
+def _random(rng, rows, cols, rank):
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    return left @ right
+
+
+@pytest.mark.parametrize("rows,cols,rank", [
+    pytest.param(40, 6, 6, id="tall"),            # trivial kernel
+    pytest.param(40, 6, 4, id="tall-deficient"),
+    pytest.param(3, 9, 3, id="wide"),
+    pytest.param(3, 9, 2, id="wide-deficient"),
+    pytest.param(7, 7, 5, id="square-deficient"),
+    pytest.param(0, 5, 0, id="zero-rows"),        # the kernel is everything
+    pytest.param(4, 6, 0, id="zero-matrix"),
+])
+def test_null_space(rows, cols, rank):
+    rng = np.random.default_rng(rows * 100 + cols * 10 + rank)
+    mat = _random(rng, rows, cols, rank)
+    N = linalg.null_space(mat)
+    assert N.shape == (cols, cols - rank)
+    assert np.max(np.abs(N.conj().T @ N - np.eye(cols - rank)), initial=0.0) < 1e-12
+    assert np.max(np.abs(mat @ N), initial=0.0) < 1e-10
+    if rows:
+        assert linalg.subspace_equal(N, _full_svd_null_space(mat, rank), 1e-10)
+    else:
+        assert linalg.subspace_equal(N, np.eye(cols), 1e-12)
