@@ -16,7 +16,8 @@ irreducible dual character d.  Pipeline per irreducible B-character alpha:
     S is a Hopf subalgebra".
 
 Cross-checks between the independent criteria raise TheoremViolationError
-on mismatch since any mismatch means an implementation bug.
+on mismatch since any mismatch means an implementation bug; numeric checks
+use the thresholds of `linalg` and raise ConsistencyError, NaN included.
 """
 
 from __future__ import annotations
@@ -32,17 +33,17 @@ from . import linalg
 from .errors import (ConsistencyError, NormalityError, PreconditionError,
                      TheoremViolationError)
 from .groups import FiniteGroup, MatchedPair, orbit_and_stabilizer
-from .hopf import (TOL_ALG, HopfAlgebraData, HopfInclusion, HopfSurjection,
-                   SubspaceBasis, coefficient_space, dual_hopf,
-                   graded_component, is_cocentral, is_hopf_subalgebra,
-                   quotient_hopf, subalgebra_data, subspace_product)
+from .hopf import (HopfAlgebraData, HopfInclusion, HopfSurjection,
+                   SubspaceBasis, coefficient_space, comodule_map_rho,
+                   dual_hopf, graded_component, is_cocentral,
+                   is_hopf_subalgebra, quotient_hopf, subalgebra_data,
+                   subspace_product)
+from .linalg import TOL_ALG, TOL_MATCH, max_abs, require
 from .repcalc import (Character, DEFAULT_SEED, ExplicitModule,
                       SemisimpleDecomposition, as_group_algebra_surjection,
                       construct_irreducible_module, decompose,
                       induce_character, restrict_character, restriction_table,
                       wedderburn)
-
-TOL_MATCH = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,8 @@ class Extension:
         """Graded components A_f, f in F; None without a kF quotient."""
         if self.piF is None:
             return None
-        return [graded_component(self.A, self.piF, f) for f in range(self.F.order)]
+        rho = comodule_map_rho(self.A, self.piF)
+        return [graded_component(self.A, rho, f) for f in range(self.F.order)]
 
     @cached_property
     def bimodules(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -154,7 +156,7 @@ class Extension:
         for ch in self.dec_b.irr:
             k = int(np.argmax(np.abs(ch.values)))
             indicator = np.eye(len(ch.values))[k]
-            out.append(k if float(np.max(np.abs(ch.values - indicator))) < TOL_ALG else None)
+            out.append(k if max_abs(ch.values - indicator) < TOL_ALG else None)
         return out
 
     @cached_property
@@ -253,40 +255,35 @@ def equivalence_classes(ext: Extension) -> EquivalenceClassData:
 
 
 def verify_class_formulas(ext: Extension) -> dict[str, float]:
-    """Residuals of the three restriction/induction proportionality identities."""
+    """Residuals of the three restriction/induction identities; each must be <= TOL_MATCH."""
     ecd, inc, dec_a, dec_b = ext.ecd, ext.inc, ext.dec_a, ext.dec_b
-    A, B = inc.big, inc.small
-    s = Fraction(A.dim, B.dim)
-    r_restrict = 0.0
-    r_induce = 0.0
-    r_class_sum = 0.0
+    s = float(Fraction(inc.big.dim, inc.small.dim))
+    restrict, induce, class_sum = [], [], []
     for i in range(ecd.num_classes):
         b_i = ecd.b_sums[i]
         a_i = ecd.a_sums[i]
         for c in ecd.a_classes[i]:
             chi = dec_a.irr[c]
-            lhs = restrict_character(chi, inc).values / chi.degree
-            rhs = b_i.values / b_i.degree
-            r_restrict = max(r_restrict, float(np.max(np.abs(lhs - rhs))))
+            restrict.append(restrict_character(chi, inc).values / chi.degree
+                            - b_i.values / b_i.degree)
         for k in ecd.b_classes[i]:
             alpha = dec_b.irr[k]
             ind = induce_character(alpha, inc, dec_b, dec_a, ecd.restriction_table)
-            lhs = ind.values / alpha.degree
-            rhs = float(s) * a_i.values / a_i.degree
-            r_induce = max(r_induce, float(np.max(np.abs(lhs - rhs))))
-        lhs = restrict_character(a_i, inc).values
-        rhs = float(s) * b_i.values
-        r_class_sum = max(r_class_sum, float(np.max(np.abs(lhs - rhs))))
-    return {"restriction_proportionality": r_restrict,
-            "induction_proportionality": r_induce,
-            "class_sum_restriction": r_class_sum}
+            induce.append(ind.values / alpha.degree - s * a_i.values / a_i.degree)
+        class_sum.append(restrict_character(a_i, inc).values - s * b_i.values)
+    res = {"restriction_proportionality": max_abs(*restrict),
+           "induction_proportionality": max_abs(*induce),
+           "class_sum_restriction": max_abs(*class_sum)}
+    for name, r in res.items():
+        require(r, TOL_MATCH, ConsistencyError, f"class formula {name} fails")
+    return res
 
 
 # ---------------------------------------------------------------------------
 # conjugate characters and modules
 
 def conjugation_matrix(A: HopfAlgebraData, inc: HopfInclusion,
-                       d_vec: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
+                       d_vec: np.ndarray) -> np.ndarray:
     """C_d with C_d[j, m] the coordinate on b_j of S(d_1) b_m d_2.
 
     The conjugate of a B-character alpha by d, x -> alpha(S(d_1) x d_2),
@@ -299,14 +296,12 @@ def conjugation_matrix(A: HopfAlgebraData, inc: HopfInclusion,
     U = np.einsum("rp,jm,rjk->pmk", S, E, M, optimize=True)
     W = np.einsum("pq,pma,aqk->mk", X, U, M, optimize=True)      # rows: S(d_1) b_m d_2
     coords, resid = linalg.lstsq_coords(E, W.T)
-    if resid > tol * max(1.0, float(np.max(np.abs(W)))):
-        raise ConsistencyError(
-            f"conjugation left the subalgebra (residual {resid:.2e})")
+    require(resid, TOL_ALG * max(1.0, max_abs(W)), ConsistencyError,
+            "conjugation left the subalgebra")
     return coords
 
 
-def subcoalgebra_as_dual_module(A: HopfAlgebraData, C: SubspaceBasis,
-                                tol: float = TOL_ALG) -> ExplicitModule:
+def subcoalgebra_as_dual_module(A: HopfAlgebraData, C: SubspaceBasis) -> ExplicitModule:
     """A subcoalgebra of A as a module over the dual algebra."""
     Cb = C.matrix
     k = Cb.shape[1]
@@ -317,15 +312,13 @@ def subcoalgebra_as_dual_module(A: HopfAlgebraData, C: SubspaceBasis,
             X = A.apply_comult(Cb[:, q])
             img[:, q] = X[:, i]
         coords, resid = linalg.lstsq_coords(Cb, img)
-        if resid > tol:
-            raise PreconditionError("subspace is not a subcoalgebra")
+        require(resid, TOL_ALG, PreconditionError, "subspace is not a subcoalgebra")
         mats.append(coords)
     return ExplicitModule(dual_hopf(A), mats)
 
 
 def conjugate_module(A: HopfAlgebraData, inc: HopfInclusion,
-                     W: ExplicitModule, M_mod: ExplicitModule,
-                     tol: float = TOL_ALG) -> ExplicitModule:
+                     W: ExplicitModule, M_mod: ExplicitModule) -> ExplicitModule:
     """Twist of W (x) M by b(w (x) m) = w_0 (x) (S(w_1) b w_2) m."""
     E = np.asarray(inc.embedding, complex)
     S, Mt = A.antipode, A.mult
@@ -338,16 +331,16 @@ def conjugate_module(A: HopfAlgebraData, inc: HopfInclusion,
         sand = np.einsum("pa,aqk->pqk", Sv, Mt, optimize=True)    # S(e_p) * v * e_q
         u = np.einsum("abpq,pqk->abk", R2, sand, optimize=True)
         coords, resid = linalg.lstsq_coords(E, u.reshape(-1, A.dim).T)
-        if resid > tol * max(1.0, float(np.max(np.abs(u)))):
-            raise ConsistencyError("conjugate action leaves the subalgebra")
+        require(resid, TOL_ALG * max(1.0, max_abs(u)), ConsistencyError,
+                "conjugate action leaves the subalgebra")
         cb = coords.T.reshape(u.shape[0], u.shape[1], E.shape[1])
         stack = np.stack(M_mod.matrices)
         act = np.einsum("abl,lij->aibj", cb, stack, optimize=True)
         n = act.shape[0] * act.shape[1]
         mats.append(act.reshape(n, n))
     out = ExplicitModule(M_mod.parent, mats)
-    if out.verify() > 1e-6:
-        raise ConsistencyError("conjugate module fails the multiplication table")
+    require(out.verify(), TOL_MATCH, ConsistencyError,
+            "conjugate module fails the multiplication table")
     return out
 
 
@@ -380,7 +373,7 @@ def compute_stabilizer(ext: Extension, alpha_index: int) -> StabilizerResult:
     expected_dim = 0
     for idx, (d, C) in enumerate(zip(ext.dec_dual.irr, ext.conjugation)):
         eps_d = d.degree
-        if float(np.max(np.abs(alpha.values @ C - eps_d * alpha.values))) < TOL_MATCH:
+        if max_abs(alpha.values @ C - eps_d * alpha.values) < TOL_MATCH:
             stabilizing.append(idx)
             expected_dim += eps_d * eps_d
     Z = SubspaceBasis.from_vectors(
@@ -396,8 +389,7 @@ def compute_stabilizer(ext: Extension, alpha_index: int) -> StabilizerResult:
     z_alg = subalgebra_data(A, Z, labels=[f"z{i}" for i in range(Z.dim)])
     z_dec = wedderburn(z_alg, seed=ext.seed)
     b_in_z, resid = linalg.lstsq_coords(Z.matrix, np.asarray(inc.embedding, complex))
-    if resid > TOL_ALG:
-        raise ConsistencyError("B does not sit inside Z numerically")
+    require(resid, TOL_ALG, ConsistencyError, "B does not sit inside Z numerically")
     b_inc = HopfInclusion(small=inc.small, big=z_alg, embedding=b_in_z)
     z_inc = HopfInclusion(small=z_alg, big=A, embedding=Z.matrix)
     table_bz = restriction_table(b_inc, ext.dec_b, z_dec)
@@ -418,13 +410,13 @@ def compute_stabilizer(ext: Extension, alpha_index: int) -> StabilizerResult:
 
 
 def check_stabilizer_induction(ext: Extension, sr: StabilizerResult) -> dict[str, float]:
-    """Induce psi_alpha up to A and compare with the scaled class sum."""
+    """Induce psi_alpha up to A; it must match the scaled class sum within TOL_MATCH."""
     ecd = ext.ecd
     i = ecd.class_of_alpha(sr.alpha_index)
     ind = induce_character(sr.psi_alpha, sr.z_inc, sr.z_dec, ext.dec_a, sr.table_za)
     scale = Fraction(sr.alpha.degree ** 2, ecd.b_sums[i].degree)
-    target = float(scale) * ecd.a_sums[i].values
-    residual = float(np.max(np.abs(ind.values - target)))
+    residual = require(max_abs(ind.values - float(scale) * ecd.a_sums[i].values), TOL_MATCH,
+                       ConsistencyError, "psi_alpha^A differs from the scaled class sum")
     return {"residual": residual}
 
 
@@ -534,8 +526,8 @@ def conjugate_class_indices(ext: Extension, alpha_index: int) -> tuple[int, ...]
 # ---------------------------------------------------------------------------
 # group-graded picture for quotients kF
 
-def component_bimodule(A: HopfAlgebraData, inc: HopfInclusion, comp: SubspaceBasis,
-                       tol: float = TOL_ALG) -> tuple[np.ndarray, np.ndarray]:
+def component_bimodule(A: HopfAlgebraData, inc: HopfInclusion, comp: SubspaceBasis
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """(right, left): right[:, j, m] and left[:, m, j] are the coordinates in A_f of
     a_j b_m and of b_m a_j, for a_j in A_f and b_m in B; both must stay in A_f."""
     U = comp.matrix
@@ -543,8 +535,8 @@ def component_bimodule(A: HopfAlgebraData, inc: HopfInclusion, comp: SubspaceBas
     out = []
     for side, prods in (("right", A.products(U, E)), ("left", A.products(E, U))):
         coords = np.tensordot(U.conj().T, prods, axes=1)
-        if float(np.max(np.abs(np.tensordot(U, coords, axes=1) - prods))) > tol:
-            raise ConsistencyError(f"component is not stable under {side} B-multiplication")
+        require(max_abs(np.tensordot(U, coords, axes=1) - prods), TOL_ALG, ConsistencyError,
+                f"component is not stable under {side} B-multiplication")
         out.append(coords)
     return out[0], out[1]
 
@@ -568,8 +560,8 @@ def graded_tensor_character(bimodule: tuple[np.ndarray, np.ndarray],
 
     mats = [C.conj().T @ np.kron(left[:, m, :], np.eye(n)) @ C for m in range(b)]
     out = ExplicitModule(M_mod.parent, mats)
-    if out.verify() > 1e-6:
-        raise ConsistencyError("tensor over B does not carry a B-module structure")
+    require(out.verify(), TOL_MATCH, ConsistencyError,
+            "tensor over B does not carry a B-module structure")
     return out.character()
 
 
@@ -600,7 +592,7 @@ def graded_stabilizer_analysis(ext: Extension, sr: StabilizerResult) -> GradedSe
         if int(coeffs @ coeffs) != 1:
             raise ConsistencyError("grading action did not send a simple to a simple")
         orbit_class.add(int(np.argmax(coeffs)))
-        if float(np.max(np.abs(ch.values - alpha.values))) < TOL_MATCH:
+        if max_abs(ch.values - alpha.values) < TOL_MATCH:
             h_members.append(f)
     hset = set(h_members)
     if 0 not in hset:
@@ -654,9 +646,8 @@ def coset_projection_check(ext: Extension) -> dict:
     """
     A, piF, F, components = ext.A, ext.piF, ext.F, ext.components
     piM = piF.matrix
-    uniform_resid = 0.0
-    image_resid = 0.0
-    coset_resid = 0.0
+    uniform_defects = []
+    images_match = cosets_match = True
     supports = []
     cosets: list[SubspaceBasis] = []
     for d, C in zip(ext.dec_dual.irr, ext.coefficient_spaces):
@@ -668,20 +659,19 @@ def coset_projection_check(ext: Extension) -> dict:
         expect = np.zeros(F.order, dtype=complex)
         for f in support:
             expect[f] = float(coeff)
-        uniform_resid = max(uniform_resid, float(np.max(np.abs(pd - expect))))
+        uniform_defects.append(pd - expect)
         supports.append(support)
 
         img = SubspaceBasis.from_vectors(piF.target, piM @ C.matrix)
         span = np.zeros((F.order, len(support)), dtype=complex)
         for c, f in enumerate(support):
             span[f, c] = 1.0
-        image_resid = max(image_resid, 0.0 if img.equals(
-            SubspaceBasis(piF.target, span)) else 1.0)
+        images_match &= img.equals(SubspaceBasis(piF.target, span))
 
         bc = subspace_product(ext.b_sub, C)
         graded = SubspaceBasis.from_vectors(
             A, np.hstack([components[f].matrix for f in support]))
-        coset_resid = max(coset_resid, 0.0 if bc.equals(graded) else 1.0)
+        cosets_match &= bc.equals(graded)
         cosets.append(bc)
 
     support_sets = sorted(set(supports))
@@ -700,9 +690,9 @@ def coset_projection_check(ext: Extension) -> dict:
     decomposition_ok = disjoint_ok and total == A.dim
 
     return {
-        "uniform_coefficient_residual": uniform_resid,
-        "image_spans_match": image_resid == 0.0,
-        "coset_components_match": coset_resid == 0.0,
+        "uniform_coefficient_residual": max_abs(*uniform_defects),
+        "image_spans_match": images_match,
+        "coset_components_match": cosets_match,
         "supports_partition": bool(partition_ok),
         "coset_decomposition": bool(decomposition_ok),
         "num_cosets": len(distinct),

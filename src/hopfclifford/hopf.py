@@ -14,7 +14,9 @@ stored dense, but those of k^G # kF hold only d*|F| nonzeros in `mult` and
 d*|G| in `comult` (kG and k^G are the cases G = 1 and F = 1), so the axiom
 gate contracts over the nonzeros instead of paying d^6.  It takes the dense
 einsums only when a contraction would pair more than d^4 nonzeros, as on a
-generic quotient or after a change of basis.
+generic quotient or after a change of basis.  Checks compare against the
+thresholds named in `linalg`; only `verify_hopf_axioms` takes a tolerance,
+since the scenario's `tolerances.alg` and the quotient's TOL_NUM differ.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from . import linalg
 from .errors import (ConsistencyError, NoAntipodeError, NormalityError,
                      PreconditionError)
 from .groups import FiniteGroup, MatchedPair, verify_matched_pair
-
-TOL_ALG = 1e-8
+from .linalg import JSON_DIGITS, TOL_ALG, TOL_MATCH, TOL_NUM, max_abs, require
 
 
 class AlgebraData:
@@ -85,33 +86,32 @@ class HopfAlgebraData(AlgebraData):
         """Delta(x) as a (d, d) coefficient matrix over e_i (x) e_j; (n, d, d) for rows x."""
         return np.tensordot(np.asarray(x, complex), self.comult, axes=1)
 
-    def is_group_like_basis(self, tol: float = TOL_ALG) -> bool:
+    def is_group_like_basis(self) -> bool:
         """True iff every basis element is group-like with counit one."""
         expect = np.zeros_like(self.comult)
         for k in range(self.dim):
             expect[k, k, k] = 1.0
-        return (float(np.max(np.abs(self.comult - expect))) < tol
-                and float(np.max(np.abs(self.counit - 1.0))) < tol)
+        return max_abs(self.comult - expect) < TOL_ALG and max_abs(self.counit - 1.0) < TOL_ALG
 
-    def is_commutative(self, tol: float = TOL_ALG) -> bool:
-        return float(np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2)))) < tol
+    def is_commutative(self) -> bool:
+        return max_abs(self.mult - self.mult.transpose(1, 0, 2)) < TOL_ALG
 
-    def is_cocommutative(self, tol: float = TOL_ALG) -> bool:
-        return float(np.max(np.abs(self.comult - self.comult.transpose(0, 2, 1)))) < tol
+    def is_cocommutative(self) -> bool:
+        return max_abs(self.comult - self.comult.transpose(0, 2, 1)) < TOL_ALG
 
-    def to_json_dict(self, digits: int = 10) -> dict:
+    def to_json_dict(self) -> dict:
         def triples(t):
             out = []
-            for idx in np.argwhere(np.abs(t) > 10.0 ** (-digits)):
+            for idx in np.argwhere(np.abs(t) > 10.0 ** -JSON_DIGITS):
                 v = t[tuple(idx)]
                 out.append([int(idx[0]), int(idx[1]), int(idx[2]),
-                            linalg.round_for_json(v.real, digits),
-                            linalg.round_for_json(v.imag, digits)])
+                            linalg.round_for_json(v.real),
+                            linalg.round_for_json(v.imag)])
             return out
 
         def vec(v):
-            return [[linalg.round_for_json(x.real, digits),
-                     linalg.round_for_json(x.imag, digits)] for x in v]
+            return [[linalg.round_for_json(x.real),
+                     linalg.round_for_json(x.imag)] for x in v]
 
         data = {
             "dim": self.dim,
@@ -161,11 +161,11 @@ class SubspaceBasis:
     def dim(self) -> int:
         return int(self.matrix.shape[1])
 
-    def contains(self, other: "SubspaceBasis", tol: float = TOL_ALG) -> bool:
-        return linalg.contains_vectors(self.matrix, other.matrix, tol)
+    def contains(self, other: "SubspaceBasis") -> bool:
+        return linalg.contains_vectors(self.matrix, other.matrix, TOL_ALG)
 
-    def equals(self, other: "SubspaceBasis", tol: float = TOL_ALG) -> bool:
-        return linalg.subspace_equal(self.matrix, other.matrix, tol)
+    def equals(self, other: "SubspaceBasis") -> bool:
+        return linalg.subspace_equal(self.matrix, other.matrix, TOL_ALG)
 
 
 @dataclass
@@ -227,8 +227,8 @@ def _with_checked_antipode(A: HopfAlgebraData, S: np.ndarray,
                            formula: str) -> HopfAlgebraData:
     """Set a closed-form antipode once it passes the antipode axioms."""
     res = antipode_residuals(A, S)
-    if not _max(res.values()) <= TOL_ALG:
-        raise ConsistencyError(f"closed-form antipode {formula} fails the axioms: {res}")
+    require(max_abs(*res.values()), TOL_ALG, ConsistencyError,
+            f"closed-form antipode {formula} fails the axioms: {res}")
     A.antipode = S
     return A
 
@@ -244,7 +244,7 @@ def dual_hopf(A: HopfAlgebraData) -> HopfAlgebraData:
                            labels=labels, antipode=A.antipode.T.copy())
 
 
-def solve_antipode(A: HopfAlgebraData, tol: float = TOL_ALG) -> np.ndarray:
+def solve_antipode(A: HopfAlgebraData) -> np.ndarray:
     """Solve sum S(a_1) a_2 = eps(a) 1 for the antipode matrix.
 
     Verifies the right convolution law and S o S = id afterwards, both of
@@ -258,14 +258,13 @@ def solve_antipode(A: HopfAlgebraData, tol: float = TOL_ALG) -> np.ndarray:
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError as exc:
         raise NoAntipodeError(f"antipode system is singular: {exc}") from exc
-    if not float(np.max(np.abs(K @ sol - rhs))) <= tol:
-        raise NoAntipodeError("antipode system has no solution within tolerance")
+    require(max_abs(K @ sol - rhs), TOL_ALG, NoAntipodeError,
+            "antipode system has no solution within tolerance")
     S = sol.reshape(d, d)
     res = antipode_residuals(A, S)
-    if not res["antipode_right"] <= tol:
-        raise ConsistencyError("left antipode fails the right convolution law")
-    if not res["antipode_squared"] <= tol:
-        raise ConsistencyError("S^2 is not the identity")
+    require(res["antipode_right"], TOL_ALG, ConsistencyError,
+            "left antipode fails the right convolution law")
+    require(res["antipode_squared"], TOL_ALG, ConsistencyError, "S^2 is not the identity")
     return S
 
 
@@ -277,9 +276,9 @@ def antipode_residuals(A: HopfAlgebraData, S: np.ndarray) -> dict[str, float]:
     target = np.outer(A.counit, A.unit)
     left = D @ A.products(S, eye).reshape(d, d * d).T     # [k, q]: sum S(e_i) e_j
     right = D @ A.products(eye, S).reshape(d, d * d).T    # [k, q]: sum e_i S(e_j)
-    return {"antipode_left": float(np.max(np.abs(left - target))),
-            "antipode_right": float(np.max(np.abs(right - target))),
-            "antipode_squared": float(np.max(np.abs(S @ S - eye)))}
+    return {"antipode_left": max_abs(left - target),
+            "antipode_right": max_abs(right - target),
+            "antipode_squared": max_abs(S @ S - eye)}
 
 
 @dataclass
@@ -337,18 +336,16 @@ def bismash(mp: MatchedPair) -> BismashResult:
     for g in range(nG):
         embed[bi(g, 0), g] = 1.0
     inc = HopfInclusion(small=kG, big=A, embedding=embed)
-    rep_inc = hopf_map_residual(kG, A, embed)
-    if not rep_inc <= TOL_ALG:
-        raise ConsistencyError(f"k^G embedding fails Hopf-map checks ({rep_inc:.2e})")
+    require(hopf_map_residual(kG, A, embed), TOL_ALG, ConsistencyError,
+            "k^G embedding fails Hopf-map checks")
 
     kF = group_algebra(F)
     piM = np.zeros((nF, d), dtype=complex)
     for x in range(nF):
         piM[x, bi(0, x)] = 1.0
     pi = HopfSurjection(source=A, target=kF, matrix=piM)
-    rep_pi = hopf_map_residual(A, kF, piM)
-    if not rep_pi <= TOL_ALG:
-        raise ConsistencyError(f"projection onto kF fails Hopf-map checks ({rep_pi:.2e})")
+    require(hopf_map_residual(A, kF, piM), TOL_ALG, ConsistencyError,
+            "projection onto kF fails Hopf-map checks")
 
     return BismashResult(algebra=A, b_inclusion=inc, pi=pi, pair=mp,
                          quotient=_crosscheck_bismash_quotient(A, inc, pi))
@@ -362,29 +359,17 @@ def _crosscheck_bismash_quotient(A: HopfAlgebraData, inc: HopfInclusion,
     # transport the quotient onto the closed form through any linear section
     section = np.linalg.pinv(pi_q.matrix)
     phi = pi.matrix @ section
-    if not float(np.max(np.abs(phi @ pi_q.matrix - pi.matrix))) <= 1e-7:
-        raise ConsistencyError("closed-form projection does not factor through the quotient")
+    require(max_abs(phi @ pi_q.matrix - pi.matrix), TOL_NUM, ConsistencyError,
+            "closed-form projection does not factor through the quotient")
     if np.linalg.matrix_rank(phi) != Hq.dim:
         raise ConsistencyError("quotient and closed-form projections have different ranks")
-    resid = hopf_map_residual(Hq, pi.target, phi)
-    if not resid <= 1e-7:
-        raise ConsistencyError(
-            f"quotient is not isomorphic to kF via the closed form ({resid:.2e})")
+    require(hopf_map_residual(Hq, pi.target, phi), TOL_NUM, ConsistencyError,
+            "quotient is not isomorphic to kF via the closed form")
     return pi_q
 
 
 # ---------------------------------------------------------------------------
 # axiom verification
-
-def _max(values) -> float:
-    """Largest of the values; NaN if any is NaN (Python's max drops a NaN that is not first)."""
-    return float(np.max(np.fromiter(values, float)))
-
-
-def _max_abs(*arrays) -> float:
-    """Largest |entry| over the arrays; NaN if any entry is NaN."""
-    return _max(np.max(np.abs(a), initial=0.0) for a in arrays)
-
 
 @dataclass
 class AxiomReport:
@@ -397,7 +382,7 @@ class AxiomReport:
 
     @property
     def max_residual(self) -> float:
-        return _max(self.residuals.values())
+        return max_abs(*self.residuals.values())
 
     def failing(self) -> list[str]:
         return [k for k, v in self.residuals.items() if not v < self.tol]
@@ -423,18 +408,18 @@ def verify_hopf_axioms(A: HopfAlgebraData, tol: float = TOL_ALG) -> AxiomReport:
     eye = np.eye(d)
     res = {
         "associativity": big["associativity"],
-        "unit": _max_abs(np.einsum("i,ijk->jk", A.unit, M, optimize=True) - eye,
-                         np.einsum("j,ijk->ik", A.unit, M, optimize=True) - eye),
+        "unit": max_abs(np.einsum("i,ijk->jk", A.unit, M, optimize=True) - eye,
+                        np.einsum("j,ijk->ik", A.unit, M, optimize=True) - eye),
         "coassociativity": big["coassociativity"],
-        "counit": _max_abs(np.einsum("kij,i->kj", D, A.counit, optimize=True) - eye,
-                           np.einsum("kij,j->ki", D, A.counit, optimize=True) - eye),
+        "counit": max_abs(np.einsum("kij,i->kj", D, A.counit, optimize=True) - eye,
+                          np.einsum("kij,j->ki", D, A.counit, optimize=True) - eye),
         # Delta and eps are algebra maps
         "bialgebra_mult": big["bialgebra_mult"],
-        "bialgebra_counit": _max_abs(np.einsum("ijp,p->ij", M, A.counit, optimize=True)
-                                     - np.outer(A.counit, A.counit)),
-        "bialgebra_unit": _max_abs(np.einsum("k,kij->ij", A.unit, D, optimize=True)
-                                   - np.outer(A.unit, A.unit),
-                                   complex(A.counit @ A.unit) - 1.0),
+        "bialgebra_counit": max_abs(np.einsum("ijp,p->ij", M, A.counit, optimize=True)
+                                    - np.outer(A.counit, A.counit)),
+        "bialgebra_unit": max_abs(np.einsum("k,kij->ij", A.unit, D, optimize=True)
+                                  - np.outer(A.unit, A.unit),
+                                  complex(A.counit @ A.unit) - 1.0),
     }
     if A.antipode is not None:
         res.update(antipode_residuals(A, A.antipode))
@@ -449,8 +434,8 @@ def _dense_contraction_residuals(M: np.ndarray, D: np.ndarray) -> dict[str, floa
     x = np.einsum("iab,acu->ibcu", D, M, optimize=True)
     y = np.einsum("jcd,bdv->jcbv", D, M, optimize=True)
     rhs = np.einsum("ibcu,jcbv->ijuv", x, y, optimize=True)
-    return {"associativity": _max_abs(assoc), "coassociativity": _max_abs(coassoc),
-            "bialgebra_mult": _max_abs(lhs - rhs)}
+    return {"associativity": max_abs(assoc), "coassociativity": max_abs(coassoc),
+            "bialgebra_mult": max_abs(lhs - rhs)}
 
 
 class _TooManyPairs(Exception):
@@ -520,41 +505,38 @@ def _max_abs_difference(plus, minus, shape: tuple[int, ...]) -> float:
     _, slot = np.unique(index, return_inverse=True)
     total = (np.bincount(slot, weights=value.real)
              + 1j * np.bincount(slot, weights=value.imag))
-    return _max_abs(total)
+    return max_abs(total)
 
 
 # ---------------------------------------------------------------------------
 # subspace calculus
 
-def is_hopf_subalgebra(A: HopfAlgebraData, V: SubspaceBasis, tol: float = TOL_ALG) -> bool:
+def is_hopf_subalgebra(A: HopfAlgebraData, V: SubspaceBasis) -> bool:
     """1 in V, V closed under product, Delta(V) in V (x) V, S(V) in V."""
     if A.antipode is None:
         raise PreconditionError("is_hopf_subalgebra needs the antipode")
     Vb = V.matrix
     P = Vb @ Vb.conj().T
-    if np.linalg.norm(A.unit - P @ A.unit) >= tol:
+    if not np.linalg.norm(A.unit - P @ A.unit) < TOL_ALG:
         return False
-    if not linalg.contains_vectors(Vb, A.products(Vb, Vb).reshape(A.dim, -1), tol):
+    if not linalg.contains_vectors(Vb, A.products(Vb, Vb).reshape(A.dim, -1), TOL_ALG):
         return False
     # Delta(v) in V (x) V iff P Delta(v) P^T = Delta(v), P the projector onto V
     coprods = A.apply_comult(Vb.T)
-    if np.max(np.linalg.norm(coprods - P @ coprods @ P.T, axis=(1, 2))) >= tol:
+    if not max_abs(np.linalg.norm(coprods - P @ coprods @ P.T, axis=(1, 2))) < TOL_ALG:
         return False
-    if not linalg.contains_vectors(Vb, A.antipode @ Vb, tol):
-        return False
-    return True
+    return linalg.contains_vectors(Vb, A.antipode @ Vb, TOL_ALG)
 
 
-def is_normal_hopf_subalgebra(A: HopfAlgebraData, B: SubspaceBasis,
-                              tol: float = TOL_ALG) -> bool:
+def is_normal_hopf_subalgebra(A: HopfAlgebraData, B: SubspaceBasis) -> bool:
     """True iff a_1 b S(a_2) stays in span(B) for all basis a and b in B."""
-    if not is_hopf_subalgebra(A, B, tol):
+    if not is_hopf_subalgebra(A, B):
         raise PreconditionError("B is not a Hopf subalgebra")
     d, k = A.dim, B.dim
     pb = A.products(np.eye(d), B.matrix).reshape(d, d * k)                # e_p b_c
     sand = A.products(pb, A.antipode).reshape(d, d, k, d)                 # e_p b_c S(e_q)
     w = A.comult.reshape(d, d * d) @ sand.transpose(1, 3, 2, 0).reshape(d * d, k * d)
-    return linalg.contains_vectors(B.matrix, w.reshape(d * k, d).T, tol)  # a_1 b_c S(a_2)
+    return linalg.contains_vectors(B.matrix, w.reshape(d * k, d).T, TOL_ALG)  # a_1 b_c S(a_2)
 
 
 def subspace_product(U: SubspaceBasis, V: SubspaceBasis) -> SubspaceBasis:
@@ -565,8 +547,7 @@ def subspace_product(U: SubspaceBasis, V: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(A, A.products(U.matrix, V.matrix).reshape(A.dim, -1))
 
 
-def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray,
-                      tol: float = TOL_ALG) -> SubspaceBasis:
+def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray) -> SubspaceBasis:
     """Simple subcoalgebra spanned by the matrix coefficients of d.
 
     d is an irreducible character of the dual, given as an element of A;
@@ -576,10 +557,11 @@ def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray,
     spans = np.einsum("k,kpq->qp", d_vec, A.comult, optimize=True)
     sub = SubspaceBasis.from_vectors(A, spans)
     deg = complex(A.counit @ d_vec)
-    expected = int(round(deg.real)) ** 2
-    if abs(deg.imag) > tol or abs(deg.real - round(deg.real)) > 1e-6 or sub.dim != expected:
+    n = linalg.nearest_int(deg.real)
+    if (not (abs(deg.imag) <= TOL_ALG and abs(deg.real - n) <= TOL_MATCH)
+            or sub.dim != n * n):
         raise PreconditionError(
-            f"not an irreducible dual character: dim {sub.dim} != eps(d)^2 = {expected}")
+            f"not an irreducible dual character: dim {sub.dim} != eps(d)^2 = {n * n}")
     return sub
 
 
@@ -591,33 +573,37 @@ def comodule_map_rho(A: HopfAlgebraData, pi: HopfSurjection) -> np.ndarray:
     return rho.reshape(A.dim * h, A.dim)
 
 
-def graded_component(A: HopfAlgebraData, pi: HopfSurjection, f: int,
-                     tol: float = TOL_ALG) -> SubspaceBasis:
-    """A_f = rho^{-1}(A (x) kf) for a group-algebra quotient kF."""
-    target = pi.target
-    if not isinstance(target, HopfAlgebraData) or not target.is_group_like_basis(tol):
-        raise PreconditionError("quotient is not a group algebra on its basis")
-    h = target.dim
-    rho = comodule_map_rho(A, pi).reshape(A.dim, h, A.dim)
-    rows = rho[:, [x for x in range(h) if x != f], :].reshape(-1, A.dim)
-    return SubspaceBasis(A, linalg.null_space(rows))
+def graded_component(A: HopfAlgebraData, rho: np.ndarray, f: int) -> SubspaceBasis:
+    """A_f = {a : rho(a) = a (x) f}, rho = comodule_map_rho(A, pi) for a quotient kF.
+
+    A_f is the span of the projector rho[:, f, :]; rho(a) = a (x) f is then
+    checked on its basis, which fails unless the quotient basis is group-like.
+    """
+    d = A.dim
+    rho = rho.reshape(d, -1, d)
+    U = linalg.orthonormal_columns(rho[:, f, :])
+    image = rho @ U                      # image[p, g, r]: e_p (x) g in rho(U[:, r])
+    image[:, f, :] -= U
+    require(max_abs(image), TOL_ALG, PreconditionError,
+            "quotient is not a group algebra on its basis")
+    return SubspaceBasis(A, U)
 
 
-def is_cocentral(A: HopfAlgebraData, pi: HopfSurjection, tol: float = TOL_ALG) -> bool:
+def is_cocentral(A: HopfAlgebraData, pi: HopfSurjection) -> bool:
     """Check pi(a_1) (x) a_2 = pi(a_2) (x) a_1 on every basis element."""
     piM = pi.matrix
     t1 = np.einsum("kpq,fp->kfq", A.comult, piM, optimize=True)
     t2 = np.einsum("kpq,fq->kfp", A.comult, piM, optimize=True)
-    return float(np.max(np.abs(t1 - t2))) < tol
+    return max_abs(t1 - t2) < TOL_ALG
 
 
 # ---------------------------------------------------------------------------
 # quotients and structure maps
 
-def quotient_hopf(A: HopfAlgebraData, B: SubspaceBasis,
-                  tol: float = TOL_ALG) -> tuple[HopfAlgebraData, HopfSurjection]:
+def quotient_hopf(A: HopfAlgebraData, B: SubspaceBasis
+                  ) -> tuple[HopfAlgebraData, HopfSurjection]:
     """Quotient by the ideal A B+ where B+ = B intersect ker(eps)."""
-    if not is_normal_hopf_subalgebra(A, B, tol):
+    if not is_normal_hopf_subalgebra(A, B):
         raise NormalityError("quotient requires a normal Hopf subalgebra")
     eps_on_b = (A.counit @ B.matrix)[None, :]
     bplus_coords = linalg.null_space(eps_on_b)
@@ -626,7 +612,7 @@ def quotient_hopf(A: HopfAlgebraData, B: SubspaceBasis,
     # columns e_i b_j, ordered by j then i
     ideal = linalg.orthonormal_columns(
         A.products(eye, bplus).transpose(0, 2, 1).reshape(A.dim, -1))
-    if not linalg.contains_vectors(ideal, A.products(bplus, eye).reshape(A.dim, -1), tol):
+    if not linalg.contains_vectors(ideal, A.products(bplus, eye).reshape(A.dim, -1), TOL_ALG):
         raise ConsistencyError("A B+ is not a two-sided ideal")
     comp = linalg.null_space(ideal.conj().T)
     piM = comp.conj().T
@@ -638,13 +624,12 @@ def quotient_hopf(A: HopfAlgebraData, B: SubspaceBasis,
     H = HopfAlgebraData(mult, unit, comult, counit,
                         labels=[f"h{i}" for i in range(h)])
     H.antipode = solve_antipode(H)
-    rep = verify_hopf_axioms(H, tol=max(tol, 1e-7))
+    rep = verify_hopf_axioms(H, tol=TOL_NUM)
     if not rep.ok:
         raise ConsistencyError(
             f"induced quotient structure fails axioms: {rep.failing()}")
-    resid = hopf_map_residual(A, H, piM)
-    if not resid <= 1e-7:
-        raise ConsistencyError(f"quotient projection is not a Hopf map ({resid:.2e})")
+    require(hopf_map_residual(A, H, piM), TOL_NUM, ConsistencyError,
+            "quotient projection is not a Hopf map")
     return H, HopfSurjection(source=A, target=H, matrix=piM)
 
 
@@ -668,11 +653,10 @@ def hopf_map_residual(src: HopfAlgebraData, dst: HopfAlgebraData,
         dst.counit @ phi - src.counit]
     if src.antipode is not None and dst.antipode is not None:
         defects.append(phi @ src.antipode - dst.antipode @ phi)
-    return _max_abs(*defects)
+    return max_abs(*defects)
 
 
 def subalgebra_data(A: AlgebraData, basis: SubspaceBasis,
-                    tol: float = TOL_ALG,
                     labels: Optional[Sequence[str]] = None) -> AlgebraData:
     """Algebra structure induced on a unital subalgebra (orthonormal basis)."""
     Vb = basis.matrix
@@ -680,10 +664,10 @@ def subalgebra_data(A: AlgebraData, basis: SubspaceBasis,
     proj = Vb.conj().T
     prods = A.products(Vb, Vb).reshape(A.dim, k * k)
     coords = proj @ prods
-    if float(np.max(np.abs(Vb @ coords - prods))) > tol:
-        raise PreconditionError("subspace is not closed under multiplication")
+    require(max_abs(Vb @ coords - prods), TOL_ALG, PreconditionError,
+            "subspace is not closed under multiplication")
     mult = coords.reshape(k, k, k).transpose(1, 2, 0)
     unit = proj @ A.unit
-    if float(np.max(np.abs(Vb @ unit - A.unit))) > tol:
-        raise PreconditionError("subspace does not contain the unit")
+    require(max_abs(Vb @ unit - A.unit), TOL_ALG, PreconditionError,
+            "subspace does not contain the unit")
     return AlgebraData(mult, unit, labels=labels)

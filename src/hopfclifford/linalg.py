@@ -1,35 +1,67 @@
-"""Dense complex linear algebra helpers.
+"""Dense complex linear algebra helpers and the package's tolerance policy.
 
 Subspaces are handled as matrices whose columns form an orthonormal basis.
+Every threshold is named once below, by its role.  Residuals are reduced by
+`max_abs`, which keeps a NaN; gates raise unless `residual <= TOL` and
+predicates hold only when `residual < TOL`, so a NaN always fails a check.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-RANK_RTOL = 1e-9
+TOL_ALG = 1e-8      # exact structure: Hopf axioms (default tolerances.alg), Hopf maps, subspaces
+TOL_NUM = 1e-7      # computed structure: quotients, central idempotents, modules, group-likes
+TOL_MATCH = 1e-6    # computed values that must agree: integers, characters, eigenvalues
+TOL_SPLIT = 1e-4    # least relative gap between distinct eigenvalues of a splitting element
+TOL_ZERO = 1e-9     # a Rayleigh quotient below this counts as zero
+COND_LIMIT = 1e8    # largest condition number of a semisimple algebra's regular trace form
+RANK_RTOL = 1e-9    # singular values <= max(s[0] * RANK_RTOL, RANK_ATOL) count as zero
 RANK_ATOL = 1e-11
+JSON_DIGITS = 10    # decimal digits kept in report JSON
 
 
-def _rank(s: np.ndarray, rtol: float, atol: float) -> int:
+def max_abs(*arrays) -> float:
+    """Largest |entry| over the arrays: NaN if any entry is NaN, 0.0 if there are none."""
+    out = 0.0
+    for a in arrays:
+        m = float(np.abs(a).max(initial=0.0))
+        if m != m:
+            return m
+        out = max(out, m)
+    return out
+
+
+def require(residual: float, bound: float, error: type[Exception], message: str) -> float:
+    """Raise `error` unless residual <= bound, so that a NaN raises; return the residual."""
+    if not residual <= bound:
+        raise error(f"{message} ({residual:.2e} > {bound:.0e})")
+    return residual
+
+
+def nearest_int(x: float) -> int:
+    """round(x), or 0 when x is NaN or infinite, so that a |x - n| check fails."""
+    return int(round(x)) if math.isfinite(x) else 0
+
+
+def _rank(s: np.ndarray) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > max(s[0] * rtol, atol)))
+    return int(np.sum(s > max(s[0] * RANK_RTOL, RANK_ATOL)))
 
 
-def orthonormal_columns(vectors: np.ndarray, rtol: float = RANK_RTOL,
-                        atol: float = RANK_ATOL) -> np.ndarray:
+def orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as columns) of the column span of `vectors`."""
     mat = np.asarray(vectors, dtype=complex)
     if mat.ndim != 2 or mat.shape[1] == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = _rank(s, rtol, atol)
-    return np.ascontiguousarray(u[:, :rank])
+    return np.ascontiguousarray(u[:, :_rank(s)])
 
 
-def null_space(mat: np.ndarray, rtol: float = RANK_RTOL,
-               atol: float = RANK_ATOL) -> np.ndarray:
+def null_space(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as columns) of the kernel of `mat`."""
     mat = np.asarray(mat, dtype=complex)
     m, n = mat.shape
@@ -38,8 +70,7 @@ def null_space(mat: np.ndarray, rtol: float = RANK_RTOL,
     # vh must be n x n; the thin SVD of a matrix with m >= n already gives
     # that, and asking for the full one would build an m x m U for nothing
     _, s, vh = np.linalg.svd(mat, full_matrices=m < n)
-    rank = _rank(s, rtol, atol)
-    return np.ascontiguousarray(vh[rank:].conj().T)
+    return np.ascontiguousarray(vh[_rank(s):].conj().T)
 
 
 def contains_vectors(basis: np.ndarray, vectors: np.ndarray, tol: float) -> bool:
@@ -47,8 +78,7 @@ def contains_vectors(basis: np.ndarray, vectors: np.ndarray, tol: float) -> bool
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if vectors.shape[0] != basis.shape[0]:
         vectors = vectors.T
-    resid = vectors - basis @ (basis.conj().T @ vectors)
-    return bool(np.max(np.abs(resid), initial=0.0) < tol)
+    return max_abs(vectors - basis @ (basis.conj().T @ vectors)) < tol
 
 
 def subspace_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
@@ -67,7 +97,7 @@ def lstsq_coords(basis: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, fl
     if single:
         vectors = vectors[:, None]
     coords, *_ = np.linalg.lstsq(basis, vectors, rcond=None)
-    resid = float(np.max(np.abs(basis @ coords - vectors), initial=0.0))
+    resid = max_abs(basis @ coords - vectors)
     if single:
         coords = coords[:, 0]
     return coords, resid
@@ -77,7 +107,7 @@ def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def round_for_json(x: float, digits: int = 10) -> float:
-    """Round and normalize -0.0 so serialized output is byte-stable."""
-    r = round(float(x), digits)
+def round_for_json(x: float) -> float:
+    """Round to JSON_DIGITS and normalize -0.0 so serialized output is byte-stable."""
+    r = round(float(x), JSON_DIGITS)
     return 0.0 if r == 0.0 else r

@@ -4,6 +4,7 @@ Artin-Wedderburn over the complex numbers by center splitting: the center
 is cut out by commutation constraints, split by eigendecomposition of a
 seeded-random central element, and the resulting central primitive
 idempotents give block sizes and irreducible characters via regular traces.
+Integrality, idempotency and module checks use the thresholds of `linalg`.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from . import linalg
 from .errors import (ConsistencyError, NotACharacterError,
                      NumericDegeneracyError, SemisimplicityError)
 from .groups import FiniteGroup
-from .hopf import (TOL_ALG, AlgebraData, HopfAlgebraData, HopfSurjection,
-                   dual_hopf, group_algebra)
+from .hopf import (AlgebraData, HopfAlgebraData, HopfSurjection, dual_hopf,
+                   group_algebra)
+from .linalg import (COND_LIMIT, TOL_ALG, TOL_MATCH, TOL_NUM, TOL_SPLIT,
+                     TOL_ZERO, max_abs, nearest_int, require)
 
 DEFAULT_SEED = 1729
-TOL_INT = 1e-6
-COND_LIMIT = 1e8
+MAX_RETRIES = 12    # random splitting elements tried before a decomposition gives up
 
 
 class Character:
@@ -36,13 +38,12 @@ class Character:
     @property
     def degree(self) -> int:
         d = complex(self.values @ self.parent.unit)
-        n = int(round(d.real))
-        if abs(d - n) > 1e-6:
-            raise ConsistencyError(f"character degree {d} is not an integer")
+        n = nearest_int(d.real)
+        require(abs(d - n), TOL_MATCH, ConsistencyError, f"character degree {d} is not an integer")
         return n
 
     def close_to(self, other: "Character", tol: float = TOL_ALG) -> bool:
-        return float(np.max(np.abs(self.values - other.values))) < tol
+        return max_abs(self.values - other.values) < tol
 
     def __repr__(self) -> str:
         return f"Character(dim={len(self.values)}, degree={self.degree})"
@@ -59,9 +60,9 @@ class SemisimpleDecomposition:
     def num_blocks(self) -> int:
         return len(self.dims)
 
-    def to_json_dict(self, digits: int = 10) -> dict:
-        chars = [[[linalg.round_for_json(v.real, digits),
-                   linalg.round_for_json(v.imag, digits)] for v in ch.values]
+    def to_json_dict(self) -> dict:
+        chars = [[[linalg.round_for_json(v.real),
+                   linalg.round_for_json(v.imag)] for v in ch.values]
                  for ch in self.irr]
         return {"dims": list(self.dims), "characters": chars}
 
@@ -73,31 +74,28 @@ def _char_sort_key(values: np.ndarray, degree: int):
     return (degree, flat)
 
 
-def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
-               max_retries: int = 12) -> SemisimpleDecomposition:
+def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED) -> SemisimpleDecomposition:
     """Central primitive idempotents, block sizes, irreducible characters."""
     d = A.dim
     M = A.mult
     trL = A.regular_trace_vector()
     trace_form = np.einsum("ijp,p->ij", M, trL, optimize=True)
-    cond = np.linalg.cond(trace_form)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SemisimplicityError(
-            f"regular trace form is degenerate (cond {cond:.2e})")
+    require(np.linalg.cond(trace_form), COND_LIMIT, SemisimplicityError,
+            "regular trace form is degenerate: condition number")
 
     constraints = (M.transpose(0, 2, 1) - M.transpose(1, 2, 0)).reshape(d * d, d)
     center = linalg.null_space(constraints)
     r = center.shape[1]
     rng = np.random.default_rng(seed)
 
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         z = center @ linalg.random_complex(rng, r)
         zop = center.conj().T @ A.left_mult_matrix(z) @ center
         vals, vecs = np.linalg.eig(zop)
-        scale = max(1.0, float(np.max(np.abs(vals))))
+        scale = max(1.0, max_abs(vals))
         if r > 1:
-            gaps = [abs(vals[i] - vals[j]) for i in range(r) for j in range(i + 1, r)]
-            if min(gaps) < 1e-6 * scale:
+            i, j = np.triu_indices(r, 1)
+            if not np.min(np.abs(vals[i] - vals[j])) >= TOL_MATCH * scale:
                 continue
         idem = []
         good = True
@@ -105,24 +103,24 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
             v = center @ vecs[:, k]
             vv = A.product(v, v)
             lam = complex(np.vdot(v, vv) / np.vdot(v, v))
-            if abs(lam) < 1e-9:
+            if not abs(lam) >= TOL_ZERO:
                 good = False
                 break
             e = v / lam
-            if float(np.max(np.abs(A.product(e, e) - e))) > 1e-7 * max(1.0, float(np.max(np.abs(e))) ** 2):
+            if not max_abs(A.product(e, e) - e) <= TOL_NUM * max(1.0, max_abs(e) ** 2):
                 good = False
                 break
             idem.append(e)
         if not good:
             continue
         total = np.sum(idem, axis=0)
-        if float(np.max(np.abs(total - A.unit))) > 1e-7:
+        if not max_abs(total - A.unit) <= TOL_NUM:
             continue
         blocks = []
         for e in idem:
             nn = complex(trL @ e)
-            n = int(round(np.sqrt(max(nn.real, 0.0))))
-            if n < 1 or abs(nn - n * n) > 1e-6 * max(1.0, abs(nn)):
+            n = nearest_int(np.sqrt(max(nn.real, 0.0)))
+            if n < 1 or not abs(nn - n * n) <= TOL_MATCH * max(1.0, abs(nn)):
                 good = False
                 break
             chi_vals = (trL @ A.right_mult_matrix(e)) / n
@@ -147,28 +145,25 @@ def _check_decomposition(dec: SemisimpleDecomposition) -> None:
         raise ConsistencyError("block squares do not sum to the dimension")
     E = np.stack(dec.idempotents, axis=1)
     i, j = np.triu_indices(dec.num_blocks, 1)
-    if float(np.max(np.abs(A.products(E, E)[:, i, j]), initial=0.0)) > 1e-7:
-        raise ConsistencyError("central idempotents are not orthogonal")
+    require(max_abs(A.products(E, E)[:, i, j]), TOL_NUM, ConsistencyError,
+            "central idempotents are not orthogonal")
 
 
 def regular_character(A: AlgebraData) -> Character:
     return Character(A, A.regular_trace_vector())
 
 
-def decompose(chi: Character, dec: SemisimpleDecomposition,
-              tol_int: float = TOL_INT) -> np.ndarray:
+def decompose(chi: Character, dec: SemisimpleDecomposition) -> np.ndarray:
     """Multiplicities of `chi` in the irreducible character basis."""
     X = np.stack([c.values for c in dec.irr], axis=1)
     coeffs, resid = linalg.lstsq_coords(X, chi.values)
-    if resid > 1e-7 * max(1.0, float(np.max(np.abs(chi.values)))):
-        raise NotACharacterError(f"values are not in the character span (resid {resid:.2e})")
-    out = np.zeros(len(coeffs), dtype=np.int64)
-    for k, c in enumerate(coeffs):
-        n = round(c.real)
-        if abs(c - n) > tol_int or n < 0:
-            raise NotACharacterError(f"multiplicity {c} is not a nonnegative integer")
-        out[k] = n
-    return out
+    require(resid, TOL_NUM * max(1.0, max_abs(chi.values)), NotACharacterError,
+            "values are not in the character span")
+    n = np.rint(coeffs.real)
+    bad = ~(np.abs(coeffs - n) <= TOL_MATCH) | (n < 0)
+    if bad.any():
+        raise NotACharacterError(f"multiplicity {coeffs[bad][0]} is not a nonnegative integer")
+    return n.astype(np.int64)
 
 
 def multiplicity(chi: Character, mu: Character,
@@ -235,19 +230,17 @@ class ExplicitModule:
         stack = np.stack(self.matrices)
         lhs = np.einsum("iab,jbc->ijac", stack, stack, optimize=True)
         rhs = np.einsum("ijk,kac->ijac", A.mult, stack, optimize=True)
-        resid = float(np.max(np.abs(lhs - rhs)))
-        unit_resid = float(np.max(np.abs(self.action(A.unit) - np.eye(self.dimension))))
-        return max(resid, unit_resid)
+        return max_abs(lhs - rhs, self.action(A.unit) - np.eye(self.dimension))
 
 
 def _cluster_eigenvalues(vals: np.ndarray, expect_clusters: int,
                          expect_size: int) -> Optional[list[complex]]:
-    scale = max(1.0, float(np.max(np.abs(vals))))
+    scale = max(1.0, max_abs(vals))
     reps: list[complex] = []
     counts: list[int] = []
     for v in vals:
         for i, rep in enumerate(reps):
-            if abs(v - rep) < 1e-6 * scale:
+            if abs(v - rep) < TOL_MATCH * scale:
                 counts[i] += 1
                 break
         else:
@@ -257,14 +250,13 @@ def _cluster_eigenvalues(vals: np.ndarray, expect_clusters: int,
         return None
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            if abs(reps[i] - reps[j]) < 1e-4 * scale:
+            if not abs(reps[i] - reps[j]) >= TOL_SPLIT * scale:
                 return None
     return reps
 
 
 def construct_irreducible_module(A: AlgebraData, dec: SemisimpleDecomposition,
-                                 index: int, seed: int = DEFAULT_SEED,
-                                 max_retries: int = 12) -> ExplicitModule:
+                                 index: int, seed: int = DEFAULT_SEED) -> ExplicitModule:
     """Explicit action matrices for one simple block.
 
     Splits a random block element into spectral projectors; the rank-one
@@ -277,14 +269,14 @@ def construct_irreducible_module(A: AlgebraData, dec: SemisimpleDecomposition,
     if n == 1:
         mats = [np.array([[v]], dtype=complex) for v in chi.values]
         mod = ExplicitModule(A, mats)
-        if mod.verify() > 1e-7:
-            raise ConsistencyError("scalar module fails the multiplication table")
+        require(mod.verify(), TOL_NUM, ConsistencyError,
+                "scalar module fails the multiplication table")
         return mod
 
     rng = np.random.default_rng(seed + 7919 * index)
     block = linalg.orthonormal_columns(A.right_mult_matrix(e))
     nn = block.shape[1]
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         x = block @ linalg.random_complex(rng, nn)
         xop = block.conj().T @ (A.left_mult_matrix(x) @ block)
         vals = np.linalg.eigvals(xop)
@@ -295,19 +287,19 @@ def construct_irreducible_module(A: AlgebraData, dec: SemisimpleDecomposition,
         p = e.copy()
         for lam in rest:
             p = A.product(p, (x - lam * e)) / (lam0 - lam)
-        if float(np.max(np.abs(A.product(p, p) - p))) > 1e-6 * max(1.0, float(np.max(np.abs(p))) ** 2):
+        if not max_abs(A.product(p, p) - p) <= TOL_MATCH * max(1.0, max_abs(p) ** 2):
             continue
         V = linalg.orthonormal_columns(A.right_mult_matrix(p))
         if V.shape[1] != n:
             continue
         imgs = A.products(np.eye(A.dim), V)             # imgs[:, k, :] = e_k V
         coords = np.tensordot(V.conj().T, imgs, axes=1)
-        if float(np.max(np.abs(np.tensordot(V, coords, axes=1) - imgs))) > 1e-7:
+        if not max_abs(np.tensordot(V, coords, axes=1) - imgs) <= TOL_NUM:
             continue
         mod = ExplicitModule(A, list(coords.transpose(1, 0, 2)))
-        if mod.verify() > 1e-6:
+        if not mod.verify() <= TOL_MATCH:
             continue
-        if not mod.character().close_to(chi, 1e-6):
+        if not mod.character().close_to(chi, TOL_MATCH):
             raise ConsistencyError("module trace disagrees with the block character")
         return mod
     raise NumericDegeneracyError("spectral splitting failed after max retries")
@@ -330,13 +322,11 @@ def group_algebra_form(H: HopfAlgebraData, seed: int = DEFAULT_SEED
     grouplikes = []
     for ch in dec.irr:
         v = ch.values
-        if float(np.max(np.abs(H.apply_comult(v) - np.outer(v, v)))) > 1e-7:
-            return None
-        if abs(complex(H.counit @ v) - 1.0) > 1e-7:
+        if not (max_abs(H.apply_comult(v) - np.outer(v, v)) <= TOL_NUM
+                and abs(complex(H.counit @ v) - 1.0) <= TOL_NUM):
             return None
         grouplikes.append(v)
-    ident = [k for k, v in enumerate(grouplikes)
-             if float(np.max(np.abs(v - H.unit))) < 1e-7]
+    ident = [k for k, v in enumerate(grouplikes) if max_abs(v - H.unit) < TOL_NUM]
     if len(ident) != 1:
         raise ConsistencyError("group-like basis has no unique identity")
     order = [ident[0]] + [k for k in range(len(grouplikes)) if k != ident[0]]
@@ -344,7 +334,7 @@ def group_algebra_form(H: HopfAlgebraData, seed: int = DEFAULT_SEED
     n = P.shape[1]
     # hits[i, j, k]: the product of group-likes i and j is group-like k
     prods = H.products(P, P)
-    hits = np.stack([np.max(np.abs(prods - P[:, k, None, None]), axis=0) < 1e-6
+    hits = np.stack([np.max(np.abs(prods - P[:, k, None, None]), axis=0) < TOL_MATCH
                      for k in range(n)], axis=2)
     if np.any(hits.sum(axis=2) != 1):
         raise ConsistencyError("group-like elements are not closed under product")
@@ -375,6 +365,5 @@ def _group_from_group_like_basis(H: HopfAlgebraData) -> FiniteGroup:
     """The group a group-like basis forms: mult[i, j] must be one basis vector."""
     cayley = np.argmax(np.abs(H.mult), axis=2)
     hit = np.take_along_axis(H.mult, cayley[:, :, None], axis=2)
-    if float(np.max(np.abs(hit - 1.0))) > 1e-7:
-        raise ConsistencyError("basis is not closed as a group")
+    require(max_abs(hit - 1.0), TOL_NUM, ConsistencyError, "basis is not closed as a group")
     return FiniteGroup(cayley, labels=list(H.labels))

@@ -56,7 +56,7 @@ class Scenario:
     alpha: object = "all"
     seed: Optional[int] = None
     size_cap: int = 10000
-    tol_alg: float = hopf.TOL_ALG
+    tol_alg: float = linalg.TOL_ALG
     expected_ract: Optional[dict] = None
     expected_lact: Optional[dict] = None
 
@@ -67,7 +67,7 @@ class Scenario:
             if construction not in ("group_algebra", "dual_group_algebra", "bismash"):
                 raise ConfigError(f"unknown construction {construction!r}")
             group = data.get("sigma") or data.get("group") or {}
-            tol_alg = data.get("tolerances", {}).get("alg", hopf.TOL_ALG)
+            tol_alg = data.get("tolerances", {}).get("alg", linalg.TOL_ALG)
             if isinstance(tol_alg, bool) or not 0 < float(tol_alg) < math.inf:
                 raise ConfigError(
                     f"tolerances.alg must be a finite number > 0, got {tol_alg!r}")
@@ -264,9 +264,8 @@ def build_scenario(sc: Scenario, seed: int) -> clifford.Extension:
         E = np.zeros((group.order, Q.order), dtype=complex)
         for a in group.elements():
             E[a, coset_of[a]] = 1.0
-    resid = hopf.hopf_map_residual(B, A, E)
-    if not resid <= hopf.TOL_ALG:
-        raise ConsistencyError(f"B embedding fails Hopf-map checks ({resid:.2e})")
+    linalg.require(hopf.hopf_map_residual(B, A, E), linalg.TOL_ALG, ConsistencyError,
+                   "B embedding fails Hopf-map checks")
     return clifford.Extension(A, hopf.HopfInclusion(small=B, big=A, embedding=E),
                               seed=seed)
 
@@ -367,7 +366,7 @@ class RunReport:
         sc = self.scenario
         lines.append(f"scenario {sc.name} ({sc.construction}), seed {self.seed}")
         lines.append(f"  dims: A {self.dims_a}  B {self.dims_b}  A* {self.dims_dual}")
-        worst = max(self.axiom_residuals.values())
+        worst = linalg.max_abs(*self.axiom_residuals.values())
         lines.append(f"  axioms: max residual {worst:.2e} "
                      f"({'pass' if worst < sc.tol_alg else 'FAIL'})")
         if self.pair_ok is not None:
@@ -383,7 +382,7 @@ class RunReport:
             lines.append(f"  cocentral: {self.cocentral}")
         lines.append(f"  classes: {self.class_data['a_classes']} over "
                      f"{self.class_data['b_classes']}")
-        worst = max(self.formula_residuals.values())
+        worst = linalg.max_abs(*self.formula_residuals.values())
         lines.append(f"  class formulas: max residual {worst:.2e}")
         if self.coset_check is not None:
             cc = self.coset_check

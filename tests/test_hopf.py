@@ -346,7 +346,7 @@ def test_graded_components(counterexample):
 def test_graded_component_needs_group_algebra(classical):
     H, pi_q = quotient_hopf(classical.A, classical.b_sub)
     with pytest.raises(PreconditionError):
-        graded_component(classical.A, pi_q, 0)
+        graded_component(classical.A, comodule_map_rho(classical.A, pi_q), 0)
 
 
 def test_subspace_products(counterexample):
