@@ -387,7 +387,7 @@ def compute_stabilizer(ext: Extension, alpha_index: int) -> StabilizerResult:
         raise ConsistencyError("stabilizing subcoalgebras do not close into a Hopf subalgebra")
 
     z_alg = subalgebra_data(A, Z, labels=[f"z{i}" for i in range(Z.dim)])
-    z_dec = wedderburn(z_alg, seed=ext.seed)
+    z_dec = wedderburn(z_alg, seed=ext.seed, frame=Z.matrix)
     b_in_z, resid = linalg.lstsq_coords(Z.matrix, np.asarray(inc.embedding, complex))
     require(resid, TOL_ALG, ConsistencyError, "B does not sit inside Z numerically")
     b_inc = HopfInclusion(small=inc.small, big=z_alg, embedding=b_in_z)

@@ -74,8 +74,16 @@ def _char_sort_key(values: np.ndarray, degree: int):
     return (degree, flat)
 
 
-def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED) -> SemisimpleDecomposition:
-    """Central primitive idempotents, block sizes, irreducible characters."""
+def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
+               frame: Optional[np.ndarray] = None) -> SemisimpleDecomposition:
+    """Central primitive idempotents, block sizes, irreducible characters.
+
+    Irr(A) is sorted by degree, then by the character's values.  When A is
+    a subalgebra given on orthonormal columns `frame` of a larger algebra,
+    the values sorted on are those of the character as a functional on the
+    larger algebra, conj(frame) @ values, which do not depend on which
+    orthonormal basis of the subalgebra `frame` is.
+    """
     d = A.dim
     M = A.mult
     trL = A.regular_trace_vector()
@@ -127,7 +135,8 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED) -> SemisimpleDecomposit
             blocks.append((n, e, chi_vals))
         if not good:
             continue
-        blocks.sort(key=lambda b: _char_sort_key(b[2], b[0]))
+        sort_values = (lambda v: v) if frame is None else (lambda v: frame.conj() @ v)
+        blocks.sort(key=lambda b: _char_sort_key(sort_values(b[2]), b[0]))
         dec = SemisimpleDecomposition(
             algebra=A,
             idempotents=[b[1] for b in blocks],

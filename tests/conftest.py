@@ -4,8 +4,6 @@ Session scope keeps the expensive dim-24 objects built once; each context
 computes its decompositions, classes and conjugation matrices on first use.
 """
 
-import hashlib
-import json
 import time
 
 import pytest
@@ -61,20 +59,6 @@ def s3_group():
 def classical():
     # kS3 over kA3; the quotient kC2 is found from the generic quotient
     return _builtin("s3_a3_classical")
-
-
-@pytest.fixture(scope="session")
-def stable_digest():
-    """sha256 of a JSON report with the `psi` of each induction_table row dropped
-    and the rows sorted: the `psi` numbering can follow the BLAS build."""
-    def digest(text):
-        data = json.loads(text)
-        for rep in data["alphas"]:
-            rows = [{k: v for k, v in row.items() if k != "psi"}
-                    for row in rep["induction_table"]]
-            rep["induction_table"] = sorted(rows, key=lambda r: json.dumps(r, sort_keys=True))
-        return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
-    return digest
 
 
 def pytest_sessionstart(session):
