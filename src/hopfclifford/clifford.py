@@ -290,12 +290,11 @@ def conjugation_matrix(A: HopfAlgebraData, inc: HopfInclusion,
     is the row vector alpha C_d; C_d does not depend on alpha.
     """
     E = np.asarray(inc.embedding, complex)
-    X = A.apply_comult(np.asarray(d_vec, complex))
-    S, M = A.antipode, A.mult
-    # U[p, m, :] = S(e_p) * (m-th basis vector of B)
-    U = np.einsum("rp,jm,rjk->pmk", S, E, M, optimize=True)
-    W = np.einsum("pq,pma,aqk->mk", X, U, M, optimize=True)      # rows: S(d_1) b_m d_2
-    coords, resid = linalg.lstsq_coords(E, W.T)
+    X = A.apply_comult(np.asarray(d_vec, complex))     # X[p, q]: Delta(d) on e_p (x) e_q
+    U = A.products(A.antipode, E)                      # U[:, p, m] = S(e_p) b_m
+    Y = X.T @ U                                        # Y[a, q, m]: S(d_1) b_m (x) d_2 on e_a (x) e_q
+    W = A.multiply(Y)                                  # W[:, m] = S(d_1) b_m d_2
+    coords, resid = linalg.lstsq_coords(E, W)
     require(resid, TOL_ALG * max(1.0, max_abs(W)), ConsistencyError,
             "conjugation left the subalgebra")
     return coords

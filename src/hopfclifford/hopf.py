@@ -10,18 +10,24 @@ Conventions, for an algebra of dimension d with basis e_0..e_{d-1}:
 
 Scalars are complex double precision; every constructor here produces exact
 0/1 entries, so axiom residuals measure only solver error.  The tensors are
-stored dense, but those of k^G # kF hold only d*|F| nonzeros in `mult` and
-d*|G| in `comult` (kG and k^G are the cases G = 1 and F = 1), so the axiom
-gate contracts over the nonzeros instead of paying d^6.  It takes the dense
-einsums only when a contraction would pair more than d^4 nonzeros, as on a
-generic quotient or after a change of basis.  Checks compare against the
-thresholds named in `linalg`; only `verify_hopf_axioms` takes a tolerance,
-since the scenario's `tolerances.alg` and the quotient's TOL_NUM differ.
+stored dense, and each also in COO form (`Coo`, built once per algebra on
+first use): those of k^G # kF hold only d*|F| nonzeros in `mult` and d*|G|
+in `comult` (kG and k^G are the cases G = 1 and F = 1), as do their duals.
+The products, Delta, the multiplication map, normality and the conjugation
+matrices read a tensor through its nonzeros whenever it has at most d^2 of
+them (`Coo.sparse`, the one rule), and the dense tensor otherwise, as on a
+generic quotient, a subalgebra's orthonormal basis or after a change of
+basis.  The axiom gate contracts over the nonzeros too, and takes the dense
+einsums only when a contraction would pair more than d^4 of them.  Checks
+compare against the thresholds named in `linalg`; only `verify_hopf_axioms`
+takes a tolerance, since the scenario's `tolerances.alg` and the quotient's
+TOL_NUM differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +37,68 @@ from .errors import (ConsistencyError, NoAntipodeError, NormalityError,
                      PreconditionError)
 from .groups import FiniteGroup, MatchedPair, verify_matched_pair
 from .linalg import JSON_DIGITS, TOL_ALG, TOL_MATCH, TOL_NUM, max_abs, require
+
+
+class Coo:
+    """The nonzero (and NaN) entries of a d x d x d structure tensor.
+
+    `sparse` is the rule every kernel follows: a tensor with at most d^2
+    entries is read through them, a denser one through the dense tensor.
+    """
+
+    def __init__(self, tensor: np.ndarray):
+        self.tensor = tensor
+        self.dim = int(tensor.shape[0])
+        self.sparse = int(np.count_nonzero(tensor)) <= self.dim ** 2
+        self._plans: dict[tuple[int, ...], tuple] = {}
+
+    @cached_property
+    def entries(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Indices and values of the nonzero (and NaN) entries."""
+        idx = np.nonzero(self.tensor)
+        return idx, self.tensor[idx]
+
+    def contract(self, axes: tuple[int, ...], X: np.ndarray) -> np.ndarray:
+        """Sum of the tensor times X over the tensor `axes` and X's leading axes.
+
+        out[r..., t...] = sum_s T[...] X[s..., t...], with s the indices at
+        `axes`, r the other indices of T in order and t X's trailing axes.
+        """
+        gather, val, keys, starts = self._plan(axes)
+        tail = X.shape[len(axes):]
+        rows = X[gather] * val.reshape((-1,) + (1,) * len(tail))
+        if starts is not None:
+            rows = np.add.reduceat(rows, starts, axis=0)
+        rest = 3 - len(axes)
+        out = np.zeros((self.dim ** rest,) + tail, dtype=complex)
+        out[keys] = rows
+        return out.reshape((self.dim,) * rest + tail)
+
+    def _plan(self, axes: tuple[int, ...]) -> tuple:
+        """The entries sorted by their output index, built once per `axes`.
+
+        Returns the gather indices, the values, the output indices and the
+        start of each run of equal output indices, None when they are
+        distinct (as for every constructor's tensor), so that `contract`
+        scatters with one assignment.
+        """
+        if axes not in self._plans:
+            idx, val = self.entries
+            rest = [a for a in range(3) if a not in axes]
+            keys = np.ravel_multi_index([idx[a] for a in rest], (self.dim,) * len(rest))
+            if np.bincount(keys).max(initial=0) <= 1:
+                self._plans[axes] = (tuple(idx[a] for a in axes), val, keys, None)
+            else:
+                order, starts = _runs(keys)
+                self._plans[axes] = (tuple(idx[a][order] for a in axes), val[order],
+                                     keys[order][starts], starts)
+        return self._plans[axes]
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of `keys`, and where each run of equal sorted keys starts."""
+    order = np.argsort(keys, kind="stable")
+    return order, np.flatnonzero(np.diff(keys[order], prepend=-1))
 
 
 class AlgebraData:
@@ -44,10 +112,18 @@ class AlgebraData:
             raise ValueError("mult tensor shape mismatch")
         self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(self.dim)]
 
+    @cached_property
+    def mult_coo(self) -> Coo:
+        return Coo(self.mult)
+
     def products(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """All pairwise products: out[:, a, b] = U[:, a] * V[:, b], shape (d, |U|, |V|)."""
         d = self.dim
         U, V = np.asarray(U, complex), np.asarray(V, complex)
+        if self.mult_coo.sparse:
+            T = self.mult_coo.contract((0,), U)                     # T[j, k, a] = U[:, a] * e_j
+            out = V.T @ T.reshape(d, -1)                             # out[b, (k, a)]
+            return out.reshape(V.shape[1], d, U.shape[1]).transpose(1, 2, 0)
         T = (U.T @ self.mult.reshape(d, d * d)).reshape(-1, d, d)   # T[a, j] = U[:, a] * e_j
         out = V.T @ T.transpose(1, 0, 2).reshape(d, -1)              # out[b, (a, k)]
         return out.reshape(V.shape[1], U.shape[1], d).transpose(2, 1, 0)
@@ -58,11 +134,24 @@ class AlgebraData:
     def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix L with L @ y = x * y."""
         d = self.dim
-        return (np.asarray(x, complex) @ self.mult.reshape(d, d * d)).reshape(d, d).T
+        x = np.asarray(x, complex)
+        if self.mult_coo.sparse:
+            return self.mult_coo.contract((0,), x).T
+        return (x @ self.mult.reshape(d, d * d)).reshape(d, d).T
 
     def right_mult_matrix(self, y: np.ndarray) -> np.ndarray:
         """Matrix R with R @ x = x * y."""
-        return (np.asarray(y, complex) @ self.mult).T
+        y = np.asarray(y, complex)
+        if self.mult_coo.sparse:
+            return self.mult_coo.contract((1,), y).T
+        return (y @ self.mult).T
+
+    def multiply(self, Y: np.ndarray) -> np.ndarray:
+        """The multiplication map: sum_ab Y[a, b, ...] e_a * e_b, shape (d, ...)."""
+        Y = np.asarray(Y, complex)
+        if self.mult_coo.sparse:
+            return self.mult_coo.contract((0, 1), Y)
+        return np.tensordot(self.mult, Y, axes=([0, 1], [0, 1]))
 
     def regular_trace_vector(self) -> np.ndarray:
         """tr of left multiplication by each basis element."""
@@ -82,9 +171,16 @@ class HopfAlgebraData(AlgebraData):
             raise ValueError("coalgebra tensor shape mismatch")
         self.antipode = None if antipode is None else np.asarray(antipode, dtype=complex)
 
+    @cached_property
+    def comult_coo(self) -> Coo:
+        return Coo(self.comult)
+
     def apply_comult(self, x: np.ndarray) -> np.ndarray:
         """Delta(x) as a (d, d) coefficient matrix over e_i (x) e_j; (n, d, d) for rows x."""
-        return np.tensordot(np.asarray(x, complex), self.comult, axes=1)
+        x = np.asarray(x, complex)
+        if self.comult_coo.sparse:
+            return np.moveaxis(self.comult_coo.contract((0,), x.T), (0, 1), (-2, -1))
+        return np.tensordot(x, self.comult, axes=1)
 
     def is_group_like_basis(self) -> bool:
         """True iff every basis element is group-like with counit one."""
@@ -357,11 +453,11 @@ def _crosscheck_bismash_quotient(A: HopfAlgebraData, inc: HopfInclusion,
     Bsub = SubspaceBasis.from_vectors(A, inc.embedding)
     Hq, pi_q = quotient_hopf(A, Bsub)
     # transport the quotient onto the closed form through any linear section
-    section = np.linalg.pinv(pi_q.matrix)
+    section = linalg.pinv(pi_q.matrix)
     phi = pi.matrix @ section
     require(max_abs(phi @ pi_q.matrix - pi.matrix), TOL_NUM, ConsistencyError,
             "closed-form projection does not factor through the quotient")
-    if np.linalg.matrix_rank(phi) != Hq.dim:
+    if linalg.matrix_rank(phi) != Hq.dim:
         raise ConsistencyError("quotient and closed-form projections have different ranks")
     require(hopf_map_residual(Hq, pi.target, phi), TOL_NUM, ConsistencyError,
             "quotient is not isomorphic to kF via the closed form")
@@ -402,7 +498,7 @@ def verify_hopf_axioms(A: HopfAlgebraData, tol: float = TOL_ALG) -> AxiomReport:
     M, D = A.mult, A.comult
     d = A.dim
     try:
-        big = _sparse_contraction_residuals(M, D)
+        big = _sparse_contraction_residuals(A)
     except _TooManyPairs:
         big = _dense_contraction_residuals(M, D)
     eye = np.eye(d)
@@ -442,14 +538,14 @@ class _TooManyPairs(Exception):
     """A sparse contraction would pair more entries than its dense result holds."""
 
 
-def _sparse_contraction_residuals(M: np.ndarray, D: np.ndarray) -> dict[str, float]:
+def _sparse_contraction_residuals(A: HopfAlgebraData) -> dict[str, float]:
     """The residuals of `_dense_contraction_residuals`, contracted over the nonzeros.
 
     Raises `_TooManyPairs` as soon as one contraction would pair more than
     d^4 entries, the size of its dense result.
     """
-    d = M.shape[0]
-    m, c = _coo(M), _coo(D)
+    d = A.dim
+    m, c = A.mult_coo.entries, A.comult_coo.entries
 
     def ein(spec, a, b):
         return _coo_einsum(spec, a, b, d)
@@ -462,12 +558,6 @@ def _sparse_contraction_residuals(M: np.ndarray, D: np.ndarray) -> dict[str, flo
             "bialgebra_mult": residual(ein("ijp,pab->ijab", m, c),
                                        ein("ibcu,jcbv->ijuv", ein("iab,acu->ibcu", c, m),
                                            ein("jcd,bdv->jcbv", c, m)))}
-
-
-def _coo(T: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Indices and values of the nonzero (and NaN) entries of T."""
-    idx = np.nonzero(T)
-    return idx, T[idx]
 
 
 def _coo_einsum(spec: str, a, b, d: int):
@@ -495,6 +585,15 @@ def _coo_einsum(spec: str, a, b, d: int):
     pb = order[lo[pa] + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)]
     idx = tuple(ia[sa.index(ch)][pa] if ch in sa else ib[sb.index(ch)][pb] for ch in out)
     return idx, va[pa] * vb[pb]
+
+
+def _scatter_sum(keys: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """Array of `size` rows holding the sum of the `rows` given at each key."""
+    out = np.zeros((size,) + rows.shape[1:], dtype=complex)
+    if keys.size:
+        order, starts = _runs(keys)
+        out[keys[order][starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
 
 
 def _max_abs_difference(plus, minus, shape: tuple[int, ...]) -> float:
@@ -532,11 +631,24 @@ def is_normal_hopf_subalgebra(A: HopfAlgebraData, B: SubspaceBasis) -> bool:
     """True iff a_1 b S(a_2) stays in span(B) for all basis a and b in B."""
     if not is_hopf_subalgebra(A, B):
         raise PreconditionError("B is not a Hopf subalgebra")
-    d, k = A.dim, B.dim
-    pb = A.products(np.eye(d), B.matrix).reshape(d, d * k)                # e_p b_c
+    return linalg.contains_vectors(B.matrix, _adjoint_images(A, B.matrix), TOL_ALG)
+
+
+def _adjoint_images(A: HopfAlgebraData, Bm: np.ndarray) -> np.ndarray:
+    """Columns a_1 b_m S(a_2) for a = e_s and b_m the columns of Bm, ordered (s, m)."""
+    d, k = A.dim, Bm.shape[1]
+    if A.mult_coo.sparse and A.comult_coo.sparse:
+        # each pair of a nonzero Delta[s, i, j] and a nonzero mult[i, p, q]
+        # adds Delta mult Y[p, m, j] to coordinate q
+        Y = A.products(Bm, A.antipode)                                    # Y[:, m, j] = b_m S(e_j)
+        (s, j, p, q), c = _coo_einsum("sij,ipq->sjpq", A.comult_coo.entries,
+                                      A.mult_coo.entries, d)
+        w = _scatter_sum(s * d + q, c[:, None] * Y[p, :, j], d * d)      # w[(s, q), m]
+        return w.reshape(d, d, k).transpose(1, 0, 2).reshape(d, d * k)
+    pb = A.products(np.eye(d), Bm).reshape(d, d * k)                      # e_p b_c
     sand = A.products(pb, A.antipode).reshape(d, d, k, d)                 # e_p b_c S(e_q)
     w = A.comult.reshape(d, d * d) @ sand.transpose(1, 3, 2, 0).reshape(d * d, k * d)
-    return linalg.contains_vectors(B.matrix, w.reshape(d * k, d).T, TOL_ALG)  # a_1 b_c S(a_2)
+    return w.reshape(d * k, d).T
 
 
 def subspace_product(U: SubspaceBasis, V: SubspaceBasis) -> SubspaceBasis:
@@ -561,7 +673,8 @@ def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray) -> SubspaceBasis:
     if (not (abs(deg.imag) <= TOL_ALG and abs(deg.real - n) <= TOL_MATCH)
             or sub.dim != n * n):
         raise PreconditionError(
-            f"not an irreducible dual character: dim {sub.dim} != eps(d)^2 = {n * n}")
+            f"not an irreducible dual character: eps(d) = {deg:.10g}, but its "
+            f"coefficient space has dimension {sub.dim}")
     return sub
 
 
@@ -642,7 +755,7 @@ def hopf_map_residual(src: HopfAlgebraData, dst: HopfAlgebraData,
     antipode residual when both sides carry an antipode.
     """
     phi = np.asarray(phi, complex)
-    if np.linalg.matrix_rank(phi) != min(phi.shape):
+    if linalg.matrix_rank(phi) != min(phi.shape):
         return float("inf")
     defects = [
         np.einsum("ijk,ak->ija", src.mult, phi, optimize=True)

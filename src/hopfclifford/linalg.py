@@ -4,13 +4,19 @@ Subspaces are handled as matrices whose columns form an orthonormal basis.
 Every threshold is named once below, by its role.  Residuals are reduced by
 `max_abs`, which keeps a NaN; gates raise unless `residual <= TOL` and
 predicates hold only when `residual < TOL`, so a NaN always fails a check.
+The package reaches numpy's SVD, eigensolvers and least squares only through
+the wrappers below, which raise NumericDegeneracyError where numpy raises
+LinAlgError (no convergence, or a NaN or Inf in the input).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+
+from .errors import NumericDegeneracyError
 
 TOL_ALG = 1e-8      # exact structure: Hopf axioms (default tolerances.alg), Hopf maps, subspaces
 TOL_NUM = 1e-7      # computed structure: quotients, central idempotents, modules, group-likes
@@ -41,6 +47,26 @@ def require(residual: float, bound: float, error: type[Exception], message: str)
     return residual
 
 
+def _converging(solver):
+    """`solver` with numpy's LinAlgError raised as NumericDegeneracyError."""
+    @functools.wraps(solver)
+    def wrapped(*args, **kwargs):
+        try:
+            return solver(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericDegeneracyError(f"{solver.__name__} failed: {exc}") from exc
+    return wrapped
+
+
+svd = _converging(np.linalg.svd)
+lstsq = _converging(np.linalg.lstsq)
+eig = _converging(np.linalg.eig)
+eigvals = _converging(np.linalg.eigvals)
+cond = _converging(np.linalg.cond)
+matrix_rank = _converging(np.linalg.matrix_rank)
+pinv = _converging(np.linalg.pinv)
+
+
 def nearest_int(x: float) -> int:
     """round(x), or 0 when x is NaN or infinite, so that a |x - n| check fails."""
     return int(round(x)) if math.isfinite(x) else 0
@@ -57,7 +83,7 @@ def orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
     mat = np.asarray(vectors, dtype=complex)
     if mat.ndim != 2 or mat.shape[1] == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    u, s, _ = svd(mat, full_matrices=False)
     return np.ascontiguousarray(u[:, :_rank(s)])
 
 
@@ -69,7 +95,7 @@ def null_space(mat: np.ndarray) -> np.ndarray:
         return np.eye(n, dtype=complex)
     # vh must be n x n; the thin SVD of a matrix with m >= n already gives
     # that, and asking for the full one would build an m x m U for nothing
-    _, s, vh = np.linalg.svd(mat, full_matrices=m < n)
+    _, s, vh = svd(mat, full_matrices=m < n)
     return np.ascontiguousarray(vh[_rank(s):].conj().T)
 
 
@@ -96,7 +122,7 @@ def lstsq_coords(basis: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, fl
     single = vectors.ndim == 1
     if single:
         vectors = vectors[:, None]
-    coords, *_ = np.linalg.lstsq(basis, vectors, rcond=None)
+    coords, *_ = lstsq(basis, vectors, rcond=None)
     resid = max_abs(basis @ coords - vectors)
     if single:
         coords = coords[:, 0]

@@ -1,9 +1,10 @@
 """Semisimple decomposition, characters, explicit modules, induction.
 
 Artin-Wedderburn over the complex numbers by center splitting: the center
-is cut out by commutation constraints, split by eigendecomposition of a
-seeded-random central element, and the resulting central primitive
-idempotents give block sizes and irreducible characters via regular traces.
+is the common commutant of two seeded-random elements, checked against
+every basis element, and is split by eigendecomposition of a seeded-random
+central element; the resulting central primitive idempotents give block
+sizes and irreducible characters via regular traces.
 Integrality, idempotency and module checks use the thresholds of `linalg`.
 """
 
@@ -78,28 +79,27 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
                frame: Optional[np.ndarray] = None) -> SemisimpleDecomposition:
     """Central primitive idempotents, block sizes, irreducible characters.
 
-    Irr(A) is sorted by degree, then by the character's values.  When A is
-    a subalgebra given on orthonormal columns `frame` of a larger algebra,
-    the values sorted on are those of the character as a functional on the
-    larger algebra, conj(frame) @ values, which do not depend on which
-    orthonormal basis of the subalgebra `frame` is.
+    The center is the common commutant of two random elements (`_center`);
+    the eigenvectors of a random central element, drawn from `seed`, give
+    the idempotents.  Irr(A) is sorted by degree, then by the character's
+    values.  When A is a subalgebra given on orthonormal columns `frame` of
+    a larger algebra, the values sorted on are those of the character as a
+    functional on the larger algebra, conj(frame) @ values, which do not
+    depend on which orthonormal basis of the subalgebra `frame` is.
     """
-    d = A.dim
-    M = A.mult
     trL = A.regular_trace_vector()
-    trace_form = np.einsum("ijp,p->ij", M, trL, optimize=True)
-    require(np.linalg.cond(trace_form), COND_LIMIT, SemisimplicityError,
+    trace_form = np.einsum("ijp,p->ij", A.mult, trL, optimize=True)
+    require(linalg.cond(trace_form), COND_LIMIT, SemisimplicityError,
             "regular trace form is degenerate: condition number")
 
-    constraints = (M.transpose(0, 2, 1) - M.transpose(1, 2, 0)).reshape(d * d, d)
-    center = linalg.null_space(constraints)
+    center = _center(A, seed)
     r = center.shape[1]
     rng = np.random.default_rng(seed)
 
     for _ in range(MAX_RETRIES):
         z = center @ linalg.random_complex(rng, r)
         zop = center.conj().T @ A.left_mult_matrix(z) @ center
-        vals, vecs = np.linalg.eig(zop)
+        vals, vecs = linalg.eig(zop)
         scale = max(1.0, max_abs(vals))
         if r > 1:
             i, j = np.triu_indices(r, 1)
@@ -135,8 +135,8 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
             blocks.append((n, e, chi_vals))
         if not good:
             continue
-        sort_values = (lambda v: v) if frame is None else (lambda v: frame.conj() @ v)
-        blocks.sort(key=lambda b: _char_sort_key(sort_values(b[2]), b[0]))
+        blocks.sort(key=lambda b: _char_sort_key(
+            b[2] if frame is None else frame.conj() @ b[2], b[0]))
         dec = SemisimpleDecomposition(
             algebra=A,
             idempotents=[b[1] for b in blocks],
@@ -146,6 +146,29 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
         _check_decomposition(dec)
         return dec
     raise NumericDegeneracyError("central splitting failed after max retries")
+
+
+def _center(A: AlgebraData, seed: int) -> np.ndarray:
+    """Orthonormal basis of the center: the elements commuting with two random ones.
+
+    Two random elements generate a semisimple algebra with probability one,
+    so their common commutant, the null space of [L(r1) - R(r1); L(r2) - R(r2)],
+    is the center (Eberly and Giesbrecht, J. Symbolic Comput. 2000).  The
+    basis is then checked against every basis element.  The elements come
+    from a stream of their own, spawned from the seed, so the splitting
+    draws stay those of `seed`.
+    """
+    d = A.dim
+    eye = np.eye(d)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    for _ in range(MAX_RETRIES):
+        rs = [linalg.random_complex(rng, d) for _ in range(2)]
+        center = linalg.null_space(
+            np.vstack([A.left_mult_matrix(x) - A.right_mult_matrix(x) for x in rs]))
+        commutators = A.products(eye, center) - A.products(center, eye).transpose(0, 2, 1)
+        if max_abs(commutators) <= TOL_NUM:
+            return center
+    raise NumericDegeneracyError("center of two random elements failed after max retries")
 
 
 def _check_decomposition(dec: SemisimpleDecomposition) -> None:
@@ -288,7 +311,7 @@ def construct_irreducible_module(A: AlgebraData, dec: SemisimpleDecomposition,
     for _ in range(MAX_RETRIES):
         x = block @ linalg.random_complex(rng, nn)
         xop = block.conj().T @ (A.left_mult_matrix(x) @ block)
-        vals = np.linalg.eigvals(xop)
+        vals = linalg.eigvals(xop)
         reps = _cluster_eigenvalues(vals, n, n)
         if reps is None:
             continue

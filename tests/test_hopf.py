@@ -155,7 +155,7 @@ def _dense_gate(A, monkeypatch):
 
 def _takes_sparse_path(A):
     try:
-        hopf._sparse_contraction_residuals(A.mult, A.comult)
+        hopf._sparse_contraction_residuals(A)
     except hopf._TooManyPairs:
         return False
     return True
@@ -431,3 +431,11 @@ def test_hopf_json_round_trip(cocentral8):
     assert np.max(np.abs(back.comult - A.comult)) < 1e-9
     assert np.max(np.abs(back.antipode - A.antipode)) < 1e-9
     assert back.labels == A.labels
+
+
+def test_coefficient_space_names_the_mismatch(counterexample):
+    # a dual character off by 0.1 %: the message shows eps(d) unrounded
+    d4 = [ch for ch in counterexample.dec_dual.irr if ch.degree == 4][0]
+    with pytest.raises(PreconditionError,
+                       match=r"eps\(d\) = 4\.004\S*, but its coefficient space has dimension 16"):
+        coefficient_space(counterexample.A, d4.values * (1 + 1e-3))

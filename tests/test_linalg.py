@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hopfclifford import linalg
+from hopfclifford.errors import NumericDegeneracyError
 
 
 def _full_svd_null_space(mat, rank):
@@ -38,3 +39,15 @@ def test_null_space(rows, cols, rank):
         assert linalg.subspace_equal(N, _full_svd_null_space(mat, rank), 1e-10)
     else:
         assert linalg.subspace_equal(N, np.eye(cols), 1e-12)
+
+
+@pytest.mark.parametrize("solve", [
+    linalg.orthonormal_columns, linalg.null_space,
+    lambda m: linalg.lstsq_coords(m, np.ones(2)),
+    linalg.eig, linalg.eigvals, linalg.cond, linalg.matrix_rank, linalg.pinv,
+], ids=["orthonormal_columns", "null_space", "lstsq_coords", "eig", "eigvals", "cond",
+        "matrix_rank", "pinv"])
+def test_solver_failure_is_numeric_degeneracy(solve):
+    # numpy raises LinAlgError on a NaN; the package's error is exit 4, not a traceback
+    with pytest.raises(NumericDegeneracyError):
+        solve(np.array([[1.0, np.nan], [0.0, 1.0]]))

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from hopfclifford import cli, clifford, scenarios
+from hopfclifford import cli, clifford, linalg, scenarios
 from hopfclifford.clifford import component_bimodule, conjugation_matrix
 from hopfclifford.errors import ConfigError, NormalityError
 from hopfclifford.scenarios import (Scenario, build_scenario, builtin_scenario,
@@ -391,3 +391,11 @@ def test_context_is_lazy(monkeypatch, capsys):
     monkeypatch.setattr(clifford, "wedderburn", forbidden)
     assert cli.main(["verify-axioms", "--builtin", "s4_counterexample"]) == 0
     capsys.readouterr()
+
+
+def test_solver_failure_exits_4(monkeypatch, capsys):
+    # a NaN that reaches numpy's SVD or eigensolver ends in one line on stderr
+    monkeypatch.setattr(linalg, "random_complex", lambda rng, n: np.full(n, np.nan, complex))
+    assert cli.main(["analyze", "--builtin", "s3_a3_classical"]) == cli.EXIT_THEOREM
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency failure: ") and err.count("\n") == 1
