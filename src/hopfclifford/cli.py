@@ -6,7 +6,8 @@
     hopf-clifford list-irr      --builtin NAME | --scenario FILE [--seed N]
 
 Exit codes: 0 success, 2 configuration error, 3 mathematical precondition
-failure, 4 violated theorem or internal consistency check (a bug).
+failure or a scenario too large for memory, 4 violated theorem or internal
+consistency check (a bug).
 The environment variable HOPF_CLIFFORD_SEED overrides the default seed;
 --seed overrides both.
 """
@@ -99,6 +100,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CONFIG
     except PreconditionError as exc:
         sys.stderr.write(f"precondition failure: {exc}\n")
+        return EXIT_PRECONDITION
+    except MemoryError:
+        sys.stderr.write("precondition failure: the scenario is too large for memory\n")
         return EXIT_PRECONDITION
     except (TheoremViolationError, ConsistencyError, NotACharacterError,
             NumericDegeneracyError) as exc:

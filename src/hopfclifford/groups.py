@@ -131,7 +131,8 @@ class FiniteGroup:
             raise ValueError("Cayley table columns are not permutations")
         if not (np.array_equal(c[0], ref) and np.array_equal(c[:, 0], ref)):
             raise ValueError("element 0 is not the identity")
-        if not np.array_equal(c[c, :], c[:, c]):
+        # (ab)x = a(bx) one a at a time, so that no n^3 array is formed
+        if not all(np.array_equal(c[c[a]], c[a][c]) for a in range(n)):
             raise ValueError("Cayley table is not associative")
 
     def mul(self, a: int, b: int) -> int:
@@ -212,16 +213,27 @@ def group_from_permutations(generators: Iterable, names: Optional[Sequence[str]]
                     nxt.append(q)
         queue = nxt
 
+    # row i of the table is p_i composed with every element, P[i][P], looked
+    # up among the sorted elements: memory O(n * degree) per row
     n = len(order_list)
-    cayley = np.zeros((n, n), dtype=np.int64)
-    for i, p in enumerate(order_list):
-        for j, q in enumerate(order_list):
-            cayley[i, j] = elems[compose(p, q)]
+    P = np.array(order_list, dtype=np.intp)
+    keys = _row_keys(P)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    cayley = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        cayley[i] = order[np.searchsorted(sorted_keys, _row_keys(P[i][P]))]
     if names is not None:
         labels = [_collapse_word(w) for w in words]
     else:
         labels = [cycle_string(p) if p != ident else "1" for p in order_list]
     return FiniteGroup(cayley, labels=labels, perms=order_list)
+
+
+def _row_keys(P: np.ndarray) -> np.ndarray:
+    """One sortable key per row of P: its bytes, as a void scalar."""
+    P = np.ascontiguousarray(P)
+    return P.view(np.dtype((np.void, P.itemsize * P.shape[1]))).ravel()
 
 
 # ---------------------------------------------------------------------------

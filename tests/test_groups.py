@@ -5,7 +5,8 @@ import pytest
 
 from hopfclifford.errors import FactorizationError, SizeLimitError
 from hopfclifford.groups import (FiniteGroup, MatchedPair, Subgroup,
-                                 all_subgroups, cycle_string, derive_actions,
+                                 all_subgroups, compose, cycle_string,
+                                 derive_actions,
                                  group_from_permutations,
                                  is_exact_factorization,
                                  is_invariant_subgroup_under_lact,
@@ -56,11 +57,37 @@ def test_size_cap():
         group_from_permutations(["(1 2 3 4)", "(1 2)"], size_cap=10)
 
 
+@pytest.mark.parametrize("gens,names", [
+    (["(1 2 3 4)", "(1 2)", "(1 2 3)"], ["g", "t", "s"]),      # S4
+    (["(1 2 3 4 5)", "(1 2 3)", "(1 2)(3 4)"], None),         # A5
+    (["(1 2 3 4 5)", "(1 2)"], ["c", "t"]),                   # S5
+])
+def test_cayley_table_matches_pairwise_composition(gens, names):
+    G = group_from_permutations(gens, names=names)
+    index = {p: i for i, p in enumerate(G.perms)}
+    want = [[index[compose(p, q)] for q in G.perms] for p in G.perms]
+    assert G.cayley.dtype == np.int64
+    assert np.array_equal(G.cayley, want)
+    # the element order and the labels come from the closure, not the table
+    again = group_from_permutations(gens, names=names, size_cap=G.order)
+    assert again.perms == G.perms and again.labels == G.labels
+    with pytest.raises(SizeLimitError):
+        group_from_permutations(gens, names=names, size_cap=G.order - 1)
+
+
 def test_bad_cayley_rejected():
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [0, 1]])
     with pytest.raises(ValueError):
         FiniteGroup([[1, 0], [0, 1]])
+
+
+def test_non_associative_table_rejected():
+    # a loop of order 5: a Latin square with identity 0 in which (1 2) 3 != 1 (2 3)
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(loop)
 
 
 def test_subgroup_validation(s3_group):

@@ -16,6 +16,14 @@ from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis,
                                verify_hopf_axioms)
 
 
+def _is_commutative(A):
+    return np.max(np.abs(A.mult - A.mult.transpose(1, 0, 2))) < 1e-8
+
+
+def _is_cocommutative(A):
+    return np.max(np.abs(A.comult - A.comult.transpose(0, 2, 1))) < 1e-8
+
+
 @pytest.fixture(scope="module")
 def c4():
     return group_from_permutations(["(1 2 3 4)"], names=["g"])
@@ -33,13 +41,13 @@ def test_group_algebra_s3(s3_group):
     rep = verify_hopf_axioms(A)
     assert rep.ok
     assert rep.residuals["antipode_squared"] < 1e-12
-    assert not A.is_commutative()
-    assert A.is_cocommutative()
+    assert not _is_commutative(A)
+    assert _is_cocommutative(A)
 
 
 def test_group_algebra_c4(c4):
     A = group_algebra(c4)
-    assert A.is_commutative() and A.is_cocommutative()
+    assert _is_commutative(A) and _is_cocommutative(A)
     assert verify_hopf_axioms(A).ok
 
 
@@ -53,8 +61,8 @@ def test_dual_group_algebra(c4, s3_group):
         assert np.allclose(B.product(e, e), e)
     D = dual_group_algebra(s3_group)
     assert verify_hopf_axioms(D).ok
-    assert D.is_commutative()
-    assert not D.is_cocommutative()
+    assert _is_commutative(D)
+    assert not _is_cocommutative(D)
 
 
 def test_antipode_closed_forms(c4, s3_group, counterexample, cocentral8):
@@ -422,15 +430,6 @@ def test_bismash_refuses_corrupted_pair(s4_pair):
     bad.lact[1, 1] = (bad.lact[1, 1] + 1) % bad.f_group.order
     with pytest.raises(PreconditionError):
         hopf.bismash(bad)
-
-
-def test_hopf_json_round_trip(cocentral8):
-    A = cocentral8.A
-    back = HopfAlgebraData.from_json_dict(A.to_json_dict())
-    assert np.max(np.abs(back.mult - A.mult)) < 1e-9
-    assert np.max(np.abs(back.comult - A.comult)) < 1e-9
-    assert np.max(np.abs(back.antipode - A.antipode)) < 1e-9
-    assert back.labels == A.labels
 
 
 def test_coefficient_space_names_the_mismatch(counterexample):

@@ -399,3 +399,15 @@ def test_solver_failure_exits_4(monkeypatch, capsys):
     assert cli.main(["analyze", "--builtin", "s3_a3_classical"]) == cli.EXIT_THEOREM
     err = capsys.readouterr().err
     assert err.startswith("internal consistency failure: ") and err.count("\n") == 1
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    # an allocation that does not fit ends in one line on stderr, not a traceback
+    def too_large(*a, **kw):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_scenario", too_large)
+    assert cli.main(["analyze", "--builtin", "s3_a3_classical"]) == cli.EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "precondition failure: the scenario is too large for memory\n"

@@ -1,6 +1,7 @@
 """The kernels that read `mult` and `comult` through their nonzeros, each
 against its dense definition: on the constructor tensors, with a perturbed
-entry, with a NaN, and after a change of basis that makes them dense."""
+entry, with a NaN, and after a change of basis that makes them dense.  The
+Hopf-subalgebra test, which reads V or its complement, against projectors."""
 
 import tracemalloc
 
@@ -9,10 +10,12 @@ import pytest
 
 from hopfclifford import hopf, linalg, repcalc
 from hopfclifford.clifford import (compute_stabilizer, conjugate_module,
-                                   conjugation_matrix, subcoalgebra_as_dual_module)
+                                   conjugation_matrix, graded_stabilizer_analysis,
+                                   subcoalgebra_as_dual_module)
 from hopfclifford.errors import NumericDegeneracyError
 from hopfclifford.groups import subgroup_closure
-from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis, group_algebra,
+from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis, antipode_residuals,
+                               group_algebra, is_hopf_subalgebra,
                                is_normal_hopf_subalgebra, subalgebra_data)
 from hopfclifford.repcalc import DEFAULT_SEED, construct_irreducible_module
 from hopfclifford.scenarios import Scenario, build_scenario
@@ -261,3 +264,162 @@ def test_psi_order_does_not_depend_on_the_basis_of_z(counterexample):
                                      frame=frame)
             orders.append(np.array([frame.conj() @ ch.values for ch in dec.irr]))
         assert np.max(np.abs(orders[0] - orders[1])) < 1e-8
+
+
+def _antipode_definition(A, S):
+    """The antipode residuals as Delta against the d^4 products S(e_i) e_j and e_i S(e_j)."""
+    d = A.dim
+    eye = np.eye(d)
+    D = A.comult.reshape(d, d * d)
+    target = np.outer(A.counit, A.unit)
+    left = D @ np.einsum("pi,pjq->ijq", S, A.mult, optimize=True).reshape(d * d, d)
+    right = D @ np.einsum("pj,ipq->ijq", S, A.mult, optimize=True).reshape(d * d, d)
+    return {"antipode_left": linalg.max_abs(left - target),
+            "antipode_right": linalg.max_abs(right - target),
+            "antipode_squared": linalg.max_abs(S @ S - eye)}
+
+
+def _residuals_match(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        if np.isnan(want[key]):
+            assert np.isnan(got[key]), key
+        else:
+            assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), key
+
+
+def test_antipode_residuals_match_dense_definition(algebras):
+    # the antipode gives zeros; a random S tells the two legs apart
+    rng = np.random.default_rng(19)
+    for name, A in list(algebras.items()) + [("shear", _shear(algebras["a5 A"]))]:
+        assert max(antipode_residuals(A, A.antipode).values()) < 1e-12, name
+        S = _random(rng, A.dim, A.dim)
+        _residuals_match(antipode_residuals(A, S), _antipode_definition(A, S))
+        _residuals_match(antipode_residuals(_dense(A), S), _antipode_definition(A, S))
+
+
+@pytest.mark.parametrize("tensor", ["mult", "comult"])
+def test_antipode_residuals_match_dense_definition_under_faults(algebras, tensor):
+    rng = np.random.default_rng(23)
+    for name in ("counterexample A", "counterexample A*", "a5 A"):
+        A = algebras[name]
+        idx, _ = getattr(A, f"{tensor}_coo").entries
+        n = int(rng.integers(idx[0].size))
+        hit = tuple(int(i[n]) for i in idx)
+        beside = ((hit[0] + 1) % A.dim,) + hit[1:]
+        S = _random(rng, A.dim, A.dim)
+        for index, value in ((beside, 0.3 - 0.1j), (hit, np.nan)):
+            broken = _copy(A, tensor, index, value)
+            assert broken.comult_coo.sparse
+            # a random S carries a NaN into both sides
+            want = _antipode_definition(broken, S)
+            assert np.isnan([want["antipode_left"], want["antipode_right"]]).all() == np.isnan(value)
+            _residuals_match(antipode_residuals(broken, S), want)
+
+
+def _projector_lengths(A, Vb):
+    """`hopf._outside_lengths` through the projector I - V V^H onto the complement."""
+    d, k = Vb.shape
+    Q = np.eye(d) - Vb @ Vb.conj().T
+    coprods = np.einsum("ka,kij->aij", Vb, A.comult)
+    prods = np.einsum("ia,jb,ijq->qab", Vb, Vb, A.mult, optimize=True).reshape(d, k * k)
+    return np.concatenate([[np.linalg.norm(Q @ A.unit)],
+                           np.linalg.norm(Q @ A.antipode @ Vb, axis=0),
+                           np.linalg.norm(Q @ prods, axis=0),
+                           np.linalg.norm(Q @ coprods, axis=-2).ravel(),                     # [a, j]
+                           np.linalg.norm(Q @ coprods.transpose(0, 2, 1), axis=-2).ravel()])  # [a, i]
+
+
+def _projector_verdict(A, V):
+    """The Hopf-subalgebra test with the projector P = V V^H on every condition."""
+    Vb = V.matrix
+    P = Vb @ Vb.conj().T
+    coprods = A.apply_comult(Vb.T)
+    return bool(np.linalg.norm(A.unit - P @ A.unit) < 1e-8
+                and linalg.contains_vectors(Vb, A.products(Vb, Vb).reshape(A.dim, -1), 1e-8)
+                and linalg.max_abs(np.linalg.norm(coprods - P @ coprods @ P.T,
+                                                  axis=(1, 2))) < 1e-8
+                and linalg.contains_vectors(Vb, A.antipode @ Vb, 1e-8))
+
+
+def _lengths_match(A, V):
+    got = np.concatenate(list(hopf._outside_lengths(A, V.matrix)))
+    want = _projector_lengths(A, V.matrix)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
+def _stabilizer_subspaces(ext):
+    """B, and Z and S = A(H) of every alpha."""
+    out = [ext.b_sub]
+    for alpha in range(len(ext.dec_b.irr)):
+        sr = compute_stabilizer(ext, alpha)
+        H = graded_stabilizer_analysis(ext, sr).h_members
+        out += [sr.Z, SubspaceBasis.from_vectors(
+            ext.A, np.hstack([ext.components[f].matrix for f in H]))]
+    return out
+
+
+def test_hopf_subalgebra_matches_projectors(counterexample, a5):
+    verdicts, thick = [], []
+    for ext in (counterexample, a5):
+        A = ext.A
+        for V in _stabilizer_subspaces(ext):
+            verdicts.append(is_hopf_subalgebra(A, V))
+            thick.append(2 * V.dim > A.dim)
+            assert verdicts[-1] is _projector_verdict(A, V)
+            _lengths_match(A, V)
+    # both verdicts and both sides of the dimension rule are reached
+    assert set(verdicts) == set(thick) == {True, False}
+
+
+def test_hopf_subalgebra_in_a_unitary_basis(s4_sigma, counterexample):
+    # dense tensors: V = A is read on its (empty) complement, kA4 and kS3 on V
+    rng = np.random.default_rng(29)
+    for A0 in (counterexample.A, group_algebra(s4_sigma)):
+        d = A0.dim
+        P, _ = np.linalg.qr(_random(rng, d, d))
+        T = _change_basis(A0, P)
+        assert not T.comult_coo.sparse
+        V = SubspaceBasis(T, np.linalg.qr(_random(rng, d, d))[0])
+        assert is_hopf_subalgebra(T, V) and _projector_verdict(T, V)
+    for gens in (("s", "gg"), ("s", "t")):              # T is kS4 in the last basis
+        B = _subgroup_algebra(T, s4_sigma, gens, basis=P.conj().T)
+        assert is_hopf_subalgebra(T, B) and _projector_verdict(T, B)
+        _lengths_match(T, B)
+
+
+def test_thick_subspaces_that_are_not_hopf_subalgebras(counterexample, a5):
+    # dim V > d/2 but V != A: each condition is read on the complement W
+    rng = np.random.default_rng(31)
+    for A in (counterexample.A, a5.A, _change_basis(counterexample.A,
+                                                    np.linalg.qr(_random(rng, 24, 24))[0])):
+        d = A.dim
+        drop_one = SubspaceBasis(A, np.eye(d, dtype=complex)[:, 1:])
+        # the unit and d - 3 random directions
+        codim_2 = SubspaceBasis.from_vectors(
+            A, np.column_stack([A.unit, _random(rng, d, d - 3)]))
+        assert codim_2.dim == d - 2
+        for V in (drop_one, codim_2):
+            assert 2 * V.dim > d
+            assert is_hopf_subalgebra(A, V) is False
+            assert _projector_verdict(A, V) is False
+            _lengths_match(A, V)
+
+
+def test_hopf_subalgebra_reads_the_thinner_side(monkeypatch, a5):
+    # B (dim 5 of 60) is read on itself: its complement is never computed;
+    # V = A has no complement: neither V.V nor Delta(V), 3.5 MB each, is formed
+    A = a5.A
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "null_space", None)
+        assert is_hopf_subalgebra(A, a5.b_sub)
+    V = SubspaceBasis(A, np.eye(A.dim, dtype=complex))
+    assert is_hopf_subalgebra(A, V)         # the COO plans are built once per algebra
+    tracemalloc.start()
+    try:
+        assert is_hopf_subalgebra(A, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

@@ -48,9 +48,28 @@ def _kc3():
     return group_algebra(group_from_permutations(["(1 2 3)"]))
 
 
+def _nan_at_all_of_kc3(name, index):
+    """is_hopf_subalgebra(A, A) for kC3 with a NaN in its `name` tensor:
+    A has no complement, so only the finiteness read sees the NaN."""
+    A = _with_nan(_kc3(), name, index)
+    return is_hopf_subalgebra(A, SubspaceBasis(A, np.eye(3, dtype=complex)))
+
+
 def _is_hopf_subalgebra(ext):
     A = _with_nan(_kc3(), "comult", (1, 1, 1))
     return is_hopf_subalgebra(A, SubspaceBasis(A, np.eye(3, dtype=complex)))
+
+
+def _is_hopf_subalgebra_mult(ext):
+    return _nan_at_all_of_kc3("mult", (1, 2, 0))
+
+
+def _is_hopf_subalgebra_unit(ext):
+    return _nan_at_all_of_kc3("unit", (0,))
+
+
+def _is_hopf_subalgebra_antipode(ext):
+    return _nan_at_all_of_kc3("antipode", (2, 1))
 
 
 def _subalgebra_data(ext):
@@ -96,6 +115,9 @@ def _decompose(ext):
 NAN_CASES = [
     # (check, outcome): False for a predicate, else the error a gate raises
     (_is_hopf_subalgebra, False),
+    (_is_hopf_subalgebra_mult, False),
+    (_is_hopf_subalgebra_unit, False),
+    (_is_hopf_subalgebra_antipode, False),
     (_subalgebra_data, PreconditionError),
     (_component_bimodule, ConsistencyError),
     (_group_from_group_like_basis, ConsistencyError),
