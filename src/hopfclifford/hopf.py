@@ -142,18 +142,11 @@ class AlgebraData:
 
     def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix L with L @ y = x * y."""
-        d = self.dim
-        x = np.asarray(x, complex)
-        if self.mult_coo.sparse:
-            return self.mult_coo.contract((0,), x).T
-        return (x @ self.mult.reshape(d, d * d)).reshape(d, d).T
+        return self.mult_coo.along(0, np.asarray(x, complex)).T
 
     def right_mult_matrix(self, y: np.ndarray) -> np.ndarray:
         """Matrix R with R @ x = x * y."""
-        y = np.asarray(y, complex)
-        if self.mult_coo.sparse:
-            return self.mult_coo.contract((1,), y).T
-        return (y @ self.mult).T
+        return self.mult_coo.along(1, np.asarray(y, complex)).T
 
     def multiply(self, Y: np.ndarray) -> np.ndarray:
         """The multiplication map: sum_ab Y[a, b, ...] e_a * e_b, shape (d, ...)."""
@@ -186,10 +179,8 @@ class HopfAlgebraData(AlgebraData):
 
     def apply_comult(self, x: np.ndarray) -> np.ndarray:
         """Delta(x) as a (d, d) coefficient matrix over e_i (x) e_j; (n, d, d) for rows x."""
-        x = np.asarray(x, complex)
-        if self.comult_coo.sparse:
-            return np.moveaxis(self.comult_coo.contract((0,), x.T), (0, 1), (-2, -1))
-        return np.tensordot(x, self.comult, axes=1)
+        along = self.comult_coo.along(0, np.asarray(x, complex).T)       # [i, j, ...]
+        return np.moveaxis(along, (0, 1), (-2, -1))
 
     def is_group_like_basis(self) -> bool:
         """True iff every basis element is group-like with counit one."""
@@ -324,20 +315,14 @@ def solve_antipode(A: HopfAlgebraData) -> np.ndarray:
 def antipode_residuals(A: HopfAlgebraData, S: np.ndarray) -> dict[str, float]:
     """Max residuals of S(a_1) a_2 = eps(a) 1 = a_1 S(a_2) and of S^2 = id.
 
-    With a sparse Delta both sides are m (S (x) id) Delta and m (id (x) S)
-    Delta, read through Delta's nonzeros; otherwise Delta meets the d^4
-    array of products S(e_i) e_j and e_i S(e_j).
+    Both sides are m (S (x) id) Delta and m (id (x) S) Delta, each a
+    `Coo.along` and a `multiply`, so they read Delta and `mult` through their
+    nonzeros when these are sparse.
     """
-    d = A.dim
-    eye = np.eye(d)
+    eye = np.eye(A.dim)
     target = np.outer(A.counit, A.unit)
-    if A.comult_coo.sparse:
-        left = A.multiply(A.comult_coo.contract((1,), S.T).transpose(2, 1, 0)).T
-        right = A.multiply(A.comult_coo.contract((2,), S.T).transpose(1, 2, 0)).T
-    else:
-        D = A.comult.reshape(d, d * d)
-        left = D @ A.products(S, eye).reshape(d, d * d).T     # [k, q]: sum S(e_i) e_j
-        right = D @ A.products(eye, S).reshape(d, d * d).T    # [k, q]: sum e_i S(e_j)
+    left = A.multiply(A.comult_coo.along(1, S.T).transpose(2, 1, 0)).T      # [k, q]
+    right = A.multiply(A.comult_coo.along(2, S.T).transpose(1, 2, 0)).T     # [k, q]
     return {"antipode_left": max_abs(left - target),
             "antipode_right": max_abs(right - target),
             "antipode_squared": max_abs(S @ S - eye)}
@@ -579,51 +564,59 @@ def _max_abs_difference(plus, minus, shape: tuple[int, ...]) -> float:
 def is_hopf_subalgebra(A: HopfAlgebraData, V: SubspaceBasis) -> bool:
     """1 in V, V closed under product, Delta(V) in V (x) V, S(V) in V.
 
-    The conditions are the lengths of components outside V
-    (`_outside_lengths`), read until one fails.  A NaN or Inf in the unit,
-    the antipode, V or an entry of `mult` or `comult` fails the test even
-    where nothing reads it.
+    Each condition is a residual below TOL_ALG (`_subalgebra_residuals`),
+    read until one fails.  A NaN or Inf in the unit, the antipode, V or an
+    entry of `mult` or `comult` fails the test even where nothing reads it.
     """
     if A.antipode is None:
         raise PreconditionError("is_hopf_subalgebra needs the antipode")
     read = (A.unit, A.antipode, V.matrix, A.mult_coo.entries[1], A.comult_coo.entries[1])
     if not all(np.isfinite(x).all() for x in read):
         return False
-    return all(max_abs(lengths) < TOL_ALG for lengths in _outside_lengths(A, V.matrix))
+    return all(residual < TOL_ALG for residual in _subalgebra_residuals(A, V.matrix))
 
 
-def _outside_lengths(A: HopfAlgebraData, Vb: np.ndarray):
-    """Lengths of the components outside V = span(Vb), yielded in four
-    arrays: of 1 and each S(v_a), of each v_a v_b, and of each column and
-    of each row of each Delta(v_a), for the columns v_a of Vb.
+def _subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
+    """The residuals of the Hopf-subalgebra test on V = span(Vb), in order:
+    |Q 1|, the largest |entry| of Q v_a v_b, the largest ||Delta(v_a) -
+    P Delta(v_a) P^T||_F and the largest |entry| of Q S(v_a), over the
+    columns v_a of Vb, with P = V V^H and Q = I - P.
 
     They are read on the thinner of V and its orthogonal complement W =
-    null_space(V^H): as x - V (V^H x) when 2 dim V <= d, else as W^H x, with
-    the products and coproducts taken as `mult` and `comult` contracted with
-    conj(W) first and with V after, so that V.V and Delta(V) are never
-    formed.  The cost follows min(dim V, codim V) and is nil for V = A.
+    null_space(V^H): through V when 2 dim V <= d, else through Q = W W^H,
+    with the products and coproducts taken as `mult` and `comult` contracted
+    with conj(W) first and with V after, so that V.V and Delta(V) are never
+    formed, and ||Delta - P Delta P^T||_F^2 = ||W^H Delta||_F^2 +
+    ||V^H Delta conj(W)||_F^2.  The cost follows min(dim V, codim V); V = A
+    has nothing outside it and yields no residual.
     """
     d, k = Vb.shape
+    Vh = Vb.conj().T
+    if k == d:
+        return
     if 2 * k <= d:
         def outside(X):
-            return np.linalg.norm(X - Vb @ (Vb.conj().T @ X), axis=0)
-        yield outside(np.column_stack([A.unit, A.antipode @ Vb]))
-        yield outside(A.products(Vb, Vb).reshape(d, -1))
+            return X - Vb @ (Vh @ X)
+        yield np.linalg.norm(outside(A.unit))
+        yield max_abs(outside(A.products(Vb, Vb).reshape(d, -1)))
         coprods = A.apply_comult(Vb.T)                                  # [a, i, j]
-        yield outside(coprods.transpose(1, 0, 2).reshape(d, -1))
-        yield outside(coprods.transpose(2, 0, 1).reshape(d, -1))
+        kept = Vb @ (Vh @ coprods @ Vb.conj()) @ Vb.T                    # P Delta(v_a) P^T
+        yield max_abs(np.linalg.norm(coprods - kept, axis=(1, 2)))
+        yield max_abs(outside(A.antipode @ Vb))
         return
-    Wc = linalg.null_space(Vb.conj().T).conj()
+    W = linalg.null_space(Vh)
 
     def legs(coo, axis):
         """V^T on axis 0 of the tensor contracted with conj(W) on `axis`: [a, r, w]."""
-        return np.tensordot(Vb, coo.along(axis, Wc), axes=([0], [0]))
+        return np.tensordot(Vb, coo.along(axis, W.conj()), axes=([0], [0]))
 
-    yield np.linalg.norm(np.vstack([A.unit @ Wc, (A.antipode @ Vb).T @ Wc]), axis=1)
-    prods = np.tensordot(legs(A.mult_coo, 2), Vb, axes=([1], [0]))     # [a, w, b]
-    yield np.linalg.norm(prods, axis=1).ravel()
-    yield np.linalg.norm(legs(A.comult_coo, 1), axis=-1).ravel()
-    yield np.linalg.norm(legs(A.comult_coo, 2), axis=-1).ravel()
+    yield np.linalg.norm(W.conj().T @ A.unit)
+    prods = np.tensordot(legs(A.mult_coo, 2), Vb, axes=([1], [0]))     # [a, w, b]: W^H v_a v_b
+    yield max_abs(W @ prods)
+    left = legs(A.comult_coo, 1)                        # [a, j, w]: W^H Delta(v_a)
+    inner = Vh @ legs(A.comult_coo, 2)                  # [a, b, w]: V^H Delta(v_a) conj(W)
+    yield max_abs(np.hypot(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(inner, axis=(1, 2))))
+    yield max_abs(W @ (W.conj().T @ (A.antipode @ Vb)))
 
 
 def is_normal_hopf_subalgebra(A: HopfAlgebraData, B: SubspaceBasis) -> bool:

@@ -317,17 +317,17 @@ def test_antipode_residuals_match_dense_definition_under_faults(algebras, tensor
             _residuals_match(antipode_residuals(broken, S), want)
 
 
-def _projector_lengths(A, Vb):
-    """`hopf._outside_lengths` through the projector I - V V^H onto the complement."""
+def _projector_residuals(A, Vb):
+    """`hopf._subalgebra_residuals` through P = V V^H and Q = I - P."""
     d, k = Vb.shape
-    Q = np.eye(d) - Vb @ Vb.conj().T
+    P = Vb @ Vb.conj().T
+    Q = np.eye(d) - P
     coprods = np.einsum("ka,kij->aij", Vb, A.comult)
     prods = np.einsum("ia,jb,ijq->qab", Vb, Vb, A.mult, optimize=True).reshape(d, k * k)
-    return np.concatenate([[np.linalg.norm(Q @ A.unit)],
-                           np.linalg.norm(Q @ A.antipode @ Vb, axis=0),
-                           np.linalg.norm(Q @ prods, axis=0),
-                           np.linalg.norm(Q @ coprods, axis=-2).ravel(),                     # [a, j]
-                           np.linalg.norm(Q @ coprods.transpose(0, 2, 1), axis=-2).ravel()])  # [a, i]
+    return [np.linalg.norm(Q @ A.unit),
+            linalg.max_abs(Q @ prods),
+            linalg.max_abs(np.linalg.norm(coprods - P @ coprods @ P.T, axis=(1, 2))),
+            linalg.max_abs(Q @ A.antipode @ Vb)]
 
 
 def _projector_verdict(A, V):
@@ -342,11 +342,13 @@ def _projector_verdict(A, V):
                 and linalg.contains_vectors(Vb, A.antipode @ Vb, 1e-8))
 
 
-def _lengths_match(A, V):
-    got = np.concatenate(list(hopf._outside_lengths(A, V.matrix)))
-    want = _projector_lengths(A, V.matrix)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) < 1e-10
+def _residuals_match_projectors(A, V):
+    got = list(hopf._subalgebra_residuals(A, V.matrix))
+    want = _projector_residuals(A, V.matrix)
+    if V.dim == A.dim:                  # V = A: nothing lies outside it
+        assert got == [] and max(want) < 1e-12
+    else:
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-10
 
 
 def _stabilizer_subspaces(ext):
@@ -368,13 +370,13 @@ def test_hopf_subalgebra_matches_projectors(counterexample, a5):
             verdicts.append(is_hopf_subalgebra(A, V))
             thick.append(2 * V.dim > A.dim)
             assert verdicts[-1] is _projector_verdict(A, V)
-            _lengths_match(A, V)
+            _residuals_match_projectors(A, V)
     # both verdicts and both sides of the dimension rule are reached
     assert set(verdicts) == set(thick) == {True, False}
 
 
 def test_hopf_subalgebra_in_a_unitary_basis(s4_sigma, counterexample):
-    # dense tensors: V = A is read on its (empty) complement, kA4 and kS3 on V
+    # dense tensors: V = A has nothing outside it, kA4 and kS3 are read on V
     rng = np.random.default_rng(29)
     for A0 in (counterexample.A, group_algebra(s4_sigma)):
         d = A0.dim
@@ -386,11 +388,12 @@ def test_hopf_subalgebra_in_a_unitary_basis(s4_sigma, counterexample):
     for gens in (("s", "gg"), ("s", "t")):              # T is kS4 in the last basis
         B = _subgroup_algebra(T, s4_sigma, gens, basis=P.conj().T)
         assert is_hopf_subalgebra(T, B) and _projector_verdict(T, B)
-        _lengths_match(T, B)
+        _residuals_match_projectors(T, B)
 
 
-def test_thick_subspaces_that_are_not_hopf_subalgebras(counterexample, a5):
-    # dim V > d/2 but V != A: each condition is read on the complement W
+def test_subspaces_that_are_not_hopf_subalgebras(counterexample, a5):
+    # thick ones (2 dim V > d, V != A) are read on the complement W, thin ones
+    # on V; every residual is checked against P = V V^H
     rng = np.random.default_rng(31)
     for A in (counterexample.A, a5.A, _change_basis(counterexample.A,
                                                     np.linalg.qr(_random(rng, 24, 24))[0])):
@@ -400,11 +403,14 @@ def test_thick_subspaces_that_are_not_hopf_subalgebras(counterexample, a5):
         codim_2 = SubspaceBasis.from_vectors(
             A, np.column_stack([A.unit, _random(rng, d, d - 3)]))
         assert codim_2.dim == d - 2
-        for V in (drop_one, codim_2):
-            assert 2 * V.dim > d
+        unit_and_one = SubspaceBasis.from_vectors(A, np.column_stack([A.unit, _random(rng, d, 1)]))
+        no_unit = SubspaceBasis.from_vectors(A, _random(rng, d, 3))
+        for V, thick in ((drop_one, True), (codim_2, True),
+                         (unit_and_one, False), (no_unit, False)):
+            assert (2 * V.dim > d) is thick
             assert is_hopf_subalgebra(A, V) is False
             assert _projector_verdict(A, V) is False
-            _lengths_match(A, V)
+            _residuals_match_projectors(A, V)
 
 
 def test_hopf_subalgebra_reads_the_thinner_side(monkeypatch, a5):
