@@ -28,8 +28,8 @@ from .repcalc import (Character, ExplicitModule, SemisimpleDecomposition,
                       regular_character, restrict_character,
                       restriction_table, wedderburn)
 from .clifford import (AlphaReport, EquivalenceClassData, Extension,
-                       StabilizerResult, analyze_alpha, compute_stabilizer,
-                       conjugate_module, conjugation_matrix,
+                       Stabilizer, StabilizerResult, analyze_alpha,
+                       compute_stabilizer, conjugation_matrix,
                        coset_projection_check, direct_correspondence_check,
                        equivalence_classes, graded_stabilizer_analysis,
                        stabilizer_dimension_bound, verify_class_formulas)

@@ -2,16 +2,21 @@
 
 An Extension holds A, B and everything derived from the pair once: the
 decompositions, the matched equivalence classes of Irr(A) and Irr(B) with
-class sums and restriction table, and the conjugation matrix C_d of each
-irreducible dual character d.  Pipeline per irreducible B-character alpha:
+class sums and restriction table, the conjugation matrix C_d of each
+irreducible dual character d, the stacked B-bimodules of the graded
+components, and one Stabilizer per distinct stabilizing set.  Pipeline per
+irreducible B-character alpha:
 
   * the stabilizer Hopf subalgebra Z built from dual characters d
-    with conjugate character  alpha C_d = eps(d) alpha,
+    with conjugate character  alpha C_d = eps(d) alpha; Z, its algebra,
+    decomposition and restriction tables are shared by every alpha with
+    the same stabilizing set, and Z = A is read on A's own basis,
   * the dimension bound |Z| <= |A| alpha(1)^2 / b_i(1) together with the
     socle multiplicity test, and the direct check that induction from Z
     is a bijection onto the class of alpha,
   * for group-algebra quotients kF, the graded picture: components A_f,
-    the stabilizer subgroup H of the orbit action A_f (x)_B M, and
+    the stabilizer subgroup H of the orbit action A_f (x)_B M, solved for
+    every f in one batch, and
     S = A(H), with the criterion "correspondence holds iff Z = S iff
     S is a Hopf subalgebra".
 
@@ -30,10 +35,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import (ConsistencyError, NormalityError, PreconditionError,
-                     TheoremViolationError)
+from .errors import ConsistencyError, NormalityError, TheoremViolationError
 from .groups import FiniteGroup, MatchedPair, orbit_and_stabilizer
-from .hopf import (HopfAlgebraData, HopfInclusion, HopfSurjection,
+from .hopf import (AlgebraData, HopfAlgebraData, HopfInclusion, HopfSurjection,
                    SubspaceBasis, coefficient_space, comodule_map_rho,
                    dual_hopf, graded_component, is_cocentral,
                    is_hopf_subalgebra, quotient_hopf, subalgebra_data,
@@ -42,8 +46,8 @@ from .linalg import TOL_ALG, TOL_MATCH, max_abs, require
 from .repcalc import (Character, DEFAULT_SEED, ExplicitModule,
                       SemisimpleDecomposition, as_group_algebra_surjection,
                       construct_irreducible_module, decompose,
-                      induce_character, restrict_character, restriction_table,
-                      wedderburn)
+                      induce_character, module_residual, restrict_character,
+                      restriction_table, wedderburn)
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +60,11 @@ class Extension:
     Wedderburn decompositions of A, B and A*, the quotient A/AB+ (the one
     normality test of B), the equivalence classes with their restriction
     table, the group-algebra quotient kF with its graded components and
-    their B-bimodule matrices, and the conjugation matrix of every
-    irreducible dual character.  Bismash products give `piF`, `F` and the
-    A/AB+ `pi_q` they were checked against; otherwise A/AB+ is built and
-    recognized as kF when it is one.
+    their B-bimodule matrices stacked over F, the conjugation matrix of
+    every irreducible dual character, and in `stabilizers` the Stabilizer
+    of each stabilizing set met so far.  Bismash products give `piF`, `F`
+    and the A/AB+ `pi_q` they were checked against; otherwise A/AB+ is
+    built and recognized as kF when it is one.
     """
 
     def __init__(self, A: HopfAlgebraData, inc: HopfInclusion,
@@ -73,6 +78,7 @@ class Extension:
         self.seed = seed
         self.mp = mp
         self._given_quotient = (piF, F)
+        self.stabilizers: dict[tuple[int, ...], Stabilizer] = {}
         if pi_q is not None:
             self.generic_quotient = pi_q
 
@@ -130,9 +136,18 @@ class Extension:
         return [graded_component(self.A, rho, f) for f in range(self.F.order)]
 
     @cached_property
-    def bimodules(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """B-bimodule matrices of each graded component A_f (see component_bimodule)."""
-        return [component_bimodule(self.A, self.inc, comp) for comp in self.components]
+    def bimodules(self) -> tuple[np.ndarray, np.ndarray]:
+        """(right, left) of component_bimodule for every A_f, stacked on a first axis f.
+
+        Every A_f has dimension |B|: A is a crossed product B #_sigma kF
+        (Schneider, J. Algebra 1992), so A_f = B u_f.
+        """
+        for f, comp in enumerate(self.components):
+            if comp.dim != self.inc.small.dim:
+                raise ConsistencyError(f"graded component {f} has dimension {comp.dim}, "
+                                       f"not |B| = {self.inc.small.dim}")
+        sides = zip(*(component_bimodule(self.A, self.inc, comp) for comp in self.components))
+        return tuple(np.stack(side) for side in sides)
 
     @cached_property
     def cocentral(self) -> Optional[bool]:
@@ -300,81 +315,83 @@ def conjugation_matrix(A: HopfAlgebraData, inc: HopfInclusion,
     return coords
 
 
-def subcoalgebra_as_dual_module(A: HopfAlgebraData, C: SubspaceBasis) -> ExplicitModule:
-    """A subcoalgebra of A as a module over the dual algebra."""
-    Cb = C.matrix
-    k = Cb.shape[1]
-    mats = []
-    for i in range(A.dim):
-        img = np.zeros((A.dim, k), dtype=complex)
-        for q in range(k):
-            X = A.apply_comult(Cb[:, q])
-            img[:, q] = X[:, i]
-        coords, resid = linalg.lstsq_coords(Cb, img)
-        require(resid, TOL_ALG, PreconditionError, "subspace is not a subcoalgebra")
-        mats.append(coords)
-    return ExplicitModule(dual_hopf(A), mats)
-
-
-def conjugate_module(A: HopfAlgebraData, inc: HopfInclusion,
-                     W: ExplicitModule, M_mod: ExplicitModule) -> ExplicitModule:
-    """Twist of W (x) M by b(w (x) m) = w_0 (x) (S(w_1) b w_2) m."""
-    E = np.asarray(inc.embedding, complex)
-    S, Mt = A.antipode, A.mult
-    T = np.stack(W.matrices)                       # [i, a, b] action of dual basis
-    R2 = np.einsum("iab,ipq->abpq", T, A.comult, optimize=True)   # double comodule coefficients
-    mats = []
-    for m in range(E.shape[1]):
-        v = E[:, m]
-        Sv = np.einsum("rp,j,rjk->pk", S, v, Mt, optimize=True)   # S(e_p) * v
-        sand = np.einsum("pa,aqk->pqk", Sv, Mt, optimize=True)    # S(e_p) * v * e_q
-        u = np.einsum("abpq,pqk->abk", R2, sand, optimize=True)
-        coords, resid = linalg.lstsq_coords(E, u.reshape(-1, A.dim).T)
-        require(resid, TOL_ALG * max(1.0, max_abs(u)), ConsistencyError,
-                "conjugate action leaves the subalgebra")
-        cb = coords.T.reshape(u.shape[0], u.shape[1], E.shape[1])
-        stack = np.stack(M_mod.matrices)
-        act = np.einsum("abl,lij->aibj", cb, stack, optimize=True)
-        n = act.shape[0] * act.shape[1]
-        mats.append(act.reshape(n, n))
-    out = ExplicitModule(M_mod.parent, mats)
-    require(out.verify(), TOL_MATCH, ConsistencyError,
-            "conjugate module fails the multiplication table")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the stabilizer Hopf subalgebra
 
 @dataclass
-class StabilizerResult:
-    alpha_index: int
-    alpha: Character
+class Stabilizer:
+    """Z and what is derived from it, which depend on the stabilizing set only."""
     stabilizing: list[int]             # indices into Irr(A^*)
     Z: SubspaceBasis
-    dim_z: int
-    z_alg: object                      # AlgebraData on the orthonormal basis of Z
+    z_alg: AlgebraData                 # A itself when Z = A, else Z on its orthonormal basis
     z_dec: SemisimpleDecomposition
     b_in_z: np.ndarray                 # embedding of B into Z coordinates
     b_inc: HopfInclusion               # B -> Z
     z_inc: HopfInclusion               # Z -> A
     table_bz: np.ndarray               # restriction table Irr(Z) x Irr(B)
     table_za: np.ndarray               # restriction table Irr(A) x Irr(Z)
+
+    @property
+    def dim_z(self) -> int:
+        return self.Z.dim
+
+
+@dataclass
+class StabilizerResult(Stabilizer):
+    """The Stabilizer of one alpha, with the part of Irr(Z) lying over alpha."""
+    alpha_index: int
+    alpha: Character
     z_class: tuple[int, ...]           # indices of Irr(Z) lying over alpha
     psi_alpha: Character
 
 
 def compute_stabilizer(ext: Extension, alpha_index: int) -> StabilizerResult:
-    """Z = sum of the simple subcoalgebras whose dual characters fix alpha."""
-    A, inc = ext.A, ext.inc
+    """Z = sum of the simple subcoalgebras whose dual characters fix alpha.
+
+    The Stabilizer is built once per stabilizing set and kept in
+    `ext.stabilizers`; only z_class and psi_alpha are computed per alpha.
+    """
     alpha = ext.dec_b.irr[alpha_index]
-    stabilizing = []
-    expected_dim = 0
-    for idx, (d, C) in enumerate(zip(ext.dec_dual.irr, ext.conjugation)):
-        eps_d = d.degree
-        if max_abs(alpha.values @ C - eps_d * alpha.values) < TOL_MATCH:
-            stabilizing.append(idx)
-            expected_dim += eps_d * eps_d
+    stabilizing = tuple(idx for idx, (d, C) in enumerate(zip(ext.dec_dual.irr, ext.conjugation))
+                        if max_abs(alpha.values @ C - d.degree * alpha.values) < TOL_MATCH)
+    if stabilizing not in ext.stabilizers:
+        ext.stabilizers[stabilizing] = stabilizer_of_set(ext, stabilizing)
+    stab = ext.stabilizers[stabilizing]
+
+    z_class = tuple(int(j) for j in np.nonzero(stab.table_bz[:, alpha_index])[0])
+    psi_alpha = Character(stab.z_alg, sum(stab.z_dec.irr[j].degree * stab.z_dec.irr[j].values
+                                          for j in z_class))
+    expected = Fraction(stab.dim_z, ext.inc.small.dim) * alpha.degree ** 2
+    if Fraction(psi_alpha.degree) != expected:
+        raise ConsistencyError("psi_alpha degree violates |Z|/|B| alpha(1)^2")
+    return StabilizerResult(**vars(stab), alpha_index=alpha_index, alpha=alpha,
+                            z_class=z_class, psi_alpha=psi_alpha)
+
+
+def stabilizer_of_set(ext: Extension, stabilizing: tuple[int, ...]) -> Stabilizer:
+    """Z spanned by the coefficient spaces of `stabilizing`, checked, with its data.
+
+    When the set is all of Irr(A*), Z is A, taken on A's own basis:
+    z_alg = A, z_dec = dec_a, table_bz = R (the context's restriction table)
+    and table_za = I.  The checks made on a smaller Z hold there already.
+    The simple subcoalgebras of A are independent, and their dimensions
+    eps(d)^2 sum to dim A by dec_dual's block check, so together they span
+    A.  A contains B, is a Hopf subalgebra of itself, and is closed under
+    its product with its unit.  The numbering of psi is the one a basis Q
+    of Z would give: wedderburn(subalgebra_data(A, Q), frame=Q) sorts Irr(Z)
+    on conj(Q) Q^T chi = chi, the key dec_a is sorted on.
+    """
+    A, inc = ext.A, ext.inc
+    E = np.asarray(inc.embedding, complex)
+    if len(stabilizing) == len(ext.dec_dual.irr):
+        eye = np.eye(A.dim, dtype=complex)
+        return Stabilizer(stabilizing=list(stabilizing), Z=SubspaceBasis(A, eye),
+                          z_alg=A, z_dec=ext.dec_a, b_in_z=E, b_inc=inc,
+                          z_inc=HopfInclusion(small=A, big=A, embedding=eye),
+                          table_bz=ext.ecd.restriction_table,
+                          table_za=np.eye(len(ext.dec_a.irr), dtype=np.int64))
+
+    expected_dim = sum(ext.dec_dual.irr[idx].degree ** 2 for idx in stabilizing)
     Z = SubspaceBasis.from_vectors(
         A, np.hstack([ext.coefficient_spaces[idx].matrix for idx in stabilizing]))
     if Z.dim != expected_dim:
@@ -387,25 +404,14 @@ def compute_stabilizer(ext: Extension, alpha_index: int) -> StabilizerResult:
 
     z_alg = subalgebra_data(A, Z, labels=[f"z{i}" for i in range(Z.dim)])
     z_dec = wedderburn(z_alg, seed=ext.seed, frame=Z.matrix)
-    b_in_z, resid = linalg.lstsq_coords(Z.matrix, np.asarray(inc.embedding, complex))
+    b_in_z, resid = linalg.lstsq_coords(Z.matrix, E)
     require(resid, TOL_ALG, ConsistencyError, "B does not sit inside Z numerically")
     b_inc = HopfInclusion(small=inc.small, big=z_alg, embedding=b_in_z)
     z_inc = HopfInclusion(small=z_alg, big=A, embedding=Z.matrix)
-    table_bz = restriction_table(b_inc, ext.dec_b, z_dec)
-    table_za = restriction_table(z_inc, z_dec, ext.dec_a)
-
-    z_class = tuple(int(j) for j in np.nonzero(table_bz[:, alpha_index])[0])
-    psi_alpha = Character(z_alg, sum(z_dec.irr[j].degree * z_dec.irr[j].values
-                                     for j in z_class))
-    expected = Fraction(Z.dim, inc.small.dim) * alpha.degree ** 2
-    if Fraction(psi_alpha.degree) != expected:
-        raise ConsistencyError("psi_alpha degree violates |Z|/|B| alpha(1)^2")
-    return StabilizerResult(alpha_index=alpha_index, alpha=alpha,
-                            stabilizing=stabilizing, Z=Z, dim_z=Z.dim,
-                            z_alg=z_alg, z_dec=z_dec, b_in_z=b_in_z,
-                            b_inc=b_inc, z_inc=z_inc,
-                            table_bz=table_bz, table_za=table_za,
-                            z_class=z_class, psi_alpha=psi_alpha)
+    return Stabilizer(stabilizing=list(stabilizing), Z=Z, z_alg=z_alg, z_dec=z_dec,
+                      b_in_z=b_in_z, b_inc=b_inc, z_inc=z_inc,
+                      table_bz=restriction_table(b_inc, ext.dec_b, z_dec),
+                      table_za=restriction_table(z_inc, z_dec, ext.dec_a))
 
 
 def check_stabilizer_induction(ext: Extension, sr: StabilizerResult) -> dict[str, float]:
@@ -515,11 +521,9 @@ def crosscheck_correspondence(bound: BoundReport, direct: DirectReport) -> bool:
 def conjugate_class_indices(ext: Extension, alpha_index: int) -> tuple[int, ...]:
     """Irreducible constituents of all conjugates of alpha, as Irr(B) indices."""
     alpha = ext.dec_b.irr[alpha_index]
-    seen: set[int] = set()
-    for C in ext.conjugation:
-        coeffs = decompose(Character(alpha.parent, alpha.values @ C), ext.dec_b)
-        seen.update(int(k) for k in np.nonzero(coeffs)[0])
-    return tuple(sorted(seen))
+    conjugates = alpha.values @ np.stack(ext.conjugation)     # one row alpha C_d per d
+    coeffs = decompose(Character(alpha.parent, conjugates), ext.dec_b)
+    return tuple(np.flatnonzero(coeffs.any(axis=0)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -540,28 +544,35 @@ def component_bimodule(A: HopfAlgebraData, inc: HopfInclusion, comp: SubspaceBas
     return out[0], out[1]
 
 
-def graded_tensor_character(bimodule: tuple[np.ndarray, np.ndarray],
-                            M_mod: ExplicitModule) -> Character:
-    """B-character of A_f (x)_B M, the quotient of A_f (x) M by ab (x) m - a (x) bm;
-    `bimodule` is component_bimodule of A_f."""
-    right, left = bimodule
-    r, b, n = right.shape[0], right.shape[2], M_mod.dimension
+def graded_tensor_characters(bimodules: tuple[np.ndarray, np.ndarray],
+                             M_mod: ExplicitModule) -> np.ndarray:
+    """B-characters of A_f (x)_B M for every f, one row each.
+
+    A_f (x)_B M is the quotient of A_f (x) M by ab (x) m - a (x) bm; it is
+    read on the left null space of the relation matrix, from one stacked
+    SVD over f.  `bimodules` is Extension.bimodules.
+    """
+    right, left = bimodules                         # right[f, :, j, m], left[f, :, m, j]
+    nf, r, _, b = right.shape
+    n = M_mod.dimension
     act = np.stack(M_mod.matrices)                  # act[m] is the action of b_m on M
 
     # relation (j, m, i): (a_j b_m) (x) e_i - a_j (x) b_m e_i, on the basis (p, q)
-    rels = (right[:, None, :, :, None] * np.eye(n)[None, :, None, None, :]
-            - np.eye(r)[:, None, :, None, None] * act.transpose(1, 0, 2)[None, :, None, :, :])
-    rel_basis = linalg.orthonormal_columns(rels.reshape(r * n, r * b * n))
-    C = linalg.null_space(rel_basis.conj().T)
-    if C.shape[1] != n:
-        raise ConsistencyError(
-            f"tensor over B has dimension {C.shape[1]}, expected {n}")
+    rels = (right[:, :, None, :, :, None] * np.eye(n)[:, None, None, :]
+            - np.eye(r)[:, None, :, None, None] * act.transpose(1, 0, 2)[:, None, :, :])
+    # the matrices are wide (r n <= r b n), so the thin SVD's u is already square
+    u, s, _ = linalg.svd(rels.reshape(nf, r * n, r * b * n), full_matrices=False)
+    for sv in s:
+        dim = r * n - linalg.numerical_rank(sv)
+        if dim != n:
+            raise ConsistencyError(f"tensor over B has dimension {dim}, expected {n}")
+    C = u[:, :, r * n - n:].reshape(nf, r, n, n)     # C[f, p, q, x]: basis of the quotient
 
-    mats = [C.conj().T @ np.kron(left[:, m, :], np.eye(n)) @ C for m in range(b)]
-    out = ExplicitModule(M_mod.parent, mats)
-    require(out.verify(), TOL_MATCH, ConsistencyError,
+    # the action of b_m, left multiplication on A_f, read on C
+    mats = np.einsum("fpqx,fpmj,fjqy->fmxy", C.conj(), left, C, optimize=True)
+    require(module_residual(M_mod.parent, mats), TOL_MATCH, ConsistencyError,
             "tensor over B does not carry a B-module structure")
-    return out.character()
+    return np.einsum("fmxx->fm", mats)
 
 
 @dataclass
@@ -583,16 +594,12 @@ def graded_stabilizer_analysis(ext: Extension, sr: StabilizerResult) -> GradedSe
     alpha = sr.alpha
     M_mod = construct_irreducible_module(inc.small, ext.dec_b, sr.alpha_index,
                                          seed=ext.seed)
-    h_members = []
-    orbit_class: set[int] = set()
-    for f in range(F.order):
-        ch = graded_tensor_character(ext.bimodules[f], M_mod)
-        coeffs = decompose(ch, ext.dec_b)
-        if int(coeffs @ coeffs) != 1:
-            raise ConsistencyError("grading action did not send a simple to a simple")
-        orbit_class.add(int(np.argmax(coeffs)))
-        if max_abs(ch.values - alpha.values) < TOL_MATCH:
-            h_members.append(f)
+    chars = graded_tensor_characters(ext.bimodules, M_mod)
+    coeffs = decompose(Character(inc.small, chars), ext.dec_b)
+    if np.any(np.sum(coeffs * coeffs, axis=1) != 1):
+        raise ConsistencyError("grading action did not send a simple to a simple")
+    orbit_class = set(np.argmax(coeffs, axis=1).tolist())
+    h_members = np.flatnonzero(np.abs(chars - alpha.values).max(axis=1) < TOL_MATCH).tolist()
     hset = set(h_members)
     if 0 not in hset:
         raise ConsistencyError("grading stabilizer misses the identity component")

@@ -144,9 +144,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.cayley, self.cayley.T))
-
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
 
@@ -353,32 +350,6 @@ class MatchedPair:
         g = self.g_group.label_index(g_label)
         x = self.f_group.label_index(x_label)
         return self.f_group.labels[int(self.lact[g, x])]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma": self.sigma.to_json_dict() if self.sigma is not None else None,
-            "f_members": list(self.f_sub.members) if self.f_sub else None,
-            "g_members": list(self.g_sub.members) if self.g_sub else None,
-            "f_group": self.f_group.to_json_dict(),
-            "g_group": self.g_group.to_json_dict(),
-            "ract": [[int(v) for v in row] for row in self.ract],
-            "lact": [[int(v) for v in row] for row in self.lact],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MatchedPair":
-        sigma = f_sub = g_sub = None
-        if data.get("sigma") is not None:
-            sigma = FiniteGroup.from_json_dict(data["sigma"])
-            f_sub = Subgroup(sigma, tuple(data["f_members"]))
-            g_sub = Subgroup(sigma, tuple(data["g_members"]))
-        return cls(
-            f_group=FiniteGroup.from_json_dict(data["f_group"]),
-            g_group=FiniteGroup.from_json_dict(data["g_group"]),
-            ract=np.asarray(data["ract"], dtype=np.int64),
-            lact=np.asarray(data["lact"], dtype=np.int64),
-            sigma=sigma, f_sub=f_sub, g_sub=g_sub,
-        )
 
 
 def derive_actions(sigma: FiniteGroup, f: Subgroup, g: Subgroup) -> MatchedPair:

@@ -72,7 +72,8 @@ def nearest_int(x: float) -> int:
     return int(round(x)) if math.isfinite(x) else 0
 
 
-def _rank(s: np.ndarray) -> int:
+def numerical_rank(s: np.ndarray) -> int:
+    """How many of the singular values `s` (in descending order) are not zero."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > max(s[0] * RANK_RTOL, RANK_ATOL)))
@@ -84,7 +85,7 @@ def orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[1] == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = svd(mat, full_matrices=False)
-    return np.ascontiguousarray(u[:, :_rank(s)])
+    return np.ascontiguousarray(u[:, :numerical_rank(s)])
 
 
 def null_space(mat: np.ndarray) -> np.ndarray:
@@ -96,7 +97,7 @@ def null_space(mat: np.ndarray) -> np.ndarray:
     # vh must be n x n; the thin SVD of a matrix with m >= n already gives
     # that, and asking for the full one would build an m x m U for nothing
     _, s, vh = svd(mat, full_matrices=m < n)
-    return np.ascontiguousarray(vh[_rank(s):].conj().T)
+    return np.ascontiguousarray(vh[numerical_rank(s):].conj().T)
 
 
 def contains_vectors(basis: np.ndarray, vectors: np.ndarray, tol: float) -> bool:

@@ -61,12 +61,6 @@ class SemisimpleDecomposition:
     def num_blocks(self) -> int:
         return len(self.dims)
 
-    def to_json_dict(self) -> dict:
-        chars = [[[linalg.round_for_json(v.real),
-                   linalg.round_for_json(v.imag)] for v in ch.values]
-                 for ch in self.irr]
-        return {"dims": list(self.dims), "characters": chars}
-
 
 def _char_sort_key(values: np.ndarray, degree: int):
     flat = []
@@ -186,16 +180,26 @@ def regular_character(A: AlgebraData) -> Character:
 
 
 def decompose(chi: Character, dec: SemisimpleDecomposition) -> np.ndarray:
-    """Multiplicities of `chi` in the irreducible character basis."""
+    """Multiplicities of `chi` in the irreducible character basis.
+
+    `chi.values` may be a stack of characters, one per row; the result then
+    has one row of multiplicities per character, and each character is
+    gated against its own scale, as if it were decomposed alone.
+    """
     X = np.stack([c.values for c in dec.irr], axis=1)
-    coeffs, resid = linalg.lstsq_coords(X, chi.values)
-    require(resid, TOL_NUM * max(1.0, max_abs(chi.values)), NotACharacterError,
+    values = np.atleast_2d(chi.values).T                     # one character per column
+    coeffs = linalg.lstsq(X, values, rcond=None)[0]
+    resid = np.abs(X @ coeffs - values).max(axis=0)
+    bound = TOL_NUM * np.maximum(1.0, np.abs(values).max(axis=0))
+    worst = int(np.argmax(resid / bound))                    # a NaN counts as the worst
+    require(resid[worst], bound[worst], NotACharacterError,
             "values are not in the character span")
     n = np.rint(coeffs.real)
     bad = ~(np.abs(coeffs - n) <= TOL_MATCH) | (n < 0)
     if bad.any():
         raise NotACharacterError(f"multiplicity {coeffs[bad][0]} is not a nonnegative integer")
-    return n.astype(np.int64)
+    n = n.T.astype(np.int64)
+    return n if chi.values.ndim == 2 else n[0]
 
 
 def multiplicity(chi: Character, mu: Character,
@@ -213,10 +217,8 @@ def restrict_character(chi: Character, inc) -> Character:
 def restriction_table(inc, dec_small: SemisimpleDecomposition,
                       dec_big: SemisimpleDecomposition) -> np.ndarray:
     """table[c, k] = multiplicity of Irr(small)[k] in Irr(big)[c] restricted."""
-    table = np.zeros((len(dec_big.irr), len(dec_small.irr)), dtype=np.int64)
-    for c, chi in enumerate(dec_big.irr):
-        table[c] = decompose(restrict_character(chi, inc), dec_small)
-    return table
+    restricted = np.stack([chi.values for chi in dec_big.irr]) @ np.asarray(inc.embedding, complex)
+    return decompose(Character(inc.small, restricted), dec_small)
 
 
 def induce_character(alpha: Character, inc, dec_small: SemisimpleDecomposition,
@@ -250,19 +252,18 @@ class ExplicitModule:
     def character(self) -> Character:
         return Character(self.parent, [np.trace(m) for m in self.matrices])
 
-    def action(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for c, m in zip(np.asarray(x, complex), self.matrices):
-            out += c * m
-        return out
-
     def verify(self) -> float:
         """Max residual of the matrices realizing the multiplication table."""
-        A = self.parent
-        stack = np.stack(self.matrices)
-        lhs = np.einsum("iab,jbc->ijac", stack, stack, optimize=True)
-        rhs = np.einsum("ijk,kac->ijac", A.mult, stack, optimize=True)
-        return max_abs(lhs - rhs, self.action(A.unit) - np.eye(self.dimension))
+        return module_residual(self.parent, np.stack(self.matrices))
+
+
+def module_residual(A: AlgebraData, mats: np.ndarray) -> float:
+    """Max residual of mats[..., i, :, :], the action of each basis element e_i,
+    realizing A's multiplication table and unit; leading axes stack modules."""
+    lhs = np.einsum("...iab,...jbc->...ijac", mats, mats, optimize=True)
+    rhs = np.einsum("ijk,...kac->...ijac", A.mult, mats, optimize=True)
+    unit = np.einsum("i,...iab->...ab", A.unit, mats) - np.eye(mats.shape[-1])
+    return max_abs(lhs - rhs, unit)
 
 
 def _cluster_eigenvalues(vals: np.ndarray, expect_clusters: int,

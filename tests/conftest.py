@@ -1,4 +1,5 @@
-"""Shared fixtures: the three builtin extensions as per-scenario contexts.
+"""Shared fixtures: the three builtin extensions, a5_a4_c5 and s4_a4 as
+per-scenario contexts.
 
 Session scope keeps the expensive dim-24 objects built once; each context
 computes its decompositions, classes and conjugation matrices on first use.
@@ -11,7 +12,15 @@ import pytest
 from hopfclifford.groups import (derive_actions, group_from_permutations,
                                  subgroup_closure)
 from hopfclifford.repcalc import DEFAULT_SEED
-from hopfclifford.scenarios import build_scenario, builtin_scenario
+from hopfclifford.scenarios import Scenario, build_scenario, builtin_scenario
+
+A5_A4_C5 = {"name": "a5_a4_c5", "construction": "bismash",
+            "group": {"generators": ["(1 2 3 4 5)", "(1 2 3)", "(1 2)(3 4)"],
+                      "names": ["c", "a", "v"]},
+            "f_generators": ["a", "v"], "g_generators": ["c"]}
+S4_A4 = {"name": "s4_a4", "construction": "group_algebra",
+         "group": {"generators": ["(1 2 3 4)", "(1 2)"], "names": ["g", "t"]},
+         "b_generators": ["(1 2 3)", "(1 2)(3 4)"]}
 
 
 def _builtin(name):
@@ -59,6 +68,18 @@ def s3_group():
 def classical():
     # kS3 over kA3; the quotient kC2 is found from the generic quotient
     return _builtin("s3_a3_classical")
+
+
+@pytest.fixture(scope="session")
+def a5():
+    # d = 60: A5 = A4.C5, F = A4 and B = k^C5
+    return build_scenario(Scenario.from_dict(A5_A4_C5), DEFAULT_SEED)
+
+
+@pytest.fixture(scope="session")
+def s4_a4():
+    # kS4 over kA4: B has an irreducible of degree 3, the quotient is kC2
+    return build_scenario(Scenario.from_dict(S4_A4), DEFAULT_SEED)
 
 
 def pytest_sessionstart(session):

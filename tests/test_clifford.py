@@ -9,16 +9,20 @@ from hopfclifford import clifford, hopf
 from hopfclifford.clifford import (Extension, analyze_alpha,
                                    check_stabilizer_induction,
                                    compute_stabilizer, conjugate_class_indices,
-                                   conjugate_module, conjugation_matrix,
-                                   coset_projection_check,
+                                   conjugation_matrix, coset_projection_check,
                                    direct_correspondence_check,
-                                   graded_tensor_character,
+                                   graded_tensor_characters,
                                    stabilizer_dimension_bound,
-                                   subcoalgebra_as_dual_module,
                                    verify_class_formulas)
-from hopfclifford.errors import TheoremViolationError
-from hopfclifford.repcalc import (Character, construct_irreducible_module,
-                                  decompose)
+from hopfclifford.errors import ConsistencyError, TheoremViolationError
+from hopfclifford.hopf import SubspaceBasis, subalgebra_data
+from hopfclifford.repcalc import (DEFAULT_SEED, Character,
+                                  construct_irreducible_module, decompose,
+                                  restriction_table, wedderburn)
+from hopfclifford.scenarios import build_scenario, builtin_scenario
+
+from clifford_reference import (conjugate_module, graded_tensor_character,
+                                subcoalgebra_as_dual_module)
 
 
 def alpha_with_support(ext, label):
@@ -346,9 +350,102 @@ def test_graded_tensor_dimensions(counterexample):
     ext = counterexample
     k = alpha_with_support(ext, "d(g)")
     M = construct_irreducible_module(ext.inc.small, ext.dec_b, k)
-    for f in range(ext.F.order):
-        ch = graded_tensor_character(ext.bimodules[f], M)
-        assert abs(ch.degree - M.dimension) < 1e-8
+    chars = graded_tensor_characters(ext.bimodules, M)
+    assert chars.shape == (ext.F.order, ext.inc.small.dim)
+    for values in chars:
+        assert abs(Character(ext.inc.small, values).degree - M.dimension) < 1e-8
+
+
+def test_graded_solve_matches_per_component(classical, counterexample, cocentral8,
+                                            s4_a4, a5):
+    # one stacked solve over F against the np.kron form, one component at a time
+    dims = set()
+    for ext in (classical, counterexample, cocentral8, s4_a4, a5):
+        right, left = ext.bimodules
+        assert right.shape[0] == left.shape[0] == ext.F.order
+        for k in range(len(ext.dec_b.irr)):
+            M = construct_irreducible_module(ext.inc.small, ext.dec_b, k, seed=ext.seed)
+            dims.add(M.dimension)
+            want = [graded_tensor_character((right[f], left[f]), M).values
+                    for f in range(ext.F.order)]
+            got = graded_tensor_characters(ext.bimodules, M)
+            assert np.max(np.abs(got - np.array(want))) < 1e-10
+    assert dims == {1, 3}                     # s4_a4: A4 has an irreducible of degree 3
+
+
+def test_graded_solve_checks_each_rank(counterexample):
+    ext = counterexample
+    k = alpha_with_support(ext, "d(1)")
+    M = construct_irreducible_module(ext.inc.small, ext.dec_b, k)
+    # B acting through the counit on A_1 and on M: A_1's relations vanish,
+    # and the tensor over B would have dimension |B|, not 1
+    right, left = (side.copy() for side in ext.bimodules)
+    right[1] = np.eye(right.shape[1])[:, :, None] * ext.dec_b.irr[k].values
+    with pytest.raises(ConsistencyError, match="tensor over B has dimension 4, expected 1"):
+        graded_tensor_characters((right, left), M)
+    # B acting by zero on A_1: the relations span all of A_1 (x) M
+    right[1] = 0.0
+    with pytest.raises(ConsistencyError, match="tensor over B has dimension 0, expected 1"):
+        graded_tensor_characters((right, left), M)
+
+
+def test_graded_solve_checks_the_module(counterexample):
+    # a left action that is no longer a B-module on one component
+    ext = counterexample
+    M = construct_irreducible_module(ext.inc.small, ext.dec_b, alpha_with_support(ext, "d(g)"))
+    right, left = (side.copy() for side in ext.bimodules)
+    left[2] += 0.1 * np.random.default_rng(3).standard_normal(left[2].shape)
+    with pytest.raises(ConsistencyError, match="does not carry a B-module structure"):
+        graded_tensor_characters((right, left), M)
+
+
+def test_grading_must_send_a_simple_to_a_simple(monkeypatch, counterexample):
+    k = alpha_with_support(counterexample, "d(g)")
+    sr = compute_stabilizer(counterexample, k)
+    solve = clifford.graded_tensor_characters
+
+    def merged_rows(bimodules, M):
+        # A_1 (x)_B M becomes the sum of two simples, A_2 (x)_B M becomes 0
+        chars = solve(bimodules, M)
+        chars[1] += chars[2]
+        chars[2] = 0.0
+        return chars
+
+    monkeypatch.setattr(clifford, "graded_tensor_characters", merged_rows)
+    with pytest.raises(ConsistencyError, match="did not send a simple to a simple"):
+        clifford.graded_stabilizer_analysis(counterexample, sr)
+
+
+def test_graded_components_of_unequal_dimension_rejected():
+    ext = build_scenario(builtin_scenario("s3_a3_classical"), DEFAULT_SEED)
+    comps = ext.components
+    ext.components = [comps[0], SubspaceBasis(ext.A, comps[1].matrix[:, :-1])]
+    with pytest.raises(ConsistencyError, match="graded component 1 has dimension 2"):
+        ext.bimodules
+
+
+def test_z_equal_to_a_is_read_on_the_basis_of_a(classical, counterexample, cocentral8, a5):
+    # the trivial character's Z is A: its psi rows and both restriction tables
+    # are those a random unitary basis Q of Z = A gives
+    rng = np.random.default_rng(31)
+    for ext in (classical, counterexample, cocentral8, a5):
+        A = ext.A
+        counit = ext.inc.small.counit
+        trivial = [k for k, ch in enumerate(ext.dec_b.irr)
+                   if np.max(np.abs(ch.values - counit)) < 1e-8]
+        sr = compute_stabilizer(ext, trivial[0])
+        assert sr.z_alg is A and sr.z_dec is ext.dec_a and sr.dim_z == A.dim
+        Q = np.linalg.qr(rng.standard_normal((A.dim, A.dim))
+                         + 1j * rng.standard_normal((A.dim, A.dim)))[0]
+        z_alg = subalgebra_data(A, SubspaceBasis(A, Q))
+        z_dec = wedderburn(z_alg, seed=ext.seed, frame=Q)
+        rows = np.array([Q.conj() @ ch.values for ch in z_dec.irr])
+        assert np.max(np.abs(rows - np.array([ch.values for ch in sr.z_dec.irr]))) < 1e-8
+        b_in_z = Q.conj().T @ ext.inc.embedding
+        b_inc = clifford.HopfInclusion(small=ext.inc.small, big=z_alg, embedding=b_in_z)
+        z_inc = clifford.HopfInclusion(small=z_alg, big=A, embedding=Q)
+        assert np.array_equal(sr.table_bz, restriction_table(b_inc, ext.dec_b, z_dec))
+        assert np.array_equal(sr.table_za, restriction_table(z_inc, z_dec, ext.dec_a))
 
 
 def test_orbit_identity_integers(counterexample, cocentral8, classical):

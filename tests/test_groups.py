@@ -240,13 +240,6 @@ def test_group_json_round_trip(s4_sigma):
     assert back.labels == s4_sigma.labels
 
 
-def test_matched_pair_json_round_trip(s4_pair):
-    back = MatchedPair.from_json_dict(s4_pair.to_json_dict())
-    assert np.array_equal(back.ract, s4_pair.ract)
-    assert np.array_equal(back.lact, s4_pair.lact)
-    assert verify_matched_pair(back).ok
-
-
 def test_all_subgroups_s4(s4_sigma):
     subs = all_subgroups(s4_sigma)
     assert len(subs) == 30

@@ -288,7 +288,7 @@ def test_quotient_bismash_is_kf(counterexample):
     assert H.dim == 6
     F, piF = repcalc.as_group_algebra_surjection(pi_q)
     assert F.order == 6
-    assert not F.is_abelian()
+    assert not np.array_equal(F.cayley, F.cayley.T)       # F = S3 is not abelian
     assert hopf_map_residual(piF.source, piF.target, piF.matrix) < 1e-7
 
 

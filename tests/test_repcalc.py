@@ -136,6 +136,25 @@ def test_decompose_rejects_non_characters(s3_group):
         decompose(outside, dec)
 
 
+def test_decompose_a_stack_row_by_row(s3_group):
+    # a stack of characters gives the rows decompose gives one at a time, and
+    # each row is gated on its own scale, not on the largest in the stack
+    A = group_algebra(s3_group)
+    dec = wedderburn(A)
+    chars = [regular_character(A)] + list(dec.irr)
+    stack = decompose(Character(A, np.stack([ch.values for ch in chars])), dec)
+    assert np.array_equal(stack, [decompose(ch, dec) for ch in chars])
+    X = np.stack([ch.values for ch in dec.irr], axis=1)
+    w = np.eye(A.dim)[-1] - X @ np.linalg.lstsq(X, np.eye(A.dim)[-1], rcond=None)[0]
+    w /= np.max(np.abs(w))
+    off = dec.irr[0].values + 5e-7 * w                        # bound 1e-7: outside
+    big = 100 * regular_character(A).values + 1e-5 * w       # bound 6e-5: inside
+    assert list(decompose(Character(A, big), dec)) == [100, 100, 200]
+    for values in (off, np.stack([big, off])):
+        with pytest.raises(NotACharacterError, match="character span"):
+            decompose(Character(A, values), dec)
+
+
 def test_multiplicity_pairings(classical):
     dec_a, dec_b = classical.dec_a, classical.dec_b
     reg = regular_character(classical.A)
@@ -254,15 +273,6 @@ def test_induced_degree_consistency(classical):
     ind = induce_character(alpha, classical.inc, dec_b, classical.dec_a,
                            classical.ecd.restriction_table)
     assert ind.degree == 2
-
-
-def test_decomposition_json_export(classical):
-    import json
-    data = classical.dec_a.to_json_dict()
-    assert data["dims"] == [1, 1, 2]
-    assert len(data["characters"]) == 3
-    assert all(len(ch) == classical.A.dim for ch in data["characters"])
-    json.dumps(data)
 
 
 def test_group_algebra_form(classical, counterexample, s3_group):

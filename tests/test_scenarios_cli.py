@@ -9,6 +9,8 @@ import pytest
 
 from hopfclifford import cli, clifford, linalg, scenarios
 from hopfclifford.clifford import component_bimodule, conjugation_matrix
+from hopfclifford.hopf import subalgebra_data
+from hopfclifford.repcalc import wedderburn
 from hopfclifford.errors import ConfigError, NormalityError
 from hopfclifford.scenarios import (Scenario, build_scenario, builtin_scenario,
                                     load_scenario, resolve_seed, run_scenario)
@@ -379,6 +381,38 @@ def test_component_bimodules_built_once_per_request(monkeypatch, capsys, alpha):
     assert len(built) == len(comps)
     for got, comp in zip(built, comps):
         assert np.array_equal(got, comp.matrix)
+
+
+@pytest.mark.parametrize("name", ["s4_counterexample", "cocentral_c4_c2", "s3_a3_classical"])
+def test_stabilizers_built_once_per_stabilizing_set(monkeypatch, capsys, name):
+    # Z = A is A itself; every other Z is built and decomposed once, however
+    # many alphas share its stabilizing set
+    sc = builtin_scenario(name)
+    ext = build_scenario(sc, resolve_seed(sc))
+    duals = ext.dec_dual.irr
+    sets = {tuple(i for i, (d, C) in enumerate(zip(duals, ext.conjugation))
+                  if np.max(np.abs(alpha.values @ C - d.degree * alpha.values)) < 1e-6)
+            for alpha in ext.dec_b.irr}
+    proper = sorted(sum(duals[i].degree ** 2 for i in s) for s in sets if len(s) < len(duals))
+    assert 0 < len(proper) < len(sets) < len(ext.dec_b.irr)
+    frames, subspaces = [], []
+
+    def counting_wedderburn(A, *args, frame=None, **kw):
+        frames.append(frame)
+        return wedderburn(A, *args, frame=frame, **kw)
+
+    def counting_subalgebra_data(A, basis, *args, **kw):
+        subspaces.append(basis.dim)
+        return subalgebra_data(A, basis, *args, **kw)
+
+    monkeypatch.setattr(clifford, "wedderburn", counting_wedderburn)
+    monkeypatch.setattr(clifford, "subalgebra_data", counting_subalgebra_data)
+    assert cli.main(["analyze", "--builtin", name, "--alpha", "all"]) == 0
+    capsys.readouterr()
+    # A, B and A* are decomposed without a frame, each proper Z on its own basis
+    assert sum(frame is None for frame in frames) == 3
+    assert sorted(frame.shape[1] for frame in frames if frame is not None) == proper
+    assert sorted(subspaces) == proper
 
 
 def test_context_is_lazy(monkeypatch, capsys):

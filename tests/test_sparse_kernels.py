@@ -9,27 +9,16 @@ import numpy as np
 import pytest
 
 from hopfclifford import hopf, linalg, repcalc
-from hopfclifford.clifford import (compute_stabilizer, conjugate_module,
-                                   conjugation_matrix, graded_stabilizer_analysis,
-                                   subcoalgebra_as_dual_module)
+from hopfclifford.clifford import (compute_stabilizer, conjugation_matrix,
+                                   graded_stabilizer_analysis)
 from hopfclifford.errors import NumericDegeneracyError
 from hopfclifford.groups import subgroup_closure
 from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis, antipode_residuals,
                                group_algebra, is_hopf_subalgebra,
                                is_normal_hopf_subalgebra, subalgebra_data)
 from hopfclifford.repcalc import DEFAULT_SEED, construct_irreducible_module
-from hopfclifford.scenarios import Scenario, build_scenario
 
-A5_A4_C5 = {"name": "a5_a4_c5", "construction": "bismash",
-            "group": {"generators": ["(1 2 3 4 5)", "(1 2 3)", "(1 2)(3 4)"],
-                      "names": ["c", "a", "v"]},
-            "f_generators": ["a", "v"], "g_generators": ["c"]}
-
-
-@pytest.fixture(scope="module")
-def a5():
-    return build_scenario(Scenario.from_dict(A5_A4_C5), DEFAULT_SEED)
-
+from clifford_reference import conjugate_module, subcoalgebra_as_dual_module
 
 @pytest.fixture(scope="module")
 def algebras(counterexample, cocentral8, classical, a5):
@@ -239,7 +228,11 @@ def test_center_matches_constraint_null_space(algebras, counterexample, a5):
         for alpha in range(len(ext.dec_b.irr)):
             sr = compute_stabilizer(ext, alpha)
             subalgebras.append(sr.z_alg)
-    for A in list(algebras.values()) + subalgebras:
+    # Z = A is A on its own basis; A on a rotated basis keeps the dense path covered
+    frame = np.linalg.qr(_random(np.random.default_rng(5), a5.A.dim, a5.A.dim))[0]
+    rotated = subalgebra_data(a5.A, SubspaceBasis(a5.A, frame))
+    assert not rotated.mult_coo.sparse
+    for A in list(algebras.values()) + subalgebras + [rotated]:
         center = repcalc._center(A, DEFAULT_SEED)
         assert linalg.subspace_equal(center, _commutant_of_basis(A), 1e-9)
 

@@ -80,6 +80,13 @@ def _component_bimodule(ext):
     return component_bimodule(_with_nan(ext.A, "mult", (0, 0, 0)), ext.inc, ext.components[0])
 
 
+def _graded_tensor_characters(ext):
+    right, left = (side.copy() for side in ext.bimodules)
+    left[1, 0, 0, 0] = np.nan
+    M = construct_irreducible_module(ext.inc.small, ext.dec_b, 0)
+    return clifford.graded_tensor_characters((right, left), M)
+
+
 def _group_from_group_like_basis(ext):
     return repcalc._group_from_group_like_basis(_with_nan(_kc3(), "mult", (1, 1, 2)))
 
@@ -120,6 +127,7 @@ NAN_CASES = [
     (_is_hopf_subalgebra_antipode, False),
     (_subalgebra_data, PreconditionError),
     (_component_bimodule, ConsistencyError),
+    (_graded_tensor_characters, ConsistencyError),
     (_group_from_group_like_basis, ConsistencyError),
     (_conjugation_matrix, ConsistencyError),
     (_scalar_module, ConsistencyError),
