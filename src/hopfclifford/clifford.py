@@ -159,10 +159,10 @@ class Extension:
         return [coefficient_space(self.A, d.values) for d in self.dec_dual.irr]
 
     @cached_property
-    def conjugation(self) -> list[np.ndarray]:
-        """C_d for each irreducible dual character d: alpha o conj_d = alpha C_d."""
-        return [conjugation_matrix(self.A, self.inc, d.values)
-                for d in self.dec_dual.irr]
+    def conjugation(self) -> np.ndarray:
+        """C_d for each irreducible dual character d, stacked: alpha o conj_d = alpha C_d."""
+        return conjugation_matrices(self.A, self.inc,
+                                    np.array([d.values for d in self.dec_dual.irr]))
 
     @cached_property
     def supports(self) -> list[Optional[int]]:
@@ -297,22 +297,34 @@ def verify_class_formulas(ext: Extension) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # conjugate characters and modules
 
-def conjugation_matrix(A: HopfAlgebraData, inc: HopfInclusion,
-                       d_vec: np.ndarray) -> np.ndarray:
-    """C_d with C_d[j, m] the coordinate on b_j of S(d_1) b_m d_2.
+def conjugation_matrices(A: HopfAlgebraData, inc: HopfInclusion,
+                         D: np.ndarray) -> np.ndarray:
+    """C_d of every row d of D, stacked: C_d[j, m] is the coordinate on b_j
+    of S(d_1) b_m d_2.
 
     The conjugate of a B-character alpha by d, x -> alpha(S(d_1) x d_2),
-    is the row vector alpha C_d; C_d does not depend on alpha.
+    is the row vector alpha C_d; C_d does not depend on alpha.  The
+    products S(e_p) b_m are formed once for the whole stack, and each C_d
+    passes its own residual gate.
     """
     E = np.asarray(inc.embedding, complex)
-    X = A.apply_comult(np.asarray(d_vec, complex))     # X[p, q]: Delta(d) on e_p (x) e_q
     U = A.products(A.antipode, E)                      # U[:, p, m] = S(e_p) b_m
-    Y = X.T @ U                                        # Y[a, q, m]: S(d_1) b_m (x) d_2 on e_a (x) e_q
-    W = A.multiply(Y)                                  # W[:, m] = S(d_1) b_m d_2
-    coords, resid = linalg.lstsq_coords(E, W)
-    require(resid, TOL_ALG * max(1.0, max_abs(W)), ConsistencyError,
-            "conjugation left the subalgebra")
-    return coords
+    out = []
+    for d_vec in np.asarray(D, complex):
+        X = A.apply_comult(d_vec)              # X[p, q]: Delta(d) on e_p (x) e_q
+        Y = X.T @ U                            # Y[a, q, m]: S(d_1) b_m (x) d_2 on e_a (x) e_q
+        W = A.multiply(Y)                      # W[:, m] = S(d_1) b_m d_2
+        coords, resid = linalg.lstsq_coords(E, W)
+        require(resid, TOL_ALG * max(1.0, max_abs(W)), ConsistencyError,
+                "conjugation left the subalgebra")
+        out.append(coords)
+    return np.array(out)
+
+
+def conjugation_matrix(A: HopfAlgebraData, inc: HopfInclusion,
+                       d_vec: np.ndarray) -> np.ndarray:
+    """C_d of one element d: `conjugation_matrices` of the one row d."""
+    return conjugation_matrices(A, inc, np.asarray(d_vec)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +533,7 @@ def crosscheck_correspondence(bound: BoundReport, direct: DirectReport) -> bool:
 def conjugate_class_indices(ext: Extension, alpha_index: int) -> tuple[int, ...]:
     """Irreducible constituents of all conjugates of alpha, as Irr(B) indices."""
     alpha = ext.dec_b.irr[alpha_index]
-    conjugates = alpha.values @ np.stack(ext.conjugation)     # one row alpha C_d per d
+    conjugates = alpha.values @ ext.conjugation     # one row alpha C_d per d
     coeffs = decompose(Character(alpha.parent, conjugates), ext.dec_b)
     return tuple(np.flatnonzero(coeffs.any(axis=0)).tolist())
 

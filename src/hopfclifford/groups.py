@@ -131,8 +131,9 @@ class FiniteGroup:
             raise ValueError("Cayley table columns are not permutations")
         if not (np.array_equal(c[0], ref) and np.array_equal(c[:, 0], ref)):
             raise ValueError("element 0 is not the identity")
-        # (ab)x = a(bx) one a at a time, so that no n^3 array is formed
-        if not all(np.array_equal(c[c[a]], c[a][c]) for a in range(n)):
+        # Light's test: (x s) y = x (s y) for all x, y and every s of a set S
+        # that generates the table as a magma implies associativity
+        if not all(np.array_equal(c[c[:, s]], c[:, c[s]]) for s in _magma_generators(c)):
             raise ValueError("Cayley table is not associative")
 
     def mul(self, a: int, b: int) -> int:
@@ -169,6 +170,30 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
+
+
+def _magma_generators(c: np.ndarray) -> list[int]:
+    """A set S whose left-normed products (..((s1 s2) s3)..), with the
+    identity 0, cover the table: the first element not yet covered is added
+    to S until none is left.
+
+    The identity passes Light's test by itself, so it starts covered; the
+    covered set grows by right multiplication by S until it is closed.
+    """
+    n = c.shape[0]
+    gens: list[int] = []
+    covered = np.zeros(n, dtype=bool)
+    covered[0] = True
+    while not covered.all():
+        gens.append(int(np.argmin(covered)))
+        covered[gens] = True
+        frontier = np.flatnonzero(covered)
+        while frontier.size:
+            new = np.unique(c[np.ix_(frontier, gens)])
+            new = new[~covered[new]]
+            covered[new] = True
+            frontier = new
+    return gens
 
 
 def group_from_permutations(generators: Iterable, names: Optional[Sequence[str]] = None,
@@ -449,14 +474,12 @@ def verify_matched_pair(mp: MatchedPair) -> MatchedPairReport:
 def orbit_and_stabilizer(mp: MatchedPair, g: int) -> tuple[tuple[int, ...], Subgroup]:
     """Orbit of g under <| and its stabilizer subgroup of F."""
     F, G = mp.f_group, mp.g_group
-    ract = mp.ract
-    for a in G.elements():
-        if ract[a, 0] != a:
-            raise PreconditionError("<| is not a right action (unit law fails)")
-        for x in F.elements():
-            for y in F.elements():
-                if ract[a, F.mul(x, y)] != ract[ract[a, x], y]:
-                    raise PreconditionError("<| is not a right action")
+    ract = np.asarray(mp.ract)
+    if not np.array_equal(ract[:, 0], np.arange(G.order)):
+        raise PreconditionError("<| is not a right action (unit law fails)")
+    # a <| (xy) = (a <| x) <| y for every a, x, y, as one (|G|, |F|, |F|) comparison
+    if not np.array_equal(ract[:, F.cayley], ract[ract]):
+        raise PreconditionError("<| is not a right action")
     orbit = tuple(sorted({int(ract[g, x]) for x in F.elements()}))
     stab = tuple(sorted(x for x in F.elements() if ract[g, x] == g))
     return orbit, Subgroup(F, stab)

@@ -9,22 +9,24 @@ Conventions, for an algebra of dimension d with basis e_0..e_{d-1}:
     antipode[p, i]   coefficient of e_p in S(e_i), i.e. columns are images
 
 Scalars are complex double precision; every constructor here produces exact
-0/1 entries, so axiom residuals measure only solver error.  The tensors are
-stored dense, and each also in COO form (`Coo`, built once per algebra on
-first use): those of k^G # kF hold only d*|F| nonzeros in `mult` and d*|G|
-in `comult` (kG and k^G are the cases G = 1 and F = 1), as do their duals.
-The products, Delta, the multiplication map, normality, the conjugation
-matrices and the antipode residuals read a tensor through its nonzeros
-whenever it has at most d^2 of them (`Coo.sparse`, the one rule), and the
-dense tensor otherwise, as on a generic quotient, a subalgebra's
-orthonormal basis or after a change of basis.  The axiom gate contracts
-over the nonzeros too, and takes the dense einsums only when a contraction
-would pair more than d^4 of them.  The Hopf-subalgebra test reads "x in V"
-on the thinner of V and its orthogonal complement W: on V when 2 dim V <=
-d, else on W, so that its cost follows min(dim V, codim V).  Checks
-compare against the thresholds named in `linalg`; only `verify_hopf_axioms`
-takes a tolerance, since the scenario's `tolerances.alg` and the quotient's
-TOL_NUM differ.
+0/1 entries, so axiom residuals measure only solver error.  `mult` and
+`comult` are stored in COO form only (`Coo`, their nonzero entries in
+row-major order): those of k^G # kF hold d*|F| nonzeros in `mult` and d*|G|
+in `comult` (kG and k^G are the cases G = 1 and F = 1), as do their duals,
+whose tensors are permutations of the same index arrays.  The constructors
+emit the index arrays from the group tables and never form a d^3 array; a
+dense tensor, as for a generic quotient or a subalgebra's orthonormal
+basis, is accepted and scanned once.  Every kernel reads a tensor through
+its nonzeros whenever it has at most d^2 of them (`Coo.sparse`, the one
+rule), and through the dense tensor, built on first use, otherwise.  The
+axiom gate contracts over the nonzeros too, and takes the dense einsums
+only when a contraction would pair more than d^4 of them; the antipode
+solve and the group-like test read the dense tensor, as they only see
+dense quotients.  The Hopf-subalgebra test reads "x in V" on the thinner of
+V and its orthogonal complement W: on V when 2 dim V <= d, else on W, so
+that its cost follows min(dim V, codim V).  Checks compare against the
+thresholds named in `linalg`; only `verify_hopf_axioms` takes a tolerance,
+since the scenario's `tolerances.alg` and the quotient's TOL_NUM differ.
 """
 
 from __future__ import annotations
@@ -43,23 +45,46 @@ from .linalg import TOL_ALG, TOL_MATCH, TOL_NUM, max_abs, require
 
 
 class Coo:
-    """The nonzero (and NaN) entries of a d x d x d structure tensor.
+    """The nonzero (and NaN) entries of a d x d x d structure tensor, in the
+    row-major order `np.nonzero` gives, so that every sum over them runs in
+    one order whichever way the tensor was made.
 
     `sparse` is the rule every kernel follows: a tensor with at most d^2
     entries is read through them, a denser one through the dense tensor.
     """
 
-    def __init__(self, tensor: np.ndarray):
-        self.tensor = tensor
-        self.dim = int(tensor.shape[0])
-        self.sparse = int(np.count_nonzero(tensor)) <= self.dim ** 2
+    def __init__(self, dim: int, idx: tuple[np.ndarray, ...], val: np.ndarray):
+        self.dim = dim
+        self.entries = (idx, val)
+        self.sparse = val.size <= dim ** 2
         self._plans: dict[tuple[int, ...], tuple] = {}
 
+    @classmethod
+    def from_entries(cls, dim: int, idx: Sequence[np.ndarray], val: np.ndarray) -> "Coo":
+        """The tensor with `val` at the distinct indices `idx`, given in any order."""
+        order = np.argsort(np.ravel_multi_index(tuple(idx), (dim,) * 3))
+        return cls(dim, tuple(np.asarray(i)[order] for i in idx), np.asarray(val, complex)[order])
+
+    @classmethod
+    def from_dense(cls, tensor: np.ndarray) -> "Coo":
+        """The entries of a dense tensor, found in one scan; the tensor is kept."""
+        idx = np.nonzero(tensor)
+        coo = cls(int(tensor.shape[0]), idx, tensor[idx])
+        coo.tensor = tensor
+        return coo
+
     @cached_property
-    def entries(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Indices and values of the nonzero (and NaN) entries."""
-        idx = np.nonzero(self.tensor)
-        return idx, self.tensor[idx]
+    def tensor(self) -> np.ndarray:
+        """The dense tensor, built on first use: for the dense path and tests."""
+        out = np.zeros((self.dim,) * 3, dtype=complex)
+        idx, val = self.entries
+        out[idx] = val
+        return out
+
+    def transpose(self, axes: tuple[int, ...]) -> "Coo":
+        """The tensor with its axes permuted as by `np.transpose`."""
+        idx, val = self.entries
+        return Coo.from_entries(self.dim, [idx[a] for a in axes], val)
 
     def contract(self, axes: tuple[int, ...], X: np.ndarray) -> np.ndarray:
         """Sum of the tensor times X over the tensor `axes` and X's leading axes.
@@ -77,11 +102,11 @@ class Coo:
         out[keys] = rows
         return out.reshape((self.dim,) * rest + tail)
 
-    def along(self, axis: int, X: np.ndarray) -> np.ndarray:
-        """`contract((axis,), X)`, through the entries when `sparse`, else dense."""
+    def along(self, axes: tuple[int, ...], X: np.ndarray) -> np.ndarray:
+        """`contract(axes, X)`, through the entries when `sparse`, else dense."""
         if self.sparse:
-            return self.contract((axis,), X)
-        return np.tensordot(self.tensor, X, axes=([axis], [0]))
+            return self.contract(axes, X)
+        return np.tensordot(self.tensor, X, axes=(list(axes), list(range(len(axes)))))
 
     def _plan(self, axes: tuple[int, ...]) -> tuple:
         """The entries sorted by their output index, built once per `axes`.
@@ -104,6 +129,18 @@ class Coo:
         return self._plans[axes]
 
 
+def _as_coo(tensor, dim: int, mismatch: str) -> Coo:
+    """`tensor`, a Coo or a dense array, as a Coo of dimension `dim`."""
+    if not isinstance(tensor, Coo):
+        tensor = np.ascontiguousarray(tensor, dtype=complex)
+        if tensor.shape != (dim,) * 3:
+            raise ValueError(mismatch)
+        tensor = Coo.from_dense(tensor)
+    if tensor.dim != dim:
+        raise ValueError(mismatch)
+    return tensor
+
+
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable sort order of `keys`, and where each run of equal sorted keys starts."""
     order = np.argsort(keys, kind="stable")
@@ -111,19 +148,22 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class AlgebraData:
-    """Associative unital algebra given by structure constants."""
+    """Associative unital algebra given by structure constants.
+
+    `mult` may be given as a `Coo` or as a dense array; it is stored as
+    `mult_coo`.
+    """
 
     def __init__(self, mult, unit, labels: Optional[Sequence[str]] = None):
-        self.mult = np.ascontiguousarray(mult, dtype=complex)
         self.unit = np.ascontiguousarray(unit, dtype=complex)
         self.dim = int(self.unit.shape[0])
-        if self.mult.shape != (self.dim,) * 3:
-            raise ValueError("mult tensor shape mismatch")
+        self.mult_coo = _as_coo(mult, self.dim, "mult tensor shape mismatch")
         self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(self.dim)]
 
-    @cached_property
-    def mult_coo(self) -> Coo:
-        return Coo(self.mult)
+    @property
+    def mult(self) -> np.ndarray:
+        """The dense `mult`, built on first read: for the dense path and tests."""
+        return self.mult_coo.tensor
 
     def products(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """All pairwise products: out[:, a, b] = U[:, a] * V[:, b], shape (d, |U|, |V|)."""
@@ -142,22 +182,20 @@ class AlgebraData:
 
     def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix L with L @ y = x * y."""
-        return self.mult_coo.along(0, np.asarray(x, complex)).T
+        return self.mult_coo.along((0,), np.asarray(x, complex)).T
 
     def right_mult_matrix(self, y: np.ndarray) -> np.ndarray:
         """Matrix R with R @ x = x * y."""
-        return self.mult_coo.along(1, np.asarray(y, complex)).T
+        return self.mult_coo.along((1,), np.asarray(y, complex)).T
 
     def multiply(self, Y: np.ndarray) -> np.ndarray:
         """The multiplication map: sum_ab Y[a, b, ...] e_a * e_b, shape (d, ...)."""
-        Y = np.asarray(Y, complex)
-        if self.mult_coo.sparse:
-            return self.mult_coo.contract((0, 1), Y)
-        return np.tensordot(self.mult, Y, axes=([0, 1], [0, 1]))
+        return self.mult_coo.along((0, 1), np.asarray(Y, complex))
 
     def regular_trace_vector(self) -> np.ndarray:
-        """tr of left multiplication by each basis element."""
-        return np.einsum("ijj->i", self.mult, optimize=True)
+        """tr of left multiplication by each basis element: sum_j mult[i, j, j]."""
+        (i, j, k), val = self.mult_coo.entries
+        return _scatter_sum(i[j == k], val[j == k], self.dim)
 
 
 class HopfAlgebraData(AlgebraData):
@@ -167,19 +205,20 @@ class HopfAlgebraData(AlgebraData):
                  labels: Optional[Sequence[str]] = None,
                  antipode: Optional[np.ndarray] = None):
         super().__init__(mult, unit, labels=labels)
-        self.comult = np.ascontiguousarray(comult, dtype=complex)
         self.counit = np.ascontiguousarray(counit, dtype=complex)
-        if self.comult.shape != (self.dim,) * 3 or self.counit.shape != (self.dim,):
+        if self.counit.shape != (self.dim,):
             raise ValueError("coalgebra tensor shape mismatch")
+        self.comult_coo = _as_coo(comult, self.dim, "coalgebra tensor shape mismatch")
         self.antipode = None if antipode is None else np.asarray(antipode, dtype=complex)
 
-    @cached_property
-    def comult_coo(self) -> Coo:
-        return Coo(self.comult)
+    @property
+    def comult(self) -> np.ndarray:
+        """The dense `comult`, built on first read: for the dense path and tests."""
+        return self.comult_coo.tensor
 
     def apply_comult(self, x: np.ndarray) -> np.ndarray:
         """Delta(x) as a (d, d) coefficient matrix over e_i (x) e_j; (n, d, d) for rows x."""
-        along = self.comult_coo.along(0, np.asarray(x, complex).T)       # [i, j, ...]
+        along = self.comult_coo.along((0,), np.asarray(x, complex).T)    # [i, j, ...]
         return np.moveaxis(along, (0, 1), (-2, -1))
 
     def is_group_like_basis(self) -> bool:
@@ -233,36 +272,35 @@ class HopfSurjection:
 # ---------------------------------------------------------------------------
 # constructors
 
+def _ones(dim: int, i: np.ndarray, j: np.ndarray, k: np.ndarray) -> Coo:
+    """The 0/1 tensor with ones at the distinct indices (i, j, k)."""
+    return Coo.from_entries(dim, (i, j, k), np.ones(i.size))
+
+
 def group_algebra(G: FiniteGroup) -> HopfAlgebraData:
     """kG: basis the group, Delta(g) = g (x) g, S(g) = g^{-1}."""
     n = G.order
-    mult = np.zeros((n, n, n), dtype=complex)
-    comult = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        comult[i, i, i] = 1.0
-        for j in range(n):
-            mult[i, j, G.cayley[i, j]] = 1.0
+    i, j = np.divmod(np.arange(n * n), n)
+    diag = np.arange(n)
     unit = np.zeros(n, dtype=complex)
     unit[0] = 1.0
     counit = np.ones(n, dtype=complex)
-    A = HopfAlgebraData(mult, unit, comult, counit, labels=list(G.labels))
+    A = HopfAlgebraData(_ones(n, i, j, G.cayley.ravel()), unit, _ones(n, diag, diag, diag),
+                        counit, labels=list(G.labels))
     return _with_checked_antipode(A, np.eye(n, dtype=complex)[:, G.inverse], "g -> g^{-1}")
 
 
 def dual_group_algebra(G: FiniteGroup) -> HopfAlgebraData:
     """k^G: orthogonal idempotents delta_g, Delta(delta_g) = sum_{st=g} delta_s (x) delta_t."""
     n = G.order
-    mult = np.zeros((n, n, n), dtype=complex)
-    comult = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        mult[i, i, i] = 1.0
-        for j in range(n):
-            comult[G.cayley[i, j], i, j] = 1.0
+    i, j = np.divmod(np.arange(n * n), n)
+    diag = np.arange(n)
     unit = np.ones(n, dtype=complex)
     counit = np.zeros(n, dtype=complex)
     counit[0] = 1.0
     labels = [f"d({lbl})" for lbl in G.labels]
-    A = HopfAlgebraData(mult, unit, comult, counit, labels=labels)
+    A = HopfAlgebraData(_ones(n, diag, diag, diag), unit, _ones(n, G.cayley.ravel(), i, j),
+                        counit, labels=labels)
     return _with_checked_antipode(A, np.eye(n, dtype=complex)[:, G.inverse],
                                   "delta_g -> delta_{g^{-1}}")
 
@@ -278,13 +316,13 @@ def _with_checked_antipode(A: HopfAlgebraData, S: np.ndarray,
 
 
 def dual_hopf(A: HopfAlgebraData) -> HopfAlgebraData:
-    """Dual Hopf algebra on the dual basis: transpose every structure tensor."""
+    """Dual Hopf algebra on the dual basis: transpose every structure tensor,
+    mult*[i, j, k] = comult[k, i, j] and comult*[k, i, j] = mult[i, j, k]."""
     if A.antipode is None:
         raise PreconditionError("dual_hopf needs the antipode")
-    mult = A.comult.transpose(1, 2, 0)
-    comult = A.mult.transpose(2, 0, 1)
     labels = [f"{lbl}^" for lbl in A.labels]
-    return HopfAlgebraData(mult, A.counit.copy(), comult, A.unit.copy(),
+    return HopfAlgebraData(A.comult_coo.transpose((1, 2, 0)), A.counit.copy(),
+                           A.mult_coo.transpose((2, 0, 1)), A.unit.copy(),
                            labels=labels, antipode=A.antipode.T.copy())
 
 
@@ -321,8 +359,8 @@ def antipode_residuals(A: HopfAlgebraData, S: np.ndarray) -> dict[str, float]:
     """
     eye = np.eye(A.dim)
     target = np.outer(A.counit, A.unit)
-    left = A.multiply(A.comult_coo.along(1, S.T).transpose(2, 1, 0)).T      # [k, q]
-    right = A.multiply(A.comult_coo.along(2, S.T).transpose(1, 2, 0)).T     # [k, q]
+    left = A.multiply(A.comult_coo.along((1,), S.T).transpose(2, 1, 0)).T   # [k, q]
+    right = A.multiply(A.comult_coo.along((2,), S.T).transpose(1, 2, 0)).T  # [k, q]
     return {"antipode_left": max_abs(left - target),
             "antipode_right": max_abs(right - target),
             "antipode_squared": max_abs(S @ S - eye)}
@@ -354,42 +392,31 @@ def bismash(mp: MatchedPair) -> BismashResult:
     nF, nG = F.order, G.order
     d = nF * nG
 
-    def bi(g: int, x: int) -> int:
-        return g * nF + x
-
-    mult = np.zeros((d, d, d), dtype=complex)
-    comult = np.zeros((d, d, d), dtype=complex)
-    counit = np.zeros(d, dtype=complex)
+    # delta_g x is basis element g * nF + x
+    ract, lact = np.asarray(mp.ract), np.asarray(mp.lact)
+    g, x, y = (a.ravel() for a in np.indices((nG, nF, nF)))
+    mult = _ones(d, g * nF + x, ract[g, x] * nF + y, g * nF + F.cayley[x, y])
+    g, x, t = (a.ravel() for a in np.indices((nG, nF, nG)))
+    comult = _ones(d, g * nF + x, G.cayley[g, G.inverse[t]] * nF + lact[t, x], t * nF + x)
     unit = np.zeros(d, dtype=complex)
+    unit[::nF] = 1.0
+    counit = np.zeros(d, dtype=complex)
+    counit[:nF] = 1.0
     S = np.zeros((d, d), dtype=complex)
-    for g in range(nG):
-        unit[bi(g, 0)] = 1.0
-        for x in range(nF):
-            h = int(mp.ract[g, x])
-            S[bi(G.inv(h), F.inv(int(mp.lact[g, x]))), bi(g, x)] = 1.0
-            for y in range(nF):
-                mult[bi(g, x), bi(h, y), bi(g, F.mul(x, y))] = 1.0
-            for t in range(nG):
-                s = G.mul(g, G.inv(t))
-                comult[bi(g, x), bi(s, int(mp.lact[t, x])), bi(t, x)] = 1.0
-    for x in range(nF):
-        counit[bi(0, x)] = 1.0
+    S[(G.inverse[ract] * nF + F.inverse[lact]).ravel(), np.arange(d)] = 1.0
     labels = [f"d({G.labels[g]})*{F.labels[x]}" for g in range(nG) for x in range(nF)]
     A = _with_checked_antipode(HopfAlgebraData(mult, unit, comult, counit, labels=labels),
                                S, "delta_g x -> delta_{(g<|x)^{-1}} (g|>x)^{-1}")
 
     kG = dual_group_algebra(G)
     embed = np.zeros((d, nG), dtype=complex)
-    for g in range(nG):
-        embed[bi(g, 0), g] = 1.0
+    embed[np.arange(nG) * nF, np.arange(nG)] = 1.0
     inc = HopfInclusion(small=kG, big=A, embedding=embed)
     require(hopf_map_residual(kG, A, embed), TOL_ALG, ConsistencyError,
             "k^G embedding fails Hopf-map checks")
 
     kF = group_algebra(F)
-    piM = np.zeros((nF, d), dtype=complex)
-    for x in range(nF):
-        piM[x, bi(0, x)] = 1.0
+    piM = np.eye(nF, d, dtype=complex)
     pi = HopfSurjection(source=A, target=kF, matrix=piM)
     require(hopf_map_residual(A, kF, piM), TOL_ALG, ConsistencyError,
             "projection onto kF fails Hopf-map checks")
@@ -446,26 +473,22 @@ def verify_hopf_axioms(A: HopfAlgebraData, tol: float = TOL_ALG) -> AxiomReport:
     `_dense_contraction_residuals` run instead.  The choice is made from
     the pair counts alone.
     """
-    M, D = A.mult, A.comult
-    d = A.dim
     try:
         big = _sparse_contraction_residuals(A)
     except _TooManyPairs:
-        big = _dense_contraction_residuals(M, D)
-    eye = np.eye(d)
+        big = _dense_contraction_residuals(A.mult, A.comult)
+    eye = np.eye(A.dim)
     res = {
         "associativity": big["associativity"],
-        "unit": max_abs(np.einsum("i,ijk->jk", A.unit, M, optimize=True) - eye,
-                        np.einsum("j,ijk->ik", A.unit, M, optimize=True) - eye),
+        "unit": max_abs(A.left_mult_matrix(A.unit) - eye, A.right_mult_matrix(A.unit) - eye),
         "coassociativity": big["coassociativity"],
-        "counit": max_abs(np.einsum("kij,i->kj", D, A.counit, optimize=True) - eye,
-                          np.einsum("kij,j->ki", D, A.counit, optimize=True) - eye),
+        "counit": max_abs(A.comult_coo.along((1,), A.counit) - eye,
+                          A.comult_coo.along((2,), A.counit) - eye),
         # Delta and eps are algebra maps
         "bialgebra_mult": big["bialgebra_mult"],
-        "bialgebra_counit": max_abs(np.einsum("ijp,p->ij", M, A.counit, optimize=True)
+        "bialgebra_counit": max_abs(A.mult_coo.along((2,), A.counit)
                                     - np.outer(A.counit, A.counit)),
-        "bialgebra_unit": max_abs(np.einsum("k,kij->ij", A.unit, D, optimize=True)
-                                  - np.outer(A.unit, A.unit),
+        "bialgebra_unit": max_abs(A.apply_comult(A.unit) - np.outer(A.unit, A.unit),
                                   complex(A.counit @ A.unit) - 1.0),
     }
     if A.antipode is not None:
@@ -608,7 +631,7 @@ def _subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
 
     def legs(coo, axis):
         """V^T on axis 0 of the tensor contracted with conj(W) on `axis`: [a, r, w]."""
-        return np.tensordot(Vb, coo.along(axis, W.conj()), axes=([0], [0]))
+        return np.tensordot(Vb, coo.along((axis,), W.conj()), axes=([0], [0]))
 
     yield np.linalg.norm(W.conj().T @ A.unit)
     prods = np.tensordot(legs(A.mult_coo, 2), Vb, axes=([1], [0]))     # [a, w, b]: W^H v_a v_b
@@ -658,7 +681,7 @@ def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray) -> SubspaceBasis:
     the result has dimension eps(d)^2.
     """
     d_vec = np.asarray(d_vec, complex)
-    spans = np.einsum("k,kpq->qp", d_vec, A.comult, optimize=True)
+    spans = A.apply_comult(d_vec).T
     sub = SubspaceBasis.from_vectors(A, spans)
     deg = complex(A.counit @ d_vec)
     n = linalg.nearest_int(deg.real)
@@ -672,10 +695,8 @@ def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray) -> SubspaceBasis:
 
 def comodule_map_rho(A: HopfAlgebraData, pi: HopfSurjection) -> np.ndarray:
     """rho = (id (x) pi) Delta as a (dim*dim_H, dim) matrix, row index p*dim_H + f."""
-    piM = pi.matrix
-    h = piM.shape[0]
-    rho = np.einsum("kpq,fq->pfk", A.comult, piM, optimize=True)
-    return rho.reshape(A.dim * h, A.dim)
+    rho = A.comult_coo.along((2,), pi.matrix.T).transpose(1, 2, 0)      # [p, f, k]
+    return rho.reshape(A.dim * pi.matrix.shape[0], A.dim)
 
 
 def graded_component(A: HopfAlgebraData, rho: np.ndarray, f: int) -> SubspaceBasis:
@@ -696,9 +717,8 @@ def graded_component(A: HopfAlgebraData, rho: np.ndarray, f: int) -> SubspaceBas
 
 def is_cocentral(A: HopfAlgebraData, pi: HopfSurjection) -> bool:
     """Check pi(a_1) (x) a_2 = pi(a_2) (x) a_1 on every basis element."""
-    piM = pi.matrix
-    t1 = np.einsum("kpq,fp->kfq", A.comult, piM, optimize=True)
-    t2 = np.einsum("kpq,fq->kfp", A.comult, piM, optimize=True)
+    t1 = A.comult_coo.along((1,), pi.matrix.T)          # [k, q, f]: pi(a_1) (x) a_2
+    t2 = A.comult_coo.along((2,), pi.matrix.T)          # [k, p, f]: pi(a_2) (x) a_1
     return max_abs(t1 - t2) < TOL_ALG
 
 
@@ -749,12 +769,12 @@ def hopf_map_residual(src: HopfAlgebraData, dst: HopfAlgebraData,
     phi = np.asarray(phi, complex)
     if linalg.matrix_rank(phi) != min(phi.shape):
         return float("inf")
+    # [k, a, b]: (phi (x) phi) Delta(e_k)
+    images = src.comult_coo.along((1,), phi.T).transpose(0, 2, 1) @ phi.T
     defects = [
-        np.einsum("ijk,ak->ija", src.mult, phi, optimize=True)
-        - np.einsum("ai,bj,abc->ijc", phi, phi, dst.mult, optimize=True),
+        src.mult_coo.along((2,), phi.T) - dst.products(phi, phi).transpose(1, 2, 0),
         phi @ src.unit - dst.unit,
-        np.einsum("kij,ai,bj->kab", src.comult, phi, phi, optimize=True)
-        - np.einsum("ak,abc->kbc", phi, dst.comult, optimize=True),
+        images - dst.apply_comult(phi.T),
         dst.counit @ phi - src.counit]
     if src.antipode is not None and dst.antipode is not None:
         defects.append(phi @ src.antipode - dst.antipode @ phi)

@@ -82,7 +82,7 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
     depend on which orthonormal basis of the subalgebra `frame` is.
     """
     trL = A.regular_trace_vector()
-    trace_form = np.einsum("ijp,p->ij", A.mult, trL, optimize=True)
+    trace_form = A.mult_coo.along((2,), trL)
     require(linalg.cond(trace_form), COND_LIMIT, SemisimplicityError,
             "regular trace form is degenerate: condition number")
 
@@ -261,7 +261,7 @@ def module_residual(A: AlgebraData, mats: np.ndarray) -> float:
     """Max residual of mats[..., i, :, :], the action of each basis element e_i,
     realizing A's multiplication table and unit; leading axes stack modules."""
     lhs = np.einsum("...iab,...jbc->...ijac", mats, mats, optimize=True)
-    rhs = np.einsum("ijk,...kac->...ijac", A.mult, mats, optimize=True)
+    rhs = np.moveaxis(A.mult_coo.along((2,), np.moveaxis(mats, -3, 0)), (0, 1), (-4, -3))
     unit = np.einsum("i,...iab->...ab", A.unit, mats) - np.eye(mats.shape[-1])
     return max_abs(lhs - rhs, unit)
 

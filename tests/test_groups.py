@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hopfclifford.errors import FactorizationError, SizeLimitError
+from hopfclifford.errors import FactorizationError, PreconditionError, SizeLimitError
 from hopfclifford.groups import (FiniteGroup, MatchedPair, Subgroup,
                                  all_subgroups, compose, cycle_string,
                                  derive_actions,
@@ -90,6 +90,60 @@ def test_non_associative_table_rejected():
         FiniteGroup(loop)
 
 
+def _normalized_latin_squares(n):
+    """Every n x n Latin square whose row 0 and column 0 are 0..n-1: the
+    Cayley tables of all loops on n elements with identity 0."""
+    table = [[j if i == 0 else (i if j == 0 else None) for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in table]
+            return
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                table[i][j] = v
+                yield from fill(k + 1)
+        table[i][j] = None
+
+    return list(fill(0))
+
+
+def _associative_by_rows(c):
+    """The full check: (ab)x = a(bx) for every a, one row at a time."""
+    return all(np.array_equal(c[c[a]], c[a][c]) for a in range(c.shape[0]))
+
+
+# a loop of order 6 whose non-associativity (x 1) y = x (1 y) does not show:
+# Light's test needs its second generator, 2
+LOOP_6 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+          [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+
+
+def test_light_test_matches_the_full_check():
+    # all 63 loops of order <= 5 (groups and not), LOOP_6 and a few permutation groups
+    tables = [np.array(t) for n in range(1, 6) for t in _normalized_latin_squares(n)]
+    assert len(tables) == 1 + 1 + 1 + 4 + 56
+    c = np.array(LOOP_6)
+    assert np.array_equal(c[c[:, 1]], c[:, c[1]]) and not _associative_by_rows(c)
+    tables.append(c)
+    tables += [group_from_permutations(gens).cayley
+               for gens in (["(1 2)", "(1 2 3)"], ["(1 2 3 4)", "(1 2)"],
+                            ["(1 2 3 4 5)", "(1 2 3)"])]
+    verdicts = []
+    for c in tables:
+        try:
+            FiniteGroup(c)
+            verdicts.append(True)
+        except ValueError as exc:
+            assert "not associative" in str(exc)
+            verdicts.append(False)
+        assert verdicts[-1] is _associative_by_rows(c)
+    assert verdicts.count(False) > 0 and verdicts.count(True) > 3
+
+
 def test_subgroup_validation(s3_group):
     with pytest.raises(ValueError):
         Subgroup(s3_group, (0, s3_group.label_index("t"), s3_group.label_index("s")))
@@ -173,6 +227,21 @@ def test_abstract_inversion_pair():
     orbit, stab = orbit_and_stabilizer(mp, 2)
     assert orbit == (2,)
     assert stab.members == (0, 1)
+
+
+def test_orbit_and_stabilizer_rejects_a_non_action():
+    # r moves the elements of C3 along the 3-cycle a -> a + 1: the unit law
+    # holds, but (a <| r) <| r = a + 2 while a <| r^2 = a
+    c2 = group_from_permutations(["(1 2)"], names=["r"])
+    c3 = group_from_permutations(["(1 2 3)"], names=["g"])
+    ract = np.array([[a, (a + 1) % 3] for a in range(3)])
+    lact = np.array([[x for x in range(2)] for _ in range(3)])
+    mp = MatchedPair(f_group=c2, g_group=c3, ract=ract, lact=lact)
+    with pytest.raises(PreconditionError, match=r"not a right action$"):
+        orbit_and_stabilizer(mp, 0)
+    ract[1, 0] = 2
+    with pytest.raises(PreconditionError, match="unit law"):
+        orbit_and_stabilizer(mp, 0)
 
 
 def test_orbit_and_stabilizer_counterexample(s4_pair):

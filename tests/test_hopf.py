@@ -144,6 +144,79 @@ def test_bismash_trivial_factor(c4):
     assert np.allclose(bm.algebra.comult, want.comult)
 
 
+def _loop_tensors(G):
+    """mult and comult of kG, then of k^G, filled one entry at a time."""
+    n = G.order
+    out = [np.zeros((n, n, n), dtype=complex) for _ in range(4)]
+    for i in range(n):
+        out[1][i, i, i] = out[2][i, i, i] = 1.0
+        for j in range(n):
+            out[0][i, j, G.cayley[i, j]] = out[3][G.cayley[i, j], i, j] = 1.0
+    return out
+
+
+def _loop_bismash(mp):
+    """mult, comult, unit, counit and antipode of k^G # kF, filled one entry at a time."""
+    F, G = mp.f_group, mp.g_group
+    nF, nG = F.order, G.order
+    d = nF * nG
+
+    def bi(g, x):
+        return g * nF + x
+
+    mult = np.zeros((d, d, d), dtype=complex)
+    comult = np.zeros((d, d, d), dtype=complex)
+    unit, counit = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
+    S = np.zeros((d, d), dtype=complex)
+    for g in range(nG):
+        unit[bi(g, 0)] = 1.0
+        for x in range(nF):
+            h = int(mp.ract[g, x])
+            S[bi(G.inv(h), F.inv(int(mp.lact[g, x]))), bi(g, x)] = 1.0
+            for y in range(nF):
+                mult[bi(g, x), bi(h, y), bi(g, F.mul(x, y))] = 1.0
+            for t in range(nG):
+                s = G.mul(g, G.inv(t))
+                comult[bi(g, x), bi(s, int(mp.lact[t, x])), bi(t, x)] = 1.0
+    for x in range(nF):
+        counit[bi(0, x)] = 1.0
+    return mult, comult, unit, counit, S
+
+
+def _assert_coo_is(coo, tensor):
+    """The COO entries are those of `tensor`, in np.nonzero's order, and no
+    dense tensor was built."""
+    idx, val = coo.entries
+    want = np.nonzero(tensor)
+    assert len(idx) == 3 and all(np.array_equal(a, b) for a, b in zip(idx, want))
+    assert np.array_equal(val, tensor[want])
+    assert "tensor" not in vars(coo)
+
+
+def test_constructors_emit_the_loops_tensors(s3_group, s4_sigma, s4_pair, c4c2_pair, a5):
+    for G in (s3_group, s4_sigma):
+        tensors = _loop_tensors(G)
+        algebras = (group_algebra(G), dual_group_algebra(G))
+        for A, (mult, comult) in zip(algebras, (tensors[:2], tensors[2:])):
+            _assert_coo_is(A.mult_coo, mult)
+            _assert_coo_is(A.comult_coo, comult)
+    for mp in (s4_pair, c4c2_pair, a5.mp):
+        bm = hopf.bismash(mp)
+        A = bm.algebra
+        mult, comult, unit, counit, S = _loop_bismash(mp)
+        _assert_coo_is(A.mult_coo, mult)
+        _assert_coo_is(A.comult_coo, comult)
+        for got, want in ((A.unit, unit), (A.counit, counit), (A.antipode, S)):
+            assert np.array_equal(got, want)
+        nF = mp.f_group.order
+        assert np.array_equal(bm.b_inclusion.embedding, np.eye(A.dim)[:, ::nF])
+        assert np.array_equal(bm.pi.matrix, np.eye(A.dim)[:nF])
+        # the dual permutes the same entries
+        D = dual_hopf(A)
+        _assert_coo_is(D.mult_coo, comult.transpose(1, 2, 0))
+        _assert_coo_is(D.comult_coo, mult.transpose(2, 0, 1))
+
+
 def _broken(A, tensor, index, value):
     """A copy of A with one entry of mult, comult or the antipode replaced."""
     parts = {"mult": A.mult.copy(), "comult": A.comult.copy(), "antipode": A.antipode.copy()}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hopfclifford import cli, clifford, linalg, scenarios
-from hopfclifford.clifford import component_bimodule, conjugation_matrix
+from hopfclifford.clifford import component_bimodule, conjugation_matrices
 from hopfclifford.hopf import subalgebra_data
 from hopfclifford.repcalc import wedderburn
 from hopfclifford.errors import ConfigError, NormalityError
@@ -347,21 +347,21 @@ def test_builtin_report_bytes_pinned(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("alpha", ["g", "all"])
 def test_conjugation_matrices_built_once_per_request(monkeypatch, capsys, alpha):
+    # one build per request, holding every irreducible dual character
     built = []
 
-    def counting(A, inc, d_vec, *args, **kw):
-        built.append(np.array(d_vec))
-        return conjugation_matrix(A, inc, d_vec, *args, **kw)
+    def counting(A, inc, D, *args, **kw):
+        built.append(np.array(D))
+        return conjugation_matrices(A, inc, D, *args, **kw)
 
-    monkeypatch.setattr(clifford, "conjugation_matrix", counting)
+    monkeypatch.setattr(clifford, "conjugation_matrices", counting)
     assert cli.main(["analyze", "--builtin", "s4_counterexample",
                      "--alpha", alpha]) == 0
     capsys.readouterr()
     sc = builtin_scenario("s4_counterexample")
     duals = build_scenario(sc, resolve_seed(sc)).dec_dual.irr
-    assert len(built) == len(duals)
-    for d_vec, d in zip(built, duals):
-        assert np.array_equal(d_vec, d.values)
+    assert len(built) == 1
+    assert np.array_equal(built[0], np.array([d.values for d in duals]))
 
 
 @pytest.mark.parametrize("alpha", ["g", "all"])
@@ -420,7 +420,7 @@ def test_context_is_lazy(monkeypatch, capsys):
         raise AssertionError("computed by a command that does not need it")
 
     monkeypatch.setattr(clifford, "equivalence_classes", forbidden)
-    monkeypatch.setattr(clifford, "conjugation_matrix", forbidden)
+    monkeypatch.setattr(clifford, "conjugation_matrices", forbidden)
     assert cli.main(["list-irr", "--builtin", "s4_counterexample"]) == 0
     monkeypatch.setattr(clifford, "wedderburn", forbidden)
     assert cli.main(["verify-axioms", "--builtin", "s4_counterexample"]) == 0

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hopfclifford import hopf, linalg, repcalc
+from hopfclifford import hopf, linalg, repcalc, scenarios
 from hopfclifford.clifford import (compute_stabilizer, conjugation_matrix,
                                    graded_stabilizer_analysis)
 from hopfclifford.errors import NumericDegeneracyError
@@ -19,6 +19,7 @@ from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis, antipode_residual
 from hopfclifford.repcalc import DEFAULT_SEED, construct_irreducible_module
 
 from clifford_reference import conjugate_module, subcoalgebra_as_dual_module
+from conftest import A5_A4_C5
 
 @pytest.fixture(scope="module")
 def algebras(counterexample, cocentral8, classical, a5):
@@ -53,10 +54,14 @@ def _random(rng, *shape):
 
 
 def _kernels_match_definitions(A, rng):
-    """products, the multiplication matrices, the multiplication map and Delta
-    against einsums over the dense tensors; NaN where and only where they have it."""
+    """products, the multiplication matrices, the multiplication map, Delta,
+    the regular trace, the trace form's contraction and the comodule map
+    against einsums over the dense tensors; NaN where and only where they
+    have it.  Then the residuals that read the tensors through these kernels
+    (`_residuals_match_definitions`)."""
     d = A.dim
     U, V, x, Y = _random(rng, d, 3), _random(rng, d, 2), _random(rng, 4, d), _random(rng, d, d, 2)
+    P = _random(rng, 3, d)
     pairs = [
         (A.products(U, V), np.einsum("ia,jb,ijk->kab", U, V, A.mult)),
         (A.left_mult_matrix(x[0]), np.einsum("i,ijk->kj", x[0], A.mult)),
@@ -64,12 +69,74 @@ def _kernels_match_definitions(A, rng):
         (A.multiply(Y), np.einsum("abm,abk->km", Y, A.mult)),
         (A.apply_comult(x), np.einsum("nk,kij->nij", x, A.comult)),
         (A.apply_comult(x[2]), np.einsum("k,kij->ij", x[2], A.comult)),
+        (A.regular_trace_vector(), np.einsum("ijj->i", A.mult)),
+        (A.mult_coo.along((2,), x[3]), np.einsum("ijp,p->ij", A.mult, x[3])),
+        (hopf.comodule_map_rho(A, hopf.HopfSurjection(A, None, P)),
+         np.einsum("kpq,fq->pfk", A.comult, P).reshape(d * 3, d)),
     ]
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.array_equal(np.isnan(got), np.isnan(want))
         finite = ~np.isnan(want)
         assert np.max(np.abs(got[finite] - want[finite]), initial=0.0) < 1e-12 * d
+    _residuals_match_definitions(A, rng)
+
+
+def _axiom_terms_definition(A):
+    """The unit, counit and bialgebra unit/counit residuals by dense einsum."""
+    M, D, eye = A.mult, A.comult, np.eye(A.dim)
+    max_abs = linalg.max_abs
+    return {"unit": max_abs(np.einsum("i,ijk->jk", A.unit, M) - eye,
+                            np.einsum("j,ijk->ik", A.unit, M) - eye),
+            "counit": max_abs(np.einsum("kij,i->kj", D, A.counit) - eye,
+                              np.einsum("kij,j->ki", D, A.counit) - eye),
+            "bialgebra_counit": max_abs(np.einsum("ijp,p->ij", M, A.counit)
+                                        - np.outer(A.counit, A.counit)),
+            "bialgebra_unit": max_abs(np.einsum("k,kij->ij", A.unit, D) - np.outer(A.unit, A.unit),
+                                      complex(A.counit @ A.unit) - 1.0)}
+
+
+def _hopf_map_definition(src, dst, phi):
+    """`hopf.hopf_map_residual` of a full-rank phi by dense einsum."""
+    return linalg.max_abs(
+        np.einsum("ijk,ak->ija", src.mult, phi)
+        - np.einsum("ai,bj,abc->ijc", phi, phi, dst.mult, optimize=True),
+        phi @ src.unit - dst.unit,
+        np.einsum("kij,ai,bj->kab", src.comult, phi, phi, optimize=True)
+        - np.einsum("ak,abc->kbc", phi, dst.comult),
+        dst.counit @ phi - src.counit,
+        phi @ src.antipode - dst.antipode @ phi)
+
+
+def _module_residual_definition(A, mats):
+    lhs = np.einsum("...iab,...jbc->...ijac", mats, mats)
+    rhs = np.einsum("ijk,...kac->...ijac", A.mult, mats)
+    unit = np.einsum("i,...iab->...ab", A.unit, mats) - np.eye(mats.shape[-1])
+    return linalg.max_abs(lhs - rhs, unit)
+
+
+def _cocentral_definition(A, P):
+    t1 = np.einsum("kpq,fp->kfq", A.comult, P)
+    t2 = np.einsum("kpq,fq->kfp", A.comult, P)
+    return linalg.max_abs(t1 - t2) < linalg.TOL_ALG
+
+
+def _residuals_match_definitions(A, rng):
+    """verify_hopf_axioms' unit and counit terms, hopf_map_residual, module_residual
+    and is_cocentral against their dense definitions."""
+    d = A.dim
+    got = hopf.verify_hopf_axioms(A).residuals
+    _residuals_match({k: got[k] for k in ("unit", "counit", "bialgebra_counit", "bialgebra_unit")},
+                     _axiom_terms_definition(A))
+    for phi in (np.eye(d), _random(rng, d, d)):
+        _residuals_match({"map": hopf.hopf_map_residual(A, A, phi)},
+                         {"map": _hopf_map_definition(A, A, phi)})
+    mats = _random(rng, 2, d, 2, 2)
+    _residuals_match({"module": repcalc.module_residual(A, mats)},
+                     {"module": _module_residual_definition(A, mats)})
+    # a projection onto coordinates, under which a cocommutative Delta is cocentral
+    for P in (np.eye(2, d), _random(rng, 2, d)):
+        assert hopf.is_cocentral(A, hopf.HopfSurjection(A, None, P)) is _cocentral_definition(A, P)
 
 
 def test_constructor_tensors_take_the_sparse_path(algebras):
@@ -78,6 +145,31 @@ def test_constructor_tensors_take_the_sparse_path(algebras):
         # the output indices of the nonzeros are distinct: one assignment scatters them
         for coo, axes in ((A.mult_coo, (0,)), (A.mult_coo, (1,)), (A.comult_coo, (0,))):
             assert coo._plan(axes)[3] is None, name
+
+
+@pytest.mark.parametrize("name", ["s4_counterexample", "cocentral_c4_c2", "s3_a3_classical",
+                                  "a5_a4_c5"])
+def test_requests_build_no_dense_constructor_tensor(monkeypatch, name):
+    # A, B, A* and a bismash's kF keep their tensors in COO form through an
+    # analyze, a list-irr and a verify-axioms request
+    built, build = [], scenarios.build_scenario
+
+    def capture(*args, **kw):
+        built.append(build(*args, **kw))
+        return built[-1]
+
+    monkeypatch.setattr(scenarios, "build_scenario", capture)
+    sc = (scenarios.Scenario.from_dict(A5_A4_C5) if name == "a5_a4_c5"
+          else scenarios.builtin_scenario(name))
+    scenarios.run_scenario(sc)
+    scenarios.list_irr(sc)
+    scenarios.verify_axioms(sc)
+    assert len(built) == 3
+    for ext in built:
+        kF = [ext.piF.target] if ext.mp is not None else []
+        for alg in [ext.A, ext.inc.small, ext.dual] + kF:
+            for coo in (alg.mult_coo, alg.comult_coo):
+                assert "tensor" not in vars(coo)
 
 
 def test_kernels_match_dense_definitions(algebras):
