@@ -2,10 +2,14 @@
 
 An Extension holds A, B and everything derived from the pair once: the
 decompositions, the matched equivalence classes of Irr(A) and Irr(B) with
-class sums and restriction table, the conjugation matrix C_d of each
-irreducible dual character d, the stacked B-bimodules of the graded
-components, and one Stabilizer per distinct stabilizing set.  Pipeline per
-irreducible B-character alpha:
+class sums and restriction table, the coefficient space and the
+conjugation matrix C_d of each irreducible dual character d, the stacked
+B-bimodules of the graded components, and one Stabilizer per distinct
+stabilizing set.  The per-character work follows rank and nonzeros: each
+coefficient space is the range of a sketch with eps(d)^2 + 1 columns, and
+every C_d is read from one join of the right adjoint action
+S(e_k1) b_m e_k2, built once per request.  Pipeline per irreducible
+B-character alpha:
 
   * the stabilizer Hopf subalgebra Z built from dual characters d
     with conjugate character  alpha C_d = eps(d) alpha; Z, its algebra,
@@ -40,8 +44,8 @@ from .groups import FiniteGroup, MatchedPair, orbit_and_stabilizer
 from .hopf import (AlgebraData, HopfAlgebraData, HopfInclusion, HopfSurjection,
                    SubspaceBasis, coefficient_space, comodule_map_rho,
                    dual_hopf, graded_component, is_cocentral,
-                   is_hopf_subalgebra, quotient_hopf, subalgebra_data,
-                   subspace_product)
+                   is_hopf_subalgebra, quotient_hopf, right_adjoint,
+                   subalgebra_data, subspace_product)
 from .linalg import TOL_ALG, TOL_MATCH, max_abs, require
 from .repcalc import (Character, DEFAULT_SEED, ExplicitModule,
                       SemisimpleDecomposition, as_group_algebra_surjection,
@@ -156,11 +160,15 @@ class Extension:
     @cached_property
     def coefficient_spaces(self) -> list[SubspaceBasis]:
         """Simple subcoalgebra of each irreducible dual character."""
-        return [coefficient_space(self.A, d.values) for d in self.dec_dual.irr]
+        return [coefficient_space(self.A, d.values, seed=self.seed) for d in self.dec_dual.irr]
 
     @cached_property
     def conjugation(self) -> np.ndarray:
-        """C_d for each irreducible dual character d, stacked: alpha o conj_d = alpha C_d."""
+        """C_d for each irreducible dual character d, stacked: alpha o conj_d = alpha C_d.
+
+        One call of `conjugation_matrices` for the whole stack, so the right
+        adjoint action of the basis is joined once per request.
+        """
         return conjugation_matrices(self.A, self.inc,
                                     np.array([d.values for d in self.dec_dual.irr]))
 
@@ -303,17 +311,18 @@ def conjugation_matrices(A: HopfAlgebraData, inc: HopfInclusion,
     of S(d_1) b_m d_2.
 
     The conjugate of a B-character alpha by d, x -> alpha(S(d_1) x d_2),
-    is the row vector alpha C_d; C_d does not depend on alpha.  The
-    products S(e_p) b_m are formed once for the whole stack, and each C_d
-    passes its own residual gate.
+    is the row vector alpha C_d; C_d does not depend on alpha.  The right
+    adjoint action S(e_k1) b_m e_k2 of the basis is joined once for the
+    whole stack, in COO form, and each row d reads it over its entries
+    (`hopf.right_adjoint`); each C_d passes its own residual gate, and a
+    NaN or Inf in D fails it.
     """
     E = np.asarray(inc.embedding, complex)
-    U = A.products(A.antipode, E)                      # U[:, p, m] = S(e_p) b_m
+    D = np.asarray(D, complex)
+    if not np.isfinite(D).all():
+        raise ConsistencyError("conjugation by an element with a NaN or Inf entry")
     out = []
-    for d_vec in np.asarray(D, complex):
-        X = A.apply_comult(d_vec)              # X[p, q]: Delta(d) on e_p (x) e_q
-        Y = X.T @ U                            # Y[a, q, m]: S(d_1) b_m (x) d_2 on e_a (x) e_q
-        W = A.multiply(Y)                      # W[:, m] = S(d_1) b_m d_2
+    for W in right_adjoint(A, E, D):           # W[:, m] = S(d_1) b_m d_2
         coords, resid = linalg.lstsq_coords(E, W)
         require(resid, TOL_ALG * max(1.0, max_abs(W)), ConsistencyError,
                 "conjugation left the subalgebra")

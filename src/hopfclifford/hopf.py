@@ -22,7 +22,15 @@ rule), and through the dense tensor, built on first use, otherwise.  The
 axiom gate contracts over the nonzeros too, and takes the dense einsums
 only when a contraction would pair more than d^4 of them; the antipode
 solve and the group-like test read the dense tensor, as they only see
-dense quotients.  The Hopf-subalgebra test reads "x in V" on the thinner of
+dense quotients.  The antipode residuals and the conjugation matrices read
+the adjoint actions of the basis, S(e_k1) x e_k2 and e_k1 x S(e_k2), as
+chains of joins of the entries of Delta, S, x and `mult` kept in COO form
+(`_adjoint_entries`), so that their cost follows the nonzeros; when a join
+would pair more than d^2 entries, as for a dense S or a quotient, they
+form the dense products instead.  A coefficient space of dimension n^2 is
+the range of a seeded Gaussian sketch with n^2 + 1 columns, gated on its
+rank and on holding every coefficient, not the SVD of a d x d matrix.
+The Hopf-subalgebra test reads "x in V" on the thinner of
 V and its orthogonal complement W: on V when 2 dim V <= d, else on W, so
 that its cost follows min(dim V, codim V).  Checks compare against the
 thresholds named in `linalg`; only `verify_hopf_axioms` takes a tolerance,
@@ -166,9 +174,18 @@ class AlgebraData:
         return self.mult_coo.tensor
 
     def products(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """All pairwise products: out[:, a, b] = U[:, a] * V[:, b], shape (d, |U|, |V|)."""
+        """All pairwise products: out[:, a, b] = U[:, a] * V[:, b], shape (d, |U|, |V|).
+
+        The thinner operand is contracted with `mult` first, so that the
+        intermediate holds d^2 min(|U|, |V|) entries: U = I, as in the
+        centre's commutators or A B+, builds no (d^2, d) array.
+        """
         d = self.dim
         U, V = np.asarray(U, complex), np.asarray(V, complex)
+        if V.shape[1] < U.shape[1]:
+            T = self.mult_coo.along((1,), V)                         # T[i, k, b] = e_i * V[:, b]
+            out = U.T @ T.reshape(d, -1)                             # out[a, (k, b)]
+            return out.reshape(U.shape[1], d, V.shape[1]).transpose(1, 0, 2)
         if self.mult_coo.sparse:
             T = self.mult_coo.contract((0,), U)                     # T[j, k, a] = U[:, a] * e_j
             out = V.T @ T.reshape(d, -1)                             # out[b, (k, a)]
@@ -353,17 +370,88 @@ def solve_antipode(A: HopfAlgebraData) -> np.ndarray:
 def antipode_residuals(A: HopfAlgebraData, S: np.ndarray) -> dict[str, float]:
     """Max residuals of S(a_1) a_2 = eps(a) 1 = a_1 S(a_2) and of S^2 = id.
 
-    Both sides are m (S (x) id) Delta and m (id (x) S) Delta, each a
-    `Coo.along` and a `multiply`, so they read Delta and `mult` through their
-    nonzeros when these are sparse.
+    The two sides are the adjoint actions of the basis on x = 1:
+    S(e_k1) e_k2 and e_k1 S(e_k2), joined from the entries of Delta, S and
+    `mult` (`_adjoint_entries`) and summed into (d, d) by `_scatter_sum`.
+    A NaN or Inf in S, `mult` or `comult` makes both NaN even where no
+    pair reads it.  When a join would pair more than d^2 entries, as for a
+    dense S or a quotient, each side is m (S (x) id) Delta and
+    m (id (x) S) Delta instead, a `Coo.along` and a `multiply`.
     """
-    eye = np.eye(A.dim)
+    d = A.dim
+    eye = np.eye(d)
     target = np.outer(A.counit, A.unit)
-    left = A.multiply(A.comult_coo.along((1,), S.T).transpose(2, 1, 0)).T   # [k, q]
-    right = A.multiply(A.comult_coo.along((2,), S.T).transpose(1, 2, 0)).T  # [k, q]
+    try:
+        (k, o), val = _adjoint_entries(A, S)
+        left = _scatter_sum(k * d + o, val, d * d).reshape(d, d)              # [k, q]
+        (k, o), val = _adjoint_entries(A, S, left=True)
+        right = _scatter_sum(k * d + o, val, d * d).reshape(d, d)             # [k, q]
+        read = (S, A.mult_coo.entries[1], A.comult_coo.entries[1])
+        if not all(np.isfinite(x).all() for x in read):
+            left = right = np.full((d, d), np.nan)
+    except _TooManyPairs:
+        left = A.multiply(A.comult_coo.along((1,), S.T).transpose(2, 1, 0)).T   # [k, q]
+        right = A.multiply(A.comult_coo.along((2,), S.T).transpose(1, 2, 0)).T  # [k, q]
     return {"antipode_left": max_abs(left - target),
             "antipode_right": max_abs(right - target),
             "antipode_squared": max_abs(S @ S - eye)}
+
+
+def _adjoint_entries(A: HopfAlgebraData, S: np.ndarray, X: Optional[np.ndarray] = None,
+                     left: bool = False):
+    """The right adjoint action of the basis, S(e_k1) x_m e_k2, or the left
+    one, e_k1 x_m S(e_k2) when `left`, on the columns x_m of X, in COO form:
+    indices (k, m, o) for the coefficient of e_o, with repeated indices
+    unsummed; (k, o) for x = 1 when X is None.
+
+    They are `_coo_einsum` joins of the entries of Delta, S, X and `mult`;
+    each join that would pair more than d^2 entries raises `_TooManyPairs`
+    before it allocates.  For the tensors of kG, k^G and k^G # kF, with S
+    and X 0/1 maps, every join pairs at most d^2.  The left action is the
+    right one in A with the opposite product and coproduct.
+    """
+    d = A.dim
+    (i, j, o), mv = A.mult_coo.entries
+    (k, p, q), cv = A.comult_coo.entries
+    if left:
+        i, j, p, q = j, i, q, p
+    mult, comult = ((i, j, o), mv), ((k, p, q), cv)
+
+    def join(spec, a, b):
+        return _coo_einsum(spec, a, b, d, limit=d * d)
+
+    def entries(M):
+        idx = np.nonzero(M)
+        return idx, np.asarray(M[idx], complex)
+
+    t = join("kij,pi->kjp", comult, entries(S))        # S(e_k1) (x) e_k2 on e_p (x) e_j
+    if X is None:
+        return join("kjp,pjo->ko", t, mult)
+    u = join("prc,rm->pmc", mult, entries(X))          # e_p x_m on e_c
+    return join("kjmc,cjo->kmo", join("kjp,pmc->kjmc", t, u), mult)
+
+
+def right_adjoint(A: HopfAlgebraData, X: np.ndarray, D: np.ndarray):
+    """S(d_1) x_m d_2 for each row d of D and column x_m of X: one (d, |X|)
+    matrix per row, yielded in order.
+
+    The entries (k, m, o) of S(e_k1) x_m e_k2 are joined once
+    (`_adjoint_entries`), and each row is their sum weighted by d_k, so a
+    row costs their number.  When a join would pair more than d^2
+    entries, the products S(e_p) x_m are formed once, densely, and each
+    row is Delta(d)^T times them, multiplied out.
+    """
+    d, n = A.dim, X.shape[1]
+    try:
+        (k, m, o), val = _adjoint_entries(A, A.antipode, X)
+    except _TooManyPairs:
+        U = A.products(A.antipode, X)                  # U[:, p, m] = S(e_p) x_m
+        for row in D:
+            yield A.multiply(A.apply_comult(row).T @ U)
+        return
+    slot = o * n + m
+    for row in D:
+        yield _scatter_sum(slot, row[k] * val, d * n).reshape(d, n)
 
 
 @dataclass
@@ -534,14 +622,14 @@ def _sparse_contraction_residuals(A: HopfAlgebraData) -> dict[str, float]:
                                            ein("jcd,bdv->jcbv", c, m)))}
 
 
-def _coo_einsum(spec: str, a, b, d: int):
+def _coo_einsum(spec: str, a, b, d: int, limit: Optional[int] = None):
     """Two-operand einsum over COO operands, summing every index they share.
 
     The pairs of entries that agree on the shared indices come from a
     sort-merge join; their products are returned in COO form with repeated
     output indices left unsummed.  Raises `_TooManyPairs`, before
-    allocating the pairs, when there are more of them than the dense
-    result has entries, d ** len(output).
+    allocating the pairs, when there are more of them than `limit`, by
+    default the number of entries of the dense result, d ** len(output).
     """
     inputs, out = spec.split("->")
     sa, sb = inputs.split(",")
@@ -553,8 +641,9 @@ def _coo_einsum(spec: str, a, b, d: int):
     lo = np.searchsorted(kb[order], ka, side="left")
     counts = np.searchsorted(kb[order], ka, side="right") - lo
     total = int(counts.sum())
-    if total > d ** len(out):
-        raise _TooManyPairs(f"{spec}: {total} pairs > d^{len(out)}")
+    limit = d ** len(out) if limit is None else limit
+    if total > limit:
+        raise _TooManyPairs(f"{spec}: {total} pairs > {limit}")
     pa = np.repeat(np.arange(ka.size), counts)
     pb = order[lo[pa] + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)]
     idx = tuple(ia[sa.index(ch)][pa] if ch in sa else ib[sb.index(ch)][pb] for ch in out)
@@ -562,7 +651,14 @@ def _coo_einsum(spec: str, a, b, d: int):
 
 
 def _scatter_sum(keys: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """Array of `size` rows holding the sum of the `rows` given at each key."""
+    """Array of `size` rows holding the sum of the `rows` given at each key.
+
+    Either way the rows at one key are added in the order given; scalar
+    rows are summed by `np.bincount`, one call per real and imaginary part.
+    """
+    if rows.ndim == 1:
+        return (np.bincount(keys, rows.real, size)
+                + 1j * np.bincount(keys, rows.imag, size))
     out = np.zeros((size,) + rows.shape[1:], dtype=complex)
     if keys.size:
         order, starts = _runs(keys)
@@ -674,23 +770,34 @@ def subspace_product(U: SubspaceBasis, V: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(A, A.products(U.matrix, V.matrix).reshape(A.dim, -1))
 
 
-def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray) -> SubspaceBasis:
+def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray,
+                      seed: int = linalg.DEFAULT_SEED) -> SubspaceBasis:
     """Simple subcoalgebra spanned by the matrix coefficients of d.
 
     d is an irreducible character of the dual, given as an element of A;
-    the result has dimension eps(d)^2.
+    the result, the column span of `spans` = Delta(d)^T, has dimension
+    n^2 for n = eps(d).  It is read as the range of spans Omega, for n^2 + 1
+    complex Gaussian columns Omega drawn from stream 1 of `seed` (the
+    randomized range finder of Halko, Martinsson and Tropp, SIAM Rev. 2011),
+    so no SVD sees more than n^2 + 1 columns.  Two gates make it exact:
+    the sketch's numerical rank must be n^2, which the extra column
+    breaks for a larger space, and every column of `spans` must lie in its
+    range within TOL_ALG max(1, max |spans|).  When either fails, the
+    error names the rank of `spans` itself.
     """
     d_vec = np.asarray(d_vec, complex)
     spans = A.apply_comult(d_vec).T
-    sub = SubspaceBasis.from_vectors(A, spans)
     deg = complex(A.counit @ d_vec)
     n = linalg.nearest_int(deg.real)
-    if (not (abs(deg.imag) <= TOL_ALG and abs(deg.real - n) <= TOL_MATCH)
-            or sub.dim != n * n):
-        raise PreconditionError(
-            f"not an irreducible dual character: eps(d) = {deg:.10g}, but its "
-            f"coefficient space has dimension {sub.dim}")
-    return sub
+    if abs(deg.imag) <= TOL_ALG and abs(deg.real - n) <= TOL_MATCH and n * n <= A.dim:
+        omega = linalg.random_complex(linalg.random_stream(seed, 1), (A.dim, n * n + 1))
+        sub = SubspaceBasis.from_vectors(A, spans @ omega)
+        if sub.dim == n * n and linalg.contains_vectors(
+                sub.matrix, spans, TOL_ALG * max(1.0, max_abs(spans))):
+            return sub
+    raise PreconditionError(
+        f"not an irreducible dual character: eps(d) = {deg:.10g}, but its "
+        f"coefficient space has dimension {linalg.orthonormal_columns(spans).shape[1]}")
 
 
 def comodule_map_rho(A: HopfAlgebraData, pi: HopfSurjection) -> np.ndarray:

@@ -27,6 +27,7 @@ COND_LIMIT = 1e8    # largest condition number of a semisimple algebra's regular
 RANK_RTOL = 1e-9    # singular values <= max(s[0] * RANK_RTOL, RANK_ATOL) count as zero
 RANK_ATOL = 1e-11
 JSON_DIGITS = 10    # decimal digits kept in report JSON
+DEFAULT_SEED = 1729  # seed of every random draw when none is given
 
 
 def max_abs(*arrays) -> float:
@@ -130,8 +131,16 @@ def lstsq_coords(basis: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, fl
     return coords, resid
 
 
-def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def random_stream(seed: int, stream: int) -> np.random.Generator:
+    """The generator of child `stream` of the seed's SeedSequence, as
+    `SeedSequence(seed).spawn` numbers them: each use of a seed that draws
+    its own elements (the centre's, the coefficient-space sketch) has a
+    stream, so that it shifts no other use's draws."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+
+
+def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def round_for_json(x: float) -> float:

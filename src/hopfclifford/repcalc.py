@@ -22,10 +22,9 @@ from .errors import (ConsistencyError, NotACharacterError,
 from .groups import FiniteGroup
 from .hopf import (AlgebraData, HopfAlgebraData, HopfSurjection, dual_hopf,
                    group_algebra)
-from .linalg import (COND_LIMIT, TOL_ALG, TOL_MATCH, TOL_NUM, TOL_SPLIT,
-                     TOL_ZERO, max_abs, nearest_int, require)
+from .linalg import (COND_LIMIT, DEFAULT_SEED, TOL_ALG, TOL_MATCH, TOL_NUM,
+                     TOL_SPLIT, TOL_ZERO, max_abs, nearest_int, require)
 
-DEFAULT_SEED = 1729
 MAX_RETRIES = 12    # random splitting elements tried before a decomposition gives up
 
 
@@ -149,12 +148,12 @@ def _center(A: AlgebraData, seed: int) -> np.ndarray:
     so their common commutant, the null space of [L(r1) - R(r1); L(r2) - R(r2)],
     is the center (Eberly and Giesbrecht, J. Symbolic Comput. 2000).  The
     basis is then checked against every basis element.  The elements come
-    from a stream of their own, spawned from the seed, so the splitting
+    from stream 0 of the seed (`linalg.random_stream`), so the splitting
     draws stay those of `seed`.
     """
     d = A.dim
     eye = np.eye(d)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    rng = linalg.random_stream(seed, 0)
     for _ in range(MAX_RETRIES):
         rs = [linalg.random_complex(rng, d) for _ in range(2)]
         center = linalg.null_space(

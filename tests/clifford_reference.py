@@ -1,10 +1,13 @@
-"""Independent, slower forms of two clifford kernels, kept as test references.
+"""Independent, slower forms of three clifford kernels, kept as test references.
 
 `conjugate_module` twists W (x) M by an explicit module of the dual, built
 from a subcoalgebra by `subcoalgebra_as_dual_module`; its character is the
-reference for `clifford.conjugation_matrix`.  `graded_tensor_character`
-solves A_f (x)_B M for one component at a time, with np.kron; it is the
-reference for the batched `clifford.graded_tensor_characters`.
+reference for `clifford.conjugation_matrix`.  `conjugation_matrices`
+forms the dense products S(e_p) b_m and multiplies Delta(d)^T by them for
+each d, the per-character formula the COO joins of
+`clifford.conjugation_matrices` replace.  `graded_tensor_character` solves
+A_f (x)_B M for one component at a time, with np.kron; it is the reference
+for the batched `clifford.graded_tensor_characters`.
 """
 
 import numpy as np
@@ -57,6 +60,22 @@ def conjugate_module(A: HopfAlgebraData, inc: HopfInclusion,
     require(out.verify(), TOL_MATCH, ConsistencyError,
             "conjugate module fails the multiplication table")
     return out
+
+
+def conjugation_matrices(A: HopfAlgebraData, inc: HopfInclusion, D: np.ndarray) -> np.ndarray:
+    """C_d of every row d of D: the coordinates on B of S(d_1) b_m d_2, from
+    the dense (d, d, |B|) products U = S(e_p) b_m and a d^3 |B| product per d."""
+    E = np.asarray(inc.embedding, complex)
+    U = A.products(A.antipode, E)                  # U[:, p, m] = S(e_p) b_m
+    out = []
+    for d_vec in np.asarray(D, complex):
+        X = A.apply_comult(d_vec)                  # X[p, q]: Delta(d) on e_p (x) e_q
+        W = A.multiply(X.T @ U)                    # W[:, m] = S(d_1) b_m d_2
+        coords, resid = linalg.lstsq_coords(E, W)
+        require(resid, TOL_ALG * max(1.0, max_abs(W)), ConsistencyError,
+                "conjugation left the subalgebra")
+        out.append(coords)
+    return np.array(out)
 
 
 def graded_tensor_character(bimodule: tuple[np.ndarray, np.ndarray],

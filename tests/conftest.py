@@ -1,5 +1,5 @@
-"""Shared fixtures: the three builtin extensions, a5_a4_c5 and s4_a4 as
-per-scenario contexts.
+"""Shared fixtures: the three builtin extensions, a5_a4_c5, s4_a4 and
+dual_s4_v4 as per-scenario contexts.
 
 Session scope keeps the expensive dim-24 objects built once; each context
 computes its decompositions, classes and conjugation matrices on first use.
@@ -21,6 +21,9 @@ A5_A4_C5 = {"name": "a5_a4_c5", "construction": "bismash",
 S4_A4 = {"name": "s4_a4", "construction": "group_algebra",
          "group": {"generators": ["(1 2 3 4)", "(1 2)"], "names": ["g", "t"]},
          "b_generators": ["(1 2 3)", "(1 2)(3 4)"]}
+DUAL_S4_V4 = {"name": "dual_s4_v4", "construction": "dual_group_algebra",
+              "group": {"generators": ["(1 2 3 4)", "(1 2)"], "names": ["g", "t"]},
+              "b_generators": ["(1 2)(3 4)", "(1 3)(2 4)"]}
 
 
 def _builtin(name):
@@ -80,6 +83,12 @@ def a5():
 def s4_a4():
     # kS4 over kA4: B has an irreducible of degree 3, the quotient is kC2
     return build_scenario(Scenario.from_dict(S4_A4), DEFAULT_SEED)
+
+
+@pytest.fixture(scope="session")
+def dual_s4_v4():
+    # k^S4 over the functions on S4/V4: Delta(d) of a dual character is dense
+    return build_scenario(Scenario.from_dict(DUAL_S4_V4), DEFAULT_SEED)
 
 
 def pytest_sessionstart(session):

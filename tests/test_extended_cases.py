@@ -126,7 +126,9 @@ LARGE_BISMASH = [
     #  dense, and at 6 and 41 MB in COO form only.  Crossed-product
     # Clifford theory (Montgomery-Witherspoon) predicts the degrees: the
     # F-orbit {1} of G = C5 gives Irr(F), and the orbit of size 4 with
-    # stabilizer H gives 4 * Irr(H), H = C3 in A4 and H = S3 in S4.
+    # stabilizer H gives 4 * Irr(H), H = C3 in A4 and H = S3 in S4.  The
+    # d=120 report hashes to 149024b07669 on numpy 2.4; it stays unpinned
+    # until that is shown on numpy 1.24, the declared floor.
     ("a5_a4_c5", ["(1 2 3 4 5)", "(1 2 3)", "(1 2)(3 4)"], ["c", "a", "v"],
      ["a", "v"], ["c"], [1, 1, 1, 3, 4, 4, 4], 100, 10, "d055468c9cd3"),
     ("s5_s4_c5", ["(1 2 3 4 5)", "(1 2 3 4)", "(1 2)"], ["c", "r", "t"],

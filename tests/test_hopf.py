@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from hopfclifford import hopf, repcalc
+from hopfclifford import hopf, linalg, repcalc
 from hopfclifford.errors import (ConsistencyError, NormalityError,
-                                 PreconditionError)
+                                 NumericDegeneracyError, PreconditionError)
 from hopfclifford.groups import group_from_permutations, subgroup_closure
+from hopfclifford.clifford import Extension
 from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis,
                                coefficient_space, comodule_map_rho,
                                dual_group_algebra, dual_hopf, graded_component,
@@ -511,3 +512,77 @@ def test_coefficient_space_names_the_mismatch(counterexample):
     with pytest.raises(PreconditionError,
                        match=r"eps\(d\) = 4\.004\S*, but its coefficient space has dimension 16"):
         coefficient_space(counterexample.A, d4.values * (1 + 1e-3))
+
+
+def _a5_dual_characters(a5):
+    """The ten degree-1 and the two degree-5 dual characters of A5 = A4.C5."""
+    irr = a5.dec_dual.irr
+    return ([ch.values for ch in irr if ch.degree == 1],
+            [ch.values for ch in irr if ch.degree == 5])
+
+
+def test_coefficient_space_rejects_a_larger_space(a5):
+    one, five = _a5_dual_characters(a5)
+    # eps = 5 - 4 = 1, and a 26-dimensional space: the sketch's two columns have rank 2
+    with pytest.raises(PreconditionError,
+                       match=r"eps\(d\) = 1\S*, but its coefficient space has dimension 26$"):
+        coefficient_space(a5.A, five[0] - 4 * one[0])
+    # eps = 1 and a 2-dimensional space, which two columns span: only the rank gate sees it
+    with pytest.raises(PreconditionError, match="dimension 2$"):
+        coefficient_space(a5.A, 2 * one[1] - one[2])
+
+
+def test_coefficient_space_checks_the_sketch_spans_the_space(monkeypatch, a5):
+    # with the extra column a copy of the first, the sketch of the
+    # 26-dimensional space has rank 1 = eps(d)^2: only the containment gate sees it
+    one, five = _a5_dual_characters(a5)
+    draw = linalg.random_complex
+
+    def repeated(rng, shape):
+        omega = draw(rng, shape)
+        omega[:, -1] = omega[:, 0]
+        return omega
+
+    monkeypatch.setattr(linalg, "random_complex", repeated)
+    with pytest.raises(PreconditionError, match="dimension 26$"):
+        coefficient_space(a5.A, five[0] - 4 * one[0])
+    assert coefficient_space(a5.A, five[0]).dim == 25
+
+
+def test_coefficient_space_of_a_nan_is_a_numeric_degeneracy(a5):
+    # as before the sketch: the SVD of Delta(d) fails, not a gate
+    _, five = _a5_dual_characters(a5)
+    for k in (0, 7):
+        d_vec = five[1].copy()
+        d_vec[k] = np.nan
+        with pytest.raises(NumericDegeneracyError, match="^svd failed: "):
+            coefficient_space(a5.A, d_vec)
+
+
+def test_coefficient_space_follows_the_seed(counterexample):
+    A = counterexample.A
+    d4 = [ch for ch in counterexample.dec_dual.irr if ch.degree == 4][0]
+    first, again, other = (coefficient_space(A, d4.values, seed=s) for s in (1729, 1729, 7))
+    assert np.array_equal(first.matrix, again.matrix)
+    assert not np.allclose(first.matrix, other.matrix)
+    assert first.equals(other)
+
+
+def test_coefficient_space_sketches_stay_thin(monkeypatch, a5):
+    # the SVD of each coefficient space sees eps(d)^2 + 1 columns, not d;
+    # the sketch is drawn from the context's seed
+    ext = Extension(a5.A, a5.inc, seed=11)
+    ext.dec_dual = a5.dec_dual
+    columns = []
+    svd = linalg.svd
+
+    def recording(mat, *args, **kw):
+        columns.append(mat.shape[1])
+        return svd(mat, *args, **kw)
+
+    monkeypatch.setattr(linalg, "svd", recording)
+    assert [C.dim for C in ext.coefficient_spaces] == [d.degree ** 2 for d in a5.dec_dual.irr]
+    assert columns == [d.degree ** 2 + 1 for d in a5.dec_dual.irr]
+    monkeypatch.undo()
+    for d, C in zip(a5.dec_dual.irr, ext.coefficient_spaces):
+        assert np.array_equal(C.matrix, coefficient_space(a5.A, d.values, seed=11).matrix)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -445,3 +446,20 @@ def test_memory_error_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "precondition failure: the scenario is too large for memory\n"
+
+
+def test_malloc_thresholds_are_pinned(monkeypatch):
+    # glibc's mallopt gets the mmap threshold, then the trim threshold;
+    # without a mallopt nothing is called and nothing fails
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    cli._pin_malloc_thresholds.__wrapped__()
+    assert calls == [(-3, 32 * 2 ** 20), (-1, 64 * 2 ** 20)]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    cli._pin_malloc_thresholds.__wrapped__()
+    assert len(calls) == 2

@@ -1,23 +1,28 @@
 """The kernels that read `mult` and `comult` through their nonzeros, each
 against its dense definition: on the constructor tensors, with a perturbed
 entry, with a NaN, and after a change of basis that makes them dense.  The
-Hopf-subalgebra test, which reads V or its complement, against projectors."""
+Hopf-subalgebra test, which reads V or its complement, against projectors.
+The adjoint joins of the conjugation matrices and the antipode residuals
+against the dense formulas, and the sizes of the arrays they build."""
 
+import functools
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hopfclifford import hopf, linalg, repcalc, scenarios
-from hopfclifford.clifford import (compute_stabilizer, conjugation_matrix,
-                                   graded_stabilizer_analysis)
-from hopfclifford.errors import NumericDegeneracyError
+from hopfclifford.clifford import (compute_stabilizer, conjugation_matrices,
+                                   conjugation_matrix, graded_stabilizer_analysis)
+from hopfclifford.errors import ConsistencyError, NumericDegeneracyError
 from hopfclifford.groups import subgroup_closure
-from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis, antipode_residuals,
-                               group_algebra, is_hopf_subalgebra,
+from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis,
+                               antipode_residuals, group_algebra, is_hopf_subalgebra,
                                is_normal_hopf_subalgebra, subalgebra_data)
 from hopfclifford.repcalc import DEFAULT_SEED, construct_irreducible_module
 
+import clifford_reference
 from clifford_reference import conjugate_module, subcoalgebra_as_dual_module
 from conftest import A5_A4_C5
 
@@ -307,6 +312,119 @@ def test_conjugation_matrix_matches_definition(counterexample, a5):
         assert np.max(np.abs(conjugation_matrix(A, ext.inc, d_vec) - want)) < 1e-10
 
 
+def _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4, a5):
+    return {"counterexample": counterexample, "cocentral8": cocentral8,
+            "classical": classical, "s4_a4": s4_a4, "dual_s4_v4": dual_s4_v4, "a5": a5}
+
+
+def test_conjugation_matrices_match_the_dense_formula(counterexample, cocentral8, classical,
+                                                      s4_a4, dual_s4_v4, a5):
+    # every dual character, and two random elements, whose Delta is not
+    # symmetric; on dual_s4_v4 (A = k^S4) Delta(d) is dense
+    rng = np.random.default_rng(29)
+    for name, ext in _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4,
+                                a5).items():
+        A, inc = ext.A, ext.inc
+        D = np.vstack([[d.values for d in ext.dec_dual.irr], _random(rng, 2, A.dim)])
+        want = clifford_reference.conjugation_matrices(A, inc, D)
+        got = conjugation_matrices(A, inc, D)
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want))), name
+
+
+def test_conjugation_matrices_do_not_depend_on_the_basis(counterexample):
+    # in the sheared basis the joins sum repeated indices; in a unitary one
+    # they would pair more than d^2 entries, and the dense products are taken
+    ext = counterexample
+    A, E = ext.A, ext.inc.embedding
+    D = np.array([d.values for d in ext.dec_dual.irr])
+    want = conjugation_matrices(A, ext.inc, D)
+    shear = np.eye(A.dim)
+    shear[2, 1] = 1.0
+    unitary = np.linalg.qr(_random(np.random.default_rng(31), A.dim, A.dim))[0]
+    for P, joins in ((shear, True), (unitary, False)):
+        T = _change_basis(A, P)
+        Q = np.linalg.inv(P)
+        try:
+            hopf._adjoint_entries(T, T.antipode, Q @ E)
+            joined = True
+        except hopf._TooManyPairs:
+            joined = False
+        assert joined is joins
+        inc = HopfInclusion(small=ext.inc.small, big=T, embedding=Q @ E)
+        got = conjugation_matrices(T, inc, D @ Q.T)        # an element x has coordinates Q x
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_conjugation_out_of_a_non_normal_subalgebra_fails(classical, s3_group):
+    # k<t> is not normal in kS3: s^-1 t s leaves it, while t and 1 keep it
+    A = classical.A
+    inc = HopfInclusion(small=None, big=A,
+                        embedding=_subgroup_algebra(A, s3_group, ("t",)).matrix)
+    basis = np.eye(A.dim)
+    for label, stays in (("t", True), ("s", False)):
+        d_vec = basis[s3_group.label_index(label)]
+        for conjugation in (conjugation_matrices, clifford_reference.conjugation_matrices):
+            if stays:
+                conjugation(A, inc, d_vec[None, :])
+            else:
+                with pytest.raises(ConsistencyError, match="conjugation left the subalgebra"):
+                    conjugation(A, inc, d_vec[None, :])
+
+
+def test_conjugation_by_a_nan_fails_where_no_join_reads_it(dual_s4_v4):
+    # in k^S4, S(d_1) b d_2 = eps(d) b: only the unit's entries of d are read
+    ext = dual_s4_v4
+    (k, _, _), _ = hopf._adjoint_entries(ext.A, ext.A.antipode, ext.inc.embedding)
+    assert set(k.tolist()) == {0}
+    d_vec = ext.dec_dual.irr[-1].values.copy()
+    d_vec[5] = np.nan
+    with pytest.raises(ConsistencyError, match="NaN"):
+        conjugation_matrix(ext.A, ext.inc, d_vec)
+
+
+def _recording_array_sizes(monkeypatch, sizes):
+    """Wrap every function of `hopf` and `linalg`, and the methods of `Coo` and
+    the algebra classes, so that the size of each array they return is recorded."""
+    def record(out):
+        if isinstance(out, np.ndarray):
+            sizes.append(out.size)
+        elif isinstance(out, tuple):
+            for x in out:
+                record(x)
+
+    def recording(fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kw):
+            out = fn(*args, **kw)
+            record(out)
+            return out
+        return wrapped
+
+    for owner in (hopf, linalg, hopf.Coo, hopf.AlgebraData, hopf.HopfAlgebraData):
+        for name, fn in list(vars(owner).items()):
+            if inspect.isfunction(fn) and not inspect.isgeneratorfunction(fn) and name != "dataclass":
+                monkeypatch.setattr(owner, name, recording(fn))
+
+
+def test_adjoint_kernels_build_no_cube(monkeypatch, counterexample, cocentral8, classical,
+                                       s4_a4, dual_s4_v4, a5):
+    # the dense conjugation held (d, d, |B|) products and the antipode
+    # residuals a (d^2, d) contraction; the joins hold at most d^2 pairs
+    exts = _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4, a5)
+    duals = {name: np.array([d.values for d in ext.dec_dual.irr]) for name, ext in exts.items()}
+    sizes: list[int] = []
+    _recording_array_sizes(monkeypatch, sizes)
+    for name, ext in exts.items():
+        d, b = ext.A.dim, ext.inc.small.dim
+        sizes.clear()
+        conjugation_matrices(ext.A, ext.inc, duals[name])
+        assert 0 < max(sizes) < min(d ** 3, d * d * b), name
+        for alg in (ext.A, ext.inc.small, ext.dual):
+            sizes.clear()
+            assert max(antipode_residuals(alg, alg.antipode).values()) < 1e-12
+            assert 0 < max(sizes) <= alg.dim ** 2, name
+
+
 def _commutant_of_basis(A):
     """The center as the null space of the d^2 x d commutation constraints."""
     d = A.dim
@@ -400,6 +518,84 @@ def test_antipode_residuals_match_dense_definition_under_faults(algebras, tensor
             want = _antipode_definition(broken, S)
             assert np.isnan([want["antipode_left"], want["antipode_right"]]).all() == np.isnan(value)
             _residuals_match(antipode_residuals(broken, S), want)
+
+
+def _sparse_antipodes(A, rng):
+    """S with the antipode's nonzeros and random values, and a random
+    permutation with random values: both are read by the adjoint joins."""
+    d = A.dim
+    perm = np.eye(d)[:, rng.permutation(d)]
+    out = [(A.antipode != 0) * _random(rng, d, d), perm * _random(rng, d, d)]
+    for S in out:
+        hopf._adjoint_entries(A, S)
+        hopf._adjoint_entries(A, S, left=True)
+    return out
+
+
+def _adjoint_definitions(A, S, X):
+    """The adjoint actions of the basis by dense einsum: S(e_k1) x_m e_k2 and
+    e_k1 x_m S(e_k2) as [k, m, o], and their x = 1 cases as [k, o]."""
+    d, M = A.dim, A.mult
+    D = A.comult.reshape(d, d * d)                               # [k, (i, j)]
+    right = np.einsum("pi,pjo->ijo", S, M, optimize=True)        # S(e_i) e_j
+    left = np.einsum("ipo,pj->ijo", M, S, optimize=True)         # e_i S(e_j)
+    Mx = np.einsum("prc,rm->pmc", M, X, optimize=True)           # e_p x_m
+    Sx = np.einsum("pi,pmc->imc", S, Mx, optimize=True)          # S(e_i) x_m
+    n = X.shape[1]
+
+    def sandwich(first, last):                                   # sum over c of first[i, m, c] last[c, j, o]
+        inner = np.einsum("imc,cjo->ijmo", first, last, optimize=True)
+        return (D @ inner.reshape(d * d, n * d)).reshape(d, n, d)
+
+    return {(False, True): sandwich(Sx, M), (True, True): sandwich(Mx, left),
+            (False, False): D @ right.reshape(d * d, d), (True, False): D @ left.reshape(d * d, d)}
+
+
+def test_adjoint_entries_match_definitions(algebras):
+    # both actions, on two random columns x_m and on x = 1; the columns have
+    # two nonzeros each from d = 24 on, one below, so that the joins stay
+    # within d^2 pairs.  A dense S would pair d^2 |G| entries and is refused
+    rng = np.random.default_rng(43)
+    for name, A in list(algebras.items()) + [("shear", _shear(algebras["a5 A"]))]:
+        d = A.dim
+        per = 2 if d >= 24 else 1
+        X = np.zeros((d, 2), complex)
+        X[rng.choice(d, 2 * per, replace=False), np.repeat([0, 1], per)] = _random(rng, 2 * per)
+        for S in _sparse_antipodes(A, rng):
+            for (left, with_x), want in _adjoint_definitions(A, S, X).items():
+                idx, val = hopf._adjoint_entries(A, S, X if with_x else None, left=left)
+                got = np.zeros(want.shape, complex)
+                np.add.at(got, idx, val)
+                assert np.max(np.abs(got - want)) < 1e-12 * d, (name, left, with_x)
+        if A.comult_coo.entries[1].size > d:
+            with pytest.raises(hopf._TooManyPairs):
+                hopf._adjoint_entries(A, _random(rng, d, d))
+
+
+def test_antipode_joins_match_dense_definition(algebras):
+    rng = np.random.default_rng(37)
+    for name, A in list(algebras.items()) + [("shear", _shear(algebras["a5 A"]))]:
+        for S in _sparse_antipodes(A, rng):
+            _residuals_match(antipode_residuals(A, S), _antipode_definition(A, S))
+
+
+@pytest.mark.parametrize("tensor", ["mult", "comult"])
+def test_antipode_joins_match_dense_definition_under_faults(algebras, tensor):
+    # a NaN makes both sides NaN, as it does in the dense sums, even where no
+    # pair of entries reads it
+    rng = np.random.default_rng(41)
+    for name in ("counterexample A", "counterexample A*", "a5 A"):
+        A = algebras[name]
+        idx, _ = getattr(A, f"{tensor}_coo").entries
+        n = int(rng.integers(idx[0].size))
+        hit = tuple(int(i[n]) for i in idx)
+        beside = ((hit[0] + 1) % A.dim,) + hit[1:]
+        for index, value in ((beside, 0.3 - 0.1j), (hit, np.nan)):
+            broken = _copy(A, tensor, index, value)
+            for S in _sparse_antipodes(broken, rng):
+                want = _antipode_definition(broken, S)
+                assert np.isnan([want["antipode_left"], want["antipode_right"]]).all() == np.isnan(value)
+                _residuals_match(antipode_residuals(broken, S), want)
 
 
 def _projector_residuals(A, Vb):
