@@ -30,9 +30,8 @@ from .repcalc import (Character, ExplicitModule, SemisimpleDecomposition,
 from .clifford import (AlphaReport, EquivalenceClassData, Extension,
                        Stabilizer, StabilizerResult, analyze_alpha,
                        compute_stabilizer, conjugation_matrices,
-                       conjugation_matrix, coset_projection_check,
-                       direct_correspondence_check, equivalence_classes,
-                       graded_stabilizer_analysis,
+                       coset_projection_check, direct_correspondence_check,
+                       equivalence_classes, graded_stabilizer_analysis,
                        stabilizer_dimension_bound, verify_class_formulas)
 from .scenarios import (Scenario, build_scenario, builtin_scenario,
                         load_scenario, run_scenario)

@@ -330,12 +330,6 @@ def conjugation_matrices(A: HopfAlgebraData, inc: HopfInclusion,
     return np.array(out)
 
 
-def conjugation_matrix(A: HopfAlgebraData, inc: HopfInclusion,
-                       d_vec: np.ndarray) -> np.ndarray:
-    """C_d of one element d: `conjugation_matrices` of the one row d."""
-    return conjugation_matrices(A, inc, np.asarray(d_vec)[None, :])[0]
-
-
 # ---------------------------------------------------------------------------
 # the stabilizer Hopf subalgebra
 

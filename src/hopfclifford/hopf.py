@@ -16,25 +16,27 @@ in `comult` (kG and k^G are the cases G = 1 and F = 1), as do their duals,
 whose tensors are permutations of the same index arrays.  The constructors
 emit the index arrays from the group tables and never form a d^3 array; a
 dense tensor, as for a generic quotient or a subalgebra's orthonormal
-basis, is accepted and scanned once.  Every kernel reads a tensor through
-its nonzeros whenever it has at most d^2 of them (`Coo.sparse`, the one
-rule), and through the dense tensor, built on first use, otherwise.  The
-axiom gate contracts over the nonzeros too, and takes the dense einsums
-only when a contraction would pair more than d^4 of them; the antipode
-solve and the group-like test read the dense tensor, as they only see
-dense quotients.  The antipode residuals and the conjugation matrices read
-the adjoint actions of the basis, S(e_k1) x e_k2 and e_k1 x S(e_k2), as
-chains of joins of the entries of Delta, S, x and `mult` kept in COO form
-(`_adjoint_entries`), so that their cost follows the nonzeros; when a join
-would pair more than d^2 entries, as for a dense S or a quotient, they
-form the dense products instead.  A coefficient space of dimension n^2 is
-the range of a seeded Gaussian sketch with n^2 + 1 columns, gated on its
-rank and on holding every coefficient, not the SVD of a d x d matrix.
-The Hopf-subalgebra test reads "x in V" on the thinner of
-V and its orthogonal complement W: on V when 2 dim V <= d, else on W, so
-that its cost follows min(dim V, codim V).  Checks compare against the
-thresholds named in `linalg`; only `verify_hopf_axioms` takes a tolerance,
-since the scenario's `tolerances.alg` and the quotient's TOL_NUM differ.
+basis, is accepted and scanned once.  The kernels of the algebra classes
+read a tensor through its nonzeros whenever it has at most d^2 of them
+(`Coo.sparse`), and through the dense tensor, built on first use,
+otherwise.  The axiom gate contracts over the nonzeros too, and takes the
+dense einsums only when a contraction would pair more than d^4 of them;
+the antipode solve and the group-like test read the dense tensor, as they
+only see dense quotients.  The adjoint actions of the basis, S(e_k1) x
+e_k2 and e_k1 x S(e_k2), have one kernel, `_adjoint_entries`, which the
+normality test, the antipode residuals and the conjugation matrices all
+read: chains of joins of the entries of Delta, S, x and `mult` kept in
+COO form, so that their cost follows the nonzeros.  When a join would pair
+more than d^2 entries, as for a dense S or a quotient, it forms the action
+densely instead; that is its one dense fallback.  A coefficient space of
+dimension n^2 is the range of a seeded Gaussian sketch with n^2 + 1
+columns, gated on its rank and on holding every coefficient, not the SVD
+of a d x d matrix.  The Hopf-subalgebra test reads "x in V" on the
+thinner of V and its orthogonal complement W: on V when 2 dim V <= d,
+else on W, so that its cost follows min(dim V, codim V).  Checks compare
+against the thresholds named in `linalg`; only `verify_hopf_axioms` takes
+a tolerance, since the scenario's `tolerances.alg` and the quotient's
+TOL_NUM differ.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ class Coo:
     row-major order `np.nonzero` gives, so that every sum over them runs in
     one order whichever way the tensor was made.
 
-    `sparse` is the rule every kernel follows: a tensor with at most d^2
-    entries is read through them, a denser one through the dense tensor.
+    `sparse` is the rule the algebra classes' kernels follow: a tensor with
+    at most d^2 entries is read through them, a denser one through the
+    dense tensor.
     """
 
     def __init__(self, dim: int, idx: tuple[np.ndarray, ...], val: np.ndarray):
@@ -131,7 +134,8 @@ class Coo:
             if np.bincount(keys).max(initial=0) <= 1:
                 self._plans[axes] = (tuple(idx[a] for a in axes), val, keys, None)
             else:
-                order, starts = _runs(keys)
+                order = np.argsort(keys, kind="stable")
+                starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
                 self._plans[axes] = (tuple(idx[a][order] for a in axes), val[order],
                                      keys[order][starts], starts)
         return self._plans[axes]
@@ -147,12 +151,6 @@ def _as_coo(tensor, dim: int, mismatch: str) -> Coo:
     if tensor.dim != dim:
         raise ValueError(mismatch)
     return tensor
-
-
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort order of `keys`, and where each run of equal sorted keys starts."""
-    order = np.argsort(keys, kind="stable")
-    return order, np.flatnonzero(np.diff(keys[order], prepend=-1))
 
 
 class AlgebraData:
@@ -370,31 +368,22 @@ def solve_antipode(A: HopfAlgebraData) -> np.ndarray:
 def antipode_residuals(A: HopfAlgebraData, S: np.ndarray) -> dict[str, float]:
     """Max residuals of S(a_1) a_2 = eps(a) 1 = a_1 S(a_2) and of S^2 = id.
 
-    The two sides are the adjoint actions of the basis on x = 1:
-    S(e_k1) e_k2 and e_k1 S(e_k2), joined from the entries of Delta, S and
-    `mult` (`_adjoint_entries`) and summed into (d, d) by `_scatter_sum`.
-    A NaN or Inf in S, `mult` or `comult` makes both NaN even where no
-    pair reads it.  When a join would pair more than d^2 entries, as for a
-    dense S or a quotient, each side is m (S (x) id) Delta and
-    m (id (x) S) Delta instead, a `Coo.along` and a `multiply`.
+    The two sides are the adjoint actions of the basis on x = 1,
+    S(e_k1) e_k2 and e_k1 S(e_k2) (`_adjoint_entries`), summed into (d, d)
+    by `_scatter_sum`.  A NaN or Inf in S, `mult` or `comult` makes both
+    NaN even where no pair of entries reads it.
     """
     d = A.dim
-    eye = np.eye(d)
     target = np.outer(A.counit, A.unit)
-    try:
-        (k, o), val = _adjoint_entries(A, S)
-        left = _scatter_sum(k * d + o, val, d * d).reshape(d, d)              # [k, q]
-        (k, o), val = _adjoint_entries(A, S, left=True)
-        right = _scatter_sum(k * d + o, val, d * d).reshape(d, d)             # [k, q]
-        read = (S, A.mult_coo.entries[1], A.comult_coo.entries[1])
-        if not all(np.isfinite(x).all() for x in read):
-            left = right = np.full((d, d), np.nan)
-    except _TooManyPairs:
-        left = A.multiply(A.comult_coo.along((1,), S.T).transpose(2, 1, 0)).T   # [k, q]
-        right = A.multiply(A.comult_coo.along((2,), S.T).transpose(1, 2, 0)).T  # [k, q]
-    return {"antipode_left": max_abs(left - target),
-            "antipode_right": max_abs(right - target),
-            "antipode_squared": max_abs(S @ S - eye)}
+    sides = []
+    for left in (False, True):
+        (k, o), val = _adjoint_entries(A, S, left=left)
+        sides.append(_scatter_sum(k * d + o, val, d * d).reshape(d, d) - target)   # [k, q]
+    if not all(np.isfinite(x).all() for x in (S, A.mult_coo.entries[1], A.comult_coo.entries[1])):
+        sides = [np.nan, np.nan]
+    return {"antipode_left": max_abs(sides[0]),
+            "antipode_right": max_abs(sides[1]),
+            "antipode_squared": max_abs(S @ S - np.eye(d))}
 
 
 def _adjoint_entries(A: HopfAlgebraData, S: np.ndarray, X: Optional[np.ndarray] = None,
@@ -404,11 +393,14 @@ def _adjoint_entries(A: HopfAlgebraData, S: np.ndarray, X: Optional[np.ndarray] 
     indices (k, m, o) for the coefficient of e_o, with repeated indices
     unsummed; (k, o) for x = 1 when X is None.
 
-    They are `_coo_einsum` joins of the entries of Delta, S, X and `mult`;
-    each join that would pair more than d^2 entries raises `_TooManyPairs`
-    before it allocates.  For the tensors of kG, k^G and k^G # kF, with S
-    and X 0/1 maps, every join pairs at most d^2.  The left action is the
-    right one in A with the opposite product and coproduct.
+    They are `_coo_einsum` joins of the entries of Delta, S, X and `mult`,
+    so that their cost follows the nonzeros: for the tensors of kG, k^G and
+    k^G # kF, with S and X 0/1 maps, every join pairs at most d^2 entries.
+    The left action is the right one in A with the opposite product and
+    coproduct.  When a join would pair more than d^2 entries, as for a
+    dense S, X or quotient, the action of the whole basis is formed densely
+    instead, in d^3 |X| entries (d^3 for x = 1), and its nonzeros are
+    returned: this is the one dense fallback of every adjoint action.
     """
     d = A.dim
     (i, j, o), mv = A.mult_coo.entries
@@ -424,31 +416,37 @@ def _adjoint_entries(A: HopfAlgebraData, S: np.ndarray, X: Optional[np.ndarray] 
         idx = np.nonzero(M)
         return idx, np.asarray(M[idx], complex)
 
-    t = join("kij,pi->kjp", comult, entries(S))        # S(e_k1) (x) e_k2 on e_p (x) e_j
+    try:
+        t = join("kij,pi->kjp", comult, entries(S))        # S(e_k1) (x) e_k2 on e_p (x) e_j
+        if X is None:
+            return join("kjp,pjo->ko", t, mult)
+        u = join("prc,rm->pmc", mult, entries(X))          # e_p x_m on e_c
+        return join("kjmc,cjo->kmo", join("kjp,pmc->kjmc", t, u), mult)
+    except _TooManyPairs:
+        pass
+    # the dense fallback: U[c, p, m] = S(e_p) x_m, or x_m S(e_p) when left
     if X is None:
-        return join("kjp,pjo->ko", t, mult)
-    u = join("prc,rm->pmc", mult, entries(X))          # e_p x_m on e_c
-    return join("kjmc,cjo->kmo", join("kjp,pmc->kjmc", t, u), mult)
+        U = S[:, :, None]
+    else:
+        U = A.products(X, S).transpose(0, 2, 1) if left else A.products(S, X)
+    if left:    # T[p, c, k, m] = sum_q Delta[k, p, q] U[c, q, m]
+        T = A.comult_coo.along((2,), U.transpose(1, 0, 2)).transpose(1, 2, 0, 3)
+    else:       # T[c, q, k, m] = sum_p Delta[k, p, q] U[c, p, m]
+        T = A.comult_coo.along((1,), U.transpose(1, 0, 2)).transpose(2, 1, 0, 3)
+    W = A.multiply(T).transpose(1, 2, 0)                   # [k, m, o]
+    return entries(W if X is not None else W[:, 0])
 
 
 def right_adjoint(A: HopfAlgebraData, X: np.ndarray, D: np.ndarray):
     """S(d_1) x_m d_2 for each row d of D and column x_m of X: one (d, |X|)
     matrix per row, yielded in order.
 
-    The entries (k, m, o) of S(e_k1) x_m e_k2 are joined once
+    The entries (k, m, o) of S(e_k1) x_m e_k2 are read once
     (`_adjoint_entries`), and each row is their sum weighted by d_k, so a
-    row costs their number.  When a join would pair more than d^2
-    entries, the products S(e_p) x_m are formed once, densely, and each
-    row is Delta(d)^T times them, multiplied out.
+    row costs their number.
     """
     d, n = A.dim, X.shape[1]
-    try:
-        (k, m, o), val = _adjoint_entries(A, A.antipode, X)
-    except _TooManyPairs:
-        U = A.products(A.antipode, X)                  # U[:, p, m] = S(e_p) x_m
-        for row in D:
-            yield A.multiply(A.apply_comult(row).T @ U)
-        return
+    (k, m, o), val = _adjoint_entries(A, A.antipode, X)
     slot = o * n + m
     for row in D:
         yield _scatter_sum(slot, row[k] * val, d * n).reshape(d, n)
@@ -650,31 +648,19 @@ def _coo_einsum(spec: str, a, b, d: int, limit: Optional[int] = None):
     return idx, va[pa] * vb[pb]
 
 
-def _scatter_sum(keys: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """Array of `size` rows holding the sum of the `rows` given at each key.
-
-    Either way the rows at one key are added in the order given; scalar
-    rows are summed by `np.bincount`, one call per real and imaginary part.
-    """
-    if rows.ndim == 1:
-        return (np.bincount(keys, rows.real, size)
-                + 1j * np.bincount(keys, rows.imag, size))
-    out = np.zeros((size,) + rows.shape[1:], dtype=complex)
-    if keys.size:
-        order, starts = _runs(keys)
-        out[keys[order][starts]] = np.add.reduceat(rows[order], starts, axis=0)
-    return out
+def _scatter_sum(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Array of `size` entries holding the sum of the complex `values` given
+    at each key, added in the order given: `np.bincount`, one call per real
+    and imaginary part."""
+    return np.bincount(keys, values.real, size) + 1j * np.bincount(keys, values.imag, size)
 
 
 def _max_abs_difference(plus, minus, shape: tuple[int, ...]) -> float:
     """max |plus - minus| of two COO arrays whose repeated indices are summed."""
     index = np.concatenate([np.ravel_multi_index(plus[0], shape),
                             np.ravel_multi_index(minus[0], shape)])
-    value = np.concatenate([plus[1], -minus[1]])
-    _, slot = np.unique(index, return_inverse=True)
-    total = (np.bincount(slot, weights=value.real)
-             + 1j * np.bincount(slot, weights=value.imag))
-    return max_abs(total)
+    keys, slot = np.unique(index, return_inverse=True)
+    return max_abs(_scatter_sum(slot, np.concatenate([plus[1], -minus[1]]), keys.size))
 
 
 # ---------------------------------------------------------------------------
@@ -739,27 +725,17 @@ def _subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
 
 
 def is_normal_hopf_subalgebra(A: HopfAlgebraData, B: SubspaceBasis) -> bool:
-    """True iff a_1 b S(a_2) stays in span(B) for all basis a and b in B."""
+    """True iff a_1 b S(a_2) stays in span(B) for all basis a and b in B.
+
+    The images are the left adjoint action of the basis on the columns of
+    B (`_adjoint_entries`), summed into one column per (a, b).
+    """
     if not is_hopf_subalgebra(A, B):
         raise PreconditionError("B is not a Hopf subalgebra")
-    return linalg.contains_vectors(B.matrix, _adjoint_images(A, B.matrix), TOL_ALG)
-
-
-def _adjoint_images(A: HopfAlgebraData, Bm: np.ndarray) -> np.ndarray:
-    """Columns a_1 b_m S(a_2) for a = e_s and b_m the columns of Bm, ordered (s, m)."""
-    d, k = A.dim, Bm.shape[1]
-    if A.mult_coo.sparse and A.comult_coo.sparse:
-        # each pair of a nonzero Delta[s, i, j] and a nonzero mult[i, p, q]
-        # adds Delta mult Y[p, m, j] to coordinate q
-        Y = A.products(Bm, A.antipode)                                    # Y[:, m, j] = b_m S(e_j)
-        (s, j, p, q), c = _coo_einsum("sij,ipq->sjpq", A.comult_coo.entries,
-                                      A.mult_coo.entries, d)
-        w = _scatter_sum(s * d + q, c[:, None] * Y[p, :, j], d * d)      # w[(s, q), m]
-        return w.reshape(d, d, k).transpose(1, 0, 2).reshape(d, d * k)
-    pb = A.products(np.eye(d), Bm).reshape(d, d * k)                      # e_p b_c
-    sand = A.products(pb, A.antipode).reshape(d, d, k, d)                 # e_p b_c S(e_q)
-    w = A.comult.reshape(d, d * d) @ sand.transpose(1, 3, 2, 0).reshape(d * d, k * d)
-    return w.reshape(d * k, d).T
+    d, n = A.dim, B.dim
+    (k, m, o), val = _adjoint_entries(A, A.antipode, B.matrix, left=True)
+    images = _scatter_sum((o * d + k) * n + m, val, d * d * n).reshape(d, d * n)
+    return linalg.contains_vectors(B.matrix, images, TOL_ALG)
 
 
 def subspace_product(U: SubspaceBasis, V: SubspaceBasis) -> SubspaceBasis:

@@ -2,7 +2,7 @@
 
 `conjugate_module` twists W (x) M by an explicit module of the dual, built
 from a subcoalgebra by `subcoalgebra_as_dual_module`; its character is the
-reference for `clifford.conjugation_matrix`.  `conjugation_matrices`
+reference for `clifford.conjugation_matrices`.  `conjugation_matrices`
 forms the dense products S(e_p) b_m and multiplies Delta(d)^T by them for
 each d, the per-character formula the COO joins of
 `clifford.conjugation_matrices` replace.  `graded_tensor_character` solves

@@ -9,7 +9,7 @@ from hopfclifford import clifford, hopf
 from hopfclifford.clifford import (Extension, analyze_alpha,
                                    check_stabilizer_induction,
                                    compute_stabilizer, conjugate_class_indices,
-                                   conjugation_matrix, coset_projection_check,
+                                   conjugation_matrices, coset_projection_check,
                                    direct_correspondence_check,
                                    graded_tensor_characters,
                                    stabilizer_dimension_bound,
@@ -76,7 +76,7 @@ def test_class_formulas(classical, counterexample, cocentral8):
 
 def test_conjugate_by_unit(classical):
     A = classical.A
-    C = conjugation_matrix(A, classical.inc, A.unit)
+    C = conjugation_matrices(A, classical.inc, A.unit[None])[0]
     assert np.max(np.abs(C - np.eye(classical.inc.small.dim))) < 1e-8
 
 
@@ -88,7 +88,7 @@ def test_conjugate_by_transposition_swaps_omegas(classical, s3_group):
     omegas = [k for k, ch in enumerate(dec_b.irr)
               if np.max(np.abs(ch.values - 1.0)) > 1e-8]
     a, b = omegas
-    C = conjugation_matrix(A, classical.inc, t_vec)
+    C = conjugation_matrices(A, classical.inc, t_vec[None])[0]
     assert np.max(np.abs(dec_b.irr[a].values @ C - dec_b.irr[b].values)) < 1e-8
     assert np.max(np.abs(dec_b.irr[b].values @ C - dec_b.irr[a].values)) < 1e-8
 
@@ -114,7 +114,7 @@ def test_conjugation_composes(classical):
     for d1, C1 in zip(duals, mats):
         for d2, C2 in zip(duals, mats):
             prod = A.product(d1.values, d2.values)
-            rhs = conjugation_matrix(A, classical.inc, prod)
+            rhs = conjugation_matrices(A, classical.inc, prod[None])[0]
             assert float(np.max(np.abs(C2 @ C1 - rhs))) < 1e-8
 
 
@@ -127,7 +127,7 @@ def test_conjugation_composes_counterexample(counterexample):
     for i1 in picks:
         for i2 in picks:
             prod = ext.A.product(duals[i1].values, duals[i2].values)
-            rhs = conjugation_matrix(ext.A, ext.inc, prod)
+            rhs = conjugation_matrices(ext.A, ext.inc, prod[None])[0]
             lhs = ext.conjugation[i2] @ ext.conjugation[i1]
             assert float(np.max(np.abs(lhs - rhs))) < 1e-7
 
@@ -143,7 +143,7 @@ def test_conjugate_module_matches_character(classical, s3_group):
               if np.max(np.abs(ch.values - 1.0)) > 1e-8]
     M = construct_irreducible_module(classical.inc.small, dec_b, omegas[0])
     out = conjugate_module(A, classical.inc, W, M)
-    conj = conjugation_matrix(A, classical.inc, t_vec)
+    conj = conjugation_matrices(A, classical.inc, t_vec[None])[0]
     want = Character(dec_b.algebra, dec_b.irr[omegas[0]].values @ conj)
     assert out.character().close_to(want)
 
@@ -214,7 +214,7 @@ def test_stabilizing_set_closed(counterexample):
     for i in stab:
         d = ext.dec_dual.irr[i]
         # the dual character S(d) stabilizes
-        C = conjugation_matrix(A, ext.inc, A.antipode @ d.values)
+        C = conjugation_matrices(A, ext.inc, (A.antipode @ d.values)[None])[0]
         assert float(np.max(np.abs(alpha.values @ C - d.degree * alpha.values))) < 1e-8
         for j in stab:
             prod = Character(ext.dual, A.product(d.values,

@@ -2,7 +2,8 @@
 against its dense definition: on the constructor tensors, with a perturbed
 entry, with a NaN, and after a change of basis that makes them dense.  The
 Hopf-subalgebra test, which reads V or its complement, against projectors.
-The adjoint joins of the conjugation matrices and the antipode residuals
+The adjoint action that the normality test, the conjugation matrices and
+the antipode residuals read, through its joins and its dense fallback,
 against the dense formulas, and the sizes of the arrays they build."""
 
 import functools
@@ -14,7 +15,7 @@ import pytest
 
 from hopfclifford import hopf, linalg, repcalc, scenarios
 from hopfclifford.clifford import (compute_stabilizer, conjugation_matrices,
-                                   conjugation_matrix, graded_stabilizer_analysis)
+                                   graded_stabilizer_analysis)
 from hopfclifford.errors import ConsistencyError, NumericDegeneracyError
 from hopfclifford.groups import subgroup_closure
 from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis,
@@ -246,7 +247,29 @@ def _subgroup_algebra(A, G, labels, basis=None):
     return SubspaceBasis.from_vectors(A, vectors if basis is None else basis @ vectors)
 
 
+def _joins_only(call):
+    """Whether `call()` reads the adjoint action through its joins alone, no
+    `_coo_einsum` join having refused its pairs for the dense fallback; and
+    what it returns."""
+    refused = []
+    einsum = hopf._coo_einsum
+
+    def recording(spec, *args, **kw):
+        try:
+            return einsum(spec, *args, **kw)
+        except hopf._TooManyPairs:
+            refused.append(spec)
+            raise
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hopf, "_coo_einsum", recording)
+        out = call()
+    return not refused, out
+
+
 def test_normality_matches_dense(s4_sigma, counterexample, a5):
+    # the joins on the constructor's basis, the dense fallback on a unitary one
+    rng = np.random.default_rng(47)
     kS4 = group_algebra(s4_sigma)
     cases = [
         (kS4, _subgroup_algebra(kS4, s4_sigma, ("s", "gg")), True),   # A4 in S4
@@ -256,23 +279,29 @@ def test_normality_matches_dense(s4_sigma, counterexample, a5):
         (a5.A, a5.b_sub, True),
     ]
     for A, B, normal in cases:
-        assert A.mult_coo.sparse and A.comult_coo.sparse
-        assert is_normal_hopf_subalgebra(A, B) is normal
-        assert is_normal_hopf_subalgebra(_dense(A), B) is normal
+        P = np.linalg.qr(_random(rng, A.dim, A.dim))[0]
+        T = _change_basis(A, P)
+        rotated = SubspaceBasis(T, P.conj().T @ B.matrix)
+        assert _joins_only(lambda: is_normal_hopf_subalgebra(A, B)) == (True, normal)
+        assert _joins_only(lambda: is_normal_hopf_subalgebra(T, rotated)) == (False, normal)
 
 
 def test_adjoint_action_matches_dense(counterexample, a5):
-    # a_1 b S(a_2) for random b; after a shear of the basis, pairs of
-    # nonzeros meet at one coordinate and are summed
+    # a_1 b S(a_2) for random b against the einsum; after a shear of the
+    # basis, pairs of nonzeros meet at one coordinate and are summed
     rng = np.random.default_rng(13)
     for A in (counterexample.A, counterexample.dual, a5.A, _shear(counterexample.A)):
-        Bm = _random(rng, A.dim, 2)
-        got, want = hopf._adjoint_images(A, Bm), hopf._adjoint_images(_dense(A), Bm)
-        assert np.max(np.abs(got - want)) < 1e-12 * A.dim
+        d, Bm = A.dim, _random(rng, A.dim, 2)
+        bS = np.einsum("jm,rq,jrc->cmq", Bm, A.antipode, A.mult, optimize=True)  # b_m S(e_q)
+        want = np.einsum("kpq,cmq,pco->kmo", A.comult, bS, A.mult, optimize=True)
+        idx, val = hopf._adjoint_entries(A, A.antipode, Bm, left=True)
+        got = np.zeros(want.shape, complex)
+        np.add.at(got, idx, val)
+        assert np.max(np.abs(got - want)) < 1e-12 * d
 
 
 def test_normality_memory(a5):
-    # the dense sandwich e_p b S(e_q) held 49.7 MB at d=60
+    # a dense sandwich e_p b S(e_q) would hold 49.7 MB at d=60
     A, B = a5.A, a5.b_sub
     is_normal_hopf_subalgebra(A, B)        # the COO plans are built once per algebra
     tracemalloc.start()
@@ -291,8 +320,9 @@ def test_conjugation_matrix_matches_conjugate_module(counterexample, cocentral8)
         modules = [construct_irreducible_module(inc.small, dec_b, k)
                    for k in range(len(dec_b.irr))]
         for d, C in zip(ext.dec_dual.irr, ext.coefficient_spaces):
-            Cd = conjugation_matrix(A, inc, d.values)
-            assert np.max(np.abs(Cd - conjugation_matrix(_dense(A), inc, d.values))) < 1e-12
+            Cd = conjugation_matrices(A, inc, d.values[None])[0]
+            dense = conjugation_matrices(_dense(A), inc, d.values[None])[0]
+            assert np.max(np.abs(Cd - dense)) < 1e-12
             W = subcoalgebra_as_dual_module(A, C)
             for alpha, M in zip(dec_b.irr, modules):
                 got = conjugate_module(A, inc, W, M).character().values
@@ -309,7 +339,7 @@ def test_conjugation_matrix_matches_definition(counterexample, a5):
         U = np.einsum("rp,jm,rjk->pmk", A.antipode, E, A.mult, optimize=True)
         W = np.einsum("pq,pma,aqk->km", X, U, A.mult, optimize=True)     # S(d_1) b_m d_2
         want = np.linalg.lstsq(E, W, rcond=None)[0]
-        assert np.max(np.abs(conjugation_matrix(A, ext.inc, d_vec) - want)) < 1e-10
+        assert np.max(np.abs(conjugation_matrices(A, ext.inc, d_vec[None])[0] - want)) < 1e-10
 
 
 def _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4, a5):
@@ -333,7 +363,7 @@ def test_conjugation_matrices_match_the_dense_formula(counterexample, cocentral8
 
 def test_conjugation_matrices_do_not_depend_on_the_basis(counterexample):
     # in the sheared basis the joins sum repeated indices; in a unitary one
-    # they would pair more than d^2 entries, and the dense products are taken
+    # they would pair more than d^2 entries, and the dense fallback is taken
     ext = counterexample
     A, E = ext.A, ext.inc.embedding
     D = np.array([d.values for d in ext.dec_dual.irr])
@@ -344,14 +374,10 @@ def test_conjugation_matrices_do_not_depend_on_the_basis(counterexample):
     for P, joins in ((shear, True), (unitary, False)):
         T = _change_basis(A, P)
         Q = np.linalg.inv(P)
-        try:
-            hopf._adjoint_entries(T, T.antipode, Q @ E)
-            joined = True
-        except hopf._TooManyPairs:
-            joined = False
-        assert joined is joins
         inc = HopfInclusion(small=ext.inc.small, big=T, embedding=Q @ E)
-        got = conjugation_matrices(T, inc, D @ Q.T)        # an element x has coordinates Q x
+        # an element x has coordinates Q x
+        joined, got = _joins_only(lambda: conjugation_matrices(T, inc, D @ Q.T))
+        assert joined is joins
         assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -379,7 +405,7 @@ def test_conjugation_by_a_nan_fails_where_no_join_reads_it(dual_s4_v4):
     d_vec = ext.dec_dual.irr[-1].values.copy()
     d_vec[5] = np.nan
     with pytest.raises(ConsistencyError, match="NaN"):
-        conjugation_matrix(ext.A, ext.inc, d_vec)
+        conjugation_matrices(ext.A, ext.inc, d_vec[None])
 
 
 def _recording_array_sizes(monkeypatch, sizes):
@@ -408,8 +434,9 @@ def _recording_array_sizes(monkeypatch, sizes):
 
 def test_adjoint_kernels_build_no_cube(monkeypatch, counterexample, cocentral8, classical,
                                        s4_a4, dual_s4_v4, a5):
-    # the dense conjugation held (d, d, |B|) products and the antipode
-    # residuals a (d^2, d) contraction; the joins hold at most d^2 pairs
+    # the dense conjugation held (d, d, |B|) products, the antipode
+    # residuals a (d^2, d) contraction and the normality test a (d, d, d, |B|)
+    # sandwich; the joins hold at most d^2 pairs
     exts = _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4, a5)
     duals = {name: np.array([d.values for d in ext.dec_dual.irr]) for name, ext in exts.items()}
     sizes: list[int] = []
@@ -419,6 +446,10 @@ def test_adjoint_kernels_build_no_cube(monkeypatch, counterexample, cocentral8, 
         sizes.clear()
         conjugation_matrices(ext.A, ext.inc, duals[name])
         assert 0 < max(sizes) < min(d ** 3, d * d * b), name
+        B = ext.b_sub
+        sizes.clear()
+        assert is_normal_hopf_subalgebra(ext.A, B)
+        assert 0 < max(sizes) < d ** 3, name
         for alg in (ext.A, ext.inc.small, ext.dual):
             sizes.clear()
             assert max(antipode_residuals(alg, alg.antipode).values()) < 1e-12
@@ -554,22 +585,26 @@ def _adjoint_definitions(A, S, X):
 def test_adjoint_entries_match_definitions(algebras):
     # both actions, on two random columns x_m and on x = 1; the columns have
     # two nonzeros each from d = 24 on, one below, so that the joins stay
-    # within d^2 pairs.  A dense S would pair d^2 |G| entries and is refused
+    # within d^2 pairs.  A dense S pairs d^2 |G| entries with Delta, so
+    # unless |G| = 1 the dense fallback answers for it
     rng = np.random.default_rng(43)
     for name, A in list(algebras.items()) + [("shear", _shear(algebras["a5 A"]))]:
         d = A.dim
         per = 2 if d >= 24 else 1
         X = np.zeros((d, 2), complex)
         X[rng.choice(d, 2 * per, replace=False), np.repeat([0, 1], per)] = _random(rng, 2 * per)
-        for S in _sparse_antipodes(A, rng):
+        dense = _random(rng, d, d)
+        for S in _sparse_antipodes(A, rng) + [dense]:
             for (left, with_x), want in _adjoint_definitions(A, S, X).items():
-                idx, val = hopf._adjoint_entries(A, S, X if with_x else None, left=left)
+                joined, (idx, val) = _joins_only(
+                    lambda: hopf._adjoint_entries(A, S, X if with_x else None, left=left))
+                if S is not dense:
+                    assert joined, name
+                elif A.comult_coo.entries[1].size > d:
+                    assert not joined, name
                 got = np.zeros(want.shape, complex)
                 np.add.at(got, idx, val)
                 assert np.max(np.abs(got - want)) < 1e-12 * d, (name, left, with_x)
-        if A.comult_coo.entries[1].size > d:
-            with pytest.raises(hopf._TooManyPairs):
-                hopf._adjoint_entries(A, _random(rng, d, d))
 
 
 def test_antipode_joins_match_dense_definition(algebras):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hopfclifford import cli, clifford, linalg, repcalc
-from hopfclifford.clifford import component_bimodule, conjugation_matrix
+from hopfclifford.clifford import component_bimodule, conjugation_matrices
 from hopfclifford.errors import (ConsistencyError, NotACharacterError,
                                  PreconditionError)
 from hopfclifford.groups import group_from_permutations
@@ -94,7 +94,7 @@ def _group_from_group_like_basis(ext):
 def _conjugation_matrix(ext):
     d_vec = ext.dec_dual.irr[-1].values.copy()
     d_vec[0] = np.nan
-    return conjugation_matrix(ext.A, ext.inc, d_vec)
+    return conjugation_matrices(ext.A, ext.inc, d_vec[None])
 
 
 def _scalar_module(ext):
