@@ -22,7 +22,11 @@ B-character alpha:
     the stabilizer subgroup H of the orbit action A_f (x)_B M, solved for
     every f in one batch, and
     S = A(H), with the criterion "correspondence holds iff Z = S iff
-    S is a Hopf subalgebra".
+    S is a Hopf subalgebra".  S, like the coset check's sums of
+    components, is the stack of the components' bases, with no fresh SVD,
+    whenever they are orthonormal together (`SubspaceBasis.spanned_by`):
+    for a bismash they are unit vectors, which the kernels of `hopf` read
+    through joins of their nonzeros.
 
 Cross-checks between the independent criteria raise TheoremViolationError
 on mismatch since any mismatch means an implementation bug; numeric checks
@@ -547,7 +551,11 @@ def conjugate_class_indices(ext: Extension, alpha_index: int) -> tuple[int, ...]
 def component_bimodule(A: HopfAlgebraData, inc: HopfInclusion, comp: SubspaceBasis
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(right, left): right[:, j, m] and left[:, m, j] are the coordinates in A_f of
-    a_j b_m and of b_m a_j, for a_j in A_f and b_m in B; both must stay in A_f."""
+    a_j b_m and of b_m a_j, for a_j in A_f and b_m in B; both must stay in A_f.
+
+    The products come from `AlgebraData.products`, which joins the entries
+    of the bases of A_f and B with `mult` when both are 0/1, as for a
+    bismash, so that no (d, d, |B|) intermediate is formed."""
     U = comp.matrix
     E = np.asarray(inc.embedding, complex)
     out = []
@@ -630,8 +638,7 @@ def graded_stabilizer_analysis(ext: Extension, sr: StabilizerResult) -> GradedSe
     if Fraction(ext.ecd.b_sums[i].degree) * len(h_members) != Fraction(F.order) * alpha.degree ** 2:
         raise TheoremViolationError("orbit identity b_i(1) |H| = |F| alpha(1)^2 fails")
 
-    S = SubspaceBasis.from_vectors(
-        A, np.hstack([components[f].matrix for f in h_members]))
+    S = SubspaceBasis.spanned_by(A, np.hstack([components[f].matrix for f in h_members]))
     if S.dim != inc.small.dim * len(h_members):
         raise ConsistencyError("dim A(H) != |B| |H|")
     s_hopf = is_hopf_subalgebra(A, S)
@@ -690,8 +697,7 @@ def coset_projection_check(ext: Extension) -> dict:
         images_match &= img.equals(SubspaceBasis(piF.target, span))
 
         bc = subspace_product(ext.b_sub, C)
-        graded = SubspaceBasis.from_vectors(
-            A, np.hstack([components[f].matrix for f in support]))
+        graded = SubspaceBasis.spanned_by(A, np.hstack([components[f].matrix for f in support]))
         cosets_match &= bc.equals(graded)
         cosets.append(bc)
 

@@ -31,16 +31,28 @@ more than d^2 entries, as for a dense S or a quotient, it forms the action
 densely instead; that is its one dense fallback.  A coefficient space of
 dimension n^2 is the range of a seeded Gaussian sketch with n^2 + 1
 columns, gated on its rank and on holding every coefficient, not the SVD
-of a d x d matrix.  The Hopf-subalgebra test reads "x in V" on the
-thinner of V and its orthogonal complement W: on V when 2 dim V <= d,
-else on W, so that its cost follows min(dim V, codim V).  Checks compare
-against the thresholds named in `linalg`; only `verify_hopf_axioms` takes
-a tolerance, since the scenario's `tolerances.alg` and the quotient's
-TOL_NUM differ.
+of a d x d matrix.  The 0/1 operands (bases of unit vectors, as the
+graded components A_f and S = A(H) are, the embedding of k^G, the
+projection onto kF, a permutation antipode) enter in COO form too
+(`_entries`): from dimension JOIN_MIN_DIM on, when each holds at most d
+nonzeros and the tensors are sparse and finite (`_joins_apply`), the
+Hopf-subalgebra test, the Hopf-map residual, cocentrality and `products`
+join them with `mult` and `comult` and reduce the results through
+`_difference`, so that their cost follows the nonzeros; a kernel takes its
+dense form otherwise, and when a join would pair more entries than its
+limit (`_TooManyPairs`).  The comodule map rho is kept in COO form, and a
+graded component A_f is the span of the nonzero columns of rho_f, which
+are its basis as they stand when they are orthonormal.  The dense form of
+the Hopf-subalgebra test reads "x in V" on the thinner of V and its
+orthogonal complement W: on V when 2 dim V <= d, else on W, so that its
+cost follows min(dim V, codim V).  Checks compare against the thresholds
+named in `linalg`; only `verify_hopf_axioms` takes a tolerance, since the
+scenario's `tolerances.alg` and the quotient's TOL_NUM differ.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -61,13 +73,15 @@ class Coo:
 
     `sparse` is the rule the algebra classes' kernels follow: a tensor with
     at most d^2 entries is read through them, a denser one through the
-    dense tensor.
+    dense tensor.  `finite` tells whether every entry is finite: the joins
+    with 0/1 operands (`_joins_apply`) read only a finite tensor.
     """
 
     def __init__(self, dim: int, idx: tuple[np.ndarray, ...], val: np.ndarray):
         self.dim = dim
         self.entries = (idx, val)
         self.sparse = val.size <= dim ** 2
+        self.finite = bool(np.isfinite(val).all())
         self._plans: dict[tuple[int, ...], tuple] = {}
 
     @classmethod
@@ -174,12 +188,22 @@ class AlgebraData:
     def products(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """All pairwise products: out[:, a, b] = U[:, a] * V[:, b], shape (d, |U|, |V|).
 
-        The thinner operand is contracted with `mult` first, so that the
-        intermediate holds d^2 min(|U|, |V|) entries: U = I, as in the
-        centre's commutators or A B+, builds no (d^2, d) array.
+        When U and V are 0/1 maps or bases of unit vectors (`_joins_apply`),
+        the products are joins of their entries with `mult`
+        (`_product_entries`) summed into the result.  Otherwise the thinner
+        operand is contracted with `mult` first, so that the intermediate
+        holds d^2 min(|U|, |V|) entries: U = I, as in A B+, builds no
+        (d^2, d) array.
         """
         d = self.dim
         U, V = np.asarray(U, complex), np.asarray(V, complex)
+        if _joins_apply(d, (self.mult_coo,), (U, V)):
+            try:
+                (a, b, o), val = _product_entries(self, U, V)
+                nU, nV = U.shape[1], V.shape[1]
+                return _scatter_sum((o * nU + a) * nV + b, val, d * nU * nV).reshape(d, nU, nV)
+            except _TooManyPairs:
+                pass
         if V.shape[1] < U.shape[1]:
             T = self.mult_coo.along((1,), V)                         # T[i, k, b] = e_i * V[:, b]
             out = U.T @ T.reshape(d, -1)                             # out[a, (k, b)]
@@ -191,6 +215,24 @@ class AlgebraData:
         T = (U.T @ self.mult.reshape(d, d * d)).reshape(-1, d, d)   # T[a, j] = U[:, a] * e_j
         out = V.T @ T.transpose(1, 0, 2).reshape(d, -1)              # out[b, (a, k)]
         return out.reshape(V.shape[1], U.shape[1], d).transpose(2, 1, 0)
+
+    def commutator_residual(self, X: np.ndarray) -> float:
+        """max |e_i x_c - x_c e_i| over the basis e_i and the columns x_c of X.
+
+        From dimension JOIN_MIN_DIM on, when `mult` is sparse and finite and
+        X finite, the two sides are joins of the entries of `mult` and X, in
+        |mult| |X| pairs each, at most the d^2 |X| entries of the dense
+        commutators, reduced by `_max_abs_difference`; otherwise, as for the
+        dense `mult` of a subalgebra's basis, the dense products.
+        """
+        d, r = self.dim, X.shape[1]
+        if _joins_apply(d, (self.mult_coo,), ()) and np.isfinite(X).all():
+            m, x = self.mult_coo.entries, _entries(X)
+            return _max_abs_difference(_coo_einsum("ijo,jc->ico", m, x, d, limit=d * d * r),
+                                       _coo_einsum("jc,jio->ico", x, m, d, limit=d * d * r),
+                                       (d, r, d))
+        eye = np.eye(d)
+        return max_abs(self.products(eye, X) - self.products(X, eye).transpose(0, 2, 1))
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.left_mult_matrix(x) @ y
@@ -225,6 +267,7 @@ class HopfAlgebraData(AlgebraData):
             raise ValueError("coalgebra tensor shape mismatch")
         self.comult_coo = _as_coo(comult, self.dim, "coalgebra tensor shape mismatch")
         self.antipode = None if antipode is None else np.asarray(antipode, dtype=complex)
+        self.checked_antipode: Optional[tuple[np.ndarray, dict[str, float]]] = None
 
     @property
     def comult(self) -> np.ndarray:
@@ -254,6 +297,18 @@ class SubspaceBasis:
     @classmethod
     def from_vectors(cls, parent: AlgebraData, vectors: np.ndarray) -> "SubspaceBasis":
         return cls(parent, linalg.orthonormal_columns(np.asarray(vectors, complex)))
+
+    @classmethod
+    def spanned_by(cls, parent: AlgebraData, vectors: np.ndarray) -> "SubspaceBasis":
+        """The span of `vectors`, with the vectors themselves as its basis when
+        their Gram matrix is I within TOL_ORTHO, as for unit vectors or for
+        orthonormal components that are orthogonal to each other; else the
+        SVD basis of `from_vectors`."""
+        vectors = np.asarray(vectors, complex)
+        gram = vectors.conj().T @ vectors
+        if max_abs(gram - np.eye(gram.shape[0])) <= linalg.TOL_ORTHO:
+            return cls(parent, vectors)
+        return cls.from_vectors(parent, vectors)
 
     @property
     def dim(self) -> int:
@@ -371,8 +426,14 @@ def antipode_residuals(A: HopfAlgebraData, S: np.ndarray) -> dict[str, float]:
     The two sides are the adjoint actions of the basis on x = 1,
     S(e_k1) e_k2 and e_k1 S(e_k2) (`_adjoint_entries`), summed into (d, d)
     by `_scatter_sum`.  A NaN or Inf in S, `mult` or `comult` makes both
-    NaN even where no pair of entries reads it.
+    NaN even where no pair of entries reads it.  Each pair (A, S) is
+    computed once: A keeps the last S it checked, as a copy, with its
+    residuals (`checked_antipode`), and a call with an equal S returns them
+    again, so a closed form or a solved antipode is not checked twice by
+    the axiom gate; any other S, or one changed in place, is checked afresh.
     """
+    if A.checked_antipode is not None and np.array_equal(A.checked_antipode[0], S):
+        return dict(A.checked_antipode[1])
     d = A.dim
     target = np.outer(A.counit, A.unit)
     sides = []
@@ -381,9 +442,11 @@ def antipode_residuals(A: HopfAlgebraData, S: np.ndarray) -> dict[str, float]:
         sides.append(_scatter_sum(k * d + o, val, d * d).reshape(d, d) - target)   # [k, q]
     if not all(np.isfinite(x).all() for x in (S, A.mult_coo.entries[1], A.comult_coo.entries[1])):
         sides = [np.nan, np.nan]
-    return {"antipode_left": max_abs(sides[0]),
-            "antipode_right": max_abs(sides[1]),
-            "antipode_squared": max_abs(S @ S - np.eye(d))}
+    res = {"antipode_left": max_abs(sides[0]),
+           "antipode_right": max_abs(sides[1]),
+           "antipode_squared": max_abs(S @ S - np.eye(d))}
+    A.checked_antipode = (np.array(S, dtype=complex), res)
+    return dict(res)
 
 
 def _adjoint_entries(A: HopfAlgebraData, S: np.ndarray, X: Optional[np.ndarray] = None,
@@ -412,15 +475,11 @@ def _adjoint_entries(A: HopfAlgebraData, S: np.ndarray, X: Optional[np.ndarray] 
     def join(spec, a, b):
         return _coo_einsum(spec, a, b, d, limit=d * d)
 
-    def entries(M):
-        idx = np.nonzero(M)
-        return idx, np.asarray(M[idx], complex)
-
     try:
-        t = join("kij,pi->kjp", comult, entries(S))        # S(e_k1) (x) e_k2 on e_p (x) e_j
+        t = join("kij,pi->kjp", comult, _entries(S))       # S(e_k1) (x) e_k2 on e_p (x) e_j
         if X is None:
             return join("kjp,pjo->ko", t, mult)
-        u = join("prc,rm->pmc", mult, entries(X))          # e_p x_m on e_c
+        u = join("prc,rm->pmc", mult, _entries(X))         # e_p x_m on e_c
         return join("kjmc,cjo->kmo", join("kjp,pmc->kjmc", t, u), mult)
     except _TooManyPairs:
         pass
@@ -434,7 +493,7 @@ def _adjoint_entries(A: HopfAlgebraData, S: np.ndarray, X: Optional[np.ndarray] 
     else:       # T[c, q, k, m] = sum_p Delta[k, p, q] U[c, p, m]
         T = A.comult_coo.along((1,), U.transpose(1, 0, 2)).transpose(2, 1, 0, 3)
     W = A.multiply(T).transpose(1, 2, 0)                   # [k, m, o]
-    return entries(W if X is not None else W[:, 0])
+    return _entries(W if X is not None else W[:, 0])
 
 
 def right_adjoint(A: HopfAlgebraData, X: np.ndarray, D: np.ndarray):
@@ -633,17 +692,23 @@ def _coo_einsum(spec: str, a, b, d: int, limit: Optional[int] = None):
     sa, sb = inputs.split(",")
     (ia, va), (ib, vb) = a, b
     shared = [ch for ch in sa if ch in sb]
-    ka = np.ravel_multi_index([ia[sa.index(ch)] for ch in shared], (d,) * len(shared))
-    kb = np.ravel_multi_index([ib[sb.index(ch)] for ch in shared], (d,) * len(shared))
+
+    def keys(idx, s):
+        if len(shared) == 1:
+            return idx[s.index(shared[0])]
+        return np.ravel_multi_index([idx[s.index(ch)] for ch in shared], (d,) * len(shared))
+
+    ka, kb = keys(ia, sa), keys(ib, sb)
     order = np.argsort(kb, kind="stable")
-    lo = np.searchsorted(kb[order], ka, side="left")
-    counts = np.searchsorted(kb[order], ka, side="right") - lo
+    kb = kb[order]
+    lo = np.searchsorted(kb, ka, side="left")
+    counts = np.searchsorted(kb, ka, side="right") - lo
     total = int(counts.sum())
     limit = d ** len(out) if limit is None else limit
     if total > limit:
         raise _TooManyPairs(f"{spec}: {total} pairs > {limit}")
     pa = np.repeat(np.arange(ka.size), counts)
-    pb = order[lo[pa] + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)]
+    pb = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)]
     idx = tuple(ia[sa.index(ch)][pa] if ch in sa else ib[sb.index(ch)][pb] for ch in out)
     return idx, va[pa] * vb[pb]
 
@@ -655,12 +720,60 @@ def _scatter_sum(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(keys, values.real, size) + 1j * np.bincount(keys, values.imag, size)
 
 
+def _summed(x, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """A COO array with its repeated indices summed: the distinct flat indices
+    into `shape`, in ascending order, and their sums."""
+    keys, slot = np.unique(np.ravel_multi_index(x[0], shape), return_inverse=True)
+    return keys, _scatter_sum(slot, x[1], keys.size)
+
+
+def _difference(plus, minus, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """plus - minus of two COO arrays, as `_summed` gives it."""
+    idx = tuple(np.concatenate([p, m]) for p, m in zip(plus[0], minus[0]))
+    return _summed((idx, np.concatenate([plus[1], -minus[1]])), shape)
+
+
+def _coalesce(x, shape: tuple[int, ...]):
+    """A COO array with its repeated indices summed and the zero sums dropped."""
+    keys, values = _summed(x, shape)
+    keep = values != 0
+    return np.unravel_index(keys[keep], shape), values[keep]
+
+
 def _max_abs_difference(plus, minus, shape: tuple[int, ...]) -> float:
     """max |plus - minus| of two COO arrays whose repeated indices are summed."""
-    index = np.concatenate([np.ravel_multi_index(plus[0], shape),
-                            np.ravel_multi_index(minus[0], shape)])
-    keys, slot = np.unique(index, return_inverse=True)
-    return max_abs(_scatter_sum(slot, np.concatenate([plus[1], -minus[1]]), keys.size))
+    return max_abs(_difference(plus, minus, shape)[1])
+
+
+def _entries(M: np.ndarray):
+    """The nonzero (and NaN) entries of an array, in COO form, in row-major order."""
+    idx = np.nonzero(M)
+    return idx, np.asarray(M[idx], complex)
+
+
+def _joins_apply(dim: int, tensors: Sequence[Coo], operands: Sequence[np.ndarray]) -> bool:
+    """Whether a kernel reads its operands as joins of their entries with `tensors`.
+
+    The rule for 0/1 operands (bases of unit vectors, the embedding of k^G,
+    the projection onto kF, a permutation antipode): from dimension
+    JOIN_MIN_DIM on, when every tensor is sparse and finite and every
+    operand finite with at most `dim` nonzeros.  Below that dimension the
+    dense products cost less than the joins' sorting; a dense or non-finite
+    operand takes the dense path, where a NaN or Inf spreads as it always
+    did.  A join that still pairs more entries than its limit raises
+    `_TooManyPairs`, and its kernel takes the dense path too.
+    """
+    return (dim >= linalg.JOIN_MIN_DIM and all(t.sparse and t.finite for t in tensors)
+            and all(np.count_nonzero(M) <= dim and np.isfinite(M).all() for M in operands))
+
+
+def _product_entries(A: AlgebraData, X: np.ndarray, Y: np.ndarray):
+    """x_a y_b for the columns of X and Y in COO form, indices (a, b, o) for
+    the coefficient of e_o with repeated indices unsummed: joins of their
+    entries with `mult`, each pairing at most d^2 entries."""
+    d = A.dim
+    t = _coo_einsum("ia,ijo->ajo", _entries(X), A.mult_coo.entries, d, limit=d * d)
+    return _coo_einsum("ajo,jb->abo", t, _entries(Y), d, limit=d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -685,20 +798,70 @@ def _subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
     """The residuals of the Hopf-subalgebra test on V = span(Vb), in order:
     |Q 1|, the largest |entry| of Q v_a v_b, the largest ||Delta(v_a) -
     P Delta(v_a) P^T||_F and the largest |entry| of Q S(v_a), over the
-    columns v_a of Vb, with P = V V^H and Q = I - P.
+    columns v_a of Vb, with P = V V^H and Q = I - P.  V = A has nothing
+    outside it and yields no residual.
 
-    They are read on the thinner of V and its orthogonal complement W =
-    null_space(V^H): through V when 2 dim V <= d, else through Q = W W^H,
-    with the products and coproducts taken as `mult` and `comult` contracted
-    with conj(W) first and with V after, so that V.V and Delta(V) are never
-    formed, and ||Delta - P Delta P^T||_F^2 = ||W^H Delta||_F^2 +
-    ||V^H Delta conj(W)||_F^2.  The cost follows min(dim V, codim V); V = A
-    has nothing outside it and yields no residual.
+    When V and S are 0/1 (`_joins_apply`), as the stacked graded components
+    S = A(H) and a bismash's antipode are, each residual is a chain of joins
+    of their entries with `mult` and `comult` (`_joined_subalgebra_residuals`).
+    Otherwise, or from the residual whose join would pair more than d^2
+    entries, the dense residuals (`_dense_subalgebra_residuals`) are read.
+    """
+    d, k = Vb.shape
+    if k == d:
+        return
+    done = 0
+    if _joins_apply(d, (A.mult_coo, A.comult_coo), (Vb, A.antipode)):
+        try:
+            for residual in _joined_subalgebra_residuals(A, Vb):
+                yield residual
+                done += 1
+            return
+        except _TooManyPairs:
+            pass
+    yield from itertools.islice(_dense_subalgebra_residuals(A, Vb), done, None)
+
+
+def _joined_subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
+    """The residuals of `_subalgebra_residuals` as joins of the entries of
+    V, conj(V), S, `mult` and `comult`, each pairing at most d^2 entries:
+    x - V V^H x on the products v_a v_b and on S(v_a), and P Delta(v_a) P^T =
+    V (V^H Delta(v_a) conj(V)) V^T against Delta(v_a), all kept in COO form
+    and reduced by `_difference`."""
+    d, k = Vb.shape
+    V = _entries(Vb)
+    Vc = (V[0], V[1].conj())
+
+    def join(spec, a, b):
+        return _coo_einsum(spec, a, b, d, limit=d * d)
+
+    def outside(x, lead, shape):
+        """max |x - V V^H x| of x in COO form, indexed by `lead`, then the coordinate."""
+        coords = join(f"{lead}o,oc->{lead}c", x, Vc)
+        return _max_abs_difference(x, join(f"{lead}c,oc->{lead}o", coords, V), shape)
+
+    yield np.linalg.norm(A.unit - Vb @ (Vb.conj().T @ A.unit))
+    yield outside(_product_entries(A, Vb, Vb), "ab", (k, k, d))
+    coprods = join("ka,kij->aij", V, A.comult_coo.entries)                 # Delta(v_a)
+    inner = join("acj,je->ace", join("aij,ic->acj", coprods, Vc), Vc)      # V^H Delta(v_a) conj(V)
+    kept = join("aie,je->aij", join("ace,ic->aie", inner, V), V)           # P Delta(v_a) P^T
+    keys, defect = _difference(coprods, kept, (k, d, d))
+    yield max_abs(np.sqrt(np.bincount(keys // (d * d), np.abs(defect) ** 2, k)))
+    yield outside(join("pr,ra->ap", _entries(A.antipode), V), "a", (k, d))
+
+
+def _dense_subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
+    """The residuals of `_subalgebra_residuals` from dense products, read on
+    the thinner of V and its orthogonal complement W = null_space(V^H).
+
+    Through V when 2 dim V <= d, else through Q = W W^H, with the products
+    and coproducts taken as `mult` and `comult` contracted with conj(W)
+    first and with V after, so that V.V and Delta(V) are never formed, and
+    ||Delta - P Delta P^T||_F^2 = ||W^H Delta||_F^2 + ||V^H Delta conj(W)||_F^2.
+    The cost follows min(dim V, codim V).
     """
     d, k = Vb.shape
     Vh = Vb.conj().T
-    if k == d:
-        return
     if 2 * k <= d:
         def outside(X):
             return X - Vb @ (Vh @ X)
@@ -776,30 +939,71 @@ def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray,
         f"coefficient space has dimension {linalg.orthonormal_columns(spans).shape[1]}")
 
 
-def comodule_map_rho(A: HopfAlgebraData, pi: HopfSurjection) -> np.ndarray:
-    """rho = (id (x) pi) Delta as a (dim*dim_H, dim) matrix, row index p*dim_H + f."""
-    rho = A.comult_coo.along((2,), pi.matrix.T).transpose(1, 2, 0)      # [p, f, k]
-    return rho.reshape(A.dim * pi.matrix.shape[0], A.dim)
+def comodule_map_rho(A: HopfAlgebraData, pi: HopfSurjection):
+    """rho = (id (x) pi) Delta in COO form: indices (p, f, k), each once, for
+    the coefficient of e_p (x) f in rho(e_k).
+
+    The join of the entries of Delta and pi, summed (`_coalesce`); for a
+    bismash and its projection onto kF it holds d entries, rho(delta_g x) =
+    delta_g x (x) x.  When Delta is not finite, or the join would pair more
+    entries than the dense rho holds, rho is formed densely and its nonzeros
+    returned.
+    """
+    d, n = A.dim, pi.matrix.shape[0]
+    if A.comult_coo.finite:
+        try:
+            rho = _coo_einsum("kpq,fq->pfk", A.comult_coo.entries, _entries(pi.matrix), d,
+                              limit=d * d * n)
+            return _coalesce(rho, (d, n, d))
+        except _TooManyPairs:
+            pass
+    return _entries(A.comult_coo.along((2,), pi.matrix.T).transpose(1, 2, 0))
 
 
-def graded_component(A: HopfAlgebraData, rho: np.ndarray, f: int) -> SubspaceBasis:
+def graded_component(A: HopfAlgebraData, rho, f: int) -> SubspaceBasis:
     """A_f = {a : rho(a) = a (x) f}, rho = comodule_map_rho(A, pi) for a quotient kF.
 
-    A_f is the span of the projector rho[:, f, :]; rho(a) = a (x) f is then
-    checked on its basis, which fails unless the quotient basis is group-like.
+    A_f is the range of rho_f = (id (x) f*) rho, the span of its nonzero
+    columns; they are its basis as they stand when they are orthonormal, as
+    the unit vectors of a bismash's A_f are (`SubspaceBasis.spanned_by`), so
+    no SVD of a d x d block is taken.  rho(a) = a (x) f is then checked on
+    the basis, as a join of rho's entries with the basis', which fails
+    unless the quotient basis is group-like.
     """
     d = A.dim
-    rho = rho.reshape(d, -1, d)
-    U = linalg.orthonormal_columns(rho[:, f, :])
-    image = rho @ U                      # image[p, g, r]: e_p (x) g in rho(U[:, r])
-    image[:, f, :] -= U
-    require(max_abs(image), TOL_ALG, PreconditionError,
-            "quotient is not a group algebra on its basis")
+    (p, g, k), val = rho
+    here = g == f
+    cols, col = np.unique(k[here], return_inverse=True)
+    block = np.zeros((d, cols.size), dtype=complex)
+    block[p[here], col] = val[here]
+    U = SubspaceBasis.spanned_by(A, block).matrix
+    basis = _entries(U)
+    (i, r), u = basis
+    # never refused: an entry of rho pairs with one row of U's entries at most
+    image = _coo_einsum("pgk,kr->pgr", rho, basis, d, limit=val.size * U.shape[1])
+    defect = _max_abs_difference(image, ((i, np.full(i.size, f), r), u), (d, d, U.shape[1]))
+    if not np.isfinite(val).all():      # a NaN or Inf of rho fails the check wherever it is
+        defect = np.nan
+    require(defect, TOL_ALG, PreconditionError, "quotient is not a group algebra on its basis")
     return SubspaceBasis(A, U)
 
 
 def is_cocentral(A: HopfAlgebraData, pi: HopfSurjection) -> bool:
-    """Check pi(a_1) (x) a_2 = pi(a_2) (x) a_1 on every basis element."""
+    """Check pi(a_1) (x) a_2 = pi(a_2) (x) a_1 on every basis element.
+
+    For a 0/1 pi (`_joins_apply`) both sides are joins of the entries of
+    Delta and pi, compared by `_max_abs_difference`; otherwise they are
+    Delta contracted with pi densely, (d, d, |F|) each.
+    """
+    d, n = A.dim, pi.matrix.shape[0]
+    if _joins_apply(d, (A.comult_coo,), (pi.matrix,)):
+        c, P = A.comult_coo.entries, _entries(pi.matrix)
+        try:
+            return _max_abs_difference(_coo_einsum("kpq,fp->kqf", c, P, d, limit=d * d),
+                                       _coo_einsum("kpq,fq->kpf", c, P, d, limit=d * d),
+                                       (d, d, n)) < TOL_ALG
+        except _TooManyPairs:
+            pass
     t1 = A.comult_coo.along((1,), pi.matrix.T)          # [k, q, f]: pi(a_1) (x) a_2
     t2 = A.comult_coo.along((2,), pi.matrix.T)          # [k, p, f]: pi(a_2) (x) a_1
     return max_abs(t1 - t2) < TOL_ALG
@@ -847,21 +1051,58 @@ def hopf_map_residual(src: HopfAlgebraData, dst: HopfAlgebraData,
 
     Returns inf when phi is neither injective nor surjective; otherwise
     the worst of the mult, unit, comult and counit residuals, and of the
-    antipode residual when both sides carry an antipode.
+    antipode residual when both sides carry an antipode.  For a 0/1 phi
+    (`_joins_apply`), as the embedding of k^G and the projection onto kF
+    are, the mult, comult and antipode defects are joins of the entries of
+    phi with those of the tensors and antipodes (`_joined_map_defects`), so
+    no (d^2, |F|) or (|G|, d, d) array is formed; otherwise, or when a join
+    would pair more than max(dim)^2 entries, they are dense contractions.
     """
     phi = np.asarray(phi, complex)
     if linalg.matrix_rank(phi) != min(phi.shape):
         return float("inf")
+    antipodes = (src.antipode, dst.antipode) if (src.antipode is not None
+                                                 and dst.antipode is not None) else ()
+    units = [phi @ src.unit - dst.unit, dst.counit @ phi - src.counit]
+    tensors = (src.mult_coo, src.comult_coo, dst.mult_coo, dst.comult_coo)
+    if _joins_apply(max(src.dim, dst.dim), tensors, (phi,) + antipodes):
+        try:
+            return max_abs(*_joined_map_defects(src, dst, phi, bool(antipodes)), *units)
+        except _TooManyPairs:
+            pass
     # [k, a, b]: (phi (x) phi) Delta(e_k)
     images = src.comult_coo.along((1,), phi.T).transpose(0, 2, 1) @ phi.T
     defects = [
         src.mult_coo.along((2,), phi.T) - dst.products(phi, phi).transpose(1, 2, 0),
-        phi @ src.unit - dst.unit,
-        images - dst.apply_comult(phi.T),
-        dst.counit @ phi - src.counit]
-    if src.antipode is not None and dst.antipode is not None:
+        images - dst.apply_comult(phi.T)]
+    if antipodes:
         defects.append(phi @ src.antipode - dst.antipode @ phi)
-    return max_abs(*defects)
+    return max_abs(*defects, *units)
+
+
+def _joined_map_defects(src: HopfAlgebraData, dst: HopfAlgebraData, phi: np.ndarray,
+                        antipodes: bool) -> list[np.ndarray]:
+    """The mult, comult and (when `antipodes`) antipode defects of
+    `hopf_map_residual`, phi(e_i e_j) - phi(e_i) phi(e_j), (phi (x) phi)
+    Delta(e_k) - Delta(phi(e_k)) and phi S - S phi, each as the summed values
+    of a difference of joins."""
+    ns, nd = src.dim, dst.dim
+    n = max(ns, nd)
+    P = _entries(phi)                                                      # phi[a, k]
+
+    def join(spec, a, b):
+        return _coo_einsum(spec, a, b, n, limit=n * n)
+
+    m, M = src.mult_coo.entries, dst.mult_coo.entries
+    c, C = src.comult_coo.entries, dst.comult_coo.entries
+    pairs = [(join("ijk,ak->ija", m, P), join("iqc,qj->ijc", join("pi,pqc->iqc", P, M), P),
+              (ns, ns, nd)),
+             (join("kaj,bj->kab", join("kij,ai->kaj", c, P), P), join("pk,pab->kab", P, C),
+              (ns, nd, nd))]
+    if antipodes:
+        pairs.append((join("ak,kj->aj", P, _entries(src.antipode)),
+                      join("ab,bj->aj", _entries(dst.antipode), P), (nd, ns)))
+    return [_difference(plus, minus, shape)[1] for plus, minus, shape in pairs]
 
 
 def subalgebra_data(A: AlgebraData, basis: SubspaceBasis,

@@ -147,19 +147,19 @@ def _center(A: AlgebraData, seed: int) -> np.ndarray:
     Two random elements generate a semisimple algebra with probability one,
     so their common commutant, the null space of [L(r1) - R(r1); L(r2) - R(r2)],
     is the center (Eberly and Giesbrecht, J. Symbolic Comput. 2000).  The
-    basis is then checked against every basis element.  The elements come
-    from stream 0 of the seed (`linalg.random_stream`), so the splitting
-    draws stay those of `seed`.
+    basis is then checked against every basis element
+    (`AlgebraData.commutator_residual`, joins of the entries of `mult` and
+    the basis unless `mult` is dense).  The elements come from stream 0 of
+    the seed (`linalg.random_stream`), so the splitting draws stay those of
+    `seed`.
     """
     d = A.dim
-    eye = np.eye(d)
     rng = linalg.random_stream(seed, 0)
     for _ in range(MAX_RETRIES):
         rs = [linalg.random_complex(rng, d) for _ in range(2)]
         center = linalg.null_space(
             np.vstack([A.left_mult_matrix(x) - A.right_mult_matrix(x) for x in rs]))
-        commutators = A.products(eye, center) - A.products(center, eye).transpose(0, 2, 1)
-        if max_abs(commutators) <= TOL_NUM:
+        if A.commutator_residual(center) <= TOL_NUM:
             return center
     raise NumericDegeneracyError("center of two random elements failed after max retries")
 

@@ -1,5 +1,6 @@
 """Shared fixtures: the three builtin extensions, a5_a4_c5, s4_a4 and
-dual_s4_v4 as per-scenario contexts.
+dual_s4_v4 as per-scenario contexts; and `dense_rho`, the comodule map read
+back from its COO form.
 
 Session scope keeps the expensive dim-24 objects built once; each context
 computes its decompositions, classes and conjugation matrices on first use.
@@ -7,8 +8,10 @@ computes its decompositions, classes and conjugation matrices on first use.
 
 import time
 
+import numpy as np
 import pytest
 
+from hopfclifford import hopf
 from hopfclifford.groups import (derive_actions, group_from_permutations,
                                  subgroup_closure)
 from hopfclifford.repcalc import DEFAULT_SEED
@@ -24,6 +27,16 @@ S4_A4 = {"name": "s4_a4", "construction": "group_algebra",
 DUAL_S4_V4 = {"name": "dual_s4_v4", "construction": "dual_group_algebra",
               "group": {"generators": ["(1 2 3 4)", "(1 2)"], "names": ["g", "t"]},
               "b_generators": ["(1 2)(3 4)", "(1 3)(2 4)"]}
+
+
+def dense_rho(A, P):
+    """The comodule map (id (x) P) Delta of `hopf.comodule_map_rho`, whose
+    entries are distinct, as a (d, |P|, d) array."""
+    idx, val = hopf.comodule_map_rho(A, hopf.HopfSurjection(A, None, P))
+    assert len(set(zip(*(i.tolist() for i in idx)))) == val.size
+    rho = np.zeros((A.dim, P.shape[0], A.dim), dtype=complex)
+    rho[idx] = val
+    return rho
 
 
 def _builtin(name):

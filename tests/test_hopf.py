@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hopfclifford import hopf, linalg, repcalc
+from hopfclifford import hopf, linalg, repcalc, scenarios
 from hopfclifford.errors import (ConsistencyError, NormalityError,
                                  NumericDegeneracyError, PreconditionError)
 from hopfclifford.groups import group_from_permutations, subgroup_closure
@@ -15,6 +15,8 @@ from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis,
                                is_hopf_subalgebra, is_normal_hopf_subalgebra,
                                quotient_hopf, solve_antipode, subspace_product,
                                verify_hopf_axioms)
+
+from conftest import dense_rho
 
 
 def _is_commutative(A):
@@ -84,6 +86,40 @@ def test_antipode_closed_forms(c4, s3_group, counterexample, cocentral8):
     # a closed form that fails the antipode axioms is refused
     with pytest.raises(ConsistencyError):
         hopf._with_checked_antipode(group_algebra(c4), np.eye(4, dtype=complex), "id")
+
+
+def test_antipode_residuals_once_per_pair(monkeypatch, c4):
+    # a request computes each (algebra, S) pair once: the axiom gate reads
+    # the check of A's and B's closed forms, and quotient_hopf's gate that
+    # of the solved S of A/AB+, where it computed 8 before
+    computed = []
+    adjoint = hopf._adjoint_entries
+
+    def counting(A, S, X=None, left=False):
+        if X is None and not left:
+            computed.append((id(A), S.tobytes()))
+        return adjoint(A, S, X, left=left)
+
+    sc = scenarios.builtin_scenario("s4_counterexample")
+    monkeypatch.setattr(hopf, "_adjoint_entries", counting)
+    report = scenarios.run_scenario(sc)
+    assert len(computed) == len(set(computed)) == 5
+    monkeypatch.undo()
+    # the gate reports the values of a fresh check
+    ext = scenarios.build_scenario(sc, report.seed)
+    for tag, alg in (("A", ext.A), ("B", ext.inc.small), ("A_dual", ext.dual)):
+        alg.checked_antipode = None
+        fresh = verify_hopf_axioms(alg).residuals
+        assert {k: report.axiom_residuals[f"{tag}.{k}"] for k in fresh} == fresh
+    # an antipode changed in place, or replaced, is checked afresh
+    A = group_algebra(c4)
+    assert verify_hopf_axioms(A).ok
+    A.antipode[:, :] = np.eye(4)
+    assert not verify_hopf_axioms(A).ok
+    A.antipode = solve_antipode(A)
+    assert verify_hopf_axioms(A).ok
+    A.antipode = A.antipode + 0.1
+    assert verify_hopf_axioms(A).failing() == ["antipode_left", "antipode_right", "antipode_squared"]
 
 
 def test_products_match_einsum_definition(counterexample, cocentral8, classical):
@@ -382,8 +418,8 @@ def test_normality(classical, counterexample, s3_group):
 
 def test_rho_values(classical, counterexample):
     A, piF = classical.A, classical.piF
-    rho = comodule_map_rho(A, piF)
     h = piF.target.dim
+    rho = dense_rho(A, piF.matrix).reshape(A.dim * h, A.dim)
     out = (rho @ A.unit).reshape(A.dim, h)
     expect = np.outer(A.unit, piF.target.unit)
     assert np.max(np.abs(out - expect)) < 1e-10
@@ -396,8 +432,7 @@ def test_rho_values(classical, counterexample):
         assert np.max(np.abs(out - expect)) < 1e-10
     # bismash: only the t = 1 leg survives pi, so rho(delta_g x) = delta_g x (x) x
     A24 = counterexample.A
-    rho24 = comodule_map_rho(A24, counterexample.piF).reshape(
-        A24.dim, counterexample.piF.target.dim, A24.dim)
+    rho24 = dense_rho(A24, counterexample.piF.matrix)
     mp = counterexample.mp
     nF = mp.f_group.order
     for g in range(mp.g_group.order):

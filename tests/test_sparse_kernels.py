@@ -6,17 +6,19 @@ The adjoint action that the normality test, the conjugation matrices and
 the antipode residuals read, through its joins and its dense fallback,
 against the dense formulas, and the sizes of the arrays they build."""
 
+import contextlib
 import functools
 import inspect
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hopfclifford import hopf, linalg, repcalc, scenarios
-from hopfclifford.clifford import (compute_stabilizer, conjugation_matrices,
-                                   graded_stabilizer_analysis)
-from hopfclifford.errors import ConsistencyError, NumericDegeneracyError
+from hopfclifford.clifford import (Extension, component_bimodule, compute_stabilizer,
+                                   conjugation_matrices, graded_stabilizer_analysis)
+from hopfclifford.errors import ConsistencyError, NumericDegeneracyError, PreconditionError
 from hopfclifford.groups import subgroup_closure
 from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis,
                                antipode_residuals, group_algebra, is_hopf_subalgebra,
@@ -25,7 +27,7 @@ from hopfclifford.repcalc import DEFAULT_SEED, construct_irreducible_module
 
 import clifford_reference
 from clifford_reference import conjugate_module, subcoalgebra_as_dual_module
-from conftest import A5_A4_C5
+from conftest import A5_A4_C5, dense_rho
 
 @pytest.fixture(scope="module")
 def algebras(counterexample, cocentral8, classical, a5):
@@ -68,8 +70,11 @@ def _kernels_match_definitions(A, rng):
     d = A.dim
     U, V, x, Y = _random(rng, d, 3), _random(rng, d, 2), _random(rng, 4, d), _random(rng, d, d, 2)
     P = _random(rng, 3, d)
+    U01, V01 = (np.eye(d)[:, rng.choice(d, n, replace=False)] for n in (3, 2))   # unit vectors
     pairs = [
         (A.products(U, V), np.einsum("ia,jb,ijk->kab", U, V, A.mult)),
+        (A.products(U01, V01), np.einsum("ia,jb,ijk->kab", U01, V01, A.mult)),
+        (dense_rho(A, np.eye(3, d)), np.einsum("kpq,fq->pfk", A.comult, np.eye(3, d))),
         (A.left_mult_matrix(x[0]), np.einsum("i,ijk->kj", x[0], A.mult)),
         (A.right_mult_matrix(x[1]), np.einsum("j,ijk->ki", x[1], A.mult)),
         (A.multiply(Y), np.einsum("abm,abk->km", Y, A.mult)),
@@ -77,8 +82,7 @@ def _kernels_match_definitions(A, rng):
         (A.apply_comult(x[2]), np.einsum("k,kij->ij", x[2], A.comult)),
         (A.regular_trace_vector(), np.einsum("ijj->i", A.mult)),
         (A.mult_coo.along((2,), x[3]), np.einsum("ijp,p->ij", A.mult, x[3])),
-        (hopf.comodule_map_rho(A, hopf.HopfSurjection(A, None, P)),
-         np.einsum("kpq,fq->pfk", A.comult, P).reshape(d * 3, d)),
+        (dense_rho(A, P), np.einsum("kpq,fq->pfk", A.comult, P)),
     ]
     for got, want in pairs:
         assert got.shape == want.shape
@@ -114,6 +118,11 @@ def _hopf_map_definition(src, dst, phi):
         phi @ src.antipode - dst.antipode @ phi)
 
 
+def _commutator_definition(A, X):
+    """max |e_i x_c - x_c e_i| by dense einsum."""
+    return linalg.max_abs(np.einsum("ijo,jc->ico", A.mult, X) - np.einsum("jc,jio->ico", X, A.mult))
+
+
 def _module_residual_definition(A, mats):
     lhs = np.einsum("...iab,...jbc->...ijac", mats, mats)
     rhs = np.einsum("ijk,...kac->...ijac", A.mult, mats)
@@ -128,15 +137,19 @@ def _cocentral_definition(A, P):
 
 
 def _residuals_match_definitions(A, rng):
-    """verify_hopf_axioms' unit and counit terms, hopf_map_residual, module_residual
-    and is_cocentral against their dense definitions."""
+    """verify_hopf_axioms' unit and counit terms, hopf_map_residual, module_residual,
+    the commutator residual and is_cocentral against their dense definitions."""
     d = A.dim
     got = hopf.verify_hopf_axioms(A).residuals
     _residuals_match({k: got[k] for k in ("unit", "counit", "bialgebra_counit", "bialgebra_unit")},
                      _axiom_terms_definition(A))
-    for phi in (np.eye(d), _random(rng, d, d)):
+    # the identity, twice the identity (0/1 maps up to scale) and a dense map
+    for phi in (np.eye(d), 2 * np.eye(d), _random(rng, d, d)):
         _residuals_match({"map": hopf.hopf_map_residual(A, A, phi)},
                          {"map": _hopf_map_definition(A, A, phi)})
+    X = _random(rng, d, 3)
+    _residuals_match({"commutator": A.commutator_residual(X)},
+                     {"commutator": _commutator_definition(A, X)})
     mats = _random(rng, 2, d, 2, 2)
     _residuals_match({"module": repcalc.module_residual(A, mats)},
                      {"module": _module_residual_definition(A, mats)})
@@ -178,16 +191,36 @@ def test_requests_build_no_dense_constructor_tensor(monkeypatch, name):
                 assert "tensor" not in vars(coo)
 
 
+# the join rule as it stands, and with the joins of 0/1 operands taken at
+# every dimension, so that the d <= 24 algebras read them too
+GATES = (None, 1)
+
+
+@contextlib.contextmanager
+def _join_min_dim(value):
+    with pytest.MonkeyPatch.context() as m:
+        if value is not None:
+            m.setattr(linalg, "JOIN_MIN_DIM", value)
+        yield
+
+
+@pytest.fixture
+def joins_everywhere(monkeypatch):
+    monkeypatch.setattr(linalg, "JOIN_MIN_DIM", 1)
+
+
 def test_kernels_match_dense_definitions(algebras):
     rng = np.random.default_rng(3)
-    for A in list(algebras.values()) + [_shear(algebras["a5 A"])]:
-        _kernels_match_definitions(A, rng)
+    for gate in GATES:
+        with _join_min_dim(gate):
+            for A in list(algebras.values()) + [_shear(algebras["a5 A"])]:
+                _kernels_match_definitions(A, rng)
 
 
 @pytest.mark.parametrize("tensor", ["mult", "comult"])
 def test_kernels_match_dense_definitions_under_faults(algebras, tensor):
     rng = np.random.default_rng(7)
-    for name in ("counterexample A", "counterexample A*", "a5 A"):
+    for gate, name in itertools.product(GATES, ("counterexample A", "counterexample A*", "a5 A")):
         A = algebras[name]
         idx, _ = getattr(A, f"{tensor}_coo").entries
         n = int(rng.integers(idx[0].size))
@@ -200,7 +233,8 @@ def test_kernels_match_dense_definitions_under_faults(algebras, tensor):
             coo = getattr(broken, f"{tensor}_coo")
             assert coo.sparse
             assert (coo._plan((0,))[3] is None) == (index == hit)
-            _kernels_match_definitions(broken, rng)
+            with _join_min_dim(gate):
+                _kernels_match_definitions(broken, rng)
 
 
 def _change_basis(A, P):
@@ -451,9 +485,50 @@ def test_adjoint_kernels_build_no_cube(monkeypatch, counterexample, cocentral8, 
         assert is_normal_hopf_subalgebra(ext.A, B)
         assert 0 < max(sizes) < d ** 3, name
         for alg in (ext.A, ext.inc.small, ext.dual):
+            monkeypatch.setattr(alg, "checked_antipode", None)     # check the pair afresh
             sizes.clear()
             assert max(antipode_residuals(alg, alg.antipode).values()) < 1e-12
             assert 0 < max(sizes) <= alg.dim ** 2, name
+
+
+def test_graded_kernels_build_no_cube(monkeypatch, counterexample, cocentral8, classical,
+                                      s4_a4, dual_s4_v4, a5):
+    # with the joins of 0/1 operands taken at every dimension, S = A(H) of
+    # every alpha, the Hopf maps B -> A and A -> kF, cocentrality and the
+    # graded components hold no d^2 k or d^3 array: the dense Hopf-subalgebra
+    # test held (d, d, codim S) legs, the Hopf-map residual (d^2, |F|) and
+    # (|G|, d, d) contractions, cocentrality two (d, d, |F|) arrays and the
+    # comodule map a (d, |F|, d) one
+    exts = _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4, a5)
+    graded = {name: [S for S in _graded_sums(ext) if S.dim < ext.A.dim]
+              for name, ext in exts.items()}
+    sizes: list[int] = []
+    monkeypatch.setattr(linalg, "JOIN_MIN_DIM", 1)
+    _recording_array_sizes(monkeypatch, sizes)
+    for name, ext in exts.items():
+        A, inc, piF = ext.A, ext.inc, ext.piF
+        d, nf = A.dim, piF.target.dim
+
+        def built(call, k):
+            sizes.clear()
+            out = call()
+            assert 0 < max(sizes) < min(d ** 3, d * d * k), name
+            return out
+
+        for S in graded[name]:
+            assert built(lambda: is_hopf_subalgebra(A, S), S.dim) is _projector_verdict(A, S)
+        assert built(lambda: hopf.hopf_map_residual(inc.small, A, inc.embedding),
+                     inc.small.dim) < 1e-12
+        # a bismash's projection is 0/1; one found from a generic quotient
+        # carries rounding in its zeros and is read densely
+        if np.count_nonzero(piF.matrix) <= d:
+            assert built(lambda: hopf.hopf_map_residual(A, piF.target, piF.matrix), nf) < 1e-12
+            assert built(lambda: hopf.is_cocentral(A, piF), nf) is _cocentral_definition(A, piF.matrix)
+        fresh = Extension(A, inc, piF=piF, F=ext.F)
+        comps = built(lambda: fresh.components, nf)
+        assert all(c.equals(want) for c, want in zip(comps, ext.components))
+    # S = A(H) is read through the joins, except where A(H) = A
+    assert any(graded.values())
 
 
 def _commutant_of_basis(A):
@@ -667,14 +742,22 @@ def _residuals_match_projectors(A, V):
         assert np.max(np.abs(np.subtract(got, want))) < 1e-10
 
 
-def _stabilizer_subspaces(ext):
-    """B, and Z and S = A(H) of every alpha."""
-    out = [ext.b_sub]
+def _graded_sums(ext):
+    """S = A(H) of every alpha, on the stacked components of H."""
+    out = []
     for alpha in range(len(ext.dec_b.irr)):
-        sr = compute_stabilizer(ext, alpha)
-        H = graded_stabilizer_analysis(ext, sr).h_members
-        out += [sr.Z, SubspaceBasis.from_vectors(
-            ext.A, np.hstack([ext.components[f].matrix for f in H]))]
+        H = graded_stabilizer_analysis(ext, compute_stabilizer(ext, alpha)).h_members
+        out.append(SubspaceBasis.spanned_by(
+            ext.A, np.hstack([ext.components[f].matrix for f in H])))
+    return out
+
+
+def _stabilizer_subspaces(ext):
+    """B, and Z and S = A(H) of every alpha, S on the stacked components of H
+    and on the SVD basis of their span."""
+    out = [ext.b_sub]
+    for alpha, S in enumerate(_graded_sums(ext)):
+        out += [compute_stabilizer(ext, alpha).Z, S, SubspaceBasis.from_vectors(ext.A, S.matrix)]
     return out
 
 
@@ -730,12 +813,18 @@ def test_subspaces_that_are_not_hopf_subalgebras(counterexample, a5):
 
 
 def test_hopf_subalgebra_reads_the_thinner_side(monkeypatch, a5):
-    # B (dim 5 of 60) is read on itself: its complement is never computed;
-    # V = A has no complement: neither V.V nor Delta(V), 3.5 MB each, is formed
+    # B (dim 5 of 60) is read on itself: through the joins on its 0/1 basis,
+    # through V on a dense basis of the same span; its complement is never
+    # computed.  V = A has no complement: neither V.V nor Delta(V), 3.5 MB
+    # each, is formed
     A = a5.A
+    rotated = SubspaceBasis(A, a5.b_sub.matrix @ np.linalg.qr(
+        _random(np.random.default_rng(53), 5, 5))[0])
     with monkeypatch.context() as m:
         m.setattr(linalg, "null_space", None)
-        assert is_hopf_subalgebra(A, a5.b_sub)
+        assert _path(lambda: is_hopf_subalgebra(A, a5.b_sub)) == ("joins", True)
+        # joined, the dense basis would pair more than d^2 entries
+        assert _path(lambda: is_hopf_subalgebra(A, rotated)) == ("fallback", True)
     V = SubspaceBasis(A, np.eye(A.dim, dtype=complex))
     assert is_hopf_subalgebra(A, V)         # the COO plans are built once per algebra
     tracemalloc.start()
@@ -745,3 +834,220 @@ def test_hopf_subalgebra_reads_the_thinner_side(monkeypatch, a5):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def _path(call):
+    """Which path `call()` took: "joins" when it read its operands through
+    `_coo_einsum` joins alone, "fallback" when a join refused its pairs and
+    the dense path answered, "dense" when it started no join; and what it
+    returned."""
+    started, refused = [], []
+    einsum = hopf._coo_einsum
+
+    def recording(spec, *args, **kw):
+        started.append(spec)
+        try:
+            return einsum(spec, *args, **kw)
+        except hopf._TooManyPairs:
+            refused.append(spec)
+            raise
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hopf, "_coo_einsum", recording)
+        out = call()
+    return ("fallback" if refused else "joins" if started else "dense"), out
+
+
+def _refusing_from(n):
+    """`_coo_einsum` with every join from the n-th call on refused."""
+    calls = itertools.count()
+    einsum = hopf._coo_einsum
+
+    def refusing(*args, **kw):
+        if next(calls) >= n:
+            raise hopf._TooManyPairs("refused")
+        return einsum(*args, **kw)
+    return refusing
+
+
+def test_subalgebra_joins_match_projectors(joins_everywhere, counterexample, cocentral8,
+                                           classical, a5):
+    # B and S = A(H) on 0/1 bases through the joins, Z on its SVD basis
+    # through the dense residuals; the verdicts and every residual agree
+    # with P = V V^H
+    paths = set()
+    for ext in (counterexample, cocentral8, classical, a5):
+        A = ext.A
+        for V in _stabilizer_subspaces(ext):
+            path, got = _path(lambda: is_hopf_subalgebra(A, V))
+            paths.add(path)
+            assert got is _projector_verdict(A, V)
+            _residuals_match_projectors(A, V)
+    assert paths == {"joins", "dense"}
+
+
+def test_subalgebra_residuals_fall_back_where_a_join_refuses(monkeypatch, joins_everywhere,
+                                                             counterexample, a5):
+    # a join refused at any point: the residuals before it come from the
+    # joins and the rest from the dense residuals, four in all, in order
+    for ext in (counterexample, a5):
+        A = ext.A
+        for S in _graded_sums(ext) + [ext.b_sub]:
+            if S.dim == A.dim:
+                continue
+            want = _projector_residuals(A, S.matrix)
+            path, joined = _path(lambda: list(hopf._subalgebra_residuals(A, S.matrix)))
+            assert path == "joins"
+            assert np.max(np.abs(np.subtract(joined, want))) < 1e-10
+            for n in range(16):
+                with monkeypatch.context() as m:
+                    m.setattr(hopf, "_coo_einsum", _refusing_from(n))
+                    got = list(hopf._subalgebra_residuals(A, S.matrix))
+                assert np.max(np.abs(np.subtract(got, want))) < 1e-10
+
+
+def test_hopf_map_joins_match_definition(joins_everywhere, counterexample, cocentral8, a5):
+    # the embedding of k^G and the projection onto kF, as they are, scaled
+    # and with their basis images permuted: 0/1 maps read through the joins
+    rng = np.random.default_rng(59)
+    for ext in (counterexample, cocentral8, a5):
+        for src, dst, phi in ((ext.inc.small, ext.A, ext.inc.embedding),
+                              (ext.A, ext.piF.target, ext.piF.matrix)):
+            for M in (phi, 2 * phi, phi[:, rng.permutation(phi.shape[1])]):
+                path, got = _path(lambda: hopf.hopf_map_residual(src, dst, M))
+                assert path == "joins"
+                _residuals_match({"map": got}, {"map": _hopf_map_definition(src, dst, M)})
+            assert hopf.hopf_map_residual(src, dst, phi) < 1e-12
+            assert hopf.hopf_map_residual(src, dst, 2 * phi) > 0.5
+
+
+def test_cocentrality_joins_match_definition(joins_everywhere, counterexample, cocentral8, a5):
+    rng = np.random.default_rng(61)
+    for ext in (counterexample, cocentral8, a5):
+        A, P = ext.A, ext.piF.matrix
+        for M in (P, P[:, rng.permutation(A.dim)]):
+            path, got = _path(lambda: hopf.is_cocentral(A, hopf.HopfSurjection(A, None, M)))
+            assert path == "joins"
+            assert got is _cocentral_definition(A, M)
+    assert [hopf.is_cocentral(ext.A, ext.piF) for ext in (counterexample, cocentral8, a5)] == \
+        [False, True, False]
+
+
+def _svd_components(A, P):
+    """A_f as the range of rho_f, by SVD of the dense comodule map."""
+    rho = np.einsum("kpq,fq->pfk", A.comult, P)
+    return [linalg.orthonormal_columns(rho[:, f, :]) for f in range(P.shape[0])]
+
+
+def test_graded_components_match_the_svd_definition(counterexample, cocentral8, classical,
+                                                    s4_a4, dual_s4_v4, a5):
+    # a bismash's A_f is spanned by unit vectors, taken as they stand; a
+    # quotient found numerically gives columns that are not orthonormal, and
+    # their SVD; in a unitary basis rho is dense and formed densely
+    rng = np.random.default_rng(67)
+    for name, ext in _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4,
+                                a5).items():
+        A, P = ext.A, ext.piF.matrix
+        rho = hopf.comodule_map_rho(A, ext.piF)
+        for f, want in enumerate(_svd_components(A, P)):
+            got = hopf.graded_component(A, rho, f)
+            assert linalg.subspace_equal(got.matrix, want, 1e-10), name
+            if ext.mp is not None:
+                assert set(np.abs(got.matrix).ravel().tolist()) == {0.0, 1.0}, name
+    A, P = counterexample.A, counterexample.piF.matrix
+    U = np.linalg.qr(_random(rng, A.dim, A.dim))[0]
+    T = _change_basis(A, U)
+    pi = hopf.HopfSurjection(T, None, P @ U)
+    path, rho = _path(lambda: hopf.comodule_map_rho(T, pi))
+    assert path == "fallback"
+    for f, comp in enumerate(counterexample.components):
+        got = hopf.graded_component(T, rho, f)
+        assert linalg.subspace_equal(got.matrix, U.conj().T @ comp.matrix, 1e-10)
+
+
+def test_component_bimodules_read_through_the_joins(counterexample, a5):
+    # the products a_j b_m and b_m a_j of the 0/1 bases of A_f and B, joined
+    # or contracted densely, give the same coordinates
+    for ext in (counterexample, a5):
+        for comp in ext.components:
+            with _join_min_dim(ext.A.dim + 1):
+                dense = component_bimodule(ext.A, ext.inc, comp)
+            with _join_min_dim(1):
+                path, joined = _path(lambda: component_bimodule(ext.A, ext.inc, comp))
+            assert path == "joins"
+            for got, want in zip(joined, dense):
+                assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_spanned_by_keeps_an_orthonormal_basis(counterexample):
+    # stacked components are orthogonal to each other and kept; vectors that
+    # are not orthonormal get the SVD basis of their span
+    A = counterexample.A
+    stacked = np.hstack([c.matrix for c in counterexample.components[:2]])
+    assert SubspaceBasis.spanned_by(A, stacked).matrix is not None
+    assert np.array_equal(SubspaceBasis.spanned_by(A, stacked).matrix, stacked)
+    skew = stacked.copy()
+    skew[:, 1] += skew[:, 0]
+    V = SubspaceBasis.spanned_by(A, skew)
+    assert V.dim == stacked.shape[1] and V.equals(SubspaceBasis(A, stacked))
+    assert not np.array_equal(V.matrix, skew)
+    twice = np.hstack([stacked, stacked[:, :1]])
+    assert SubspaceBasis.spanned_by(A, twice).dim == stacked.shape[1]
+
+
+def _no_joined_residuals(monkeypatch):
+    """Make the joined residuals of the Hopf-subalgebra and Hopf-map tests unreachable."""
+    def unreachable(*args, **kw):
+        raise AssertionError("a non-finite operand reached the joins")
+    monkeypatch.setattr(hopf, "_joined_subalgebra_residuals", unreachable)
+    monkeypatch.setattr(hopf, "_joined_map_defects", unreachable)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("tensor", ["mult", "comult"])
+def test_join_kernels_fail_on_nan_and_inf(monkeypatch, joins_everywhere, counterexample,
+                                          cocentral8, a5, tensor, value):
+    # a NaN or Inf in a tensor sends every 0/1 kernel that reads it to its
+    # dense path, where it fails each check as it always did, even where no
+    # join would read it (inf * 0 is NaN there, which numpy warns of)
+    rng = np.random.default_rng(71)
+    for ext in (counterexample, cocentral8, a5):
+        A = ext.A
+        idx, _ = getattr(A, f"{tensor}_coo").entries
+        broken = _copy(A, tensor, tuple(int(i[-1]) for i in idx), value)
+        S = next(S for S in _graded_sums(ext) if S.dim < A.dim)
+        with monkeypatch.context() as m, np.errstate(invalid="ignore"):
+            _no_joined_residuals(m)
+            assert is_hopf_subalgebra(broken, S) is False
+            for src, dst, phi in ((ext.inc.small, broken, ext.inc.embedding),
+                                  (broken, ext.piF.target, ext.piF.matrix),
+                                  (broken, broken, np.eye(A.dim))):
+                assert np.isnan(hopf.hopf_map_residual(src, dst, phi))
+            if tensor == "mult":
+                assert np.isnan(broken.commutator_residual(_random(rng, A.dim, 2)))
+                continue
+            # cocentral8 is cocentral, and a Delta with a NaN or Inf is not
+            assert _path(lambda: hopf.is_cocentral(broken, ext.piF)) == ("dense", False)
+            rho = hopf.comodule_map_rho(broken, ext.piF)
+            for f in range(ext.F.order):
+                with pytest.raises((PreconditionError, NumericDegeneracyError)):
+                    hopf.graded_component(broken, rho, f)
+
+
+def test_join_kernels_fail_on_a_nan_in_the_operand(monkeypatch, joins_everywhere, cocentral8):
+    ext = cocentral8
+    A = ext.A
+    E = ext.inc.embedding.copy()
+    E[0, 0] = np.nan
+    with pytest.raises(NumericDegeneracyError):
+        hopf.hopf_map_residual(ext.inc.small, A, E)      # the rank of phi reads it first
+    P = ext.piF.matrix.copy()
+    P[0, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert _path(lambda: hopf.is_cocentral(A, hopf.HopfSurjection(A, None, P))) == \
+            ("dense", False)
+    S = next(S for S in _graded_sums(ext) if S.dim < A.dim)
+    broken = S.matrix.copy()
+    broken[0, 0] = np.nan
+    _no_joined_residuals(monkeypatch)
+    assert is_hopf_subalgebra(A, SubspaceBasis(A, broken)) is False
