@@ -720,22 +720,19 @@ def _scatter_sum(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(keys, values.real, size) + 1j * np.bincount(keys, values.imag, size)
 
 
-def _summed(x, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """A COO array with its repeated indices summed: the distinct flat indices
-    into `shape`, in ascending order, and their sums."""
-    keys, slot = np.unique(np.ravel_multi_index(x[0], shape), return_inverse=True)
-    return keys, _scatter_sum(slot, x[1], keys.size)
-
-
 def _difference(plus, minus, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """plus - minus of two COO arrays, as `_summed` gives it."""
-    idx = tuple(np.concatenate([p, m]) for p, m in zip(plus[0], minus[0]))
-    return _summed((idx, np.concatenate([plus[1], -minus[1]])), shape)
+    """plus - minus of two COO arrays indexing `shape`: the distinct flat
+    indices, in ascending order, and the summed values at each."""
+    keys, slot = np.unique(np.concatenate([np.ravel_multi_index(plus[0], shape),
+                                           np.ravel_multi_index(minus[0], shape)]),
+                           return_inverse=True)
+    return keys, _scatter_sum(slot, np.concatenate([plus[1], -minus[1]]), keys.size)
 
 
 def _coalesce(x, shape: tuple[int, ...]):
     """A COO array with its repeated indices summed and the zero sums dropped."""
-    keys, values = _summed(x, shape)
+    keys, slot = np.unique(np.ravel_multi_index(x[0], shape), return_inverse=True)
+    values = _scatter_sum(slot, x[1], keys.size)
     keep = values != 0
     return np.unravel_index(keys[keep], shape), values[keep]
 

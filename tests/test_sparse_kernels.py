@@ -266,6 +266,16 @@ def test_change_of_basis_takes_the_dense_path(s4_sigma):
     T = _change_basis(A, P)
     assert not T.mult_coo.sparse and not T.comult_coo.sparse
     _kernels_match_definitions(T, rng)
+    # with the joins taken at every dimension, 0/1 operands of T's kernels
+    # still take the dense path, as T's tensors are dense
+    E = np.eye(d)[:, :3]
+    with _join_min_dim(1):
+        _kernels_match_definitions(T, rng)
+        for call in (lambda: hopf.hopf_map_residual(T, T, np.eye(d)),
+                     lambda: hopf.is_cocentral(T, hopf.HopfSurjection(T, None, np.eye(2, d))),
+                     lambda: is_hopf_subalgebra(T, SubspaceBasis(T, E)),
+                     lambda: T.products(E, E), lambda: T.commutator_residual(E)):
+            assert _path(call)[0] == "dense"
     # the dense path finds kA4 normal in the new basis, and kS3 not
     for gens, normal in ((("s", "gg"), True), (("s", "t"), False)):
         B = _subgroup_algebra(T, s4_sigma, gens, basis=Q)
