@@ -124,7 +124,7 @@ LARGE_BISMASH = [
     #  run, sha256 of the report JSON at the default seed or None).  The
     #  run peaked at 19 and 152 MB while `mult` and `comult` were stored
     #  dense, at 6 and 41 MB in COO form only, at 6 and 32 MB with the
-    #  adjoint joins, and at 4 and 24 MB since the Hopf-subalgebra test,
+    #  adjoint joins, and at 4 and 17 MB since the Hopf-subalgebra test,
     #  the Hopf-map residuals and the graded components read their 0/1
     #  operands through joins.  Crossed-product
     # Clifford theory (Montgomery-Witherspoon) predicts the degrees: the
@@ -135,7 +135,7 @@ LARGE_BISMASH = [
     ("a5_a4_c5", ["(1 2 3 4 5)", "(1 2 3)", "(1 2)(3 4)"], ["c", "a", "v"],
      ["a", "v"], ["c"], [1, 1, 1, 3, 4, 4, 4], 100, 10, "d055468c9cd3"),
     ("s5_s4_c5", ["(1 2 3 4 5)", "(1 2 3 4)", "(1 2)"], ["c", "r", "t"],
-     ["r", "t"], ["c"], [1, 1, 2, 3, 3, 4, 4, 8], 200, 50, None),
+     ["r", "t"], ["c"], [1, 1, 2, 3, 3, 4, 4, 8], 200, 40, None),
 ]
 
 
