@@ -229,49 +229,24 @@ def equivalence_classes(ext: Extension) -> EquivalenceClassData:
     na, nb = len(dec_a.irr), len(dec_b.irr)
     table = restriction_table(inc, dec_b, dec_a)
 
-    # connected components of the bipartite support graph
-    a_comp = [-1] * na
-    b_comp = [-1] * nb
-    comp = 0
-    for start in range(na):
-        if a_comp[start] != -1:
-            continue
-        stack_a, stack_b = [start], []
-        a_comp[start] = comp
-        while stack_a or stack_b:
-            if stack_a:
-                c = stack_a.pop()
-                for k in range(nb):
-                    if table[c, k] > 0 and b_comp[k] == -1:
-                        b_comp[k] = comp
-                        stack_b.append(k)
-            else:
-                k = stack_b.pop()
-                for c in range(na):
-                    if table[c, k] > 0 and a_comp[c] == -1:
-                        a_comp[c] = comp
-                        stack_a.append(c)
-        comp += 1
-    if -1 in b_comp:
+    # the blocks are complete bipartite, so the support of row c is the
+    # B-class of Irr(A)[c], and distinct supports are disjoint
+    supports = [tuple(k for k in range(nb) if table[c, k] > 0) for c in range(na)]
+    b_classes = list(dict.fromkeys(supports))          # in order of their smallest A-index
+    covered = set().union(*b_classes)
+    if len(covered) < nb:
         raise ConsistencyError("some irreducible B-character misses every restriction")
-
-    a_classes = [tuple(c for c in range(na) if a_comp[c] == i) for i in range(comp)]
-    b_classes = [tuple(k for k in range(nb) if b_comp[k] == i) for i in range(comp)]
-    for i in range(comp):
-        for c in a_classes[i]:
-            for k in b_classes[i]:
-                if table[c, k] == 0:
-                    raise NormalityError(
-                        "restriction blocks are not complete bipartite; "
-                        "B cannot be normal in A")
+    if sum(map(len, b_classes)) > len(covered):
+        raise NormalityError("restriction blocks are not complete bipartite; "
+                             "B cannot be normal in A")
+    a_classes = [tuple(c for c in range(na) if supports[c] == s) for s in b_classes]
 
     a_sums, b_sums = [], []
     ratio = Fraction(A.dim, inc.small.dim)
-    for i in range(comp):
-        a_sum = Character(A, sum(dec_a.irr[c].degree * dec_a.irr[c].values
-                                 for c in a_classes[i]))
+    for a_class, b_class in zip(a_classes, b_classes):
+        a_sum = Character(A, sum(dec_a.irr[c].degree * dec_a.irr[c].values for c in a_class))
         b_sum = Character(inc.small, sum(dec_b.irr[k].degree * dec_b.irr[k].values
-                                         for k in b_classes[i]))
+                                         for k in b_class))
         if Fraction(a_sum.degree) != ratio * b_sum.degree:
             raise ConsistencyError("class sum degrees violate the index ratio")
         a_sums.append(a_sum)

@@ -36,16 +36,16 @@ graded components A_f and S = A(H) are, the embedding of k^G, the
 projection onto kF, a permutation antipode) enter in COO form too
 (`_entries`): from dimension JOIN_MIN_DIM on, when each holds at most d
 nonzeros and the tensors are sparse and finite (`_joins_apply`), the
-Hopf-subalgebra test, the Hopf-map residual, cocentrality and `products`
-join them with `mult` and `comult` and reduce the results through
-`_difference`, so that their cost follows the nonzeros; a kernel takes its
-dense form otherwise, and when a join would pair more entries than its
-limit (`_TooManyPairs`).  The comodule map rho is kept in COO form, and a
-graded component A_f is the span of the nonzero columns of rho_f, which
-are its basis as they stand when they are orthonormal.  The dense form of
-the Hopf-subalgebra test reads "x in V" on the thinner of V and its
-orthogonal complement W: on V when 2 dim V <= d, else on W, so that its
-cost follows min(dim V, codim V).  Checks compare against the thresholds
+Hopf-subalgebra test, the Hopf-map residual and `products` join them with
+`mult` and `comult` and reduce the results through `_difference`, so that
+their cost follows the nonzeros; each has one dense form, taken otherwise
+and when a join would pair more entries than its limit (`_TooManyPairs`).
+Below JOIN_MIN_DIM the dense forms cost less than the joins' sorting.
+Cocentrality, once per request, is joins only, at every dimension.  The
+comodule map rho is kept in COO form, and a graded component A_f is the
+span of the nonzero columns of rho_f, which are its basis as they stand
+when they are orthonormal.  The dense form of the Hopf-subalgebra test
+reads "x in V" through V itself.  Checks compare against the thresholds
 named in `linalg`; only `verify_hopf_axioms` takes a tolerance, since the
 scenario's `tolerances.alg` and the quotient's TOL_NUM differ.
 """
@@ -191,9 +191,10 @@ class AlgebraData:
         When U and V are 0/1 maps or bases of unit vectors (`_joins_apply`),
         the products are joins of their entries with `mult`
         (`_product_entries`) summed into the result.  Otherwise the thinner
-        operand is contracted with `mult` first, so that the intermediate
-        holds d^2 min(|U|, |V|) entries: U = I, as in A B+, builds no
-        (d^2, d) array.
+        operand is contracted with `mult` first (`Coo.along`, through the
+        nonzeros or the dense tensor), so that the intermediate holds
+        d^2 min(|U|, |V|) entries: U = I, as in A B+, builds no (d^2, d)
+        array.
         """
         d = self.dim
         U, V = np.asarray(U, complex), np.asarray(V, complex)
@@ -208,13 +209,9 @@ class AlgebraData:
             T = self.mult_coo.along((1,), V)                         # T[i, k, b] = e_i * V[:, b]
             out = U.T @ T.reshape(d, -1)                             # out[a, (k, b)]
             return out.reshape(U.shape[1], d, V.shape[1]).transpose(1, 0, 2)
-        if self.mult_coo.sparse:
-            T = self.mult_coo.contract((0,), U)                     # T[j, k, a] = U[:, a] * e_j
-            out = V.T @ T.reshape(d, -1)                             # out[b, (k, a)]
-            return out.reshape(V.shape[1], d, U.shape[1]).transpose(1, 2, 0)
-        T = (U.T @ self.mult.reshape(d, d * d)).reshape(-1, d, d)   # T[a, j] = U[:, a] * e_j
-        out = V.T @ T.transpose(1, 0, 2).reshape(d, -1)              # out[b, (a, k)]
-        return out.reshape(V.shape[1], U.shape[1], d).transpose(2, 1, 0)
+        T = self.mult_coo.along((0,), U)                             # T[j, k, a] = U[:, a] * e_j
+        out = V.T @ T.reshape(d, -1)                                 # out[b, (k, a)]
+        return out.reshape(V.shape[1], d, U.shape[1]).transpose(1, 2, 0)
 
     def commutator_residual(self, X: np.ndarray) -> float:
         """max |e_i x_c - x_c e_i| over the basis e_i and the columns x_c of X.
@@ -802,7 +799,8 @@ def _subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
     S = A(H) and a bismash's antipode are, each residual is a chain of joins
     of their entries with `mult` and `comult` (`_joined_subalgebra_residuals`).
     Otherwise, or from the residual whose join would pair more than d^2
-    entries, the dense residuals (`_dense_subalgebra_residuals`) are read.
+    entries, the dense residuals on V (`_dense_subalgebra_residuals`) are
+    read.
     """
     d, k = Vb.shape
     if k == d:
@@ -848,40 +846,24 @@ def _joined_subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
 
 
 def _dense_subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
-    """The residuals of `_subalgebra_residuals` from dense products, read on
-    the thinner of V and its orthogonal complement W = null_space(V^H).
-
-    Through V when 2 dim V <= d, else through Q = W W^H, with the products
-    and coproducts taken as `mult` and `comult` contracted with conj(W)
-    first and with V after, so that V.V and Delta(V) are never formed, and
-    ||Delta - P Delta P^T||_F^2 = ||W^H Delta||_F^2 + ||V^H Delta conj(W)||_F^2.
-    The cost follows min(dim V, codim V).
+    """The residuals of `_subalgebra_residuals` from dense products on V:
+    x - V V^H x on the unit, the products v_a v_b and S(v_a), and Delta(v_a)
+    against P Delta(v_a) P^T = V (V^H Delta(v_a) conj(V)) V^T.  Their cost
+    follows dim V; a proper Hopf subalgebra has dim V <= d/2, its dimension
+    dividing d (Nichols and Zoeller, Amer. J. Math. 1989).
     """
-    d, k = Vb.shape
+    d = Vb.shape[0]
     Vh = Vb.conj().T
-    if 2 * k <= d:
-        def outside(X):
-            return X - Vb @ (Vh @ X)
-        yield np.linalg.norm(outside(A.unit))
-        yield max_abs(outside(A.products(Vb, Vb).reshape(d, -1)))
-        coprods = A.apply_comult(Vb.T)                                  # [a, i, j]
-        kept = Vb @ (Vh @ coprods @ Vb.conj()) @ Vb.T                    # P Delta(v_a) P^T
-        yield max_abs(np.linalg.norm(coprods - kept, axis=(1, 2)))
-        yield max_abs(outside(A.antipode @ Vb))
-        return
-    W = linalg.null_space(Vh)
 
-    def legs(coo, axis):
-        """V^T on axis 0 of the tensor contracted with conj(W) on `axis`: [a, r, w]."""
-        return np.tensordot(Vb, coo.along((axis,), W.conj()), axes=([0], [0]))
+    def outside(X):
+        return X - Vb @ (Vh @ X)
 
-    yield np.linalg.norm(W.conj().T @ A.unit)
-    prods = np.tensordot(legs(A.mult_coo, 2), Vb, axes=([1], [0]))     # [a, w, b]: W^H v_a v_b
-    yield max_abs(W @ prods)
-    left = legs(A.comult_coo, 1)                        # [a, j, w]: W^H Delta(v_a)
-    inner = Vh @ legs(A.comult_coo, 2)                  # [a, b, w]: V^H Delta(v_a) conj(W)
-    yield max_abs(np.hypot(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(inner, axis=(1, 2))))
-    yield max_abs(W @ (W.conj().T @ (A.antipode @ Vb)))
+    yield np.linalg.norm(outside(A.unit))
+    yield max_abs(outside(A.products(Vb, Vb).reshape(d, -1)))
+    coprods = A.apply_comult(Vb.T)                                      # [a, i, j]
+    kept = Vb @ (Vh @ coprods @ Vb.conj()) @ Vb.T                        # P Delta(v_a) P^T
+    yield max_abs(np.linalg.norm(coprods - kept, axis=(1, 2)))
+    yield max_abs(outside(A.antipode @ Vb))
 
 
 def is_normal_hopf_subalgebra(A: HopfAlgebraData, B: SubspaceBasis) -> bool:
@@ -988,22 +970,20 @@ def graded_component(A: HopfAlgebraData, rho, f: int) -> SubspaceBasis:
 def is_cocentral(A: HopfAlgebraData, pi: HopfSurjection) -> bool:
     """Check pi(a_1) (x) a_2 = pi(a_2) (x) a_1 on every basis element.
 
-    For a 0/1 pi (`_joins_apply`) both sides are joins of the entries of
-    Delta and pi, compared by `_max_abs_difference`; otherwise they are
-    Delta contracted with pi densely, (d, d, |F|) each.
+    Both sides are joins of the entries of Delta and pi, compared by
+    `_max_abs_difference`.  An entry of Delta pairs with at most |F|
+    entries of pi, so a join holds at most nnz(Delta) |F| pairs, no more
+    than the (d, d, |F|) arrays of the dense sides when Delta is sparse,
+    and is never refused.  A NaN or Inf in Delta or pi fails the check.
     """
     d, n = A.dim, pi.matrix.shape[0]
-    if _joins_apply(d, (A.comult_coo,), (pi.matrix,)):
-        c, P = A.comult_coo.entries, _entries(pi.matrix)
-        try:
-            return _max_abs_difference(_coo_einsum("kpq,fp->kqf", c, P, d, limit=d * d),
-                                       _coo_einsum("kpq,fq->kpf", c, P, d, limit=d * d),
-                                       (d, d, n)) < TOL_ALG
-        except _TooManyPairs:
-            pass
-    t1 = A.comult_coo.along((1,), pi.matrix.T)          # [k, q, f]: pi(a_1) (x) a_2
-    t2 = A.comult_coo.along((2,), pi.matrix.T)          # [k, p, f]: pi(a_2) (x) a_1
-    return max_abs(t1 - t2) < TOL_ALG
+    c, P = A.comult_coo.entries, _entries(pi.matrix)
+    if not (A.comult_coo.finite and np.isfinite(P[1]).all()):
+        return False
+    limit = c[1].size * n
+    return _max_abs_difference(_coo_einsum("kpq,fp->kqf", c, P, d, limit=limit),
+                               _coo_einsum("kpq,fq->kpf", c, P, d, limit=limit),
+                               (d, d, n)) < TOL_ALG
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ COND_LIMIT = 1e8    # largest condition number of a semisimple algebra's regular
 RANK_RTOL = 1e-9    # singular values <= max(s[0] * RANK_RTOL, RANK_ATOL) count as zero
 RANK_ATOL = 1e-11
 TOL_ORTHO = 1e-12   # columns whose Gram matrix is I within this are an orthonormal basis as they stand
-JOIN_MIN_DIM = 32   # from this dimension on, 0/1 operands are read through joins of their entries
+JOIN_MIN_DIM = 32   # from this dimension on 0/1 operands are joined; below it dense forms cost less
 JSON_DIGITS = 10    # decimal digits kept in report JSON
 DEFAULT_SEED = 1729  # seed of every random draw when none is given
 

@@ -21,7 +21,7 @@ from .errors import (ConsistencyError, NotACharacterError,
                      NumericDegeneracyError, SemisimplicityError)
 from .groups import FiniteGroup
 from .hopf import (AlgebraData, HopfAlgebraData, HopfSurjection, dual_hopf,
-                   group_algebra)
+                   group_algebra, hopf_map_residual)
 from .linalg import (COND_LIMIT, DEFAULT_SEED, TOL_ALG, TOL_MATCH, TOL_NUM,
                      TOL_SPLIT, TOL_ZERO, max_abs, nearest_int, require)
 
@@ -377,7 +377,12 @@ def group_algebra_form(H: HopfAlgebraData, seed: int = DEFAULT_SEED
 
 def as_group_algebra_surjection(pi: HopfSurjection, seed: int = DEFAULT_SEED
                                 ) -> Optional[tuple[FiniteGroup, HopfSurjection]]:
-    """Rewrite a quotient map so its target is a literal group algebra."""
+    """Rewrite a quotient map so its target is a literal group algebra.
+
+    The map onto kF, inv(P) pi, is rounded to the 0/1 map it is when every
+    entry lies within TOL_NUM of 0 or 1, so that the kernels read its
+    nonzeros; either way it must be a Hopf map within TOL_NUM.
+    """
     target = pi.target
     if not isinstance(target, HopfAlgebraData):
         return None
@@ -388,9 +393,13 @@ def as_group_algebra_surjection(pi: HopfSurjection, seed: int = DEFAULT_SEED
         return None
     F, P = form
     kF = group_algebra(F)
-    new_pi = HopfSurjection(source=pi.source, target=kF,
-                            matrix=np.linalg.inv(P) @ pi.matrix)
-    return F, new_pi
+    matrix = np.linalg.inv(P) @ pi.matrix
+    rounded = (np.abs(matrix - 1.0) <= TOL_NUM).astype(complex)
+    if max_abs(matrix - rounded) <= TOL_NUM:
+        matrix = rounded
+    require(hopf_map_residual(pi.source, kF, matrix), TOL_NUM, ConsistencyError,
+            "the projection onto the recognised kF is not a Hopf map")
+    return F, HopfSurjection(source=pi.source, target=kF, matrix=matrix)
 
 
 def _group_from_group_like_basis(H: HopfAlgebraData) -> FiniteGroup:

@@ -1,6 +1,6 @@
 """Shared fixtures: the three builtin extensions, a5_a4_c5, s4_a4 and
-dual_s4_v4 as per-scenario contexts; and `dense_rho`, the comodule map read
-back from its COO form.
+dual_s4_v4 as per-scenario contexts; `dense_rho`, the comodule map read
+back from its COO form; and `change_basis`, an algebra on another basis.
 
 Session scope keeps the expensive dim-24 objects built once; each context
 computes its decompositions, classes and conjugation matrices on first use.
@@ -37,6 +37,15 @@ def dense_rho(A, P):
     rho = np.zeros((A.dim, P.shape[0], A.dim), dtype=complex)
     rho[idx] = val
     return rho
+
+
+def change_basis(A, P):
+    """A on the basis f_i = sum_a P[a, i] e_a."""
+    Q = np.linalg.inv(P)
+    return hopf.HopfAlgebraData(np.einsum("ai,bj,abc,kc->ijk", P, P, A.mult, Q, optimize=True),
+                                Q @ A.unit,
+                                np.einsum("ck,cab,ia,jb->kij", P, A.comult, Q, Q, optimize=True),
+                                A.counit @ P, antipode=Q @ A.antipode @ P)
 
 
 def _builtin(name):

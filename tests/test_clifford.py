@@ -14,7 +14,7 @@ from hopfclifford.clifford import (Extension, analyze_alpha,
                                    graded_tensor_characters,
                                    stabilizer_dimension_bound,
                                    verify_class_formulas)
-from hopfclifford.errors import ConsistencyError, TheoremViolationError
+from hopfclifford.errors import ConsistencyError, NormalityError, TheoremViolationError
 from hopfclifford.hopf import SubspaceBasis, subalgebra_data
 from hopfclifford.repcalc import (DEFAULT_SEED, Character,
                                   construct_irreducible_module, decompose,
@@ -63,6 +63,40 @@ def test_classes_when_b_equals_a(classical):
     ecd = Extension(A, inc).ecd
     assert ecd.num_classes == len(classical.dec_a.irr)
     assert all(len(c) == 1 for c in ecd.a_classes)
+
+
+def _classes_from(monkeypatch, ext, table):
+    """`equivalence_classes` of ext read from a crafted restriction table."""
+    monkeypatch.setattr(clifford, "restriction_table", lambda *args: table)
+    return clifford.equivalence_classes(ext)
+
+
+def test_classes_follow_row_supports(monkeypatch, counterexample):
+    # numbered by their smallest A-index, as the table read afresh gives them
+    ecd = counterexample.ecd
+    got = _classes_from(monkeypatch, counterexample, ecd.restriction_table.copy())
+    assert (got.a_classes, got.b_classes) == (ecd.a_classes, ecd.b_classes)
+    assert [c[0] for c in got.a_classes] == sorted(c[0] for c in got.a_classes)
+
+
+def test_classes_need_every_b_character_covered(monkeypatch, counterexample):
+    # a B-character in no restriction is named before the overlapping
+    # supports that the same table also has
+    table = counterexample.ecd.restriction_table.copy()
+    table[:, 0] = 0
+    table[:, 1:] = 1
+    with pytest.raises(ConsistencyError, match="misses every restriction"):
+        _classes_from(monkeypatch, counterexample, table)
+
+
+def test_classes_need_disjoint_supports(monkeypatch, counterexample):
+    # one A-character restricting onto both B-classes joins them into a
+    # block that is not complete bipartite
+    ecd = counterexample.ecd
+    table = ecd.restriction_table.copy()
+    table[ecd.a_classes[0][0], ecd.b_classes[1][0]] = 1
+    with pytest.raises(NormalityError, match="not complete bipartite"):
+        _classes_from(monkeypatch, counterexample, table)
 
 
 def test_class_formulas(classical, counterexample, cocentral8):

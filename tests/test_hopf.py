@@ -16,7 +16,7 @@ from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis,
                                quotient_hopf, solve_antipode, subspace_product,
                                verify_hopf_axioms)
 
-from conftest import dense_rho
+from conftest import change_basis, dense_rho
 
 
 def _is_commutative(A):
@@ -347,11 +347,7 @@ def test_dense_basis_takes_dense_path(s3_group, s4_sigma, monkeypatch):
         d = A.dim
         # f_i = sum_a P[a, i] e_a for a random unitary P
         P, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        Q = P.conj().T
-        T = HopfAlgebraData(np.einsum("ai,bj,abc,kc->ijk", P, P, A.mult, Q),
-                            Q @ A.unit,
-                            np.einsum("ck,cab,ia,jb->kij", P, A.comult, Q, Q),
-                            A.counit @ P, antipode=Q @ A.antipode @ P)
+        T = change_basis(A, P)
         assert not _takes_sparse_path(T)
         rep = verify_hopf_axioms(T)
         assert rep.ok

@@ -7,8 +7,8 @@ looked up by cycle type, and orbit-stabilizer counting for bismash products.
 import numpy as np
 import pytest
 
-from hopfclifford import hopf
-from hopfclifford.errors import NotACharacterError, SemisimplicityError
+from hopfclifford import hopf, repcalc
+from hopfclifford.errors import ConsistencyError, NotACharacterError, SemisimplicityError
 from hopfclifford.groups import group_from_permutations, orbit_and_stabilizer
 from hopfclifford.hopf import AlgebraData, dual_group_algebra, group_algebra
 from hopfclifford.repcalc import (Character, construct_irreducible_module,
@@ -273,6 +273,22 @@ def test_induced_degree_consistency(classical):
     ind = induce_character(alpha, classical.inc, dec_b, classical.dec_a,
                            classical.ecd.restriction_table)
     assert ind.degree == 2
+
+
+def test_recognised_projections_onto_kf_are_0_1(classical, s4_a4):
+    # the group-likes found in A/AB+ carry rounding; the map onto kF they
+    # give is the exact 0/1 map, with one 1 per basis element of A
+    for ext in (classical, s4_a4):
+        M = ext.piF.matrix
+        assert np.count_nonzero(M) == ext.A.dim
+        assert np.all(M[M != 0] == 1)
+        assert hopf.hopf_map_residual(ext.A, ext.piF.target, M) == 0
+
+
+def test_recognised_projection_onto_kf_is_gated(monkeypatch, classical):
+    monkeypatch.setattr(repcalc, "hopf_map_residual", lambda *args: 1.0)
+    with pytest.raises(ConsistencyError, match="not a Hopf map"):
+        repcalc.as_group_algebra_surjection(classical.generic_quotient)
 
 
 def test_group_algebra_form(classical, counterexample, s3_group):

@@ -1,7 +1,7 @@
 """The kernels that read `mult` and `comult` through their nonzeros, each
 against its dense definition: on the constructor tensors, with a perturbed
 entry, with a NaN, and after a change of basis that makes them dense.  The
-Hopf-subalgebra test, which reads V or its complement, against projectors.
+Hopf-subalgebra test, which reads V itself, against projectors.
 The adjoint action that the normality test, the conjugation matrices and
 the antipode residuals read, through its joins and its dense fallback,
 against the dense formulas, and the sizes of the arrays they build.  The
@@ -32,7 +32,7 @@ from hopfclifford.repcalc import DEFAULT_SEED, construct_irreducible_module
 
 import clifford_reference
 from clifford_reference import conjugate_module, subcoalgebra_as_dual_module
-from conftest import A5_A4_C5, dense_rho
+from conftest import A5_A4_C5, change_basis, dense_rho
 
 @pytest.fixture(scope="module")
 def algebras(counterexample, cocentral8, classical, a5):
@@ -242,21 +242,12 @@ def test_kernels_match_dense_definitions_under_faults(algebras, tensor):
                 _kernels_match_definitions(broken, rng)
 
 
-def _change_basis(A, P):
-    """A on the basis f_i = sum_a P[a, i] e_a."""
-    Q = np.linalg.inv(P)
-    return HopfAlgebraData(np.einsum("ai,bj,abc,kc->ijk", P, P, A.mult, Q, optimize=True),
-                           Q @ A.unit,
-                           np.einsum("ck,cab,ia,jb->kij", P, A.comult, Q, Q, optimize=True),
-                           A.counit @ P, antipode=Q @ A.antipode @ P)
-
-
 def _shear(A):
     """A on the basis e_1 + e_2, e_0, e_2, ...: its tensors stay sparse but
     some output indices repeat."""
     P = np.eye(A.dim)
     P[2, 1] = 1.0
-    T = _change_basis(A, P)
+    T = change_basis(A, P)
     assert T.mult_coo.sparse and T.comult_coo.sparse
     assert T.mult_coo._plan((0,))[3] is not None
     return T
@@ -268,19 +259,22 @@ def test_change_of_basis_takes_the_dense_path(s4_sigma):
     d = A.dim
     P, _ = np.linalg.qr(_random(rng, d, d))
     Q = P.conj().T
-    T = _change_basis(A, P)
+    T = change_basis(A, P)
     assert not T.mult_coo.sparse and not T.comult_coo.sparse
     _kernels_match_definitions(T, rng)
     # with the joins taken at every dimension, 0/1 operands of T's kernels
-    # still take the dense path, as T's tensors are dense
-    E = np.eye(d)[:, :3]
+    # still take the dense path, as T's tensors are dense; cocentrality has
+    # only its joins, whose verdict is the dense definition's
+    E, P2 = np.eye(d)[:, :3], np.eye(2, d)
     with _join_min_dim(1):
         _kernels_match_definitions(T, rng)
         for call in (lambda: hopf.hopf_map_residual(T, T, np.eye(d)),
-                     lambda: hopf.is_cocentral(T, hopf.HopfSurjection(T, None, np.eye(2, d))),
                      lambda: is_hopf_subalgebra(T, SubspaceBasis(T, E)),
                      lambda: T.products(E, E), lambda: T.commutator_residual(E)):
             assert _path(call)[0] == "dense"
+        path, cocentral = _path(lambda: hopf.is_cocentral(T, hopf.HopfSurjection(T, None, P2)))
+        assert path == "joins"
+        assert cocentral is _cocentral_definition(T, P2)
     # the dense path finds kA4 normal in the new basis, and kS3 not
     for gens, normal in ((("s", "gg"), True), (("s", "t"), False)):
         B = _subgroup_algebra(T, s4_sigma, gens, basis=Q)
@@ -329,7 +323,7 @@ def test_normality_matches_dense(s4_sigma, counterexample, a5):
     ]
     for A, B, normal in cases:
         P = np.linalg.qr(_random(rng, A.dim, A.dim))[0]
-        T = _change_basis(A, P)
+        T = change_basis(A, P)
         rotated = SubspaceBasis(T, P.conj().T @ B.matrix)
         assert _joins_only(lambda: is_normal_hopf_subalgebra(A, B)) == (True, normal)
         assert _joins_only(lambda: is_normal_hopf_subalgebra(T, rotated)) == (False, normal)
@@ -342,7 +336,10 @@ def test_adjoint_action_matches_dense(counterexample, a5):
     for A in (counterexample.A, counterexample.dual, a5.A, _shear(counterexample.A)):
         d, Bm = A.dim, _random(rng, A.dim, 2)
         bS = np.einsum("jm,rq,jrc->cmq", Bm, A.antipode, A.mult, optimize=True)  # b_m S(e_q)
-        want = np.einsum("kpq,cmq,pco->kmo", A.comult, bS, A.mult, optimize=True)
+        # e_k1 (b_m S(e_k2)), then the product: one tensor at a time, each
+        # step a matrix product of 2 d^4 terms, not einsum's d^5 loop
+        want = np.tensordot(np.tensordot(A.comult, bS, axes=([2], [2])),   # [k, p, c, m]
+                            A.mult, axes=([1, 2], [0, 1]))                 # [k, m, o]
         idx, val = hopf._adjoint_entries(A, A.antipode, Bm, left=True)
         got = np.zeros(want.shape, complex)
         np.add.at(got, idx, val)
@@ -421,7 +418,7 @@ def test_conjugation_matrices_do_not_depend_on_the_basis(counterexample):
     shear[2, 1] = 1.0
     unitary = np.linalg.qr(_random(np.random.default_rng(31), A.dim, A.dim))[0]
     for P, joins in ((shear, True), (unitary, False)):
-        T = _change_basis(A, P)
+        T = change_basis(A, P)
         Q = np.linalg.inv(P)
         inc = HopfInclusion(small=ext.inc.small, big=T, embedding=Q @ E)
         # an element x has coordinates Q x
@@ -534,11 +531,11 @@ def test_graded_kernels_build_no_cube(monkeypatch, counterexample, cocentral8, c
             assert built(lambda: is_hopf_subalgebra(A, S), S.dim) is _projector_verdict(A, S)
         assert built(lambda: hopf.hopf_map_residual(inc.small, A, inc.embedding),
                      inc.small.dim) < 1e-12
-        # a bismash's projection is 0/1; one found from a generic quotient
-        # carries rounding in its zeros and is read densely
-        if np.count_nonzero(piF.matrix) <= d:
-            assert built(lambda: hopf.hopf_map_residual(A, piF.target, piF.matrix), nf) < 1e-12
-            assert built(lambda: hopf.is_cocentral(A, piF), nf) is _cocentral_definition(A, piF.matrix)
+        # a bismash's projection is 0/1, and so is one found from a generic
+        # quotient, once rounded
+        assert np.count_nonzero(piF.matrix) <= d
+        assert built(lambda: hopf.hopf_map_residual(A, piF.target, piF.matrix), nf) < 1e-12
+        assert built(lambda: hopf.is_cocentral(A, piF), nf) is _cocentral_definition(A, piF.matrix)
         fresh = Extension(A, inc, piF=piF, F=ext.F)
         comps = built(lambda: fresh.components, nf)
         assert all(c.equals(want) for c, want in zip(comps, ext.components))
@@ -785,7 +782,7 @@ def test_hopf_subalgebra_matches_projectors(counterexample, a5):
             thick.append(2 * V.dim > A.dim)
             assert verdicts[-1] is _projector_verdict(A, V)
             _residuals_match_projectors(A, V)
-    # both verdicts and both sides of the dimension rule are reached
+    # both verdicts, and subspaces thinner and thicker than d/2, are reached
     assert set(verdicts) == set(thick) == {True, False}
 
 
@@ -795,7 +792,7 @@ def test_hopf_subalgebra_in_a_unitary_basis(s4_sigma, counterexample):
     for A0 in (counterexample.A, group_algebra(s4_sigma)):
         d = A0.dim
         P, _ = np.linalg.qr(_random(rng, d, d))
-        T = _change_basis(A0, P)
+        T = change_basis(A0, P)
         assert not T.comult_coo.sparse
         V = SubspaceBasis(T, np.linalg.qr(_random(rng, d, d))[0])
         assert is_hopf_subalgebra(T, V) and _projector_verdict(T, V)
@@ -805,11 +802,16 @@ def test_hopf_subalgebra_in_a_unitary_basis(s4_sigma, counterexample):
         _residuals_match_projectors(T, B)
 
 
-def test_subspaces_that_are_not_hopf_subalgebras(counterexample, a5):
-    # thick ones (2 dim V > d, V != A) are read on the complement W, thin ones
-    # on V; every residual is checked against P = V V^H
+def _no_null_space(*args, **kw):
+    raise AssertionError("the Hopf-subalgebra test took a null space")
+
+
+def test_subspaces_that_are_not_hopf_subalgebras(monkeypatch, counterexample, a5):
+    # thick ones (2 dim V > d, V != A) and thin ones are read on V itself,
+    # with no null space taken; every residual is checked against P = V V^H
+    monkeypatch.setattr(linalg, "null_space", _no_null_space)
     rng = np.random.default_rng(31)
-    for A in (counterexample.A, a5.A, _change_basis(counterexample.A,
+    for A in (counterexample.A, a5.A, change_basis(counterexample.A,
                                                     np.linalg.qr(_random(rng, 24, 24))[0])):
         d = A.dim
         drop_one = SubspaceBasis(A, np.eye(d, dtype=complex)[:, 1:])
@@ -829,17 +831,16 @@ def test_subspaces_that_are_not_hopf_subalgebras(counterexample, a5):
 
 def test_hopf_subalgebra_reads_the_thinner_side(monkeypatch, a5):
     # B (dim 5 of 60) is read on itself: through the joins on its 0/1 basis,
-    # through V on a dense basis of the same span; its complement is never
-    # computed.  V = A has no complement: neither V.V nor Delta(V), 3.5 MB
-    # each, is formed
+    # through V on a dense basis of the same span; no null space is taken.
+    # V = A yields no residual: neither V.V nor Delta(V), 3.5 MB each, is
+    # formed
     A = a5.A
     rotated = SubspaceBasis(A, a5.b_sub.matrix @ np.linalg.qr(
         _random(np.random.default_rng(53), 5, 5))[0])
-    with monkeypatch.context() as m:
-        m.setattr(linalg, "null_space", None)
-        assert _path(lambda: is_hopf_subalgebra(A, a5.b_sub)) == ("joins", True)
-        # joined, the dense basis would pair more than d^2 entries
-        assert _path(lambda: is_hopf_subalgebra(A, rotated)) == ("fallback", True)
+    monkeypatch.setattr(linalg, "null_space", _no_null_space)
+    assert _path(lambda: is_hopf_subalgebra(A, a5.b_sub)) == ("joins", True)
+    # joined, the dense basis would pair more than d^2 entries
+    assert _path(lambda: is_hopf_subalgebra(A, rotated)) == ("fallback", True)
     V = SubspaceBasis(A, np.eye(A.dim, dtype=complex))
     assert is_hopf_subalgebra(A, V)         # the COO plans are built once per algebra
     tracemalloc.start()
@@ -971,7 +972,7 @@ def test_graded_components_match_the_svd_definition(counterexample, cocentral8, 
                 assert set(np.abs(got.matrix).ravel().tolist()) == {0.0, 1.0}, name
     A, P = counterexample.A, counterexample.piF.matrix
     U = np.linalg.qr(_random(rng, A.dim, A.dim))[0]
-    T = _change_basis(A, U)
+    T = change_basis(A, U)
     pi = hopf.HopfSurjection(T, None, P @ U)
     path, rho = _path(lambda: hopf.comodule_map_rho(T, pi))
     assert path == "fallback"
