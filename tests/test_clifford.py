@@ -71,12 +71,10 @@ def _classes_from(monkeypatch, ext, table):
     return clifford.equivalence_classes(ext)
 
 
-def test_classes_follow_row_supports(monkeypatch, counterexample):
-    # numbered by their smallest A-index, as the table read afresh gives them
-    ecd = counterexample.ecd
-    got = _classes_from(monkeypatch, counterexample, ecd.restriction_table.copy())
-    assert (got.a_classes, got.b_classes) == (ecd.a_classes, ecd.b_classes)
-    assert [c[0] for c in got.a_classes] == sorted(c[0] for c in got.a_classes)
+def test_classes_are_numbered_by_smallest_a_index(classical, counterexample, cocentral8):
+    for ext in (classical, counterexample, cocentral8):
+        firsts = [c[0] for c in ext.ecd.a_classes]
+        assert firsts == sorted(firsts)
 
 
 def test_classes_need_every_b_character_covered(monkeypatch, counterexample):
