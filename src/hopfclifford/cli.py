@@ -60,7 +60,10 @@ def _pin_malloc_thresholds() -> None:
     mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args fills a new namespace
+    on each call, so no flag of one call reaches the next."""
     parser = argparse.ArgumentParser(
         prog="hopf-clifford",
         description="Clifford correspondence calculator for semisimple Hopf algebras")

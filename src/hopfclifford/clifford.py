@@ -598,13 +598,10 @@ def graded_stabilizer_analysis(ext: Extension, sr: StabilizerResult) -> GradedSe
         raise ConsistencyError("grading action did not send a simple to a simple")
     orbit_class = set(np.argmax(coeffs, axis=1).tolist())
     h_members = np.flatnonzero(np.abs(chars - alpha.values).max(axis=1) < TOL_MATCH).tolist()
-    hset = set(h_members)
-    if 0 not in hset:
+    if 0 not in h_members:
         raise ConsistencyError("grading stabilizer misses the identity component")
-    for x in h_members:
-        for y in h_members:
-            if F.mul(x, y) not in hset:
-                raise ConsistencyError("grading stabilizer is not a subgroup")
+    if not np.isin(F.cayley[np.ix_(h_members, h_members)], h_members).all():
+        raise ConsistencyError("grading stabilizer is not a subgroup")
     if F.order % len(h_members) != 0:
         raise ConsistencyError("stabilizer order does not divide |F|")
     orbit_size = F.order // len(h_members)

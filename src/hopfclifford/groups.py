@@ -8,6 +8,10 @@ g in G, x in F) induces the two actions
     g * x = (g |> x) * (g <| x),     g |> x in F,  g <| x in G,
 
 stored as lookup tables on the standalone groups built from F and G.
+
+Each group law -- associativity, subgroup closure, the matched-pair laws
+-- is checked as one comparison of whole Cayley or action tables, indexed
+by numpy arrays, not cell by cell.
 """
 
 from __future__ import annotations
@@ -125,9 +129,9 @@ class FiniteGroup:
         if c.shape != (n, n):
             raise ValueError("Cayley table must be square")
         ref = np.arange(n)
-        if not all(np.array_equal(np.sort(c[i]), ref) for i in range(n)):
+        if not np.all(np.sort(c, axis=1) == ref):
             raise ValueError("Cayley table rows are not permutations")
-        if not all(np.array_equal(np.sort(c[:, j]), ref) for j in range(n)):
+        if not np.all(np.sort(c, axis=0) == ref[:, None]):
             raise ValueError("Cayley table columns are not permutations")
         if not (np.array_equal(c[0], ref) and np.array_equal(c[:, 0], ref)):
             raise ValueError("element 0 is not the identity")
@@ -180,20 +184,26 @@ def _magma_generators(c: np.ndarray) -> list[int]:
     The identity passes Light's test by itself, so it starts covered; the
     covered set grows by right multiplication by S until it is closed.
     """
-    n = c.shape[0]
     gens: list[int] = []
-    covered = np.zeros(n, dtype=bool)
+    covered = np.zeros(c.shape[0], dtype=bool)
     covered[0] = True
     while not covered.all():
         gens.append(int(np.argmin(covered)))
-        covered[gens] = True
-        frontier = np.flatnonzero(covered)
-        while frontier.size:
-            new = np.unique(c[np.ix_(frontier, gens)])
-            new = new[~covered[new]]
-            covered[new] = True
-            frontier = new
+        _close_right(c, gens, covered)
     return gens
+
+
+def _close_right(c: np.ndarray, gens: Sequence[int], covered: np.ndarray) -> None:
+    """Mark in `covered` the gens and every product of a covered element with
+    gens on the right, until the marked set is closed under them."""
+    gens = np.asarray(gens, dtype=np.intp)
+    covered[gens] = True
+    frontier = np.flatnonzero(covered)
+    while frontier.size:
+        new = np.unique(c[np.ix_(frontier, gens)])
+        new = new[~covered[new]]
+        covered[new] = True
+        frontier = new
 
 
 def group_from_permutations(generators: Iterable, names: Optional[Sequence[str]] = None,
@@ -273,13 +283,9 @@ class Subgroup:
         object.__setattr__(self, "members", members)
         if 0 not in members:
             raise ValueError("subgroup must contain the identity")
-        mset = set(members)
-        for a in members:
-            if int(self.parent.inverse[a]) not in mset:
-                raise ValueError("subgroup not closed under inverse")
-            for b in members:
-                if int(self.parent.cayley[a, b]) not in mset:
-                    raise ValueError("subgroup not closed under multiplication")
+        # a finite subset closed under multiplication is closed under inverses
+        if not np.isin(self.parent.cayley[np.ix_(members, members)], members).all():
+            raise ValueError("subgroup not closed under multiplication")
 
     @property
     def order(self) -> int:
@@ -290,17 +296,12 @@ class Subgroup:
 
 
 def closure_members(parent: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
-    members = {0}
-    queue = [0] + [int(g) for g in gens]
-    members.update(queue)
-    while queue:
-        a = queue.pop()
-        for b in list(members):
-            for c in (parent.mul(a, b), parent.mul(b, a)):
-                if c not in members:
-                    members.add(c)
-                    queue.append(c)
-    return tuple(sorted(members))
+    """Sorted members of the subgroup generated by `gens`: in a finite group
+    the products of generators, with the identity, already form it."""
+    covered = np.zeros(parent.order, dtype=bool)
+    covered[0] = True
+    _close_right(parent.cayley, [int(g) for g in gens], covered)
+    return tuple(np.flatnonzero(covered).tolist())
 
 
 def subgroup_closure(parent: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -309,16 +310,12 @@ def subgroup_closure(parent: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
     """Standalone group on the subgroup's members, labels inherited."""
-    idx = {m: i for i, m in enumerate(sub.members)}
-    n = len(sub.members)
-    cayley = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(sub.members):
-        for j, b in enumerate(sub.members):
-            cayley[i, j] = idx[sub.parent.mul(a, b)]
-    labels = [sub.parent.labels[m] for m in sub.members]
+    members = sub.members
+    cayley = np.searchsorted(members, sub.parent.cayley[np.ix_(members, members)])
+    labels = [sub.parent.labels[m] for m in members]
     perms = None
     if sub.parent.perms is not None:
-        perms = [sub.parent.perms[m] for m in sub.members]
+        perms = [sub.parent.perms[m] for m in members]
     return FiniteGroup(cayley, labels=labels, perms=perms)
 
 
@@ -346,8 +343,8 @@ def is_exact_factorization(sigma: FiniteGroup, f: Subgroup, g: Subgroup) -> bool
     """True iff every element of sigma is uniquely a product g*x, g in G, x in F."""
     if f.parent is not sigma or g.parent is not sigma:
         raise PreconditionError("subgroups must live in the ambient group")
-    products = [sigma.mul(a, x) for a in g.members for x in f.members]
-    return len(products) == sigma.order and len(set(products)) == sigma.order
+    products = sigma.cayley[np.ix_(g.members, f.members)]
+    return products.size == sigma.order and np.unique(products).size == sigma.order
 
 
 @dataclass
@@ -381,25 +378,15 @@ def derive_actions(sigma: FiniteGroup, f: Subgroup, g: Subgroup) -> MatchedPair:
     """Factor each product g*x as f'*g' and tabulate g |> x = f', g <| x = g'."""
     if not is_exact_factorization(sigma, f, g):
         raise FactorizationError("not an exact factorization")
-    f_group = subgroup_as_group(f)
-    g_group = subgroup_as_group(g)
-    g_set = set(g.members)
-    ract = np.zeros((g_group.order, f_group.order), dtype=np.int64)
-    lact = np.zeros((g_group.order, f_group.order), dtype=np.int64)
-    g_pos = {m: i for i, m in enumerate(g.members)}
-    f_pos = {m: i for i, m in enumerate(f.members)}
-    for gi, a in enumerate(g.members):
-        for xi, x in enumerate(f.members):
-            p = sigma.mul(a, x)
-            hits = [(fp, sigma.mul(sigma.inv(fp), p)) for fp in f.members
-                    if sigma.mul(sigma.inv(fp), p) in g_set]
-            if len(hits) != 1:
-                raise FactorizationError(
-                    f"product {sigma.labels[p]} does not factor uniquely as F*G")
-            fp, gp = hits[0]
-            lact[gi, xi] = f_pos[fp]
-            ract[gi, xi] = g_pos[gp]
-    return MatchedPair(f_group=f_group, g_group=g_group, ract=ract, lact=lact,
+    # sigma = G F exactly, so sigma = F G exactly (take inverses): each element
+    # is f_i g_j for one (i, j), at i * |G| + j of the flat F-by-G table, and
+    # the position of g x = (g |> x)(g <| x) there gives both actions
+    fg = sigma.cayley[np.ix_(f.members, g.members)].ravel()
+    position = np.empty(sigma.order, dtype=np.int64)
+    position[fg] = np.arange(fg.size)
+    lact, ract = np.divmod(position[sigma.cayley[np.ix_(g.members, f.members)]], g.order)
+    return MatchedPair(f_group=subgroup_as_group(f), g_group=subgroup_as_group(g),
+                       ract=ract, lact=lact,
                        sigma=sigma, f_sub=f, g_sub=g)
 
 
@@ -407,68 +394,40 @@ def derive_actions(sigma: FiniteGroup, f: Subgroup, g: Subgroup) -> MatchedPair:
 class MatchedPairReport:
     ok: bool
     violations: list[str] = field(default_factory=list)
-    checks_run: int = 0
 
 
 def verify_matched_pair(mp: MatchedPair) -> MatchedPairReport:
-    """Check unit laws, both compatibility conditions, and reconstruction."""
+    """Check unit laws, both compatibility conditions, and reconstruction.
+
+    Each law is one comparison of whole tables; a violation names the law
+    and its first failing cell.
+    """
     F, G = mp.f_group, mp.g_group
-    ract, lact = mp.ract, mp.lact
-    bad: list[str] = []
-    checks = 0
-
-    for x in F.elements():
-        checks += 1
-        if lact[0, x] != x:
-            bad.append(f"unit law 1 |> {F.labels[x]} failed")
-        checks += 1
-        if ract[0, x] != 0:
-            bad.append(f"unit law 1 <| {F.labels[x]} failed")
-    for g in G.elements():
-        checks += 1
-        if lact[g, 0] != 0:
-            bad.append(f"unit law {G.labels[g]} |> 1 failed")
-        checks += 1
-        if ract[g, 0] != g:
-            bad.append(f"unit law {G.labels[g]} <| 1 failed")
-
-    # s |> xy = (s |> x)((s <| x) |> y)
-    for s in G.elements():
-        for x in F.elements():
-            for y in F.elements():
-                checks += 1
-                lhs = lact[s, F.mul(x, y)]
-                rhs = F.mul(lact[s, x], lact[ract[s, x], y])
-                if lhs != rhs:
-                    bad.append(
-                        f"|> over product failed at ({G.labels[s]}, "
-                        f"{F.labels[x]}, {F.labels[y]})")
-
-    # st <| x = (s <| (t |> x))(t <| x)
-    for s in G.elements():
-        for t in G.elements():
-            for x in F.elements():
-                checks += 1
-                lhs = ract[G.mul(s, t), x]
-                rhs = G.mul(ract[s, lact[t, x]], ract[t, x])
-                if lhs != rhs:
-                    bad.append(
-                        f"<| over product failed at ({G.labels[s]}, "
-                        f"{G.labels[t]}, {F.labels[x]})")
-
+    fc, gc, fl, gl = F.cayley, G.cayley, F.labels, G.labels
+    ract, lact = np.asarray(mp.ract), np.asarray(mp.lact)
+    laws = [
+        (lact[0], np.arange(F.order), lambda x: f"unit law 1 |> {fl[x]} failed"),
+        (ract[0], 0, lambda x: f"unit law 1 <| {fl[x]} failed"),
+        (lact[:, 0], 0, lambda g: f"unit law {gl[g]} |> 1 failed"),
+        (ract[:, 0], np.arange(G.order), lambda g: f"unit law {gl[g]} <| 1 failed"),
+        # s |> xy = (s |> x)((s <| x) |> y), cell [s, x, y]
+        (lact[:, fc], fc[lact[:, :, None], lact[ract]],
+         lambda s, x, y: f"|> over product failed at ({gl[s]}, {fl[x]}, {fl[y]})"),
+        # st <| x = (s <| (t |> x))(t <| x), cell [s, t, x]
+        (ract[gc], gc[ract[:, lact], ract],
+         lambda s, t, x: f"<| over product failed at ({gl[s]}, {gl[t]}, {fl[x]})"),
+    ]
     if mp.sigma is not None and mp.f_sub is not None and mp.g_sub is not None:
-        sig = mp.sigma
-        for gi, a in enumerate(mp.g_sub.members):
-            for xi, x in enumerate(mp.f_sub.members):
-                checks += 1
-                lhs = sig.mul(a, x)
-                rhs = sig.mul(mp.f_sub.members[int(mp.lact[gi, xi])],
-                              mp.g_sub.members[int(mp.ract[gi, xi])])
-                if lhs != rhs:
-                    bad.append(
-                        f"reconstruction failed at ({G.labels[gi]}, {F.labels[xi]})")
-
-    return MatchedPairReport(ok=not bad, violations=bad, checks_run=checks)
+        fm, gm = np.asarray(mp.f_sub.members), np.asarray(mp.g_sub.members)
+        # g x = (g |> x)(g <| x) in sigma, cell [g, x]
+        laws.append((mp.sigma.cayley[np.ix_(gm, fm)], mp.sigma.cayley[fm[lact], gm[ract]],
+                     lambda g, x: f"reconstruction failed at ({gl[g]}, {fl[x]})"))
+    bad = []
+    for lhs, rhs, describe in laws:
+        cells = np.argwhere(lhs != rhs)
+        if cells.size:
+            bad.append(describe(*cells[0]))
+    return MatchedPairReport(ok=not bad, violations=bad)
 
 
 def orbit_and_stabilizer(mp: MatchedPair, g: int) -> tuple[tuple[int, ...], Subgroup]:
@@ -480,15 +439,12 @@ def orbit_and_stabilizer(mp: MatchedPair, g: int) -> tuple[tuple[int, ...], Subg
     # a <| (xy) = (a <| x) <| y for every a, x, y, as one (|G|, |F|, |F|) comparison
     if not np.array_equal(ract[:, F.cayley], ract[ract]):
         raise PreconditionError("<| is not a right action")
-    orbit = tuple(sorted({int(ract[g, x]) for x in F.elements()}))
-    stab = tuple(sorted(x for x in F.elements() if ract[g, x] == g))
-    return orbit, Subgroup(F, stab)
+    orbit = tuple(np.unique(ract[g]).tolist())
+    return orbit, Subgroup(F, np.flatnonzero(ract[g] == g).tolist())
 
 
 def is_invariant_subgroup_under_lact(mp: MatchedPair, h: Subgroup) -> bool:
     """True iff g |> h lands in H for every g in G and h in H."""
     if h.parent is not mp.f_group:
         raise PreconditionError("H must be a subgroup of the F side")
-    hset = set(h.members)
-    return all(int(mp.lact[g, x]) in hset
-               for g in mp.g_group.elements() for x in h.members)
+    return bool(np.isin(mp.lact[:, h.members], h.members).all())

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import clifford, hopf, linalg, repcalc
 from .errors import ConfigError, ConsistencyError
-from .groups import (FiniteGroup, MatchedPair, Subgroup, derive_actions,
-                     group_from_permutations, parse_cycles, subgroup_as_group,
-                     subgroup_closure)
+from .groups import (DEFAULT_SIZE_CAP, FiniteGroup, MatchedPair, Subgroup,
+                     derive_actions, group_from_permutations, parse_cycles,
+                     subgroup_as_group, subgroup_closure)
 
 BUILTIN_NAMES = ("s4_counterexample", "s3_a3_classical", "cocentral_c4_c2")
 
@@ -55,7 +55,7 @@ class Scenario:
     b_generators: list[str] = field(default_factory=list)
     alpha: object = "all"
     seed: Optional[int] = None
-    size_cap: int = 10000
+    size_cap: int = DEFAULT_SIZE_CAP
     tol_alg: float = linalg.TOL_ALG
     expected_ract: Optional[dict] = None
     expected_lact: Optional[dict] = None
@@ -71,6 +71,11 @@ class Scenario:
             if isinstance(tol_alg, bool) or not 0 < float(tol_alg) < math.inf:
                 raise ConfigError(
                     f"tolerances.alg must be a finite number > 0, got {tol_alg!r}")
+            size_cap = data.get("size_cap", DEFAULT_SIZE_CAP)
+            if (isinstance(size_cap, bool) or not isinstance(size_cap, int)
+                    or not 1 <= size_cap <= DEFAULT_SIZE_CAP):
+                raise ConfigError(f"size_cap must be an integer from 1 to "
+                                  f"{DEFAULT_SIZE_CAP}, got {size_cap!r}")
             sc = cls(
                 name=str(data.get("name", "scenario")),
                 construction=construction,
@@ -82,7 +87,7 @@ class Scenario:
                 b_generators=list(data.get("b_generators", [])),
                 alpha=data.get("alpha", "all"),
                 seed=data.get("seed"),
-                size_cap=int(data.get("size_cap", 10000)),
+                size_cap=size_cap,
                 tol_alg=float(tol_alg),
             )
             if sc.seed is not None:
@@ -197,27 +202,18 @@ def _resolve_elements(group: FiniteGroup, refs: list[str],
     return out
 
 
-def _quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
-    """Cosets of a normal subgroup as a group, plus element -> coset map."""
-    nset = set(N.members)
-    for n in N.members:
-        for a in G.elements():
-            if G.mul(G.mul(a, n), G.inv(a)) not in nset:
-                raise ConfigError("b_generators do not generate a normal subgroup")
-    coset_of = [-1] * G.order
-    reps = []
-    for a in G.elements():
-        if coset_of[a] != -1:
-            continue
-        idx = len(reps)
-        reps.append(a)
-        for n in N.members:
-            coset_of[G.mul(a, n)] = idx
-    q = len(reps)
-    cayley = np.zeros((q, q), dtype=np.int64)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            cayley[i, j] = coset_of[G.mul(a, b)]
+def _quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
+    """Cosets of a normal subgroup as a group, plus element -> coset map.
+
+    Cosets aN are numbered by their least element, which is their first in
+    element order and labels the coset.
+    """
+    cosets = G.cayley[:, N.members]
+    # a n a^-1 for every a in G and n in N
+    if not np.isin(G.cayley[cosets, G.inverse[:, None]], N.members).all():
+        raise ConfigError("b_generators do not generate a normal subgroup")
+    reps, coset_of = np.unique(cosets.min(axis=1), return_inverse=True)
+    cayley = coset_of[G.cayley[np.ix_(reps, reps)]]
     labels = [f"[{G.labels[a]}]" for a in reps]
     return FiniteGroup(cayley, labels=labels), coset_of
 
@@ -255,15 +251,13 @@ def build_scenario(sc: Scenario, seed: int) -> clifford.Extension:
         A = hopf.group_algebra(group)
         B = hopf.group_algebra(subgroup_as_group(n_sub))
         E = np.zeros((group.order, n_sub.order), dtype=complex)
-        for i, m in enumerate(n_sub.members):
-            E[m, i] = 1.0
+        E[n_sub.members, np.arange(n_sub.order)] = 1.0
     else:
         A = hopf.dual_group_algebra(group)
         Q, coset_of = _quotient_group(group, n_sub)
         B = hopf.dual_group_algebra(Q)
         E = np.zeros((group.order, Q.order), dtype=complex)
-        for a in group.elements():
-            E[a, coset_of[a]] = 1.0
+        E[np.arange(group.order), coset_of] = 1.0
     linalg.require(hopf.hopf_map_residual(B, A, E), linalg.TOL_ALG, ConsistencyError,
                    "B embedding fails Hopf-map checks")
     return clifford.Extension(A, hopf.HopfInclusion(small=B, big=A, embedding=E),

@@ -12,6 +12,9 @@ import tracemalloc
 
 import pytest
 
+from hopfclifford.groups import (Subgroup, all_subgroups, derive_actions,
+                                 group_from_permutations, is_exact_factorization,
+                                 is_invariant_subgroup_under_lact)
 from hopfclifford.hopf import verify_hopf_axioms
 from hopfclifford.repcalc import DEFAULT_SEED
 from hopfclifford.scenarios import Scenario, build_scenario, run_scenario
@@ -93,6 +96,42 @@ def test_factorization_sweep(name, gens, f_gens, g_gens, dims, cocentral, failin
     assert rep.cocentral is cocentral
     fails = [r for r in rep.alpha_reports if not r.direct_holds]
     assert len(fails) == failing
+
+
+SMALL_GROUPS = [
+    # (name, generators, exact factorizations F.G, those with F and G both
+    #  proper, alphas analysed over all of them)
+    ("S4", ["(1 2 3 4)", "(1 2)"], 70, 68, 401),
+    ("A4", ["(1 2 3)", "(1 2)(3 4)"], 10, 8, 41),
+    ("D4", ["(1 2 3 4)", "(1 3)"], 18, 16, 57),
+]
+
+
+@pytest.mark.parametrize("name,gens,count,nontrivial,alphas", SMALL_GROUPS,
+                         ids=[c[0] for c in SMALL_GROUPS])
+def test_every_exact_factorization_runs_end_to_end(name, gens, count, nontrivial, alphas):
+    # each run builds the bismash, passes the axiom gate, the class formulas,
+    # the coset check, every alpha and the cocentral sweep, or raises; the
+    # verdict of each alpha must also be the prediction "its grading
+    # stabilizer H is invariant under |>", from the action table alone
+    group = group_from_permutations(gens)
+    subs = all_subgroups(group)
+    pairs = [(f, g) for f in subs for g in subs
+             if f.order * g.order == group.order and is_exact_factorization(group, f, g)]
+    assert len(pairs) == count
+    assert sum(1 < f.order < group.order for f, _ in pairs) == nontrivial
+    analysed = 0
+    for f, g in pairs:
+        mp = derive_actions(group, f, g)
+        rep = run_scenario(Scenario.from_dict({
+            "name": name, "construction": "bismash", "sigma": {"generators": gens},
+            "f_generators": [group.labels[m] for m in f.members],
+            "g_generators": [group.labels[m] for m in g.members]}))
+        for r in rep.alpha_reports:
+            h = Subgroup(mp.f_group, r.graded.h_members)
+            assert r.direct_holds is is_invariant_subgroup_under_lact(mp, h)
+        analysed += len(rep.alpha_reports)
+    assert analysed == alphas
 
 
 def test_order_six_bismash_with_inversion():

@@ -1,5 +1,7 @@
 """Groups, exact factorizations, and the derived matched-pair actions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,82 @@ def test_corrupted_lact_breaks_compatibility(s4_pair):
                for v in rep.violations)
 
 
+# one fault per matched-pair law on hand-built pairs (rows g, columns x),
+# with the violations it must produce: each law names its first failing cell.
+# 1 <| x and g |> 1 cannot fail alone: at (1, 1, x) and (g, 1, 1) the
+# product laws then read a = a^2 with a != 1
+LAW_FAULTS = [
+    ("1 |> x", "c3", "u2", [[0, 0, 0], [1, 1, 1]], [[0, 2, 1], [0, 1, 2]],
+     ["unit law 1 |> c failed"]),
+    ("1 <| x", "r2", "u2", [[0, 1], [1, 0]], [[0, 1], [0, 1]],
+     ["unit law 1 <| r failed", "<| over product failed at (1, 1, r)"]),
+    ("g |> 1", "r2", "u2", [[0, 0], [1, 1]], [[0, 1], [1, 0]],
+     ["unit law u |> 1 failed", "|> over product failed at (u, 1, 1)"]),
+    ("g <| 1", "r2", "g3", [[0, 0], [2, 1], [1, 2]], [[0, 1], [0, 1], [0, 1]],
+     ["unit law g <| 1 failed"]),
+    ("|> over products", "c3", "u2", [[0, 0, 0], [1, 1, 1]], [[0, 1, 2], [0, 1, 1]],
+     ["|> over product failed at (u, c, c)"]),
+    ("<| over products", "r2", "g3", [[0, 0], [1, 1], [2, 1]], [[0, 1], [0, 1], [0, 1]],
+     ["<| over product failed at (g, g, r)"]),
+]
+CYCLIC = {"c3": (["(1 2 3)"], ["c"]), "r2": (["(1 2)"], ["r"]),
+          "u2": (["(1 2)"], ["u"]), "g3": (["(1 2 3)"], ["g"])}
+
+
+@pytest.mark.parametrize("f,g,ract,lact,violations", [c[1:] for c in LAW_FAULTS],
+                         ids=[c[0] for c in LAW_FAULTS])
+def test_each_matched_pair_law_fails_on_its_own_fault(f, g, ract, lact, violations):
+    mp = MatchedPair(f_group=group_from_permutations(*CYCLIC[f]),
+                     g_group=group_from_permutations(*CYCLIC[g]),
+                     ract=np.array(ract), lact=np.array(lact))
+    rep = verify_matched_pair(mp)
+    assert not rep.ok and rep.violations == violations
+
+
+def test_reconstruction_fails_on_its_own_fault(c4c2_pair):
+    # the trivial actions form a matched pair, that of C4 x C2, but not D4's
+    G, F = c4c2_pair.g_group, c4c2_pair.f_group
+    trivial = dataclasses.replace(
+        c4c2_pair, ract=np.repeat(np.arange(G.order)[:, None], F.order, axis=1),
+        lact=np.repeat(np.arange(F.order)[None, :], G.order, axis=0))
+    assert verify_matched_pair(trivial).violations == ["reconstruction failed at (g, r)"]
+    assert verify_matched_pair(dataclasses.replace(trivial, sigma=None)).ok
+
+
+def _loop_violations(mp):
+    """verify_matched_pair cell by cell: each law's first failing cell."""
+    F, G, ract, lact = mp.f_group, mp.g_group, mp.ract, mp.lact
+    fl, gl, xs, gs = F.labels, G.labels, F.elements(), G.elements()
+    laws = [
+        [f"unit law 1 |> {fl[x]} failed" for x in xs if lact[0, x] != x],
+        [f"unit law 1 <| {fl[x]} failed" for x in xs if ract[0, x] != 0],
+        [f"unit law {gl[g]} |> 1 failed" for g in gs if lact[g, 0] != 0],
+        [f"unit law {gl[g]} <| 1 failed" for g in gs if ract[g, 0] != g],
+        [f"|> over product failed at ({gl[s]}, {fl[x]}, {fl[y]})"
+         for s in gs for x in xs for y in xs
+         if lact[s, F.mul(x, y)] != F.mul(lact[s, x], lact[ract[s, x], y])],
+        [f"<| over product failed at ({gl[s]}, {gl[t]}, {fl[x]})"
+         for s in gs for t in gs for x in xs
+         if ract[G.mul(s, t), x] != G.mul(ract[s, lact[t, x]], ract[t, x])],
+        [f"reconstruction failed at ({gl[g]}, {fl[x]})" for g in gs for x in xs
+         if mp.sigma.mul(mp.g_sub.members[g], mp.f_sub.members[x])
+         != mp.sigma.mul(mp.f_sub.members[lact[g, x]], mp.g_sub.members[ract[g, x]])],
+    ]
+    return [cells[0] for cells in laws if cells]
+
+
+def test_whole_table_laws_match_the_cell_loops(s4_pair, c4c2_pair):
+    # every single-cell change of either table of two derived pairs
+    for mp in (s4_pair, c4c2_pair):
+        assert verify_matched_pair(mp).violations == _loop_violations(mp) == []
+        for table, n in (("ract", mp.g_group.order), ("lact", mp.f_group.order)):
+            for cell in np.ndindex(mp.ract.shape):
+                for value in range(n):
+                    bad = dataclasses.replace(mp, **{table: getattr(mp, table).copy()})
+                    getattr(bad, table)[cell] = value
+                    assert verify_matched_pair(bad).violations == _loop_violations(bad)
+
+
 def test_abstract_inversion_pair():
     c2 = group_from_permutations(["(1 2)"], names=["r"])
     c4 = group_from_permutations(["(1 2 3 4)"], names=["g"])
@@ -314,3 +392,7 @@ def test_all_subgroups_s4(s4_sigma):
     assert len(subs) == 30
     orders = sorted({s.order for s in subs})
     assert orders == [1, 2, 3, 4, 6, 8, 12, 24]
+
+
+def test_all_subgroups_s5():
+    assert len(all_subgroups(group_from_permutations(["(1 2 3 4 5)", "(1 2)"]))) == 156

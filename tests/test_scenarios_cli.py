@@ -165,6 +165,20 @@ def test_cli_seed_sources(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["seed"] == 42
 
 
+def test_cli_flags_do_not_carry_over(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("HOPF_CLIFFORD_SEED", raising=False)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert cli.main(["analyze", "--builtin", "s3_a3_classical", "--seed", "42",
+                     "--alpha", "0", "--json", str(first)]) == 0
+    assert cli.main(["analyze", "--builtin", "s3_a3_classical", "--json", str(second)]) == 0
+    data = json.loads(second.read_text())
+    assert data["seed"] == 1729 and len(data["alphas"]) == 3
+    capsys.readouterr()
+    assert cli.main(["analyze", "--builtin", "s3_a3_classical"]) == 0
+    assert "report written" not in capsys.readouterr().out
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["analyze"]) == 2
     bad = tmp_path / "bad.json"
@@ -177,7 +191,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         "b_generators": ["(1 2)"],
     }))
     assert cli.main(["analyze", "--scenario", str(nn)]) == 3
+    # the dual construction needs a normal subgroup to form the quotient group
+    nn.write_text(json.dumps({
+        "construction": "dual_group_algebra",
+        "group": {"generators": ["(1 2)", "(1 2 3)"]},
+        "b_generators": ["(1 2)"],
+    }))
     capsys.readouterr()
+    assert cli.main(["analyze", "--scenario", str(nn)]) == 2
+    assert "do not generate a normal subgroup" in capsys.readouterr().err
+    nx = tmp_path / "nx.json"
+    nx.write_text(json.dumps({
+        "construction": "bismash",
+        "group": {"generators": ["(1 2)", "(1 2 3)"]},
+        "f_generators": ["(1 2)"], "g_generators": ["(1 2)"],
+    }))
+    assert cli.main(["analyze", "--scenario", str(nx)]) == 3
+    assert "not an exact factorization" in capsys.readouterr().err
 
 
 def test_cli_theorem_violation_exit_code(monkeypatch, capsys):
@@ -284,6 +314,12 @@ BAD_GROUPS = [
     ("generator-above-size-cap", {"group": {"generators": ["(1 2)", "(1 25)"]},
                                   "b_generators": ["(1 2)"], "size_cap": 24}, "above 24"),
     ("element-beyond-degree", {"b_generators": ["(1 4)"]}, "above 3"),
+    # the size cap bounds the closure, so it is an integer no larger than the default
+    ("size-cap-bool", {"size_cap": True}, "size_cap"),
+    ("size-cap-fraction", {"size_cap": 2.5}, "size_cap"),
+    ("size-cap-text", {"size_cap": "12"}, "size_cap"),
+    ("size-cap-zero", {"size_cap": 0}, "size_cap"),
+    ("size-cap-above-default", {"size_cap": 100000000}, "size_cap"),
 ]
 
 
