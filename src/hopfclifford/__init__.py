@@ -7,9 +7,9 @@ a bijection onto the module's equivalence class.
 """
 
 from .errors import (ConfigError, ConsistencyError, FactorizationError,
-                     HopfCliffordError, NoAntipodeError, NormalityError,
-                     NotACharacterError, NumericDegeneracyError,
-                     PreconditionError, SemisimplicityError, SizeLimitError,
+                     HopfCliffordError, NormalityError, NotACharacterError,
+                     NumericDegeneracyError, PreconditionError,
+                     SemisimplicityError, SizeLimitError,
                      TheoremViolationError)
 from .groups import (FiniteGroup, MatchedPair, Subgroup, derive_actions,
                      group_from_permutations, is_exact_factorization,
@@ -20,7 +20,7 @@ from .hopf import (TOL_ALG, AlgebraData, BismashResult, HopfAlgebraData,
                    coefficient_space, comodule_map_rho, dual_group_algebra,
                    dual_hopf, graded_component, group_algebra,
                    hopf_map_residual, is_cocentral, is_hopf_subalgebra,
-                   is_normal_hopf_subalgebra, quotient_hopf, solve_antipode,
+                   is_normal_hopf_subalgebra, quotient_hopf,
                    subspace_product, verify_hopf_axioms)
 from .repcalc import (Character, ExplicitModule, SemisimpleDecomposition,
                       construct_irreducible_module, decompose,

@@ -29,10 +29,6 @@ class SemisimplicityError(PreconditionError):
     """Regular trace form is degenerate: the algebra is not semisimple."""
 
 
-class NoAntipodeError(PreconditionError):
-    """The antipode system is singular: the bialgebra has no antipode."""
-
-
 class NotACharacterError(HopfCliffordError):
     """Multiplicities came out negative or non-integral."""
 

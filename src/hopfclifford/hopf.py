@@ -21,8 +21,8 @@ read a tensor through its nonzeros whenever it has at most d^2 of them
 (`Coo.sparse`), and through the dense tensor, built on first use,
 otherwise.  The axiom gate contracts over the nonzeros too, and takes the
 dense einsums only when a contraction would pair more than d^4 of them;
-the antipode solve and the group-like test read the dense tensor, as they
-only see dense quotients.  The adjoint actions of the basis, S(e_k1) x
+the group-like test reads the dense tensor, as it only sees dense
+quotients.  The adjoint actions of the basis, S(e_k1) x
 e_k2 and e_k1 x S(e_k2), have one kernel, `_adjoint_entries`, which the
 normality test, the antipode residuals and the conjugation matrices all
 read: chains of joins of the entries of Delta, S, x and `mult` kept in
@@ -60,8 +60,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (ConsistencyError, NoAntipodeError, NormalityError,
-                     PreconditionError)
+from .errors import ConsistencyError, NormalityError, PreconditionError
 from .groups import FiniteGroup, MatchedPair, verify_matched_pair
 from .linalg import TOL_ALG, TOL_MATCH, TOL_NUM, max_abs, require
 
@@ -253,7 +252,7 @@ class AlgebraData:
 
 
 class HopfAlgebraData(AlgebraData):
-    """Hopf algebra structure constants; antipode may stay unset until solved."""
+    """Hopf algebra structure constants; antipode may stay unset until given."""
 
     def __init__(self, mult, unit, comult, counit,
                  labels: Optional[Sequence[str]] = None,
@@ -393,30 +392,6 @@ def dual_hopf(A: HopfAlgebraData) -> HopfAlgebraData:
                            labels=labels, antipode=A.antipode.T.copy())
 
 
-def solve_antipode(A: HopfAlgebraData) -> np.ndarray:
-    """Solve sum S(a_1) a_2 = eps(a) 1 for the antipode matrix.
-
-    Verifies the right convolution law and S o S = id afterwards, both of
-    which must hold in the semisimple characteristic-zero setting.
-    """
-    d = A.dim
-    # coefficient of unknown S[p, i] in equation (k, q)
-    K = np.einsum("kij,pjq->kqpi", A.comult, A.mult, optimize=True).reshape(d * d, d * d)
-    rhs = np.outer(A.counit, A.unit).reshape(d * d)
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NoAntipodeError(f"antipode system is singular: {exc}") from exc
-    require(max_abs(K @ sol - rhs), TOL_ALG, NoAntipodeError,
-            "antipode system has no solution within tolerance")
-    S = sol.reshape(d, d)
-    res = antipode_residuals(A, S)
-    require(res["antipode_right"], TOL_ALG, ConsistencyError,
-            "left antipode fails the right convolution law")
-    require(res["antipode_squared"], TOL_ALG, ConsistencyError, "S^2 is not the identity")
-    return S
-
-
 def antipode_residuals(A: HopfAlgebraData, S: np.ndarray) -> dict[str, float]:
     """Max residuals of S(a_1) a_2 = eps(a) 1 = a_1 S(a_2) and of S^2 = id.
 
@@ -426,8 +401,8 @@ def antipode_residuals(A: HopfAlgebraData, S: np.ndarray) -> dict[str, float]:
     NaN even where no pair of entries reads it.  Each pair (A, S) is
     computed once: A keeps the last S it checked, as a copy, with its
     residuals (`checked_antipode`), and a call with an equal S returns them
-    again, so a closed form or a solved antipode is not checked twice by
-    the axiom gate; any other S, or one changed in place, is checked afresh.
+    again, so a closed form is not checked twice by the axiom gate; any
+    other S, or one changed in place, is checked afresh.
     """
     if A.checked_antipode is not None and np.array_equal(A.checked_antipode[0], S):
         return dict(A.checked_antipode[1])
@@ -572,9 +547,8 @@ def _crosscheck_bismash_quotient(A: HopfAlgebraData, inc: HopfInclusion,
     """The closed-form projection must agree with the generic quotient, which is returned."""
     Bsub = SubspaceBasis.from_vectors(A, inc.embedding)
     Hq, pi_q = quotient_hopf(A, Bsub)
-    # transport the quotient onto the closed form through any linear section
-    section = linalg.pinv(pi_q.matrix)
-    phi = pi.matrix @ section
+    # transport the quotient onto the closed form through its section pi_q^H
+    phi = pi.matrix @ pi_q.matrix.conj().T
     require(max_abs(phi @ pi_q.matrix - pi.matrix), TOL_NUM, ConsistencyError,
             "closed-form projection does not factor through the quotient")
     if linalg.matrix_rank(phi) != Hq.dim:
@@ -991,7 +965,12 @@ def is_cocentral(A: HopfAlgebraData, pi: HopfSurjection) -> bool:
 
 def quotient_hopf(A: HopfAlgebraData, B: SubspaceBasis
                   ) -> tuple[HopfAlgebraData, HopfSurjection]:
-    """Quotient by the ideal A B+ where B+ = B intersect ker(eps)."""
+    """Quotient by the ideal A B+ where B+ = B intersect ker(eps).
+
+    pi has orthonormal rows, so pi^H is its section, and a Hopf map has
+    pi S_A = S_H pi: H's antipode is pi S_A pi^H, exact as A B+ is a Hopf
+    ideal, and checked.
+    """
     if not is_normal_hopf_subalgebra(A, B):
         raise NormalityError("quotient requires a normal Hopf subalgebra")
     eps_on_b = (A.counit @ B.matrix)[None, :]
@@ -1010,9 +989,8 @@ def quotient_hopf(A: HopfAlgebraData, B: SubspaceBasis
     unit = piM @ A.unit
     comult = piM @ A.apply_comult(comp.T) @ piM.T
     counit = A.counit @ comp
-    H = HopfAlgebraData(mult, unit, comult, counit,
-                        labels=[f"h{i}" for i in range(h)])
-    H.antipode = solve_antipode(H)
+    H = HopfAlgebraData(mult, unit, comult, counit, labels=[f"h{i}" for i in range(h)])
+    _with_checked_antipode(H, piM @ A.antipode @ comp, "pi S_A pi^H")
     rep = verify_hopf_axioms(H, tol=TOL_NUM)
     if not rep.ok:
         raise ConsistencyError(

@@ -67,7 +67,6 @@ eig = _converging(np.linalg.eig)
 eigvals = _converging(np.linalg.eigvals)
 cond = _converging(np.linalg.cond)
 matrix_rank = _converging(np.linalg.matrix_rank)
-pinv = _converging(np.linalg.pinv)
 
 
 def nearest_int(x: float) -> int:

@@ -379,9 +379,9 @@ def as_group_algebra_surjection(pi: HopfSurjection, seed: int = DEFAULT_SEED
                                 ) -> Optional[tuple[FiniteGroup, HopfSurjection]]:
     """Rewrite a quotient map so its target is a literal group algebra.
 
-    The map onto kF, inv(P) pi, is rounded to the 0/1 map it is when every
-    entry lies within TOL_NUM of 0 or 1, so that the kernels read its
-    nonzeros; either way it must be a Hopf map within TOL_NUM.
+    The map onto kF, P^{-1} pi by least squares, is rounded to the 0/1
+    map it is when every entry lies within TOL_NUM of 0 or 1, so that the
+    kernels read its nonzeros; either way it must be a Hopf map within TOL_NUM.
     """
     target = pi.target
     if not isinstance(target, HopfAlgebraData):
@@ -393,7 +393,7 @@ def as_group_algebra_surjection(pi: HopfSurjection, seed: int = DEFAULT_SEED
         return None
     F, P = form
     kF = group_algebra(F)
-    matrix = np.linalg.inv(P) @ pi.matrix
+    matrix = linalg.lstsq(P, pi.matrix, rcond=None)[0]
     rounded = (np.abs(matrix - 1.0) <= TOL_NUM).astype(complex)
     if max_abs(matrix - rounded) <= TOL_NUM:
         matrix = rounded

@@ -68,7 +68,8 @@ class Scenario:
                 raise ConfigError(f"unknown construction {construction!r}")
             group = data.get("sigma") or data.get("group") or {}
             tol_alg = data.get("tolerances", {}).get("alg", linalg.TOL_ALG)
-            if isinstance(tol_alg, bool) or not 0 < float(tol_alg) < math.inf:
+            if (isinstance(tol_alg, bool) or not isinstance(tol_alg, (int, float))
+                    or not 0 < tol_alg < math.inf):
                 raise ConfigError(
                     f"tolerances.alg must be a finite number > 0, got {tol_alg!r}")
             size_cap = data.get("size_cap", DEFAULT_SIZE_CAP)

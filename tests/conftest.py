@@ -1,6 +1,7 @@
 """Shared fixtures: the three builtin extensions, a5_a4_c5, s4_a4 and
 dual_s4_v4 as per-scenario contexts; `dense_rho`, the comodule map read
-back from its COO form; and `change_basis`, an algebra on another basis.
+back from its COO form; `change_basis`, an algebra on another basis; and
+`solve_antipode`, the antipode solved from its defining law.
 
 Session scope keeps the expensive dim-24 objects built once; each context
 computes its decompositions, classes and conjugation matrices on first use.
@@ -46,6 +47,15 @@ def change_basis(A, P):
                                 Q @ A.unit,
                                 np.einsum("ck,cab,ia,jb->kij", P, A.comult, Q, Q, optimize=True),
                                 A.counit @ P, antipode=Q @ A.antipode @ P)
+
+
+def solve_antipode(A):
+    """The S with sum S(a_1) a_2 = eps(a) 1, solved as a dense (d^2, d^2)
+    linear system: the independent reference for every closed-form antipode."""
+    d = A.dim
+    # coefficient of unknown S[p, i] in equation (k, q)
+    K = np.einsum("kij,pjq->kqpi", A.comult, A.mult, optimize=True).reshape(d * d, d * d)
+    return np.linalg.solve(K, np.outer(A.counit, A.unit).reshape(d * d)).reshape(d, d)
 
 
 def _builtin(name):

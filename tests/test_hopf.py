@@ -13,10 +13,10 @@ from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis,
                                dual_group_algebra, dual_hopf, graded_component,
                                group_algebra, hopf_map_residual, is_cocentral,
                                is_hopf_subalgebra, is_normal_hopf_subalgebra,
-                               quotient_hopf, solve_antipode, subspace_product,
+                               quotient_hopf, subspace_product,
                                verify_hopf_axioms)
 
-from conftest import change_basis, dense_rho
+from conftest import change_basis, dense_rho, solve_antipode
 
 
 def _is_commutative(A):
@@ -91,7 +91,7 @@ def test_antipode_closed_forms(c4, s3_group, counterexample, cocentral8):
 def test_antipode_residuals_once_per_pair(monkeypatch, c4):
     # a request computes each (algebra, S) pair once: the axiom gate reads
     # the check of A's and B's closed forms, and quotient_hopf's gate that
-    # of the solved S of A/AB+, where it computed 8 before
+    # of A/AB+'s pi S_A pi^H, where it computed 8 before
     computed = []
     adjoint = hopf._adjoint_entries
 
@@ -354,24 +354,6 @@ def test_dense_basis_takes_dense_path(s3_group, s4_sigma, monkeypatch):
         assert rep.residuals == _dense_gate(T, monkeypatch).residuals
 
 
-def test_no_antipode_for_monoid_bialgebra():
-    # multiplicative monoid {1, z} with z absorbing: a bialgebra, not Hopf
-    mult = np.zeros((2, 2, 2), dtype=complex)
-    mult[0, 0, 0] = 1.0
-    mult[0, 1, 1] = 1.0
-    mult[1, 0, 1] = 1.0
-    mult[1, 1, 1] = 1.0
-    comult = np.zeros((2, 2, 2), dtype=complex)
-    comult[0, 0, 0] = 1.0
-    comult[1, 1, 1] = 1.0
-    unit = np.array([1.0, 0.0], dtype=complex)
-    counit = np.array([1.0, 1.0], dtype=complex)
-    B = HopfAlgebraData(mult, unit, comult, counit)
-    from hopfclifford.errors import NoAntipodeError
-    with pytest.raises(NoAntipodeError):
-        solve_antipode(B)
-
-
 def test_quotient_classical(classical):
     inc = classical.inc
     assert hopf_map_residual(inc.small, inc.big, inc.embedding) < 1e-10
@@ -380,6 +362,21 @@ def test_quotient_classical(classical):
     assert verify_hopf_axioms(H).ok
     form = repcalc.group_algebra_form(H)
     assert form is not None and form[0].order == 2
+
+
+def test_quotient_antipode_is_pushed_forward(classical, s4_a4, dual_s4_v4, counterexample, a5):
+    # H's antipode is pi S_A pi^H, not solved: on every generic quotient it
+    # is the solution of the antipode law, for B = A and B = k1 too
+    A = classical.A
+    by_whole, by_unit = (quotient_hopf(A, SubspaceBasis.from_vectors(A, V))[1]
+                         for V in (np.eye(A.dim), A.unit[:, None]))
+    for pi in [ext.generic_quotient for ext in (classical, s4_a4, dual_s4_v4, counterexample, a5)
+               ] + [by_whole, by_unit]:
+        H = pi.target
+        assert np.max(np.abs(H.antipode - pi.matrix @ pi.source.antipode @ pi.matrix.conj().T)
+                      ) < 1e-14
+        assert np.max(np.abs(H.antipode - solve_antipode(H))) < 1e-10
+    assert (by_whole.target.dim, by_unit.target.dim) == (1, A.dim)
 
 
 def test_quotient_by_whole_algebra(classical):

@@ -332,7 +332,7 @@ def test_cli_rejects_bad_group_data(tmp_path, capsys, command, extra, message):
     assert "configuration error" in err and message in err
 
 
-@pytest.mark.parametrize("alg", [0, -1, "nan", "inf", True])
+@pytest.mark.parametrize("alg", [0, -1, "nan", "inf", True, "1e-6"])
 def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, alg):
     with pytest.raises(ConfigError):
         Scenario.from_dict(_classical(tolerances={"alg": alg}))
@@ -380,6 +380,20 @@ def test_builtin_report_bytes_pinned(tmp_path, capsys, name):
     assert cli.main(["analyze", *source, "--seed", "1729", "--json", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest().startswith(BUILTIN_REPORT_SHA256[name])
+
+
+def test_quotient_by_trivial_b():
+    # B = k1: A B+ = 0, so H is A on its own basis, which is group-like, and
+    # F is read off that basis with H's labels
+    sc = Scenario.from_dict({"name": "s3_trivial_b", "construction": "group_algebra",
+                             "group": {"generators": ["(1 2)", "(1 2 3)"], "names": ["t", "s"]},
+                             "b_generators": ["e"], "alpha": "all"})
+    ext = build_scenario(sc, 1729)
+    assert np.array_equal(ext.generic_quotient.target.antipode, ext.A.antipode)
+    assert ext.F.labels == [f"h{i}" for i in range(6)]
+    rep = run_scenario(sc, seed=1729)
+    assert [r.direct_holds for r in rep.alpha_reports] == [True]
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest().startswith("5445f6963de7")
 
 
 @pytest.mark.parametrize("alpha", ["g", "all"])

@@ -208,6 +208,22 @@ def test_thresholds_are_named_once():
     assert stray == []
 
 
+def test_only_linalg_calls_numpy_solvers():
+    # linalg's wrappers raise NumericDegeneracyError (exit 4) where numpy
+    # raises LinAlgError; only np.linalg.norm, which raises none, is free
+    stray = []
+    for path in _modules():
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr != "norm"
+                    and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"
+                    and isinstance(func.value.value, ast.Name) and func.value.value.id == "np"):
+                stray.append(f"{path.name}:{node.lineno} np.linalg.{func.attr}")
+    assert stray == []
+
+
 def test_only_kept_functions_take_tolerances():
     extra = []
     for path in _modules():
