@@ -291,9 +291,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, idx: int) -> bool:
-        return idx in set(self.members)
-
 
 def closure_members(parent: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
     """Sorted members of the subgroup generated by `gens`: in a finite group

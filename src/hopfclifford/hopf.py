@@ -967,24 +967,35 @@ def quotient_hopf(A: HopfAlgebraData, B: SubspaceBasis
                   ) -> tuple[HopfAlgebraData, HopfSurjection]:
     """Quotient by the ideal A B+ where B+ = B intersect ker(eps).
 
+    B is semisimple, so it has an integral Lambda: b Lambda = eps(b) Lambda,
+    eps(Lambda) = 1 (Larson-Sweedler 1969).  A B+ is the kernel of R_Lambda:
+    x -> x Lambda, two-sided iff Lambda is central, and its complement is the
+    row space of R_Lambda, of dimension d/|B| (Nichols-Zoeller 1989).
     pi has orthonormal rows, so pi^H is its section, and a Hopf map has
     pi S_A = S_H pi: H's antipode is pi S_A pi^H, exact as A B+ is a Hopf
     ideal, and checked.
     """
     if not is_normal_hopf_subalgebra(A, B):
         raise NormalityError("quotient requires a normal Hopf subalgebra")
-    eps_on_b = (A.counit @ B.matrix)[None, :]
-    bplus_coords = linalg.null_space(eps_on_b)
-    bplus = B.matrix @ bplus_coords
-    eye = np.eye(A.dim)
-    # columns e_i b_j, ordered by j then i
-    ideal = linalg.orthonormal_columns(
-        A.products(eye, bplus).transpose(0, 2, 1).reshape(A.dim, -1))
-    if not linalg.contains_vectors(ideal, A.products(bplus, eye).reshape(A.dim, -1), TOL_ALG):
-        raise ConsistencyError("A B+ is not a two-sided ideal")
-    comp = linalg.null_space(ideal.conj().T)
-    piM = comp.conj().T
+    Vb, n = B.matrix, B.dim
+    eps = A.counit @ Vb
+    # Lambda in B's structure constants: rows (i, k) are
+    # sum_j <b_k, b_i b_j> lam_j - eps(b_i) lam_k = 0, the last eps(Lambda) = 1
+    coords = (Vb.conj().T @ A.products(Vb, Vb).reshape(A.dim, -1)).reshape(n, n, n)
+    system = np.vstack([coords.transpose(1, 0, 2).reshape(n * n, n)
+                        - np.kron(eps[:, None], np.eye(n)), eps])
+    rhs = np.append(np.zeros(n * n), 1.0)
+    lam = linalg.lstsq(system, rhs, rcond=None)[0]
+    require(max_abs(system @ lam - rhs), TOL_NUM, ConsistencyError,
+            "B has no normalized integral")
+    integral = Vb @ lam
+    require(A.commutator_residual(integral[:, None]), TOL_ALG, ConsistencyError,
+            "A B+ is not a two-sided ideal")
+    comp = linalg.orthonormal_columns(A.right_mult_matrix(integral).conj().T)
     h = comp.shape[1]
+    if h * n != A.dim:
+        raise ConsistencyError(f"A/AB+ has dimension {h}, not d/|B| = {A.dim}/{n}")
+    piM = comp.conj().T
     mult = (piM @ A.products(comp, comp).reshape(A.dim, -1)).reshape(h, h, h).transpose(1, 2, 0)
     unit = piM @ A.unit
     comult = piM @ A.apply_comult(comp.T) @ piM.T

@@ -104,9 +104,6 @@ def null_space(mat: np.ndarray) -> np.ndarray:
 
 def contains_vectors(basis: np.ndarray, vectors: np.ndarray, tol: float) -> bool:
     """True iff every column of `vectors` lies in span(basis) within tol."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
-    if vectors.shape[0] != basis.shape[0]:
-        vectors = vectors.T
     return max_abs(vectors - basis @ (basis.conj().T @ vectors)) < tol
 
 
@@ -117,19 +114,13 @@ def subspace_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 
 def lstsq_coords(basis: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares coordinates of `vectors` (columns) in `basis` columns.
+    """Least-squares coordinates of `vectors` (columns, or one vector) in `basis` columns.
 
     Returns (coords, max residual over columns).
     """
     vectors = np.asarray(vectors, dtype=complex)
-    single = vectors.ndim == 1
-    if single:
-        vectors = vectors[:, None]
     coords, *_ = lstsq(basis, vectors, rcond=None)
-    resid = max_abs(basis @ coords - vectors)
-    if single:
-        coords = coords[:, 0]
-    return coords, resid
+    return coords, max_abs(basis @ coords - vectors)
 
 
 def random_stream(seed: int, stream: int) -> np.random.Generator:

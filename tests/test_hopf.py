@@ -8,7 +8,7 @@ from hopfclifford.errors import (ConsistencyError, NormalityError,
                                  NumericDegeneracyError, PreconditionError)
 from hopfclifford.groups import group_from_permutations, subgroup_closure
 from hopfclifford.clifford import Extension
-from hopfclifford.hopf import (HopfAlgebraData, SubspaceBasis,
+from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis,
                                coefficient_space, comodule_map_rho,
                                dual_group_algebra, dual_hopf, graded_component,
                                group_algebra, hopf_map_residual, is_cocentral,
@@ -407,6 +407,64 @@ def test_normality(classical, counterexample, s3_group):
     assert not is_normal_hopf_subalgebra(classical.A, V)
     with pytest.raises(NormalityError):
         quotient_hopf(classical.A, V)
+
+
+def _span(A, *members):
+    E = np.zeros((A.dim, len(members)), dtype=complex)
+    E[list(members), range(len(members))] = 1.0
+    return SubspaceBasis.from_vectors(A, E)
+
+
+def test_quotient_gates_after_normality(classical, s3_group, monkeypatch):
+    # the gates that follow the normality test, reached with that test bypassed
+    A, a3 = classical.A, classical.b_sub
+    r, t = s3_group.label_index("s"), s3_group.label_index("t")
+    monkeypatch.setattr(hopf, "is_normal_hopf_subalgebra", lambda A, B: True)
+    # span{1, r} is no subalgebra: read on it, r r = 0 and no Lambda has eps(Lambda) = 1
+    with pytest.raises(ConsistencyError, match="B has no normalized integral"):
+        quotient_hopf(A, _span(A, 0, r))
+    # k<t>: Lambda = (1 + t)/2 is not central
+    with pytest.raises(ConsistencyError, match=r"A B\+ is not a two-sided ideal"):
+        quotient_hopf(A, _span(A, 0, t))
+    # a complement one short of d/|B|
+    orthonormal_columns = linalg.orthonormal_columns
+    monkeypatch.setattr(linalg, "orthonormal_columns", lambda v: orthonormal_columns(v)[:, 1:])
+    with pytest.raises(ConsistencyError, match=r"has dimension 1, not d/\|B\| = 6/3"):
+        quotient_hopf(A, a3)
+
+
+def _refused(*args, **kw):
+    raise AssertionError("quotient_hopf took a null space or a containment test")
+
+
+def test_quotient_reads_the_integral_only(monkeypatch, classical, dual_s4_v4, counterexample, a5):
+    # past the normality test, A B+ is read as the kernel of x -> x Lambda:
+    # no null space is taken and no ideal is tested for containment
+    for ext in (classical, dual_s4_v4, counterexample, a5):
+        pi = ext.generic_quotient
+        with monkeypatch.context() as m:
+            m.setattr(hopf, "is_normal_hopf_subalgebra", lambda A, B: True)
+            m.setattr(linalg, "null_space", _refused)
+            m.setattr(linalg, "contains_vectors", _refused)
+            H, again = quotient_hopf(ext.A, ext.b_sub)
+        assert H.dim * ext.b_sub.dim == ext.A.dim
+        assert np.array_equal(again.matrix, pi.matrix)
+
+
+def test_hopf_map_residual_refuses_rank_deficient_map(classical):
+    # the zero map onto kF is neither injective nor surjective
+    A, kF = classical.A, classical.piF.target
+    assert hopf_map_residual(A, kF, np.zeros((kF.dim, A.dim))) == np.inf
+
+
+def test_bismash_crosscheck_refuses_quotient_of_other_rank(counterexample):
+    # B = k1 gives H = A on its own basis: H factors the closed-form projection
+    # onto kF, but has rank d = 24, not |F| = 6
+    A = counterexample.A
+    one = HopfInclusion(small=group_algebra(group_from_permutations(["e"])), big=A,
+                        embedding=A.unit[:, None])
+    with pytest.raises(ConsistencyError, match="different ranks"):
+        hopf._crosscheck_bismash_quotient(A, one, counterexample.piF)
 
 
 def test_rho_values(classical, counterexample):

@@ -246,6 +246,8 @@ def test_cayley_table_scenario(s3_group):
     rep = run_scenario(sc)
     assert rep.dims_a == [1, 1, 2]
     assert rep.all_verdicts_hold()
+    # the report names the group by its table, as it was given
+    assert json.loads(rep.to_json())["scenario"]["group"] == s3_group.to_json_dict()
 
 
 def test_tolerance_override():
