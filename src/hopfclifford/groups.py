@@ -200,10 +200,10 @@ def _close_right(c: np.ndarray, gens: Sequence[int], covered: np.ndarray) -> Non
     covered[gens] = True
     frontier = np.flatnonzero(covered)
     while frontier.size:
-        new = np.unique(c[np.ix_(frontier, gens)])
-        new = new[~covered[new]]
-        covered[new] = True
-        frontier = new
+        reached = np.zeros_like(covered)
+        reached[c[np.ix_(frontier, gens)]] = True
+        frontier = np.flatnonzero(reached & ~covered)
+        covered[frontier] = True
 
 
 def group_from_permutations(generators: Iterable, names: Optional[Sequence[str]] = None,
@@ -341,7 +341,9 @@ def is_exact_factorization(sigma: FiniteGroup, f: Subgroup, g: Subgroup) -> bool
     if f.parent is not sigma or g.parent is not sigma:
         raise PreconditionError("subgroups must live in the ambient group")
     products = sigma.cayley[np.ix_(g.members, f.members)]
-    return products.size == sigma.order and np.unique(products).size == sigma.order
+    hit = np.zeros(sigma.order, dtype=bool)
+    hit[products] = True
+    return products.size == sigma.order and bool(hit.all())
 
 
 @dataclass
@@ -436,7 +438,7 @@ def orbit_and_stabilizer(mp: MatchedPair, g: int) -> tuple[tuple[int, ...], Subg
     # a <| (xy) = (a <| x) <| y for every a, x, y, as one (|G|, |F|, |F|) comparison
     if not np.array_equal(ract[:, F.cayley], ract[ract]):
         raise PreconditionError("<| is not a right action")
-    orbit = tuple(np.unique(ract[g]).tolist())
+    orbit = tuple(np.flatnonzero(np.bincount(ract[g], minlength=G.order)).tolist())
     return orbit, Subgroup(F, np.flatnonzero(ract[g] == g).tolist())
 
 

@@ -869,13 +869,14 @@ def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray,
     d is an irreducible character of the dual, given as an element of A;
     the result, the column span of `spans` = Delta(d)^T, has dimension
     n^2 for n = eps(d).  It is read as the range of spans Omega, for n^2 + 1
-    complex Gaussian columns Omega drawn from stream 1 of `seed` (the
-    randomized range finder of Halko, Martinsson and Tropp, SIAM Rev. 2011),
-    so no SVD sees more than n^2 + 1 columns.  Two gates make it exact:
-    the sketch's numerical rank must be n^2, which the extra column
-    breaks for a larger space, and every column of `spans` must lie in its
-    range within TOL_ALG max(1, max |spans|).  When either fails, the
-    error names the rank of `spans` itself.
+    complex Gaussian columns Omega drawn from stream 1 of `seed`
+    (`linalg.random_stream`; the randomized range finder of Halko,
+    Martinsson and Tropp, SIAM Rev. 2011), so no SVD sees more than
+    n^2 + 1 columns.  Two gates make it exact: the sketch's numerical rank
+    must be n^2, which the extra column breaks for a larger space, and
+    every column of `spans` must lie in its range within
+    TOL_ALG max(1, max |spans|).  When either fails, the error names the
+    rank of `spans` itself.
     """
     d_vec = np.asarray(d_vec, complex)
     spans = A.apply_comult(d_vec).T

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 
 import numpy as np
 
@@ -123,16 +124,30 @@ def lstsq_coords(basis: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, fl
     return coords, max_abs(basis @ coords - vectors)
 
 
-def random_stream(seed: int, stream: int) -> np.random.Generator:
-    """The generator of child `stream` of the seed's SeedSequence, as
-    `SeedSequence(seed).spawn` numbers them: each use of a seed that draws
-    its own elements (the centre's, the coefficient-space sketch) has a
-    stream, so that it shifts no other use's draws."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+def random_stream(seed: int, stream: int) -> random.Random:
+    """The stdlib generator of stream `stream` of `seed`.
+
+    Each use of a seed that draws its own elements has a stream, so that it
+    shifts no other use's draws:
+
+    - 0: the centre's two elements (`repcalc._center`);
+    - 1: the coefficient-space sketch (`hopf.coefficient_space`);
+    - 2: the central splitting element (`repcalc.wedderburn`);
+    - 3 + index: the splitting element of block `index`
+      (`repcalc.construct_irreducible_module`).
+    """
+    return random.Random((seed << 32) | stream)
 
 
-def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def random_complex(rng: random.Random, shape) -> np.ndarray:
+    """Standard complex Gaussians (real and imaginary parts N(0, 1)) of
+    `shape`, by Box-Muller from two 53-bit uniforms per entry, which are
+    read from `rng.randbytes` as little-endian uint64."""
+    n = int(np.prod(shape))
+    bits = np.frombuffer(rng.randbytes(16 * n), dtype="<u8").reshape(2, n)
+    u = (bits >> np.uint64(11)) * 2.0 ** -53  # uniform on [0, 1)
+    z = np.sqrt(-2.0 * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
+    return z.reshape(shape)
 
 
 def round_for_json(x: float) -> float:

@@ -62,10 +62,8 @@ class SemisimpleDecomposition:
 
 
 def _char_sort_key(values: np.ndarray, degree: int):
-    flat = []
-    for v in values:
-        flat.append((round(float(v.real), 6) + 0.0, round(float(v.imag), 6) + 0.0))
-    return (degree, flat)
+    return (degree, [(round(x, 6) + 0.0, round(y, 6) + 0.0)
+                     for x, y in zip(values.real.tolist(), values.imag.tolist())])
 
 
 def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
@@ -73,12 +71,13 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
     """Central primitive idempotents, block sizes, irreducible characters.
 
     The center is the common commutant of two random elements (`_center`);
-    the eigenvectors of a random central element, drawn from `seed`, give
-    the idempotents.  Irr(A) is sorted by degree, then by the character's
-    values.  When A is a subalgebra given on orthonormal columns `frame` of
-    a larger algebra, the values sorted on are those of the character as a
-    functional on the larger algebra, conj(frame) @ values, which do not
-    depend on which orthonormal basis of the subalgebra `frame` is.
+    the eigenvectors of a random central element, drawn from stream 2 of
+    `seed` (`linalg.random_stream`), give the idempotents.  Irr(A) is
+    sorted by degree, then by the character's values.  When A is a
+    subalgebra given on orthonormal columns `frame` of a larger algebra,
+    the values sorted on are those of the character as a functional on the
+    larger algebra, conj(frame) @ values, which do not depend on which
+    orthonormal basis of the subalgebra `frame` is.
     """
     trL = A.regular_trace_vector()
     trace_form = A.mult_coo.along((2,), trL)
@@ -87,7 +86,7 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
 
     center = _center(A, seed)
     r = center.shape[1]
-    rng = np.random.default_rng(seed)
+    rng = linalg.random_stream(seed, 2)
 
     for _ in range(MAX_RETRIES):
         z = center @ linalg.random_complex(rng, r)
@@ -150,8 +149,7 @@ def _center(A: AlgebraData, seed: int) -> np.ndarray:
     basis is then checked against every basis element
     (`AlgebraData.commutator_residual`, joins of the entries of `mult` and
     the basis unless `mult` is dense).  The elements come from stream 0 of
-    the seed (`linalg.random_stream`), so the splitting draws stay those of
-    `seed`.
+    the seed (`linalg.random_stream`), so they shift no other use's draws.
     """
     d = A.dim
     rng = linalg.random_stream(seed, 0)
@@ -291,7 +289,8 @@ def construct_irreducible_module(A: AlgebraData, dec: SemisimpleDecomposition,
                                  index: int, seed: int = DEFAULT_SEED) -> ExplicitModule:
     """Explicit action matrices for one simple block.
 
-    Splits a random block element into spectral projectors; the rank-one
+    Splits a random block element, drawn from stream 3 + index of `seed`
+    (`linalg.random_stream`), into spectral projectors; the rank-one
     projector for a single eigenvalue is a primitive idempotent p and the
     left ideal A p carries the irreducible action.
     """
@@ -305,7 +304,7 @@ def construct_irreducible_module(A: AlgebraData, dec: SemisimpleDecomposition,
                 "scalar module fails the multiplication table")
         return mod
 
-    rng = np.random.default_rng(seed + 7919 * index)
+    rng = linalg.random_stream(seed, 3 + index)
     block = linalg.orthonormal_columns(A.right_mult_matrix(e))
     nn = block.shape[1]
     for _ in range(MAX_RETRIES):

@@ -51,3 +51,26 @@ def test_solver_failure_is_numeric_degeneracy(solve):
     # numpy raises LinAlgError on a NaN; the package's error is exit 4, not a traceback
     with pytest.raises(NumericDegeneracyError):
         solve(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_random_streams_repeat_and_differ():
+    def draw(seed, stream):
+        return linalg.random_complex(linalg.random_stream(seed, stream), (3, 4))
+
+    assert draw(1729, 1).shape == (3, 4) and draw(1729, 1).dtype == complex
+    assert np.array_equal(draw(1729, 1), draw(1729, 1))
+    streams = [draw(1729, s) for s in range(4)] + [draw(1730, 1), draw(2 ** 70, 1)]
+    for i in range(len(streams)):
+        for j in range(i):
+            assert not np.any(streams[i] == streams[j])
+    # a scalar shape is a vector of that length
+    assert linalg.random_complex(linalg.random_stream(0, 0), 5).shape == (5,)
+
+
+def test_random_complex_is_standard_gaussian():
+    z = linalg.random_complex(linalg.random_stream(1729, 0), 10 ** 5)
+    assert np.all(np.isfinite(z))
+    for part in (z.real, z.imag):
+        assert abs(part.mean()) < 0.02 and abs(part.var() - 1.0) < 0.03
+    # the two parts are uncorrelated
+    assert abs(np.mean(z.real * z.imag)) < 0.02

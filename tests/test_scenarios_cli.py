@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,50 @@ def test_cli_seed_sources(tmp_path, monkeypatch):
     code = cli.main(["analyze", "--builtin", "s3_a3_classical",
                      "--seed", "42", "--json", str(out)])
     assert json.loads(out.read_text())["seed"] == 42
+
+
+def test_cli_big_seed_is_deterministic(tmp_path, capsys):
+    # a seed past 64 bits still names its streams
+    seed = str(2 ** 70)
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert cli.main(["analyze", "--builtin", "s3_a3_classical", "--seed", seed,
+                         "--json", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert json.loads(outs[0].read_text())["seed"] == 2 ** 70
+    capsys.readouterr()
+
+
+NUMPY_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+import numpy
+loaded = lambda: {m for m in sys.modules if m.partition(".")[0] == "numpy"}
+before = loaded()
+from hopfclifford import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(loaded() - before)))
+"""
+
+
+def test_requests_load_no_numpy_module_beyond_import_numpy(tmp_path):
+    # numpy.random (6 MB) and numpy.ma (1.4 MB) are not loaded by `import
+    # numpy` on numpy 2, and no request may load them or any other part
+    dual = tmp_path / "dual_s4_v4.json"
+    dual.write_text(json.dumps(SCENARIO_FILES["dual_s4_v4"]))
+    argvs = [["analyze", "--builtin", "s4_counterexample"],
+             ["analyze", "--builtin", "s3_a3_classical"],
+             ["analyze", "--scenario", str(dual)],
+             ["list-irr", "--builtin", "cocentral_c4_c2"],
+             ["verify-axioms", "--builtin", "cocentral_c4_c2"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("HOPF_CLIFFORD_SEED", None)
+    done = subprocess.run([sys.executable, "-c", NUMPY_MODULES_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_cli_flags_do_not_carry_over(tmp_path, monkeypatch, capsys):

@@ -224,6 +224,24 @@ def test_only_linalg_calls_numpy_solvers():
     assert stray == []
 
 
+def test_no_module_names_numpy_random():
+    # draws come from linalg's stdlib streams; numpy.random is not imported
+    # by `import numpy` on numpy 2, and loading it costs about 6 MB
+    stray = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "random"
+                    and isinstance(node.value, ast.Name) and node.value.id == "np"):
+                stray.append(f"{path.name}:{node.lineno} np.random")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{n}" for n in names]
+                stray += [f"{path.name}:{node.lineno} {n}" for n in names
+                          if n.startswith("numpy.random")]
+    assert stray == []
+
+
 def test_only_kept_functions_take_tolerances():
     extra = []
     for path in _modules():
