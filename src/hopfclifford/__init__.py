@@ -17,7 +17,7 @@ from .groups import (FiniteGroup, MatchedPair, Subgroup, derive_actions,
                      subgroup_closure, verify_matched_pair)
 from .hopf import (TOL_ALG, AlgebraData, BismashResult, HopfAlgebraData,
                    HopfInclusion, HopfSurjection, SubspaceBasis, bismash,
-                   coefficient_space, comodule_map_rho, dual_group_algebra,
+                   coefficient_spaces, comodule_map_rho, dual_group_algebra,
                    dual_hopf, graded_component, group_algebra,
                    hopf_map_residual, is_cocentral, is_hopf_subalgebra,
                    is_normal_hopf_subalgebra, quotient_hopf,
@@ -28,7 +28,7 @@ from .repcalc import (Character, ExplicitModule, SemisimpleDecomposition,
                       regular_character, restrict_character,
                       restriction_table, wedderburn)
 from .clifford import (AlphaReport, EquivalenceClassData, Extension,
-                       Stabilizer, StabilizerResult, analyze_alpha,
+                       Stabilizer, StabilizerResult, analyze_alphas,
                        compute_stabilizer, conjugation_matrices,
                        coset_projection_check, direct_correspondence_check,
                        equivalence_classes, graded_stabilizer_analysis,

@@ -5,11 +5,13 @@ decompositions, the matched equivalence classes of Irr(A) and Irr(B) with
 class sums and restriction table, the coefficient space and the
 conjugation matrix C_d of each irreducible dual character d, the stacked
 B-bimodules of the graded components, and one Stabilizer per distinct
-stabilizing set.  The per-character work follows rank and nonzeros: each
-coefficient space is the range of a sketch with eps(d)^2 + 1 columns, and
+stabilizing set.  The pipeline runs per stage over all characters at
+once, not per character: the coefficient spaces are one stacked sketch
+SVD per degree, each the range of a sketch with eps(d)^2 + 1 columns;
 every C_d is read from one join of the right adjoint action
-S(e_k1) b_m e_k2, built once per request.  Pipeline per irreducible
-B-character alpha:
+S(e_k1) b_m e_k2, built once per request; the bimodules of all graded
+components are one product per side.  `analyze_alphas` takes the selected
+irreducible B-characters alpha through each stage in one call:
 
   * the stabilizer Hopf subalgebra Z built from dual characters d
     with conjugate character  alpha C_d = eps(d) alpha; Z, its algebra,
@@ -17,10 +19,13 @@ B-character alpha:
     the same stabilizing set, and Z = A is read on A's own basis,
   * the dimension bound |Z| <= |A| alpha(1)^2 / b_i(1) together with the
     socle multiplicity test, and the direct check that induction from Z
-    is a bijection onto the class of alpha,
+    is a bijection onto the class of alpha; the inductions of one stage
+    are one `decompose` per stabilizer, and the conjugates of every alpha
+    one `decompose` in Irr(B),
   * for group-algebra quotients kF, the graded picture: components A_f,
     the stabilizer subgroup H of the orbit action A_f (x)_B M, solved for
-    every f in one batch, and
+    every f and every alpha with modules of one dimension in one stacked
+    SVD, and
     S = A(H), with the criterion "correspondence holds iff Z = S iff
     S is a Hopf subalgebra".  S, like the coset check's sums of
     components, is the stack of the components' bases, with no fresh SVD,
@@ -28,9 +33,10 @@ B-character alpha:
     for a bismash they are unit vectors, which the kernels of `hopf` read
     through joins of their nonzeros.
 
-Cross-checks between the independent criteria raise TheoremViolationError
-on mismatch since any mismatch means an implementation bug; numeric checks
-use the thresholds of `linalg` and raise ConsistencyError, NaN included.
+Every cross-check and every error stays per alpha.  Cross-checks between
+the independent criteria raise TheoremViolationError on mismatch since any
+mismatch means an implementation bug; numeric checks use the thresholds of
+`linalg` and raise ConsistencyError, NaN included.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,10 +52,10 @@ from . import linalg
 from .errors import ConsistencyError, NormalityError, TheoremViolationError
 from .groups import FiniteGroup, MatchedPair, orbit_and_stabilizer
 from .hopf import (AlgebraData, HopfAlgebraData, HopfInclusion, HopfSurjection,
-                   SubspaceBasis, coefficient_space, comodule_map_rho,
+                   SubspaceBasis, coefficient_spaces, comodule_map_rho,
                    dual_hopf, graded_component, is_cocentral,
                    is_hopf_subalgebra, quotient_hopf, right_adjoint,
-                   subalgebra_data, subspace_product)
+                   subalgebra_data)
 from .linalg import TOL_ALG, TOL_MATCH, max_abs, require
 from .repcalc import (Character, DEFAULT_SEED, ExplicitModule,
                       SemisimpleDecomposition, as_group_algebra_surjection,
@@ -68,11 +74,13 @@ class Extension:
     Wedderburn decompositions of A, B and A*, the quotient A/AB+ (the one
     normality test of B), the equivalence classes with their restriction
     table, the group-algebra quotient kF with its graded components and
-    their B-bimodule matrices stacked over F, the conjugation matrix of
-    every irreducible dual character, and in `stabilizers` the Stabilizer
-    of each stabilizing set met so far.  Bismash products give `piF`, `F`
-    and the A/AB+ `pi_q` they were checked against; otherwise A/AB+ is
-    built and recognized as kF when it is one.
+    their B-bimodule matrices stacked over F, the coefficient space and
+    the conjugation matrix of every irreducible dual character, and in
+    `stabilizers` the Stabilizer of each stabilizing set met so far.  Each
+    per-character object is made for all characters in one stacked call,
+    never one character at a time.  Bismash products give `piF`, `F` and
+    the A/AB+ `pi_q` they were checked against; otherwise A/AB+ is built
+    and recognized as kF when it is one.
     """
 
     def __init__(self, A: HopfAlgebraData, inc: HopfInclusion,
@@ -145,17 +153,35 @@ class Extension:
 
     @cached_property
     def bimodules(self) -> tuple[np.ndarray, np.ndarray]:
-        """(right, left) of component_bimodule for every A_f, stacked on a first axis f.
+        """(right, left) for every A_f, stacked on a first axis f: right[f, :, j, m]
+        and left[f, :, m, j] are the coordinates in A_f of a_j b_m and of
+        b_m a_j, for a_j in A_f and b_m in B; both must stay in A_f.
 
         Every A_f has dimension |B|: A is a crossed product B #_sigma kF
-        (Schneider, J. Algebra 1992), so A_f = B u_f.
+        (Schneider, J. Algebra 1992), so A_f = B u_f.  The products of all
+        components come from one `AlgebraData.products` per side, on the
+        stacked bases [U_1 ... U_|F|], which joins their entries with those
+        of B and `mult` when both are 0/1, as for a bismash.
         """
+        b = self.inc.small.dim
         for f, comp in enumerate(self.components):
-            if comp.dim != self.inc.small.dim:
+            if comp.dim != b:
                 raise ConsistencyError(f"graded component {f} has dimension {comp.dim}, "
-                                       f"not |B| = {self.inc.small.dim}")
-        sides = zip(*(component_bimodule(self.A, self.inc, comp) for comp in self.components))
-        return tuple(np.stack(side) for side in sides)
+                                       f"not |B| = {b}")
+        d, nf = self.A.dim, len(self.components)
+        U = np.stack([comp.matrix for comp in self.components])        # U[f, :, j]
+        E = np.asarray(self.inc.embedding, complex)
+        stacked = U.transpose(1, 0, 2).reshape(d, nf * b)
+        out = []
+        for side, prods in (("right", self.A.products(stacked, E).reshape(d, nf, b * b)),
+                            ("left", self.A.products(E, stacked).reshape(d, b, nf, b)
+                             .transpose(0, 2, 1, 3).reshape(d, nf, b * b))):
+            prods = prods.transpose(1, 0, 2)                            # prods[f, :, (j, m)]
+            coords = U.conj().transpose(0, 2, 1) @ prods
+            require(max_abs(U @ coords - prods), TOL_ALG, ConsistencyError,
+                    f"component is not stable under {side} B-multiplication")
+            out.append(coords.reshape(nf, b, b, b))
+        return out[0], out[1]
 
     @cached_property
     def cocentral(self) -> Optional[bool]:
@@ -163,8 +189,10 @@ class Extension:
 
     @cached_property
     def coefficient_spaces(self) -> list[SubspaceBasis]:
-        """Simple subcoalgebra of each irreducible dual character."""
-        return [coefficient_space(self.A, d.values, seed=self.seed) for d in self.dec_dual.irr]
+        """Simple subcoalgebra of each irreducible dual character, from one
+        `hopf.coefficient_spaces`."""
+        return coefficient_spaces(self.A, np.array([d.values for d in self.dec_dual.irr]),
+                                  seed=self.seed)
 
     @cached_property
     def conjugation(self) -> np.ndarray:
@@ -257,9 +285,14 @@ def equivalence_classes(ext: Extension) -> EquivalenceClassData:
 
 
 def verify_class_formulas(ext: Extension) -> dict[str, float]:
-    """Residuals of the three restriction/induction identities; each must be <= TOL_MATCH."""
+    """Residuals of the three restriction/induction identities; each must be <= TOL_MATCH.
+
+    Every irreducible B-character is induced at once, from one `decompose`.
+    """
     ecd, inc, dec_a, dec_b = ext.ecd, ext.inc, ext.dec_a, ext.dec_b
     s = float(Fraction(inc.big.dim, inc.small.dim))
+    alphas = Character(inc.small, np.array([ch.values for ch in dec_b.irr]))
+    induced = induce_character(alphas, inc, dec_b, dec_a, ecd.restriction_table).values
     restrict, induce, class_sum = [], [], []
     for i in range(ecd.num_classes):
         b_i = ecd.b_sums[i]
@@ -269,9 +302,7 @@ def verify_class_formulas(ext: Extension) -> dict[str, float]:
             restrict.append(restrict_character(chi, inc).values / chi.degree
                             - b_i.values / b_i.degree)
         for k in ecd.b_classes[i]:
-            alpha = dec_b.irr[k]
-            ind = induce_character(alpha, inc, dec_b, dec_a, ecd.restriction_table)
-            induce.append(ind.values / alpha.degree - s * a_i.values / a_i.degree)
+            induce.append(induced[k] / dec_b.irr[k].degree - s * a_i.values / a_i.degree)
         class_sum.append(restrict_character(a_i, inc).values - s * b_i.values)
     res = {"restriction_proportionality": max_abs(*restrict),
            "induction_proportionality": max_abs(*induce),
@@ -346,8 +377,9 @@ def compute_stabilizer(ext: Extension, alpha_index: int) -> StabilizerResult:
     `ext.stabilizers`; only z_class and psi_alpha are computed per alpha.
     """
     alpha = ext.dec_b.irr[alpha_index]
-    stabilizing = tuple(idx for idx, (d, C) in enumerate(zip(ext.dec_dual.irr, ext.conjugation))
-                        if max_abs(alpha.values @ C - d.degree * alpha.values) < TOL_MATCH)
+    degrees = np.array([d.degree for d in ext.dec_dual.irr])
+    moved = np.abs(alpha.values @ ext.conjugation - degrees[:, None] * alpha.values).max(axis=1)
+    stabilizing = tuple(np.flatnonzero(moved < TOL_MATCH).tolist())
     if stabilizing not in ext.stabilizers:
         ext.stabilizers[stabilizing] = stabilizer_of_set(ext, stabilizing)
     stab = ext.stabilizers[stabilizing]
@@ -408,15 +440,35 @@ def stabilizer_of_set(ext: Extension, stabilizing: tuple[int, ...]) -> Stabilize
                       table_za=restriction_table(z_inc, z_dec, ext.dec_a))
 
 
-def check_stabilizer_induction(ext: Extension, sr: StabilizerResult) -> dict[str, float]:
-    """Induce psi_alpha up to A; it must match the scaled class sum within TOL_MATCH."""
+def _by_stabilizer(srs: Sequence[StabilizerResult]) -> list[list[int]]:
+    """Positions in `srs` grouped by stabilizing set, in order of first appearance."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for pos, sr in enumerate(srs):
+        groups.setdefault(tuple(sr.stabilizing), []).append(pos)
+    return list(groups.values())
+
+
+def check_stabilizer_induction(ext: Extension, srs: Sequence[StabilizerResult]
+                               ) -> list[dict[str, float]]:
+    """Induce each psi_alpha up to A; it must match the scaled class sum within TOL_MATCH.
+
+    The psi_alpha of one stabilizer are induced together, from one
+    `decompose` in its Irr(Z).
+    """
     ecd = ext.ecd
-    i = ecd.class_of_alpha(sr.alpha_index)
-    ind = induce_character(sr.psi_alpha, sr.z_inc, sr.z_dec, ext.dec_a, sr.table_za)
-    scale = Fraction(sr.alpha.degree ** 2, ecd.b_sums[i].degree)
-    residual = require(max_abs(ind.values - float(scale) * ecd.a_sums[i].values), TOL_MATCH,
-                       ConsistencyError, "psi_alpha^A differs from the scaled class sum")
-    return {"residual": residual}
+    out: list[dict[str, float]] = [None] * len(srs)
+    for group in _by_stabilizer(srs):
+        z = srs[group[0]]
+        psi = Character(z.z_alg, np.array([srs[p].psi_alpha.values for p in group]))
+        ind = induce_character(psi, z.z_inc, z.z_dec, ext.dec_a, z.table_za)
+        for p, values in zip(group, ind.values):
+            sr = srs[p]
+            i = ecd.class_of_alpha(sr.alpha_index)
+            scale = Fraction(sr.alpha.degree ** 2, ecd.b_sums[i].degree)
+            out[p] = {"residual": require(
+                max_abs(values - float(scale) * ecd.a_sums[i].values), TOL_MATCH,
+                ConsistencyError, "psi_alpha^A differs from the scaled class sum")}
+    return out
 
 
 @dataclass
@@ -428,43 +480,52 @@ class BoundReport:
     mult_z: int
 
 
-def stabilizer_dimension_bound(ext: Extension, sr: StabilizerResult) -> BoundReport:
-    """dim Z <= |A| alpha(1)^2 / b_i(1), with the socle multiplicity test.
+def stabilizer_dimension_bound(ext: Extension, srs: Sequence[StabilizerResult]
+                               ) -> list[BoundReport]:
+    """dim Z <= |A| alpha(1)^2 / b_i(1) for each alpha, with the socle multiplicity test.
 
     The bound is attained exactly when inducing to Z and inducing to A give
     the same alpha-multiplicity after restricting back to B.  By Frobenius
     reciprocity m(alpha^A|, alpha) is the squared norm of the alpha column
-    of the restriction table, and likewise for Z.
+    of the restriction table, and likewise for Z.  The alphas of one
+    stabilizer are induced to Z together, from one `decompose`, for the
+    index-degree check.
     """
     A, inc, ecd = ext.A, ext.inc, ext.ecd
-    alpha, k = sr.alpha, sr.alpha_index
-    i = ecd.class_of_alpha(k)
-    b_deg = ecd.b_sums[i].degree
-    bound = Fraction(A.dim * alpha.degree ** 2, b_deg)
-    if sr.dim_z > bound:
-        raise TheoremViolationError(
-            f"dim Z = {sr.dim_z} exceeds the bound {bound}")
+    for group in _by_stabilizer(srs):
+        z = srs[group[0]]
+        alphas = Character(inc.small, np.array([srs[p].alpha.values for p in group]))
+        induce_character(alphas, z.b_inc, ext.dec_b, z.z_dec, z.table_bz)  # index-degree check
+    out = []
+    for sr in srs:
+        alpha, k = sr.alpha, sr.alpha_index
+        i = ecd.class_of_alpha(k)
+        b_deg = ecd.b_sums[i].degree
+        bound = Fraction(A.dim * alpha.degree ** 2, b_deg)
+        if sr.dim_z > bound:
+            raise TheoremViolationError(
+                f"dim Z = {sr.dim_z} exceeds the bound {bound}")
 
-    s = Fraction(A.dim, inc.small.dim)
-    up_a = ecd.restriction_table[:, k]
-    mult_full = int(up_a @ up_a)
-    if Fraction(mult_full) != s * alpha.degree ** 2 / b_deg:
-        raise ConsistencyError(
-            f"m(alpha^A|, alpha) = {mult_full} != s alpha(1)^2/b_i(1)")
+        s = Fraction(A.dim, inc.small.dim)
+        up_a = ecd.restriction_table[:, k]
+        mult_full = int(up_a @ up_a)
+        if Fraction(mult_full) != s * alpha.degree ** 2 / b_deg:
+            raise ConsistencyError(
+                f"m(alpha^A|, alpha) = {mult_full} != s alpha(1)^2/b_i(1)")
 
-    induce_character(alpha, sr.b_inc, ext.dec_b, sr.z_dec, sr.table_bz)  # index-degree check
-    up_z = sr.table_bz[:, k]
-    mult_z = int(up_z @ up_z)
-    if Fraction(mult_z) != Fraction(sr.dim_z, inc.small.dim):
-        raise ConsistencyError(f"m(alpha^Z|, alpha) = {mult_z} != |Z|/|B|")
+        up_z = sr.table_bz[:, k]
+        mult_z = int(up_z @ up_z)
+        if Fraction(mult_z) != Fraction(sr.dim_z, inc.small.dim):
+            raise ConsistencyError(f"m(alpha^Z|, alpha) = {mult_z} != |Z|/|B|")
 
-    equality = Fraction(sr.dim_z) == bound
-    socle = mult_z == mult_full
-    if equality != socle:
-        raise TheoremViolationError(
-            "bound equality and socle multiplicity test disagree")
-    return BoundReport(bound=bound, equality=equality, socle_equality=socle,
-                       mult_full=mult_full, mult_z=mult_z)
+        equality = Fraction(sr.dim_z) == bound
+        socle = mult_z == mult_full
+        if equality != socle:
+            raise TheoremViolationError(
+                "bound equality and socle multiplicity test disagree")
+        out.append(BoundReport(bound=bound, equality=equality, socle_equality=socle,
+                               mult_full=mult_full, mult_z=mult_z))
+    return out
 
 
 @dataclass
@@ -474,33 +535,43 @@ class DirectReport:
     image_indices: list[Optional[int]]
 
 
-def direct_correspondence_check(ext: Extension, sr: StabilizerResult) -> DirectReport:
-    """Is psi -> psi^A a bijection from the class over alpha onto A_i?"""
-    i = ext.ecd.class_of_alpha(sr.alpha_index)
-    target = set(ext.ecd.a_classes[i])
-    table = []
-    images: list[Optional[int]] = []
-    all_irreducible = True
-    for j in sr.z_class:
-        psi = sr.z_dec.irr[j]
-        induce_character(psi, sr.z_inc, sr.z_dec, ext.dec_a, sr.table_za)  # index-degree check
-        coeffs = sr.table_za[:, j]
-        irreducible = int(coeffs @ coeffs) == 1
-        img = int(np.argmax(coeffs)) if irreducible else None
-        images.append(img)
-        all_irreducible &= irreducible
-        table.append({
-            "psi": int(j),
-            "psi_degree": psi.degree,
-            "image": [int(c) for c in coeffs],
-            "irreducible": bool(irreducible),
-        })
-    hits = [img for img in images if img is not None]
-    injective = len(hits) == len(set(hits))
-    onto = set(hits) == target and len(hits) == len(sr.z_class)
-    direct_holds = bool(all_irreducible and injective and onto)
-    return DirectReport(direct_holds=direct_holds, induction_table=table,
-                        image_indices=images)
+def direct_correspondence_check(ext: Extension, srs: Sequence[StabilizerResult]
+                                ) -> list[DirectReport]:
+    """Is psi -> psi^A a bijection from the class over alpha onto A_i, for each alpha?
+
+    Every psi over the alphas of one stabilizer is induced to A for the
+    index-degree check, from one `decompose` in its Irr(Z).
+    """
+    for group in _by_stabilizer(srs):
+        z = srs[group[0]]
+        js = sorted({j for p in group for j in srs[p].z_class})
+        psis = Character(z.z_alg, np.array([z.z_dec.irr[j].values for j in js]))
+        induce_character(psis, z.z_inc, z.z_dec, ext.dec_a, z.table_za)  # index-degree check
+    out = []
+    for sr in srs:
+        i = ext.ecd.class_of_alpha(sr.alpha_index)
+        target = set(ext.ecd.a_classes[i])
+        table = []
+        images: list[Optional[int]] = []
+        all_irreducible = True
+        for j in sr.z_class:
+            coeffs = sr.table_za[:, j]
+            irreducible = int(coeffs @ coeffs) == 1
+            img = int(np.argmax(coeffs)) if irreducible else None
+            images.append(img)
+            all_irreducible &= irreducible
+            table.append({
+                "psi": int(j),
+                "psi_degree": sr.z_dec.irr[j].degree,
+                "image": [int(c) for c in coeffs],
+                "irreducible": bool(irreducible),
+            })
+        hits = [img for img in images if img is not None]
+        injective = len(hits) == len(set(hits))
+        onto = set(hits) == target and len(hits) == len(sr.z_class)
+        out.append(DirectReport(direct_holds=bool(all_irreducible and injective and onto),
+                                induction_table=table, image_indices=images))
+    return out
 
 
 def crosscheck_correspondence(bound: BoundReport, direct: DirectReport) -> bool:
@@ -512,65 +583,58 @@ def crosscheck_correspondence(bound: BoundReport, direct: DirectReport) -> bool:
     return direct.direct_holds
 
 
-def conjugate_class_indices(ext: Extension, alpha_index: int) -> tuple[int, ...]:
-    """Irreducible constituents of all conjugates of alpha, as Irr(B) indices."""
-    alpha = ext.dec_b.irr[alpha_index]
-    conjugates = alpha.values @ ext.conjugation     # one row alpha C_d per d
-    coeffs = decompose(Character(alpha.parent, conjugates), ext.dec_b)
-    return tuple(np.flatnonzero(coeffs.any(axis=0)).tolist())
+def conjugate_class_indices(ext: Extension, indices: Sequence[int]) -> list[tuple[int, ...]]:
+    """Irreducible constituents of all conjugates of each alpha, as Irr(B) indices.
+
+    The conjugates alpha C_d of every alpha and d are one `decompose`.
+    """
+    alphas = np.array([ext.dec_b.irr[k].values for k in indices])
+    conjugates = np.swapaxes(alphas @ ext.conjugation, 0, 1)   # [alpha, d, :] = alpha C_d
+    coeffs = decompose(Character(ext.inc.small, conjugates.reshape(-1, alphas.shape[1])),
+                       ext.dec_b).reshape(len(indices), len(ext.conjugation), -1)
+    return [tuple(np.flatnonzero(c.any(axis=0)).tolist()) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
 # group-graded picture for quotients kF
 
-def component_bimodule(A: HopfAlgebraData, inc: HopfInclusion, comp: SubspaceBasis
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(right, left): right[:, j, m] and left[:, m, j] are the coordinates in A_f of
-    a_j b_m and of b_m a_j, for a_j in A_f and b_m in B; both must stay in A_f.
-
-    The products come from `AlgebraData.products`, which joins the entries
-    of the bases of A_f and B with `mult` when both are 0/1, as for a
-    bismash, so that no (d, d, |B|) intermediate is formed."""
-    U = comp.matrix
-    E = np.asarray(inc.embedding, complex)
-    out = []
-    for side, prods in (("right", A.products(U, E)), ("left", A.products(E, U))):
-        coords = np.tensordot(U.conj().T, prods, axes=1)
-        require(max_abs(np.tensordot(U, coords, axes=1) - prods), TOL_ALG, ConsistencyError,
-                f"component is not stable under {side} B-multiplication")
-        out.append(coords)
-    return out[0], out[1]
-
-
 def graded_tensor_characters(bimodules: tuple[np.ndarray, np.ndarray],
-                             M_mod: ExplicitModule) -> np.ndarray:
-    """B-characters of A_f (x)_B M for every f, one row each.
+                             modules: Sequence[ExplicitModule]) -> list[np.ndarray]:
+    """B-characters of A_f (x)_B M for every f and every module M, one row per f.
 
     A_f (x)_B M is the quotient of A_f (x) M by ab (x) m - a (x) bm; it is
-    read on the left null space of the relation matrix, from one stacked
-    SVD over f.  `bimodules` is Extension.bimodules.
+    read on the left null space of the relation matrix.  The relation
+    matrices of every f and of every module of one dimension are one
+    stacked SVD, and the action of B on the quotients is two two-operand
+    contractions.  `bimodules` is Extension.bimodules.
     """
     right, left = bimodules                         # right[f, :, j, m], left[f, :, m, j]
     nf, r, _, b = right.shape
-    n = M_mod.dimension
-    act = np.stack(M_mod.matrices)                  # act[m] is the action of b_m on M
+    out: list[np.ndarray] = [None] * len(modules)
+    for n in dict.fromkeys(M.dimension for M in modules):
+        group = [g for g, M in enumerate(modules) if M.dimension == n]
+        act = np.stack([np.stack(modules[g].matrices) for g in group])  # act[g, m]: b_m on M
 
-    # relation (j, m, i): (a_j b_m) (x) e_i - a_j (x) b_m e_i, on the basis (p, q)
-    rels = (right[:, :, None, :, :, None] * np.eye(n)[:, None, None, :]
-            - np.eye(r)[:, None, :, None, None] * act.transpose(1, 0, 2)[:, None, :, :])
-    # the matrices are wide (r n <= r b n), so the thin SVD's u is already square
-    u, s, _ = linalg.svd(rels.reshape(nf, r * n, r * b * n), full_matrices=False)
-    for sv in s:
-        dim = r * n - linalg.numerical_rank(sv)
-        if dim != n:
-            raise ConsistencyError(f"tensor over B has dimension {dim}, expected {n}")
-    C = u[:, :, r * n - n:].reshape(nf, r, n, n)     # C[f, p, q, x]: basis of the quotient
+        # relation (j, m, i): (a_j b_m) (x) e_i - a_j (x) b_m e_i, on the basis (p, q)
+        rels = (right[:, :, None, :, :, None] * np.eye(n)[:, None, None, :]
+                - np.eye(r)[:, None, :, None, None]
+                * act.transpose(0, 2, 1, 3)[:, None, None, :, None, :, :])
+        # the matrices are wide (r n <= r b n), so the thin SVD's u is already square
+        u, s, _ = linalg.svd(rels.reshape(-1, r * n, r * b * n), full_matrices=False)
+        for sv in s:
+            dim = r * n - linalg.numerical_rank(sv)
+            if dim != n:
+                raise ConsistencyError(f"tensor over B has dimension {dim}, expected {n}")
+        C = u[:, :, r * n - n:].reshape(len(group), nf, r, n, n)   # C[g, f, p, q, x]
 
-    # the action of b_m, left multiplication on A_f, read on C
-    mats = np.einsum("fpqx,fpmj,fjqy->fmxy", C.conj(), left, C, optimize=True)
-    require(module_residual(M_mod.parent, mats), TOL_MATCH, ConsistencyError,
-            "tensor over B does not carry a B-module structure")
-    return np.einsum("fmxx->fm", mats)
+        # the action of b_m, left multiplication on A_f, read on C
+        LC = np.einsum("fpmj,gfjqy->gfpmqy", left, C)
+        mats = np.einsum("gfpqx,gfpmqy->gfmxy", C.conj(), LC)
+        require(module_residual(modules[group[0]].parent, mats), TOL_MATCH, ConsistencyError,
+                "tensor over B does not carry a B-module structure")
+        for g, chars in zip(group, np.einsum("gfmxx->gfm", mats)):
+            out[g] = chars
+    return out
 
 
 @dataclass
@@ -586,71 +650,93 @@ class GradedSection:
     cocentral: bool
 
 
-def graded_stabilizer_analysis(ext: Extension, sr: StabilizerResult) -> GradedSection:
-    """Stabilizer subgroup H of alpha under the grading action, and S = A(H)."""
+def graded_stabilizer_analysis(ext: Extension, srs: Sequence[StabilizerResult]
+                               ) -> list[GradedSection]:
+    """Stabilizer subgroup H of each alpha under the grading action, and S = A(H).
+
+    Each alpha's module comes from its own stream (`construct_irreducible_module`);
+    the graded characters of all of them are one `graded_tensor_characters`
+    and one `decompose`.
+    """
     A, inc, F, components = ext.A, ext.inc, ext.F, ext.components
-    alpha = sr.alpha
-    M_mod = construct_irreducible_module(inc.small, ext.dec_b, sr.alpha_index,
-                                         seed=ext.seed)
-    chars = graded_tensor_characters(ext.bimodules, M_mod)
-    coeffs = decompose(Character(inc.small, chars), ext.dec_b)
-    if np.any(np.sum(coeffs * coeffs, axis=1) != 1):
-        raise ConsistencyError("grading action did not send a simple to a simple")
-    orbit_class = set(np.argmax(coeffs, axis=1).tolist())
-    h_members = np.flatnonzero(np.abs(chars - alpha.values).max(axis=1) < TOL_MATCH).tolist()
-    if 0 not in h_members:
-        raise ConsistencyError("grading stabilizer misses the identity component")
-    if not np.isin(F.cayley[np.ix_(h_members, h_members)], h_members).all():
-        raise ConsistencyError("grading stabilizer is not a subgroup")
-    if F.order % len(h_members) != 0:
-        raise ConsistencyError("stabilizer order does not divide |F|")
-    orbit_size = F.order // len(h_members)
+    modules = [construct_irreducible_module(inc.small, ext.dec_b, sr.alpha_index, seed=ext.seed)
+               for sr in srs]
+    chars = graded_tensor_characters(ext.bimodules, modules)
+    coeffs = decompose(Character(inc.small, np.concatenate(chars)), ext.dec_b)
+    out = []
+    for sr, ch, co in zip(srs, chars, np.split(coeffs, len(srs))):
+        alpha = sr.alpha
+        if np.any(np.sum(co * co, axis=1) != 1):
+            raise ConsistencyError("grading action did not send a simple to a simple")
+        orbit_class = set(np.argmax(co, axis=1).tolist())
+        h_members = np.flatnonzero(np.abs(ch - alpha.values).max(axis=1) < TOL_MATCH).tolist()
+        if 0 not in h_members:
+            raise ConsistencyError("grading stabilizer misses the identity component")
+        if not np.isin(F.cayley[np.ix_(h_members, h_members)], h_members).all():
+            raise ConsistencyError("grading stabilizer is not a subgroup")
+        if F.order % len(h_members) != 0:
+            raise ConsistencyError("stabilizer order does not divide |F|")
+        orbit_size = F.order // len(h_members)
 
-    i = ext.ecd.class_of_alpha(sr.alpha_index)
-    if Fraction(ext.ecd.b_sums[i].degree) * len(h_members) != Fraction(F.order) * alpha.degree ** 2:
-        raise TheoremViolationError("orbit identity b_i(1) |H| = |F| alpha(1)^2 fails")
+        i = ext.ecd.class_of_alpha(sr.alpha_index)
+        if (Fraction(ext.ecd.b_sums[i].degree) * len(h_members)
+                != Fraction(F.order) * alpha.degree ** 2):
+            raise TheoremViolationError("orbit identity b_i(1) |H| = |F| alpha(1)^2 fails")
 
-    S = SubspaceBasis.spanned_by(A, np.hstack([components[f].matrix for f in h_members]))
-    if S.dim != inc.small.dim * len(h_members):
-        raise ConsistencyError("dim A(H) != |B| |H|")
-    s_hopf = is_hopf_subalgebra(A, S)
-    z_in_s = S.contains(sr.Z)
-    if not z_in_s:
-        raise TheoremViolationError("Z is not contained in S = A(H)")
-    z_eq_s = z_in_s and sr.dim_z == S.dim
+        S = SubspaceBasis.spanned_by(A, np.hstack([components[f].matrix for f in h_members]))
+        if S.dim != inc.small.dim * len(h_members):
+            raise ConsistencyError("dim A(H) != |B| |H|")
+        s_hopf = is_hopf_subalgebra(A, S)
+        z_in_s = S.contains(sr.Z)
+        if not z_in_s:
+            raise TheoremViolationError("Z is not contained in S = A(H)")
+        z_eq_s = z_in_s and sr.dim_z == S.dim
 
-    alpha_group_index = ext.supports[sr.alpha_index]
-    if ext.mp is not None and alpha_group_index is not None:
-        orbit, stab = orbit_and_stabilizer(ext.mp, alpha_group_index)
-        if tuple(sorted(h_members)) != tuple(stab.members):
-            raise ConsistencyError(
-                "grading stabilizer disagrees with the matched-pair action")
-        if len(orbit) != orbit_size:
-            raise ConsistencyError("orbit sizes disagree with the matched-pair action")
+        alpha_group_index = ext.supports[sr.alpha_index]
+        if ext.mp is not None and alpha_group_index is not None:
+            orbit, stab = orbit_and_stabilizer(ext.mp, alpha_group_index)
+            if tuple(sorted(h_members)) != tuple(stab.members):
+                raise ConsistencyError(
+                    "grading stabilizer disagrees with the matched-pair action")
+            if len(orbit) != orbit_size:
+                raise ConsistencyError("orbit sizes disagree with the matched-pair action")
 
-    return GradedSection(
-        h_members=tuple(sorted(h_members)),
-        h_labels=[F.labels[f] for f in sorted(h_members)],
-        orbit_size=orbit_size, dim_s=S.dim, s_is_hopf=bool(s_hopf),
-        z_in_s=bool(z_in_s), z_equals_s=bool(z_eq_s),
-        orbit_class=tuple(sorted(orbit_class)), cocentral=bool(ext.cocentral))
+        out.append(GradedSection(
+            h_members=tuple(sorted(h_members)),
+            h_labels=[F.labels[f] for f in sorted(h_members)],
+            orbit_size=orbit_size, dim_s=S.dim, s_is_hopf=bool(s_hopf),
+            z_in_s=bool(z_in_s), z_equals_s=bool(z_eq_s),
+            orbit_class=tuple(sorted(orbit_class)), cocentral=bool(ext.cocentral)))
+    return out
+
+
+def _orthonormal_bases(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """`linalg.orthonormal_columns` of each matrix, from one stacked SVD per shape."""
+    out: list[np.ndarray] = [None] * len(mats)
+    for shape in dict.fromkeys(m.shape for m in mats):
+        rows = [r for r, m in enumerate(mats) if m.shape == shape]
+        for r, Q in zip(rows, linalg.orthonormal_columns(np.stack([mats[r] for r in rows]))):
+            out[r] = Q
+    return out
 
 
 def coset_projection_check(ext: Extension) -> dict:
     """Projections of dual characters, their images, and the coset decomposition.
 
     For every irreducible dual character d: pi(d) is eps(d)/|F_j| times the
-    indicator sum of a subset F_j of F, pi maps the subcoalgebra of d onto
-    span{F_j}, B C_d equals the sum of the graded components over F_j, the
-    supports partition F, and the distinct subspaces B C_d decompose A.
+    indicator sum of a subset F_j of F, pi maps the subcoalgebra C_d of d
+    onto span{F_j}, B C_d equals the sum of the graded components over F_j,
+    the supports partition F, and the distinct subspaces B C_d decompose A.
+    The images pi(C_d) and the products B C_d of every d come from one
+    product each with the stacked bases [C_1 ... C_k]; their bases are one
+    stacked SVD per degree.
     """
     A, piF, F, components = ext.A, ext.piF, ext.F, ext.components
     piM = piF.matrix
+    irr, spaces = ext.dec_dual.irr, ext.coefficient_spaces
     uniform_defects = []
-    images_match = cosets_match = True
     supports = []
-    cosets: list[SubspaceBasis] = []
-    for d, C in zip(ext.dec_dual.irr, ext.coefficient_spaces):
+    for d in irr:
         pd = piM @ d.values
         support = tuple(sorted(int(f) for f in np.nonzero(np.abs(pd) > TOL_MATCH)[0]))
         if not support:
@@ -662,13 +748,20 @@ def coset_projection_check(ext: Extension) -> dict:
         uniform_defects.append(pd - expect)
         supports.append(support)
 
-        img = SubspaceBasis.from_vectors(piF.target, piM @ C.matrix)
+    stacked = np.hstack([C.matrix for C in spaces])
+    ends = np.cumsum([C.dim for C in spaces])[:-1]
+    img_bases = _orthonormal_bases(np.split(piM @ stacked, ends, axis=1))
+    products = np.split(A.products(ext.b_sub.matrix, stacked), ends, axis=2)
+    bc_bases = _orthonormal_bases([p.reshape(A.dim, -1) for p in products])
+
+    images_match = cosets_match = True
+    cosets: list[SubspaceBasis] = []
+    for support, img, bc in zip(supports, img_bases, bc_bases):
         span = np.zeros((F.order, len(support)), dtype=complex)
         for c, f in enumerate(support):
             span[f, c] = 1.0
-        images_match &= img.equals(SubspaceBasis(piF.target, span))
-
-        bc = subspace_product(ext.b_sub, C)
+        images_match &= linalg.subspace_equal(img, span, TOL_ALG)
+        bc = SubspaceBasis(A, bc)
         graded = SubspaceBasis.spanned_by(A, np.hstack([components[f].matrix for f in support]))
         cosets_match &= bc.equals(graded)
         cosets.append(bc)
@@ -699,7 +792,7 @@ def coset_projection_check(ext: Extension) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# per-alpha orchestration
+# orchestration over the selected alphas
 
 @dataclass
 class AlphaReport:
@@ -723,42 +816,52 @@ class AlphaReport:
         return "HOLDS" if self.direct_holds else "FAILS"
 
 
-def analyze_alpha(ext: Extension, alpha_index: int) -> AlphaReport:
-    """Full stabilizer pipeline for one irreducible B-character."""
-    sr = compute_stabilizer(ext, alpha_index)
-    lemma = check_stabilizer_induction(ext, sr)
-    bound = stabilizer_dimension_bound(ext, sr)
-    direct = direct_correspondence_check(ext, sr)
-    crosscheck_correspondence(bound, direct)
-    conj_class = conjugate_class_indices(ext, alpha_index)
+def analyze_alphas(ext: Extension, indices: Sequence[int]) -> list[AlphaReport]:
+    """The full stabilizer pipeline for the irreducible B-characters `indices`.
+
+    Each stage runs once over all of them: the stabilizers, the induction
+    lemma, the bound, the direct check, the conjugates and, for a kF
+    quotient, the graded picture; then every cross-check is made per alpha.
+    """
     ecd = ext.ecd
-    i = ecd.class_of_alpha(alpha_index)
-    if conj_class != tuple(sorted(ecd.b_classes[i])):
-        raise TheoremViolationError(
-            "conjugates of alpha do not span exactly its equivalence class")
+    srs = [compute_stabilizer(ext, k) for k in indices]
+    lemmas = check_stabilizer_induction(ext, srs)
+    bounds = stabilizer_dimension_bound(ext, srs)
+    directs = direct_correspondence_check(ext, srs)
+    conj_classes = conjugate_class_indices(ext, indices)
+    graded = (graded_stabilizer_analysis(ext, srs) if ext.piF is not None
+              else [None] * len(srs))
 
-    graded = None
-    if ext.piF is not None:
-        graded = graded_stabilizer_analysis(ext, sr)
-        if graded.z_equals_s != direct.direct_holds:
+    reports = []
+    for sr, lemma, bound, direct, conj_class, g in zip(srs, lemmas, bounds, directs,
+                                                       conj_classes, graded):
+        crosscheck_correspondence(bound, direct)
+        k = sr.alpha_index
+        i = ecd.class_of_alpha(k)
+        b_class = tuple(sorted(ecd.b_classes[i]))
+        if conj_class != b_class:
             raise TheoremViolationError(
-                "Z = S criterion disagrees with the direct check")
-        if graded.s_is_hopf != direct.direct_holds:
-            raise TheoremViolationError(
-                "Hopf-subalgebra criterion for S disagrees with the direct check")
-        if graded.orbit_class != tuple(sorted(ecd.b_classes[i])):
-            raise TheoremViolationError(
-                "grading orbit does not reproduce the equivalence class")
-
-    return AlphaReport(
-        alpha_index=alpha_index, alpha_label=ext.alpha_labels[alpha_index],
-        alpha_degree=sr.alpha.degree, class_index=i,
-        b_class_degree=ecd.b_sums[i].degree,
-        bound=bound.bound, dim_z=sr.dim_z, stabilizing=sr.stabilizing,
-        socle_equality=bound.socle_equality, direct_holds=direct.direct_holds,
-        induction_table=direct.induction_table,
-        stabilizer_induction_residual=lemma["residual"],
-        conjugate_class=conj_class, graded=graded)
+                "conjugates of alpha do not span exactly its equivalence class")
+        if g is not None:
+            if g.z_equals_s != direct.direct_holds:
+                raise TheoremViolationError(
+                    "Z = S criterion disagrees with the direct check")
+            if g.s_is_hopf != direct.direct_holds:
+                raise TheoremViolationError(
+                    "Hopf-subalgebra criterion for S disagrees with the direct check")
+            if g.orbit_class != b_class:
+                raise TheoremViolationError(
+                    "grading orbit does not reproduce the equivalence class")
+        reports.append(AlphaReport(
+            alpha_index=k, alpha_label=ext.alpha_labels[k],
+            alpha_degree=sr.alpha.degree, class_index=i,
+            b_class_degree=ecd.b_sums[i].degree,
+            bound=bound.bound, dim_z=sr.dim_z, stabilizing=sr.stabilizing,
+            socle_equality=bound.socle_equality, direct_holds=direct.direct_holds,
+            induction_table=direct.induction_table,
+            stabilizer_induction_residual=lemma["residual"],
+            conjugate_class=conj_class, graded=g))
+    return reports
 
 
 def cocentral_sweep_check(reports: list[AlphaReport]) -> None:

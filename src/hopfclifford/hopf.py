@@ -31,9 +31,11 @@ more than d^2 entries, as for a dense S or a quotient, it forms the action
 densely instead; that is its one dense fallback.  A coefficient space of
 dimension n^2 is the range of a seeded Gaussian sketch with n^2 + 1
 columns, gated on its rank and on holding every coefficient, not the SVD
-of a d x d matrix.  The 0/1 operands (bases of unit vectors, as the
-graded components A_f and S = A(H) are, the embedding of k^G, the
-projection onto kF, a permutation antipode) enter in COO form too
+of a d x d matrix; `coefficient_spaces` takes every irreducible dual
+character at once, and the sketches of one degree, which share their
+Gaussian columns, are one stacked SVD.  The 0/1 operands (bases of unit
+vectors, as the graded components A_f and S = A(H) are, the embedding of
+k^G, the projection onto kF, a permutation antipode) enter in COO form too
 (`_entries`): from dimension JOIN_MIN_DIM on, when each holds at most d
 nonzeros and the tensors are sparse and finite (`_joins_apply`), the
 Hopf-subalgebra test, the Hopf-map residual and `products` join them with
@@ -862,35 +864,51 @@ def subspace_product(U: SubspaceBasis, V: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(A, A.products(U.matrix, V.matrix).reshape(A.dim, -1))
 
 
-def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray,
-                      seed: int = linalg.DEFAULT_SEED) -> SubspaceBasis:
-    """Simple subcoalgebra spanned by the matrix coefficients of d.
+def coefficient_spaces(A: HopfAlgebraData, D: np.ndarray,
+                       seed: int = linalg.DEFAULT_SEED) -> list[SubspaceBasis]:
+    """Simple subcoalgebra spanned by the matrix coefficients of each row d of D.
 
-    d is an irreducible character of the dual, given as an element of A;
-    the result, the column span of `spans` = Delta(d)^T, has dimension
+    Each d is an irreducible character of the dual, given as an element of
+    A; its space, the column span of `spans` = Delta(d)^T, has dimension
     n^2 for n = eps(d).  It is read as the range of spans Omega, for n^2 + 1
-    complex Gaussian columns Omega drawn from stream 1 of `seed`
+    complex Gaussian columns Omega drawn afresh from stream 1 of `seed`
     (`linalg.random_stream`; the randomized range finder of Halko,
     Martinsson and Tropp, SIAM Rev. 2011), so no SVD sees more than
-    n^2 + 1 columns.  Two gates make it exact: the sketch's numerical rank
-    must be n^2, which the extra column breaks for a larger space, and
-    every column of `spans` must lie in its range within
-    TOL_ALG max(1, max |spans|).  When either fails, the error names the
-    rank of `spans` itself.
+    n^2 + 1 columns.  Every d of one degree reads the same Omega, so the
+    sketches of one degree are one stacked SVD, and each space is the one
+    its d alone would give; past linalg.STACK_BYTES of `spans` the stack
+    goes in parts.  Two gates per d make it exact: the sketch's
+    numerical rank must be n^2, which the extra column breaks for a larger
+    space, and every column of `spans` must lie in its range within
+    TOL_ALG max(1, max |spans|).  The first d that fails either raises,
+    naming the rank of its `spans`.
     """
-    d_vec = np.asarray(d_vec, complex)
-    spans = A.apply_comult(d_vec).T
-    deg = complex(A.counit @ d_vec)
-    n = linalg.nearest_int(deg.real)
-    if abs(deg.imag) <= TOL_ALG and abs(deg.real - n) <= TOL_MATCH and n * n <= A.dim:
+    D = np.asarray(D, complex)
+    degs = (D @ A.counit).tolist()
+    groups: dict[int, list[int]] = {}
+    for r, deg in enumerate(degs):
+        n = linalg.nearest_int(deg.real)
+        if abs(deg.imag) <= TOL_ALG and abs(deg.real - n) <= TOL_MATCH and n * n <= A.dim:
+            groups.setdefault(n, []).append(r)
+    out: list[Optional[SubspaceBasis]] = [None] * len(D)
+    # at most STACK_BYTES of the (d, d) matrices `spans` are formed at once
+    step = max(1, linalg.STACK_BYTES // (16 * A.dim ** 2))
+    for n, rows in groups.items():
         omega = linalg.random_complex(linalg.random_stream(seed, 1), (A.dim, n * n + 1))
-        sub = SubspaceBasis.from_vectors(A, spans @ omega)
-        if sub.dim == n * n and linalg.contains_vectors(
-                sub.matrix, spans, TOL_ALG * max(1.0, max_abs(spans))):
-            return sub
-    raise PreconditionError(
-        f"not an irreducible dual character: eps(d) = {deg:.10g}, but its "
-        f"coefficient space has dimension {linalg.orthonormal_columns(spans).shape[1]}")
+        for start in range(0, len(rows), step):
+            part = rows[start:start + step]
+            spans = np.swapaxes(A.apply_comult(D[part]), 1, 2)
+            for r, S, Q in zip(part, spans, linalg.orthonormal_columns(spans @ omega)):
+                if Q.shape[1] == n * n and linalg.contains_vectors(
+                        Q, S, TOL_ALG * max(1.0, max_abs(S))):
+                    out[r] = SubspaceBasis(A, Q)
+    for r, sub in enumerate(out):
+        if sub is None:
+            spans = A.apply_comult(D[r]).T
+            raise PreconditionError(
+                f"not an irreducible dual character: eps(d) = {degs[r]:.10g}, but its "
+                f"coefficient space has dimension {linalg.orthonormal_columns(spans).shape[1]}")
+    return out
 
 
 def comodule_map_rho(A: HopfAlgebraData, pi: HopfSurjection):

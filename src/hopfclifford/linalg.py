@@ -29,6 +29,7 @@ RANK_RTOL = 1e-9    # singular values <= max(s[0] * RANK_RTOL, RANK_ATOL) count 
 RANK_ATOL = 1e-11
 TOL_ORTHO = 1e-12   # columns whose Gram matrix is I within this are an orthonormal basis as they stand
 JOIN_MIN_DIM = 32   # from this dimension on 0/1 operands are joined; below it dense forms cost less
+STACK_BYTES = 2 ** 25  # largest stack of d x d matrices a stacked kernel forms at once (32 MiB)
 JSON_DIGITS = 10    # decimal digits kept in report JSON
 DEFAULT_SEED = 1729  # seed of every random draw when none is given
 
@@ -82,9 +83,17 @@ def numerical_rank(s: np.ndarray) -> int:
     return int(np.sum(s > max(s[0] * RANK_RTOL, RANK_ATOL)))
 
 
-def orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as columns) of the column span of `vectors`."""
+def orthonormal_columns(vectors: np.ndarray):
+    """Orthonormal basis (as columns) of the column span of `vectors`.
+
+    Leading axes stack matrices of one shape: the result is then the list
+    of their bases, in row-major order of those axes, from one SVD of the
+    stack, each cut at its own numerical rank.
+    """
     mat = np.asarray(vectors, dtype=complex)
+    if mat.ndim > 2:
+        u, s, _ = svd(mat.reshape(-1, *mat.shape[-2:]), full_matrices=False)
+        return [np.ascontiguousarray(ui[:, :numerical_rank(si)]) for ui, si in zip(u, s)]
     if mat.ndim != 2 or mat.shape[1] == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = svd(mat, full_matrices=False)
@@ -131,7 +140,7 @@ def random_stream(seed: int, stream: int) -> random.Random:
     shifts no other use's draws:
 
     - 0: the centre's two elements (`repcalc._center`);
-    - 1: the coefficient-space sketch (`hopf.coefficient_space`);
+    - 1: the coefficient-space sketch (`hopf.coefficient_spaces`);
     - 2: the central splitting element (`repcalc.wedderburn`);
     - 3 + index: the splitting element of block `index`
       (`repcalc.construct_irreducible_module`).

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,13 +30,17 @@ MAX_RETRIES = 12    # random splitting elements tried before a decomposition giv
 
 
 class Character:
-    """Linear functional on an algebra, recorded by its values on the basis."""
+    """Linear functional on an algebra, recorded by its values on the basis.
+
+    The degree is computed and checked on first read and kept; a degree
+    that is no integer raises on every read, since nothing is kept then.
+    """
 
     def __init__(self, parent: AlgebraData, values):
         self.parent = parent
         self.values = np.asarray(values, dtype=complex)
 
-    @property
+    @cached_property
     def degree(self) -> int:
         d = complex(self.values @ self.parent.unit)
         n = nearest_int(d.real)
@@ -61,9 +66,29 @@ class SemisimpleDecomposition:
         return len(self.dims)
 
 
-def _char_sort_key(values: np.ndarray, degree: int):
-    return (degree, [(round(x, 6) + 0.0, round(y, 6) + 0.0)
-                     for x, y in zip(values.real.tolist(), values.imag.tolist())])
+class _CharSortKey:
+    """Sort key of an irreducible character: its degree, then its values,
+    each rounded to 6 decimals (round(x, 6) + 0.0, real part before
+    imaginary part), compared as Python compares the tuple (degree, list of
+    rounded (real, imag) pairs).  The values are rounded lazily, only up to
+    the first pair that differs, so the order, NaN included, is the one the
+    whole rounded list would give."""
+
+    __slots__ = ("degree", "real", "imag")
+
+    def __init__(self, values: np.ndarray, degree: int):
+        self.degree = degree
+        self.real, self.imag = values.real.tolist(), values.imag.tolist()
+
+    def __lt__(self, other: "_CharSortKey") -> bool:
+        if self.degree != other.degree:
+            return self.degree < other.degree
+        for x, y, u, v in zip(self.real, self.imag, other.real, other.imag):
+            mine = (round(x, 6) + 0.0, round(y, 6) + 0.0)
+            theirs = (round(u, 6) + 0.0, round(v, 6) + 0.0)
+            if mine != theirs:
+                return mine < theirs
+        return len(self.real) < len(other.real)
 
 
 def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
@@ -71,13 +96,18 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
     """Central primitive idempotents, block sizes, irreducible characters.
 
     The center is the common commutant of two random elements (`_center`);
-    the eigenvectors of a random central element, drawn from stream 2 of
-    `seed` (`linalg.random_stream`), give the idempotents.  Irr(A) is
-    sorted by degree, then by the character's values.  When A is a
-    subalgebra given on orthonormal columns `frame` of a larger algebra,
-    the values sorted on are those of the character as a functional on the
-    larger algebra, conj(frame) @ values, which do not depend on which
-    orthonormal basis of the subalgebra `frame` is.
+    the eigenvectors v_k of a random central element, drawn from stream 2
+    of `seed` (`linalg.random_stream`), scaled by their Rayleigh quotients
+    under v -> v v, give the idempotents.  All products v_k v_l come from
+    one `AlgebraData.products`, which gives the quotients, the idempotency
+    gate and the orthogonality check of `_check_decomposition`; the
+    characters of every block are one product with the regular trace
+    form.  A failing block redraws the splitting element.  Irr(A) is
+    sorted by degree, then by the character's values (`_CharSortKey`).
+    When A is a subalgebra given on orthonormal columns `frame` of a larger
+    algebra, the values sorted on are those of the character as a
+    functional on the larger algebra, conj(frame) @ values, which do not
+    depend on which orthonormal basis of the subalgebra `frame` is.
     """
     trL = A.regular_trace_vector()
     trace_form = A.mult_coo.along((2,), trL)
@@ -97,45 +127,34 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
             i, j = np.triu_indices(r, 1)
             if not np.min(np.abs(vals[i] - vals[j])) >= TOL_MATCH * scale:
                 continue
-        idem = []
-        good = True
-        for k in range(r):
-            v = center @ vecs[:, k]
-            vv = A.product(v, v)
-            lam = complex(np.vdot(v, vv) / np.vdot(v, v))
-            if not abs(lam) >= TOL_ZERO:
-                good = False
-                break
-            e = v / lam
-            if not max_abs(A.product(e, e) - e) <= TOL_NUM * max(1.0, max_abs(e) ** 2):
-                good = False
-                break
-            idem.append(e)
-        if not good:
+        V = center @ vecs                                     # column k: v_k
+        prods = A.products(V, V)                              # prods[:, k, l] = v_k v_l
+        vv = prods[:, np.arange(r), np.arange(r)]
+        lam = np.einsum("ik,ik->k", V.conj(), vv) / np.einsum("ik,ik->k", V.conj(), V)
+        if not np.all(np.abs(lam) >= TOL_ZERO):
             continue
-        total = np.sum(idem, axis=0)
-        if not max_abs(total - A.unit) <= TOL_NUM:
+        E = V / lam                                           # column k: e_k
+        # e_k e_k = v_k v_k / lam_k^2 must be e_k
+        sizes = np.maximum(1.0, np.abs(E).max(axis=0) ** 2)
+        if not np.all(np.abs(vv / lam ** 2 - E).max(axis=0) <= TOL_NUM * sizes):
             continue
-        blocks = []
-        for e in idem:
-            nn = complex(trL @ e)
-            n = nearest_int(np.sqrt(max(nn.real, 0.0)))
-            if n < 1 or not abs(nn - n * n) <= TOL_MATCH * max(1.0, abs(nn)):
-                good = False
-                break
-            chi_vals = (trL @ A.right_mult_matrix(e)) / n
-            blocks.append((n, e, chi_vals))
-        if not good:
+        if not max_abs(E.sum(axis=1) - A.unit) <= TOL_NUM:
             continue
-        blocks.sort(key=lambda b: _char_sort_key(
-            b[2] if frame is None else frame.conj() @ b[2], b[0]))
+        nn = (trL @ E).tolist()
+        dims = [nearest_int(np.sqrt(max(x.real, 0.0))) for x in nn]
+        if not all(n >= 1 and abs(x - n * n) <= TOL_MATCH * max(1.0, abs(x))
+                   for n, x in zip(dims, nn)):
+            continue
+        chars = (trace_form @ E) / np.array(dims)             # column k: character of block k
+        seen = chars if frame is None else frame.conj() @ chars
+        order = sorted(range(r), key=lambda k: _CharSortKey(seen[:, k], dims[k]))
         dec = SemisimpleDecomposition(
             algebra=A,
-            idempotents=[b[1] for b in blocks],
-            dims=[b[0] for b in blocks],
-            irr=[Character(A, b[2]) for b in blocks],
+            idempotents=[E[:, k].copy() for k in order],
+            dims=[dims[k] for k in order],
+            irr=[Character(A, chars[:, k].copy()) for k in order],
         )
-        _check_decomposition(dec)
+        _check_decomposition(dec, (prods / np.outer(lam, lam))[:, order][:, :, order])
         return dec
     raise NumericDegeneracyError("central splitting failed after max retries")
 
@@ -162,13 +181,14 @@ def _center(A: AlgebraData, seed: int) -> np.ndarray:
     raise NumericDegeneracyError("center of two random elements failed after max retries")
 
 
-def _check_decomposition(dec: SemisimpleDecomposition) -> None:
+def _check_decomposition(dec: SemisimpleDecomposition, products: np.ndarray) -> None:
+    """Block squares sum to dim A, and the idempotents are orthogonal:
+    products[:, i, j] is e_i e_j, in the order of dec.idempotents."""
     A = dec.algebra
     if sum(n * n for n in dec.dims) != A.dim:
         raise ConsistencyError("block squares do not sum to the dimension")
-    E = np.stack(dec.idempotents, axis=1)
     i, j = np.triu_indices(dec.num_blocks, 1)
-    require(max_abs(A.products(E, E)[:, i, j]), TOL_NUM, ConsistencyError,
+    require(max_abs(products[:, i, j]), TOL_NUM, ConsistencyError,
             "central idempotents are not orthogonal")
 
 
@@ -223,16 +243,20 @@ def induce_character(alpha: Character, inc, dec_small: SemisimpleDecomposition,
     """Induction by Frobenius reciprocity: m(alpha^, chi) = m(alpha, chi|).
 
     `table` is restriction_table(inc, dec_small, dec_big), so the induced
-    multiplicities are table @ m(alpha).
+    multiplicities are table @ m(alpha).  `alpha.values` may be a stack of
+    characters, one per row, as for `decompose`: the result then holds one
+    induced character per row, each summed as if induced alone, and each
+    row's degree is checked against the index.
     """
-    coeffs = table @ decompose(alpha, dec_small)
-    values = sum(int(n) * chi.values for n, chi in zip(coeffs, dec_big.irr))
-    ind = Character(inc.big, values)
-    expected = Fraction(inc.big.dim, inc.small.dim) * alpha.degree
-    if Fraction(ind.degree) != expected:
-        raise ConsistencyError(
-            f"induced degree {ind.degree} != {expected} predicted by the index")
-    return ind
+    coeffs = np.atleast_2d(decompose(alpha, dec_small) @ table.T)
+    values = sum(n[:, None] * chi.values for n, chi in zip(coeffs.T, dec_big.irr))
+    ratio = Fraction(inc.big.dim, inc.small.dim)
+    for row, small in zip(values, np.atleast_2d(alpha.values)):
+        got = Character(inc.big, row).degree
+        expected = ratio * Character(inc.small, small).degree
+        if Fraction(got) != expected:
+            raise ConsistencyError(f"induced degree {got} != {expected} predicted by the index")
+    return Character(inc.big, values if alpha.values.ndim == 2 else values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +281,7 @@ class ExplicitModule:
 def module_residual(A: AlgebraData, mats: np.ndarray) -> float:
     """Max residual of mats[..., i, :, :], the action of each basis element e_i,
     realizing A's multiplication table and unit; leading axes stack modules."""
-    lhs = np.einsum("...iab,...jbc->...ijac", mats, mats, optimize=True)
+    lhs = mats[..., :, None, :, :] @ mats[..., None, :, :, :]
     rhs = np.moveaxis(A.mult_coo.along((2,), np.moveaxis(mats, -3, 0)), (0, 1), (-4, -3))
     unit = np.einsum("i,...iab->...ab", A.unit, mats) - np.eye(mats.shape[-1])
     return max_abs(lhs - rhs, unit)

@@ -480,7 +480,7 @@ def run_scenario(sc: Scenario, alpha_selection=None, seed: Optional[int] = None)
 
     selected = resolve_alpha_selection(
         alpha_selection if alpha_selection is not None else sc.alpha, ext)
-    reports = [clifford.analyze_alpha(ext, k) for k in selected]
+    reports = clifford.analyze_alphas(ext, selected)
     if ext.cocentral and len(selected) == len(ext.dec_b.irr):
         clifford.cocentral_sweep_check(reports)
 

@@ -1,4 +1,4 @@
-"""Independent, slower forms of three clifford kernels, kept as test references.
+"""Independent, slower forms of the clifford, hopf and repcalc kernels, kept as test references.
 
 `conjugate_module` twists W (x) M by an explicit module of the dual, built
 from a subcoalgebra by `subcoalgebra_as_dual_module`; its character is the
@@ -6,17 +6,30 @@ reference for `clifford.conjugation_matrices`.  `conjugation_matrices`
 forms the dense products S(e_p) b_m and multiplies Delta(d)^T by them for
 each d, the per-character formula the COO joins of
 `clifford.conjugation_matrices` replace.  `graded_tensor_character` solves
-A_f (x)_B M for one component at a time, with np.kron; it is the reference
-for the batched `clifford.graded_tensor_characters`.
+A_f (x)_B M for one component and one module at a time, with np.kron; it
+is the reference for the stacked `clifford.graded_tensor_characters`.
+
+The per-item forms the stacked kernels replace: `coefficient_space` sketches
+one dual character at a time (`hopf.coefficient_spaces`), `component_bimodule`
+reads one graded component at a time (`Extension.bimodules`),
+`coset_projection_check` takes one SVD per dual character for its image and
+for B C_d (`clifford.coset_projection_check`), `wedderburn` scales, gates
+and traces one block at a time with two products per block and sorts on the
+eagerly rounded `char_sort_key` (`repcalc.wedderburn`, `repcalc._CharSortKey`).
 """
+
+from fractions import Fraction
 
 import numpy as np
 
-from hopfclifford import linalg
-from hopfclifford.errors import ConsistencyError, PreconditionError
-from hopfclifford.hopf import HopfAlgebraData, HopfInclusion, SubspaceBasis, dual_hopf
-from hopfclifford.linalg import TOL_ALG, TOL_MATCH, max_abs, require
-from hopfclifford.repcalc import Character, ExplicitModule
+from hopfclifford import linalg, repcalc
+from hopfclifford.errors import (ConsistencyError, NumericDegeneracyError,
+                                 PreconditionError, SemisimplicityError)
+from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis, dual_hopf,
+                               subspace_product)
+from hopfclifford.linalg import (COND_LIMIT, DEFAULT_SEED, TOL_ALG, TOL_MATCH, TOL_NUM,
+                                 TOL_ZERO, max_abs, nearest_int, require)
+from hopfclifford.repcalc import Character, ExplicitModule, SemisimpleDecomposition
 
 
 def subcoalgebra_as_dual_module(A: HopfAlgebraData, C: SubspaceBasis) -> ExplicitModule:
@@ -100,3 +113,137 @@ def graded_tensor_character(bimodule: tuple[np.ndarray, np.ndarray],
     require(out.verify(), TOL_MATCH, ConsistencyError,
             "tensor over B does not carry a B-module structure")
     return out.character()
+
+
+def coefficient_space(A: HopfAlgebraData, d_vec: np.ndarray,
+                      seed: int = DEFAULT_SEED) -> SubspaceBasis:
+    """The simple subcoalgebra of one dual character d: the range of
+    Delta(d)^T Omega for n^2 + 1 columns Omega from stream 1 of `seed`, with
+    its rank and containment gates."""
+    d_vec = np.asarray(d_vec, complex)
+    spans = A.apply_comult(d_vec).T
+    deg = complex(A.counit @ d_vec)
+    n = nearest_int(deg.real)
+    if abs(deg.imag) <= TOL_ALG and abs(deg.real - n) <= TOL_MATCH and n * n <= A.dim:
+        omega = linalg.random_complex(linalg.random_stream(seed, 1), (A.dim, n * n + 1))
+        sub = SubspaceBasis.from_vectors(A, spans @ omega)
+        if sub.dim == n * n and linalg.contains_vectors(
+                sub.matrix, spans, TOL_ALG * max(1.0, max_abs(spans))):
+            return sub
+    raise PreconditionError(
+        f"not an irreducible dual character: eps(d) = {deg:.10g}, but its "
+        f"coefficient space has dimension {linalg.orthonormal_columns(spans).shape[1]}")
+
+
+def component_bimodule(A: HopfAlgebraData, inc: HopfInclusion, comp: SubspaceBasis
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(right, left) of one graded component A_f: the coordinates in A_f of
+    a_j b_m and of b_m a_j; both must stay in A_f."""
+    U = comp.matrix
+    E = np.asarray(inc.embedding, complex)
+    out = []
+    for side, prods in (("right", A.products(U, E)), ("left", A.products(E, U))):
+        coords = np.tensordot(U.conj().T, prods, axes=1)
+        require(max_abs(np.tensordot(U, coords, axes=1) - prods), TOL_ALG, ConsistencyError,
+                f"component is not stable under {side} B-multiplication")
+        out.append(coords)
+    return out[0], out[1]
+
+
+def coset_projection_check(ext) -> dict:
+    """The coset check with one SVD per dual character for pi(C_d) and for B C_d."""
+    A, piF, F, components = ext.A, ext.piF, ext.F, ext.components
+    piM = piF.matrix
+    uniform_defects = []
+    images_match = cosets_match = True
+    supports = []
+    cosets: list[SubspaceBasis] = []
+    for d, C in zip(ext.dec_dual.irr, ext.coefficient_spaces):
+        pd = piM @ d.values
+        support = tuple(sorted(int(f) for f in np.nonzero(np.abs(pd) > TOL_MATCH)[0]))
+        if not support:
+            raise ConsistencyError("projected dual character vanished")
+        coeff = Fraction(d.degree, len(support))
+        expect = np.zeros(F.order, dtype=complex)
+        for f in support:
+            expect[f] = float(coeff)
+        uniform_defects.append(pd - expect)
+        supports.append(support)
+
+        img = SubspaceBasis.from_vectors(piF.target, piM @ C.matrix)
+        span = np.zeros((F.order, len(support)), dtype=complex)
+        for c, f in enumerate(support):
+            span[f, c] = 1.0
+        images_match &= img.equals(SubspaceBasis(piF.target, span))
+
+        bc = subspace_product(ext.b_sub, C)
+        graded = SubspaceBasis.spanned_by(A, np.hstack([components[f].matrix for f in support]))
+        cosets_match &= bc.equals(graded)
+        cosets.append(bc)
+
+    flat = [f for sup in sorted(set(supports)) for f in sup]
+    distinct: list[SubspaceBasis] = []
+    for bc in cosets:
+        if not any(bc.equals(other) for other in distinct):
+            distinct.append(bc)
+    total = sum(bc.dim for bc in distinct)
+    stacked = np.hstack([bc.matrix for bc in distinct])
+    disjoint_ok = linalg.orthonormal_columns(stacked).shape[1] == total
+    return {
+        "uniform_coefficient_residual": max_abs(*uniform_defects),
+        "image_spans_match": images_match,
+        "coset_components_match": cosets_match,
+        "supports_partition": sorted(flat) == list(range(F.order)),
+        "coset_decomposition": bool(disjoint_ok and total == A.dim),
+        "num_cosets": len(distinct),
+    }
+
+
+def char_sort_key(values: np.ndarray, degree: int):
+    """The eager sort key of a character: (degree, every value rounded)."""
+    return (degree, [(round(x, 6) + 0.0, round(y, 6) + 0.0)
+                     for x, y in zip(values.real.tolist(), values.imag.tolist())])
+
+
+def wedderburn(A, seed: int = DEFAULT_SEED, frame=None) -> SemisimpleDecomposition:
+    """Central primitive idempotents, block sizes and characters, one block at a time."""
+    trL = A.regular_trace_vector()
+    require(linalg.cond(A.mult_coo.along((2,), trL)), COND_LIMIT, SemisimplicityError,
+            "regular trace form is degenerate: condition number")
+    center = repcalc._center(A, seed)
+    r = center.shape[1]
+    rng = linalg.random_stream(seed, 2)
+    for _ in range(repcalc.MAX_RETRIES):
+        z = center @ linalg.random_complex(rng, r)
+        vals, vecs = linalg.eig(center.conj().T @ A.left_mult_matrix(z) @ center)
+        scale = max(1.0, max_abs(vals))
+        if r > 1:
+            i, j = np.triu_indices(r, 1)
+            if not np.min(np.abs(vals[i] - vals[j])) >= TOL_MATCH * scale:
+                continue
+        blocks = []
+        for k in range(r):
+            v = center @ vecs[:, k]
+            lam = complex(np.vdot(v, A.product(v, v)) / np.vdot(v, v))
+            if not abs(lam) >= TOL_ZERO:
+                break
+            e = v / lam
+            if not max_abs(A.product(e, e) - e) <= TOL_NUM * max(1.0, max_abs(e) ** 2):
+                break
+            nn = complex(trL @ e)
+            n = nearest_int(np.sqrt(max(nn.real, 0.0)))
+            if n < 1 or not abs(nn - n * n) <= TOL_MATCH * max(1.0, abs(nn)):
+                break
+            blocks.append((n, e, (trL @ A.right_mult_matrix(e)) / n))
+        if len(blocks) < r or not max_abs(sum(b[1] for b in blocks) - A.unit) <= TOL_NUM:
+            continue
+        blocks.sort(key=lambda b: char_sort_key(
+            b[2] if frame is None else frame.conj() @ b[2], b[0]))
+        E = np.stack([b[1] for b in blocks], axis=1)
+        i, j = np.triu_indices(r, 1)
+        require(max_abs(A.products(E, E)[:, i, j]), TOL_NUM, ConsistencyError,
+                "central idempotents are not orthogonal")
+        return SemisimpleDecomposition(algebra=A, idempotents=[b[1] for b in blocks],
+                                       dims=[b[0] for b in blocks],
+                                       irr=[Character(A, b[2]) for b in blocks])
+    raise NumericDegeneracyError("central splitting failed after max retries")

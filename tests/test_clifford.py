@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hopfclifford import clifford, hopf
-from hopfclifford.clifford import (Extension, analyze_alpha,
+from hopfclifford.clifford import (Extension, analyze_alphas,
                                    check_stabilizer_induction,
                                    compute_stabilizer, conjugate_class_indices,
                                    conjugation_matrices, coset_projection_check,
@@ -168,7 +168,7 @@ def test_conjugate_module_matches_character(classical, s3_group):
     A = classical.A
     t_vec = np.zeros(A.dim, dtype=complex)
     t_vec[s3_group.label_index("t")] = 1.0
-    C = hopf.coefficient_space(A, t_vec)
+    C = hopf.coefficient_spaces(A, t_vec[None])[0]
     W = subcoalgebra_as_dual_module(A, C)
     dec_b = classical.dec_b
     omegas = [k for k, ch in enumerate(dec_b.irr)
@@ -257,8 +257,8 @@ def test_stabilizing_set_closed(counterexample):
 
 def test_conjugates_span_the_class(counterexample):
     ext = counterexample
-    for k in range(len(ext.dec_b.irr)):
-        got = conjugate_class_indices(ext, k)
+    alphas = range(len(ext.dec_b.irr))
+    for k, got in zip(alphas, conjugate_class_indices(ext, alphas)):
         i = ext.ecd.class_of_alpha(k)
         assert got == tuple(sorted(ext.ecd.b_classes[i]))
 
@@ -279,8 +279,8 @@ def test_restriction_within_z_class(counterexample, classical):
 
 def test_stabilizer_induction_formula(classical, counterexample, cocentral8):
     for ext in (classical, counterexample, cocentral8):
-        for k in range(len(ext.dec_b.irr)):
-            rep = check_stabilizer_induction(ext, compute_stabilizer(ext, k))
+        srs = [compute_stabilizer(ext, k) for k in range(len(ext.dec_b.irr))]
+        for rep in check_stabilizer_induction(ext, srs):
             assert rep["residual"] < 1e-8
 
 
@@ -289,14 +289,14 @@ def test_bound_classical(classical):
     omegas = [k for k, ch in enumerate(dec_b.irr)
               if np.max(np.abs(ch.values - 1.0)) > 1e-8]
     sr = compute_stabilizer(classical, omegas[0])
-    rep = stabilizer_dimension_bound(classical, sr)
+    rep = stabilizer_dimension_bound(classical, [sr])[0]
     assert rep.bound == 3 and rep.equality and rep.socle_equality
 
 
 def test_bound_counterexample_strict(counterexample):
     k = alpha_with_support(counterexample, "d(g)")
     sr = compute_stabilizer(counterexample, k)
-    rep = stabilizer_dimension_bound(counterexample, sr)
+    rep = stabilizer_dimension_bound(counterexample, [sr])[0]
     assert rep.bound == 8 and sr.dim_z == 4
     assert not rep.equality and not rep.socle_equality
     assert rep.mult_z == 1 and rep.mult_full == 2
@@ -305,14 +305,14 @@ def test_bound_counterexample_strict(counterexample):
 def test_bound_trivial_class(counterexample):
     k = alpha_with_support(counterexample, "d(1)")
     sr = compute_stabilizer(counterexample, k)
-    rep = stabilizer_dimension_bound(counterexample, sr)
+    rep = stabilizer_dimension_bound(counterexample, [sr])[0]
     assert rep.bound == 24 and rep.equality
 
 
 def test_direct_check_counterexample(counterexample):
     k = alpha_with_support(counterexample, "d(g)")
     sr = compute_stabilizer(counterexample, k)
-    rep = direct_correspondence_check(counterexample, sr)
+    rep = direct_correspondence_check(counterexample, [sr])[0]
     assert not rep.direct_holds
     assert len(rep.induction_table) == 1
     row = rep.induction_table[0]
@@ -329,8 +329,7 @@ def test_full_sweep_consistency(classical, counterexample, cocentral8):
     verdicts = {}
     for name, ext in (("classical", classical), ("counterexample", counterexample),
                       ("cocentral", cocentral8)):
-        for k in range(len(ext.dec_b.irr)):
-            rep = analyze_alpha(ext, k)
+        for k, rep in enumerate(analyze_alphas(ext, range(len(ext.dec_b.irr)))):
             verdicts[(name, k)] = rep.direct_holds
             assert rep.socle_equality == rep.direct_holds
             if rep.graded is not None:
@@ -344,7 +343,7 @@ def test_full_sweep_consistency(classical, counterexample, cocentral8):
 def test_graded_section_counterexample(counterexample):
     ext = counterexample
     k = alpha_with_support(ext, "d(g)")
-    rep = analyze_alpha(ext, k)
+    rep = analyze_alphas(ext, [k])[0]
     g = rep.graded
     assert g.h_labels == ["1", "t"]
     assert g.orbit_size == 3
@@ -358,7 +357,7 @@ def test_graded_section_counterexample(counterexample):
 def test_graded_section_cocentral(cocentral8):
     ext = cocentral8
     k = alpha_with_support(ext, "d(g)")
-    rep = analyze_alpha(ext, k)
+    rep = analyze_alphas(ext, [k])[0]
     g = rep.graded
     assert g.h_labels == ["1"]
     assert g.orbit_size == 2
@@ -370,7 +369,7 @@ def test_graded_section_cocentral(cocentral8):
 def test_graded_section_trivial_alpha(counterexample):
     ext = counterexample
     k = alpha_with_support(ext, "d(1)")
-    rep = analyze_alpha(ext, k)
+    rep = analyze_alphas(ext, [k])[0]
     g = rep.graded
     assert len(g.h_members) == ext.F.order
     assert g.dim_s == ext.A.dim
@@ -382,7 +381,7 @@ def test_graded_tensor_dimensions(counterexample):
     ext = counterexample
     k = alpha_with_support(ext, "d(g)")
     M = construct_irreducible_module(ext.inc.small, ext.dec_b, k)
-    chars = graded_tensor_characters(ext.bimodules, M)
+    chars, = graded_tensor_characters(ext.bimodules, [M])
     assert chars.shape == (ext.F.order, ext.inc.small.dim)
     for values in chars:
         assert abs(Character(ext.inc.small, values).degree - M.dimension) < 1e-8
@@ -390,17 +389,18 @@ def test_graded_tensor_dimensions(counterexample):
 
 def test_graded_solve_matches_per_component(classical, counterexample, cocentral8,
                                             s4_a4, a5):
-    # one stacked solve over F against the np.kron form, one component at a time
+    # one stacked solve over F and over every module against the np.kron
+    # form, one component and one module at a time
     dims = set()
     for ext in (classical, counterexample, cocentral8, s4_a4, a5):
         right, left = ext.bimodules
         assert right.shape[0] == left.shape[0] == ext.F.order
-        for k in range(len(ext.dec_b.irr)):
-            M = construct_irreducible_module(ext.inc.small, ext.dec_b, k, seed=ext.seed)
+        modules = [construct_irreducible_module(ext.inc.small, ext.dec_b, k, seed=ext.seed)
+                   for k in range(len(ext.dec_b.irr))]
+        for M, got in zip(modules, graded_tensor_characters(ext.bimodules, modules)):
             dims.add(M.dimension)
             want = [graded_tensor_character((right[f], left[f]), M).values
                     for f in range(ext.F.order)]
-            got = graded_tensor_characters(ext.bimodules, M)
             assert np.max(np.abs(got - np.array(want))) < 1e-10
     assert dims == {1, 3}                     # s4_a4: A4 has an irreducible of degree 3
 
@@ -414,11 +414,11 @@ def test_graded_solve_checks_each_rank(counterexample):
     right, left = (side.copy() for side in ext.bimodules)
     right[1] = np.eye(right.shape[1])[:, :, None] * ext.dec_b.irr[k].values
     with pytest.raises(ConsistencyError, match="tensor over B has dimension 4, expected 1"):
-        graded_tensor_characters((right, left), M)
+        graded_tensor_characters((right, left), [M])
     # B acting by zero on A_1: the relations span all of A_1 (x) M
     right[1] = 0.0
     with pytest.raises(ConsistencyError, match="tensor over B has dimension 0, expected 1"):
-        graded_tensor_characters((right, left), M)
+        graded_tensor_characters((right, left), [M])
 
 
 def test_graded_solve_checks_the_module(counterexample):
@@ -428,7 +428,7 @@ def test_graded_solve_checks_the_module(counterexample):
     right, left = (side.copy() for side in ext.bimodules)
     left[2] += 0.1 * np.random.default_rng(3).standard_normal(left[2].shape)
     with pytest.raises(ConsistencyError, match="does not carry a B-module structure"):
-        graded_tensor_characters((right, left), M)
+        graded_tensor_characters((right, left), [M])
 
 
 def test_grading_must_send_a_simple_to_a_simple(monkeypatch, counterexample):
@@ -436,16 +436,16 @@ def test_grading_must_send_a_simple_to_a_simple(monkeypatch, counterexample):
     sr = compute_stabilizer(counterexample, k)
     solve = clifford.graded_tensor_characters
 
-    def merged_rows(bimodules, M):
+    def merged_rows(bimodules, modules):
         # A_1 (x)_B M becomes the sum of two simples, A_2 (x)_B M becomes 0
-        chars = solve(bimodules, M)
+        chars, = solve(bimodules, modules)
         chars[1] += chars[2]
         chars[2] = 0.0
-        return chars
+        return [chars]
 
     monkeypatch.setattr(clifford, "graded_tensor_characters", merged_rows)
     with pytest.raises(ConsistencyError, match="did not send a simple to a simple"):
-        clifford.graded_stabilizer_analysis(counterexample, sr)
+        clifford.graded_stabilizer_analysis(counterexample, [sr])
 
 
 def test_graded_components_of_unequal_dimension_rejected():
@@ -483,8 +483,7 @@ def test_z_equal_to_a_is_read_on_the_basis_of_a(classical, counterexample, cocen
 def test_orbit_identity_integers(counterexample, cocentral8, classical):
     # b_i(1) |H| = |F| alpha(1)^2 holds exactly for every alpha
     for ext in (classical, counterexample, cocentral8):
-        for k in range(len(ext.dec_b.irr)):
-            rep = analyze_alpha(ext, k)
+        for rep in analyze_alphas(ext, range(len(ext.dec_b.irr))):
             g = rep.graded
             i = rep.class_index
             assert (ext.ecd.b_sums[i].degree * len(g.h_members)
@@ -509,15 +508,15 @@ def test_counterexample_coset_count(counterexample):
 def test_cocentral_sweep(classical, cocentral8):
     for ext in (classical, cocentral8):
         assert hopf.is_cocentral(ext.A, ext.piF)
-        reports = [analyze_alpha(ext, k) for k in range(len(ext.dec_b.irr))]
+        reports = analyze_alphas(ext, range(len(ext.dec_b.irr)))
         clifford.cocentral_sweep_check(reports)
 
 
 def test_crosscheck_raises_on_forged_mismatch(counterexample):
     k = alpha_with_support(counterexample, "d(g)")
     sr = compute_stabilizer(counterexample, k)
-    bound = stabilizer_dimension_bound(counterexample, sr)
-    direct = direct_correspondence_check(counterexample, sr)
+    bound = stabilizer_dimension_bound(counterexample, [sr])[0]
+    direct = direct_correspondence_check(counterexample, [sr])[0]
     forged = clifford.DirectReport(direct_holds=True,
                                    induction_table=direct.induction_table,
                                    image_indices=direct.image_indices)

@@ -9,7 +9,7 @@ from hopfclifford.errors import (ConsistencyError, NormalityError,
 from hopfclifford.groups import group_from_permutations, subgroup_closure
 from hopfclifford.clifford import Extension
 from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis,
-                               coefficient_space, comodule_map_rho,
+                               coefficient_spaces, comodule_map_rho,
                                dual_group_algebra, dual_hopf, graded_component,
                                group_algebra, hopf_map_residual, is_cocentral,
                                is_hopf_subalgebra, is_normal_hopf_subalgebra,
@@ -17,6 +17,11 @@ from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis,
                                verify_hopf_axioms)
 
 from conftest import change_basis, dense_rho, solve_antipode
+
+
+def coefficient_space(A, d_vec, seed=linalg.DEFAULT_SEED):
+    """`coefficient_spaces` of the one dual character d_vec."""
+    return coefficient_spaces(A, np.asarray(d_vec)[None], seed=seed)[0]
 
 
 def _is_commutative(A):
@@ -655,20 +660,21 @@ def test_coefficient_space_follows_the_seed(counterexample):
 
 
 def test_coefficient_space_sketches_stay_thin(monkeypatch, a5):
-    # the SVD of each coefficient space sees eps(d)^2 + 1 columns, not d;
-    # the sketch is drawn from the context's seed
+    # the SVD of each coefficient space sees eps(d)^2 + 1 columns, not d, in
+    # one stacked SVD per degree; the sketch is drawn from the context's seed
     ext = Extension(a5.A, a5.inc, seed=11)
     ext.dec_dual = a5.dec_dual
-    columns = []
+    shapes = []
     svd = linalg.svd
 
     def recording(mat, *args, **kw):
-        columns.append(mat.shape[1])
+        shapes.append(mat.shape)
         return svd(mat, *args, **kw)
 
     monkeypatch.setattr(linalg, "svd", recording)
-    assert [C.dim for C in ext.coefficient_spaces] == [d.degree ** 2 for d in a5.dec_dual.irr]
-    assert columns == [d.degree ** 2 + 1 for d in a5.dec_dual.irr]
+    degrees = [d.degree for d in a5.dec_dual.irr]
+    assert [C.dim for C in ext.coefficient_spaces] == [n ** 2 for n in degrees]
+    assert shapes == [(degrees.count(n), a5.A.dim, n ** 2 + 1) for n in sorted(set(degrees))]
     monkeypatch.undo()
     for d, C in zip(a5.dec_dual.irr, ext.coefficient_spaces):
         assert np.array_equal(C.matrix, coefficient_space(a5.A, d.values, seed=11).matrix)

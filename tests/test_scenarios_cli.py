@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopfclifford import cli, clifford, linalg, scenarios
-from hopfclifford.clifford import component_bimodule, conjugation_matrices
+from hopfclifford import cli, clifford, hopf, linalg, scenarios
+from hopfclifford.clifford import conjugation_matrices
 from hopfclifford.hopf import subalgebra_data
 from hopfclifford.repcalc import wedderburn
 from hopfclifford.errors import ConfigError, NormalityError
@@ -467,21 +467,29 @@ def test_conjugation_matrices_built_once_per_request(monkeypatch, capsys, alpha)
 
 @pytest.mark.parametrize("alpha", ["g", "all"])
 def test_component_bimodules_built_once_per_request(monkeypatch, capsys, alpha):
-    built = []
+    # one `products` per side, on the stacked bases of every A_f
+    calls = []
+    products = hopf.AlgebraData.products
 
-    def counting(A, inc, comp, *args, **kw):
-        built.append(comp.matrix)
-        return component_bimodule(A, inc, comp, *args, **kw)
+    def recording(self, U, V):
+        calls.append((np.array(U), np.array(V)))
+        return products(self, U, V)
 
-    monkeypatch.setattr(clifford, "component_bimodule", counting)
+    monkeypatch.setattr(hopf.AlgebraData, "products", recording)
     assert cli.main(["analyze", "--builtin", "s4_counterexample",
                      "--alpha", alpha]) == 0
     capsys.readouterr()
     sc = builtin_scenario("s4_counterexample")
-    comps = build_scenario(sc, resolve_seed(sc)).components
-    assert len(built) == len(comps)
-    for got, comp in zip(built, comps):
-        assert np.array_equal(got, comp.matrix)
+    ext = build_scenario(sc, resolve_seed(sc))
+    stacked = np.hstack([comp.matrix for comp in ext.components])
+    E = ext.inc.embedding
+
+    def on(U, V):
+        return [k for k, (X, Y) in enumerate(calls)
+                if X.shape == U.shape and Y.shape == V.shape
+                and np.array_equal(X, U) and np.array_equal(Y, V)]
+
+    assert len(on(stacked, E)) == len(on(E, stacked)) == 1
 
 
 @pytest.mark.parametrize("name", ["s4_counterexample", "cocentral_c4_c2", "s3_a3_classical"])

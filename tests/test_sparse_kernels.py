@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from hopfclifford import hopf, linalg, repcalc, scenarios
-from hopfclifford.clifford import (Extension, component_bimodule, compute_stabilizer,
+from hopfclifford.clifford import (Extension, compute_stabilizer,
                                    conjugation_matrices, graded_stabilizer_analysis)
 from hopfclifford.errors import ConsistencyError, NumericDegeneracyError, PreconditionError
 from hopfclifford.groups import subgroup_closure
@@ -756,12 +756,10 @@ def _residuals_match_projectors(A, V):
 
 def _graded_sums(ext):
     """S = A(H) of every alpha, on the stacked components of H."""
-    out = []
-    for alpha in range(len(ext.dec_b.irr)):
-        H = graded_stabilizer_analysis(ext, compute_stabilizer(ext, alpha)).h_members
-        out.append(SubspaceBasis.spanned_by(
-            ext.A, np.hstack([ext.components[f].matrix for f in H])))
-    return out
+    srs = [compute_stabilizer(ext, alpha) for alpha in range(len(ext.dec_b.irr))]
+    return [SubspaceBasis.spanned_by(ext.A, np.hstack([ext.components[f].matrix
+                                                       for f in g.h_members]))
+            for g in graded_stabilizer_analysis(ext, srs)]
 
 
 def _stabilizer_subspaces(ext):
@@ -981,18 +979,24 @@ def test_graded_components_match_the_svd_definition(counterexample, cocentral8, 
         assert linalg.subspace_equal(got.matrix, U.conj().T @ comp.matrix, 1e-10)
 
 
+def _bimodules(ext):
+    """Extension.bimodules of ext's graded components, made afresh."""
+    fresh = Extension(ext.A, ext.inc)
+    fresh.components = ext.components
+    return fresh.bimodules
+
+
 def test_component_bimodules_read_through_the_joins(counterexample, a5):
-    # the products a_j b_m and b_m a_j of the 0/1 bases of A_f and B, joined
-    # or contracted densely, give the same coordinates
+    # the products a_j b_m and b_m a_j of the 0/1 bases of every A_f and of
+    # B, joined or contracted densely, give the same coordinates
     for ext in (counterexample, a5):
-        for comp in ext.components:
-            with _join_min_dim(ext.A.dim + 1):
-                dense = component_bimodule(ext.A, ext.inc, comp)
-            with _join_min_dim(1):
-                path, joined = _path(lambda: component_bimodule(ext.A, ext.inc, comp))
-            assert path == "joins"
-            for got, want in zip(joined, dense):
-                assert np.max(np.abs(got - want)) < 1e-12
+        with _join_min_dim(ext.A.dim + 1):
+            dense = _bimodules(ext)
+        with _join_min_dim(1):
+            path, joined = _path(lambda: _bimodules(ext))
+        assert path == "joins"
+        for got, want in zip(joined, dense):
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_spanned_by_keeps_an_orthonormal_basis(counterexample):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hopfclifford import cli, clifford, linalg, repcalc
-from hopfclifford.clifford import component_bimodule, conjugation_matrices
+from hopfclifford.clifford import Extension, conjugation_matrices
 from hopfclifford.errors import (ConsistencyError, NotACharacterError,
                                  PreconditionError)
 from hopfclifford.groups import group_from_permutations
@@ -77,14 +77,16 @@ def _subalgebra_data(ext):
 
 
 def _component_bimodule(ext):
-    return component_bimodule(_with_nan(ext.A, "mult", (0, 0, 0)), ext.inc, ext.components[0])
+    fresh = Extension(_with_nan(ext.A, "mult", (0, 0, 0)), ext.inc)
+    fresh.components = ext.components
+    return fresh.bimodules
 
 
 def _graded_tensor_characters(ext):
     right, left = (side.copy() for side in ext.bimodules)
     left[1, 0, 0, 0] = np.nan
     M = construct_irreducible_module(ext.inc.small, ext.dec_b, 0)
-    return clifford.graded_tensor_characters((right, left), M)
+    return clifford.graded_tensor_characters((right, left), [M])
 
 
 def _group_from_group_like_basis(ext):
