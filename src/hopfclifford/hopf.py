@@ -19,10 +19,14 @@ dense tensor, as for a generic quotient or a subalgebra's orthonormal
 basis, is accepted and scanned once.  The kernels of the algebra classes
 read a tensor through its nonzeros whenever it has at most d^2 of them
 (`Coo.sparse`), and through the dense tensor, built on first use,
-otherwise.  The axiom gate contracts over the nonzeros too, and takes the
-dense einsums only when a contraction would pair more than d^4 of them;
-the group-like test reads the dense tensor, as it only sees dense
-quotients.  The adjoint actions of the basis, S(e_k1) x
+otherwise.  The axiom gate contracts over the nonzeros too, in blocks of
+each contraction's leading output index that hold at most
+linalg.STACK_BYTES of pairs and give bitwise the unblocked residuals, and
+takes the dense einsums only when a whole contraction would pair more than
+d^4 of them.  The Hopf axioms are self-dual, so the dual's contraction and
+antipode residuals are read from the algebra's once its tensors are tested
+to be exactly the algebra's transposed (`verify_dual_axioms`); each pair of
+tensors is contracted once.  The adjoint actions of the basis, S(e_k1) x
 e_k2 and e_k1 x S(e_k2), have one kernel, `_adjoint_entries`, which the
 normality test, the antipode residuals and the conjugation matrices all
 read: chains of joins of the entries of Delta, S, x and `mult` kept in
@@ -276,13 +280,6 @@ class HopfAlgebraData(AlgebraData):
         """Delta(x) as a (d, d) coefficient matrix over e_i (x) e_j; (n, d, d) for rows x."""
         along = self.comult_coo.along((0,), np.asarray(x, complex).T)    # [i, j, ...]
         return np.moveaxis(along, (0, 1), (-2, -1))
-
-    def is_group_like_basis(self) -> bool:
-        """True iff every basis element is group-like with counit one."""
-        expect = np.zeros_like(self.comult)
-        for k in range(self.dim):
-            expect[k, k, k] = 1.0
-        return max_abs(self.comult - expect) < TOL_ALG and max_abs(self.counit - 1.0) < TOL_ALG
 
 
 @dataclass
@@ -585,33 +582,85 @@ def verify_hopf_axioms(A: HopfAlgebraData, tol: float = TOL_ALG) -> AxiomReport:
 
     Each residual is the max |entry| of the axiom's defect, NaN if any
     entry is NaN.  Associativity, coassociativity and bialgebra_mult are
-    contracted over the nonzeros of `mult` and `comult`
-    (`_sparse_contraction_residuals`); when one of those contractions would
-    pair more than d^4 nonzeros, as on a dense tensor, the dense einsums of
-    `_dense_contraction_residuals` run instead.  The choice is made from
-    the pair counts alone.
+    contracted over the nonzeros of `mult` and `comult`, in blocks of their
+    leading output index (`_sparse_contraction_residuals`); when one of
+    those contractions would pair more than d^4 nonzeros, as on a dense
+    tensor, the dense einsums of `_dense_contraction_residuals` run
+    instead.  The choice is made from the whole contractions' pair counts
+    alone.
     """
+    return AxiomReport(residuals=_axiom_residuals(A, _paired_residuals(A)), tol=tol)
+
+
+def verify_dual_axioms(D: HopfAlgebraData, A: HopfAlgebraData, rep: AxiomReport) -> AxiomReport:
+    """`verify_hopf_axioms(D, rep.tol)` for D = dual_hopf(A), given A's report `rep`.
+
+    The Hopf axioms are self-dual.  When D is exactly A transposed
+    (`_is_dual_of`, in O(nnz log nnz)), D's associativity and
+    coassociativity residuals are A's coassociativity and associativity,
+    and its bialgebra_mult and antipode residuals are A's: the same sums
+    over the same pairs of entries, read from `rep`.  Associativity and
+    coassociativity add them in the order a direct check of D would; on
+    entries that are not exact, as no constructor's are, the others may
+    differ from it in the last bits.  Otherwise D is checked directly.  The
+    O(d^2) residuals are computed on D either way.
+    """
+    if not _is_dual_of(D, A):
+        return AxiomReport(residuals=_axiom_residuals(D, _paired_residuals(D)), tol=rep.tol)
+    r = rep.residuals
+    paired = {"associativity": r["coassociativity"], "coassociativity": r["associativity"]}
+    paired.update((k, v) for k, v in r.items() if k == "bialgebra_mult" or k.startswith("antipode"))
+    return AxiomReport(residuals=_axiom_residuals(D, paired), tol=rep.tol)
+
+
+def _is_dual_of(D: HopfAlgebraData, A: HopfAlgebraData) -> bool:
+    """Whether D's `mult`, `comult` and antipode are exactly A's `comult`,
+    `mult` and antipode transposed, as `dual_hopf` makes them, and its unit
+    and counit A's counit and unit.  The entries are compared index by
+    index and value by value after one sort; a NaN makes it False."""
+    def same(x: Coo, y: Coo) -> bool:
+        (ix, vx), (iy, vy) = x.entries, y.entries
+        return np.array_equal(vx, vy) and all(map(np.array_equal, ix, iy))
+
+    if (D.antipode is None) != (A.antipode is None):
+        return False
+    return (same(D.mult_coo, A.comult_coo.transpose((1, 2, 0)))
+            and same(D.comult_coo, A.mult_coo.transpose((2, 0, 1)))
+            and np.array_equal(D.unit, A.counit) and np.array_equal(D.counit, A.unit)
+            and (A.antipode is None or np.array_equal(D.antipode, A.antipode.T)))
+
+
+def _paired_residuals(A: HopfAlgebraData) -> dict[str, float]:
+    """The residuals that pair entries of A's tensors: the three contractions
+    and, when A has an antipode, the antipode's."""
     try:
-        big = _sparse_contraction_residuals(A)
+        res = _sparse_contraction_residuals(A)
     except _TooManyPairs:
-        big = _dense_contraction_residuals(A.mult, A.comult)
+        res = _dense_contraction_residuals(A.mult, A.comult)
+    if A.antipode is not None:
+        res.update(antipode_residuals(A, A.antipode))
+    return res
+
+
+def _axiom_residuals(A: HopfAlgebraData, paired: dict[str, float]) -> dict[str, float]:
+    """Every residual of A, in report order: those of `paired` and the O(d^2)
+    ones, computed here."""
     eye = np.eye(A.dim)
     res = {
-        "associativity": big["associativity"],
+        "associativity": paired["associativity"],
         "unit": max_abs(A.left_mult_matrix(A.unit) - eye, A.right_mult_matrix(A.unit) - eye),
-        "coassociativity": big["coassociativity"],
+        "coassociativity": paired["coassociativity"],
         "counit": max_abs(A.comult_coo.along((1,), A.counit) - eye,
                           A.comult_coo.along((2,), A.counit) - eye),
         # Delta and eps are algebra maps
-        "bialgebra_mult": big["bialgebra_mult"],
+        "bialgebra_mult": paired["bialgebra_mult"],
         "bialgebra_counit": max_abs(A.mult_coo.along((2,), A.counit)
                                     - np.outer(A.counit, A.counit)),
         "bialgebra_unit": max_abs(A.apply_comult(A.unit) - np.outer(A.unit, A.unit),
                                   complex(A.counit @ A.unit) - 1.0),
     }
-    if A.antipode is not None:
-        res.update(antipode_residuals(A, A.antipode))
-    return AxiomReport(residuals=res, tol=tol)
+    res.update(paired)      # the antipode's residuals, when given, go last
+    return res
 
 
 def _dense_contraction_residuals(M: np.ndarray, D: np.ndarray) -> dict[str, float]:
@@ -633,57 +682,122 @@ class _TooManyPairs(Exception):
 def _sparse_contraction_residuals(A: HopfAlgebraData) -> dict[str, float]:
     """The residuals of `_dense_contraction_residuals`, contracted over the nonzeros.
 
-    Raises `_TooManyPairs` as soon as one contraction would pair more than
-    d^4 entries, the size of its dense result.
+    Each is the difference of two joins, formed in blocks of its leading
+    output index (`_blocked_residual`); the right side of bialgebra_mult
+    joins Delta(e_i) times mult with Delta(e_j) times mult, each formed
+    whole first.  Associativity's right side is led by its second operand,
+    whose first index is i: a key of it has one pair per value of p, added
+    in ascending p as when its first operand leads.  Raises
+    `_TooManyPairs` as soon as one join would pair more than d^4 entries,
+    the size of its dense result.
     """
     d = A.dim
     m, c = A.mult_coo.entries, A.comult_coo.entries
 
-    def ein(spec, a, b):
-        return _coo_einsum(spec, a, b, d)
-
     def residual(plus, minus):
-        return _max_abs_difference(plus, minus, (d,) * 4)
+        return _blocked_residual([_Join(*plus, d, lead=None), _Join(*minus, d, lead=None)], d)
 
-    return {"associativity": residual(ein("ijp,pkq->ijkq", m, m), ein("jkp,ipq->ijkq", m, m)),
-            "coassociativity": residual(ein("kij,iab->kabj", c, c), ein("kij,jab->kiab", c, c)),
-            "bialgebra_mult": residual(ein("ijp,pab->ijab", m, c),
-                                       ein("ibcu,jcbv->ijuv", ein("iab,acu->ibcu", c, m),
-                                           ein("jcd,bdv->jcbv", c, m)))}
+    return {"associativity": residual(("ijp,pkq->ijkq", m, m), ("jkp,ipq->ijkq", m, m)),
+            "coassociativity": residual(("kij,iab->kabj", c, c), ("kij,jab->kiab", c, c)),
+            "bialgebra_mult": residual(("ijp,pab->ijab", m, c),
+                                       ("ibcu,jcbv->ijuv", _coo_einsum("iab,acu->ibcu", c, m, d),
+                                        _coo_einsum("jcd,bdv->jcbv", c, m, d)))}
+
+
+def _blocked_residual(joins: Sequence["_Join"], d: int) -> float:
+    """max |plus - minus| of the joins plus and minus into (d,)^4, each led by
+    the operand its leading output index comes from, formed over contiguous
+    blocks of that index that hold at most linalg.STACK_BYTES of pairs (four
+    int64 indices and a complex value, 48 bytes a pair) unless one index
+    value alone holds more.  Raises `_TooManyPairs`, before any block is
+    formed, when either join pairs more than d^4 entries.
+
+    A block's pairs are the join's pairs of the leading operand's rows for
+    its index values, in the join's order, so every key of the block sums
+    the same terms in the same order as the unblocked difference, and the
+    max over the blocks is bitwise the unblocked max, NaN included.
+    """
+    for join in joins:
+        if join.total > d ** 4:
+            raise _TooManyPairs(f"{join.spec}: {join.total} pairs > {d ** 4}")
+    step = max(1, linalg.STACK_BYTES // 48)
+    if sum(join.total for join in joins) <= step:
+        return _max_abs_difference(*(join.pairs() for join in joins), (d,) * 4)
+    rows, pairs = [], 0
+    for join in joins:
+        # the leading operand's first row with first index >= v, v = 0..d
+        rows.append(np.searchsorted(join.operands[join.lead][0][0], np.arange(d + 1)))
+        pairs = pairs + np.concatenate([[0], np.cumsum(join.counts)])[rows[-1]]
+    out, lo = [], 0
+    while lo < d:
+        hi = max(lo + 1, int(np.searchsorted(pairs, pairs[lo] + step, side="right")) - 1)
+        plus, minus = (join.pairs(r[lo], r[hi]) for join, r in zip(joins, rows))
+        out.append(_max_abs_difference(plus, minus, (d,) * 4))
+        lo = hi
+    return max_abs(*out)
+
+
+class _Join:
+    """The sort-merge join `spec` of two COO operands on the indices they
+    share: the entries of the other operand sorted stably on their key
+    once, and for every entry of the leading one its matches among them.
+    `lead` is 0 for a, 1 for b, or None for the operand whose first index
+    is the output's first."""
+
+    def __init__(self, spec: str, a, b, d: int, lead: Optional[int] = 0):
+        self.spec = spec
+        inputs, self.out = spec.split("->")
+        self.subs = inputs.split(",")
+        self.operands = (a, b)
+        shared = [ch for ch in self.subs[0] if ch in self.subs[1]]
+
+        def keys(idx, s):
+            if len(shared) == 1:
+                return idx[s.index(shared[0])]
+            return np.ravel_multi_index([idx[s.index(ch)] for ch in shared], (d,) * len(shared))
+
+        if lead is None:
+            lead = 0 if self.subs[0][0] == self.out[0] else 1
+        self.lead = lead
+        ka, kb = keys(a[0], self.subs[0]), keys(b[0], self.subs[1])
+        k_lead, k_other = (ka, kb) if lead == 0 else (kb, ka)
+        self.order = np.argsort(k_other, kind="stable")
+        k_other = k_other[self.order]
+        self.lo = np.searchsorted(k_other, k_lead, side="left")
+        self.counts = np.searchsorted(k_other, k_lead, side="right") - self.lo
+        self.total = int(self.counts.sum())
+
+    def pairs(self, start: int = 0, stop: Optional[int] = None):
+        """The products of the pairs of the leading operand's entries
+        start..stop-1, in COO form with repeated output indices unsummed,
+        ordered by their entry of the leading operand, then by their entry
+        of the other."""
+        lo, counts = self.lo[start:stop], self.counts[start:stop]
+        total = int(counts.sum())
+        p_lead = np.repeat(np.arange(start, start + counts.size), counts)
+        p_other = self.order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)]
+        pa, pb = (p_lead, p_other) if self.lead == 0 else (p_other, p_lead)
+        (ia, va), (ib, vb) = self.operands
+        sa, sb = self.subs
+        idx = tuple(ia[sa.index(ch)][pa] if ch in sa else ib[sb.index(ch)][pb] for ch in self.out)
+        return idx, va[pa] * vb[pb]
 
 
 def _coo_einsum(spec: str, a, b, d: int, limit: Optional[int] = None):
     """Two-operand einsum over COO operands, summing every index they share.
 
     The pairs of entries that agree on the shared indices come from a
-    sort-merge join; their products are returned in COO form with repeated
-    output indices left unsummed.  Raises `_TooManyPairs`, before
-    allocating the pairs, when there are more of them than `limit`, by
-    default the number of entries of the dense result, d ** len(output).
+    sort-merge join (`_Join`); their products are returned in COO form with
+    repeated output indices left unsummed, ordered by their entry of a,
+    then by their entry of b.  Raises `_TooManyPairs`, before allocating the
+    pairs, when there are more of them than `limit`, by default the number
+    of entries of the dense result, d ** len(output).
     """
-    inputs, out = spec.split("->")
-    sa, sb = inputs.split(",")
-    (ia, va), (ib, vb) = a, b
-    shared = [ch for ch in sa if ch in sb]
-
-    def keys(idx, s):
-        if len(shared) == 1:
-            return idx[s.index(shared[0])]
-        return np.ravel_multi_index([idx[s.index(ch)] for ch in shared], (d,) * len(shared))
-
-    ka, kb = keys(ia, sa), keys(ib, sb)
-    order = np.argsort(kb, kind="stable")
-    kb = kb[order]
-    lo = np.searchsorted(kb, ka, side="left")
-    counts = np.searchsorted(kb, ka, side="right") - lo
-    total = int(counts.sum())
-    limit = d ** len(out) if limit is None else limit
-    if total > limit:
-        raise _TooManyPairs(f"{spec}: {total} pairs > {limit}")
-    pa = np.repeat(np.arange(ka.size), counts)
-    pb = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)]
-    idx = tuple(ia[sa.index(ch)][pa] if ch in sa else ib[sb.index(ch)][pb] for ch in out)
-    return idx, va[pa] * vb[pb]
+    join = _Join(spec, a, b, d)
+    limit = d ** len(join.out) if limit is None else limit
+    if join.total > limit:
+        raise _TooManyPairs(f"{spec}: {join.total} pairs > {limit}")
+    return join.pairs()
 
 
 def _scatter_sum(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:

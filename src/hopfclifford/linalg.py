@@ -29,7 +29,7 @@ RANK_RTOL = 1e-9    # singular values <= max(s[0] * RANK_RTOL, RANK_ATOL) count 
 RANK_ATOL = 1e-11
 TOL_ORTHO = 1e-12   # columns whose Gram matrix is I within this are an orthonormal basis as they stand
 JOIN_MIN_DIM = 32   # from this dimension on 0/1 operands are joined; below it dense forms cost less
-STACK_BYTES = 2 ** 25  # largest stack of d x d matrices a stacked kernel forms at once (32 MiB)
+STACK_BYTES = 2 ** 25  # most bytes a stacked kernel or an axiom-gate block forms at once (32 MiB)
 JSON_DIGITS = 10    # decimal digits kept in report JSON
 DEFAULT_SEED = 1729  # seed of every random draw when none is given
 

@@ -405,12 +405,13 @@ def as_group_algebra_surjection(pi: HopfSurjection, seed: int = DEFAULT_SEED
     The map onto kF, P^{-1} pi by least squares, is rounded to the 0/1
     map it is when every entry lies within TOL_NUM of 0 or 1, so that the
     kernels read its nonzeros; either way it must be a Hopf map within TOL_NUM.
+    F always comes from `group_algebra_form`, also when the quotient's basis
+    is group-like already, so its labels do not follow the sign or scale that
+    basis happens to have.
     """
     target = pi.target
     if not isinstance(target, HopfAlgebraData):
         return None
-    if target.is_group_like_basis():
-        return _group_from_group_like_basis(target), pi
     form = group_algebra_form(target, seed=seed)
     if form is None:
         return None
@@ -424,10 +425,3 @@ def as_group_algebra_surjection(pi: HopfSurjection, seed: int = DEFAULT_SEED
             "the projection onto the recognised kF is not a Hopf map")
     return F, HopfSurjection(source=pi.source, target=kF, matrix=matrix)
 
-
-def _group_from_group_like_basis(H: HopfAlgebraData) -> FiniteGroup:
-    """The group a group-like basis forms: mult[i, j] must be one basis vector."""
-    cayley = np.argmax(np.abs(H.mult), axis=2)
-    hit = np.take_along_axis(H.mult, cayley[:, :, None], axis=2)
-    require(max_abs(hit - 1.0), TOL_NUM, ConsistencyError, "basis is not closed as a group")
-    return FiniteGroup(cayley, labels=list(H.labels))

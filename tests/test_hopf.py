@@ -1,5 +1,7 @@
 """Hopf algebra constructors, axiom verification, and the subspace calculus."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis,
                                quotient_hopf, subspace_product,
                                verify_hopf_axioms)
 
-from conftest import change_basis, dense_rho, solve_antipode
+from conftest import A5_A4_C5, DUAL_S4_V4, S4_A4, change_basis, dense_rho, solve_antipode
 
 
 def coefficient_space(A, d_vec, seed=linalg.DEFAULT_SEED):
@@ -96,7 +98,8 @@ def test_antipode_closed_forms(c4, s3_group, counterexample, cocentral8):
 def test_antipode_residuals_once_per_pair(monkeypatch, c4):
     # a request computes each (algebra, S) pair once: the axiom gate reads
     # the check of A's and B's closed forms, and quotient_hopf's gate that
-    # of A/AB+'s pi S_A pi^H, where it computed 8 before
+    # of A/AB+'s pi S_A pi^H, where it computed 8 before; A*'s residuals
+    # are A's (verify_dual_axioms), where A*'s own check made 5
     computed = []
     adjoint = hopf._adjoint_entries
 
@@ -108,14 +111,18 @@ def test_antipode_residuals_once_per_pair(monkeypatch, c4):
     sc = scenarios.builtin_scenario("s4_counterexample")
     monkeypatch.setattr(hopf, "_adjoint_entries", counting)
     report = scenarios.run_scenario(sc)
-    assert len(computed) == len(set(computed)) == 5
+    assert len(computed) == len(set(computed)) == 4
     monkeypatch.undo()
-    # the gate reports the values of a fresh check
-    ext = scenarios.build_scenario(sc, report.seed)
-    for tag, alg in (("A", ext.A), ("B", ext.inc.small), ("A_dual", ext.dual)):
-        alg.checked_antipode = None
-        fresh = verify_hopf_axioms(alg).residuals
-        assert {k: report.axiom_residuals[f"{tag}.{k}"] for k in fresh} == fresh
+    # the gate reports the values of a fresh check, A*'s read from A's included
+    for sc in [sc] + [scenarios.builtin_scenario(name) for name in
+                      ("s3_a3_classical", "cocentral_c4_c2")] + [
+            scenarios.Scenario.from_dict(data) for data in (S4_A4, DUAL_S4_V4, A5_A4_C5)]:
+        report = scenarios.run_scenario(sc)
+        ext = scenarios.build_scenario(sc, report.seed)
+        for tag, alg in (("A", ext.A), ("B", ext.inc.small), ("A_dual", ext.dual)):
+            alg.checked_antipode = None
+            fresh = verify_hopf_axioms(alg).residuals
+            assert {k: report.axiom_residuals[f"{tag}.{k}"] for k in fresh} == fresh, sc.name
     # an antipode changed in place, or replaced, is checked afresh
     A = group_algebra(c4)
     assert verify_hopf_axioms(A).ok
@@ -317,16 +324,124 @@ def test_nan_fails_every_gate(tensor, index, axiom, monkeypatch):
 
 
 def test_sparse_gate_matches_dense(counterexample, cocentral8, classical, monkeypatch):
+    # no join pairs more entries than the dense result holds: the dense
+    # path is chosen on the whole joins' pair counts, before any is formed
+    formed, pairs = [], hopf._Join.pairs
+
+    def counted(join, *rows):
+        out = pairs(join, *rows)
+        formed.append(out[1].size)
+        return out
+
+    monkeypatch.setattr(hopf._Join, "pairs", counted)
     dense_path = []
     for name, ext in (("counterexample", counterexample), ("cocentral8", cocentral8),
                       ("classical", classical)):
         for tag, alg in (("A", ext.A), ("B", ext.inc.small), ("A*", ext.dual),
                          ("A/AB+", ext.generic_quotient.target)):
+            formed.clear()
             assert verify_hopf_axioms(alg).residuals == _dense_gate(alg, monkeypatch).residuals
+            assert max(formed, default=0) <= alg.dim ** 4
             if not _takes_sparse_path(alg):
                 dense_path.append((name, tag))
     # the d=2 generic quotient kC2 has dense tensors: 256 pairs > d^4 = 16
     assert dense_path == [("classical", "A/AB+")]
+
+
+def test_dual_gate_reads_a_or_checks_the_dual_directly(monkeypatch, counterexample, a5):
+    # A*'s residuals are read from A's only when its structure is exactly
+    # A's transposed; one entry off and A* is checked as verify_hopf_axioms
+    # checks it, failing the same axioms
+    contracted = []
+    sparse = hopf._sparse_contraction_residuals
+    monkeypatch.setattr(hopf, "_sparse_contraction_residuals",
+                        lambda A: contracted.append(A) or sparse(A))
+    for ext in (counterexample, a5):
+        A, D = ext.A, ext.dual
+        rep = verify_hopf_axioms(A)
+        contracted.clear()
+        assert hopf.verify_dual_axioms(D, A, rep).residuals == verify_hopf_axioms(D).residuals
+        assert contracted == [D]
+        (i, j, k), val = D.mult_coo.entries
+        hit = (i[0], j[0], k[0])
+        for name, index, value in (("mult", hit, val[0] + 0.1), ("unit", (1,), 0.1),
+                                   ("antipode", (0, 0), D.antipode[0, 0] + 0.1)):
+            parts = {"mult": D.mult.copy(), "unit": D.unit.copy(), "antipode": D.antipode.copy()}
+            parts[name][index] = value
+            off = HopfAlgebraData(parts["mult"], parts["unit"], D.comult_coo, D.counit,
+                                  antipode=parts["antipode"])
+            contracted.clear()
+            got = hopf.verify_dual_axioms(off, A, rep)
+            assert contracted == [off], name
+            off.checked_antipode = None
+            want = verify_hopf_axioms(off)
+            assert got.residuals == want.residuals
+            assert got.failing() == want.failing() != [], name
+
+
+def test_dual_gate_swaps_the_residuals_of_a(counterexample):
+    # an A that is no Hopf algebra, with exact entries: A*'s residuals read
+    # from A's are those of a direct check, associativity and
+    # coassociativity swapped
+    A = _broken(_broken(counterexample.A, "mult", (1, 2, 3), 0.5), "comult", (4, 5, 6), 0.25)
+    D = dual_hopf(A)
+    rep = verify_hopf_axioms(A)
+    got = hopf.verify_dual_axioms(D, A, rep).residuals
+    assert got == verify_hopf_axioms(D).residuals
+    assert (got["associativity"], got["coassociativity"]) == (
+        rep.residuals["coassociativity"], rep.residuals["associativity"])
+    assert 0 < got["coassociativity"] != got["associativity"] > 0
+
+
+def test_nan_in_a_fails_a_and_its_dual(counterexample):
+    broken = _broken(counterexample.A, "comult", (1, 2, 2), np.nan)
+    reps = {tag: rep for tag, _, rep in
+            scenarios.axiom_gate(Extension(broken, counterexample.inc), linalg.TOL_ALG)}
+    assert reps["B"].ok
+    for tag in ("A", "A_dual"):
+        assert not reps[tag].ok and np.isnan(reps[tag].max_residual), tag
+
+
+def test_blocks_are_bitwise_one_block(monkeypatch, counterexample, cocentral8, classical, a5):
+    # one leading index per block against one block for all of them: the
+    # same floats, NaN included, from a lower tracemalloc peak
+    rng = np.random.default_rng(13)
+    d = 12
+
+    def random_sparse():
+        idx = np.unravel_index(rng.choice(d ** 3, 3 * d * d // 4, replace=False), (d,) * 3)
+        return hopf.Coo.from_entries(d, idx, rng.standard_normal(idx[0].size)
+                                     + 1j * rng.standard_normal(idx[0].size))
+
+    pair = HopfAlgebraData(random_sparse(), np.ones(d), random_sparse(), np.ones(d))
+    algebras = [ext.A for ext in (counterexample, cocentral8, classical, a5)] + [pair]
+    algebras.append(_broken(counterexample.A, "mult", (3, 4, 7), np.nan))
+    blocks = []
+    difference = hopf._difference
+    monkeypatch.setattr(hopf, "_difference", lambda *a: blocks.append(1) or difference(*a))
+    for A in algebras:
+        one = hopf._sparse_contraction_residuals(A)
+        assert len(blocks) == 3
+        blocks.clear()
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "STACK_BYTES", 1)
+            many = hopf._sparse_contraction_residuals(A)
+        assert len(blocks) > 3 * A.dim // 2
+        blocks.clear()
+        assert many.keys() == one.keys()
+        assert np.array_equal(list(many.values()), list(one.values()), equal_nan=True)
+    assert np.isnan(many["associativity"]) and not np.isnan(many["coassociativity"])
+    assert min(hopf._sparse_contraction_residuals(pair).values()) > 1.0
+    peaks = []
+    for stack in (linalg.STACK_BYTES, 48 * 1000):
+        monkeypatch.setattr(linalg, "STACK_BYTES", stack)
+        tracemalloc.start()
+        try:
+            hopf._sparse_contraction_residuals(a5.A)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] / 2
 
 
 @pytest.mark.parametrize("tensor", ["mult", "comult"])

@@ -433,17 +433,39 @@ def test_builtin_report_bytes_pinned(tmp_path, capsys, name):
 
 
 def test_quotient_by_trivial_b():
-    # B = k1: A B+ = 0, so H is A on its own basis, which is group-like, and
-    # F is read off that basis with H's labels
+    # B = k1: A B+ = 0, so H is A on its own basis, which is group-like; F is
+    # recognised through group_algebra_form all the same, labels and all
     sc = Scenario.from_dict({"name": "s3_trivial_b", "construction": "group_algebra",
                              "group": {"generators": ["(1 2)", "(1 2 3)"], "names": ["t", "s"]},
                              "b_generators": ["e"], "alpha": "all"})
     ext = build_scenario(sc, 1729)
     assert np.array_equal(ext.generic_quotient.target.antipode, ext.A.antipode)
-    assert ext.F.labels == [f"h{i}" for i in range(6)]
+    assert ext.F.labels == ["1"] + [f"q{i}" for i in range(1, 6)]
     rep = run_scenario(sc, seed=1729)
     assert [r.direct_holds for r in rep.alpha_reports] == [True]
-    assert hashlib.sha256(rep.to_json().encode()).hexdigest().startswith("5445f6963de7")
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest().startswith("a1f53822e9bf")
+
+
+@pytest.mark.parametrize("gens", [["(1 2)", "(1 2 3)"], ["(1 2 3 4)"]], ids=["S3", "C4"])
+def test_quotient_group_labels_do_not_follow_the_sign_of_the_basis(monkeypatch, gens):
+    # k^G over B = A: H = A/AB+ is k, on the basis delta_1 or -delta_1 as the
+    # SVD of its complement gives it; F = 1 is labelled alike on either
+    sc = Scenario.from_dict({"name": "kg_over_itself", "construction": "dual_group_algebra",
+                             "group": {"generators": gens}, "b_generators": ["e"]})
+    plain = build_scenario(sc, 1729).generic_quotient.matrix
+    reports = [run_scenario(sc, seed=1729)]
+
+    def negated(A, B):
+        H, pi = hopf.quotient_hopf(A, B)
+        flipped = hopf.HopfAlgebraData(-H.mult, -H.unit, -H.comult, -H.counit,
+                                       labels=H.labels, antipode=H.antipode)
+        return flipped, hopf.HopfSurjection(A, flipped, -pi.matrix)
+
+    monkeypatch.setattr(clifford, "quotient_hopf", negated)
+    assert np.array_equal(build_scenario(sc, 1729).generic_quotient.matrix, -plain)
+    reports.append(run_scenario(sc, seed=1729))
+    assert reports[0].f_labels == reports[1].f_labels == ["1"]
+    assert reports[0].to_json() == reports[1].to_json()
 
 
 @pytest.mark.parametrize("alpha", ["g", "all"])

@@ -17,7 +17,7 @@ from hopfclifford.clifford import Extension, conjugation_matrices
 from hopfclifford.errors import (ConsistencyError, NotACharacterError,
                                  PreconditionError)
 from hopfclifford.groups import group_from_permutations
-from hopfclifford.hopf import (AlgebraData, HopfAlgebraData, SubspaceBasis,
+from hopfclifford.hopf import (AlgebraData, HopfAlgebraData, HopfSurjection, SubspaceBasis,
                                group_algebra, is_hopf_subalgebra,
                                subalgebra_data)
 from hopfclifford.repcalc import (Character, construct_irreducible_module,
@@ -89,8 +89,10 @@ def _graded_tensor_characters(ext):
     return clifford.graded_tensor_characters((right, left), [M])
 
 
-def _group_from_group_like_basis(ext):
-    return repcalc._group_from_group_like_basis(_with_nan(_kc3(), "mult", (1, 1, 2)))
+def _as_group_algebra_surjection(ext):
+    # kC3 on its own group-like basis, with a NaN in a product of two of them
+    H = _with_nan(_kc3(), "mult", (1, 1, 2))
+    return repcalc.as_group_algebra_surjection(HopfSurjection(H, H, np.eye(3, dtype=complex)))
 
 
 def _conjugation_matrix(ext):
@@ -130,7 +132,7 @@ NAN_CASES = [
     (_subalgebra_data, PreconditionError),
     (_component_bimodule, ConsistencyError),
     (_graded_tensor_characters, ConsistencyError),
-    (_group_from_group_like_basis, ConsistencyError),
+    (_as_group_algebra_surjection, ConsistencyError),
     (_conjugation_matrix, ConsistencyError),
     (_scalar_module, ConsistencyError),
     (_degree, ConsistencyError),
