@@ -27,11 +27,15 @@ irreducible B-characters alpha through each stage in one call:
     every f and every alpha with modules of one dimension in one stacked
     SVD, and
     S = A(H), with the criterion "correspondence holds iff Z = S iff
-    S is a Hopf subalgebra".  S, like the coset check's sums of
-    components, is the stack of the components' bases, with no fresh SVD,
-    whenever they are orthonormal together (`SubspaceBasis.spanned_by`):
-    for a bismash they are unit vectors, which the kernels of `hopf` read
-    through joins of their nonzeros.
+    S is a Hopf subalgebra".  S is the stack of the components' bases,
+    with no fresh SVD, whenever they are orthonormal together
+    (`SubspaceBasis.spanned_by`): for a bismash they are unit vectors, and
+    S, like B and Z, is a coordinate subspace, which `hopf` tests through
+    its support.
+
+The coset check forms no basis of pi(C_d) or of B C_d: it reads the
+products B C_d in the graded components, which must decompose A, and
+takes singular values only (`coset_projection_check`).
 
 Every cross-check and every error stays per alpha.  Cross-checks between
 the independent criteria raise TheoremViolationError on mismatch since any
@@ -145,11 +149,27 @@ class Extension:
 
     @cached_property
     def components(self) -> Optional[list[SubspaceBasis]]:
-        """Graded components A_f, f in F; None without a kF quotient."""
+        """Graded components A_f, f in F; None without a kF quotient.
+
+        They must decompose A: coordinate components on supports that
+        partition the coordinates, others orthonormal together and d in
+        all (A = B #_sigma kF is the direct sum of the A_f; Schneider, J.
+        Algebra 1992).  `coset_projection_check` reads coordinates in them.
+        """
         if self.piF is None:
             return None
         rho = comodule_map_rho(self.A, self.piF)
-        return [graded_component(self.A, rho, f) for f in range(self.F.order)]
+        comps = [graded_component(self.A, rho, f) for f in range(self.F.order)]
+        d = self.A.dim
+        if all(C.support is not None for C in comps):
+            direct = np.array_equal(np.sort(np.concatenate([C.support for C in comps])),
+                                    np.arange(d))
+        else:
+            U = np.hstack([C.matrix for C in comps])
+            direct = U.shape[1] == d and max_abs(U.conj().T @ U - np.eye(d)) <= TOL_ALG
+        if not direct:
+            raise ConsistencyError("the graded components do not decompose A")
+        return comps
 
     @cached_property
     def bimodules(self) -> tuple[np.ndarray, np.ndarray]:
@@ -710,14 +730,27 @@ def graded_stabilizer_analysis(ext: Extension, srs: Sequence[StabilizerResult]
     return out
 
 
-def _orthonormal_bases(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """`linalg.orthonormal_columns` of each matrix, from one stacked SVD per shape."""
-    out: list[np.ndarray] = [None] * len(mats)
-    for shape in dict.fromkeys(m.shape for m in mats):
-        rows = [r for r, m in enumerate(mats) if m.shape == shape]
-        for r, Q in zip(rows, linalg.orthonormal_columns(np.stack([mats[r] for r in rows]))):
-            out[r] = Q
-    return out
+def _spanned_sums(coords: np.ndarray, dims: np.ndarray, cols: np.ndarray):
+    """Column blocks cols[j]:cols[j+1] of `coords`, coordinates in a direct
+    sum of parts of dimensions `dims` stacked in order: for each block, the
+    parts it has mass on (TOL_ALG; a NaN counts), and whether it spans their
+    sum, its rows on them having full rank.  Ranks are read from singular
+    values alone, one stacked SVD per shape."""
+    part = np.repeat(np.arange(len(dims)), dims)
+    mass = np.maximum.reduceat(np.maximum.reduceat(
+        np.abs(coords), np.cumsum(dims) - dims, axis=0), cols[:-1], axis=1)   # [part, j]
+    met, blocks = [], []
+    for j, hit in enumerate(~(mass.T < TOL_ALG)):
+        met.append(tuple(np.flatnonzero(hit).tolist()))
+        blocks.append(coords[hit[part], cols[j]:cols[j + 1]])
+    ranks = [0] * len(blocks)
+    for shape in dict.fromkeys(m.shape for m in blocks):
+        at = [j for j, m in enumerate(blocks) if m.shape == shape]
+        if 0 not in shape:
+            values = linalg.svd(np.stack([blocks[j] for j in at]), compute_uv=False)
+            for j, sv in zip(at, values):
+                ranks[j] = linalg.numerical_rank(sv)
+    return met, [r == dims[list(m)].sum() for r, m in zip(ranks, met)]
 
 
 def coset_projection_check(ext: Extension) -> dict:
@@ -727,9 +760,28 @@ def coset_projection_check(ext: Extension) -> dict:
     indicator sum of a subset F_j of F, pi maps the subcoalgebra C_d of d
     onto span{F_j}, B C_d equals the sum of the graded components over F_j,
     the supports partition F, and the distinct subspaces B C_d decompose A.
-    The images pi(C_d) and the products B C_d of every d come from one
-    product each with the stacked bases [C_1 ... C_k]; their bases are one
-    stacked SVD per degree.
+    No basis of pi(C_d) or of B C_d is formed; each test reads coordinates,
+    and each rank is read from singular values alone:
+
+    * pi(C_d) = span{F_j} iff the rows of pi C_d off F_j vanish (it lies
+      in the span) and its rows on F_j have rank |F_j| (it has the span's
+      dimension); with every row of F_j nonzero, as rank |F_j| needs, that
+      is: the rows it has mass on are F_j, and they have full rank.
+    * The A_f decompose A (`Extension.components` checks it), so the
+      products B C_d, read in them -- a row gather for coordinate
+      components, else U^H x on their orthonormal stack U -- lie in the sum
+      of the components M_d they have mass on, and equal it iff their
+      blocks on M_d have full rank, the sum of those dim A_f.  Then B C_d
+      equals the sum over F_j iff moreover M_d = F_j: the mass off F_j is
+      the containment, the rank the span.
+    * When every B C_d is such a full sum, two are equal iff their M_d are,
+      as the sum of the A_f is direct: the distinct cosets are counted by
+      the distinct M_d, and they decompose A iff those partition F, since
+      the A_f decompose A.  A B C_d that is a proper subspace of its sum
+      leaves the decomposition unproved, and it reads false.
+
+    pi C_d and B C_d of every d come from one product each with the
+    stacked bases [C_1 ... C_k].
     """
     A, piF, F, components = ext.A, ext.piF, ext.F, ext.components
     piM = piF.matrix
@@ -749,45 +801,30 @@ def coset_projection_check(ext: Extension) -> dict:
         supports.append(support)
 
     stacked = np.hstack([C.matrix for C in spaces])
-    ends = np.cumsum([C.dim for C in spaces])[:-1]
-    img_bases = _orthonormal_bases(np.split(piM @ stacked, ends, axis=1))
-    products = np.split(A.products(ext.b_sub.matrix, stacked), ends, axis=2)
-    bc_bases = _orthonormal_bases([p.reshape(A.dim, -1) for p in products])
+    cols = np.cumsum([0] + [C.dim for C in spaces])             # C_j is columns cols[j]..
+    # products[:, (c, m)] = b_m C[:, c], so B C_j is columns |B| cols[j]..
+    products = A.products(ext.b_sub.matrix, stacked).transpose(0, 2, 1).reshape(A.dim, -1)
+    rows = [C.support for C in components]
+    if all(r is not None for r in rows):
+        coords = products[np.concatenate(rows)]
+    else:
+        coords = np.hstack([C.matrix for C in components]).conj().T @ products
+    image_met, image_full = _spanned_sums(piM @ stacked, np.ones(F.order, int), cols)
+    met, full = _spanned_sums(coords, np.array([C.dim for C in components]),
+                              ext.b_sub.dim * cols)
+    images_match = all(image_full) and image_met == supports
+    cosets_match = all(full) and met == supports
 
-    images_match = cosets_match = True
-    cosets: list[SubspaceBasis] = []
-    for support, img, bc in zip(supports, img_bases, bc_bases):
-        span = np.zeros((F.order, len(support)), dtype=complex)
-        for c, f in enumerate(support):
-            span[f, c] = 1.0
-        images_match &= linalg.subspace_equal(img, span, TOL_ALG)
-        bc = SubspaceBasis(A, bc)
-        graded = SubspaceBasis.spanned_by(A, np.hstack([components[f].matrix for f in support]))
-        cosets_match &= bc.equals(graded)
-        cosets.append(bc)
-
-    support_sets = sorted(set(supports))
-    flat = [f for sup in support_sets for f in sup]
-    partition_ok = sorted(flat) == list(range(F.order))
-
-    distinct: list[SubspaceBasis] = []
-    for bc in cosets:
-        if not any(bc.equals(other) for other in distinct):
-            distinct.append(bc)
-    total = sum(bc.dim for bc in distinct)
-    disjoint_ok = True
-    stacked = np.hstack([bc.matrix for bc in distinct])
-    if linalg.orthonormal_columns(stacked).shape[1] != total:
-        disjoint_ok = False
-    decomposition_ok = disjoint_ok and total == A.dim
+    def partition(sets) -> bool:
+        return sorted(f for s in set(sets) for f in s) == list(range(F.order))
 
     return {
         "uniform_coefficient_residual": max_abs(*uniform_defects),
-        "image_spans_match": images_match,
-        "coset_components_match": cosets_match,
-        "supports_partition": bool(partition_ok),
-        "coset_decomposition": bool(decomposition_ok),
-        "num_cosets": len(distinct),
+        "image_spans_match": bool(images_match),
+        "coset_components_match": bool(cosets_match),
+        "supports_partition": partition(supports),
+        "coset_decomposition": all(full) and partition(met),
+        "num_cosets": len(set(met)),
     }
 
 

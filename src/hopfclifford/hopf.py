@@ -37,23 +37,30 @@ dimension n^2 is the range of a seeded Gaussian sketch with n^2 + 1
 columns, gated on its rank and on holding every coefficient, not the SVD
 of a d x d matrix; `coefficient_spaces` takes every irreducible dual
 character at once, and the sketches of one degree, which share their
-Gaussian columns, are one stacked SVD.  The 0/1 operands (bases of unit
-vectors, as the graded components A_f and S = A(H) are, the embedding of
-k^G, the projection onto kF, a permutation antipode) enter in COO form too
-(`_entries`): from dimension JOIN_MIN_DIM on, when each holds at most d
-nonzeros and the tensors are sparse and finite (`_joins_apply`), the
-Hopf-subalgebra test, the Hopf-map residual and `products` join them with
-`mult` and `comult` and reduce the results through `_difference`, so that
-their cost follows the nonzeros; each has one dense form, taken otherwise
-and when a join would pair more entries than its limit (`_TooManyPairs`).
-Below JOIN_MIN_DIM the dense forms cost less than the joins' sorting.
-Cocentrality, once per request, is joins only, at every dimension.  The
-comodule map rho is kept in COO form, and a graded component A_f is the
-span of the nonzero columns of rho_f, which are its basis as they stand
-when they are orthonormal.  The dense form of the Hopf-subalgebra test
-reads "x in V" through V itself.  Checks compare against the thresholds
-named in `linalg`; only `verify_hopf_axioms` takes a tolerance, since the
-scenario's `tolerances.alg` and the quotient's TOL_NUM differ.
+Gaussian columns, are one stacked SVD.  A coordinate subspace, the span
+of some basis vectors (B = k^G, kN, every A_f = B u_f, S = A(H), and every
+stabilizer Z met), carries its `support`, whatever orthonormal basis it
+stores, and the support alone selects its form at every dimension:
+containment and equality read the other basis's rows off the support, the
+Hopf-subalgebra test reads the entries of `unit`, `mult`, `comult` and
+the antipode that leave it, and normality sums the adjoint entries whose
+output leaves it.  The other 0/1 operands (the embedding of k^G, the
+projection onto kF, a permutation antipode, a basis with several ones a
+column) enter in COO form too (`_entries`): from dimension JOIN_MIN_DIM
+on, when each holds at most d nonzeros and the tensors are sparse and
+finite (`_joins_apply`), the Hopf-subalgebra test, the Hopf-map residual
+and `products` join them with `mult` and `comult` and reduce the results
+through `_difference`, so that their cost follows the nonzeros; each has
+one dense form, taken otherwise and when a join would pair more entries
+than its limit (`_TooManyPairs`).  Below JOIN_MIN_DIM the dense forms
+cost less than the joins' sorting.  Cocentrality, once per request, is
+joins only, at every dimension.  The comodule map rho is kept in COO
+form, and a graded component A_f is the span of the nonzero columns of
+rho_f, which are its basis as they stand when they are orthonormal.  The
+dense form of the Hopf-subalgebra test reads "x in V" through V itself.
+Checks compare against the thresholds named in `linalg`; only
+`verify_hopf_axioms` takes a tolerance, since the scenario's
+`tolerances.alg` and the quotient's TOL_NUM differ.
 """
 
 from __future__ import annotations
@@ -284,10 +291,28 @@ class HopfAlgebraData(AlgebraData):
 
 @dataclass
 class SubspaceBasis:
-    """Subspace of an algebra, stored as orthonormal columns."""
+    """Subspace of an algebra, stored as orthonormal columns.
+
+    A coordinate subspace, the span of some basis vectors e_t, has a
+    `support`, those t, whatever orthonormal basis of it is stored, and is
+    tested through it by index reads; any other has none.
+    """
 
     parent: AlgebraData
     matrix: np.ndarray
+
+    @cached_property
+    def support(self) -> Optional[np.ndarray]:
+        """The sorted rows that carry the basis, when exactly dim of them do
+        and every other row vanishes within linalg.TOL_SUPPORT; else None,
+        as for a basis with a NaN or Inf.  Orthonormal columns on k rows,
+        the rest within that threshold, span the unit vectors of those rows
+        up to it: each of those rows then has norm close to 1."""
+        M = self.matrix
+        if not np.isfinite(M).all():
+            return None
+        rows = np.flatnonzero(np.abs(M).max(axis=1, initial=0.0) > linalg.TOL_SUPPORT)
+        return rows if rows.size == self.dim else None
 
     @classmethod
     def from_vectors(cls, parent: AlgebraData, vectors: np.ndarray) -> "SubspaceBasis":
@@ -310,10 +335,29 @@ class SubspaceBasis:
         return int(self.matrix.shape[1])
 
     def contains(self, other: "SubspaceBasis") -> bool:
-        return linalg.contains_vectors(self.matrix, other.matrix, TOL_ALG)
+        """Every column of `other` lies in the span within TOL_ALG: for a
+        coordinate subspace, the rows of `other` off its support, which
+        are what the projection leaves."""
+        if self.support is None:
+            return linalg.contains_vectors(self.matrix, other.matrix, TOL_ALG)
+        return max_abs(other.matrix[_off(len(self.matrix), self.support)]) < TOL_ALG
 
     def equals(self, other: "SubspaceBasis") -> bool:
+        """Equal spans: of equal dimension, and one holds the other when it
+        is a coordinate subspace, else each holds the other."""
+        if self.dim != other.dim:
+            return False
+        if self.support is not None or other.support is not None:
+            big, small = (self, other) if self.support is not None else (other, self)
+            return big.contains(small)
         return linalg.subspace_equal(self.matrix, other.matrix, TOL_ALG)
+
+
+def _off(dim: int, support: np.ndarray) -> np.ndarray:
+    """The mask of the coordinates 0..dim-1 that are not in `support`."""
+    out = np.ones(dim, dtype=bool)
+    out[support] = False
+    return out
 
 
 @dataclass
@@ -875,25 +919,31 @@ def is_hopf_subalgebra(A: HopfAlgebraData, V: SubspaceBasis) -> bool:
     read = (A.unit, A.antipode, V.matrix, A.mult_coo.entries[1], A.comult_coo.entries[1])
     if not all(np.isfinite(x).all() for x in read):
         return False
-    return all(residual < TOL_ALG for residual in _subalgebra_residuals(A, V.matrix))
+    return all(residual < TOL_ALG for residual in _subalgebra_residuals(A, V.matrix, V.support))
 
 
-def _subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
+def _subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray,
+                          support: Optional[np.ndarray] = None):
     """The residuals of the Hopf-subalgebra test on V = span(Vb), in order:
     |Q 1|, the largest |entry| of Q v_a v_b, the largest ||Delta(v_a) -
     P Delta(v_a) P^T||_F and the largest |entry| of Q S(v_a), over the
     columns v_a of Vb, with P = V V^H and Q = I - P.  V = A has nothing
     outside it and yields no residual.
 
-    When V and S are 0/1 (`_joins_apply`), as the stacked graded components
-    S = A(H) and a bismash's antipode are, each residual is a chain of joins
-    of their entries with `mult` and `comult` (`_joined_subalgebra_residuals`).
-    Otherwise, or from the residual whose join would pair more than d^2
-    entries, the dense residuals on V (`_dense_subalgebra_residuals`) are
-    read.
+    The `support` of a coordinate V alone selects its form, at every
+    dimension: the residuals on its unit vectors, read from the entries
+    that leave it (`_coordinate_subalgebra_residuals`).  Otherwise, when V
+    and S are 0/1 (`_joins_apply`), as a bismash's antipode is, each
+    residual is a chain of joins of their entries with `mult` and `comult`
+    (`_joined_subalgebra_residuals`); otherwise, or from the residual whose
+    join would pair more than d^2 entries, the dense residuals on V
+    (`_dense_subalgebra_residuals`) are read.
     """
     d, k = Vb.shape
     if k == d:
+        return
+    if support is not None:
+        yield from _coordinate_subalgebra_residuals(A, support)
         return
     done = 0
     if _joins_apply(d, (A.mult_coo, A.comult_coo), (Vb, A.antipode)):
@@ -905,6 +955,24 @@ def _subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
         except _TooManyPairs:
             pass
     yield from itertools.islice(_dense_subalgebra_residuals(A, Vb), done, None)
+
+
+def _coordinate_subalgebra_residuals(A: HopfAlgebraData, support: np.ndarray):
+    """The residuals of `_subalgebra_residuals` on the unit vectors e_t of
+    `support`, read by masks from the entries that leave it: P is the
+    identity on those rows and zero elsewhere, so Q 1 is the unit off the
+    support, Q e_s e_t the entries mult[s, t, o] with o off it, Delta(e_t)
+    - P Delta(e_t) P^T the entries comult[t, i, j] with i or j off it,
+    summed per t by `np.bincount`, and Q S(e_t) the antipode's rows off it.
+    They depend on the span alone, not on the basis V stores."""
+    off = _off(A.dim, support)
+    yield np.linalg.norm(A.unit[off])
+    (i, j, o), val = A.mult_coo.entries
+    yield max_abs(val[~off[i] & ~off[j] & off[o]])
+    (t, i, j), val = A.comult_coo.entries
+    leave = ~off[t] & (off[i] | off[j])
+    yield max_abs(np.sqrt(np.bincount(t[leave], np.abs(val[leave]) ** 2, A.dim)))
+    yield max_abs(A.antipode[np.ix_(off, ~off)])
 
 
 def _joined_subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
@@ -960,12 +1028,19 @@ def is_normal_hopf_subalgebra(A: HopfAlgebraData, B: SubspaceBasis) -> bool:
     """True iff a_1 b S(a_2) stays in span(B) for all basis a and b in B.
 
     The images are the left adjoint action of the basis on the columns of
-    B (`_adjoint_entries`), summed into one column per (a, b).
+    B (`_adjoint_entries`).  For a coordinate B only the entries whose
+    output leaves its support are summed, per image and output, which is
+    what the projection leaves; otherwise they are summed into one column
+    per (a, b) and projected.
     """
     if not is_hopf_subalgebra(A, B):
         raise PreconditionError("B is not a Hopf subalgebra")
     d, n = A.dim, B.dim
     (k, m, o), val = _adjoint_entries(A, A.antipode, B.matrix, left=True)
+    if B.support is not None:
+        leave = _off(d, B.support)[o]
+        idx = (k[leave], m[leave], o[leave])
+        return max_abs(_coalesce((idx, val[leave]), (d, n, d))[1]) < TOL_ALG
     images = _scatter_sum((o * d + k) * n + m, val, d * d * n).reshape(d, d * n)
     return linalg.contains_vectors(B.matrix, images, TOL_ALG)
 

@@ -28,6 +28,7 @@ COND_LIMIT = 1e8    # largest condition number of a semisimple algebra's regular
 RANK_RTOL = 1e-9    # singular values <= max(s[0] * RANK_RTOL, RANK_ATOL) count as zero
 RANK_ATOL = 1e-11
 TOL_ORTHO = 1e-12   # columns whose Gram matrix is I within this are an orthonormal basis as they stand
+TOL_SUPPORT = 1e-12  # a basis row whose entries all lie within this is off the subspace's support
 JOIN_MIN_DIM = 32   # from this dimension on 0/1 operands are joined; below it dense forms cost less
 STACK_BYTES = 2 ** 25  # most bytes a stacked kernel or an axiom-gate block forms at once (32 MiB)
 JSON_DIGITS = 10    # decimal digits kept in report JSON

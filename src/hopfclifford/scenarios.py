@@ -430,7 +430,8 @@ def _action_table_rows(mp: MatchedPair) -> dict:
 
 
 def resolve_alpha_selection(selection, ext: clifford.Extension) -> list[int]:
-    """Indices of Irr(B) selected by 'all', an index, or a label."""
+    """Indices of Irr(B) selected by 'all', an index, or a label: one of the
+    `alpha_labels` the report prints, or chiK for index K."""
     n = len(ext.dec_b.irr)
     if selection is None or selection == "all":
         return list(range(n))
@@ -444,11 +445,9 @@ def resolve_alpha_selection(selection, ext: clifford.Extension) -> list[int]:
     if isinstance(selection, str):
         if selection.startswith("chi") and selection[3:].isdigit():
             return resolve_alpha_selection(selection[3:], ext)
-        if ext.mp is not None and selection in ext.mp.g_group.labels:
-            want = ext.mp.g_group.labels.index(selection)
-            hits = [k for k, sup in enumerate(ext.supports) if sup == want]
-            if len(hits) == 1:
-                return hits
+        hits = [k for k, label in enumerate(ext.alpha_labels) if label == selection]
+        if len(hits) == 1:
+            return hits
         raise ConfigError(f"cannot resolve alpha selection {selection!r}")
     raise ConfigError(f"cannot resolve alpha selection {selection!r}")
 

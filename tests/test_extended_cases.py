@@ -16,6 +16,7 @@ from hopfclifford.groups import (Subgroup, all_subgroups, derive_actions,
                                  group_from_permutations, is_exact_factorization,
                                  is_invariant_subgroup_under_lact)
 from hopfclifford.hopf import verify_hopf_axioms
+from hopfclifford.linalg import TOL_MATCH
 from hopfclifford.repcalc import DEFAULT_SEED
 from hopfclifford.scenarios import Scenario, build_scenario, run_scenario
 
@@ -111,9 +112,10 @@ SMALL_GROUPS = [
                          ids=[c[0] for c in SMALL_GROUPS])
 def test_every_exact_factorization_runs_end_to_end(name, gens, count, nontrivial, alphas):
     # each run builds the bismash, passes the axiom gate, the class formulas,
-    # the coset check, every alpha and the cocentral sweep, or raises; the
-    # verdict of each alpha must also be the prediction "its grading
-    # stabilizer H is invariant under |>", from the action table alone
+    # every alpha and the cocentral sweep, or raises; the coset check
+    # raises on none of its flags, so each is read here.  The verdict of
+    # each alpha must also be the prediction "its grading stabilizer H is
+    # invariant under |>", from the action table alone
     group = group_from_permutations(gens)
     subs = all_subgroups(group)
     pairs = [(f, g) for f in subs for g in subs
@@ -127,6 +129,10 @@ def test_every_exact_factorization_runs_end_to_end(name, gens, count, nontrivial
             "name": name, "construction": "bismash", "sigma": {"generators": gens},
             "f_generators": [group.labels[m] for m in f.members],
             "g_generators": [group.labels[m] for m in g.members]}))
+        check = rep.coset_check
+        assert all(check[flag] for flag in ("image_spans_match", "coset_components_match",
+                                            "supports_partition", "coset_decomposition"))
+        assert check["uniform_coefficient_residual"] <= TOL_MATCH
         for r in rep.alpha_reports:
             h = Subgroup(mp.f_group, r.graded.h_members)
             assert r.direct_holds is is_invariant_subgroup_under_lact(mp, h)

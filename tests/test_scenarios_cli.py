@@ -121,6 +121,31 @@ def test_alpha_selection_forms():
         run_scenario(sc, alpha_selection=99)
 
 
+@pytest.mark.parametrize("name", list(scenarios.BUILTIN_NAMES) + ["s4_a4", "dual_s4_v4"])
+def test_every_printed_alpha_label_selects_its_index(tmp_path, capsys, name):
+    # the report's own labels, group elements of a dual group algebra's B
+    # included (dual_s4_v4 prints d([1]), which resolved to nothing before);
+    # a label of digits reads as an index, as digits always have
+    if name in SCENARIO_FILES:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(SCENARIO_FILES[name]))
+        source = ["--scenario", str(path)]
+        sc = Scenario.from_dict(SCENARIO_FILES[name])
+    else:
+        source = ["--builtin", name]
+        sc = builtin_scenario(name)
+    ext = build_scenario(sc, resolve_seed(sc))
+    for k, label in enumerate(ext.alpha_labels):
+        want = int(label) if label.isdigit() else k
+        assert scenarios.resolve_alpha_selection(label, ext) == [want], label
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", *source, "--alpha", label, "--json", str(out)]) == 0
+        (report,) = json.loads(out.read_text())["alphas"]
+        assert report["alpha_index"] == want
+    assert cli.main(["analyze", *source, "--alpha", "d([nowhere])"]) == 2
+    capsys.readouterr()
+
+
 def test_verdicts_stable_across_seeds():
     sc = builtin_scenario("s4_counterexample")
     snapshots = []

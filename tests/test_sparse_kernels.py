@@ -510,10 +510,12 @@ def test_graded_kernels_build_no_cube(monkeypatch, counterexample, cocentral8, c
     # graded components hold no d^2 k or d^3 array: the dense Hopf-subalgebra
     # test held (d, d, codim S) legs, the Hopf-map residual (d^2, |F|) and
     # (|G|, d, d) contractions, cocentrality two (d, d, |F|) arrays and the
-    # comodule map a (d, |F|, d) one
+    # comodule map a (d, |F|, d) one.  S is a coordinate subspace, read
+    # through its support by masks of at most d entries
     exts = _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4, a5)
     graded = {name: [S for S in _graded_sums(ext) if S.dim < ext.A.dim]
               for name, ext in exts.items()}
+    assert all(S.support is not None for sums in graded.values() for S in sums)
     sizes: list[int] = []
     monkeypatch.setattr(linalg, "JOIN_MIN_DIM", 1)
     _recording_array_sizes(monkeypatch, sizes)
@@ -528,7 +530,10 @@ def test_graded_kernels_build_no_cube(monkeypatch, counterexample, cocentral8, c
             return out
 
         for S in graded[name]:
-            assert built(lambda: is_hopf_subalgebra(A, S), S.dim) is _projector_verdict(A, S)
+            sizes.clear()
+            path, got = _subalgebra_path(lambda: is_hopf_subalgebra(A, S))
+            assert path == "coordinate" and max(sizes, default=0) <= d, name
+            assert got is _projector_verdict(A, S), name
         assert built(lambda: hopf.hopf_map_residual(inc.small, A, inc.embedding),
                      inc.small.dim) < 1e-12
         # a bismash's projection is 0/1, and so is one found from a generic
@@ -539,7 +544,7 @@ def test_graded_kernels_build_no_cube(monkeypatch, counterexample, cocentral8, c
         fresh = Extension(A, inc, piF=piF, F=ext.F)
         comps = built(lambda: fresh.components, nf)
         assert all(c.equals(want) for c, want in zip(comps, ext.components))
-    # S = A(H) is read through the joins, except where A(H) = A
+    # S = A(H) is read through its support, except where A(H) = A
     assert any(graded.values())
 
 
@@ -746,12 +751,24 @@ def _projector_verdict(A, V):
 
 
 def _residuals_match_projectors(A, V):
-    got = list(hopf._subalgebra_residuals(A, V.matrix))
-    want = _projector_residuals(A, V.matrix)
+    """The residuals `is_hopf_subalgebra` reads on V against P = V V^H on the
+    basis they are taken on: V's own, or, for a coordinate V, the unit
+    vectors of its support, whichever basis of the span V stores."""
+    got = list(hopf._subalgebra_residuals(A, V.matrix, V.support))
+    basis = V.matrix if V.support is None else np.eye(A.dim, dtype=complex)[:, V.support]
+    want = _projector_residuals(A, basis)
     if V.dim == A.dim:                  # V = A: nothing lies outside it
         assert got == [] and max(want) < 1e-12
     else:
         assert np.max(np.abs(np.subtract(got, want))) < 1e-10
+
+
+def _coordinate_bases(V, rng):
+    """Three bases of the coordinate span V: its unit vectors, those with
+    random signs, and those rotated by a random unitary."""
+    E = np.eye(V.matrix.shape[0], dtype=complex)[:, V.support]
+    signs = np.where(rng.random(V.dim) < 0.5, -1.0, 1.0)
+    return [E, E * signs, E @ np.linalg.qr(_random(rng, V.dim, V.dim))[0]]
 
 
 def _graded_sums(ext):
@@ -782,6 +799,83 @@ def test_hopf_subalgebra_matches_projectors(counterexample, a5):
             _residuals_match_projectors(A, V)
     # both verdicts, and subspaces thinner and thicker than d/2, are reached
     assert set(verdicts) == set(thick) == {True, False}
+
+
+def test_coordinate_forms_match_projectors(counterexample, cocentral8, classical, a5):
+    # B, Z and S = A(H) of every alpha are coordinate spans.  On their unit
+    # vectors, with random signs and rotated, each keeps its support; the
+    # residuals read from the entries that leave it are the projector's on
+    # the unit vectors, the verdict is the projector's on the basis given,
+    # and contains and equals are the projections'
+    rng = np.random.default_rng(67)
+    verdicts = set()
+    for ext in (counterexample, cocentral8, classical, a5):
+        A = ext.A
+        for V in _stabilizer_subspaces(ext):
+            assert V.support is not None
+            other = SubspaceBasis(A, np.roll(np.eye(A.dim, dtype=complex), 1, axis=0)[:, V.support])
+            for M in _coordinate_bases(V, rng):
+                W = SubspaceBasis(A, M)
+                assert np.array_equal(W.support, V.support)
+                verdicts.add(is_hopf_subalgebra(A, W))
+                assert is_hopf_subalgebra(A, W) is _projector_verdict(A, W)
+                _residuals_match_projectors(A, W)
+                for X, Y in ((V, W), (W, V), (W, other), (other, W), (W, ext.b_sub)):
+                    assert X.contains(Y) is linalg.contains_vectors(X.matrix, Y.matrix, 1e-8)
+                    assert X.equals(Y) is linalg.subspace_equal(X.matrix, Y.matrix, 1e-8)
+    assert verdicts == {True, False}
+
+
+def test_coordinate_forms_fail_on_nan(counterexample, a5):
+    # a NaN in mult, comult, the antipode or V fails the test of a coordinate
+    # Hopf subalgebra, on an entry that leaves its support, which the
+    # coordinate form reads, and on one that does not; contains and equals
+    # read a NaN in the other basis
+    for ext in (counterexample, a5):
+        A, B = ext.A, ext.b_sub
+        d, inside = A.dim, B.support
+        off = np.setdiff1d(np.arange(d), inside)
+        s, t, o = inside[0], inside[-1], off[0]
+        assert is_hopf_subalgebra(A, B)
+        for tensor, read, unread in (("mult", (s, t, o), (o, o, s)),
+                                     ("comult", (s, s, o), (o, s, s))):
+            for index in (read, unread):
+                broken = _copy(A, tensor, index, np.nan)
+                assert is_hopf_subalgebra(broken, B) is False
+            residuals = list(hopf._coordinate_subalgebra_residuals(_copy(A, tensor, read, np.nan),
+                                                                   inside))
+            assert np.isnan(residuals).any()
+        for index in ((o, s), (s, o)):
+            S = A.antipode.copy()
+            S[index] = np.nan
+            broken = HopfAlgebraData(A.mult_coo, A.unit, A.comult_coo, A.counit, antipode=S)
+            assert is_hopf_subalgebra(broken, B) is False
+        M = B.matrix.copy()
+        M[o, 0] = np.nan
+        V = SubspaceBasis(A, M)
+        assert V.support is None and is_hopf_subalgebra(A, V) is False
+        assert not B.contains(V) and not B.equals(V) and not V.equals(B)
+
+
+def test_normality_reads_the_support(counterexample, s4_a4, a5, s4_sigma):
+    # a coordinate B sums only the adjoint entries that leave its support,
+    # with no (d, d |B|) scatter; on rotated bases of the same span, and for
+    # kA4 and kS3 in kS4, it gives the projection's verdict
+    rng = np.random.default_rng(73)
+    for ext in (counterexample, s4_a4, a5):
+        A, B = ext.A, ext.b_sub
+        assert B.support is not None
+        for M in _coordinate_bases(B, rng):
+            assert is_normal_hopf_subalgebra(A, SubspaceBasis(A, M))
+    A = group_algebra(s4_sigma)
+    d = A.dim
+    for gens, normal in ((("s", "gg"), True), (("s", "t"), False)):
+        B = _subgroup_algebra(A, s4_sigma, gens)
+        assert B.support is not None
+        (k, m, o), val = hopf._adjoint_entries(A, A.antipode, B.matrix, left=True)
+        images = hopf._scatter_sum((o * d + k) * B.dim + m, val, d * d * B.dim)
+        assert linalg.contains_vectors(B.matrix, images.reshape(d, -1), 1e-8) is normal
+        assert is_normal_hopf_subalgebra(A, B) is normal
 
 
 def test_hopf_subalgebra_in_a_unitary_basis(s4_sigma, counterexample):
@@ -828,17 +922,20 @@ def test_subspaces_that_are_not_hopf_subalgebras(monkeypatch, counterexample, a5
 
 
 def test_hopf_subalgebra_reads_the_thinner_side(monkeypatch, a5):
-    # B (dim 5 of 60) is read on itself: through the joins on its 0/1 basis,
-    # through V on a dense basis of the same span; no null space is taken.
+    # B (dim 5 of 60) is read on itself: through its support on its 0/1
+    # basis and on a rotated basis of the same span, through V on a dense
+    # basis of a span that is not coordinate; no null space is taken.
     # V = A yields no residual: neither V.V nor Delta(V), 3.5 MB each, is
     # formed
     A = a5.A
-    rotated = SubspaceBasis(A, a5.b_sub.matrix @ np.linalg.qr(
-        _random(np.random.default_rng(53), 5, 5))[0])
+    rng = np.random.default_rng(53)
+    rotated = SubspaceBasis(A, a5.b_sub.matrix @ np.linalg.qr(_random(rng, 5, 5))[0])
+    tilted = SubspaceBasis(A, np.linalg.qr(_random(rng, 60, 60))[0] @ a5.b_sub.matrix)
+    assert rotated.support is not None and tilted.support is None
     monkeypatch.setattr(linalg, "null_space", _no_null_space)
-    assert _path(lambda: is_hopf_subalgebra(A, a5.b_sub)) == ("joins", True)
-    # joined, the dense basis would pair more than d^2 entries
-    assert _path(lambda: is_hopf_subalgebra(A, rotated)) == ("fallback", True)
+    assert _subalgebra_path(lambda: is_hopf_subalgebra(A, a5.b_sub)) == ("coordinate", True)
+    assert _subalgebra_path(lambda: is_hopf_subalgebra(A, rotated)) == ("coordinate", True)
+    assert _subalgebra_path(lambda: is_hopf_subalgebra(A, tilted)) == ("dense", False)
     V = SubspaceBasis(A, np.eye(A.dim, dtype=complex))
     assert is_hopf_subalgebra(A, V)         # the COO plans are built once per algebra
     tracemalloc.start()
@@ -872,6 +969,22 @@ def _path(call):
     return ("fallback" if refused else "joins" if started else "dense"), out
 
 
+def _subalgebra_path(call):
+    """`_path(call)`, with "coordinate" for a Hopf-subalgebra test that read
+    its residuals from a support."""
+    supports = []
+    coordinate = hopf._coordinate_subalgebra_residuals
+
+    def reading(A, support):
+        supports.append(support)
+        yield from coordinate(A, support)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hopf, "_coordinate_subalgebra_residuals", reading)
+        path, out = _path(call)
+    return ("coordinate" if supports and path == "dense" else path), out
+
+
 def _refusing_from(n):
     """`_coo_einsum` with every join from the n-th call on refused."""
     calls = itertools.count()
@@ -885,19 +998,34 @@ def _refusing_from(n):
 
 
 def test_subalgebra_joins_match_projectors(joins_everywhere, counterexample, cocentral8,
-                                           classical, a5):
-    # B and S = A(H) on 0/1 bases through the joins, Z on its SVD basis
-    # through the dense residuals; the verdicts and every residual agree
-    # with P = V V^H
-    paths = set()
+                                           classical, dual_s4_v4, a5):
+    # B, Z and S = A(H) are coordinate subspaces, which the Hopf-subalgebra
+    # test reads through their supports, on their 0/1 and SVD bases alike.
+    # Given as bases alone, B and S on 0/1 bases are read through the joins
+    # and Z on its SVD basis through the dense residuals.  dual_s4_v4's B,
+    # whose 0/1 basis is not coordinate, is read through the joins until
+    # the coproduct's refuses its pairs.  The verdicts and every residual
+    # agree with P = V V^H
+    tested, given = set(), set()
     for ext in (counterexample, cocentral8, classical, a5):
         A = ext.A
         for V in _stabilizer_subspaces(ext):
-            path, got = _path(lambda: is_hopf_subalgebra(A, V))
-            paths.add(path)
+            if V.dim == A.dim:
+                continue
+            path, got = _subalgebra_path(lambda: is_hopf_subalgebra(A, V))
+            tested.add(path)
             assert got is _projector_verdict(A, V)
             _residuals_match_projectors(A, V)
-    assert paths == {"joins", "dense"}
+            path, residuals = _path(lambda: list(hopf._subalgebra_residuals(A, V.matrix)))
+            given.add(path)
+            want = _projector_residuals(A, V.matrix)
+            assert np.max(np.abs(np.subtract(residuals, want))) < 1e-10
+    assert tested == {"coordinate"} and given == {"joins", "dense"}
+    A, B = dual_s4_v4.A, dual_s4_v4.b_sub
+    assert B.support is None
+    assert _subalgebra_path(lambda: is_hopf_subalgebra(A, B)) == ("fallback", True)
+    assert _projector_verdict(A, B)
+    _residuals_match_projectors(A, B)
 
 
 def test_subalgebra_residuals_fall_back_where_a_join_refuses(monkeypatch, joins_everywhere,

@@ -5,16 +5,19 @@ Wedderburn block at once; each result must be the one the per-item form
 gives, bit for bit where the arithmetic is the same.
 """
 
+import copy
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from hopfclifford import clifford, hopf, repcalc
-from hopfclifford.errors import PreconditionError
+from hopfclifford import cli, clifford, hopf, linalg, repcalc
+from hopfclifford.errors import ConsistencyError, PreconditionError
 from hopfclifford.hopf import SubspaceBasis, subalgebra_data
 from hopfclifford.linalg import DEFAULT_SEED
+from hopfclifford.scenarios import Scenario, build_scenario
 
 import clifford_reference as ref
 
@@ -53,6 +56,120 @@ def test_coefficient_spaces_raise_for_the_first_failing_character(counterexample
 def test_coset_check_matches_the_per_character_form(extensions):
     for name, ext in extensions.items():
         assert clifford.coset_projection_check(ext) == ref.coset_projection_check(ext), name
+
+
+KS3 = {"construction": "group_algebra",
+       "group": {"generators": ["(1 2)", "(1 2 3)"], "names": ["t", "s"]}}
+KS3_EDGES = {"b_is_a": dict(KS3, name="s3_b_is_a", b_generators=["t", "s"]),   # |F| = 1
+             "b_is_k1": dict(KS3, name="s3_b_is_k1", b_generators=["e"])}    # dim A_f = 1
+
+
+@pytest.fixture(scope="module")
+def ks3_edges():
+    return {name: build_scenario(Scenario.from_dict(sc), DEFAULT_SEED)
+            for name, sc in KS3_EDGES.items()}
+
+
+def test_ks3_edges_run_and_match_the_per_character_form(tmp_path, capsys, ks3_edges):
+    for name, ext in ks3_edges.items():
+        assert len(ext.components) == (1 if name == "b_is_a" else 6)
+        got = clifford.coset_projection_check(ext)
+        assert got == ref.coset_projection_check(ext), name
+        assert all(got[flag] for flag in COSET_FLAGS), name
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(KS3_EDGES[name]))
+        assert cli.main(["analyze", "--scenario", str(path), "--alpha", "all"]) == 0
+    capsys.readouterr()
+
+
+COSET_FLAGS = ("image_spans_match", "coset_components_match", "supports_partition",
+               "coset_decomposition")
+# each fault, with the flag it turns false
+COSET_FAULTS = {"unread_space": "image_spans_match", "collapsed_space": "image_spans_match",
+                "swapped_components": "coset_components_match",
+                "widened_support": "supports_partition", "dropped_coset": "coset_decomposition"}
+
+
+def _faulted(ext, fault):
+    """A copy of `ext` with one fault: pi reads none of the largest
+    coefficient space (its rows on pi's support zeroed), or that space
+    collapsed onto its first column; the first two graded components
+    swapped; one dual character's pi-support widened by another's; or the
+    dual characters of one coset dropped."""
+    ext.coefficient_spaces, ext.components       # built once, on the true data
+    out = copy.copy(ext)
+    irr, spaces = list(ext.dec_dual.irr), list(ext.coefficient_spaces)
+    supports = [tuple(np.flatnonzero(np.abs(ext.piF.matrix @ d.values) > 1e-6)) for d in irr]
+    j = int(np.argmax([C.dim for C in spaces]))
+    if fault in ("unread_space", "collapsed_space"):
+        M = spaces[j].matrix.copy()
+        if fault == "unread_space":
+            M[np.flatnonzero(np.abs(ext.piF.matrix).sum(axis=0))] = 0.0
+        else:
+            M[:] = M[:, :1]
+        spaces[j] = hopf.SubspaceBasis(ext.A, M)
+    elif fault == "swapped_components":
+        comps = list(ext.components)
+        comps[0], comps[1] = comps[1], comps[0]
+        out.components = comps
+    elif fault == "widened_support":
+        j = next(j for j, sup in enumerate(supports) if sup != supports[0])
+        irr[0] = repcalc.Character(irr[0].parent, irr[0].values + irr[j].values)
+    else:
+        keep = [j for j, sup in enumerate(supports) if sup != supports[-1]]
+        irr, spaces = [irr[j] for j in keep], [spaces[j] for j in keep]
+    out.dec_dual = dataclasses.replace(ext.dec_dual, irr=irr)
+    out.coefficient_spaces = spaces
+    return out
+
+
+@pytest.mark.parametrize("fault", COSET_FAULTS)
+def test_coset_check_reads_each_fault(extensions, ks3_edges, fault):
+    # each fault turns its flag false, through coordinates and singular
+    # values, and the whole result is the per-character SVD form's.  kS3
+    # over k1 has coefficient spaces of dimension 1, which cannot collapse;
+    # kS3 over itself has one coset, the one fault it admits its unread space
+    cases = [extensions["counterexample"], extensions["a5"]]
+    if fault != "collapsed_space":
+        cases.append(ks3_edges["b_is_k1"])
+    if fault == "unread_space":
+        cases.append(ks3_edges["b_is_a"])
+    for ext in cases:
+        faulted = _faulted(ext, fault)
+        got = clifford.coset_projection_check(faulted)
+        assert got[COSET_FAULTS[fault]] is False
+        assert got == ref.coset_projection_check(faulted)
+
+
+def test_components_must_decompose_a(monkeypatch, extensions):
+    # A_f repeated for every f: coordinate components whose supports overlap,
+    # and dual_s4_v4's, which are not coordinate, whose stack is not
+    # orthonormal
+    first = clifford.graded_component
+    monkeypatch.setattr(clifford, "graded_component", lambda A, rho, f: first(A, rho, 0))
+    for name in ("counterexample", "dual_s4_v4"):
+        ext = extensions[name]
+        fresh = clifford.Extension(ext.A, ext.inc, piF=ext.piF, F=ext.F)
+        with pytest.raises(ConsistencyError, match="do not decompose A"):
+            fresh.components
+
+
+def test_coset_check_forms_no_basis(monkeypatch, extensions):
+    # no orthonormal basis and no singular vectors: every SVD is asked for
+    # singular values alone
+    def no_basis(*args, **kw):
+        raise AssertionError("the coset check formed an orthonormal basis")
+
+    def values_only(a, *args, **kw):
+        assert kw.get("compute_uv") is False
+        return np.linalg.svd(a, *args, **kw)
+
+    for ext in extensions.values():
+        ext.coefficient_spaces, ext.components
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "orthonormal_columns", no_basis)
+            m.setattr(linalg, "svd", values_only)
+            clifford.coset_projection_check(ext)
 
 
 def test_bimodules_match_the_per_component_form(extensions):
