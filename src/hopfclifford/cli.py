@@ -118,8 +118,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = run_scenario(scenario, alpha_selection=args.alpha, seed=seed)
             sys.stdout.write(report.render_text())
             if args.json:
-                with open(args.json, "w", encoding="utf-8") as fh:
-                    fh.write(report.to_json())
+                try:
+                    with open(args.json, "w", encoding="utf-8") as fh:
+                        fh.write(report.to_json())
+                except OSError as exc:
+                    raise ConfigError(f"cannot write the report to {args.json}: "
+                                      f"{exc.strerror or exc}") from exc
                 sys.stdout.write(f"report written to {args.json}\n")
         elif args.command == "verify-axioms":
             text, _ = verify_axioms(scenario, seed=seed)

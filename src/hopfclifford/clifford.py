@@ -625,14 +625,19 @@ def graded_tensor_characters(bimodules: tuple[np.ndarray, np.ndarray],
     A_f (x)_B M is the quotient of A_f (x) M by ab (x) m - a (x) bm; it is
     read on the left null space of the relation matrix.  The relation
     matrices of every f and of every module of one dimension are one
-    stacked SVD, and the action of B on the quotients is two two-operand
-    contractions.  `bimodules` is Extension.bimodules.
+    stacked SVD, cut into groups of modules that hold at most
+    linalg.STACK_BYTES of them, and the action of B on the quotients is two
+    two-operand contractions.  `bimodules` is Extension.bimodules.
     """
     right, left = bimodules                         # right[f, :, j, m], left[f, :, m, j]
     nf, r, _, b = right.shape
     out: list[np.ndarray] = [None] * len(modules)
+    groups = []
     for n in dict.fromkeys(M.dimension for M in modules):
-        group = [g for g, M in enumerate(modules) if M.dimension == n]
+        same = [g for g, M in enumerate(modules) if M.dimension == n]
+        step = linalg.stack_items(16 * nf * r * n * r * b * n)   # of the relation matrices
+        groups += [(n, same[i:i + step]) for i in range(0, len(same), step)]
+    for n, group in groups:
         act = np.stack([np.stack(modules[g].matrices) for g in group])  # act[g, m]: b_m on M
 
         # relation (j, m, i): (a_j b_m) (x) e_i - a_j (x) b_m e_i, on the basis (p, q)

@@ -44,20 +44,23 @@ stores, and the support alone selects its form at every dimension:
 containment and equality read the other basis's rows off the support, the
 Hopf-subalgebra test reads the entries of `unit`, `mult`, `comult` and
 the antipode that leave it, and normality sums the adjoint entries whose
-output leaves it.  The other 0/1 operands (the embedding of k^G, the
-projection onto kF, a permutation antipode, a basis with several ones a
-column) enter in COO form too (`_entries`): from dimension JOIN_MIN_DIM
-on, when each holds at most d nonzeros and the tensors are sparse and
-finite (`_joins_apply`), the Hopf-subalgebra test, the Hopf-map residual
-and `products` join them with `mult` and `comult` and reduce the results
-through `_difference`, so that their cost follows the nonzeros; each has
-one dense form, taken otherwise and when a join would pair more entries
-than its limit (`_TooManyPairs`).  Below JOIN_MIN_DIM the dense forms
-cost less than the joins' sorting.  Cocentrality, once per request, is
-joins only, at every dimension.  The comodule map rho is kept in COO
-form, and a graded component A_f is the span of the nonzero columns of
-rho_f, which are its basis as they stand when they are orthonormal.  The
-dense form of the Hopf-subalgebra test reads "x in V" through V itself.
+output leaves it.  Every other subspace, a 0/1 basis with several ones a
+column included, takes the dense form of the Hopf-subalgebra test, which
+reads "x in V" through V itself.  The other 0/1 operands (the embedding of
+k^G, the projection onto kF, a permutation antipode) enter in COO form too
+(`_entries`): from dimension JOIN_MIN_DIM on, when each holds at most d
+nonzeros and the tensors are sparse and finite (`_joins_apply`), the
+Hopf-map residual and `products` join them with `mult` and `comult`, the
+centre's commutators join their operand, whatever its entries, with
+`mult`, and each reduces the results through `_difference`, so that their
+cost follows the nonzeros; each has one dense form, taken otherwise and
+when a join would pair more entries than its limit (`_TooManyPairs`).
+Below JOIN_MIN_DIM the dense forms cost less than the joins' sorting.
+Cocentrality, once per request, and the comodule map rho are joins only,
+at every dimension, and a NaN or Inf in Delta or pi fails the one and is
+refused by the other.  rho is kept in COO form, and a graded component
+A_f is the span of the nonzero columns of rho_f, which are its basis as
+they stand when they are orthonormal.
 Checks compare against the thresholds named in `linalg`; only
 `verify_hopf_axioms` takes a tolerance, since the scenario's
 `tolerances.alg` and the quotient's TOL_NUM differ.
@@ -65,7 +68,6 @@ Checks compare against the thresholds named in `linalg`; only
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -205,8 +207,7 @@ class AlgebraData:
         (`_product_entries`) summed into the result.  Otherwise the thinner
         operand is contracted with `mult` first (`Coo.along`, through the
         nonzeros or the dense tensor), so that the intermediate holds
-        d^2 min(|U|, |V|) entries: U = I, as in A B+, builds no (d^2, d)
-        array.
+        d^2 min(|U|, |V|) entries.
         """
         d = self.dim
         U, V = np.asarray(U, complex), np.asarray(V, complex)
@@ -226,22 +227,24 @@ class AlgebraData:
         return out.reshape(V.shape[1], d, U.shape[1]).transpose(1, 2, 0)
 
     def commutator_residual(self, X: np.ndarray) -> float:
-        """max |e_i x_c - x_c e_i| over the basis e_i and the columns x_c of X.
+        """max |e_i x_c - x_c e_i| over the basis e_i and the columns x_c of
+        X; NaN when `mult` or X is not finite.
 
-        From dimension JOIN_MIN_DIM on, when `mult` is sparse and finite and
-        X finite, the two sides are joins of the entries of `mult` and X, in
-        |mult| |X| pairs each, at most the d^2 |X| entries of the dense
-        commutators, reduced by `_max_abs_difference`; otherwise, as for the
-        dense `mult` of a subalgebra's basis, the dense products.
+        From dimension JOIN_MIN_DIM on, when `mult` is sparse, the two sides
+        are joins of the entries of `mult` and X, in |mult| |X| pairs each,
+        at most the d^2 |X| entries of the dense commutators, reduced by
+        `_max_abs_difference`; otherwise `mult` is contracted with X along
+        its second and along its first index (`Coo.along`).
         """
         d, r = self.dim, X.shape[1]
-        if _joins_apply(d, (self.mult_coo,), ()) and np.isfinite(X).all():
+        if not (self.mult_coo.finite and np.isfinite(X).all()):
+            return float("nan")
+        if _joins_apply(d, (self.mult_coo,), ()):
             m, x = self.mult_coo.entries, _entries(X)
             return _max_abs_difference(_coo_einsum("ijo,jc->ico", m, x, d, limit=d * d * r),
                                        _coo_einsum("jc,jio->ico", x, m, d, limit=d * d * r),
                                        (d, r, d))
-        eye = np.eye(d)
-        return max_abs(self.products(eye, X) - self.products(X, eye).transpose(0, 2, 1))
+        return max_abs(self.mult_coo.along((1,), X) - self.mult_coo.along((0,), X))
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.left_mult_matrix(x) @ y
@@ -764,7 +767,7 @@ def _blocked_residual(joins: Sequence["_Join"], d: int) -> float:
     for join in joins:
         if join.total > d ** 4:
             raise _TooManyPairs(f"{join.spec}: {join.total} pairs > {d ** 4}")
-    step = max(1, linalg.STACK_BYTES // 48)
+    step = linalg.stack_items(48)
     if sum(join.total for join in joins) <= step:
         return _max_abs_difference(*(join.pairs() for join in joins), (d,) * 4)
     rows, pairs = [], 0
@@ -932,29 +935,17 @@ def _subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray,
 
     The `support` of a coordinate V alone selects its form, at every
     dimension: the residuals on its unit vectors, read from the entries
-    that leave it (`_coordinate_subalgebra_residuals`).  Otherwise, when V
-    and S are 0/1 (`_joins_apply`), as a bismash's antipode is, each
-    residual is a chain of joins of their entries with `mult` and `comult`
-    (`_joined_subalgebra_residuals`); otherwise, or from the residual whose
-    join would pair more than d^2 entries, the dense residuals on V
-    (`_dense_subalgebra_residuals`) are read.
+    that leave it (`_coordinate_subalgebra_residuals`).  Every other V, a
+    0/1 basis with several ones a column included, takes the dense
+    residuals on V (`_dense_subalgebra_residuals`).
     """
     d, k = Vb.shape
     if k == d:
         return
     if support is not None:
         yield from _coordinate_subalgebra_residuals(A, support)
-        return
-    done = 0
-    if _joins_apply(d, (A.mult_coo, A.comult_coo), (Vb, A.antipode)):
-        try:
-            for residual in _joined_subalgebra_residuals(A, Vb):
-                yield residual
-                done += 1
-            return
-        except _TooManyPairs:
-            pass
-    yield from itertools.islice(_dense_subalgebra_residuals(A, Vb), done, None)
+    else:
+        yield from _dense_subalgebra_residuals(A, Vb)
 
 
 def _coordinate_subalgebra_residuals(A: HopfAlgebraData, support: np.ndarray):
@@ -973,34 +964,6 @@ def _coordinate_subalgebra_residuals(A: HopfAlgebraData, support: np.ndarray):
     leave = ~off[t] & (off[i] | off[j])
     yield max_abs(np.sqrt(np.bincount(t[leave], np.abs(val[leave]) ** 2, A.dim)))
     yield max_abs(A.antipode[np.ix_(off, ~off)])
-
-
-def _joined_subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
-    """The residuals of `_subalgebra_residuals` as joins of the entries of
-    V, conj(V), S, `mult` and `comult`, each pairing at most d^2 entries:
-    x - V V^H x on the products v_a v_b and on S(v_a), and P Delta(v_a) P^T =
-    V (V^H Delta(v_a) conj(V)) V^T against Delta(v_a), all kept in COO form
-    and reduced by `_difference`."""
-    d, k = Vb.shape
-    V = _entries(Vb)
-    Vc = (V[0], V[1].conj())
-
-    def join(spec, a, b):
-        return _coo_einsum(spec, a, b, d, limit=d * d)
-
-    def outside(x, lead, shape):
-        """max |x - V V^H x| of x in COO form, indexed by `lead`, then the coordinate."""
-        coords = join(f"{lead}o,oc->{lead}c", x, Vc)
-        return _max_abs_difference(x, join(f"{lead}c,oc->{lead}o", coords, V), shape)
-
-    yield np.linalg.norm(A.unit - Vb @ (Vb.conj().T @ A.unit))
-    yield outside(_product_entries(A, Vb, Vb), "ab", (k, k, d))
-    coprods = join("ka,kij->aij", V, A.comult_coo.entries)                 # Delta(v_a)
-    inner = join("acj,je->ace", join("aij,ic->acj", coprods, Vc), Vc)      # V^H Delta(v_a) conj(V)
-    kept = join("aie,je->aij", join("ace,ic->aie", inner, V), V)           # P Delta(v_a) P^T
-    keys, defect = _difference(coprods, kept, (k, d, d))
-    yield max_abs(np.sqrt(np.bincount(keys // (d * d), np.abs(defect) ** 2, k)))
-    yield outside(join("pr,ra->ap", _entries(A.antipode), V), "a", (k, d))
 
 
 def _dense_subalgebra_residuals(A: HopfAlgebraData, Vb: np.ndarray):
@@ -1080,8 +1043,7 @@ def coefficient_spaces(A: HopfAlgebraData, D: np.ndarray,
         if abs(deg.imag) <= TOL_ALG and abs(deg.real - n) <= TOL_MATCH and n * n <= A.dim:
             groups.setdefault(n, []).append(r)
     out: list[Optional[SubspaceBasis]] = [None] * len(D)
-    # at most STACK_BYTES of the (d, d) matrices `spans` are formed at once
-    step = max(1, linalg.STACK_BYTES // (16 * A.dim ** 2))
+    step = linalg.stack_items(16 * A.dim ** 2)          # of the (d, d) matrices `spans`
     for n, rows in groups.items():
         omega = linalg.random_complex(linalg.random_stream(seed, 1), (A.dim, n * n + 1))
         for start in range(0, len(rows), step):
@@ -1106,19 +1068,18 @@ def comodule_map_rho(A: HopfAlgebraData, pi: HopfSurjection):
 
     The join of the entries of Delta and pi, summed (`_coalesce`); for a
     bismash and its projection onto kF it holds d entries, rho(delta_g x) =
-    delta_g x (x) x.  When Delta is not finite, or the join would pair more
-    entries than the dense rho holds, rho is formed densely and its nonzeros
-    returned.
+    delta_g x (x) x.  An entry of Delta pairs with at most |F| entries of
+    pi, so the join holds at most nnz(Delta) |F| pairs and is never
+    refused.  A NaN or Inf in Delta or pi raises PreconditionError, as
+    `is_cocentral` fails on one: a join reads only the entries it pairs,
+    so it would drop one that a dense product spreads.
     """
     d, n = A.dim, pi.matrix.shape[0]
-    if A.comult_coo.finite:
-        try:
-            rho = _coo_einsum("kpq,fq->pfk", A.comult_coo.entries, _entries(pi.matrix), d,
-                              limit=d * d * n)
-            return _coalesce(rho, (d, n, d))
-        except _TooManyPairs:
-            pass
-    return _entries(A.comult_coo.along((2,), pi.matrix.T).transpose(1, 2, 0))
+    c, P = A.comult_coo.entries, _entries(pi.matrix)
+    if not (A.comult_coo.finite and np.isfinite(P[1]).all()):
+        raise PreconditionError("the comodule map needs a finite Delta and projection")
+    rho = _coo_einsum("kpq,fq->pfk", c, P, d, limit=c[1].size * n)
+    return _coalesce(rho, (d, n, d))
 
 
 def graded_component(A: HopfAlgebraData, rho, f: int) -> SubspaceBasis:

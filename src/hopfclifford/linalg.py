@@ -72,6 +72,12 @@ cond = _converging(np.linalg.cond)
 matrix_rank = _converging(np.linalg.matrix_rank)
 
 
+def stack_items(bytes_per_item: int) -> int:
+    """How many items of `bytes_per_item` bytes a stacked kernel forms at
+    once: as many as STACK_BYTES holds, and at least one."""
+    return max(1, STACK_BYTES // bytes_per_item)
+
+
 def nearest_int(x: float) -> int:
     """round(x), or 0 when x is NaN or infinite, so that a |x - n| check fails."""
     return int(round(x)) if math.isfinite(x) else 0

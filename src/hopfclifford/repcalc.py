@@ -166,9 +166,11 @@ def _center(A: AlgebraData, seed: int) -> np.ndarray:
     so their common commutant, the null space of [L(r1) - R(r1); L(r2) - R(r2)],
     is the center (Eberly and Giesbrecht, J. Symbolic Comput. 2000).  The
     basis is then checked against every basis element
-    (`AlgebraData.commutator_residual`, joins of the entries of `mult` and
-    the basis unless `mult` is dense).  The elements come from stream 0 of
-    the seed (`linalg.random_stream`), so they shift no other use's draws.
+    (`AlgebraData.commutator_residual`: from linalg.JOIN_MIN_DIM on, joins
+    of the entries of a sparse `mult` and the basis, otherwise `mult`
+    contracted with the basis on each side; NaN, and so a retry, when
+    either is not finite).  The elements come from stream 0 of the seed
+    (`linalg.random_stream`), so they shift no other use's draws.
     """
     d = A.dim
     rng = linalg.random_stream(seed, 0)
@@ -347,7 +349,7 @@ def construct_irreducible_module(A: AlgebraData, dec: SemisimpleDecomposition,
         V = linalg.orthonormal_columns(A.right_mult_matrix(p))
         if V.shape[1] != n:
             continue
-        imgs = A.products(np.eye(A.dim), V)             # imgs[:, k, :] = e_k V
+        imgs = A.mult_coo.along((1,), V).transpose(1, 0, 2)  # imgs[:, k, :] = e_k V
         coords = np.tensordot(V.conj().T, imgs, axes=1)
         if not max_abs(np.tensordot(V, coords, axes=1) - imgs) <= TOL_NUM:
             continue

@@ -1,5 +1,5 @@
-"""Shared fixtures: the three builtin extensions, a5_a4_c5, s4_a4 and
-dual_s4_v4 as per-scenario contexts; `dense_rho`, the comodule map read
+"""Shared fixtures: the three builtin extensions, a5_a4_c5, s4_a4,
+dual_s4_v4 and dual_s4c2_c2 as per-scenario contexts; `dense_rho`, the comodule map read
 back from its COO form; `change_basis`, an algebra on another basis; and
 `solve_antipode`, the antipode solved from its defining law.
 
@@ -28,6 +28,10 @@ S4_A4 = {"name": "s4_a4", "construction": "group_algebra",
 DUAL_S4_V4 = {"name": "dual_s4_v4", "construction": "dual_group_algebra",
               "group": {"generators": ["(1 2 3 4)", "(1 2)"], "names": ["g", "t"]},
               "b_generators": ["(1 2)(3 4)", "(1 3)(2 4)"]}
+DUAL_S4C2_C2 = {"name": "dual_s4c2_c2", "construction": "dual_group_algebra",
+                "group": {"generators": ["(1 2 3 4)", "(1 2)", "(5 6)"],
+                          "names": ["g", "t", "z"]},
+                "b_generators": ["(5 6)"]}
 
 
 def dense_rho(A, P):
@@ -121,6 +125,13 @@ def s4_a4():
 def dual_s4_v4():
     # k^S4 over the functions on S4/V4: Delta(d) of a dual character is dense
     return build_scenario(Scenario.from_dict(DUAL_S4_V4), DEFAULT_SEED)
+
+
+@pytest.fixture(scope="session")
+def dual_s4c2_c2():
+    # d = 48: k^(S4xC2) over the functions on the cosets of its centre C2,
+    # whose 0/1 basis has two ones a column and is not a coordinate subspace
+    return build_scenario(Scenario.from_dict(DUAL_S4C2_C2), DEFAULT_SEED)
 
 
 def pytest_sessionstart(session):

@@ -222,11 +222,12 @@ print(json.dumps(sorted(loaded() - before)))
 def test_requests_load_no_numpy_module_beyond_import_numpy(tmp_path):
     # numpy.random (6 MB) and numpy.ma (1.4 MB) are not loaded by `import
     # numpy` on numpy 2, and no request may load them or any other part
-    dual = tmp_path / "dual_s4_v4.json"
-    dual.write_text(json.dumps(SCENARIO_FILES["dual_s4_v4"]))
+    duals = [tmp_path / f"{name}.json" for name in ("dual_s4_v4", "dual_s4c2_c2")]
+    for dual in duals:
+        dual.write_text(json.dumps(SCENARIO_FILES[dual.stem]))
     argvs = [["analyze", "--builtin", "s4_counterexample"],
              ["analyze", "--builtin", "s3_a3_classical"],
-             ["analyze", "--scenario", str(dual)],
+             *(["analyze", "--scenario", str(dual)] for dual in duals),
              ["list-irr", "--builtin", "cocentral_c4_c2"],
              ["verify-axioms", "--builtin", "cocentral_c4_c2"]]
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -281,6 +282,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     }))
     assert cli.main(["analyze", "--scenario", str(nx)]) == 3
     assert "not an exact factorization" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+def test_cli_unwritable_json_is_a_config_error(tmp_path, capsys, where):
+    # a --json path in a missing directory, or one that is a directory, ends
+    # in one stderr line naming it and exit 2, not in a traceback
+    out = tmp_path / "missing" / "out.json" if where == "missing_dir" else tmp_path
+    assert cli.main(["analyze", "--builtin", "s3_a3_classical", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "report written" not in captured.out
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("configuration error: cannot write the report to")
+    assert str(out) in captured.err
+
+
+def test_cli_refuses_a_comodule_map_of_a_non_finite_projection(monkeypatch, capsys):
+    # the comodule map refuses a NaN in pi with a PreconditionError: exit 3
+    rho = clifford.comodule_map_rho
+
+    def on_a_nan(A, pi):
+        P = pi.matrix.copy()
+        P[0, 0] = np.nan
+        return rho(A, hopf.HopfSurjection(pi.source, pi.target, P))
+
+    monkeypatch.setattr(clifford, "comodule_map_rho", on_a_nan)
+    assert cli.main(["analyze", "--builtin", "s4_counterexample"]) == 3
+    assert capsys.readouterr().err == ("precondition failure: the comodule map needs a "
+                                       "finite Delta and projection\n")
 
 
 def test_cli_theorem_violation_exit_code(monkeypatch, capsys):
@@ -425,7 +454,7 @@ def test_text_report_judges_axioms_at_scenario_tolerance(s4_report):
     assert "(pass)" in loose.render_text()
 
 
-# sha256 of the --json report at seed 1729 of each builtin and of the two
+# sha256 of the --json report at seed 1729 of each builtin and of the
 # scenario files, which take the generic-quotient and the dual paths; the
 # `psi` numbering is canonical (Irr(Z) is sorted by each character as a
 # functional on A), so the full bytes are pinned
@@ -433,7 +462,8 @@ BUILTIN_REPORT_SHA256 = {"s4_counterexample": "7c6dd87e73f0",
                          "s3_a3_classical": "3e2719bbd371",
                          "cocentral_c4_c2": "9d1c9bb0a873",
                          "s4_a4": "5b8c691df080",
-                         "dual_s4_v4": "7d74e61817ad"}
+                         "dual_s4_v4": "7d74e61817ad",
+                         "dual_s4c2_c2": "fb2dbbbb63a2"}
 SCENARIO_FILES = {
     "s4_a4": {"name": "s4_a4", "construction": "group_algebra",
               "group": {"generators": ["(1 2 3 4)", "(1 2)"], "names": ["g", "t"]},
@@ -441,6 +471,12 @@ SCENARIO_FILES = {
     "dual_s4_v4": {"name": "dual_s4_v4", "construction": "dual_group_algebra",
                    "group": {"generators": ["(1 2 3 4)", "(1 2)"], "names": ["g", "t"]},
                    "b_generators": ["(1 2)(3 4)", "(1 3)(2 4)"], "alpha": "all"},
+    # d = 48: B's basis of coset functions is not coordinate, so its
+    # Hopf-subalgebra test takes the dense form above JOIN_MIN_DIM
+    "dual_s4c2_c2": {"name": "dual_s4c2_c2", "construction": "dual_group_algebra",
+                     "group": {"generators": ["(1 2 3 4)", "(1 2)", "(5 6)"],
+                               "names": ["g", "t", "z"]},
+                     "b_generators": ["(5 6)"], "alpha": "all"},
 }
 
 

@@ -1,12 +1,12 @@
 """The kernels that read `mult` and `comult` through their nonzeros, each
 against its dense definition: on the constructor tensors, with a perturbed
 entry, with a NaN, and after a change of basis that makes them dense.  The
-Hopf-subalgebra test, which reads V itself, against projectors.
-The adjoint action that the normality test, the conjugation matrices and
-the antipode residuals read, through its joins and its dense fallback,
-against the dense formulas, and the sizes of the arrays they build.  The
-kernels that read 0/1 operands through joins (the Hopf-subalgebra test,
-the Hopf-map residual, cocentrality, products, the comodule map and graded
+Hopf-subalgebra test, through a coordinate subspace's support or on V
+itself, against projectors.  The adjoint action that the normality test,
+the conjugation matrices and the antipode residuals read, through its joins
+and its dense fallback, against the dense formulas, and the sizes of the
+arrays they build.  The kernels that read 0/1 operands through joins (the
+Hopf-map residual, cocentrality, products, the comodule map and graded
 components, the centre's commutators), as the join rule stands and with
 the joins taken at every dimension, against their dense definitions, under
 NaN and Inf faults, and by the sizes of the arrays they build."""
@@ -70,7 +70,8 @@ def _kernels_match_definitions(A, rng):
     """products, the multiplication matrices, the multiplication map, Delta,
     the regular trace, the trace form's contraction and the comodule map
     against einsums over the dense tensors; NaN where and only where they
-    have it.  Then the residuals that read the tensors through these kernels
+    have it, except that the comodule map refuses a NaN or Inf in Delta.
+    Then the residuals that read the tensors through these kernels
     (`_residuals_match_definitions`)."""
     d = A.dim
     U, V, x, Y = _random(rng, d, 3), _random(rng, d, 2), _random(rng, 4, d), _random(rng, d, d, 2)
@@ -79,7 +80,6 @@ def _kernels_match_definitions(A, rng):
     pairs = [
         (A.products(U, V), np.einsum("ia,jb,ijk->kab", U, V, A.mult)),
         (A.products(U01, V01), np.einsum("ia,jb,ijk->kab", U01, V01, A.mult)),
-        (dense_rho(A, np.eye(3, d)), np.einsum("kpq,fq->pfk", A.comult, np.eye(3, d))),
         (A.left_mult_matrix(x[0]), np.einsum("i,ijk->kj", x[0], A.mult)),
         (A.right_mult_matrix(x[1]), np.einsum("j,ijk->ki", x[1], A.mult)),
         (A.multiply(Y), np.einsum("abm,abk->km", Y, A.mult)),
@@ -87,8 +87,13 @@ def _kernels_match_definitions(A, rng):
         (A.apply_comult(x[2]), np.einsum("k,kij->ij", x[2], A.comult)),
         (A.regular_trace_vector(), np.einsum("ijj->i", A.mult)),
         (A.mult_coo.along((2,), x[3]), np.einsum("ijp,p->ij", A.mult, x[3])),
-        (dense_rho(A, P), np.einsum("kpq,fq->pfk", A.comult, P)),
     ]
+    for M in (np.eye(3, d), P):
+        if A.comult_coo.finite:
+            pairs.append((dense_rho(A, M), np.einsum("kpq,fq->pfk", A.comult, M)))
+        else:
+            with pytest.raises(PreconditionError, match="finite"):
+                dense_rho(A, M)
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -970,82 +975,60 @@ def _path(call):
 
 
 def _subalgebra_path(call):
-    """`_path(call)`, with "coordinate" for a Hopf-subalgebra test that read
-    its residuals from a support."""
-    supports = []
-    coordinate = hopf._coordinate_subalgebra_residuals
+    """Which form of the Hopf-subalgebra residuals `call()` read:
+    "coordinate" from a support, "dense" on V itself, or None when it read
+    neither, as for V = A or a NaN it failed on first; and what it
+    returned."""
+    forms = []
 
-    def reading(A, support):
-        supports.append(support)
-        yield from coordinate(A, support)
+    def recording(name):
+        form = getattr(hopf, f"_{name}_subalgebra_residuals")
+
+        def reading(*args):
+            forms.append(name)
+            yield from form(*args)
+        return reading
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(hopf, "_coordinate_subalgebra_residuals", reading)
-        path, out = _path(call)
-    return ("coordinate" if supports and path == "dense" else path), out
+        for name in ("coordinate", "dense"):
+            m.setattr(hopf, f"_{name}_subalgebra_residuals", recording(name))
+        out = call()
+    assert len(set(forms)) <= 1
+    return (forms[0] if forms else None), out
 
 
-def _refusing_from(n):
-    """`_coo_einsum` with every join from the n-th call on refused."""
-    calls = itertools.count()
-    einsum = hopf._coo_einsum
-
-    def refusing(*args, **kw):
-        if next(calls) >= n:
-            raise hopf._TooManyPairs("refused")
-        return einsum(*args, **kw)
-    return refusing
-
-
-def test_subalgebra_joins_match_projectors(joins_everywhere, counterexample, cocentral8,
-                                           classical, dual_s4_v4, a5):
+def test_subalgebra_forms_match_projectors(counterexample, cocentral8, classical,
+                                           dual_s4_v4, dual_s4c2_c2, a5):
     # B, Z and S = A(H) are coordinate subspaces, which the Hopf-subalgebra
     # test reads through their supports, on their 0/1 and SVD bases alike.
-    # Given as bases alone, B and S on 0/1 bases are read through the joins
-    # and Z on its SVD basis through the dense residuals.  dual_s4_v4's B,
-    # whose 0/1 basis is not coordinate, is read through the joins until
-    # the coproduct's refuses its pairs.  The verdicts and every residual
-    # agree with P = V V^H
-    tested, given = set(), set()
-    for ext in (counterexample, cocentral8, classical, a5):
-        A = ext.A
-        for V in _stabilizer_subspaces(ext):
-            if V.dim == A.dim:
-                continue
-            path, got = _subalgebra_path(lambda: is_hopf_subalgebra(A, V))
-            tested.add(path)
-            assert got is _projector_verdict(A, V)
-            _residuals_match_projectors(A, V)
-            path, residuals = _path(lambda: list(hopf._subalgebra_residuals(A, V.matrix)))
-            given.add(path)
-            want = _projector_residuals(A, V.matrix)
-            assert np.max(np.abs(np.subtract(residuals, want))) < 1e-10
-    assert tested == {"coordinate"} and given == {"joins", "dense"}
-    A, B = dual_s4_v4.A, dual_s4_v4.b_sub
-    assert B.support is None
-    assert _subalgebra_path(lambda: is_hopf_subalgebra(A, B)) == ("fallback", True)
-    assert _projector_verdict(A, B)
-    _residuals_match_projectors(A, B)
-
-
-def test_subalgebra_residuals_fall_back_where_a_join_refuses(monkeypatch, joins_everywhere,
-                                                             counterexample, a5):
-    # a join refused at any point: the residuals before it come from the
-    # joins and the rest from the dense residuals, four in all, in order
-    for ext in (counterexample, a5):
-        A = ext.A
-        for S in _graded_sums(ext) + [ext.b_sub]:
-            if S.dim == A.dim:
-                continue
-            want = _projector_residuals(A, S.matrix)
-            path, joined = _path(lambda: list(hopf._subalgebra_residuals(A, S.matrix)))
-            assert path == "joins"
-            assert np.max(np.abs(np.subtract(joined, want))) < 1e-10
-            for n in range(16):
-                with monkeypatch.context() as m:
-                    m.setattr(hopf, "_coo_einsum", _refusing_from(n))
-                    got = list(hopf._subalgebra_residuals(A, S.matrix))
-                assert np.max(np.abs(np.subtract(got, want))) < 1e-10
+    # Given as bases alone, each is read through the dense residuals on V,
+    # as is a B of functions on the cosets of N, whose basis has |N| equal
+    # entries a column and is not coordinate: dual_s4_v4's (|N| = 4) at
+    # d = 24 and dual_s4c2_c2's (|N| = 2) at d = 48, above JOIN_MIN_DIM.
+    # With the joins of `products` taken as the rule stands and at every
+    # dimension, the verdicts and every residual agree with P = V V^H
+    subspaces = [(ext.A, [V for V in _stabilizer_subspaces(ext) if V.dim < ext.A.dim])
+                 for ext in (counterexample, cocentral8, classical, a5)]
+    assert dual_s4c2_c2.A.dim >= linalg.JOIN_MIN_DIM
+    for gate in GATES:
+        with _join_min_dim(gate):
+            for A, Vs in subspaces:
+                for V in Vs:
+                    assert _subalgebra_path(lambda: is_hopf_subalgebra(A, V)) == \
+                        ("coordinate", _projector_verdict(A, V))
+                    _residuals_match_projectors(A, V)
+                    form, got = _subalgebra_path(
+                        lambda: list(hopf._subalgebra_residuals(A, V.matrix)))
+                    assert form == "dense"
+                    want = _projector_residuals(A, V.matrix)
+                    assert np.max(np.abs(np.subtract(got, want))) < 1e-10
+            for ext in (dual_s4_v4, dual_s4c2_c2):
+                A, B = ext.A, ext.b_sub
+                assert B.support is None
+                assert set(np.count_nonzero(B.matrix, axis=0).tolist()) == {A.dim // B.dim}
+                assert _subalgebra_path(lambda: is_hopf_subalgebra(A, B)) == ("dense", True)
+                assert _projector_verdict(A, B)
+                _residuals_match_projectors(A, B)
 
 
 def test_hopf_map_joins_match_definition(joins_everywhere, counterexample, cocentral8, a5):
@@ -1085,7 +1068,8 @@ def test_graded_components_match_the_svd_definition(counterexample, cocentral8, 
                                                     s4_a4, dual_s4_v4, a5):
     # a bismash's A_f is spanned by unit vectors, taken as they stand; a
     # quotient found numerically gives columns that are not orthonormal, and
-    # their SVD; in a unitary basis rho is dense and formed densely
+    # their SVD; in a unitary basis rho is dense, and its one join, whose
+    # limit nnz(Delta) |F| no entry of Delta can pass, forms it all the same
     rng = np.random.default_rng(67)
     for name, ext in _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4,
                                 a5).items():
@@ -1101,7 +1085,8 @@ def test_graded_components_match_the_svd_definition(counterexample, cocentral8, 
     T = change_basis(A, U)
     pi = hopf.HopfSurjection(T, None, P @ U)
     path, rho = _path(lambda: hopf.comodule_map_rho(T, pi))
-    assert path == "fallback"
+    assert path == "joins"
+    assert not T.comult_coo.sparse and rho[1].size > T.dim ** 2
     for f, comp in enumerate(counterexample.components):
         got = hopf.graded_component(T, rho, f)
         assert linalg.subspace_equal(got.matrix, U.conj().T @ comp.matrix, 1e-10)
@@ -1142,11 +1127,10 @@ def test_spanned_by_keeps_an_orthonormal_basis(counterexample):
     assert SubspaceBasis.spanned_by(A, twice).dim == stacked.shape[1]
 
 
-def _no_joined_residuals(monkeypatch):
-    """Make the joined residuals of the Hopf-subalgebra and Hopf-map tests unreachable."""
+def _no_joined_map_defects(monkeypatch):
+    """Make the joined defects of the Hopf-map residual unreachable."""
     def unreachable(*args, **kw):
         raise AssertionError("a non-finite operand reached the joins")
-    monkeypatch.setattr(hopf, "_joined_subalgebra_residuals", unreachable)
     monkeypatch.setattr(hopf, "_joined_map_defects", unreachable)
 
 
@@ -1154,9 +1138,12 @@ def _no_joined_residuals(monkeypatch):
 @pytest.mark.parametrize("tensor", ["mult", "comult"])
 def test_join_kernels_fail_on_nan_and_inf(monkeypatch, joins_everywhere, counterexample,
                                           cocentral8, a5, tensor, value):
-    # a NaN or Inf in a tensor sends every 0/1 kernel that reads it to its
-    # dense path, where it fails each check as it always did, even where no
-    # join would read it (inf * 0 is NaN there, which numpy warns of)
+    # a NaN or Inf in a tensor fails the Hopf-subalgebra test before it
+    # reads either form, sends the Hopf-map residual to its dense path, where
+    # it fails as it always did (inf * 0 is NaN there, which numpy warns
+    # of), and makes the commutator NaN, even where no join would read it;
+    # cocentrality fails on one in Delta and the comodule map refuses it.  A
+    # NaN or Inf in a comodule map given by hand fails every graded component
     rng = np.random.default_rng(71)
     for ext in (counterexample, cocentral8, a5):
         A = ext.A
@@ -1164,8 +1151,8 @@ def test_join_kernels_fail_on_nan_and_inf(monkeypatch, joins_everywhere, counter
         broken = _copy(A, tensor, tuple(int(i[-1]) for i in idx), value)
         S = next(S for S in _graded_sums(ext) if S.dim < A.dim)
         with monkeypatch.context() as m, np.errstate(invalid="ignore"):
-            _no_joined_residuals(m)
-            assert is_hopf_subalgebra(broken, S) is False
+            _no_joined_map_defects(m)
+            assert _subalgebra_path(lambda: is_hopf_subalgebra(broken, S)) == (None, False)
             for src, dst, phi in ((ext.inc.small, broken, ext.inc.embedding),
                                   (broken, ext.piF.target, ext.piF.matrix),
                                   (broken, broken, np.eye(A.dim))):
@@ -1175,13 +1162,17 @@ def test_join_kernels_fail_on_nan_and_inf(monkeypatch, joins_everywhere, counter
                 continue
             # cocentral8 is cocentral, and a Delta with a NaN or Inf is not
             assert _path(lambda: hopf.is_cocentral(broken, ext.piF)) == ("dense", False)
-            rho = hopf.comodule_map_rho(broken, ext.piF)
+            with pytest.raises(PreconditionError, match="finite"):
+                hopf.comodule_map_rho(broken, ext.piF)
+            idx, val = hopf.comodule_map_rho(A, ext.piF)
+            val = val.copy()
+            val[-1] = value
             for f in range(ext.F.order):
                 with pytest.raises((PreconditionError, NumericDegeneracyError)):
-                    hopf.graded_component(broken, rho, f)
+                    hopf.graded_component(A, (idx, val), f)
 
 
-def test_join_kernels_fail_on_a_nan_in_the_operand(monkeypatch, joins_everywhere, cocentral8):
+def test_join_kernels_fail_on_a_nan_in_the_operand(joins_everywhere, cocentral8):
     ext = cocentral8
     A = ext.A
     E = ext.inc.embedding.copy()
@@ -1193,8 +1184,10 @@ def test_join_kernels_fail_on_a_nan_in_the_operand(monkeypatch, joins_everywhere
     with np.errstate(invalid="ignore"):
         assert _path(lambda: hopf.is_cocentral(A, hopf.HopfSurjection(A, None, P))) == \
             ("dense", False)
+    with pytest.raises(PreconditionError, match="finite"):
+        hopf.comodule_map_rho(A, hopf.HopfSurjection(A, None, P))
     S = next(S for S in _graded_sums(ext) if S.dim < A.dim)
     broken = S.matrix.copy()
     broken[0, 0] = np.nan
-    _no_joined_residuals(monkeypatch)
-    assert is_hopf_subalgebra(A, SubspaceBasis(A, broken)) is False
+    assert _subalgebra_path(lambda: is_hopf_subalgebra(A, SubspaceBasis(A, broken))) == \
+        (None, False)

@@ -53,6 +53,31 @@ def test_coefficient_spaces_raise_for_the_first_failing_character(counterexample
         hopf.coefficient_spaces(counterexample.A, D[[0, 2, 1]])
 
 
+def test_stacks_cut_at_stack_bytes_are_bitwise_one_stack(monkeypatch, extensions):
+    # with STACK_BYTES = 1 every coefficient space and every module's graded
+    # characters come from a stack of one item; each is bitwise what one
+    # stack of all the items of a degree gives
+    def run(ext, modules):
+        svds = []
+        svd, bimodules = linalg.svd, ext.bimodules
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
+            chars = clifford.graded_tensor_characters(bimodules, modules)
+        D = np.array([d.values for d in ext.dec_dual.irr])
+        return [C.matrix for C in hopf.coefficient_spaces(ext.A, D)], chars, len(svds)
+
+    for name, ext in extensions.items():
+        modules = [repcalc.construct_irreducible_module(ext.inc.small, ext.dec_b, k, seed=ext.seed)
+                   for k in range(len(ext.dec_b.irr))]
+        spaces, chars, stacks = run(ext, modules)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "STACK_BYTES", 1)
+            cut_spaces, cut_chars, cut_stacks = run(ext, modules)
+        assert stacks == len({M.dimension for M in modules}) and cut_stacks == len(modules), name
+        for got, want in itertools.chain(zip(cut_spaces, spaces), zip(cut_chars, chars)):
+            assert np.array_equal(got, want), name
+
+
 def test_coset_check_matches_the_per_character_form(extensions):
     for name, ext in extensions.items():
         assert clifford.coset_projection_check(ext) == ref.coset_projection_check(ext), name
