@@ -3,14 +3,14 @@
 An Extension holds A, B and everything derived from the pair once: the
 decompositions, the matched equivalence classes of Irr(A) and Irr(B) with
 class sums and restriction table, the coefficient space and the
-conjugation matrix C_d of each irreducible dual character d, the stacked
-B-bimodules of the graded components, and one Stabilizer per distinct
+conjugation matrix C_d of each irreducible dual character d, the twist
+of B by each graded component, and one Stabilizer per distinct
 stabilizing set.  The pipeline runs per stage over all characters at
 once, not per character: the coefficient spaces are one stacked sketch
 SVD per degree, each the range of a sketch with eps(d)^2 + 1 columns;
 every C_d is read from one join of the right adjoint action
-S(e_k1) b_m e_k2, built once per request; the bimodules of all graded
-components are one product per side.  `analyze_alphas` takes the selected
+S(e_k1) b_m e_k2, built once per request; the twists of all graded
+components come from one product per side.  `analyze_alphas` takes the selected
 irreducible B-characters alpha through each stage in one call:
 
   * the stabilizer Hopf subalgebra Z built from dual characters d
@@ -23,9 +23,9 @@ irreducible B-characters alpha through each stage in one call:
     are one `decompose` per stabilizer, and the conjugates of every alpha
     one `decompose` in Irr(B),
   * for group-algebra quotients kF, the graded picture: components A_f,
-    the stabilizer subgroup H of the orbit action A_f (x)_B M, solved for
-    every f and every alpha with modules of one dimension in one stacked
-    SVD, and
+    the stabilizer subgroup H of the orbit action A_f (x)_B M, whose
+    characters alpha o theta_f for every f and every alpha are one product
+    with the twists theta_f, and
     S = A(H), with the criterion "correspondence holds iff Z = S iff
     S is a Hopf subalgebra".  S is the stack of the components' bases,
     with no fresh SVD, whenever they are orthonormal together
@@ -60,12 +60,10 @@ from .hopf import (AlgebraData, HopfAlgebraData, HopfInclusion, HopfSurjection,
                    dual_hopf, graded_component, is_cocentral,
                    is_hopf_subalgebra, quotient_hopf, right_adjoint,
                    subalgebra_data)
-from .linalg import TOL_ALG, TOL_MATCH, max_abs, require
-from .repcalc import (Character, DEFAULT_SEED, ExplicitModule,
-                      SemisimpleDecomposition, as_group_algebra_surjection,
-                      construct_irreducible_module, decompose,
-                      induce_character, module_residual, restrict_character,
-                      restriction_table, wedderburn)
+from .linalg import COND_LIMIT, TOL_ALG, TOL_MATCH, max_abs, require
+from .repcalc import (MAX_RETRIES, Character, DEFAULT_SEED, SemisimpleDecomposition,
+                      as_group_algebra_surjection, decompose, induce_character,
+                      restrict_character, restriction_table, wedderburn)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +76,7 @@ class Extension:
     Wedderburn decompositions of A, B and A*, the quotient A/AB+ (the one
     normality test of B), the equivalence classes with their restriction
     table, the group-algebra quotient kF with its graded components and
-    their B-bimodule matrices stacked over F, the coefficient space and
+    the twist of B by each, stacked over F, the coefficient space and
     the conjugation matrix of every irreducible dual character, and in
     `stabilizers` the Stabilizer of each stabilizing set met so far.  Each
     per-character object is made for all characters in one stacked call,
@@ -172,36 +170,64 @@ class Extension:
         return comps
 
     @cached_property
-    def bimodules(self) -> tuple[np.ndarray, np.ndarray]:
-        """(right, left) for every A_f, stacked on a first axis f: right[f, :, j, m]
-        and left[f, :, m, j] are the coordinates in A_f of a_j b_m and of
-        b_m a_j, for a_j in A_f and b_m in B; both must stay in A_f.
+    def twists(self) -> np.ndarray:
+        """theta[f, k, m], the coordinate on b_k of theta_f(b_m), where
+        b u_f = u_f theta_f(b) for a generator u_f of A_f = u_f B.
 
-        Every A_f has dimension |B|: A is a crossed product B #_sigma kF
-        (Schneider, J. Algebra 1992), so A_f = B u_f.  The products of all
-        components come from one `AlgebraData.products` per side, on the
-        stacked bases [U_1 ... U_|F|], which joins their entries with those
-        of B and `mult` when both are 0/1, as for a bismash.
+        A = B #_sigma kF is a crossed product (Schneider, J. Algebra 1992):
+        each A_f has dimension |B| and is u_f B for a unit u_f, so A_f (x)_B M
+        is M with b acting as theta_f(b), of character alpha o theta_f (Dade,
+        Math. Z. 1980).  u_f = U_f x_f, with Gaussian x_f from stream
+        2**32 - 1 of the seed.  Phi_f and Lambda_f, the coordinates in A_f of
+        u_f b_m and b_m u_f, come from one `products` per side on the stacked
+        u_f; b_m u_f = sum_k theta[f, k, m] u_f b_k gives theta_f =
+        Phi_f^-1 Lambda_f.
+
+        * A random u_f generates A_f: det Phi_f is a polynomial in x_f, not
+          zero at a unit, so it vanishes on a null set only.  The u_f are
+          redrawn, up to MAX_RETRIES times, until every cond(Phi_f) <= COND_LIMIT.
+        * Stability on u_f gives stability of A_f: with Phi_f invertible each
+          a in A_f is u_f b, so a b' = u_f (b b') and b' a = (b' u_f) b = u_f c b.
+        * alpha o theta_f does not depend on u_f: another generator is u_f c
+          with c B = B, so c is a unit of B, and b u_f c = u_f c (c^-1 theta_f(b) c)
+          changes theta_f by an inner automorphism, which no character sees.
+
+        theta_f(xy) = theta_f(x) theta_f(y) is gated on one random pair per f.
         """
-        b = self.inc.small.dim
-        for f, comp in enumerate(self.components):
-            if comp.dim != b:
+        B, comps = self.inc.small, self.components
+        for f, comp in enumerate(comps):
+            if comp.dim != B.dim:
                 raise ConsistencyError(f"graded component {f} has dimension {comp.dim}, "
-                                       f"not |B| = {b}")
-        d, nf = self.A.dim, len(self.components)
-        U = np.stack([comp.matrix for comp in self.components])        # U[f, :, j]
+                                       f"not |B| = {B.dim}")
+        U = np.stack([comp.matrix for comp in comps])                  # U[f, :, j]
         E = np.asarray(self.inc.embedding, complex)
-        stacked = U.transpose(1, 0, 2).reshape(d, nf * b)
-        out = []
-        for side, prods in (("right", self.A.products(stacked, E).reshape(d, nf, b * b)),
-                            ("left", self.A.products(E, stacked).reshape(d, b, nf, b)
-                             .transpose(0, 2, 1, 3).reshape(d, nf, b * b))):
-            prods = prods.transpose(1, 0, 2)                            # prods[f, :, (j, m)]
-            coords = U.conj().transpose(0, 2, 1) @ prods
-            require(max_abs(U @ coords - prods), TOL_ALG, ConsistencyError,
-                    f"component is not stable under {side} B-multiplication")
-            out.append(coords.reshape(nf, b, b, b))
-        return out[0], out[1]
+        rng = linalg.random_stream(self.seed, 2 ** 32 - 1)
+        for _ in range(MAX_RETRIES):
+            u = np.einsum("fij,fj->if", U, linalg.random_complex(rng, (len(comps), B.dim)))
+            coords = []                                 # Phi, Lambda
+            for side, prods in (("right", self.A.products(u, E).transpose(1, 0, 2)),  # u_f b_m
+                                ("left", self.A.products(E, u).transpose(2, 0, 1))):  # b_m u_f
+                coords.append(U.conj().transpose(0, 2, 1) @ prods)
+                require(max_abs(U @ coords[-1] - prods), TOL_ALG * max(1.0, max_abs(prods)),
+                        ConsistencyError, f"component is not stable under {side} B-multiplication")
+            phi, lam = coords
+            conds = linalg.cond(phi)
+            if (conds <= COND_LIMIT).all():
+                break
+        else:
+            f = int(np.argmin(conds <= COND_LIMIT))
+            raise ConsistencyError(f"no element of graded component {f} generates it "
+                                   f"(cond {conds[f]:.2e} > {COND_LIMIT:.0e})")
+        theta = linalg.solve(phi, lam)
+
+        def times(v, w):                                # [f] = v[f] w[f], in B
+            return B.multiply(np.einsum("fa,fb->abf", v, w)).T
+
+        x, y = linalg.random_complex(rng, (2, len(comps), B.dim))
+        tx, ty, txy = (np.einsum("fkm,fm->fk", theta, v) for v in (x, y, times(x, y)))
+        require(max_abs(txy - times(tx, ty)), TOL_MATCH * max(1.0, max_abs(txy)),
+                ConsistencyError, "a twist of B is not multiplicative")
+        return theta
 
     @cached_property
     def cocentral(self) -> Optional[bool]:
@@ -618,50 +644,6 @@ def conjugate_class_indices(ext: Extension, indices: Sequence[int]) -> list[tupl
 # ---------------------------------------------------------------------------
 # group-graded picture for quotients kF
 
-def graded_tensor_characters(bimodules: tuple[np.ndarray, np.ndarray],
-                             modules: Sequence[ExplicitModule]) -> list[np.ndarray]:
-    """B-characters of A_f (x)_B M for every f and every module M, one row per f.
-
-    A_f (x)_B M is the quotient of A_f (x) M by ab (x) m - a (x) bm; it is
-    read on the left null space of the relation matrix.  The relation
-    matrices of every f and of every module of one dimension are one
-    stacked SVD, cut into groups of modules that hold at most
-    linalg.STACK_BYTES of them, and the action of B on the quotients is two
-    two-operand contractions.  `bimodules` is Extension.bimodules.
-    """
-    right, left = bimodules                         # right[f, :, j, m], left[f, :, m, j]
-    nf, r, _, b = right.shape
-    out: list[np.ndarray] = [None] * len(modules)
-    groups = []
-    for n in dict.fromkeys(M.dimension for M in modules):
-        same = [g for g, M in enumerate(modules) if M.dimension == n]
-        step = linalg.stack_items(16 * nf * r * n * r * b * n)   # of the relation matrices
-        groups += [(n, same[i:i + step]) for i in range(0, len(same), step)]
-    for n, group in groups:
-        act = np.stack([np.stack(modules[g].matrices) for g in group])  # act[g, m]: b_m on M
-
-        # relation (j, m, i): (a_j b_m) (x) e_i - a_j (x) b_m e_i, on the basis (p, q)
-        rels = (right[:, :, None, :, :, None] * np.eye(n)[:, None, None, :]
-                - np.eye(r)[:, None, :, None, None]
-                * act.transpose(0, 2, 1, 3)[:, None, None, :, None, :, :])
-        # the matrices are wide (r n <= r b n), so the thin SVD's u is already square
-        u, s, _ = linalg.svd(rels.reshape(-1, r * n, r * b * n), full_matrices=False)
-        for sv in s:
-            dim = r * n - linalg.numerical_rank(sv)
-            if dim != n:
-                raise ConsistencyError(f"tensor over B has dimension {dim}, expected {n}")
-        C = u[:, :, r * n - n:].reshape(len(group), nf, r, n, n)   # C[g, f, p, q, x]
-
-        # the action of b_m, left multiplication on A_f, read on C
-        LC = np.einsum("fpmj,gfjqy->gfpmqy", left, C)
-        mats = np.einsum("gfpqx,gfpmqy->gfmxy", C.conj(), LC)
-        require(module_residual(modules[group[0]].parent, mats), TOL_MATCH, ConsistencyError,
-                "tensor over B does not carry a B-module structure")
-        for g, chars in zip(group, np.einsum("gfmxx->gfm", mats)):
-            out[g] = chars
-    return out
-
-
 @dataclass
 class GradedSection:
     h_members: tuple[int, ...]
@@ -679,15 +661,15 @@ def graded_stabilizer_analysis(ext: Extension, srs: Sequence[StabilizerResult]
                                ) -> list[GradedSection]:
     """Stabilizer subgroup H of each alpha under the grading action, and S = A(H).
 
-    Each alpha's module comes from its own stream (`construct_irreducible_module`);
-    the graded characters of all of them are one `graded_tensor_characters`
-    and one `decompose`.
+    The character of A_f (x)_B M_alpha is alpha o theta_f (`Extension.twists`),
+    so the graded characters of every alpha and every f are one product
+    with the twists and one `decompose`; H is the f with alpha o theta_f =
+    alpha.
     """
     A, inc, F, components = ext.A, ext.inc, ext.F, ext.components
-    modules = [construct_irreducible_module(inc.small, ext.dec_b, sr.alpha_index, seed=ext.seed)
-               for sr in srs]
-    chars = graded_tensor_characters(ext.bimodules, modules)
-    coeffs = decompose(Character(inc.small, np.concatenate(chars)), ext.dec_b)
+    alphas = np.array([sr.alpha.values for sr in srs])
+    chars = np.einsum("ak,fkm->afm", alphas, ext.twists)     # chars[a, f] = alpha o theta_f
+    coeffs = decompose(Character(inc.small, chars.reshape(-1, inc.small.dim)), ext.dec_b)
     out = []
     for sr, ch, co in zip(srs, chars, np.split(coeffs, len(srs))):
         alpha = sr.alpha

@@ -24,7 +24,7 @@ TOL_NUM = 1e-7      # computed structure: quotients, central idempotents, module
 TOL_MATCH = 1e-6    # computed values that must agree: integers, characters, eigenvalues
 TOL_SPLIT = 1e-4    # least relative gap between distinct eigenvalues of a splitting element
 TOL_ZERO = 1e-9     # a Rayleigh quotient below this counts as zero
-COND_LIMIT = 1e8    # largest condition number of a semisimple algebra's regular trace form
+COND_LIMIT = 1e8    # largest condition number of a regular trace form or a generator's matrix
 RANK_RTOL = 1e-9    # singular values <= max(s[0] * RANK_RTOL, RANK_ATOL) count as zero
 RANK_ATOL = 1e-11
 TOL_ORTHO = 1e-12   # columns whose Gram matrix is I within this are an orthonormal basis as they stand
@@ -65,6 +65,7 @@ def _converging(solver):
 
 
 svd = _converging(np.linalg.svd)
+solve = _converging(np.linalg.solve)
 lstsq = _converging(np.linalg.lstsq)
 eig = _converging(np.linalg.eig)
 eigvals = _converging(np.linalg.eigvals)
@@ -150,7 +151,10 @@ def random_stream(seed: int, stream: int) -> random.Random:
     - 1: the coefficient-space sketch (`hopf.coefficient_spaces`);
     - 2: the central splitting element (`repcalc.wedderburn`);
     - 3 + index: the splitting element of block `index`
-      (`repcalc.construct_irreducible_module`).
+      (`repcalc.construct_irreducible_module`);
+    - 2**32 - 1, above every block index: the generators u_f of the graded
+      components and the pairs that gate their twists
+      (`clifford.Extension.twists`).
     """
     return random.Random((seed << 32) | stream)
 

@@ -6,12 +6,14 @@ reference for `clifford.conjugation_matrices`.  `conjugation_matrices`
 forms the dense products S(e_p) b_m and multiplies Delta(d)^T by them for
 each d, the per-character formula the COO joins of
 `clifford.conjugation_matrices` replace.  `graded_tensor_character` solves
-A_f (x)_B M for one component and one module at a time, with np.kron; it
-is the reference for the stacked `clifford.graded_tensor_characters`.
+A_f (x)_B M for one component and one module at a time, with np.kron, from
+the B-bimodule `component_bimodule` of A_f; it is the reference for the
+characters alpha o theta_f that `clifford.Extension.twists` gives.
 
 The per-item forms the stacked kernels replace: `coefficient_space` sketches
 one dual character at a time (`hopf.coefficient_spaces`), `component_bimodule`
-reads one graded component at a time (`Extension.bimodules`),
+reads one graded component at a time, and with a generator u_f of A_f
+gives its twist theta_f (`Extension.twists`),
 `coset_projection_check` takes one SVD per dual character for its image and
 for B C_d (`clifford.coset_projection_check`), `wedderburn` scales, gates
 and traces one block at a time with two products per block and sorts on the

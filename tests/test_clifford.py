@@ -5,13 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hopfclifford import clifford, hopf
+from hopfclifford import clifford, hopf, linalg
 from hopfclifford.clifford import (Extension, analyze_alphas,
                                    check_stabilizer_induction,
                                    compute_stabilizer, conjugate_class_indices,
                                    conjugation_matrices, coset_projection_check,
                                    direct_correspondence_check,
-                                   graded_tensor_characters,
                                    stabilizer_dimension_bound,
                                    verify_class_formulas)
 from hopfclifford.errors import ConsistencyError, NormalityError, TheoremViolationError
@@ -21,8 +20,8 @@ from hopfclifford.repcalc import (DEFAULT_SEED, Character,
                                   restriction_table, wedderburn)
 from hopfclifford.scenarios import build_scenario, builtin_scenario
 
-from clifford_reference import (conjugate_module, graded_tensor_character,
-                                subcoalgebra_as_dual_module)
+from clifford_reference import (component_bimodule, conjugate_module,
+                                graded_tensor_character, subcoalgebra_as_dual_module)
 
 
 def alpha_with_support(ext, label):
@@ -377,73 +376,76 @@ def test_graded_section_trivial_alpha(counterexample):
     assert rep.verdict == "HOLDS"
 
 
-def test_graded_tensor_dimensions(counterexample):
-    ext = counterexample
-    k = alpha_with_support(ext, "d(g)")
-    M = construct_irreducible_module(ext.inc.small, ext.dec_b, k)
-    chars, = graded_tensor_characters(ext.bimodules, [M])
-    assert chars.shape == (ext.F.order, ext.inc.small.dim)
-    for values in chars:
-        assert abs(Character(ext.inc.small, values).degree - M.dimension) < 1e-8
+def test_graded_tensor_dimensions(classical, counterexample, cocentral8, s4_a4):
+    # theta_f fixes the unit of B, so A_f (x)_B M, with character alpha o theta_f,
+    # has the dimension of M
+    for ext in (classical, counterexample, cocentral8, s4_a4):
+        theta, B = ext.twists, ext.inc.small
+        assert theta.shape == (ext.F.order, B.dim, B.dim)
+        assert np.max(np.abs(theta @ B.unit - B.unit)) < 1e-10
+        for alpha in ext.dec_b.irr:
+            for values in alpha.values @ theta:
+                assert abs(Character(B, values).degree - alpha.degree) < 1e-8
 
 
 def test_graded_solve_matches_per_component(classical, counterexample, cocentral8,
-                                            s4_a4, a5):
-    # one stacked solve over F and over every module against the np.kron
-    # form, one component and one module at a time
+                                            s4_a4, a5, dual_s4_v4):
+    # alpha o theta_f for every f and alpha against the character of
+    # A_f (x)_B M solved with np.kron, one component and one module at a time
     dims = set()
-    for ext in (classical, counterexample, cocentral8, s4_a4, a5):
-        right, left = ext.bimodules
-        assert right.shape[0] == left.shape[0] == ext.F.order
-        modules = [construct_irreducible_module(ext.inc.small, ext.dec_b, k, seed=ext.seed)
-                   for k in range(len(ext.dec_b.irr))]
-        for M, got in zip(modules, graded_tensor_characters(ext.bimodules, modules)):
+    for ext in (classical, counterexample, cocentral8, s4_a4, a5, dual_s4_v4):
+        bimodules = [component_bimodule(ext.A, ext.inc, comp) for comp in ext.components]
+        for k, alpha in enumerate(ext.dec_b.irr):
+            M = construct_irreducible_module(ext.inc.small, ext.dec_b, k, seed=ext.seed)
             dims.add(M.dimension)
-            want = [graded_tensor_character((right[f], left[f]), M).values
-                    for f in range(ext.F.order)]
-            assert np.max(np.abs(got - np.array(want))) < 1e-10
+            want = [graded_tensor_character(bimodule, M).values for bimodule in bimodules]
+            got = alpha.values @ ext.twists
+            assert np.max(np.abs(got - np.array(want))) < linalg.TOL_MATCH
     assert dims == {1, 3}                     # s4_a4: A4 has an irreducible of degree 3
 
 
-def test_graded_solve_checks_each_rank(counterexample):
-    ext = counterexample
-    k = alpha_with_support(ext, "d(1)")
-    M = construct_irreducible_module(ext.inc.small, ext.dec_b, k)
-    # B acting through the counit on A_1 and on M: A_1's relations vanish,
-    # and the tensor over B would have dimension |B|, not 1
-    right, left = (side.copy() for side in ext.bimodules)
-    right[1] = np.eye(right.shape[1])[:, :, None] * ext.dec_b.irr[k].values
-    with pytest.raises(ConsistencyError, match="tensor over B has dimension 4, expected 1"):
-        graded_tensor_characters((right, left), [M])
-    # B acting by zero on A_1: the relations span all of A_1 (x) M
-    right[1] = 0.0
-    with pytest.raises(ConsistencyError, match="tensor over B has dimension 0, expected 1"):
-        graded_tensor_characters((right, left), [M])
+def _fresh(ext, components):
+    """An Extension of ext's pair whose graded components are `components`."""
+    fresh = Extension(ext.A, ext.inc, seed=ext.seed)
+    fresh.components = components
+    return fresh
 
 
-def test_graded_solve_checks_the_module(counterexample):
-    # a left action that is no longer a B-module on one component
+def test_graded_solve_checks_each_rank(classical):
+    # A_1 replaced by span{e_0, e_1, t e_0}, for idempotents e_i of B = kA3:
+    # a B-bimodule of dimension |B| in which u e_2 = 0 for every u, so no
+    # element generates it and every Phi_1 is singular
+    ext = classical
+    A, E = ext.A, ext.inc.embedding
+    e0, e1 = (E @ idem for idem in ext.dec_b.idempotents[:2])
+    t = ext.components[1].matrix[:, 0]
+    V = SubspaceBasis.from_vectors(A, np.stack([e0, e1, A.product(t, e0)], axis=1))
+    assert V.dim == ext.inc.small.dim
+    with pytest.raises(ConsistencyError, match="no element of graded component 1 generates it"):
+        _fresh(ext, [ext.components[0], V]).twists
+
+
+def test_graded_solve_checks_the_module(monkeypatch, counterexample):
+    # theta_f that is no algebra map, so M twisted by it is no B-module
     ext = counterexample
-    M = construct_irreducible_module(ext.inc.small, ext.dec_b, alpha_with_support(ext, "d(g)"))
-    right, left = (side.copy() for side in ext.bimodules)
-    left[2] += 0.1 * np.random.default_rng(3).standard_normal(left[2].shape)
-    with pytest.raises(ConsistencyError, match="does not carry a B-module structure"):
-        graded_tensor_characters((right, left), [M])
+    solve = linalg.solve
+
+    def perturbed(a, b):
+        return solve(a, b) + 0.1 * np.random.default_rng(3).standard_normal(b.shape)
+
+    monkeypatch.setattr(linalg, "solve", perturbed)
+    with pytest.raises(ConsistencyError, match="a twist of B is not multiplicative"):
+        _fresh(ext, ext.components).twists
 
 
 def test_grading_must_send_a_simple_to_a_simple(monkeypatch, counterexample):
     k = alpha_with_support(counterexample, "d(g)")
     sr = compute_stabilizer(counterexample, k)
-    solve = clifford.graded_tensor_characters
-
-    def merged_rows(bimodules, modules):
-        # A_1 (x)_B M becomes the sum of two simples, A_2 (x)_B M becomes 0
-        chars, = solve(bimodules, modules)
-        chars[1] += chars[2]
-        chars[2] = 0.0
-        return [chars]
-
-    monkeypatch.setattr(clifford, "graded_tensor_characters", merged_rows)
+    # A_1 (x)_B M becomes the sum of two simples, A_2 (x)_B M becomes 0
+    theta = counterexample.twists.copy()
+    theta[1] += theta[2]
+    theta[2] = 0.0
+    monkeypatch.setitem(counterexample.__dict__, "twists", theta)
     with pytest.raises(ConsistencyError, match="did not send a simple to a simple"):
         clifford.graded_stabilizer_analysis(counterexample, [sr])
 
@@ -453,7 +455,7 @@ def test_graded_components_of_unequal_dimension_rejected():
     comps = ext.components
     ext.components = [comps[0], SubspaceBasis(ext.A, comps[1].matrix[:, :-1])]
     with pytest.raises(ConsistencyError, match="graded component 1 has dimension 2"):
-        ext.bimodules
+        ext.twists
 
 
 def test_z_equal_to_a_is_read_on_the_basis_of_a(classical, counterexample, cocentral8, a5):

@@ -53,6 +53,11 @@ def test_solver_failure_is_numeric_degeneracy(solve):
         solve(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+def test_singular_solve_is_numeric_degeneracy():
+    with pytest.raises(NumericDegeneracyError):
+        linalg.solve(np.zeros((2, 2)), np.ones(2))
+
+
 def test_random_streams_repeat_and_differ():
     def draw(seed, stream):
         return linalg.random_complex(linalg.random_stream(seed, stream), (3, 4))

@@ -507,6 +507,26 @@ def test_quotient_by_trivial_b():
     assert hashlib.sha256(rep.to_json().encode()).hexdigest().startswith("a1f53822e9bf")
 
 
+def test_quotient_that_is_no_group_algebra(tmp_path, capsys):
+    # k^S4 over the functions on the A4-cosets: A/AB+ = k^A4, whose dual kA4
+    # is not commutative, so group_algebra_form finds no F; the request runs
+    # without the graded picture, the coset check and cocentrality
+    sc = {"name": "dual_s4_a4", "construction": "dual_group_algebra",
+          "group": {"generators": ["(1 2 3 4)", "(1 2)"], "names": ["g", "t"]},
+          "b_generators": ["(1 2 3)", "(1 2)(3 4)"], "alpha": "all"}
+    ext = build_scenario(Scenario.from_dict(sc), 1729)
+    assert ext.generic_quotient.target.dim == 12 and ext.quotient == (None, None)
+    path, out = tmp_path / "dual_s4_a4.json", tmp_path / "report.json"
+    path.write_text(json.dumps(sc))
+    assert cli.main(["analyze", "--scenario", str(path), "--json", str(out)]) == 0
+    capsys.readouterr()
+    rep = json.loads(out.read_text())
+    assert rep["coset_check"] is rep["cocentral"] is rep["quotient_group_labels"] is None
+    assert [a["verdict"] for a in rep["alphas"]] == ["HOLDS", "HOLDS"]
+    assert not any("graded" in a for a in rep["alphas"])
+    assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("f0048ed45bac")
+
+
 @pytest.mark.parametrize("gens", [["(1 2)", "(1 2 3)"], ["(1 2 3 4)"]], ids=["S3", "C4"])
 def test_quotient_group_labels_do_not_follow_the_sign_of_the_basis(monkeypatch, gens):
     # k^G over B = A: H = A/AB+ is k, on the basis delta_1 or -delta_1 as the
@@ -550,7 +570,8 @@ def test_conjugation_matrices_built_once_per_request(monkeypatch, capsys, alpha)
 
 @pytest.mark.parametrize("alpha", ["g", "all"])
 def test_component_bimodules_built_once_per_request(monkeypatch, capsys, alpha):
-    # one `products` per side, on the stacked bases of every A_f
+    # the twists take one `products` per side, u_f b_m and b_m u_f, on the
+    # stacked generators u_f, one in each A_f
     calls = []
     products = hopf.AlgebraData.products
 
@@ -564,15 +585,17 @@ def test_component_bimodules_built_once_per_request(monkeypatch, capsys, alpha):
     capsys.readouterr()
     sc = builtin_scenario("s4_counterexample")
     ext = build_scenario(sc, resolve_seed(sc))
-    stacked = np.hstack([comp.matrix for comp in ext.components])
-    E = ext.inc.embedding
+    E, nf = ext.inc.embedding, ext.F.order
 
-    def on(U, V):
-        return [k for k, (X, Y) in enumerate(calls)
-                if X.shape == U.shape and Y.shape == V.shape
-                and np.array_equal(X, U) and np.array_equal(Y, V)]
+    def generators(u):
+        return u.shape == (ext.A.dim, nf) and all(
+            comp.contains(hopf.SubspaceBasis(ext.A, u[:, f:f + 1]))
+            for f, comp in enumerate(ext.components))
 
-    assert len(on(stacked, E)) == len(on(E, stacked)) == 1
+    right = [k for k, (X, Y) in enumerate(calls) if generators(X) and np.array_equal(Y, E)]
+    left = [k for k, (X, Y) in enumerate(calls) if np.array_equal(X, E) and generators(Y)]
+    assert len(right) == len(left) == 1
+    assert np.array_equal(calls[right[0]][0], calls[left[0]][1])
 
 
 @pytest.mark.parametrize("name", ["s4_counterexample", "cocentral_c4_c2", "s3_a3_classical"])

@@ -1092,24 +1092,24 @@ def test_graded_components_match_the_svd_definition(counterexample, cocentral8, 
         assert linalg.subspace_equal(got.matrix, U.conj().T @ comp.matrix, 1e-10)
 
 
-def _bimodules(ext):
-    """Extension.bimodules of ext's graded components, made afresh."""
-    fresh = Extension(ext.A, ext.inc)
+def _twists(ext):
+    """Extension.twists of ext's graded components, made afresh."""
+    fresh = Extension(ext.A, ext.inc, seed=ext.seed)
     fresh.components = ext.components
-    return fresh.bimodules
+    return fresh.twists
 
 
 def test_component_bimodules_read_through_the_joins(counterexample, a5):
-    # the products a_j b_m and b_m a_j of the 0/1 bases of every A_f and of
-    # B, joined or contracted densely, give the same coordinates
+    # the products u_f b_m and b_m u_f of the twists, for generators u_f on
+    # the 0/1 bases of the A_f, joined or contracted densely, give the same
+    # twists
     for ext in (counterexample, a5):
         with _join_min_dim(ext.A.dim + 1):
-            dense = _bimodules(ext)
+            dense = _twists(ext)
         with _join_min_dim(1):
-            path, joined = _path(lambda: _bimodules(ext))
+            path, joined = _path(lambda: _twists(ext))
         assert path == "joins"
-        for got, want in zip(joined, dense):
-            assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(joined - dense)) < 1e-12
 
 
 def test_spanned_by_keeps_an_orthonormal_basis(counterexample):

@@ -54,27 +54,26 @@ def test_coefficient_spaces_raise_for_the_first_failing_character(counterexample
 
 
 def test_stacks_cut_at_stack_bytes_are_bitwise_one_stack(monkeypatch, extensions):
-    # with STACK_BYTES = 1 every coefficient space and every module's graded
-    # characters come from a stack of one item; each is bitwise what one
-    # stack of all the items of a degree gives
-    def run(ext, modules):
+    # with STACK_BYTES = 1 every coefficient space comes from a stack of one
+    # sketch; each is bitwise what one stack of all the sketches of a degree
+    # gives
+    def run(ext):
         svds = []
-        svd, bimodules = linalg.svd, ext.bimodules
+        svd = linalg.svd
+        D = np.array([d.values for d in ext.dec_dual.irr])
         with monkeypatch.context() as m:
             m.setattr(linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
-            chars = clifford.graded_tensor_characters(bimodules, modules)
-        D = np.array([d.values for d in ext.dec_dual.irr])
-        return [C.matrix for C in hopf.coefficient_spaces(ext.A, D)], chars, len(svds)
+            spaces = hopf.coefficient_spaces(ext.A, D)
+        return [C.matrix for C in spaces], len(svds)
 
     for name, ext in extensions.items():
-        modules = [repcalc.construct_irreducible_module(ext.inc.small, ext.dec_b, k, seed=ext.seed)
-                   for k in range(len(ext.dec_b.irr))]
-        spaces, chars, stacks = run(ext, modules)
+        spaces, stacks = run(ext)
         with monkeypatch.context() as m:
             m.setattr(linalg, "STACK_BYTES", 1)
-            cut_spaces, cut_chars, cut_stacks = run(ext, modules)
-        assert stacks == len({M.dimension for M in modules}) and cut_stacks == len(modules), name
-        for got, want in itertools.chain(zip(cut_spaces, spaces), zip(cut_chars, chars)):
+            cut_spaces, cut_stacks = run(ext)
+        assert stacks == len({d.degree for d in ext.dec_dual.irr}), name
+        assert cut_stacks == len(ext.dec_dual.irr), name
+        for got, want in zip(cut_spaces, spaces):
             assert np.array_equal(got, want), name
 
 
@@ -197,13 +196,19 @@ def test_coset_check_forms_no_basis(monkeypatch, extensions):
             clifford.coset_projection_check(ext)
 
 
-def test_bimodules_match_the_per_component_form(extensions):
+def test_twists_match_the_per_component_form(extensions):
+    # theta_f = Phi_f^-1 Lambda_f for the same generator u_f = U_f x_f, with
+    # Phi_f and Lambda_f read from one component's bimodule at a time
     for name, ext in extensions.items():
-        right, left = ext.bimodules
+        b = ext.inc.small.dim
+        rng = linalg.random_stream(ext.seed, 2 ** 32 - 1)
+        x = linalg.random_complex(rng, (len(ext.components), b))
         for f, comp in enumerate(ext.components):
-            want = ref.component_bimodule(ext.A, ext.inc, comp)
-            assert np.max(np.abs(right[f] - want[0])) < 1e-12, name
-            assert np.max(np.abs(left[f] - want[1])) < 1e-12, name
+            right, left = ref.component_bimodule(ext.A, ext.inc, comp)
+            phi = np.einsum("j,kjm->km", x[f], right)      # u_f b_m
+            lam = np.einsum("j,kmj->km", x[f], left)       # b_m u_f
+            want = np.linalg.solve(phi, lam)
+            assert np.max(np.abs(ext.twists[f] - want)) < 1e-10, name
 
 
 def test_alphas_analysed_together_match_one_at_a_time(extensions):

@@ -6,6 +6,7 @@ with a traceback) and a predicate returns False.
 """
 
 import ast
+import copy
 import dataclasses
 from pathlib import Path
 
@@ -77,16 +78,18 @@ def _subalgebra_data(ext):
 
 
 def _component_bimodule(ext):
+    # a NaN in the products u_f b_m and b_m u_f of A_f's generators
     fresh = Extension(_with_nan(ext.A, "mult", (0, 0, 0)), ext.inc)
     fresh.components = ext.components
-    return fresh.bimodules
+    return fresh.twists
 
 
 def _graded_tensor_characters(ext):
-    right, left = (side.copy() for side in ext.bimodules)
-    left[1, 0, 0, 0] = np.nan
-    M = construct_irreducible_module(ext.inc.small, ext.dec_b, 0)
-    return clifford.graded_tensor_characters((right, left), [M])
+    # a NaN in a twist theta_f, so in the characters alpha o theta_f
+    fresh = copy.copy(ext)
+    fresh.twists = ext.twists.copy()
+    fresh.twists[1, 0, 0] = np.nan
+    return clifford.graded_stabilizer_analysis(fresh, [clifford.compute_stabilizer(ext, 0)])
 
 
 def _as_group_algebra_surjection(ext):
@@ -131,7 +134,7 @@ NAN_CASES = [
     (_is_hopf_subalgebra_antipode, False),
     (_subalgebra_data, PreconditionError),
     (_component_bimodule, ConsistencyError),
-    (_graded_tensor_characters, ConsistencyError),
+    (_graded_tensor_characters, NotACharacterError),
     (_as_group_algebra_surjection, ConsistencyError),
     (_conjugation_matrix, ConsistencyError),
     (_scalar_module, ConsistencyError),
