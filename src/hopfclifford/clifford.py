@@ -16,7 +16,8 @@ irreducible B-characters alpha through each stage in one call:
   * the stabilizer Hopf subalgebra Z built from dual characters d
     with conjugate character  alpha C_d = eps(d) alpha; Z, its algebra,
     decomposition and restriction tables are shared by every alpha with
-    the same stabilizing set, and Z = A is read on A's own basis,
+    the same stabilizing set, and Z = A and Z = B are read on the bases
+    and decompositions of A and B,
   * the dimension bound |Z| <= |A| alpha(1)^2 / b_i(1) together with the
     socle multiplicity test, and the direct check that induction from Z
     is a bijection onto the class of alpha; the inductions of one stage
@@ -63,7 +64,7 @@ from .hopf import (AlgebraData, HopfAlgebraData, HopfInclusion, HopfSurjection,
 from .linalg import COND_LIMIT, TOL_ALG, TOL_MATCH, max_abs, require
 from .repcalc import (MAX_RETRIES, Character, DEFAULT_SEED, SemisimpleDecomposition,
                       as_group_algebra_surjection, decompose, induce_character,
-                      restrict_character, restriction_table, wedderburn)
+                      restrict_character, restriction_table, sort_order, wedderburn)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +444,28 @@ def compute_stabilizer(ext: Extension, alpha_index: int) -> StabilizerResult:
 def stabilizer_of_set(ext: Extension, stabilizing: tuple[int, ...]) -> Stabilizer:
     """Z spanned by the coefficient spaces of `stabilizing`, checked, with its data.
 
+    Z is decomposed on its orthonormal basis Q unless it is A or B, which
+    are read on their own decompositions.  The numbering of psi is always
+    the one Q would give: wedderburn(subalgebra_data(A, Q), frame=Q) sorts
+    Irr(Z) on the characters as functionals on A, conj(Q) Q^T chi.
+
     When the set is all of Irr(A*), Z is A, taken on A's own basis:
     z_alg = A, z_dec = dec_a, table_bz = R (the context's restriction table)
     and table_za = I.  The checks made on a smaller Z hold there already.
     The simple subcoalgebras of A are independent, and their dimensions
     eps(d)^2 sum to dim A by dec_dual's block check, so together they span
     A.  A contains B, is a Hopf subalgebra of itself, and is closed under
-    its product with its unit.  The numbering of psi is the one a basis Q
-    of Z would give: wedderburn(subalgebra_data(A, Q), frame=Q) sorts Irr(Z)
-    on conj(Q) Q^T chi = chi, the key dec_a is sorted on.
+    its product with its unit.  Q Q^H = I, so the key is chi itself, the
+    one dec_a is sorted on.
+
+    A Z of dimension |B| that passes the checks contains B, so it is B,
+    read on B's own basis as Z = A is read on A's: z_alg = B, z_dec is
+    dec_b renumbered, table_bz is that permutation of I and table_za the
+    columns of R it picks.  On Q = E pinv(E) Q, for B's embedding E, a
+    B-character alpha takes the values Q^T pinv(E)^T alpha, so its key is
+    conj(Q Q^H) pinv(E)^T alpha = pinv(E)^T alpha: conj(Q Q^H) projects
+    onto conj(span E), which holds the columns of pinv(E)^T =
+    conj(E) (E^T conj(E))^-1.  For an orthonormal E that is conj(E) alpha.
     """
     A, inc = ext.A, ext.inc
     E = np.asarray(inc.embedding, complex)
@@ -473,6 +487,20 @@ def stabilizer_of_set(ext: Extension, stabilizing: tuple[int, ...]) -> Stabilize
         raise ConsistencyError("Z does not contain B")
     if not is_hopf_subalgebra(A, Z):
         raise ConsistencyError("stabilizing subcoalgebras do not close into a Hopf subalgebra")
+
+    if Z.dim == inc.small.dim:
+        dec_b = ext.dec_b
+        X = np.stack([ch.values for ch in dec_b.irr], axis=1)
+        order = sort_order(E.conj() @ linalg.solve(E.T @ E.conj(), X), dec_b.dims)
+        z_dec = SemisimpleDecomposition(
+            algebra=inc.small, idempotents=[dec_b.idempotents[k] for k in order],
+            dims=[dec_b.dims[k] for k in order], irr=[dec_b.irr[k] for k in order])
+        eye = np.eye(inc.small.dim, dtype=complex)
+        return Stabilizer(stabilizing=list(stabilizing), Z=Z, z_alg=inc.small, z_dec=z_dec,
+                          b_in_z=eye, b_inc=HopfInclusion(small=inc.small, big=inc.small,
+                                                          embedding=eye),
+                          z_inc=inc, table_bz=np.eye(len(order), dtype=np.int64)[order],
+                          table_za=ext.ecd.restriction_table[:, order])
 
     z_alg = subalgebra_data(A, Z, labels=[f"z{i}" for i in range(Z.dim)])
     z_dec = wedderburn(z_alg, seed=ext.seed, frame=Z.matrix)

@@ -56,6 +56,10 @@ centre's commutators join their operand, whatever its entries, with
 cost follows the nonzeros; each has one dense form, taken otherwise and
 when a join would pair more entries than its limit (`_TooManyPairs`).
 Below JOIN_MIN_DIM the dense forms cost less than the joins' sorting.
+The centre's Casimir projection joins a sparse `mult` with the entries of
+the inverse trace form, then with itself, at every dimension, and takes
+its dense form, cut at linalg.STACK_BYTES, for a dense `mult` or when a
+join would pair more than d^2 entries (`AlgebraData.casimir`).
 Cocentrality, once per request, and the comodule map rho are joins only,
 at every dimension, and a NaN or Inf in Delta or pi fails the one and is
 refused by the other.  rho is kept in COO form, and a graded component
@@ -245,6 +249,37 @@ class AlgebraData:
                                        _coo_einsum("jc,jio->ico", x, m, d, limit=d * d * r),
                                        (d, r, d))
         return max_abs(self.mult_coo.along((1,), X) - self.mult_coo.along((0,), X))
+
+    def casimir(self, H: np.ndarray) -> np.ndarray:
+        """The matrix of x -> sum_i e_i x e^i, the dual basis e^i = sum_j
+        H[j, i] e_j: out[o, x] = sum_ijp H[j, i] mult[i, x, p] mult[p, j, o].
+
+        A sparse `mult` is joined with the entries of H first, then with
+        itself (`_coo_einsum`, each join pairing at most d^2 entries), and
+        the pairs are summed into the result; joining `mult` with itself
+        first would pair d^3 entries for kG.  A dense `mult`, or a join that
+        would pair more, takes the dense form: sum_j R(e_j) L(e^j), over
+        blocks of j whose (d, d) factors hold at most linalg.STACK_BYTES
+        (`Coo.along`, so that a sparse `mult` is never formed densely).
+        """
+        d = self.dim
+        if self.mult_coo.sparse:
+            m = self.mult_coo.entries
+            try:
+                t = _coo_einsum("ixp,ji->jxp", m, _entries(H), d, limit=d * d)
+                (o, x), val = _coo_einsum("jxp,pjo->ox", t, m, d, limit=d * d)
+                return _scatter_sum(o * d + x, val, d * d).reshape(d, d)
+            except _TooManyPairs:
+                pass
+        out = np.zeros((d, d), dtype=complex)
+        step = linalg.stack_items(4 * 16 * d * d)
+        for lo in range(0, d, step):
+            js = slice(lo, lo + step)
+            left = self.mult_coo.along((0,), H[js].T)          # [x, p, j]: e^j e_x
+            right = self.mult_coo.along((1,), np.eye(d, dtype=complex)[:, js])   # [p, o, j]
+            out += (right.transpose(1, 0, 2).reshape(d, -1)
+                    @ left.transpose(1, 2, 0).reshape(-1, d))
+        return out
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.left_mult_matrix(x) @ y

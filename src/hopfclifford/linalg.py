@@ -147,7 +147,9 @@ def random_stream(seed: int, stream: int) -> random.Random:
     Each use of a seed that draws its own elements has a stream, so that it
     shifts no other use's draws:
 
-    - 0: the centre's two elements (`repcalc._center`);
+    - 0: the r Gaussian columns whose image under the Casimir projection
+      spans a centre of dimension r < d (`repcalc._center`; a commutative
+      algebra draws none);
     - 1: the coefficient-space sketch (`hopf.coefficient_spaces`);
     - 2: the central splitting element (`repcalc.wedderburn`);
     - 3 + index: the splitting element of block `index`

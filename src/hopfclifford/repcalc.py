@@ -1,10 +1,13 @@
 """Semisimple decomposition, characters, explicit modules, induction.
 
 Artin-Wedderburn over the complex numbers by center splitting: the center
-is the common commutant of two seeded-random elements, checked against
-every basis element, and is split by eigendecomposition of a seeded-random
-central element; the resulting central primitive idempotents give block
-sizes and irreducible characters via regular traces.
+is the range of the Casimir projection of the regular trace form (D. G.
+Higman, Canad. J. Math. 1955), whose trace is its dimension, checked
+against every basis element, and is split by eigendecomposition of a
+seeded-random central element; the resulting central primitive
+idempotents give block sizes and irreducible characters via regular
+traces, and a character's multiplicities are its values on them.  No
+step takes the SVD of a (2d, d) matrix or a least-squares solve.
 Integrality, idempotency and module checks use the thresholds of `linalg`.
 """
 
@@ -66,44 +69,55 @@ class SemisimpleDecomposition:
         return len(self.dims)
 
 
-class _CharSortKey:
-    """Sort key of an irreducible character: its degree, then its values,
-    each rounded to 6 decimals (round(x, 6) + 0.0, real part before
-    imaginary part), compared as Python compares the tuple (degree, list of
-    rounded (real, imag) pairs).  The values are rounded lazily, only up to
-    the first pair that differs, so the order, NaN included, is the one the
-    whole rounded list would give."""
+def _round6(x: np.ndarray) -> np.ndarray:
+    """round(v, 6) + 0.0, as Python gives it, of every entry v of the real
+    array x.
 
-    __slots__ = ("degree", "real", "imag")
+    Python rounds the exact v 10^6 to an integer N, half to even, and
+    returns the double nearest N 10^-6.  rint(v * 1e6) / 1e6 returns that
+    double too, since the division is correctly rounded, whenever v * 1e6
+    is below 2^52 and further than an ulp from half an integer, so that its
+    own rounding moves it past no tie; the other entries, NaN and the
+    infinities among them, are rounded by Python.
+    """
+    y = x * 1e6
+    out = np.rint(y) / 1e6 + 0.0
+    a = np.abs(y)
+    with np.errstate(invalid="ignore"):
+        near = ~(a < 2.0 ** 52) | (np.abs(2 * (a - np.floor(a)) - 1) <= 2 * np.spacing(a))
+    for i in zip(*np.nonzero(near)):
+        out[i] = round(float(x[i]), 6) + 0.0
+    return out
 
-    def __init__(self, values: np.ndarray, degree: int):
-        self.degree = degree
-        self.real, self.imag = values.real.tolist(), values.imag.tolist()
 
-    def __lt__(self, other: "_CharSortKey") -> bool:
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        for x, y, u, v in zip(self.real, self.imag, other.real, other.imag):
-            mine = (round(x, 6) + 0.0, round(y, 6) + 0.0)
-            theirs = (round(u, 6) + 0.0, round(v, 6) + 0.0)
-            if mine != theirs:
-                return mine < theirs
-        return len(self.real) < len(other.real)
+def sort_order(values: np.ndarray, dims: Sequence[int]) -> list[int]:
+    """Positions of the characters, the columns of `values`, in the order
+    Irr is sorted: by degree, then by values, each rounded to 6 decimals
+    (round(x, 6) + 0.0, real part before imaginary part), compared as Python
+    compares the tuples (degree, list of rounded (real, imag) pairs), NaN
+    included.  Each value is rounded once, all at once (`_round6`), and the
+    tuples are compared without a Python call per pair."""
+    real, imag = _round6(values.real.T).tolist(), _round6(values.imag.T).tolist()
+    keys = [(n, list(zip(a, b))) for n, a, b in zip(dims, real, imag)]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
                frame: Optional[np.ndarray] = None) -> SemisimpleDecomposition:
     """Central primitive idempotents, block sizes, irreducible characters.
 
-    The center is the common commutant of two random elements (`_center`);
-    the eigenvectors v_k of a random central element, drawn from stream 2
-    of `seed` (`linalg.random_stream`), scaled by their Rayleigh quotients
-    under v -> v v, give the idempotents.  All products v_k v_l come from
-    one `AlgebraData.products`, which gives the quotients, the idempotency
-    gate and the orthogonality check of `_check_decomposition`; the
-    characters of every block are one product with the regular trace
-    form.  A failing block redraws the splitting element.  Irr(A) is
-    sorted by degree, then by the character's values (`_CharSortKey`).
+    The center is the range of the Casimir projection (`_center`) of the
+    regular trace form that the semisimplicity gate forms; the
+    eigenvectors v_k of a random central element, drawn from stream 2 of
+    `seed` (`linalg.random_stream`), scaled by their Rayleigh quotients
+    under v -> v v, give the idempotents.  The products v_k v_l are formed
+    in blocks of at most linalg.STACK_BYTES and reduced at once to the
+    squares, which give the quotients and the idempotency gate, and to the
+    peaks |v_k v_l| that the orthogonality check of `_check_decomposition`
+    reads (`_column_products`).  The characters of every block are one
+    product with the regular trace form.  A failing block redraws the
+    splitting element.  Irr(A) is sorted by degree, then by the
+    character's values (`sort_order`).
     When A is a subalgebra given on orthonormal columns `frame` of a larger
     algebra, the values sorted on are those of the character as a
     functional on the larger algebra, conj(frame) @ values, which do not
@@ -114,7 +128,7 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
     require(linalg.cond(trace_form), COND_LIMIT, SemisimplicityError,
             "regular trace form is degenerate: condition number")
 
-    center = _center(A, seed)
+    center = _center(A, seed, trace_form)
     r = center.shape[1]
     rng = linalg.random_stream(seed, 2)
 
@@ -128,8 +142,7 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
             if not np.min(np.abs(vals[i] - vals[j])) >= TOL_MATCH * scale:
                 continue
         V = center @ vecs                                     # column k: v_k
-        prods = A.products(V, V)                              # prods[:, k, l] = v_k v_l
-        vv = prods[:, np.arange(r), np.arange(r)]
+        vv, peaks = _column_products(A, V)                    # vv[:, k] = v_k v_k
         lam = np.einsum("ik,ik->k", V.conj(), vv) / np.einsum("ik,ik->k", V.conj(), V)
         if not np.all(np.abs(lam) >= TOL_ZERO):
             continue
@@ -146,51 +159,85 @@ def wedderburn(A: AlgebraData, seed: int = DEFAULT_SEED,
                    for n, x in zip(dims, nn)):
             continue
         chars = (trace_form @ E) / np.array(dims)             # column k: character of block k
-        seen = chars if frame is None else frame.conj() @ chars
-        order = sorted(range(r), key=lambda k: _CharSortKey(seen[:, k], dims[k]))
+        order = sort_order(chars if frame is None else frame.conj() @ chars, dims)
         dec = SemisimpleDecomposition(
             algebra=A,
             idempotents=[E[:, k].copy() for k in order],
             dims=[dims[k] for k in order],
             irr=[Character(A, chars[:, k].copy()) for k in order],
         )
-        _check_decomposition(dec, (prods / np.outer(lam, lam))[:, order][:, :, order])
+        _check_decomposition(dec, (peaks / np.abs(np.outer(lam, lam)))[np.ix_(order, order)])
         return dec
     raise NumericDegeneracyError("central splitting failed after max retries")
 
 
-def _center(A: AlgebraData, seed: int) -> np.ndarray:
-    """Orthonormal basis of the center: the elements commuting with two random ones.
+def _center(A: AlgebraData, seed: int, trace_form: Optional[np.ndarray] = None) -> np.ndarray:
+    """Orthonormal basis of the center: the range of the Casimir projection.
 
-    Two random elements generate a semisimple algebra with probability one,
-    so their common commutant, the null space of [L(r1) - R(r1); L(r2) - R(r2)],
-    is the center (Eberly and Giesbrecht, J. Symbolic Comput. 2000).  The
+    With e^i the dual basis of e_i under the regular trace form G (given as
+    `trace_form`, else formed), tau(x) = sum_i e_i x e^i is the projection
+    of a semisimple A onto its center along [A, A] (D. G. Higman, Canad. J.
+    Math. 1955), so its trace is dim Z(A); that trace is gated as an integer
+    r.  tau is `AlgebraData.casimir` of H = G^-1 (`linalg.solve`).  When
+    r = d the algebra is commutative and its basis is the center's, as for
+    every k^G; otherwise the center is the orthonormal range of tau times r
+    Gaussian columns, drawn from stream 0 of the seed
+    (`linalg.random_stream`) so that they shift no other use's draws.  The
     basis is then checked against every basis element
     (`AlgebraData.commutator_residual`: from linalg.JOIN_MIN_DIM on, joins
     of the entries of a sparse `mult` and the basis, otherwise `mult`
     contracted with the basis on each side; NaN, and so a retry, when
-    either is not finite).  The elements come from stream 0 of the seed
-    (`linalg.random_stream`), so they shift no other use's draws.
+    either is not finite).  A NaN in `mult` fails the trace's gate.
     """
     d = A.dim
+    if trace_form is None:
+        trace_form = A.mult_coo.along((2,), A.regular_trace_vector())
+    tau = A.casimir(linalg.solve(trace_form, np.eye(d, dtype=complex)))
+    t = complex(np.trace(tau))
+    r = nearest_int(t.real)
+    if not (1 <= r <= d and abs(t - r) <= TOL_MATCH * max(1.0, abs(t))):
+        raise NumericDegeneracyError(f"the Casimir projection's trace {t:.6g} is no dimension")
     rng = linalg.random_stream(seed, 0)
-    for _ in range(MAX_RETRIES):
-        rs = [linalg.random_complex(rng, d) for _ in range(2)]
-        center = linalg.null_space(
-            np.vstack([A.left_mult_matrix(x) - A.right_mult_matrix(x) for x in rs]))
-        if A.commutator_residual(center) <= TOL_NUM:
+    for _ in range(MAX_RETRIES if r < d else 1):
+        center = (np.eye(d, dtype=complex) if r == d
+                  else linalg.orthonormal_columns(tau @ linalg.random_complex(rng, (d, r))))
+        if center.shape[1] == r and A.commutator_residual(center) <= TOL_NUM:
             return center
-    raise NumericDegeneracyError("center of two random elements failed after max retries")
+    raise NumericDegeneracyError("center of the Casimir projection failed after max retries")
 
 
-def _check_decomposition(dec: SemisimpleDecomposition, products: np.ndarray) -> None:
+def _column_products(A: AlgebraData, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The squares v_k v_k of the columns of V, as columns, and
+    peaks[k, l] = max |v_k v_l|.
+
+    The products come from T[k, j, :] = v_k e_j, `mult` contracted with
+    blocks of the v_k whose T and products hold at most linalg.STACK_BYTES,
+    and are reduced block by block.  Each v_k's matrix product has one
+    shape whatever its block, so the result is bitwise that of one block.
+    """
+    d, r = V.shape
+    squares = np.empty((d, r), dtype=complex)
+    peaks = np.empty((r, r))
+    step = linalg.stack_items(16 * d * (2 * d + r))
+    for lo in range(0, r, step):
+        # P[k, l, :] = v_lo+k v_l from T[k, j, :] = v_lo+k e_j, freed at once
+        T = A.mult_coo.along((0,), V[:, lo:lo + step]).transpose(2, 0, 1)
+        P = V.T @ np.ascontiguousarray(T)
+        del T
+        ks = np.arange(P.shape[0])
+        squares[:, lo + ks] = P[ks, lo + ks].T
+        peaks[lo + ks] = np.abs(P).max(axis=2)
+    return squares, peaks
+
+
+def _check_decomposition(dec: SemisimpleDecomposition, peaks: np.ndarray) -> None:
     """Block squares sum to dim A, and the idempotents are orthogonal:
-    products[:, i, j] is e_i e_j, in the order of dec.idempotents."""
+    peaks[i, j] is max |e_i e_j|, in the order of dec.idempotents."""
     A = dec.algebra
     if sum(n * n for n in dec.dims) != A.dim:
         raise ConsistencyError("block squares do not sum to the dimension")
     i, j = np.triu_indices(dec.num_blocks, 1)
-    require(max_abs(products[:, i, j]), TOL_NUM, ConsistencyError,
+    require(max_abs(peaks[i, j]), TOL_NUM, ConsistencyError,
             "central idempotents are not orthogonal")
 
 
@@ -204,10 +251,14 @@ def decompose(chi: Character, dec: SemisimpleDecomposition) -> np.ndarray:
     `chi.values` may be a stack of characters, one per row; the result then
     has one row of multiplicities per character, and each character is
     gated against its own scale, as if it were decomposed alone.
+    Irr(A)[j] takes the value deg_j on the central idempotent e_j and 0 on
+    the others, so chi(e_j) = m_j deg_j gives each m_j without a solve;
+    chi must then lie within TOL_NUM of sum_j m_j Irr(A)[j], and each m_j
+    within TOL_MATCH of a nonnegative integer.
     """
     X = np.stack([c.values for c in dec.irr], axis=1)
     values = np.atleast_2d(chi.values).T                     # one character per column
-    coeffs = linalg.lstsq(X, values, rcond=None)[0]
+    coeffs = (np.stack(dec.idempotents) @ values) / np.array(dec.dims)[:, None]
     resid = np.abs(X @ coeffs - values).max(axis=0)
     bound = TOL_NUM * np.maximum(1.0, np.abs(values).max(axis=0))
     worst = int(np.argmax(resid / bound))                    # a NaN counts as the worst

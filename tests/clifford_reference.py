@@ -18,6 +18,14 @@ gives its twist theta_f (`Extension.twists`),
 for B C_d (`clifford.coset_projection_check`), `wedderburn` scales, gates
 and traces one block at a time with two products per block and sorts on the
 eagerly rounded `char_sort_key` (`repcalc.wedderburn`, `repcalc._CharSortKey`).
+
+The forms the Casimir projection and the central idempotents replace:
+`center_of_two_elements` is the common commutant of two random elements, the
+null space of a stacked (2d, d) commutator matrix (`repcalc._center`);
+`decompose` solves for the multiplicities by least squares
+(`repcalc.decompose`); `built_stabilizer` builds every Z, B included, as an
+algebra on its orthonormal basis Q and decomposes it on the frame Q, with
+both restriction tables (`clifford.stabilizer_of_set`).
 """
 
 from fractions import Fraction
@@ -25,10 +33,11 @@ from fractions import Fraction
 import numpy as np
 
 from hopfclifford import linalg, repcalc
-from hopfclifford.errors import (ConsistencyError, NumericDegeneracyError,
+from hopfclifford.clifford import Stabilizer
+from hopfclifford.errors import (ConsistencyError, NotACharacterError, NumericDegeneracyError,
                                  PreconditionError, SemisimplicityError)
 from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis, dual_hopf,
-                               subspace_product)
+                               subalgebra_data, subspace_product)
 from hopfclifford.linalg import (COND_LIMIT, DEFAULT_SEED, TOL_ALG, TOL_MATCH, TOL_NUM,
                                  TOL_ZERO, max_abs, nearest_int, require)
 from hopfclifford.repcalc import Character, ExplicitModule, SemisimpleDecomposition
@@ -249,3 +258,53 @@ def wedderburn(A, seed: int = DEFAULT_SEED, frame=None) -> SemisimpleDecompositi
                                        dims=[b[0] for b in blocks],
                                        irr=[Character(A, b[2]) for b in blocks])
     raise NumericDegeneracyError("central splitting failed after max retries")
+
+
+def center_of_two_elements(A, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Orthonormal basis of the center: the elements commuting with two
+    random ones from stream 0 of `seed` (Eberly and Giesbrecht, J. Symbolic
+    Comput. 2000), checked against every basis element."""
+    rng = linalg.random_stream(seed, 0)
+    for _ in range(repcalc.MAX_RETRIES):
+        rs = [linalg.random_complex(rng, A.dim) for _ in range(2)]
+        center = linalg.null_space(
+            np.vstack([A.left_mult_matrix(x) - A.right_mult_matrix(x) for x in rs]))
+        if A.commutator_residual(center) <= TOL_NUM:
+            return center
+    raise NumericDegeneracyError("center of two random elements failed after max retries")
+
+
+def decompose(chi: Character, dec: SemisimpleDecomposition) -> np.ndarray:
+    """Multiplicities of `chi` (one character or a stack of rows) by least
+    squares in the irreducible characters, with the gates of `repcalc.decompose`."""
+    X = np.stack([c.values for c in dec.irr], axis=1)
+    values = np.atleast_2d(chi.values).T
+    coeffs = linalg.lstsq(X, values, rcond=None)[0]
+    resid = np.abs(X @ coeffs - values).max(axis=0)
+    bound = TOL_NUM * np.maximum(1.0, np.abs(values).max(axis=0))
+    worst = int(np.argmax(resid / bound))
+    require(resid[worst], bound[worst], NotACharacterError,
+            "values are not in the character span")
+    n = np.rint(coeffs.real)
+    bad = ~(np.abs(coeffs - n) <= TOL_MATCH) | (n < 0)
+    if bad.any():
+        raise NotACharacterError(f"multiplicity {coeffs[bad][0]} is not a nonnegative integer")
+    n = n.T.astype(np.int64)
+    return n if chi.values.ndim == 2 else n[0]
+
+
+def built_stabilizer(ext, stabilizing, Z: SubspaceBasis) -> Stabilizer:
+    """The Stabilizer of `stabilizing` with Z built on its orthonormal basis:
+    subalgebra_data, wedderburn on the frame Z.matrix, B's coordinates in Z
+    by least squares and both restriction tables."""
+    inc = ext.inc
+    z_alg = subalgebra_data(ext.A, Z, labels=[f"z{i}" for i in range(Z.dim)])
+    z_dec = repcalc.wedderburn(z_alg, seed=ext.seed, frame=Z.matrix)
+    b_in_z, resid = linalg.lstsq_coords(Z.matrix, np.asarray(inc.embedding, complex))
+    require(resid, TOL_ALG, ConsistencyError, "B does not sit inside Z numerically")
+    b_inc = HopfInclusion(small=inc.small, big=z_alg, embedding=b_in_z)
+    z_inc = HopfInclusion(small=z_alg, big=ext.A, embedding=Z.matrix)
+    return Stabilizer(stabilizing=list(stabilizing), Z=Z, z_alg=z_alg, z_dec=z_dec,
+                      b_in_z=b_in_z, b_inc=b_inc, z_inc=z_inc,
+                      table_bz=repcalc.restriction_table(b_inc, ext.dec_b, z_dec),
+                      table_za=repcalc.restriction_table(z_inc, z_dec, ext.dec_a))

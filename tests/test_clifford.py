@@ -20,8 +20,10 @@ from hopfclifford.repcalc import (DEFAULT_SEED, Character,
                                   restriction_table, wedderburn)
 from hopfclifford.scenarios import build_scenario, builtin_scenario
 
+import clifford_reference as ref
 from clifford_reference import (component_bimodule, conjugate_module,
                                 graded_tensor_character, subcoalgebra_as_dual_module)
+from conftest import change_basis
 
 
 def alpha_with_support(ext, label):
@@ -480,6 +482,50 @@ def test_z_equal_to_a_is_read_on_the_basis_of_a(classical, counterexample, cocen
         z_inc = clifford.HopfInclusion(small=z_alg, big=A, embedding=Q)
         assert np.array_equal(sr.table_bz, restriction_table(b_inc, ext.dec_b, z_dec))
         assert np.array_equal(sr.table_za, restriction_table(z_inc, z_dec, ext.dec_a))
+
+
+def _assert_read_as_built(ext, rng):
+    """Every Z = B of `ext` is read on Irr(B) as the built Z would give it,
+    on Z's SVD basis and on a random unitary basis of it: the order and
+    degrees of Irr(Z), both restriction tables and every psi_alpha, each
+    character compared as a functional on A.  Returns how many alphas have
+    Z = B."""
+    B, E = ext.inc.small, np.asarray(ext.inc.embedding, complex)
+    key = np.linalg.pinv(E).T                     # a B-character as a functional on A
+    count = 0
+    for k in range(len(ext.dec_b.irr)):
+        sr = compute_stabilizer(ext, k)
+        if sr.dim_z != B.dim:
+            continue
+        count += 1
+        assert sr.z_alg is B and sr.z_inc is ext.inc
+        unitary = np.linalg.qr(rng.standard_normal((B.dim, B.dim))
+                               + 1j * rng.standard_normal((B.dim, B.dim)))[0]
+        for frame in (sr.Z.matrix, sr.Z.matrix @ unitary):
+            built = ref.built_stabilizer(ext, sr.stabilizing, SubspaceBasis(ext.A, frame))
+            assert built.z_dec.dims == sr.z_dec.dims
+            assert np.array_equal(built.table_bz, sr.table_bz)
+            assert np.array_equal(built.table_za, sr.table_za)
+            got = np.array([key @ ch.values for ch in sr.z_dec.irr])
+            want = np.array([frame.conj() @ ch.values for ch in built.z_dec.irr])
+            assert np.max(np.abs(got - want)) < 1e-8
+            psi = sum(built.z_dec.irr[j].degree * built.z_dec.irr[j].values for j in sr.z_class)
+            assert np.max(np.abs(key @ sr.psi_alpha.values - frame.conj() @ psi)) < 1e-8
+    return count
+
+
+def test_z_equal_to_b_is_read_on_irr_b(classical, counterexample, cocentral8, s4_a4, a5):
+    rng = np.random.default_rng(41)
+    for ext in (classical, counterexample, cocentral8, s4_a4, a5):
+        assert _assert_read_as_built(ext, rng) > 0
+    # on a basis of B that is not orthonormal, the key is pinv(E)^T alpha
+    P = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    B = change_basis(counterexample.inc.small, P)
+    E = counterexample.inc.embedding @ P
+    ext = Extension(counterexample.A, clifford.HopfInclusion(small=B, big=counterexample.A,
+                                                             embedding=E),
+                    piF=counterexample.piF, F=counterexample.F, mp=counterexample.mp)
+    assert _assert_read_as_built(ext, rng) == 2
 
 
 def test_orbit_identity_integers(counterexample, cocentral8, classical):

@@ -600,16 +600,18 @@ def test_component_bimodules_built_once_per_request(monkeypatch, capsys, alpha):
 
 @pytest.mark.parametrize("name", ["s4_counterexample", "cocentral_c4_c2", "s3_a3_classical"])
 def test_stabilizers_built_once_per_stabilizing_set(monkeypatch, capsys, name):
-    # Z = A is A itself; every other Z is built and decomposed once, however
-    # many alphas share its stabilizing set
+    # Z = A and Z = B are read on the decompositions of A and B; every other
+    # Z is built and decomposed once, however many alphas share its
+    # stabilizing set
     sc = builtin_scenario(name)
     ext = build_scenario(sc, resolve_seed(sc))
     duals = ext.dec_dual.irr
     sets = {tuple(i for i, (d, C) in enumerate(zip(duals, ext.conjugation))
                   if np.max(np.abs(alpha.values @ C - d.degree * alpha.values)) < 1e-6)
             for alpha in ext.dec_b.irr}
-    proper = sorted(sum(duals[i].degree ** 2 for i in s) for s in sets if len(s) < len(duals))
-    assert 0 < len(proper) < len(sets) < len(ext.dec_b.irr)
+    dims = [sum(duals[i].degree ** 2 for i in s) for s in sets]
+    assert ext.inc.small.dim in dims and len(sets) < len(ext.dec_b.irr)
+    proper = sorted(n for n in dims if n not in (ext.inc.small.dim, ext.A.dim))
     frames, subspaces = [], []
 
     def counting_wedderburn(A, *args, frame=None, **kw):
@@ -624,7 +626,7 @@ def test_stabilizers_built_once_per_stabilizing_set(monkeypatch, capsys, name):
     monkeypatch.setattr(clifford, "subalgebra_data", counting_subalgebra_data)
     assert cli.main(["analyze", "--builtin", name, "--alpha", "all"]) == 0
     capsys.readouterr()
-    # A, B and A* are decomposed without a frame, each proper Z on its own basis
+    # A, B and A* are decomposed without a frame, each Z between B and A on its own basis
     assert sum(frame is None for frame in frames) == 3
     assert sorted(frame.shape[1] for frame in frames if frame is not None) == proper
     assert sorted(subspaces) == proper

@@ -20,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hopfclifford import hopf, linalg, repcalc, scenarios
+from hopfclifford import cli, clifford, hopf, linalg, repcalc, scenarios
 from hopfclifford.clifford import (Extension, compute_stabilizer,
                                    conjugation_matrices, graded_stabilizer_analysis)
 from hopfclifford.errors import ConsistencyError, NumericDegeneracyError, PreconditionError
@@ -582,6 +582,66 @@ def test_center_retries_then_raises(monkeypatch, classical):
         repcalc._center(classical.A, DEFAULT_SEED)
     # a commutative algebra is its own center whatever the draws
     assert repcalc._center(classical.inc.small, DEFAULT_SEED).shape[1] == classical.inc.small.dim
+
+
+def test_casimir_trace_counts_the_blocks(algebras, counterexample, a5):
+    # on every algebra the test above builds, tau of the inverse trace form is
+    # a projection whose trace is the number of Wedderburn blocks, and its
+    # range is the common commutant of two random elements
+    subalgebras = [compute_stabilizer(ext, alpha).z_alg for ext in (counterexample, a5)
+                   for alpha in range(len(ext.dec_b.irr))]
+    frame = np.linalg.qr(_random(np.random.default_rng(5), a5.A.dim, a5.A.dim))[0]
+    rotated = subalgebra_data(a5.A, SubspaceBasis(a5.A, frame))
+    for A in list(algebras.values()) + subalgebras + [rotated]:
+        tau = A.casimir(np.linalg.inv(A.mult_coo.along((2,), A.regular_trace_vector())))
+        assert abs(np.trace(tau) - len(repcalc.wedderburn(A).dims)) < 1e-9
+        assert np.max(np.abs(tau @ tau - tau)) < 1e-9
+        assert linalg.subspace_equal(repcalc._center(A, DEFAULT_SEED),
+                                     clifford_reference.center_of_two_elements(A), 1e-9)
+
+
+def test_casimir_matches_its_definition(monkeypatch, counterexample, a5):
+    # the joins (the inverse trace form of a constructor's algebra), the
+    # dense form of a sparse mult (a dense H, whose joins would pair more
+    # than d^2 entries) and of a dense mult, and the dense form one j at a time
+    rng = np.random.default_rng(61)
+    for A in (counterexample.A, counterexample.dual, a5.A, _dense(counterexample.A)):
+        d = A.dim
+        G = A.mult_coo.along((2,), A.regular_trace_vector())
+        for H in (np.linalg.inv(G), _random(rng, d, d)):
+            want = np.einsum("ji,ixp,pjo->ox", H, A.mult, A.mult, optimize=True)
+            assert np.max(np.abs(A.casimir(H) - want)) < 1e-10
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "STACK_BYTES", 1)
+                assert np.max(np.abs(A.casimir(H) - want)) < 1e-10
+
+
+def test_a_nan_in_mult_is_a_numeric_degeneracy(monkeypatch, capsys, counterexample):
+    # the inverse of the trace form fails, or the Casimir projection's trace
+    # is NaN, which is no dimension
+    idx, val = counterexample.A.mult_coo.entries
+    for k in range(val.size):
+        broken = hopf.AlgebraData(hopf.Coo(counterexample.A.dim, idx, np.where(
+            np.arange(val.size) == k, np.nan, val)), counterexample.A.unit)
+        with pytest.raises(NumericDegeneracyError, match="solve failed|trace nan"):
+            repcalc._center(broken, DEFAULT_SEED)
+    # on the command line, with or without the trace form's condition gate
+    # before the centre: exit 4 and one line on stderr
+    wedderburn = clifford.wedderburn
+
+    def on_a_nan(A, *args, **kw):
+        idx, v = A.mult_coo.entries
+        return wedderburn(hopf.AlgebraData(hopf.Coo(A.dim, idx, np.where(
+            np.arange(v.size) == 0, np.nan, v)), A.unit), *args, **kw)
+
+    monkeypatch.setattr(clifford, "wedderburn", on_a_nan)
+    for gated in (True, False):
+        if not gated:
+            monkeypatch.setattr(linalg, "cond", lambda M: 1.0)
+        assert cli.main(["list-irr", "--builtin", "s4_counterexample"]) == cli.EXIT_THEOREM
+        err = capsys.readouterr().err
+        assert err.startswith("internal consistency failure: ") and err.count("\n") == 1
+        assert ("cond failed" in err) is gated
 
 
 def test_psi_order_does_not_depend_on_the_basis_of_z(counterexample):

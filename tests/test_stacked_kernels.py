@@ -17,9 +17,10 @@ from hopfclifford import cli, clifford, hopf, linalg, repcalc
 from hopfclifford.errors import ConsistencyError, PreconditionError
 from hopfclifford.hopf import SubspaceBasis, subalgebra_data
 from hopfclifford.linalg import DEFAULT_SEED
-from hopfclifford.scenarios import Scenario, build_scenario
+from hopfclifford.scenarios import Scenario, build_scenario, builtin_scenario, run_scenario
 
 import clifford_reference as ref
+from conftest import A5_A4_C5
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +245,61 @@ def test_wedderburn_matches_the_per_block_loop(extensions):
                                   ref.wedderburn(z_alg, frame=Z.matrix))
 
 
-def test_lazy_sort_key_orders_as_the_eager_key():
+def test_wedderburn_products_cut_at_stack_bytes_are_bitwise_one_block(monkeypatch, extensions):
+    # with STACK_BYTES = 1 the products v_k v_l are formed one v_k at a time;
+    # on the sparse tensors of A, B and A*, whose Casimir projection is
+    # joined, the decomposition is bitwise the one-block one
+    def run(A):
+        widths = []
+        along = hopf.Coo.along
+
+        def recording(self, axes, X):
+            if axes == (0,) and X.ndim == 2:
+                widths.append(X.shape[1])
+            return along(self, axes, X)
+
+        with monkeypatch.context() as m:
+            m.setattr(hopf.Coo, "along", recording)
+            return repcalc.wedderburn(A), widths
+
+    for name, ext in extensions.items():
+        for A in (ext.A, ext.inc.small, ext.dual):
+            assert A.mult_coo.sparse
+            want, widths = run(A)
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "STACK_BYTES", 1)
+                got, cut_widths = run(A)
+            r = len(want.dims)                   # the products come last, after the centre's check
+            assert widths[-1] == r and cut_widths[-r:] == [1] * r, name
+            assert got.dims == want.dims, name
+            for a, b in zip(got.idempotents, want.idempotents):
+                assert np.array_equal(a, b), name
+            for a, b in zip(got.irr, want.irr):
+                assert np.array_equal(a.values, b.values), name
+
+
+def test_decompose_matches_least_squares_on_every_stack(monkeypatch):
+    # every stack a request decomposes (restriction tables, induced alphas
+    # and psis, conjugates, graded characters) gets the multiplicities that
+    # least squares gives, on the builtins and at d = 60
+    decompose, shapes = repcalc.decompose, []
+
+    def both(chi, dec):
+        got = decompose(chi, dec)
+        assert np.array_equal(got, ref.decompose(chi, dec))
+        shapes.append(np.shape(chi.values))
+        return got
+
+    monkeypatch.setattr(repcalc, "decompose", both)
+    monkeypatch.setattr(clifford, "decompose", both)
+    for sc in [builtin_scenario(n) for n in ("s4_counterexample", "cocentral_c4_c2",
+                                             "s3_a3_classical")] + [Scenario.from_dict(A5_A4_C5)]:
+        before = len(shapes)
+        run_scenario(sc, "all")
+        assert any(len(shape) == 2 and shape[0] > 1 for shape in shapes[before:]), sc.name
+
+
+def test_sort_order_is_the_eager_key_order():
     nan = float("nan")
     rows = [
         ([1.0, 0.1234564, 2.0], 1),
@@ -258,16 +313,42 @@ def test_lazy_sort_key_orders_as_the_eager_key():
         ([1.0, 0.5 + 2e-6j, 2.0], 1),
         ([1.0, 0.5 - 2e-6j, 2.0], 1),        # imaginary parts break the tie
         ([1.0, 0.5 - 1e-7j, 2.0], 1),        # and round to 0.0 below 5e-7
-        ([1.0, 0.5], 1),                      # a prefix sorts first
+        ([1.0, 0.0078125, 2.0], 1),          # 7812.5 exactly: Python rounds half to even
+        ([1.0, 0.0078125 + 1e-18, 2.0], 1),
         ([nan, 0.0, 0.0], 0),
     ]
-    values = [np.array(v, dtype=complex) for v, _ in rows]
-    lazy = [repcalc._CharSortKey(v, n) for v, (_, n) in zip(values, rows)]
-    eager = [ref.char_sort_key(v, n) for v, (_, n) in zip(values, rows)]
+    values = np.array([v for v, _ in rows], dtype=complex).T     # one character per column
+    dims = [n for _, n in rows]
+    eager = [ref.char_sort_key(values[:, k], n) for k, n in enumerate(dims)]
     for i, j in itertools.product(range(len(rows)), repeat=2):
-        assert (lazy[i] < lazy[j]) == (eager[i] < eager[j]), (i, j)
+        if i != j:
+            order = repcalc.sort_order(values[:, [i, j]], [dims[i], dims[j]])
+            assert (order == [1, 0]) == (eager[j] < eager[i]), (i, j)
     rng = np.random.default_rng(17)
     for _ in range(50):
         perm = rng.permutation(len(rows)).tolist()
-        assert (sorted(perm, key=lambda k: lazy[k])
-                == sorted(perm, key=lambda k: eager[k]))
+        order = repcalc.sort_order(values[:, perm], [dims[k] for k in perm])
+        assert [perm[k] for k in order] == sorted(perm, key=lambda k: eager[k])
+
+
+def test_rounding_at_once_is_pythons_round():
+    # rint(v 1e6) / 1e6 where no tie is near, Python's round elsewhere:
+    # ties and their neighbours a few ulps away, values beyond 2^52 / 1e6,
+    # non-finite values, signed zeros and random values of every scale
+    rng = np.random.default_rng(29)
+    ties = (np.concatenate([np.arange(-2000, 2000), rng.integers(-10 ** 12, 10 ** 12, 2000)])
+            + 0.5) / 1e6
+    near = [ties]
+    for direction in (np.inf, -np.inf):
+        v = ties
+        for _ in range(3):
+            v = np.nextafter(v, direction)
+            near.append(v)
+    special = [0.0, -0.0, -1e-9, 5e-7, -5e-7, 2.0 ** -7, np.nan, np.inf, -np.inf,
+               4.5e9 + 0.25, 2.0 ** 33 + 0.1, 1e16, -1e300]
+    x = np.concatenate(near + [special, rng.standard_normal(5000)
+                               * 10.0 ** rng.integers(-9, 9, 5000)])
+    got = repcalc._round6(x.reshape(-1, 1))[:, 0]
+    want = np.array([round(float(v), 6) + 0.0 for v in x])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert not np.signbit(got[got == 0]).any()
