@@ -18,7 +18,7 @@ from .groups import (FiniteGroup, MatchedPair, Subgroup, derive_actions,
 from .hopf import (TOL_ALG, AlgebraData, BismashResult, HopfAlgebraData,
                    HopfInclusion, HopfSurjection, SubspaceBasis, bismash,
                    coefficient_spaces, comodule_map_rho, dual_group_algebra,
-                   dual_hopf, graded_component, group_algebra,
+                   dual_hopf, graded_components, group_algebra,
                    hopf_map_residual, is_cocentral, is_hopf_subalgebra,
                    is_normal_hopf_subalgebra, quotient_hopf,
                    subspace_product, verify_hopf_axioms)

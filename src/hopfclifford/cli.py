@@ -80,8 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="seed for the randomized spectral splitting")
         if name == "analyze":
-            p.add_argument("--alpha", default=None,
-                           help="index, label, or 'all' (default from scenario)")
+            p.add_argument("--alpha", default=None, help="index, chiK, label or 'all' "
+                           "(default from scenario); a label of digits is selected as chiK")
             p.add_argument("--json", metavar="OUT", default=None,
                            help="write the machine-readable report here")
     return parser

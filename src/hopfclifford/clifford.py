@@ -9,9 +9,13 @@ stabilizing set.  The pipeline runs per stage over all characters at
 once, not per character: the coefficient spaces are one stacked sketch
 SVD per degree, each the range of a sketch with eps(d)^2 + 1 columns;
 every C_d is read from one join of the right adjoint action
-S(e_k1) b_m e_k2, built once per request; the twists of all graded
-components come from one product per side.  `analyze_alphas` takes the selected
-irreducible B-characters alpha through each stage in one call:
+S(e_k1) b_m e_k2, built once per request, scattered and solved for a
+block of dual characters at once; the graded components come from one
+call and their twists from one product per side; the restrictions the
+class formulas read are the product the restriction table decomposes,
+and the coset check projects every dual character at once.
+`analyze_alphas` takes the selected irreducible B-characters alpha
+through each stage in one call:
 
   * the stabilizer Hopf subalgebra Z built from dual characters d
     with conjugate character  alpha C_d = eps(d) alpha; Z, its algebra,
@@ -26,10 +30,10 @@ irreducible B-characters alpha through each stage in one call:
   * for group-algebra quotients kF, the graded picture: components A_f,
     the stabilizer subgroup H of the orbit action A_f (x)_B M, whose
     characters alpha o theta_f for every f and every alpha are one product
-    with the twists theta_f, and
-    S = A(H), with the criterion "correspondence holds iff Z = S iff
-    S is a Hopf subalgebra".  S is the stack of the components' bases,
-    with no fresh SVD, whenever they are orthonormal together
+    with the twists theta_f, and S = A(H), built and tested once per
+    distinct H, with the criterion "correspondence holds iff Z = S iff S
+    is a Hopf subalgebra".  S is the stack of the components' bases, with
+    no fresh SVD, whenever they are orthonormal together
     (`SubspaceBasis.spanned_by`): for a bismash they are unit vectors, and
     S, like B and Z, is a coordinate subspace, which `hopf` tests through
     its support.
@@ -55,16 +59,15 @@ import numpy as np
 
 from . import linalg
 from .errors import ConsistencyError, NormalityError, TheoremViolationError
-from .groups import FiniteGroup, MatchedPair, orbit_and_stabilizer
-from .hopf import (AlgebraData, HopfAlgebraData, HopfInclusion, HopfSurjection,
-                   SubspaceBasis, coefficient_spaces, comodule_map_rho,
-                   dual_hopf, graded_component, is_cocentral,
-                   is_hopf_subalgebra, quotient_hopf, right_adjoint,
-                   subalgebra_data)
+from .groups import FiniteGroup, orbit_and_stabilizer
+from .hopf import (AlgebraData, BismashResult, HopfAlgebraData, HopfInclusion,
+                   HopfSurjection, SubspaceBasis, _adjoint_entries, _scatter_sum,
+                   coefficient_spaces, comodule_map_rho, dual_hopf, graded_components,
+                   is_cocentral, is_hopf_subalgebra, quotient_hopf, subalgebra_data)
 from .linalg import COND_LIMIT, TOL_ALG, TOL_MATCH, max_abs, require
 from .repcalc import (MAX_RETRIES, Character, DEFAULT_SEED, SemisimpleDecomposition,
                       as_group_algebra_surjection, decompose, induce_character,
-                      restrict_character, restriction_table, sort_order, wedderburn)
+                      restriction_table, sort_order, wedderburn)
 
 
 # ---------------------------------------------------------------------------
@@ -81,25 +84,21 @@ class Extension:
     the conjugation matrix of every irreducible dual character, and in
     `stabilizers` the Stabilizer of each stabilizing set met so far.  Each
     per-character object is made for all characters in one stacked call,
-    never one character at a time.  Bismash products give `piF`, `F` and
-    the A/AB+ `pi_q` they were checked against; otherwise A/AB+ is built
-    and recognized as kF when it is one.
+    never one character at a time.  A bismash product gives its matched
+    pair, its projection onto kF and the A/AB+ it was checked against;
+    otherwise A/AB+ is built and recognized as kF when it is one.
     """
 
     def __init__(self, A: HopfAlgebraData, inc: HopfInclusion,
-                 seed: int = DEFAULT_SEED,
-                 piF: Optional[HopfSurjection] = None,
-                 F: Optional[FiniteGroup] = None,
-                 mp: Optional[MatchedPair] = None,
-                 pi_q: Optional[HopfSurjection] = None):
+                 seed: int = DEFAULT_SEED, bismash: Optional[BismashResult] = None):
         self.A = A
         self.inc = inc
         self.seed = seed
-        self.mp = mp
-        self._given_quotient = (piF, F)
+        self.mp = None if bismash is None else bismash.pair
         self.stabilizers: dict[tuple[int, ...], Stabilizer] = {}
-        if pi_q is not None:
-            self.generic_quotient = pi_q
+        if bismash is not None:
+            self.generic_quotient = bismash.quotient
+            self.quotient = (bismash.pi, bismash.pair.f_group)
 
     @cached_property
     def dual(self) -> HopfAlgebraData:
@@ -133,8 +132,6 @@ class Extension:
     @cached_property
     def quotient(self) -> tuple[Optional[HopfSurjection], Optional[FiniteGroup]]:
         """(piF, F) for a quotient A -> kF, or (None, None) if A/AB+ is no group algebra."""
-        if self._given_quotient[0] is not None:
-            return self._given_quotient
         found = as_group_algebra_surjection(self.generic_quotient, seed=self.seed)
         return (None, None) if found is None else (found[1], found[0])
 
@@ -154,11 +151,11 @@ class Extension:
         partition the coordinates, others orthonormal together and d in
         all (A = B #_sigma kF is the direct sum of the A_f; Schneider, J.
         Algebra 1992).  `coset_projection_check` reads coordinates in them.
+        All of them come from one `hopf.graded_components`.
         """
         if self.piF is None:
             return None
-        rho = comodule_map_rho(self.A, self.piF)
-        comps = [graded_component(self.A, rho, f) for f in range(self.F.order)]
+        comps = graded_components(self.A, comodule_map_rho(self.A, self.piF), self.F.order)
         d = self.A.dim
         if all(C.support is not None for C in comps):
             direct = np.array_equal(np.sort(np.concatenate([C.support for C in comps])),
@@ -254,12 +251,10 @@ class Extension:
     @cached_property
     def supports(self) -> list[Optional[int]]:
         """B-basis index of each irreducible B-character that is a 0/1 indicator, else None."""
-        out: list[Optional[int]] = []
-        for ch in self.dec_b.irr:
-            k = int(np.argmax(np.abs(ch.values)))
-            indicator = np.eye(len(ch.values))[k]
-            out.append(k if max_abs(ch.values - indicator) < TOL_ALG else None)
-        return out
+        X = np.array([ch.values for ch in self.dec_b.irr])
+        k = np.argmax(np.abs(X), axis=1)
+        indicator = np.abs(X - np.eye(X.shape[1])[k]).max(axis=1) < TOL_ALG
+        return [int(j) if hit else None for j, hit in zip(k, indicator)]
 
     @cached_property
     def alpha_labels(self) -> list[str]:
@@ -284,6 +279,7 @@ class EquivalenceClassData:
     b_classes: list[tuple[int, ...]]
     a_sums: list[Character]
     b_sums: list[Character]
+    restricted: np.ndarray         # [chi index] values of Irr(A)[chi] restricted to B
     restriction_table: np.ndarray  # [chi index, alpha index] multiplicities
 
     @property
@@ -298,11 +294,16 @@ class EquivalenceClassData:
 
 
 def equivalence_classes(ext: Extension) -> EquivalenceClassData:
-    """Matched partitions of Irr(A) and Irr(B) from the restriction graph."""
+    """Matched partitions of Irr(A) and Irr(B) from the restriction graph.
+
+    Irr(A) is restricted to B in one product, which the restriction table
+    decomposes and `verify_class_formulas` reads.
+    """
     A, inc, dec_a, dec_b = ext.A, ext.inc, ext.dec_a, ext.dec_b
     ext.generic_quotient  # raises NormalityError unless B is normal in A
     na, nb = len(dec_a.irr), len(dec_b.irr)
-    table = restriction_table(inc, dec_b, dec_a)
+    restricted = np.stack([chi.values for chi in dec_a.irr]) @ np.asarray(inc.embedding, complex)
+    table = restriction_table(inc, dec_b, dec_a, restricted)
 
     # the blocks are complete bipartite, so the support of row c is the
     # B-class of Irr(A)[c], and distinct supports are disjoint
@@ -327,30 +328,29 @@ def equivalence_classes(ext: Extension) -> EquivalenceClassData:
         a_sums.append(a_sum)
         b_sums.append(b_sum)
     return EquivalenceClassData(a_classes=a_classes, b_classes=b_classes,
-                                a_sums=a_sums, b_sums=b_sums,
+                                a_sums=a_sums, b_sums=b_sums, restricted=restricted,
                                 restriction_table=table)
 
 
 def verify_class_formulas(ext: Extension) -> dict[str, float]:
     """Residuals of the three restriction/induction identities; each must be <= TOL_MATCH.
 
-    Every irreducible B-character is induced at once, from one `decompose`.
+    Every irreducible B-character is induced at once, from one `decompose`,
+    and every restriction is read from the product `equivalence_classes`
+    forms: a class sum restricts to the same sum of the restrictions.
     """
     ecd, inc, dec_a, dec_b = ext.ecd, ext.inc, ext.dec_a, ext.dec_b
     s = float(Fraction(inc.big.dim, inc.small.dim))
     alphas = Character(inc.small, np.array([ch.values for ch in dec_b.irr]))
     induced = induce_character(alphas, inc, dec_b, dec_a, ecd.restriction_table).values
+    degrees = np.array([chi.degree for chi in dec_a.irr])
     restrict, induce, class_sum = [], [], []
     for i in range(ecd.num_classes):
-        b_i = ecd.b_sums[i]
-        a_i = ecd.a_sums[i]
-        for c in ecd.a_classes[i]:
-            chi = dec_a.irr[c]
-            restrict.append(restrict_character(chi, inc).values / chi.degree
-                            - b_i.values / b_i.degree)
+        b_i, a_i, cs = ecd.b_sums[i], ecd.a_sums[i], list(ecd.a_classes[i])
+        restrict.append(ecd.restricted[cs] / degrees[cs, None] - b_i.values / b_i.degree)
         for k in ecd.b_classes[i]:
             induce.append(induced[k] / dec_b.irr[k].degree - s * a_i.values / a_i.degree)
-        class_sum.append(restrict_character(a_i, inc).values - s * b_i.values)
+        class_sum.append(degrees[cs] @ ecd.restricted[cs] - s * b_i.values)
     res = {"restriction_proportionality": max_abs(*restrict),
            "induction_proportionality": max_abs(*induce),
            "class_sum_restriction": max_abs(*class_sum)}
@@ -370,21 +370,32 @@ def conjugation_matrices(A: HopfAlgebraData, inc: HopfInclusion,
     The conjugate of a B-character alpha by d, x -> alpha(S(d_1) x d_2),
     is the row vector alpha C_d; C_d does not depend on alpha.  The right
     adjoint action S(e_k1) b_m e_k2 of the basis is joined once for the
-    whole stack, in COO form, and each row d reads it over its entries
-    (`hopf.right_adjoint`); each C_d passes its own residual gate, and a
-    NaN or Inf in D fails it.
+    whole stack, in COO form (`hopf._adjoint_entries`).  A block of rows
+    of D, cut at linalg.STACK_BYTES, is scattered at once, each row d
+    weighting the entries by d_k, and every C_d of the block is one
+    least-squares solve on B's embedding; each C_d is gated against its
+    own scale, the worst of the block raising, and a NaN or Inf in D fails.
     """
     E = np.asarray(inc.embedding, complex)
     D = np.asarray(D, complex)
     if not np.isfinite(D).all():
         raise ConsistencyError("conjugation by an element with a NaN or Inf entry")
+    d, n = A.dim, E.shape[1]
+    (k, m, o), val = _adjoint_entries(A, A.antipode, E)
+    step = linalg.stack_items(16 * (val.size + 3 * d * n))
     out = []
-    for W in right_adjoint(A, E, D):           # W[:, m] = S(d_1) b_m d_2
-        coords, resid = linalg.lstsq_coords(E, W)
-        require(resid, TOL_ALG * max(1.0, max_abs(W)), ConsistencyError,
-                "conjugation left the subalgebra")
+    for lo in range(0, len(D), step):
+        rows = D[lo:lo + step]                                  # W[row, o, m]
+        W = _scatter_sum(((np.arange(len(rows))[:, None] * d + o) * n + m).ravel(),
+                         (rows[:, k] * val).ravel(), len(rows) * d * n).reshape(-1, d, n)
+        coords = linalg.lstsq(E, W.transpose(1, 0, 2).reshape(d, -1), rcond=None)[0]
+        coords = coords.reshape(n, -1, n).transpose(1, 0, 2)    # [row, j, m]
+        resid = np.abs(E @ coords - W).max(axis=(1, 2), initial=0.0)
+        bound = TOL_ALG * np.maximum(1.0, np.abs(W).max(axis=(1, 2), initial=0.0))
+        worst = int(np.argmax(resid / bound))                # a NaN counts as the worst
+        require(resid[worst], bound[worst], ConsistencyError, "conjugation left the subalgebra")
         out.append(coords)
-    return np.array(out)
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -692,12 +703,14 @@ def graded_stabilizer_analysis(ext: Extension, srs: Sequence[StabilizerResult]
     The character of A_f (x)_B M_alpha is alpha o theta_f (`Extension.twists`),
     so the graded characters of every alpha and every f are one product
     with the twists and one `decompose`; H is the f with alpha o theta_f =
-    alpha.
+    alpha.  S = A(H) and its Hopf-subalgebra test are made once per
+    distinct H.
     """
     A, inc, F, components = ext.A, ext.inc, ext.F, ext.components
     alphas = np.array([sr.alpha.values for sr in srs])
     chars = np.einsum("ak,fkm->afm", alphas, ext.twists)     # chars[a, f] = alpha o theta_f
     coeffs = decompose(Character(inc.small, chars.reshape(-1, inc.small.dim)), ext.dec_b)
+    subalgebras: dict[tuple[int, ...], tuple[SubspaceBasis, bool]] = {}    # H -> (S, S is Hopf)
     out = []
     for sr, ch, co in zip(srs, chars, np.split(coeffs, len(srs))):
         alpha = sr.alpha
@@ -718,10 +731,12 @@ def graded_stabilizer_analysis(ext: Extension, srs: Sequence[StabilizerResult]
                 != Fraction(F.order) * alpha.degree ** 2):
             raise TheoremViolationError("orbit identity b_i(1) |H| = |F| alpha(1)^2 fails")
 
-        S = SubspaceBasis.spanned_by(A, np.hstack([components[f].matrix for f in h_members]))
-        if S.dim != inc.small.dim * len(h_members):
-            raise ConsistencyError("dim A(H) != |B| |H|")
-        s_hopf = is_hopf_subalgebra(A, S)
+        if tuple(h_members) not in subalgebras:
+            S = SubspaceBasis.spanned_by(A, np.hstack([components[f].matrix for f in h_members]))
+            if S.dim != inc.small.dim * len(h_members):
+                raise ConsistencyError("dim A(H) != |B| |H|")
+            subalgebras[tuple(h_members)] = S, is_hopf_subalgebra(A, S)
+        S, s_hopf = subalgebras[tuple(h_members)]
         z_in_s = S.contains(sr.Z)
         if not z_in_s:
             raise TheoremViolationError("Z is not contained in S = A(H)")
@@ -795,25 +810,20 @@ def coset_projection_check(ext: Extension) -> dict:
       the A_f decompose A.  A B C_d that is a proper subspace of its sum
       leaves the decomposition unproved, and it reads false.
 
-    pi C_d and B C_d of every d come from one product each with the
-    stacked bases [C_1 ... C_k].
+    pi(d) of every d, pi C_d and B C_d come from one product each with the
+    stacked characters and the stacked bases [C_1 ... C_k].
     """
     A, piF, F, components = ext.A, ext.piF, ext.F, ext.components
     piM = piF.matrix
     irr, spaces = ext.dec_dual.irr, ext.coefficient_spaces
-    uniform_defects = []
-    supports = []
-    for d in irr:
-        pd = piM @ d.values
-        support = tuple(sorted(int(f) for f in np.nonzero(np.abs(pd) > TOL_MATCH)[0]))
-        if not support:
-            raise ConsistencyError("projected dual character vanished")
-        coeff = Fraction(d.degree, len(support))
-        expect = np.zeros(F.order, dtype=complex)
-        for f in support:
-            expect[f] = float(coeff)
-        uniform_defects.append(pd - expect)
-        supports.append(support)
+    # [d, f] = pi(d)_f, one stacked matrix-vector product: each row is bitwise piM @ d
+    projected = (piM @ np.array([d.values for d in irr])[:, :, None])[..., 0]
+    hit = np.abs(projected) > TOL_MATCH
+    if not hit.any(axis=1).all():
+        raise ConsistencyError("projected dual character vanished")
+    supports = [tuple(np.flatnonzero(h).tolist()) for h in hit]
+    degrees = np.array([d.degree for d in irr])
+    uniform_defect = projected - hit * (degrees / hit.sum(axis=1))[:, None]
 
     stacked = np.hstack([C.matrix for C in spaces])
     cols = np.cumsum([0] + [C.dim for C in spaces])             # C_j is columns cols[j]..
@@ -834,7 +844,7 @@ def coset_projection_check(ext: Extension) -> dict:
         return sorted(f for s in set(sets) for f in s) == list(range(F.order))
 
     return {
-        "uniform_coefficient_residual": max_abs(*uniform_defects),
+        "uniform_coefficient_residual": max_abs(uniform_defect),
         "image_spans_match": bool(images_match),
         "coset_components_match": bool(cosets_match),
         "supports_partition": partition(supports),

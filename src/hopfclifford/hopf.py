@@ -37,10 +37,11 @@ dimension n^2 is the range of a seeded Gaussian sketch with n^2 + 1
 columns, gated on its rank and on holding every coefficient, not the SVD
 of a d x d matrix; `coefficient_spaces` takes every irreducible dual
 character at once, and the sketches of one degree, which share their
-Gaussian columns, are one stacked SVD.  A coordinate subspace, the span
-of some basis vectors (B = k^G, kN, every A_f = B u_f, S = A(H), and every
-stabilizer Z met), carries its `support`, whatever orthonormal basis it
-stores, and the support alone selects its form at every dimension:
+Gaussian columns, are one stacked SVD and one batched containment gate.
+A coordinate subspace, the span of some basis vectors (B = k^G, kN, every
+A_f = B u_f, S = A(H), and every stabilizer Z met), carries its
+`support`, whatever orthonormal basis it stores, and the support alone
+selects its form at every dimension:
 containment and equality read the other basis's rows off the support, the
 Hopf-subalgebra test reads the entries of `unit`, `mult`, `comult` and
 the antipode that leave it, and normality sums the adjoint entries whose
@@ -51,10 +52,11 @@ k^G, the projection onto kF, a permutation antipode) enter in COO form too
 (`_entries`): from dimension JOIN_MIN_DIM on, when each holds at most d
 nonzeros and the tensors are sparse and finite (`_joins_apply`), the
 Hopf-map residual and `products` join them with `mult` and `comult`, the
-centre's commutators join their operand, whatever its entries, with
-`mult`, and each reduces the results through `_difference`, so that their
-cost follows the nonzeros; each has one dense form, taken otherwise and
-when a join would pair more entries than its limit (`_TooManyPairs`).
+centre's commutators join their operand with a sparse `mult` whenever that
+pairs fewer entries than a dense side holds, and each reduces the results
+through `_difference`, so that their cost follows the nonzeros; each has
+one dense form, taken otherwise and when a join would pair more entries
+than its limit (`_TooManyPairs`).
 Below JOIN_MIN_DIM the dense forms cost less than the joins' sorting.
 The centre's Casimir projection joins a sparse `mult` with the entries of
 the inverse trace form, then with itself, at every dimension, and takes
@@ -64,7 +66,8 @@ Cocentrality, once per request, and the comodule map rho are joins only,
 at every dimension, and a NaN or Inf in Delta or pi fails the one and is
 refused by the other.  rho is kept in COO form, and a graded component
 A_f is the span of the nonzero columns of rho_f, which are its basis as
-they stand when they are orthonormal.
+they stand when they are orthonormal; every A_f comes from one call
+(`graded_components`).
 Checks compare against the thresholds named in `linalg`; only
 `verify_hopf_axioms` takes a tolerance, since the scenario's
 `tolerances.alg` and the quotient's TOL_NUM differ.
@@ -234,17 +237,22 @@ class AlgebraData:
         """max |e_i x_c - x_c e_i| over the basis e_i and the columns x_c of
         X; NaN when `mult` or X is not finite.
 
-        From dimension JOIN_MIN_DIM on, when `mult` is sparse, the two sides
-        are joins of the entries of `mult` and X, in |mult| |X| pairs each,
-        at most the d^2 |X| entries of the dense commutators, reduced by
-        `_max_abs_difference`; otherwise `mult` is contracted with X along
-        its second and along its first index (`Coo.along`).
+        From dimension JOIN_MIN_DIM on, when `mult` is sparse, each side is
+        a join of the entries of `mult` and X, reduced by
+        `_max_abs_difference`, if it pairs fewer entries than the d^2 |X|
+        of a dense side: for a 0/1 X, as the identity basis of a
+        commutative centre is, or for a `mult` sparser than kG's, as a
+        bismash product's and its dual's are.  Otherwise, as for a dense
+        centre of kG, `mult` is contracted with X along its second and
+        along its first index (`Coo.along`).
         """
         d, r = self.dim, X.shape[1]
         if not (self.mult_coo.finite and np.isfinite(X).all()):
             return float("nan")
-        if _joins_apply(d, (self.mult_coo,), ()):
-            m, x = self.mult_coo.entries, _entries(X)
+        m = self.mult_coo.entries
+        if (_joins_apply(d, (self.mult_coo,), ())
+                and np.bincount(m[0][1], minlength=d) @ np.count_nonzero(X, axis=1) < d * d * r):
+            x = _entries(X)
             return _max_abs_difference(_coo_einsum("ijo,jc->ico", m, x, d, limit=d * d * r),
                                        _coo_einsum("jc,jio->ico", x, m, d, limit=d * d * r),
                                        (d, r, d))
@@ -547,21 +555,6 @@ def _adjoint_entries(A: HopfAlgebraData, S: np.ndarray, X: Optional[np.ndarray] 
         T = A.comult_coo.along((1,), U.transpose(1, 0, 2)).transpose(2, 1, 0, 3)
     W = A.multiply(T).transpose(1, 2, 0)                   # [k, m, o]
     return _entries(W if X is not None else W[:, 0])
-
-
-def right_adjoint(A: HopfAlgebraData, X: np.ndarray, D: np.ndarray):
-    """S(d_1) x_m d_2 for each row d of D and column x_m of X: one (d, |X|)
-    matrix per row, yielded in order.
-
-    The entries (k, m, o) of S(e_k1) x_m e_k2 are read once
-    (`_adjoint_entries`), and each row is their sum weighted by d_k, so a
-    row costs their number.
-    """
-    d, n = A.dim, X.shape[1]
-    (k, m, o), val = _adjoint_entries(A, A.antipode, X)
-    slot = o * n + m
-    for row in D:
-        yield _scatter_sum(slot, row[k] * val, d * n).reshape(d, n)
 
 
 @dataclass
@@ -1063,12 +1056,13 @@ def coefficient_spaces(A: HopfAlgebraData, D: np.ndarray,
     Martinsson and Tropp, SIAM Rev. 2011), so no SVD sees more than
     n^2 + 1 columns.  Every d of one degree reads the same Omega, so the
     sketches of one degree are one stacked SVD, and each space is the one
-    its d alone would give; past linalg.STACK_BYTES of `spans` the stack
-    goes in parts.  Two gates per d make it exact: the sketch's
-    numerical rank must be n^2, which the extra column breaks for a larger
-    space, and every column of `spans` must lie in its range within
-    TOL_ALG max(1, max |spans|).  The first d that fails either raises,
-    naming the rank of its `spans`.
+    its d alone would give; past linalg.STACK_BYTES of the (d, d) arrays
+    the characters take the stack goes in parts.  Two gates per d make it
+    exact: the sketch's numerical rank must be n^2, which the extra column
+    breaks for a larger space, and every column of `spans` must lie in its
+    range within TOL_ALG max(1, max |spans|), one batched residual on the
+    part's contiguous `spans` of that rank (`linalg.contains_vectors`).
+    The first d that fails either raises, naming the rank of its `spans`.
     """
     D = np.asarray(D, complex)
     degs = (D @ A.counit).tolist()
@@ -1078,16 +1072,22 @@ def coefficient_spaces(A: HopfAlgebraData, D: np.ndarray,
         if abs(deg.imag) <= TOL_ALG and abs(deg.real - n) <= TOL_MATCH and n * n <= A.dim:
             groups.setdefault(n, []).append(r)
     out: list[Optional[SubspaceBasis]] = [None] * len(D)
-    step = linalg.stack_items(16 * A.dim ** 2)          # of the (d, d) matrices `spans`
+    # a character's `spans` as `apply_comult` forms them, their contiguous
+    # copy, and the gate's copy, projection and moduli: at most four (d, d)
+    # arrays at once
+    step = linalg.stack_items(4 * 16 * A.dim ** 2)
     for n, rows in groups.items():
         omega = linalg.random_complex(linalg.random_stream(seed, 1), (A.dim, n * n + 1))
         for start in range(0, len(rows), step):
             part = rows[start:start + step]
-            spans = np.swapaxes(A.apply_comult(D[part]), 1, 2)
-            for r, S, Q in zip(part, spans, linalg.orthonormal_columns(spans @ omega)):
-                if Q.shape[1] == n * n and linalg.contains_vectors(
-                        Q, S, TOL_ALG * max(1.0, max_abs(S))):
-                    out[r] = SubspaceBasis(A, Q)
+            spans = np.ascontiguousarray(np.swapaxes(A.apply_comult(D[part]), 1, 2))
+            bases = linalg.orthonormal_columns(spans @ omega)
+            full = [i for i, V in enumerate(bases) if V.shape[1] == n * n]
+            Q = np.reshape([bases[i] for i in full], (-1, A.dim, n * n))
+            S = spans[full]
+            bound = TOL_ALG * np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
+            for i in np.compress(linalg.contains_vectors(Q, S, bound), full):
+                out[part[i]] = SubspaceBasis(A, bases[i])
     for r, sub in enumerate(out):
         if sub is None:
             spans = A.apply_comult(D[r]).T
@@ -1117,32 +1117,49 @@ def comodule_map_rho(A: HopfAlgebraData, pi: HopfSurjection):
     return _coalesce(rho, (d, n, d))
 
 
-def graded_component(A: HopfAlgebraData, rho, f: int) -> SubspaceBasis:
-    """A_f = {a : rho(a) = a (x) f}, rho = comodule_map_rho(A, pi) for a quotient kF.
+def graded_components(A: HopfAlgebraData, rho, n: int) -> list[SubspaceBasis]:
+    """A_f = {a : rho(a) = a (x) f} for every f of a quotient kF of order n,
+    rho = comodule_map_rho(A, pi).
 
     A_f is the range of rho_f = (id (x) f*) rho, the span of its nonzero
-    columns; they are its basis as they stand when they are orthonormal, as
-    the unit vectors of a bismash's A_f are (`SubspaceBasis.spanned_by`), so
-    no SVD of a d x d block is taken.  rho(a) = a (x) f is then checked on
-    the basis, as a join of rho's entries with the basis', which fails
-    unless the quotient basis is group-like.
+    columns.  One sort of rho's keys (f, k) numbers those columns, by f
+    and then by k, and one Gram matrix of all of them holds each A_f's on
+    its diagonal: where that block is I within linalg.TOL_ORTHO the columns
+    are A_f's basis as they stand, as the unit vectors of a bismash's A_f
+    are, so no SVD of a d x d block is taken; the others take their SVD
+    basis (`linalg.orthonormal_columns`).
+    rho(a) = a (x) f is then checked on every basis, as joins of rho's
+    entries with theirs, which fails unless the quotient basis is
+    group-like; the bases of coordinate components take one join.
     """
     d = A.dim
     (p, g, k), val = rho
-    here = g == f
-    cols, col = np.unique(k[here], return_inverse=True)
-    block = np.zeros((d, cols.size), dtype=complex)
-    block[p[here], col] = val[here]
-    U = SubspaceBasis.spanned_by(A, block).matrix
-    basis = _entries(U)
-    (i, r), u = basis
-    # never refused: an entry of rho pairs with one row of U's entries at most
-    image = _coo_einsum("pgk,kr->pgr", rho, basis, d, limit=val.size * U.shape[1])
-    defect = _max_abs_difference(image, ((i, np.full(i.size, f), r), u), (d, d, U.shape[1]))
+    keys, col = np.unique(g * d + k, return_inverse=True)
+    starts = np.searchsorted(keys, np.arange(n + 1) * d)
+    block = np.zeros((d, keys.size), dtype=complex)
+    block[p, col] = val
+    gram = block.conj().T @ block
+    bases = [block[:, a:b] if max_abs(gram[a:b, a:b] - np.eye(b - a)) <= linalg.TOL_ORTHO
+             else linalg.orthonormal_columns(block[:, a:b]) for a, b in zip(starts, starts[1:])]
+    # rho(u) = u (x) f on every basis, as joins of rho's entries with the
+    # columns of their stack U, over runs of columns that pair at most d^2
+    # entries (or one column): one join for coordinate components, whose
+    # columns pair one entry each
+    U = np.hstack(bases)
+    owner = np.repeat(np.arange(n), [V.shape[1] for V in bases])
+    pairs = np.concatenate([[0], np.cumsum(np.bincount(k, minlength=d) @ (U != 0))])
+    defects, lo = [0.0], 0
+    while lo < U.shape[1]:
+        hi = max(lo + 1, int(np.searchsorted(pairs, pairs[lo] + d * d, side="right")) - 1)
+        (i, r), u = basis = _entries(U[:, lo:hi])
+        image = _coo_einsum("pgk,kr->pgr", rho, basis, d, limit=pairs[hi] - pairs[lo])
+        defects.append(_max_abs_difference(image, ((i, owner[lo + r], r), u), (d, n, hi - lo)))
+        lo = hi
+    defect = max_abs(*defects)
     if not np.isfinite(val).all():      # a NaN or Inf of rho fails the check wherever it is
         defect = np.nan
     require(defect, TOL_ALG, PreconditionError, "quotient is not a group algebra on its basis")
-    return SubspaceBasis(A, U)
+    return [SubspaceBasis(A, V) for V in bases]
 
 
 def is_cocentral(A: HopfAlgebraData, pi: HopfSurjection) -> bool:

@@ -120,9 +120,15 @@ def null_space(mat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vh[numerical_rank(s):].conj().T)
 
 
-def contains_vectors(basis: np.ndarray, vectors: np.ndarray, tol: float) -> bool:
-    """True iff every column of `vectors` lies in span(basis) within tol."""
-    return max_abs(vectors - basis @ (basis.conj().T @ vectors)) < tol
+def contains_vectors(basis: np.ndarray, vectors: np.ndarray, tol) -> bool | list[bool]:
+    """True iff every column of `vectors` lies in span(basis) within tol.
+
+    Leading axes stack (basis, vectors) pairs, with `tol` one bound or one
+    per pair: the verdicts, one per pair, then come from one batched
+    residual."""
+    outside = basis @ (np.swapaxes(basis.conj(), -1, -2) @ vectors)
+    outside -= vectors
+    return (np.abs(outside).max(axis=(-2, -1), initial=0.0) < tol).tolist()
 
 
 def subspace_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:

@@ -284,10 +284,14 @@ def restrict_character(chi: Character, inc) -> Character:
     return Character(inc.small, values)
 
 
-def restriction_table(inc, dec_small: SemisimpleDecomposition,
-                      dec_big: SemisimpleDecomposition) -> np.ndarray:
-    """table[c, k] = multiplicity of Irr(small)[k] in Irr(big)[c] restricted."""
-    restricted = np.stack([chi.values for chi in dec_big.irr]) @ np.asarray(inc.embedding, complex)
+def restriction_table(inc, dec_small: SemisimpleDecomposition, dec_big: SemisimpleDecomposition,
+                      restricted: Optional[np.ndarray] = None) -> np.ndarray:
+    """table[c, k] = multiplicity of Irr(small)[k] in Irr(big)[c] restricted.
+
+    The rows of `restricted`, when given, are those restrictions, the
+    product this forms otherwise."""
+    if restricted is None:
+        restricted = np.stack([c.values for c in dec_big.irr]) @ np.asarray(inc.embedding, complex)
     return decompose(Character(inc.small, restricted), dec_small)
 
 

@@ -242,8 +242,7 @@ def build_scenario(sc: Scenario, seed: int) -> clifford.Extension:
         if sc.expected_ract is not None:
             _assert_action_tables(mp, sc.expected_ract, sc.expected_lact)
         bm = hopf.bismash(mp)  # refuses a pair that fails verification
-        return clifford.Extension(bm.algebra, bm.b_inclusion, seed=seed,
-                                  piF=bm.pi, F=mp.f_group, mp=mp, pi_q=bm.quotient)
+        return clifford.Extension(bm.algebra, bm.b_inclusion, seed=seed, bismash=bm)
 
     n_idx = _resolve_elements(group, sc.b_generators, sc.group_names,
                               sc.group_generators)

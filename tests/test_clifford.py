@@ -523,8 +523,8 @@ def test_z_equal_to_b_is_read_on_irr_b(classical, counterexample, cocentral8, s4
     B = change_basis(counterexample.inc.small, P)
     E = counterexample.inc.embedding @ P
     ext = Extension(counterexample.A, clifford.HopfInclusion(small=B, big=counterexample.A,
-                                                             embedding=E),
-                    piF=counterexample.piF, F=counterexample.F, mp=counterexample.mp)
+                                                             embedding=E))
+    ext.quotient, ext.mp = counterexample.quotient, counterexample.mp
     assert _assert_read_as_built(ext, rng) == 2
 
 

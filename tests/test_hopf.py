@@ -12,7 +12,7 @@ from hopfclifford.groups import group_from_permutations, subgroup_closure
 from hopfclifford.clifford import Extension
 from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis,
                                coefficient_spaces, comodule_map_rho,
-                               dual_group_algebra, dual_hopf, graded_component,
+                               dual_group_algebra, dual_hopf, graded_components,
                                group_algebra, hopf_map_residual, is_cocentral,
                                is_hopf_subalgebra, is_normal_hopf_subalgebra,
                                quotient_hopf, subspace_product,
@@ -634,7 +634,7 @@ def test_graded_components(counterexample):
 def test_graded_component_needs_group_algebra(classical):
     H, pi_q = quotient_hopf(classical.A, classical.b_sub)
     with pytest.raises(PreconditionError):
-        graded_component(classical.A, comodule_map_rho(classical.A, pi_q), 0)
+        graded_components(classical.A, comodule_map_rho(classical.A, pi_q), H.dim)
 
 
 def test_subspace_products(counterexample):

@@ -146,6 +146,23 @@ def test_every_printed_alpha_label_selects_its_index(tmp_path, capsys, name):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["s4_counterexample", "cocentral_c4_c2"])
+def test_digits_select_an_index_and_chik_the_label_of_digits(tmp_path, capsys, name):
+    # both label alpha 3 "1"; digits always name an index, as small_mixed's
+    # --alpha k does, so --alpha 1 is alpha 1 and --alpha chi3 the alpha
+    # labelled 1
+    sc = builtin_scenario(name)
+    labels = build_scenario(sc, resolve_seed(sc)).alpha_labels
+    assert labels[3] == "1" and labels[1] != "1"
+    for selection, index, label in (("1", 1, labels[1]), ("chi3", 3, "1")):
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--builtin", name, "--alpha", selection,
+                         "--json", str(out)]) == 0
+        (report,) = json.loads(out.read_text())["alphas"]
+        assert (report["alpha_index"], report["alpha_label"]) == (index, label)
+    capsys.readouterr()
+
+
 def test_verdicts_stable_across_seeds():
     sc = builtin_scenario("s4_counterexample")
     snapshots = []

@@ -286,6 +286,28 @@ def test_change_of_basis_takes_the_dense_path(s4_sigma):
         assert is_normal_hopf_subalgebra(T, B) is normal
 
 
+def test_commutator_joins_only_what_pairs_fewer_entries(joins_everywhere, s4_sigma, a5):
+    # the identity basis of a commutative centre (k^S4) takes the joins; a
+    # dense centre of kS4 would pair as many entries as its dense sides hold
+    # and takes Coo.along, while a dense centre of a bismash's dual, whose
+    # mult is sparser than kG's, takes the joins; each is the einsum's, 0
+    kG, kG_dual = group_algebra(s4_sigma), hopf.dual_group_algebra(s4_sigma)
+    for A, X, path in ((kG_dual, np.eye(kG.dim), "joins"),
+                       (kG, repcalc._center(kG, DEFAULT_SEED), "dense"),
+                       (a5.dual, repcalc._center(a5.dual, DEFAULT_SEED), "joins")):
+        got_path, got = _path(lambda: A.commutator_residual(X))
+        assert got_path == path
+        _residuals_match({"commutator": got}, {"commutator": _commutator_definition(A, X)})
+        assert got < 1e-12
+    # the identity and a dense X, neither central, read the same on either form
+    rng = np.random.default_rng(43)
+    for A, X, path in ((kG, np.eye(kG.dim), "joins"), (kG, _random(rng, kG.dim, 3), "dense"),
+                       (a5.dual, _random(rng, a5.A.dim, 3), "joins")):
+        got_path, got = _path(lambda: A.commutator_residual(X))
+        assert got_path == path and got > 0.1
+        _residuals_match({"commutator": got}, {"commutator": _commutator_definition(A, X)})
+
+
 def _subgroup_algebra(A, G, labels, basis=None):
     """Span of the subgroup generated by `labels` ("gg" is g squared) in kG."""
     gens = [G.mul(G.label_index(lbl[0]), G.label_index(lbl[0])) if len(lbl) == 2
@@ -398,18 +420,29 @@ def _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4, a5):
             "classical": classical, "s4_a4": s4_a4, "dual_s4_v4": dual_s4_v4, "a5": a5}
 
 
-def test_conjugation_matrices_match_the_dense_formula(counterexample, cocentral8, classical,
-                                                      s4_a4, dual_s4_v4, a5):
+def test_conjugation_matrices_match_the_dense_formula(monkeypatch, counterexample, cocentral8,
+                                                      classical, s4_a4, dual_s4_v4, a5):
     # every dual character, and two random elements, whose Delta is not
-    # symmetric; on dual_s4_v4 (A = k^S4) Delta(d) is dense
+    # symmetric; on dual_s4_v4 (A = k^S4) Delta(d) is dense.  One block of
+    # rows, or one row a block with STACK_BYTES = 1, gives the C_d of the
+    # per-character formula, and every alpha the same stabilizing set
     rng = np.random.default_rng(29)
     for name, ext in _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4,
                                 a5).items():
-        A, inc = ext.A, ext.inc
-        D = np.vstack([[d.values for d in ext.dec_dual.irr], _random(rng, 2, A.dim)])
+        A, inc, irr = ext.A, ext.inc, ext.dec_dual.irr
+        D = np.vstack([[d.values for d in irr], _random(rng, 2, A.dim)])
         want = clifford_reference.conjugation_matrices(A, inc, D)
         got = conjugation_matrices(A, inc, D)
-        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want))), name
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "STACK_BYTES", 1)
+            cut = conjugation_matrices(A, inc, D)
+        degrees = np.array([d.degree for d in irr])[:, None]
+        for C in (got, cut):
+            assert np.max(np.abs(C - want)) < 1e-12 * max(1.0, np.max(np.abs(want))), name
+            for alpha in ext.dec_b.irr:
+                stabilizing = [np.abs(alpha.values @ M[:len(irr)] - degrees * alpha.values)
+                               .max(axis=1) < linalg.TOL_MATCH for M in (C, want)]
+                assert np.array_equal(*stabilizing), name
 
 
 def test_conjugation_matrices_do_not_depend_on_the_basis(counterexample):
@@ -546,7 +579,8 @@ def test_graded_kernels_build_no_cube(monkeypatch, counterexample, cocentral8, c
         assert np.count_nonzero(piF.matrix) <= d
         assert built(lambda: hopf.hopf_map_residual(A, piF.target, piF.matrix), nf) < 1e-12
         assert built(lambda: hopf.is_cocentral(A, piF), nf) is _cocentral_definition(A, piF.matrix)
-        fresh = Extension(A, inc, piF=piF, F=ext.F)
+        fresh = Extension(A, inc)
+        fresh.quotient = piF, ext.F
         comps = built(lambda: fresh.components, nf)
         assert all(c.equals(want) for c, want in zip(comps, ext.components))
     # S = A(H) is read through its support, except where A(H) = A
@@ -1135,8 +1169,8 @@ def test_graded_components_match_the_svd_definition(counterexample, cocentral8, 
                                 a5).items():
         A, P = ext.A, ext.piF.matrix
         rho = hopf.comodule_map_rho(A, ext.piF)
-        for f, want in enumerate(_svd_components(A, P)):
-            got = hopf.graded_component(A, rho, f)
+        wants = _svd_components(A, P)
+        for got, want in zip(hopf.graded_components(A, rho, len(wants)), wants):
             assert linalg.subspace_equal(got.matrix, want, 1e-10), name
             if ext.mp is not None:
                 assert set(np.abs(got.matrix).ravel().tolist()) == {0.0, 1.0}, name
@@ -1147,8 +1181,8 @@ def test_graded_components_match_the_svd_definition(counterexample, cocentral8, 
     path, rho = _path(lambda: hopf.comodule_map_rho(T, pi))
     assert path == "joins"
     assert not T.comult_coo.sparse and rho[1].size > T.dim ** 2
-    for f, comp in enumerate(counterexample.components):
-        got = hopf.graded_component(T, rho, f)
+    comps = counterexample.components
+    for got, comp in zip(hopf.graded_components(T, rho, len(comps)), comps):
         assert linalg.subspace_equal(got.matrix, U.conj().T @ comp.matrix, 1e-10)
 
 
@@ -1203,7 +1237,7 @@ def test_join_kernels_fail_on_nan_and_inf(monkeypatch, joins_everywhere, counter
     # it fails as it always did (inf * 0 is NaN there, which numpy warns
     # of), and makes the commutator NaN, even where no join would read it;
     # cocentrality fails on one in Delta and the comodule map refuses it.  A
-    # NaN or Inf in a comodule map given by hand fails every graded component
+    # NaN or Inf in a comodule map given by hand fails the graded components
     rng = np.random.default_rng(71)
     for ext in (counterexample, cocentral8, a5):
         A = ext.A
@@ -1227,9 +1261,8 @@ def test_join_kernels_fail_on_nan_and_inf(monkeypatch, joins_everywhere, counter
             idx, val = hopf.comodule_map_rho(A, ext.piF)
             val = val.copy()
             val[-1] = value
-            for f in range(ext.F.order):
-                with pytest.raises((PreconditionError, NumericDegeneracyError)):
-                    hopf.graded_component(A, (idx, val), f)
+            with pytest.raises((PreconditionError, NumericDegeneracyError)):
+                hopf.graded_components(A, (idx, val), ext.F.order)
 
 
 def test_join_kernels_fail_on_a_nan_in_the_operand(joins_everywhere, cocentral8):

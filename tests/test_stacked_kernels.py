@@ -56,26 +56,39 @@ def test_coefficient_spaces_raise_for_the_first_failing_character(counterexample
 
 def test_stacks_cut_at_stack_bytes_are_bitwise_one_stack(monkeypatch, extensions):
     # with STACK_BYTES = 1 every coefficient space comes from a stack of one
-    # sketch; each is bitwise what one stack of all the sketches of a degree
-    # gives
+    # sketch and is gated by a residual of one character; each space is
+    # bitwise what one stack of all the sketches of a degree gives, and each
+    # gate's residual bitwise what the batched gate of the degree reads
     def run(ext):
-        svds = []
-        svd = linalg.svd
+        svds, residuals = [], []
+        svd, contains = linalg.svd, linalg.contains_vectors
+
+        def recording(basis, vectors, tol):
+            outside = basis @ (np.swapaxes(basis.conj(), -1, -2) @ vectors) - vectors
+            residuals.append(np.abs(outside).max(axis=(1, 2)))
+            return contains(basis, vectors, tol)
+
         D = np.array([d.values for d in ext.dec_dual.irr])
         with monkeypatch.context() as m:
             m.setattr(linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
+            m.setattr(linalg, "contains_vectors", recording)
             spaces = hopf.coefficient_spaces(ext.A, D)
-        return [C.matrix for C in spaces], len(svds)
+        return [C.matrix for C in spaces], len(svds), residuals
 
     for name, ext in extensions.items():
-        spaces, stacks = run(ext)
+        spaces, stacks, residuals = run(ext)
         with monkeypatch.context() as m:
             m.setattr(linalg, "STACK_BYTES", 1)
-            cut_spaces, cut_stacks = run(ext)
-        assert stacks == len({d.degree for d in ext.dec_dual.irr}), name
-        assert cut_stacks == len(ext.dec_dual.irr), name
+            cut_spaces, cut_stacks, cut_residuals = run(ext)
+        degrees = len({d.degree for d in ext.dec_dual.irr})
+        assert stacks == len(residuals) == degrees, name
+        assert cut_stacks == len(cut_residuals) == len(ext.dec_dual.irr), name
         for got, want in zip(cut_spaces, spaces):
             assert np.array_equal(got, want), name
+        # the gate of each degree, or of each character, in the same order
+        residuals, cut_residuals = np.concatenate(residuals), np.concatenate(cut_residuals)
+        assert np.array_equal(cut_residuals, residuals), name
+        assert residuals.max() < linalg.TOL_ALG, name
 
 
 def test_coset_check_matches_the_per_character_form(extensions):
@@ -170,11 +183,13 @@ def test_components_must_decompose_a(monkeypatch, extensions):
     # A_f repeated for every f: coordinate components whose supports overlap,
     # and dual_s4_v4's, which are not coordinate, whose stack is not
     # orthonormal
-    first = clifford.graded_component
-    monkeypatch.setattr(clifford, "graded_component", lambda A, rho, f: first(A, rho, 0))
+    components = clifford.graded_components
+    monkeypatch.setattr(clifford, "graded_components",
+                        lambda A, rho, n: components(A, rho, n)[:1] * n)
     for name in ("counterexample", "dual_s4_v4"):
         ext = extensions[name]
-        fresh = clifford.Extension(ext.A, ext.inc, piF=ext.piF, F=ext.F)
+        fresh = clifford.Extension(ext.A, ext.inc)
+        fresh.quotient = ext.quotient
         with pytest.raises(ConsistencyError, match="do not decompose A"):
             fresh.components
 
@@ -195,6 +210,23 @@ def test_coset_check_forms_no_basis(monkeypatch, extensions):
             m.setattr(linalg, "orthonormal_columns", no_basis)
             m.setattr(linalg, "svd", values_only)
             clifford.coset_projection_check(ext)
+
+
+def test_graded_subalgebras_made_once_per_subgroup(monkeypatch, extensions):
+    # S = A(H) and its Hopf-subalgebra test are made once per distinct H,
+    # however many alphas share it
+    shared = False
+    for name, ext in extensions.items():
+        srs = [clifford.compute_stabilizer(ext, k) for k in range(len(ext.dec_b.irr))]
+        tested, test = [], clifford.is_hopf_subalgebra
+        with monkeypatch.context() as m:
+            m.setattr(clifford, "is_hopf_subalgebra",
+                      lambda A, V: tested.append(V.dim) or test(A, V))
+            sections = clifford.graded_stabilizer_analysis(ext, srs)
+        subgroups = {g.h_members: g.dim_s for g in sections}
+        assert sorted(tested) == sorted(subgroups.values()), name
+        shared |= len(subgroups) < len(srs)
+    assert shared
 
 
 def test_twists_match_the_per_component_form(extensions):

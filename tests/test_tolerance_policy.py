@@ -168,9 +168,13 @@ def test_max_abs():
     assert np.isnan(linalg.max_abs(*{"a": 1.0, "b": float("nan"), "c": 2.0}.values()))
 
 
-def _perturbed_restriction(chi, inc):
-    out = repcalc.restrict_character(chi, inc)
-    return Character(out.parent, out.values * (1 + 1e-3))
+_equivalence_classes = clifford.equivalence_classes
+
+
+def _perturbed_restriction(ext):
+    # the restrictions the class formulas read, after the table is decomposed
+    ecd = _equivalence_classes(ext)
+    return dataclasses.replace(ecd, restricted=ecd.restricted * (1 + 1e-3))
 
 
 _compute_stabilizer = clifford.compute_stabilizer
@@ -182,7 +186,7 @@ def _doubled_psi_alpha(ext, alpha_index):
 
 
 @pytest.mark.parametrize("target,fault", [
-    ("restrict_character", _perturbed_restriction),
+    ("equivalence_classes", _perturbed_restriction),
     ("compute_stabilizer", _doubled_psi_alpha),
 ], ids=["class_formulas", "stabilizer_induction"])
 def test_reported_residuals_are_gated(monkeypatch, capsys, target, fault):
