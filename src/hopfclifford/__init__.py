@@ -21,11 +21,9 @@ from .hopf import (TOL_ALG, AlgebraData, BismashResult, HopfAlgebraData,
                    dual_hopf, graded_components, group_algebra,
                    hopf_map_residual, is_cocentral, is_hopf_subalgebra,
                    is_normal_hopf_subalgebra, quotient_hopf,
-                   subspace_product, verify_hopf_axioms)
-from .repcalc import (Character, ExplicitModule, SemisimpleDecomposition,
-                      construct_irreducible_module, decompose,
-                      group_algebra_form, induce_character, multiplicity,
-                      regular_character, restrict_character,
+                   verify_hopf_axioms)
+from .repcalc import (Character, SemisimpleDecomposition, decompose,
+                      group_algebra_form, induce_character,
                       restriction_table, wedderburn)
 from .clifford import (AlphaReport, EquivalenceClassData, Extension,
                        Stabilizer, StabilizerResult, analyze_alphas,

@@ -458,7 +458,9 @@ def stabilizer_of_set(ext: Extension, stabilizing: tuple[int, ...]) -> Stabilize
     Z is decomposed on its orthonormal basis Q unless it is A or B, which
     are read on their own decompositions.  The numbering of psi is always
     the one Q would give: wedderburn(subalgebra_data(A, Q), frame=Q) sorts
-    Irr(Z) on the characters as functionals on A, conj(Q) Q^T chi.
+    Irr(Z) on the characters as functionals on A, conj(Q) Q^T chi.  B's
+    coordinates in Z are Q^H E, for B's embedding E: Q is orthonormal and
+    Z contains B; Q Q^H E = E is gated all the same.
 
     When the set is all of Irr(A*), Z is A, taken on A's own basis:
     z_alg = A, z_dec = dec_a, table_bz = R (the context's restriction table)
@@ -515,8 +517,9 @@ def stabilizer_of_set(ext: Extension, stabilizing: tuple[int, ...]) -> Stabilize
 
     z_alg = subalgebra_data(A, Z, labels=[f"z{i}" for i in range(Z.dim)])
     z_dec = wedderburn(z_alg, seed=ext.seed, frame=Z.matrix)
-    b_in_z, resid = linalg.lstsq_coords(Z.matrix, E)
-    require(resid, TOL_ALG, ConsistencyError, "B does not sit inside Z numerically")
+    b_in_z = Z.matrix.conj().T @ E
+    require(max_abs(Z.matrix @ b_in_z - E), TOL_ALG, ConsistencyError,
+            "B does not sit inside Z numerically")
     b_inc = HopfInclusion(small=inc.small, big=z_alg, embedding=b_in_z)
     z_inc = HopfInclusion(small=z_alg, big=A, embedding=Z.matrix)
     return Stabilizer(stabilizing=list(stabilizing), Z=Z, z_alg=z_alg, z_dec=z_dec,

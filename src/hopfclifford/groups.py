@@ -140,24 +140,8 @@ class FiniteGroup:
         if not all(np.array_equal(c[c[:, s]], c[:, c[s]]) for s in _magma_generators(c)):
             raise ValueError("Cayley table is not associative")
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.cayley[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "cayley": [int(v) for v in self.cayley.reshape(-1)],
-            "labels": list(self.labels),
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteGroup":
@@ -319,7 +303,7 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """Every subgroup, found by closing cyclic subgroups under pairwise joins."""
     found: set[tuple[int, ...]] = {(0,)}
-    for a in group.elements():
+    for a in range(group.order):
         found.add(closure_members(group, [a]))
     grown = True
     while grown:

@@ -388,16 +388,6 @@ class SubspaceBasis:
             return linalg.contains_vectors(self.matrix, other.matrix, TOL_ALG)
         return max_abs(other.matrix[_off(len(self.matrix), self.support)]) < TOL_ALG
 
-    def equals(self, other: "SubspaceBasis") -> bool:
-        """Equal spans: of equal dimension, and one holds the other when it
-        is a coordinate subspace, else each holds the other."""
-        if self.dim != other.dim:
-            return False
-        if self.support is not None or other.support is not None:
-            big, small = (self, other) if self.support is not None else (other, self)
-            return big.contains(small)
-        return linalg.subspace_equal(self.matrix, other.matrix, TOL_ALG)
-
 
 def _off(dim: int, support: np.ndarray) -> np.ndarray:
     """The mask of the coordinates 0..dim-1 that are not in `support`."""
@@ -1036,14 +1026,6 @@ def is_normal_hopf_subalgebra(A: HopfAlgebraData, B: SubspaceBasis) -> bool:
     return linalg.contains_vectors(B.matrix, images, TOL_ALG)
 
 
-def subspace_product(U: SubspaceBasis, V: SubspaceBasis) -> SubspaceBasis:
-    """Span of all pairwise products of the two subspaces."""
-    if U.parent is not V.parent:
-        raise PreconditionError("subspaces live in different algebras")
-    A = U.parent
-    return SubspaceBasis.from_vectors(A, A.products(U.matrix, V.matrix).reshape(A.dim, -1))
-
-
 def coefficient_spaces(A: HopfAlgebraData, D: np.ndarray,
                        seed: int = linalg.DEFAULT_SEED) -> list[SubspaceBasis]:
     """Simple subcoalgebra spanned by the matrix coefficients of each row d of D.
@@ -1123,11 +1105,10 @@ def graded_components(A: HopfAlgebraData, rho, n: int) -> list[SubspaceBasis]:
 
     A_f is the range of rho_f = (id (x) f*) rho, the span of its nonzero
     columns.  One sort of rho's keys (f, k) numbers those columns, by f
-    and then by k, and one Gram matrix of all of them holds each A_f's on
-    its diagonal: where that block is I within linalg.TOL_ORTHO the columns
-    are A_f's basis as they stand, as the unit vectors of a bismash's A_f
-    are, so no SVD of a d x d block is taken; the others take their SVD
-    basis (`linalg.orthonormal_columns`).
+    and then by k.  Where the Gram matrix of A_f's columns is I within
+    linalg.TOL_ORTHO they are A_f's basis as they stand, as the unit vectors
+    of a bismash's A_f are, so no SVD of a d x d block is taken; the others
+    take their SVD basis (`linalg.orthonormal_columns`).
     rho(a) = a (x) f is then checked on every basis, as joins of rho's
     entries with theirs, which fails unless the quotient basis is
     group-like; the bases of coordinate components take one join.
@@ -1138,9 +1119,9 @@ def graded_components(A: HopfAlgebraData, rho, n: int) -> list[SubspaceBasis]:
     starts = np.searchsorted(keys, np.arange(n + 1) * d)
     block = np.zeros((d, keys.size), dtype=complex)
     block[p, col] = val
-    gram = block.conj().T @ block
-    bases = [block[:, a:b] if max_abs(gram[a:b, a:b] - np.eye(b - a)) <= linalg.TOL_ORTHO
-             else linalg.orthonormal_columns(block[:, a:b]) for a, b in zip(starts, starts[1:])]
+    bases = [V if max_abs(V.conj().T @ V - np.eye(V.shape[1])) <= linalg.TOL_ORTHO
+             else linalg.orthonormal_columns(V)
+             for V in (block[:, a:b] for a, b in zip(starts, starts[1:]))]
     # rho(u) = u (x) f on every basis, as joins of rho's entries with the
     # columns of their stack U, over runs of columns that pair at most d^2
     # entries (or one column): one join for coordinate components, whose

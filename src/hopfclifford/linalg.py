@@ -20,9 +20,8 @@ import numpy as np
 from .errors import NumericDegeneracyError
 
 TOL_ALG = 1e-8      # exact structure: Hopf axioms (default tolerances.alg), Hopf maps, subspaces
-TOL_NUM = 1e-7      # computed structure: quotients, central idempotents, modules, group-likes
+TOL_NUM = 1e-7      # computed structure: quotients, central idempotents, group-likes
 TOL_MATCH = 1e-6    # computed values that must agree: integers, characters, eigenvalues
-TOL_SPLIT = 1e-4    # least relative gap between distinct eigenvalues of a splitting element
 TOL_ZERO = 1e-9     # a Rayleigh quotient below this counts as zero
 COND_LIMIT = 1e8    # largest condition number of a regular trace form or a generator's matrix
 RANK_RTOL = 1e-9    # singular values <= max(s[0] * RANK_RTOL, RANK_ATOL) count as zero
@@ -68,7 +67,6 @@ svd = _converging(np.linalg.svd)
 solve = _converging(np.linalg.solve)
 lstsq = _converging(np.linalg.lstsq)
 eig = _converging(np.linalg.eig)
-eigvals = _converging(np.linalg.eigvals)
 cond = _converging(np.linalg.cond)
 matrix_rank = _converging(np.linalg.matrix_rank)
 
@@ -108,18 +106,6 @@ def orthonormal_columns(vectors: np.ndarray):
     return np.ascontiguousarray(u[:, :numerical_rank(s)])
 
 
-def null_space(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as columns) of the kernel of `mat`."""
-    mat = np.asarray(mat, dtype=complex)
-    m, n = mat.shape
-    if m == 0:
-        return np.eye(n, dtype=complex)
-    # vh must be n x n; the thin SVD of a matrix with m >= n already gives
-    # that, and asking for the full one would build an m x m U for nothing
-    _, s, vh = svd(mat, full_matrices=m < n)
-    return np.ascontiguousarray(vh[numerical_rank(s):].conj().T)
-
-
 def contains_vectors(basis: np.ndarray, vectors: np.ndarray, tol) -> bool | list[bool]:
     """True iff every column of `vectors` lies in span(basis) within tol.
 
@@ -129,22 +115,6 @@ def contains_vectors(basis: np.ndarray, vectors: np.ndarray, tol) -> bool | list
     outside = basis @ (np.swapaxes(basis.conj(), -1, -2) @ vectors)
     outside -= vectors
     return (np.abs(outside).max(axis=(-2, -1), initial=0.0) < tol).tolist()
-
-
-def subspace_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    if a.shape[1] != b.shape[1]:
-        return False
-    return contains_vectors(a, b, tol) and contains_vectors(b, a, tol)
-
-
-def lstsq_coords(basis: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares coordinates of `vectors` (columns, or one vector) in `basis` columns.
-
-    Returns (coords, max residual over columns).
-    """
-    vectors = np.asarray(vectors, dtype=complex)
-    coords, *_ = lstsq(basis, vectors, rcond=None)
-    return coords, max_abs(basis @ coords - vectors)
 
 
 def random_stream(seed: int, stream: int) -> random.Random:
@@ -158,11 +128,8 @@ def random_stream(seed: int, stream: int) -> random.Random:
       algebra draws none);
     - 1: the coefficient-space sketch (`hopf.coefficient_spaces`);
     - 2: the central splitting element (`repcalc.wedderburn`);
-    - 3 + index: the splitting element of block `index`
-      (`repcalc.construct_irreducible_module`);
-    - 2**32 - 1, above every block index: the generators u_f of the graded
-      components and the pairs that gate their twists
-      (`clifford.Extension.twists`).
+    - 2**32 - 1: the generators u_f of the graded components and the pairs
+      that gate their twists (`clifford.Extension.twists`).
     """
     return random.Random((seed << 32) | stream)
 

@@ -1,4 +1,4 @@
-"""Semisimple decomposition, characters, explicit modules, induction.
+"""Semisimple decomposition, characters, restriction and induction.
 
 Artin-Wedderburn over the complex numbers by center splitting: the center
 is the range of the Casimir projection of the regular trace form (D. G.
@@ -8,7 +8,7 @@ seeded-random central element; the resulting central primitive
 idempotents give block sizes and irreducible characters via regular
 traces, and a character's multiplicities are its values on them.  No
 step takes the SVD of a (2d, d) matrix or a least-squares solve.
-Integrality, idempotency and module checks use the thresholds of `linalg`.
+Integrality and idempotency checks use the thresholds of `linalg`.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .errors import (ConsistencyError, NotACharacterError,
 from .groups import FiniteGroup
 from .hopf import (AlgebraData, HopfAlgebraData, HopfSurjection, dual_hopf,
                    group_algebra, hopf_map_residual)
-from .linalg import (COND_LIMIT, DEFAULT_SEED, TOL_ALG, TOL_MATCH, TOL_NUM,
-                     TOL_SPLIT, TOL_ZERO, max_abs, nearest_int, require)
+from .linalg import (COND_LIMIT, DEFAULT_SEED, TOL_MATCH, TOL_NUM, TOL_ZERO,
+                     max_abs, nearest_int, require)
 
 MAX_RETRIES = 12    # random splitting elements tried before a decomposition gives up
 
@@ -49,9 +49,6 @@ class Character:
         n = nearest_int(d.real)
         require(abs(d - n), TOL_MATCH, ConsistencyError, f"character degree {d} is not an integer")
         return n
-
-    def close_to(self, other: "Character", tol: float = TOL_ALG) -> bool:
-        return max_abs(self.values - other.values) < tol
 
     def __repr__(self) -> str:
         return f"Character(dim={len(self.values)}, degree={self.degree})"
@@ -241,10 +238,6 @@ def _check_decomposition(dec: SemisimpleDecomposition, peaks: np.ndarray) -> Non
             "central idempotents are not orthogonal")
 
 
-def regular_character(A: AlgebraData) -> Character:
-    return Character(A, A.regular_trace_vector())
-
-
 def decompose(chi: Character, dec: SemisimpleDecomposition) -> np.ndarray:
     """Multiplicities of `chi` in the irreducible character basis.
 
@@ -270,18 +263,6 @@ def decompose(chi: Character, dec: SemisimpleDecomposition) -> np.ndarray:
         raise NotACharacterError(f"multiplicity {coeffs[bad][0]} is not a nonnegative integer")
     n = n.T.astype(np.int64)
     return n if chi.values.ndim == 2 else n[0]
-
-
-def multiplicity(chi: Character, mu: Character,
-                 dec: SemisimpleDecomposition) -> int:
-    """Pairing m(chi, mu) = sum of products of irreducible multiplicities."""
-    return int(decompose(chi, dec) @ decompose(mu, dec))
-
-
-def restrict_character(chi: Character, inc) -> Character:
-    """Precompose with the embedding small -> big."""
-    values = np.asarray(inc.embedding, complex).T @ chi.values
-    return Character(inc.small, values)
 
 
 def restriction_table(inc, dec_small: SemisimpleDecomposition, dec_big: SemisimpleDecomposition,
@@ -314,107 +295,6 @@ def induce_character(alpha: Character, inc, dec_small: SemisimpleDecomposition,
         if Fraction(got) != expected:
             raise ConsistencyError(f"induced degree {got} != {expected} predicted by the index")
     return Character(inc.big, values if alpha.values.ndim == 2 else values[0])
-
-
-# ---------------------------------------------------------------------------
-# explicit modules
-
-class ExplicitModule:
-    """Left module given by one action matrix per algebra basis element."""
-
-    def __init__(self, parent: AlgebraData, matrices: Sequence[np.ndarray]):
-        self.parent = parent
-        self.matrices = [np.asarray(m, complex) for m in matrices]
-        self.dimension = int(self.matrices[0].shape[0])
-
-    def character(self) -> Character:
-        return Character(self.parent, [np.trace(m) for m in self.matrices])
-
-    def verify(self) -> float:
-        """Max residual of the matrices realizing the multiplication table."""
-        return module_residual(self.parent, np.stack(self.matrices))
-
-
-def module_residual(A: AlgebraData, mats: np.ndarray) -> float:
-    """Max residual of mats[..., i, :, :], the action of each basis element e_i,
-    realizing A's multiplication table and unit; leading axes stack modules."""
-    lhs = mats[..., :, None, :, :] @ mats[..., None, :, :, :]
-    rhs = np.moveaxis(A.mult_coo.along((2,), np.moveaxis(mats, -3, 0)), (0, 1), (-4, -3))
-    unit = np.einsum("i,...iab->...ab", A.unit, mats) - np.eye(mats.shape[-1])
-    return max_abs(lhs - rhs, unit)
-
-
-def _cluster_eigenvalues(vals: np.ndarray, expect_clusters: int,
-                         expect_size: int) -> Optional[list[complex]]:
-    scale = max(1.0, max_abs(vals))
-    reps: list[complex] = []
-    counts: list[int] = []
-    for v in vals:
-        for i, rep in enumerate(reps):
-            if abs(v - rep) < TOL_MATCH * scale:
-                counts[i] += 1
-                break
-        else:
-            reps.append(complex(v))
-            counts.append(1)
-    if len(reps) != expect_clusters or any(c != expect_size for c in counts):
-        return None
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if not abs(reps[i] - reps[j]) >= TOL_SPLIT * scale:
-                return None
-    return reps
-
-
-def construct_irreducible_module(A: AlgebraData, dec: SemisimpleDecomposition,
-                                 index: int, seed: int = DEFAULT_SEED) -> ExplicitModule:
-    """Explicit action matrices for one simple block.
-
-    Splits a random block element, drawn from stream 3 + index of `seed`
-    (`linalg.random_stream`), into spectral projectors; the rank-one
-    projector for a single eigenvalue is a primitive idempotent p and the
-    left ideal A p carries the irreducible action.
-    """
-    n = dec.dims[index]
-    e = dec.idempotents[index]
-    chi = dec.irr[index]
-    if n == 1:
-        mats = [np.array([[v]], dtype=complex) for v in chi.values]
-        mod = ExplicitModule(A, mats)
-        require(mod.verify(), TOL_NUM, ConsistencyError,
-                "scalar module fails the multiplication table")
-        return mod
-
-    rng = linalg.random_stream(seed, 3 + index)
-    block = linalg.orthonormal_columns(A.right_mult_matrix(e))
-    nn = block.shape[1]
-    for _ in range(MAX_RETRIES):
-        x = block @ linalg.random_complex(rng, nn)
-        xop = block.conj().T @ (A.left_mult_matrix(x) @ block)
-        vals = linalg.eigvals(xop)
-        reps = _cluster_eigenvalues(vals, n, n)
-        if reps is None:
-            continue
-        lam0, rest = reps[0], reps[1:]
-        p = e.copy()
-        for lam in rest:
-            p = A.product(p, (x - lam * e)) / (lam0 - lam)
-        if not max_abs(A.product(p, p) - p) <= TOL_MATCH * max(1.0, max_abs(p) ** 2):
-            continue
-        V = linalg.orthonormal_columns(A.right_mult_matrix(p))
-        if V.shape[1] != n:
-            continue
-        imgs = A.mult_coo.along((1,), V).transpose(1, 0, 2)  # imgs[:, k, :] = e_k V
-        coords = np.tensordot(V.conj().T, imgs, axes=1)
-        if not max_abs(np.tensordot(V, coords, axes=1) - imgs) <= TOL_NUM:
-            continue
-        mod = ExplicitModule(A, list(coords.transpose(1, 0, 2)))
-        if not mod.verify() <= TOL_MATCH:
-            continue
-        if not mod.character().close_to(chi, TOL_MATCH):
-            raise ConsistencyError("module trace disagrees with the block character")
-        return mod
-    raise NumericDegeneracyError("spectral splitting failed after max retries")
 
 
 # ---------------------------------------------------------------------------

@@ -77,15 +77,16 @@ class Scenario:
                     or not 1 <= size_cap <= DEFAULT_SIZE_CAP):
                 raise ConfigError(f"size_cap must be an integer from 1 to "
                                   f"{DEFAULT_SIZE_CAP}, got {size_cap!r}")
+            names = group.get("names")
             sc = cls(
                 name=str(data.get("name", "scenario")),
                 construction=construction,
-                group_generators=list(group.get("generators", [])),
-                group_names=group.get("names"),
+                group_generators=_strings(group.get("generators", []), "group.generators"),
+                group_names=None if names is None else _strings(names, "group.names"),
                 group_cayley=group if "cayley" in group else None,
-                f_generators=list(data.get("f_generators", [])),
-                g_generators=list(data.get("g_generators", [])),
-                b_generators=list(data.get("b_generators", [])),
+                f_generators=_strings(data.get("f_generators", []), "f_generators"),
+                g_generators=_strings(data.get("g_generators", []), "g_generators"),
+                b_generators=_strings(data.get("b_generators", []), "b_generators"),
                 alpha=data.get("alpha", "all"),
                 seed=data.get("seed"),
                 size_cap=size_cap,
@@ -128,6 +129,13 @@ class Scenario:
         if self.seed is not None:
             out["seed"] = self.seed
         return out
+
+
+def _strings(value, source: str) -> list[str]:
+    """Generators and their names are lists of strings."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{source} must be a list of strings, got {value!r}")
+    return list(value)
 
 
 def check_seed(seed, source: str) -> int:

@@ -26,6 +26,13 @@ null space of a stacked (2d, d) commutator matrix (`repcalc._center`);
 (`repcalc.decompose`); `built_stabilizer` builds every Z, B included, as an
 algebra on its orthonormal basis Q and decomposes it on the frame Q, with
 both restriction tables (`clifford.stabilizer_of_set`).
+
+The explicit modules these references act on, which no request builds:
+`construct_irreducible_module` splits one Wedderburn block by the spectral
+projectors of a random element of it, and `ExplicitModule.verify` is
+`module_residual`.  `null_space` (behind the commutant and centre
+references) and `lstsq_coords` are the SVD and least-squares forms the
+package no longer takes.
 """
 
 from fractions import Fraction
@@ -36,11 +43,130 @@ from hopfclifford import linalg, repcalc
 from hopfclifford.clifford import Stabilizer
 from hopfclifford.errors import (ConsistencyError, NotACharacterError, NumericDegeneracyError,
                                  PreconditionError, SemisimplicityError)
-from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis, dual_hopf,
-                               subalgebra_data, subspace_product)
+from hopfclifford.hopf import (AlgebraData, HopfAlgebraData, HopfInclusion, SubspaceBasis,
+                               dual_hopf, subalgebra_data)
 from hopfclifford.linalg import (COND_LIMIT, DEFAULT_SEED, TOL_ALG, TOL_MATCH, TOL_NUM,
                                  TOL_ZERO, max_abs, nearest_int, require)
-from hopfclifford.repcalc import Character, ExplicitModule, SemisimpleDecomposition
+from hopfclifford.repcalc import Character, SemisimpleDecomposition
+
+TOL_SPLIT = 1e-4    # least relative gap between distinct eigenvalues of a splitting element
+
+eigvals = linalg._converging(np.linalg.eigvals)
+
+
+def null_space(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as columns) of the kernel of `mat`."""
+    mat = np.asarray(mat, dtype=complex)
+    m, n = mat.shape
+    if m == 0:
+        return np.eye(n, dtype=complex)
+    # vh must be n x n; the thin SVD of a matrix with m >= n already gives
+    # that, and asking for the full one would build an m x m U for nothing
+    _, s, vh = linalg.svd(mat, full_matrices=m < n)
+    return np.ascontiguousarray(vh[linalg.numerical_rank(s):].conj().T)
+
+
+def lstsq_coords(basis: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares coordinates of `vectors` (columns, or one vector) in
+    `basis` columns, and the max residual over columns."""
+    vectors = np.asarray(vectors, dtype=complex)
+    coords = linalg.lstsq(basis, vectors, rcond=None)[0]
+    return coords, max_abs(basis @ coords - vectors)
+
+
+class ExplicitModule:
+    """Left module given by one action matrix per algebra basis element."""
+
+    def __init__(self, parent: AlgebraData, matrices):
+        self.parent = parent
+        self.matrices = [np.asarray(m, complex) for m in matrices]
+        self.dimension = int(self.matrices[0].shape[0])
+
+    def character(self) -> Character:
+        return Character(self.parent, [np.trace(m) for m in self.matrices])
+
+    def verify(self) -> float:
+        """Max residual of the matrices realizing the multiplication table."""
+        return module_residual(self.parent, np.stack(self.matrices))
+
+
+def module_residual(A: AlgebraData, mats: np.ndarray) -> float:
+    """Max residual of mats[..., i, :, :], the action of each basis element e_i,
+    realizing A's multiplication table and unit; leading axes stack modules."""
+    lhs = mats[..., :, None, :, :] @ mats[..., None, :, :, :]
+    rhs = np.moveaxis(A.mult_coo.along((2,), np.moveaxis(mats, -3, 0)), (0, 1), (-4, -3))
+    unit = np.einsum("i,...iab->...ab", A.unit, mats) - np.eye(mats.shape[-1])
+    return max_abs(lhs - rhs, unit)
+
+
+def _cluster_eigenvalues(vals: np.ndarray, expect_clusters: int, expect_size: int):
+    scale = max(1.0, max_abs(vals))
+    reps: list[complex] = []
+    counts: list[int] = []
+    for v in vals:
+        for i, rep in enumerate(reps):
+            if abs(v - rep) < TOL_MATCH * scale:
+                counts[i] += 1
+                break
+        else:
+            reps.append(complex(v))
+            counts.append(1)
+    if len(reps) != expect_clusters or any(c != expect_size for c in counts):
+        return None
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            if not abs(reps[i] - reps[j]) >= TOL_SPLIT * scale:
+                return None
+    return reps
+
+
+def construct_irreducible_module(A: AlgebraData, dec: SemisimpleDecomposition,
+                                 index: int, seed: int = DEFAULT_SEED) -> ExplicitModule:
+    """Explicit action matrices for one simple block.
+
+    Splits a random block element, drawn from stream 3 + index of `seed`
+    (`linalg.random_stream`), into spectral projectors; the rank-one
+    projector for a single eigenvalue is a primitive idempotent p and the
+    left ideal A p carries the irreducible action.
+    """
+    n = dec.dims[index]
+    e = dec.idempotents[index]
+    chi = dec.irr[index]
+    if n == 1:
+        mod = ExplicitModule(A, [np.array([[v]], dtype=complex) for v in chi.values])
+        require(mod.verify(), TOL_NUM, ConsistencyError,
+                "scalar module fails the multiplication table")
+        return mod
+
+    rng = linalg.random_stream(seed, 3 + index)
+    block = linalg.orthonormal_columns(A.right_mult_matrix(e))
+    nn = block.shape[1]
+    for _ in range(repcalc.MAX_RETRIES):
+        x = block @ linalg.random_complex(rng, nn)
+        xop = block.conj().T @ (A.left_mult_matrix(x) @ block)
+        reps = _cluster_eigenvalues(eigvals(xop), n, n)
+        if reps is None:
+            continue
+        lam0, rest = reps[0], reps[1:]
+        p = e.copy()
+        for lam in rest:
+            p = A.product(p, (x - lam * e)) / (lam0 - lam)
+        if not max_abs(A.product(p, p) - p) <= TOL_MATCH * max(1.0, max_abs(p) ** 2):
+            continue
+        V = linalg.orthonormal_columns(A.right_mult_matrix(p))
+        if V.shape[1] != n:
+            continue
+        imgs = A.mult_coo.along((1,), V).transpose(1, 0, 2)  # imgs[:, k, :] = e_k V
+        coords = np.tensordot(V.conj().T, imgs, axes=1)
+        if not max_abs(np.tensordot(V, coords, axes=1) - imgs) <= TOL_NUM:
+            continue
+        mod = ExplicitModule(A, list(coords.transpose(1, 0, 2)))
+        if not mod.verify() <= TOL_MATCH:
+            continue
+        if not max_abs(mod.character().values - chi.values) < TOL_MATCH:
+            raise ConsistencyError("module trace disagrees with the block character")
+        return mod
+    raise NumericDegeneracyError("spectral splitting failed after max retries")
 
 
 def subcoalgebra_as_dual_module(A: HopfAlgebraData, C: SubspaceBasis) -> ExplicitModule:
@@ -53,7 +179,7 @@ def subcoalgebra_as_dual_module(A: HopfAlgebraData, C: SubspaceBasis) -> Explici
         for q in range(k):
             X = A.apply_comult(Cb[:, q])
             img[:, q] = X[:, i]
-        coords, resid = linalg.lstsq_coords(Cb, img)
+        coords, resid = lstsq_coords(Cb, img)
         require(resid, TOL_ALG, PreconditionError, "subspace is not a subcoalgebra")
         mats.append(coords)
     return ExplicitModule(dual_hopf(A), mats)
@@ -72,7 +198,7 @@ def conjugate_module(A: HopfAlgebraData, inc: HopfInclusion,
         Sv = np.einsum("rp,j,rjk->pk", S, v, Mt, optimize=True)   # S(e_p) * v
         sand = np.einsum("pa,aqk->pqk", Sv, Mt, optimize=True)    # S(e_p) * v * e_q
         u = np.einsum("abpq,pqk->abk", R2, sand, optimize=True)
-        coords, resid = linalg.lstsq_coords(E, u.reshape(-1, A.dim).T)
+        coords, resid = lstsq_coords(E, u.reshape(-1, A.dim).T)
         require(resid, TOL_ALG * max(1.0, max_abs(u)), ConsistencyError,
                 "conjugate action leaves the subalgebra")
         cb = coords.T.reshape(u.shape[0], u.shape[1], E.shape[1])
@@ -95,7 +221,7 @@ def conjugation_matrices(A: HopfAlgebraData, inc: HopfInclusion, D: np.ndarray) 
     for d_vec in np.asarray(D, complex):
         X = A.apply_comult(d_vec)                  # X[p, q]: Delta(d) on e_p (x) e_q
         W = A.multiply(X.T @ U)                    # W[:, m] = S(d_1) b_m d_2
-        coords, resid = linalg.lstsq_coords(E, W)
+        coords, resid = lstsq_coords(E, W)
         require(resid, TOL_ALG * max(1.0, max_abs(W)), ConsistencyError,
                 "conjugation left the subalgebra")
         out.append(coords)
@@ -114,7 +240,7 @@ def graded_tensor_character(bimodule: tuple[np.ndarray, np.ndarray],
     rels = (right[:, None, :, :, None] * np.eye(n)[None, :, None, None, :]
             - np.eye(r)[:, None, :, None, None] * act.transpose(1, 0, 2)[None, :, None, :, :])
     rel_basis = linalg.orthonormal_columns(rels.reshape(r * n, r * b * n))
-    C = linalg.null_space(rel_basis.conj().T)
+    C = null_space(rel_basis.conj().T)
     if C.shape[1] != n:
         raise ConsistencyError(
             f"tensor over B has dimension {C.shape[1]}, expected {n}")
@@ -185,17 +311,18 @@ def coset_projection_check(ext) -> dict:
         span = np.zeros((F.order, len(support)), dtype=complex)
         for c, f in enumerate(support):
             span[f, c] = 1.0
-        images_match &= img.equals(SubspaceBasis(piF.target, span))
+        images_match &= img.dim == len(support) and SubspaceBasis(piF.target, span).contains(img)
 
-        bc = subspace_product(ext.b_sub, C)
+        bc = SubspaceBasis.from_vectors(
+            A, A.products(ext.b_sub.matrix, C.matrix).reshape(A.dim, -1))
         graded = SubspaceBasis.spanned_by(A, np.hstack([components[f].matrix for f in support]))
-        cosets_match &= bc.equals(graded)
+        cosets_match &= bc.dim == graded.dim and graded.contains(bc)
         cosets.append(bc)
 
     flat = [f for sup in sorted(set(supports)) for f in sup]
     distinct: list[SubspaceBasis] = []
     for bc in cosets:
-        if not any(bc.equals(other) for other in distinct):
+        if not any(bc.dim == other.dim and other.contains(bc) for other in distinct):
             distinct.append(bc)
     total = sum(bc.dim for bc in distinct)
     stacked = np.hstack([bc.matrix for bc in distinct])
@@ -267,7 +394,7 @@ def center_of_two_elements(A, seed: int = DEFAULT_SEED) -> np.ndarray:
     rng = linalg.random_stream(seed, 0)
     for _ in range(repcalc.MAX_RETRIES):
         rs = [linalg.random_complex(rng, A.dim) for _ in range(2)]
-        center = linalg.null_space(
+        center = null_space(
             np.vstack([A.left_mult_matrix(x) - A.right_mult_matrix(x) for x in rs]))
         if A.commutator_residual(center) <= TOL_NUM:
             return center
@@ -300,7 +427,7 @@ def built_stabilizer(ext, stabilizing, Z: SubspaceBasis) -> Stabilizer:
     inc = ext.inc
     z_alg = subalgebra_data(ext.A, Z, labels=[f"z{i}" for i in range(Z.dim)])
     z_dec = repcalc.wedderburn(z_alg, seed=ext.seed, frame=Z.matrix)
-    b_in_z, resid = linalg.lstsq_coords(Z.matrix, np.asarray(inc.embedding, complex))
+    b_in_z, resid = lstsq_coords(Z.matrix, np.asarray(inc.embedding, complex))
     require(resid, TOL_ALG, ConsistencyError, "B does not sit inside Z numerically")
     b_inc = HopfInclusion(small=inc.small, big=z_alg, embedding=b_in_z)
     z_inc = HopfInclusion(small=z_alg, big=ext.A, embedding=Z.matrix)

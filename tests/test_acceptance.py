@@ -76,7 +76,7 @@ def test_acceptance_2_classical_positive(classical):
         ok &= image_dim == [2]
         # the stabilizer is literally the span of the normal subgroup
         sr = compute_stabilizer(classical, rep.alpha_index)
-        ok &= sr.Z.equals(classical.b_sub)
+        ok &= sr.Z.dim == classical.b_sub.dim and sr.Z.contains(classical.b_sub)
     ok &= report.all_verdicts_hold()
     ok &= max(report.formula_residuals.values()) < 1e-8
     _line(2, ok, "classical case holds (Z = kA3 exactly, bound 3 attained, "

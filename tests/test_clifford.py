@@ -15,14 +15,14 @@ from hopfclifford.clifford import (Extension, analyze_alphas,
                                    verify_class_formulas)
 from hopfclifford.errors import ConsistencyError, NormalityError, TheoremViolationError
 from hopfclifford.hopf import SubspaceBasis, subalgebra_data
-from hopfclifford.repcalc import (DEFAULT_SEED, Character,
-                                  construct_irreducible_module, decompose,
+from hopfclifford.repcalc import (DEFAULT_SEED, Character, decompose,
                                   restriction_table, wedderburn)
 from hopfclifford.scenarios import build_scenario, builtin_scenario
 
 import clifford_reference as ref
 from clifford_reference import (component_bimodule, conjugate_module,
-                                graded_tensor_character, subcoalgebra_as_dual_module)
+                                construct_irreducible_module, graded_tensor_character,
+                                subcoalgebra_as_dual_module)
 from conftest import change_basis
 
 
@@ -177,8 +177,8 @@ def test_conjugate_module_matches_character(classical, s3_group):
     M = construct_irreducible_module(classical.inc.small, dec_b, omegas[0])
     out = conjugate_module(A, classical.inc, W, M)
     conj = conjugation_matrices(A, classical.inc, t_vec[None])[0]
-    want = Character(dec_b.algebra, dec_b.irr[omegas[0]].values @ conj)
-    assert out.character().close_to(want)
+    want = dec_b.irr[omegas[0]].values @ conj
+    assert np.max(np.abs(out.character().values - want)) < 1e-8
 
 
 def test_conjugate_module_trivial_comodule(classical):
@@ -188,7 +188,7 @@ def test_conjugate_module_trivial_comodule(classical):
     dec_b = classical.dec_b
     M = construct_irreducible_module(classical.inc.small, dec_b, 0)
     out = conjugate_module(A, classical.inc, W, M)
-    assert out.character().close_to(dec_b.irr[0])
+    assert np.max(np.abs(out.character().values - dec_b.irr[0].values)) < 1e-8
 
 
 def test_isotypic_iff_stabilized(counterexample):
@@ -202,8 +202,7 @@ def test_isotypic_iff_stabilized(counterexample):
     for idx, C in enumerate(ext.coefficient_spaces):
         W = subcoalgebra_as_dual_module(A, C)
         out = conjugate_module(A, ext.inc, W, M)
-        isotypic = out.character().close_to(
-            Character(alpha.parent, C.dim * alpha.values), 1e-7)
+        isotypic = np.max(np.abs(out.character().values - C.dim * alpha.values)) < 1e-7
         assert isotypic == (idx in sr.stabilizing)
 
 
@@ -223,7 +222,7 @@ def test_stabilizer_classical_omega(classical):
               if np.max(np.abs(ch.values - 1.0)) > 1e-8]
     sr = compute_stabilizer(classical, omegas[0])
     assert sr.dim_z == 3
-    assert sr.Z.equals(classical.b_sub)
+    assert sr.Z.dim == classical.b_sub.dim and sr.Z.contains(classical.b_sub)
     assert sr.z_class == (omegas[0],) or len(sr.z_class) == 1
 
 
@@ -231,7 +230,7 @@ def test_stabilizer_counterexample_is_b(counterexample):
     k = alpha_with_support(counterexample, "d(g)")
     sr = compute_stabilizer(counterexample, k)
     assert sr.dim_z == 4
-    assert sr.Z.equals(counterexample.b_sub)
+    assert sr.Z.dim == counterexample.b_sub.dim and sr.Z.contains(counterexample.b_sub)
     assert len(sr.stabilizing) == 4
     assert len(sr.z_class) == 1
 

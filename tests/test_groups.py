@@ -166,7 +166,7 @@ def test_exact_factorization_s3_by_hand(s3_group):
     f = subgroup_closure(s3_group, [s3_group.label_index("t")])
     g = subgroup_closure(s3_group, [s3_group.label_index("s")])
     # oracle: enumerate the six products directly
-    products = sorted(s3_group.mul(a, x) for a in g.members for x in f.members)
+    products = sorted(s3_group.cayley[a, x] for a in g.members for x in f.members)
     assert products == list(range(6))
     assert is_exact_factorization(s3_group, f, g)
 
@@ -182,10 +182,10 @@ def test_derived_tables_match_reference(s4_pair):
 
 def test_unit_laws(s4_pair):
     F, G = s4_pair.f_group, s4_pair.g_group
-    for x in F.elements():
+    for x in range(F.order):
         assert s4_pair.lact[0, x] == x
         assert s4_pair.ract[0, x] == 0
-    for g in G.elements():
+    for g in range(G.order):
         assert s4_pair.lact[g, 0] == 0
         assert s4_pair.ract[g, 0] == g
 
@@ -262,7 +262,7 @@ def test_reconstruction_fails_on_its_own_fault(c4c2_pair):
 def _loop_violations(mp):
     """verify_matched_pair cell by cell: each law's first failing cell."""
     F, G, ract, lact = mp.f_group, mp.g_group, mp.ract, mp.lact
-    fl, gl, xs, gs = F.labels, G.labels, F.elements(), G.elements()
+    fl, gl, xs, gs = F.labels, G.labels, range(F.order), range(G.order)
     laws = [
         [f"unit law 1 |> {fl[x]} failed" for x in xs if lact[0, x] != x],
         [f"unit law 1 <| {fl[x]} failed" for x in xs if ract[0, x] != 0],
@@ -270,13 +270,13 @@ def _loop_violations(mp):
         [f"unit law {gl[g]} <| 1 failed" for g in gs if ract[g, 0] != g],
         [f"|> over product failed at ({gl[s]}, {fl[x]}, {fl[y]})"
          for s in gs for x in xs for y in xs
-         if lact[s, F.mul(x, y)] != F.mul(lact[s, x], lact[ract[s, x], y])],
+         if lact[s, F.cayley[x, y]] != F.cayley[lact[s, x], lact[ract[s, x], y]]],
         [f"<| over product failed at ({gl[s]}, {gl[t]}, {fl[x]})"
          for s in gs for t in gs for x in xs
-         if ract[G.mul(s, t), x] != G.mul(ract[s, lact[t, x]], ract[t, x])],
+         if ract[G.cayley[s, t], x] != G.cayley[ract[s, lact[t, x]], ract[t, x]]],
         [f"reconstruction failed at ({gl[g]}, {fl[x]})" for g in gs for x in xs
-         if mp.sigma.mul(mp.g_sub.members[g], mp.f_sub.members[x])
-         != mp.sigma.mul(mp.f_sub.members[lact[g, x]], mp.g_sub.members[ract[g, x]])],
+         if mp.sigma.cayley[mp.g_sub.members[g], mp.f_sub.members[x]]
+         != mp.sigma.cayley[mp.f_sub.members[lact[g, x]], mp.g_sub.members[ract[g, x]]]],
     ]
     return [cells[0] for cells in laws if cells]
 
@@ -339,7 +339,7 @@ def test_invariance_under_left_action(s4_pair):
     assert not is_invariant_subgroup_under_lact(s4_pair, stab)
     # g |> t = ts leaves the subgroup
     assert s4_pair.lact_label("g", "t") == "ts"
-    assert is_invariant_subgroup_under_lact(s4_pair, Subgroup(F, tuple(F.elements())))
+    assert is_invariant_subgroup_under_lact(s4_pair, Subgroup(F, tuple(range(F.order))))
     assert is_invariant_subgroup_under_lact(s4_pair, Subgroup(F, (0,)))
 
 
@@ -366,12 +366,12 @@ def test_orbits_partition_g(s4_pair, c4c2_pair):
     for mp in (s4_pair, c4c2_pair):
         F, G = mp.f_group, mp.g_group
         covered = set()
-        for g in G.elements():
+        for g in range(G.order):
             orbit, stab = orbit_and_stabilizer(mp, g)
             assert len(orbit) * stab.order == F.order
             assert g in orbit
             covered.update(orbit)
-        assert covered == set(G.elements())
+        assert covered == set(range(G.order))
 
 
 def test_derive_actions_requires_exact(s3_group):
@@ -381,7 +381,7 @@ def test_derive_actions_requires_exact(s3_group):
 
 
 def test_group_json_round_trip(s4_sigma):
-    data = s4_sigma.to_json_dict()
+    data = {"order": 24, "cayley": s4_sigma.cayley.reshape(-1).tolist(), "labels": s4_sigma.labels}
     back = FiniteGroup.from_json_dict(data)
     assert np.array_equal(back.cayley, s4_sigma.cayley)
     assert back.labels == s4_sigma.labels

@@ -1,4 +1,4 @@
-"""Semisimple decomposition, characters, induction, explicit modules.
+"""Semisimple decomposition, characters, induction, and the explicit modules of the reference.
 
 Expected values come from independent oracles: classical character tables
 looked up by cycle type, and orbit-stabilizer counting for bismash products.
@@ -11,11 +11,10 @@ from hopfclifford import hopf, repcalc
 from hopfclifford.errors import ConsistencyError, NotACharacterError, SemisimplicityError
 from hopfclifford.groups import group_from_permutations, orbit_and_stabilizer
 from hopfclifford.hopf import AlgebraData, dual_group_algebra, group_algebra
-from hopfclifford.repcalc import (Character, construct_irreducible_module,
-                                  decompose, group_algebra_form,
-                                  induce_character, multiplicity,
-                                  regular_character, restrict_character,
-                                  wedderburn)
+from hopfclifford.repcalc import (Character, decompose, group_algebra_form,
+                                  induce_character, wedderburn)
+
+from clifford_reference import construct_irreducible_module
 
 
 def classical_s3_table(group):
@@ -38,7 +37,7 @@ def bismash_dims_oracle(mp):
     """Block sizes from orbits of <| and irreducibles of the stabilizers."""
     dims = []
     seen = set()
-    for g in mp.g_group.elements():
+    for g in range(mp.g_group.order):
         if g in seen:
             continue
         orbit, stab = orbit_and_stabilizer(mp, g)
@@ -46,7 +45,7 @@ def bismash_dims_oracle(mp):
         sub = [[mp.f_group.cayley[a, b] for b in stab.members]
                for a in stab.members]
         idx = {m: i for i, m in enumerate(stab.members)}
-        abelian = all(mp.f_group.mul(a, b) == mp.f_group.mul(b, a)
+        abelian = all(mp.f_group.cayley[a, b] == mp.f_group.cayley[b, a]
                       for a in stab.members for b in stab.members)
         if abelian:
             stab_dims = [1] * stab.order
@@ -117,7 +116,7 @@ def test_non_semisimple_rejected():
 def test_decompose_regular(s3_group):
     A = group_algebra(s3_group)
     dec = wedderburn(A)
-    reg = regular_character(A)
+    reg = Character(A, A.regular_trace_vector())
     coeffs = decompose(reg, dec)
     assert list(coeffs) == dec.dims
     for k, ch in enumerate(dec.irr):
@@ -141,14 +140,14 @@ def test_decompose_a_stack_row_by_row(s3_group):
     # each row is gated on its own scale, not on the largest in the stack
     A = group_algebra(s3_group)
     dec = wedderburn(A)
-    chars = [regular_character(A)] + list(dec.irr)
+    chars = [Character(A, A.regular_trace_vector())] + list(dec.irr)
     stack = decompose(Character(A, np.stack([ch.values for ch in chars])), dec)
     assert np.array_equal(stack, [decompose(ch, dec) for ch in chars])
     X = np.stack([ch.values for ch in dec.irr], axis=1)
     w = np.eye(A.dim)[-1] - X @ np.linalg.lstsq(X, np.eye(A.dim)[-1], rcond=None)[0]
     w /= np.max(np.abs(w))
     off = dec.irr[0].values + 5e-7 * w                        # bound 1e-7: outside
-    big = 100 * regular_character(A).values + 1e-5 * w       # bound 6e-5: inside
+    big = 100 * A.regular_trace_vector() + 1e-5 * w       # bound 6e-5: inside
     assert list(decompose(Character(A, big), dec)) == [100, 100, 200]
     for values in (off, np.stack([big, off])):
         with pytest.raises(NotACharacterError, match="character span"):
@@ -156,28 +155,29 @@ def test_decompose_a_stack_row_by_row(s3_group):
 
 
 def test_multiplicity_pairings(classical):
+    # m(chi, mu) is the product of the multiplicity vectors
     dec_a, dec_b = classical.dec_a, classical.dec_b
-    reg = regular_character(classical.A)
+    reg = decompose(Character(classical.A, classical.A.regular_trace_vector()), dec_a)
     for k, ch in enumerate(dec_a.irr):
-        assert multiplicity(ch, ch, dec_a) == 1
-        assert multiplicity(reg, ch, dec_a) == dec_a.dims[k]
+        m = decompose(ch, dec_a)
+        assert m @ m == 1
+        assert reg @ m == dec_a.dims[k]
     theta = [ch for ch in dec_a.irr if ch.degree == 2][0]
-    down = restrict_character(theta, classical.inc)
-    coeffs = decompose(down, dec_b)
+    coeffs = decompose(Character(classical.inc.small, classical.inc.embedding.T @ theta.values),
+                       dec_b)
     omegas = [k for k in range(3) if coeffs[k] > 0]
     assert len(omegas) == 2
     for k in omegas:
-        assert multiplicity(down, dec_b.irr[k], dec_b) == 1
+        assert coeffs @ decompose(dec_b.irr[k], dec_b) == 1
 
 
 def test_restriction_classical(classical):
     # counit restricts to counit, theta to the two nontrivial characters
     dec_a, dec_b = classical.dec_a, classical.dec_b
-    eps_a = Character(classical.A, classical.A.counit)
-    eps_b = restrict_character(eps_a, classical.inc)
-    assert np.max(np.abs(eps_b.values - classical.inc.small.counit)) < 1e-10
+    B, E = classical.inc.small, classical.inc.embedding
+    assert np.max(np.abs(E.T @ classical.A.counit - B.counit)) < 1e-10
     theta = [ch for ch in dec_a.irr if ch.degree == 2][0]
-    down = decompose(restrict_character(theta, classical.inc), dec_b)
+    down = decompose(Character(B, E.T @ theta.values), dec_b)
     trivial_b = [k for k, ch in enumerate(dec_b.irr)
                  if np.max(np.abs(ch.values - 1.0)) < 1e-8][0]
     assert down[trivial_b] == 0 and sorted(down) == [0, 1, 1]
@@ -186,11 +186,12 @@ def test_restriction_classical(classical):
 def test_restriction_bismash(counterexample):
     # each 3-dim block restricts to the full nontrivial orbit of B-characters
     dec_a, dec_b = counterexample.dec_a, counterexample.dec_b
-    trivial_b = counterexample.supports.index(counterexample.inc.small.labels.index("d(1)"))
+    B, E = counterexample.inc.small, counterexample.inc.embedding
+    trivial_b = counterexample.supports.index(B.labels.index("d(1)"))
     for c, chi in enumerate(dec_a.irr):
         if dec_a.dims[c] != 3:
             continue
-        down = decompose(restrict_character(chi, counterexample.inc), dec_b)
+        down = decompose(Character(B, E.T @ chi.values), dec_b)
         assert down[trivial_b] == 0
         assert sorted(down) == [0, 1, 1, 1]
 
@@ -224,26 +225,24 @@ def test_induction_bismash(counterexample):
 
 def test_frobenius_reciprocity(classical, counterexample, cocentral8):
     for ext in (classical, counterexample, cocentral8):
+        B, E = ext.inc.small, ext.inc.embedding
         for alpha in ext.dec_b.irr:
-            ind = induce_character(alpha, ext.inc, ext.dec_b, ext.dec_a,
-                                   ext.ecd.restriction_table)
-            for chi in ext.dec_a.irr:
-                lhs = multiplicity(ind, chi, ext.dec_a)
-                rhs = multiplicity(alpha, restrict_character(chi, ext.inc),
-                                   ext.dec_b)
-                assert lhs == rhs
+            ind = decompose(induce_character(alpha, ext.inc, ext.dec_b, ext.dec_a,
+                                             ext.ecd.restriction_table), ext.dec_a)
+            for c, chi in enumerate(ext.dec_a.irr):
+                down = decompose(Character(B, E.T @ chi.values), ext.dec_b)
+                assert ind[c] == down @ decompose(alpha, ext.dec_b)
 
 
 def test_regular_restriction_identity(classical, counterexample):
     # sum n_i chi_i restricted equals |A|/|B| copies of the regular B-character
     for ext in (classical, counterexample):
-        reg_a = regular_character(ext.A)
-        down = restrict_character(reg_a, ext.inc)
-        reg_b = regular_character(ext.inc.small)
+        reg_a = ext.A.regular_trace_vector()
+        reg_b = ext.inc.small.regular_trace_vector()
         ratio = ext.A.dim // ext.inc.small.dim
-        assert np.max(np.abs(down.values - ratio * reg_b.values)) < 1e-8
+        assert np.max(np.abs(ext.inc.embedding.T @ reg_a - ratio * reg_b)) < 1e-8
         stacked = sum(n * ch.values for n, ch in zip(ext.dec_a.dims, ext.dec_a.irr))
-        assert np.max(np.abs(stacked - reg_a.values)) < 1e-8
+        assert np.max(np.abs(stacked - reg_a)) < 1e-8
 
 
 def test_explicit_modules(classical, counterexample):
@@ -252,12 +251,12 @@ def test_explicit_modules(classical, counterexample):
         mod = construct_irreducible_module(classical.A, dec, idx)
         assert mod.dimension == dec.dims[idx]
         assert mod.verify() < 1e-8
-        assert mod.character().close_to(dec.irr[idx], 1e-8)
+        assert np.max(np.abs(mod.character().values - dec.irr[idx].values)) < 1e-8
     idx3 = counterexample.dec_a.dims.index(3)
     mod = construct_irreducible_module(counterexample.A, counterexample.dec_a, idx3)
     assert mod.dimension == 3
     assert mod.verify() < 1e-7
-    assert mod.character().close_to(counterexample.dec_a.irr[idx3], 1e-7)
+    assert np.max(np.abs(mod.character().values - counterexample.dec_a.irr[idx3].values)) < 1e-7
     # the 4-dim block of the dual
     idx4 = counterexample.dec_dual.dims.index(4)
     mod = construct_irreducible_module(counterexample.dual,

@@ -356,17 +356,19 @@ def test_cli_verify_axioms(capsys):
 
 
 def test_cayley_table_scenario(s3_group):
+    table = {"order": s3_group.order, "cayley": s3_group.cayley.reshape(-1).tolist(),
+             "labels": s3_group.labels}
     sc = Scenario.from_dict({
         "name": "from-table",
         "construction": "group_algebra",
-        "group": s3_group.to_json_dict(),
+        "group": table,
         "b_generators": ["s"],
     })
     rep = run_scenario(sc)
     assert rep.dims_a == [1, 1, 2]
     assert rep.all_verdicts_hold()
     # the report names the group by its table, as it was given
-    assert json.loads(rep.to_json())["scenario"]["group"] == s3_group.to_json_dict()
+    assert json.loads(rep.to_json())["scenario"]["group"] == table
 
 
 def test_tolerance_override():
@@ -441,6 +443,13 @@ BAD_GROUPS = [
     ("size-cap-text", {"size_cap": "12"}, "size_cap"),
     ("size-cap-zero", {"size_cap": 0}, "size_cap"),
     ("size-cap-above-default", {"size_cap": 100000000}, "size_cap"),
+    # generators and their names are lists of strings
+    ("generator-not-a-string", {"group": {"generators": [5]}}, "group.generators"),
+    ("names-not-a-list", {"group": {"generators": ["(1 2)", "(1 2 3)"], "names": 5}},
+     "group.names"),
+    ("b-generator-not-a-string", {"b_generators": [3]}, "b_generators"),
+    ("f-generator-not-a-string", {"construction": "bismash", "f_generators": [{}],
+                                  "g_generators": ["t"]}, "f_generators"),
 ]
 
 
