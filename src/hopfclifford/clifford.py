@@ -77,16 +77,16 @@ class Extension:
     """A normal Hopf subalgebra B of A with everything derived from the pair.
 
     Each derived object is built on first use and kept: the dual A*, the
-    Wedderburn decompositions of A, B and A*, the quotient A/AB+ (the one
-    normality test of B), the equivalence classes with their restriction
-    table, the group-algebra quotient kF with its graded components and
-    the twist of B by each, stacked over F, the coefficient space and
-    the conjugation matrix of every irreducible dual character, and in
-    `stabilizers` the Stabilizer of each stabilizing set met so far.  Each
-    per-character object is made for all characters in one stacked call,
-    never one character at a time.  A bismash product gives its matched
-    pair, its projection onto kF and the A/AB+ it was checked against;
-    otherwise A/AB+ is built and recognized as kF when it is one.
+    Wedderburn decompositions of A, B and A*, the equivalence classes with
+    their restriction table, the group-algebra quotient kF with its graded
+    components and the twist of B by each, stacked over F, the coefficient
+    space and the conjugation matrix of every irreducible dual character,
+    and in `stabilizers` the Stabilizer of each stabilizing set met so far.
+    Each per-character object is made for all characters in one stacked
+    call, never one character at a time.  A bismash product gives its
+    matched pair and its projection onto kF, which `hopf.bismash` proved
+    to be A -> A/AB+; otherwise the generic quotient A/AB+ (the one
+    normality test of B) is built and recognized as kF when it is one.
     """
 
     def __init__(self, A: HopfAlgebraData, inc: HopfInclusion,
@@ -97,7 +97,6 @@ class Extension:
         self.mp = None if bismash is None else bismash.pair
         self.stabilizers: dict[tuple[int, ...], Stabilizer] = {}
         if bismash is not None:
-            self.generic_quotient = bismash.quotient
             self.quotient = (bismash.pi, bismash.pair.f_group)
 
     @cached_property
@@ -300,7 +299,7 @@ def equivalence_classes(ext: Extension) -> EquivalenceClassData:
     decomposes and `verify_class_formulas` reads.
     """
     A, inc, dec_a, dec_b = ext.A, ext.inc, ext.dec_a, ext.dec_b
-    ext.generic_quotient  # raises NormalityError unless B is normal in A
+    ext.quotient  # B's normality: tested by `hopf.bismash`, else by the generic quotient
     na, nb = len(dec_a.irr), len(dec_b.irr)
     restricted = np.stack([chi.values for chi in dec_a.irr]) @ np.asarray(inc.embedding, complex)
     table = restriction_table(inc, dec_b, dec_a, restricted)

@@ -216,3 +216,22 @@ def test_large_bismash(name, gens, names, f_gens, g_gens, dims, peak_mb,
     finally:
         tracemalloc.stop()
     assert peak < peak_mb * 1e6
+
+
+def test_bismash_build_peak():
+    # building S5 = S4.C5 (d = 120) peaked at 8.0 MB while it formed the
+    # quotient through B's integral, to compare it with the projection onto
+    # kF; the projection's kernel gates leave 2.0 MB
+    name, gens, names, f_gens, g_gens = LARGE_BISMASH[1][:5]
+    sc = Scenario.from_dict({
+        "name": name, "construction": "bismash",
+        "group": {"generators": gens, "names": names},
+        "f_generators": f_gens, "g_generators": g_gens,
+    })
+    tracemalloc.start()
+    try:
+        build_scenario(sc, DEFAULT_SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

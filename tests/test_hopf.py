@@ -96,9 +96,10 @@ def test_antipode_closed_forms(c4, s3_group, counterexample, cocentral8):
 
 def test_antipode_residuals_once_per_pair(monkeypatch, c4):
     # a request computes each (algebra, S) pair once: the axiom gate reads
-    # the check of A's and B's closed forms, and quotient_hopf's gate that
-    # of A/AB+'s pi S_A pi^H, where it computed 8 before; A*'s residuals
-    # are A's (verify_dual_axioms), where A*'s own check made 5
+    # the check of A's and B's closed forms, and kF's closed form is checked
+    # once, where 8 were computed before; A*'s residuals are A's
+    # (verify_dual_axioms), where A*'s own check made 5; a bismash request
+    # forms no quotient, so no pi S_A pi^H is checked
     computed = []
     adjoint = hopf._adjoint_entries
 
@@ -110,7 +111,7 @@ def test_antipode_residuals_once_per_pair(monkeypatch, c4):
     sc = scenarios.builtin_scenario("s4_counterexample")
     monkeypatch.setattr(hopf, "_adjoint_entries", counting)
     report = scenarios.run_scenario(sc)
-    assert len(computed) == len(set(computed)) == 4
+    assert len(computed) == len(set(computed)) == 3
     monkeypatch.undo()
     # the gate reports the values of a fresh check, A*'s read from A's included
     for sc in [sc] + [scenarios.builtin_scenario(name) for name in
@@ -576,13 +577,40 @@ def test_hopf_map_residual_refuses_rank_deficient_map(classical):
 
 
 def test_bismash_crosscheck_refuses_quotient_of_other_rank(counterexample):
-    # B = k1 gives H = A on its own basis: H factors the closed-form projection
-    # onto kF, but has rank d = 24, not |F| = 6
+    # B = k1 gives A/AB+ = A, of rank d = 24, not |F| = 6: the projection onto
+    # kF kills B+ = 0, but |F| |B| = 6 is not d
     A = counterexample.A
     one = HopfInclusion(small=group_algebra(group_from_permutations(["e"])), big=A,
                         embedding=A.unit[:, None])
-    with pytest.raises(ConsistencyError, match="different ranks"):
-        hopf._crosscheck_bismash_quotient(A, one, counterexample.piF)
+    with pytest.raises(ConsistencyError, match=r"\|F\| \|B\| = 6 \* 1 is not d = 24"):
+        hopf._check_projection_kernel(A, one, counterexample.piF)
+    hopf._check_projection_kernel(A, counterexample.inc, counterexample.piF)
+
+
+def test_bismash_crosscheck_refuses_b_whose_augmentation_pi_keeps(counterexample):
+    # the subalgebra 1 # kF = span{sum_g delta_g x}: pi(1 # x) = x, not
+    # eps(x) 1, so pi keeps its augmentation ideal, which the first gate sees
+    A, F = counterexample.A, counterexample.F
+    E = np.zeros((A.dim, F.order), dtype=complex)
+    E[np.arange(A.dim), np.arange(A.dim) % F.order] = 1.0
+    kF = HopfInclusion(small=group_algebra(F), big=A, embedding=E)
+    with pytest.raises(ConsistencyError, match=r"does not kill B\+"):
+        hopf._check_projection_kernel(A, kF, counterexample.piF)
+
+
+def test_bismash_tests_normality_and_the_kernel_once(monkeypatch, s4_pair):
+    # bismash tests k^G's normality itself, and refuses a B found not normal
+    normal, kernels = [], []
+    checked, kernel = hopf.is_normal_hopf_subalgebra, hopf._check_projection_kernel
+    monkeypatch.setattr(hopf, "is_normal_hopf_subalgebra",
+                        lambda A, B: normal.append(B.dim) or checked(A, B))
+    monkeypatch.setattr(hopf, "_check_projection_kernel",
+                        lambda *args: kernels.append(args) or kernel(*args))
+    hopf.bismash(s4_pair)
+    assert normal == [4] and len(kernels) == 1
+    monkeypatch.setattr(hopf, "is_normal_hopf_subalgebra", lambda A, B: False)
+    with pytest.raises(NormalityError, match=r"k\^G is not normal"):
+        hopf.bismash(s4_pair)
 
 
 def test_rho_values(classical, counterexample):

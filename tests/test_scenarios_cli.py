@@ -20,6 +20,8 @@ from hopfclifford.errors import ConfigError, NormalityError
 from hopfclifford.scenarios import (Scenario, build_scenario, builtin_scenario,
                                     load_scenario, resolve_seed, run_scenario)
 
+from conftest import A5_A4_C5
+
 
 def _classical(**extra):
     return {"construction": "group_algebra",
@@ -668,6 +670,55 @@ def test_context_is_lazy(monkeypatch, capsys):
     monkeypatch.setattr(clifford, "wedderburn", forbidden)
     assert cli.main(["verify-axioms", "--builtin", "s4_counterexample"]) == 0
     capsys.readouterr()
+
+
+# sha256 prefixes, at the default seed, of the --json report of `analyze
+# --alpha all` and of the text of `list-irr` and `verify-axioms`
+REQUEST_SHA256 = {"s4_counterexample": ("7c6dd87e73f0", "a9820a392077", "ceeace812f76"),
+                  "cocentral_c4_c2": ("9d1c9bb0a873", "1dca702485ac", "0df00a75bbd7"),
+                  "a5_a4_c5": ("d055468c9cd3", "5653659a343d", "c1065590e148"),
+                  "s4_a4": ("5b8c691df080", "5342c84d1f2f", "2ee89069c794"),
+                  "dual_s4_v4": ("7d74e61817ad", "7291154f5638", "b54c128e92be")}
+
+
+@pytest.mark.parametrize("name", sorted(REQUEST_SHA256))
+def test_generic_quotient_only_without_a_bismash(tmp_path, monkeypatch, capsys, name):
+    # a bismash's projection onto kF is A -> A/AB+, shown by its kernel, so
+    # no bismash request builds the quotient through B's integral, and
+    # `bismash` tests k^G's normality; otherwise the quotient is A/AB+'s one
+    # source, built once by analyze, where it tests B's normality
+    quotients, normal = [], []
+    quotient, checked = hopf.quotient_hopf, hopf.is_normal_hopf_subalgebra
+
+    def counting(A, B):
+        quotients.append(B.dim)
+        return quotient(A, B)
+
+    monkeypatch.setattr(hopf, "quotient_hopf", counting)
+    monkeypatch.setattr(clifford, "quotient_hopf", counting)
+    monkeypatch.setattr(hopf, "is_normal_hopf_subalgebra",
+                        lambda A, B: normal.append(B.dim) or checked(A, B))
+    if name in scenarios.BUILTIN_NAMES:
+        source = ["--builtin", name]
+    else:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(A5_A4_C5 if name == "a5_a4_c5" else SCENARIO_FILES[name]))
+        source = ["--scenario", str(path)]
+    out = tmp_path / "report.json"
+    digests, counts = [], []
+    for argv in (["analyze", *source, "--alpha", "all", "--json", str(out)],
+                 ["list-irr", *source], ["verify-axioms", *source]):
+        before = len(quotients), len(normal)
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out
+        data = out.read_bytes() if argv[0] == "analyze" else text.encode()
+        digests.append(hashlib.sha256(data).hexdigest()[:12])
+        counts.append((len(quotients) - before[0], len(normal) - before[1]))
+    assert tuple(digests) == REQUEST_SHA256[name]
+    if name in ("s4_a4", "dual_s4_v4"):
+        assert counts == [(1, 1), (0, 0), (0, 0)]
+    else:
+        assert counts == [(0, 1)] * 3
 
 
 def test_solver_failure_exits_4(monkeypatch, capsys):
