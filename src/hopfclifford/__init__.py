@@ -20,8 +20,7 @@ from .hopf import (TOL_ALG, AlgebraData, BismashResult, HopfAlgebraData,
                    coefficient_spaces, comodule_map_rho, dual_group_algebra,
                    dual_hopf, graded_components, group_algebra,
                    hopf_map_residual, is_cocentral, is_hopf_subalgebra,
-                   is_normal_hopf_subalgebra, quotient_hopf,
-                   verify_hopf_axioms)
+                   is_normal_hopf_subalgebra, verify_hopf_axioms)
 from .repcalc import (Character, SemisimpleDecomposition, decompose,
                       group_algebra_form, induce_character,
                       restriction_table, wedderburn)

@@ -58,12 +58,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import ConsistencyError, NormalityError, TheoremViolationError
+from .errors import (ConsistencyError, NormalityError, PreconditionError,
+                     TheoremViolationError)
 from .groups import FiniteGroup, orbit_and_stabilizer
 from .hopf import (AlgebraData, BismashResult, HopfAlgebraData, HopfInclusion,
                    HopfSurjection, SubspaceBasis, _adjoint_entries, _scatter_sum,
                    coefficient_spaces, comodule_map_rho, dual_hopf, graded_components,
-                   is_cocentral, is_hopf_subalgebra, quotient_hopf, subalgebra_data)
+                   is_cocentral, is_hopf_subalgebra, subalgebra_data)
 from .linalg import COND_LIMIT, TOL_ALG, TOL_MATCH, max_abs, require
 from .repcalc import (MAX_RETRIES, Character, DEFAULT_SEED, SemisimpleDecomposition,
                       as_group_algebra_surjection, decompose, induce_character,
@@ -83,10 +84,11 @@ class Extension:
     space and the conjugation matrix of every irreducible dual character,
     and in `stabilizers` the Stabilizer of each stabilizing set met so far.
     Each per-character object is made for all characters in one stacked
-    call, never one character at a time.  A bismash product gives its
-    matched pair and its projection onto kF, which `hopf.bismash` proved
-    to be A -> A/AB+; otherwise the generic quotient A/AB+ (the one
-    normality test of B) is built and recognized as kF when it is one.
+    call, never one character at a time.  The construction gives `pi`,
+    its projection A -> A/AB+, proved by its kernel where B's normality is
+    tested: a bismash's onto kF, with its matched pair (`hopf.bismash`),
+    and a group construction's onto k(G/N) or k^N, recognized as kF on
+    first use when A/AB+ is a group algebra (`scenarios.build_scenario`).
     """
 
     def __init__(self, A: HopfAlgebraData, inc: HopfInclusion,
@@ -95,6 +97,7 @@ class Extension:
         self.inc = inc
         self.seed = seed
         self.mp = None if bismash is None else bismash.pair
+        self.pi = None if bismash is None else bismash.pi
         self.stabilizers: dict[tuple[int, ...], Stabilizer] = {}
         if bismash is not None:
             self.quotient = (bismash.pi, bismash.pair.f_group)
@@ -124,14 +127,11 @@ class Extension:
         return equivalence_classes(self)
 
     @cached_property
-    def generic_quotient(self) -> HopfSurjection:
-        """A -> A/AB+; raises NormalityError unless B is normal in A."""
-        return quotient_hopf(self.A, self.b_sub)[1]
-
-    @cached_property
     def quotient(self) -> tuple[Optional[HopfSurjection], Optional[FiniteGroup]]:
-        """(piF, F) for a quotient A -> kF, or (None, None) if A/AB+ is no group algebra."""
-        found = as_group_algebra_surjection(self.generic_quotient, seed=self.seed)
+        """(piF, F) for pi read as A -> kF, or (None, None) if A/AB+ is no group algebra."""
+        if self.pi is None:
+            raise PreconditionError("the extension was given no projection A -> A/AB+")
+        found = as_group_algebra_surjection(self.pi, seed=self.seed)
         return (None, None) if found is None else (found[1], found[0])
 
     @property
@@ -299,7 +299,6 @@ def equivalence_classes(ext: Extension) -> EquivalenceClassData:
     decomposes and `verify_class_formulas` reads.
     """
     A, inc, dec_a, dec_b = ext.A, ext.inc, ext.dec_a, ext.dec_b
-    ext.quotient  # B's normality: tested by `hopf.bismash`, else by the generic quotient
     na, nb = len(dec_a.irr), len(dec_b.irr)
     restricted = np.stack([chi.values for chi in dec_a.irr]) @ np.asarray(inc.embedding, complex)
     table = restriction_table(inc, dec_b, dec_a, restricted)

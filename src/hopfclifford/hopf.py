@@ -15,8 +15,8 @@ row-major order): those of k^G # kF hold d*|F| nonzeros in `mult` and d*|G|
 in `comult` (kG and k^G are the cases G = 1 and F = 1), as do their duals,
 whose tensors are permutations of the same index arrays.  The constructors
 emit the index arrays from the group tables and never form a d^3 array; a
-dense tensor, as for a generic quotient or a subalgebra's orthonormal
-basis, is accepted and scanned once.  The kernels of the algebra classes
+dense tensor, as for a subalgebra's orthonormal basis, is accepted and
+scanned once.  The kernels of the algebra classes
 read a tensor through its nonzeros whenever it has at most d^2 of them
 (`Coo.sparse`), and through the dense tensor, built on first use,
 otherwise.  The axiom gate contracts over the nonzeros too, in blocks of
@@ -31,8 +31,8 @@ e_k2 and e_k1 x S(e_k2), have one kernel, `_adjoint_entries`, which the
 normality test, the antipode residuals and the conjugation matrices all
 read: chains of joins of the entries of Delta, S, x and `mult` kept in
 COO form, so that their cost follows the nonzeros.  When a join would pair
-more than d^2 entries, as for a dense S or a quotient, it forms the action
-densely instead; that is its one dense fallback.  A coefficient space of
+more than d^2 entries, as for a dense S, it forms the action densely
+instead; that is its one dense fallback.  A coefficient space of
 dimension n^2 is the range of a seeded Gaussian sketch with n^2 + 1
 columns, gated on its rank and on holding every coefficient, not the SVD
 of a d x d matrix; `coefficient_spaces` takes every irreducible dual
@@ -69,8 +69,7 @@ A_f is the span of the nonzero columns of rho_f, which are its basis as
 they stand when they are orthonormal; every A_f comes from one call
 (`graded_components`).
 Checks compare against the thresholds named in `linalg`; only
-`verify_hopf_axioms` takes a tolerance, since the scenario's
-`tolerances.alg` and the quotient's TOL_NUM differ.
+`verify_hopf_axioms` takes a tolerance, the scenario's `tolerances.alg`.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ import numpy as np
 from . import linalg
 from .errors import ConsistencyError, NormalityError, PreconditionError
 from .groups import FiniteGroup, MatchedPair, verify_matched_pair
-from .linalg import TOL_ALG, TOL_MATCH, TOL_NUM, max_abs, require
+from .linalg import TOL_ALG, TOL_MATCH, max_abs, require
 
 
 class Coo:
@@ -512,7 +511,7 @@ def _adjoint_entries(A: HopfAlgebraData, S: np.ndarray, X: Optional[np.ndarray] 
     k^G # kF, with S and X 0/1 maps, every join pairs at most d^2 entries.
     The left action is the right one in A with the opposite product and
     coproduct.  When a join would pair more than d^2 entries, as for a
-    dense S, X or quotient, the action of the whole basis is formed densely
+    dense S, X or tensor, the action of the whole basis is formed densely
     instead, in d^3 |X| entries (d^3 for x = 1), and its nonzeros are
     returned: this is the one dense fallback of every adjoint action.
     """
@@ -595,31 +594,29 @@ def bismash(mp: MatchedPair) -> BismashResult:
     require(hopf_map_residual(kG, A, embed), TOL_ALG, ConsistencyError,
             "k^G embedding fails Hopf-map checks")
 
-    kF = group_algebra(F)
-    piM = np.eye(nF, d, dtype=complex)
-    pi = HopfSurjection(source=A, target=kF, matrix=piM)
-    require(hopf_map_residual(A, kF, piM), TOL_ALG, ConsistencyError,
-            "projection onto kF fails Hopf-map checks")
-
+    pi = HopfSurjection(source=A, target=group_algebra(F), matrix=np.eye(nF, d, dtype=complex))
+    _check_projection_kernel(A, inc, pi)
     if not is_normal_hopf_subalgebra(A, SubspaceBasis(A, embed)):
         raise NormalityError("k^G is not normal in the bismash")
-    _check_projection_kernel(A, inc, pi)
     return BismashResult(algebra=A, b_inclusion=inc, pi=pi, pair=mp)
 
 
 def _check_projection_kernel(A: HopfAlgebraData, inc: HopfInclusion,
                              pi: HopfSurjection) -> None:
-    """Gate that a surjective Hopf map pi: A -> kF is A -> A/AB+, B = inc's image.
+    """Gate that pi: A -> H is A -> A/AB+, for B = inc's image.
 
-    pi(b) = eps(b) 1 on B's basis, so the algebra map pi kills A B+.  A is
-    free over B (Nichols-Zoeller, Amer. J. Math. 1989), so dim A B+ =
-    d - d/|B|, which is dim ker pi = d - |F| when |F| |B| = d: then ker pi = A B+.
+    pi is a surjective Hopf map within TOL_ALG, and pi(b) = eps(b) 1 on B's
+    basis, so the algebra map pi kills A B+.  A is free over B
+    (Nichols-Zoeller, Amer. J. Math. 1989), so dim A B+ = d - d/|B|, which
+    is dim ker pi = d - |H| when |H| |B| = d: then ker pi = A B+.
     """
-    B, kF = inc.small, pi.target
-    require(max_abs(pi.matrix @ inc.embedding - np.outer(kF.unit, B.counit)), TOL_ALG,
-            ConsistencyError, "the projection onto kF does not kill B+")
-    if kF.dim * B.dim != A.dim:
-        raise ConsistencyError(f"|F| |B| = {kF.dim} * {B.dim} is not d = {A.dim}")
+    B, H = inc.small, pi.target
+    require(hopf_map_residual(A, H, pi.matrix), TOL_ALG, ConsistencyError,
+            "the projection onto A/AB+ fails Hopf-map checks")
+    require(max_abs(pi.matrix @ inc.embedding - np.outer(H.unit, B.counit)), TOL_ALG,
+            ConsistencyError, "the projection onto A/AB+ does not kill B+")
+    if H.dim * B.dim != A.dim:
+        raise ConsistencyError(f"|H| |B| = {H.dim} * {B.dim} is not d = {A.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -1163,55 +1160,7 @@ def is_cocentral(A: HopfAlgebraData, pi: HopfSurjection) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# quotients and structure maps
-
-def quotient_hopf(A: HopfAlgebraData, B: SubspaceBasis
-                  ) -> tuple[HopfAlgebraData, HopfSurjection]:
-    """Quotient by the ideal A B+ where B+ = B intersect ker(eps).
-
-    B is semisimple, so it has an integral Lambda: b Lambda = eps(b) Lambda,
-    eps(Lambda) = 1 (Larson-Sweedler 1969).  A B+ is the kernel of R_Lambda:
-    x -> x Lambda, two-sided iff Lambda is central, and its complement is the
-    row space of R_Lambda, of dimension d/|B| (Nichols-Zoeller 1989).
-    pi has orthonormal rows, so pi^H is its section, and a Hopf map has
-    pi S_A = S_H pi: H's antipode is pi S_A pi^H, exact as A B+ is a Hopf
-    ideal, and checked.
-    """
-    if not is_normal_hopf_subalgebra(A, B):
-        raise NormalityError("quotient requires a normal Hopf subalgebra")
-    Vb, n = B.matrix, B.dim
-    eps = A.counit @ Vb
-    # Lambda in B's structure constants: rows (i, k) are
-    # sum_j <b_k, b_i b_j> lam_j - eps(b_i) lam_k = 0, the last eps(Lambda) = 1
-    coords = (Vb.conj().T @ A.products(Vb, Vb).reshape(A.dim, -1)).reshape(n, n, n)
-    system = np.vstack([coords.transpose(1, 0, 2).reshape(n * n, n)
-                        - np.kron(eps[:, None], np.eye(n)), eps])
-    rhs = np.append(np.zeros(n * n), 1.0)
-    lam = linalg.lstsq(system, rhs, rcond=None)[0]
-    require(max_abs(system @ lam - rhs), TOL_NUM, ConsistencyError,
-            "B has no normalized integral")
-    integral = Vb @ lam
-    require(A.commutator_residual(integral[:, None]), TOL_ALG, ConsistencyError,
-            "A B+ is not a two-sided ideal")
-    comp = linalg.orthonormal_columns(A.right_mult_matrix(integral).conj().T)
-    h = comp.shape[1]
-    if h * n != A.dim:
-        raise ConsistencyError(f"A/AB+ has dimension {h}, not d/|B| = {A.dim}/{n}")
-    piM = comp.conj().T
-    mult = (piM @ A.products(comp, comp).reshape(A.dim, -1)).reshape(h, h, h).transpose(1, 2, 0)
-    unit = piM @ A.unit
-    comult = piM @ A.apply_comult(comp.T) @ piM.T
-    counit = A.counit @ comp
-    H = HopfAlgebraData(mult, unit, comult, counit, labels=[f"h{i}" for i in range(h)])
-    _with_checked_antipode(H, piM @ A.antipode @ comp, "pi S_A pi^H")
-    rep = verify_hopf_axioms(H, tol=TOL_NUM)
-    if not rep.ok:
-        raise ConsistencyError(
-            f"induced quotient structure fails axioms: {rep.failing()}")
-    require(hopf_map_residual(A, H, piM), TOL_NUM, ConsistencyError,
-            "quotient projection is not a Hopf map")
-    return H, HopfSurjection(source=A, target=H, matrix=piM)
-
+# structure maps
 
 def hopf_map_residual(src: HopfAlgebraData, dst: HopfAlgebraData,
                       phi: np.ndarray) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericDegeneracyError
 
 TOL_ALG = 1e-8      # exact structure: Hopf axioms (default tolerances.alg), Hopf maps, subspaces
-TOL_NUM = 1e-7      # computed structure: quotients, central idempotents, group-likes
+TOL_NUM = 1e-7      # computed structure: central idempotents, group-likes, the map onto kF
 TOL_MATCH = 1e-6    # computed values that must agree: integers, characters, eigenvalues
 TOL_ZERO = 1e-9     # a Rayleigh quotient below this counts as zero
 COND_LIMIT = 1e8    # largest condition number of a regular trace form or a generator's matrix

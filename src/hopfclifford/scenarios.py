@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import clifford, hopf, linalg, repcalc
-from .errors import ConfigError, ConsistencyError
+from .errors import ConfigError, ConsistencyError, NormalityError
 from .groups import (DEFAULT_SIZE_CAP, FiniteGroup, MatchedPair, Subgroup,
                      derive_actions, group_from_permutations, parse_cycles,
                      subgroup_as_group, subgroup_closure)
@@ -212,7 +212,8 @@ def _resolve_elements(group: FiniteGroup, refs: list[str],
 
 
 def _quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
-    """Cosets of a normal subgroup as a group, plus element -> coset map.
+    """Cosets of a normal subgroup as a group, plus the 0/1 (|G|, |G/N|)
+    matrix that sends each element to its coset.
 
     Cosets aN are numbered by their least element, which is their first in
     element order and labels the coset.
@@ -224,11 +225,24 @@ def _quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarra
     reps, coset_of = np.unique(cosets.min(axis=1), return_inverse=True)
     cayley = coset_of[G.cayley[np.ix_(reps, reps)]]
     labels = [f"[{G.labels[a]}]" for a in reps]
-    return FiniteGroup(cayley, labels=labels), coset_of
+    return FiniteGroup(cayley, labels=labels), _zero_one(G.order, reps.size, coset_of)
+
+
+def _zero_one(rows: int, cols: int, col_of: np.ndarray) -> np.ndarray:
+    """The complex 0/1 (rows, cols) matrix with a one at (r, col_of[r]) for each row r."""
+    out = np.zeros((rows, cols), dtype=complex)
+    out[np.arange(rows), col_of] = 1.0
+    return out
 
 
 def build_scenario(sc: Scenario, seed: int) -> clifford.Extension:
-    """The extension a scenario names; derived data is built on first use."""
+    """The extension a scenario names; derived data is built on first use.
+
+    B's normality is tested and the construction's projection A -> A/AB+
+    proved by its kernel (`hopf._check_projection_kernel`) here, for every
+    request.  kG over kN tests normality before it forms G/N; k^G over
+    k^(G/N) needs N normal to form G/N at all.
+    """
     try:
         if sc.group_cayley is not None:
             group = FiniteGroup.from_json_dict(sc.group_cayley)
@@ -255,21 +269,28 @@ def build_scenario(sc: Scenario, seed: int) -> clifford.Extension:
     n_idx = _resolve_elements(group, sc.b_generators, sc.group_names,
                               sc.group_generators)
     n_sub = subgroup_closure(group, n_idx)
+    N = subgroup_as_group(n_sub)
+    # the 0/1 maps kN -> kG and k^(G/N) -> k^G; transposed, they are the
+    # projections k^G -> k^N, by restriction to N, and kG -> k(G/N), by the
+    # coset map, each A -> A/AB+ in closed form
+    inside = _zero_one(N.order, group.order, n_sub.members).T
     if sc.construction == "group_algebra":
-        A = hopf.group_algebra(group)
-        B = hopf.group_algebra(subgroup_as_group(n_sub))
-        E = np.zeros((group.order, n_sub.order), dtype=complex)
-        E[n_sub.members, np.arange(n_sub.order)] = 1.0
+        A, B, E = hopf.group_algebra(group), hopf.group_algebra(N), inside
     else:
-        A = hopf.dual_group_algebra(group)
-        Q, coset_of = _quotient_group(group, n_sub)
-        B = hopf.dual_group_algebra(Q)
-        E = np.zeros((group.order, Q.order), dtype=complex)
-        E[np.arange(group.order), coset_of] = 1.0
+        Q, cosets = _quotient_group(group, n_sub)
+        A, B, E = hopf.dual_group_algebra(group), hopf.dual_group_algebra(Q), cosets
     linalg.require(hopf.hopf_map_residual(B, A, E), linalg.TOL_ALG, ConsistencyError,
                    "B embedding fails Hopf-map checks")
-    return clifford.Extension(A, hopf.HopfInclusion(small=B, big=A, embedding=E),
-                              seed=seed)
+    ext = clifford.Extension(A, hopf.HopfInclusion(small=B, big=A, embedding=E), seed=seed)
+    if not hopf.is_normal_hopf_subalgebra(A, ext.b_sub):
+        raise NormalityError("B is not a normal Hopf subalgebra of A")
+    if sc.construction == "group_algebra":
+        Q, cosets = _quotient_group(group, n_sub)
+        ext.pi = hopf.HopfSurjection(source=A, target=hopf.group_algebra(Q), matrix=cosets.T)
+    else:
+        ext.pi = hopf.HopfSurjection(source=A, target=hopf.dual_group_algebra(N), matrix=inside.T)
+    hopf._check_projection_kernel(A, ext.inc, ext.pi)
+    return ext
 
 
 def _assert_action_tables(mp: MatchedPair, ract_expect: dict, lact_expect: dict) -> None:
@@ -444,13 +465,13 @@ def resolve_alpha_selection(selection, ext: clifford.Extension) -> list[int]:
         return list(range(n))
     if isinstance(selection, bool):
         raise ConfigError(f"cannot resolve alpha selection {selection!r}")
-    if isinstance(selection, int) or (isinstance(selection, str) and selection.isdigit()):
+    if isinstance(selection, int) or (isinstance(selection, str) and selection.isdecimal()):
         k = int(selection)
         if not 0 <= k < n:
             raise ConfigError(f"alpha index {k} out of range 0..{n - 1}")
         return [k]
     if isinstance(selection, str):
-        if selection.startswith("chi") and selection[3:].isdigit():
+        if selection.startswith("chi") and selection[3:].isdecimal():
             return resolve_alpha_selection(selection[3:], ext)
         hits = [k for k, label in enumerate(ext.alpha_labels) if label == selection]
         if len(hits) == 1:

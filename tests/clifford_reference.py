@@ -33,18 +33,23 @@ projectors of a random element of it, and `ExplicitModule.verify` is
 `module_residual`.  `null_space` (behind the commutant and centre
 references) and `lstsq_coords` are the SVD and least-squares forms the
 package no longer takes.
+
+`quotient_hopf` is A/AB+ from any normal B, through B's integral, with a
+dense quotient gated at TOL_NUM: the reference the closed forms A -> kF,
+k(G/N) and k^N of `hopf.bismash` and `scenarios.build_scenario` are
+compared against.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from hopfclifford import linalg, repcalc
+from hopfclifford import hopf, linalg, repcalc
 from hopfclifford.clifford import Stabilizer
-from hopfclifford.errors import (ConsistencyError, NotACharacterError, NumericDegeneracyError,
-                                 PreconditionError, SemisimplicityError)
-from hopfclifford.hopf import (AlgebraData, HopfAlgebraData, HopfInclusion, SubspaceBasis,
-                               dual_hopf, subalgebra_data)
+from hopfclifford.errors import (ConsistencyError, NormalityError, NotACharacterError,
+                                 NumericDegeneracyError, PreconditionError, SemisimplicityError)
+from hopfclifford.hopf import (AlgebraData, HopfAlgebraData, HopfInclusion, HopfSurjection,
+                               SubspaceBasis, dual_hopf, subalgebra_data)
 from hopfclifford.linalg import (COND_LIMIT, DEFAULT_SEED, TOL_ALG, TOL_MATCH, TOL_NUM,
                                  TOL_ZERO, max_abs, nearest_int, require)
 from hopfclifford.repcalc import Character, SemisimpleDecomposition
@@ -72,6 +77,54 @@ def lstsq_coords(basis: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, fl
     vectors = np.asarray(vectors, dtype=complex)
     coords = linalg.lstsq(basis, vectors, rcond=None)[0]
     return coords, max_abs(basis @ coords - vectors)
+
+
+def quotient_hopf(A: HopfAlgebraData, B: SubspaceBasis
+                  ) -> tuple[HopfAlgebraData, HopfSurjection]:
+    """Quotient by the ideal A B+ where B+ = B intersect ker(eps).
+
+    B is semisimple, so it has an integral Lambda: b Lambda = eps(b) Lambda,
+    eps(Lambda) = 1 (Larson-Sweedler 1969).  A B+ is the kernel of R_Lambda:
+    x -> x Lambda, two-sided iff Lambda is central, and its complement is the
+    row space of R_Lambda, of dimension d/|B| (Nichols-Zoeller 1989).
+    pi has orthonormal rows, so pi^H is its section, and a Hopf map has
+    pi S_A = S_H pi: H's antipode is pi S_A pi^H, exact as A B+ is a Hopf
+    ideal, and checked.
+    """
+    if not hopf.is_normal_hopf_subalgebra(A, B):
+        raise NormalityError("quotient requires a normal Hopf subalgebra")
+    Vb, n = B.matrix, B.dim
+    eps = A.counit @ Vb
+    # Lambda in B's structure constants: rows (i, k) are
+    # sum_j <b_k, b_i b_j> lam_j - eps(b_i) lam_k = 0, the last eps(Lambda) = 1
+    coords = (Vb.conj().T @ A.products(Vb, Vb).reshape(A.dim, -1)).reshape(n, n, n)
+    system = np.vstack([coords.transpose(1, 0, 2).reshape(n * n, n)
+                        - np.kron(eps[:, None], np.eye(n)), eps])
+    rhs = np.append(np.zeros(n * n), 1.0)
+    lam = linalg.lstsq(system, rhs, rcond=None)[0]
+    require(max_abs(system @ lam - rhs), TOL_NUM, ConsistencyError,
+            "B has no normalized integral")
+    integral = Vb @ lam
+    require(A.commutator_residual(integral[:, None]), TOL_ALG, ConsistencyError,
+            "A B+ is not a two-sided ideal")
+    comp = linalg.orthonormal_columns(A.right_mult_matrix(integral).conj().T)
+    h = comp.shape[1]
+    if h * n != A.dim:
+        raise ConsistencyError(f"A/AB+ has dimension {h}, not d/|B| = {A.dim}/{n}")
+    piM = comp.conj().T
+    mult = (piM @ A.products(comp, comp).reshape(A.dim, -1)).reshape(h, h, h).transpose(1, 2, 0)
+    unit = piM @ A.unit
+    comult = piM @ A.apply_comult(comp.T) @ piM.T
+    counit = A.counit @ comp
+    H = HopfAlgebraData(mult, unit, comult, counit, labels=[f"h{i}" for i in range(h)])
+    hopf._with_checked_antipode(H, piM @ A.antipode @ comp, "pi S_A pi^H")
+    rep = hopf.verify_hopf_axioms(H, tol=TOL_NUM)
+    if not rep.ok:
+        raise ConsistencyError(
+            f"induced quotient structure fails axioms: {rep.failing()}")
+    require(hopf.hopf_map_residual(A, H, piM), TOL_NUM, ConsistencyError,
+            "quotient projection is not a Hopf map")
+    return H, HopfSurjection(source=A, target=H, matrix=piM)
 
 
 class ExplicitModule:

@@ -105,7 +105,7 @@ def s3_group():
 
 @pytest.fixture(scope="session")
 def classical():
-    # kS3 over kA3; the quotient kC2 is found from the generic quotient
+    # kS3 over kA3; A/AB+ = k(S3/A3) is recognised as kC2
     return _builtin("s3_a3_classical")
 
 

@@ -13,7 +13,8 @@ from hopfclifford.clifford import (Extension, analyze_alphas,
                                    direct_correspondence_check,
                                    stabilizer_dimension_bound,
                                    verify_class_formulas)
-from hopfclifford.errors import ConsistencyError, NormalityError, TheoremViolationError
+from hopfclifford.errors import (ConsistencyError, NormalityError, PreconditionError,
+                                 TheoremViolationError)
 from hopfclifford.hopf import SubspaceBasis, subalgebra_data
 from hopfclifford.repcalc import (DEFAULT_SEED, Character, decompose,
                                   restriction_table, wedderburn)
@@ -61,9 +62,13 @@ def test_classes_when_b_equals_a(classical):
     A = classical.A
     inc = hopf.HopfInclusion(small=A, big=A,
                              embedding=np.eye(A.dim, dtype=complex))
-    ecd = Extension(A, inc).ecd
+    ext = Extension(A, inc)
+    ecd = ext.ecd
     assert ecd.num_classes == len(classical.dec_a.irr)
     assert all(len(c) == 1 for c in ecd.a_classes)
+    # the classes need no projection A -> A/AB+; the graded picture does
+    with pytest.raises(PreconditionError, match="no projection"):
+        ext.piF
 
 
 def _classes_from(monkeypatch, ext, table):

@@ -1,7 +1,7 @@
 """Full-pipeline runs on extensions beyond the three builtins.
 
 These exercise code paths the builtins miss: a commutative ambient algebra,
-a Klein-four quotient recognized from the generic quotient construction, a
+a Klein-four quotient recognized from the closed form k^V4 of A/AB+, a
 12-dimensional normal part, an order-6 bismash with inverting action, and a
 sweep of further exact factorizations where every internal theorem
 cross-check runs for every character.

@@ -10,13 +10,15 @@ from hopfclifford.errors import (ConsistencyError, NormalityError,
                                  NumericDegeneracyError, PreconditionError)
 from hopfclifford.groups import group_from_permutations, subgroup_closure
 from hopfclifford.clifford import Extension
+from hopfclifford.scenarios import Scenario
 from hopfclifford.hopf import (HopfAlgebraData, HopfInclusion, SubspaceBasis,
                                coefficient_spaces, comodule_map_rho,
                                dual_group_algebra, dual_hopf, graded_components,
                                group_algebra, hopf_map_residual, is_cocentral,
                                is_hopf_subalgebra, is_normal_hopf_subalgebra,
-                               quotient_hopf, verify_hopf_axioms)
+                               verify_hopf_axioms)
 
+from clifford_reference import quotient_hopf
 from conftest import A5_A4_C5, DUAL_S4_V4, S4_A4, change_basis, dense_rho, solve_antipode
 
 
@@ -334,18 +336,23 @@ def test_sparse_gate_matches_dense(counterexample, cocentral8, classical, monkey
         return out
 
     monkeypatch.setattr(hopf._Join, "pairs", counted)
+    rng = np.random.default_rng(5)
     dense_path = []
     for name, ext in (("counterexample", counterexample), ("cocentral8", cocentral8),
                       ("classical", classical)):
+        kF = ext.piF.target
+        rotated = change_basis(kF, np.linalg.qr(rng.standard_normal((kF.dim, kF.dim)))[0])
         for tag, alg in (("A", ext.A), ("B", ext.inc.small), ("A*", ext.dual),
-                         ("A/AB+", ext.generic_quotient.target)):
+                         ("kF rotated", rotated)):
             formed.clear()
             assert verify_hopf_axioms(alg).residuals == _dense_gate(alg, monkeypatch).residuals
             assert max(formed, default=0) <= alg.dim ** 4
             if not _takes_sparse_path(alg):
                 dense_path.append((name, tag))
-    # the d=2 generic quotient kC2 has dense tensors: 256 pairs > d^4 = 16
-    assert dense_path == [("classical", "A/AB+")]
+    # kF on a random orthonormal basis has dense tensors, whose joins would
+    # pair more than d^4 entries
+    assert dense_path == [(name, "kF rotated")
+                          for name in ("counterexample", "cocentral8", "classical")]
 
 
 def test_dual_gate_reads_a_or_checks_the_dual_directly(monkeypatch, counterexample, a5):
@@ -485,13 +492,13 @@ def test_quotient_classical(classical):
 
 
 def test_quotient_antipode_is_pushed_forward(classical, s4_a4, dual_s4_v4, counterexample, a5):
-    # H's antipode is pi S_A pi^H, not solved: on every generic quotient it
+    # H's antipode is pi S_A pi^H, not solved: on every integral quotient it
     # is the solution of the antipode law, for B = A and B = k1 too
     A = classical.A
     by_whole, by_unit = (quotient_hopf(A, SubspaceBasis.from_vectors(A, V))[1]
                          for V in (np.eye(A.dim), A.unit[:, None]))
-    for pi in [ext.generic_quotient for ext in (classical, s4_a4, dual_s4_v4, counterexample, a5)
-               ] + [by_whole, by_unit]:
+    exts = (classical, s4_a4, dual_s4_v4, counterexample, a5)
+    for pi in [quotient_hopf(ext.A, ext.b_sub)[1] for ext in exts] + [by_whole, by_unit]:
         H = pi.target
         assert np.max(np.abs(H.antipode - pi.matrix @ pi.source.antipode @ pi.matrix.conj().T)
                       ) < 1e-14
@@ -561,7 +568,7 @@ def test_quotient_reads_the_integral_only(monkeypatch, classical, dual_s4_v4, co
     # past the normality test, A B+ is read as the kernel of x -> x Lambda:
     # no ideal is tested for containment
     for ext in (classical, dual_s4_v4, counterexample, a5):
-        pi = ext.generic_quotient
+        pi = quotient_hopf(ext.A, ext.b_sub)[1]
         with monkeypatch.context() as m:
             m.setattr(hopf, "is_normal_hopf_subalgebra", lambda A, B: True)
             m.setattr(linalg, "contains_vectors", _refused)
@@ -582,7 +589,7 @@ def test_bismash_crosscheck_refuses_quotient_of_other_rank(counterexample):
     A = counterexample.A
     one = HopfInclusion(small=group_algebra(group_from_permutations(["e"])), big=A,
                         embedding=A.unit[:, None])
-    with pytest.raises(ConsistencyError, match=r"\|F\| \|B\| = 6 \* 1 is not d = 24"):
+    with pytest.raises(ConsistencyError, match=r"\|H\| \|B\| = 6 \* 1 is not d = 24"):
         hopf._check_projection_kernel(A, one, counterexample.piF)
     hopf._check_projection_kernel(A, counterexample.inc, counterexample.piF)
 
@@ -596,6 +603,55 @@ def test_bismash_crosscheck_refuses_b_whose_augmentation_pi_keeps(counterexample
     kF = HopfInclusion(small=group_algebra(F), big=A, embedding=E)
     with pytest.raises(ConsistencyError, match=r"does not kill B\+"):
         hopf._check_projection_kernel(A, kF, counterexample.piF)
+
+
+S3 = {"generators": ["(1 2)", "(1 2 3)"], "names": ["t", "s"]}
+S4 = {"generators": ["(1 2 3 4)", "(1 2)"], "names": ["g", "t"]}
+# every group construction of the tier-1 tests: (construction, group, b_generators)
+GROUP_CONSTRUCTIONS = {
+    "s3_a3_classical": ("group_algebra", S3, ["s"]),
+    "s4_a4": ("group_algebra", S4, ["(1 2 3)", "(1 2)(3 4)"]),
+    "s3_trivial_b": ("group_algebra", S3, ["e"]),
+    "dual_s4_v4": ("dual_group_algebra", S4, ["(1 2)(3 4)", "(1 3)(2 4)"]),
+    "dual_s4c2_c2": ("dual_group_algebra",
+                     {"generators": ["(1 2 3 4)", "(1 2)", "(5 6)"], "names": ["g", "t", "z"]},
+                     ["(5 6)"]),
+    "dual_s4_a4": ("dual_group_algebra", S4, ["(1 2 3)", "(1 2)(3 4)"]),
+    "kg_over_itself_s3": ("dual_group_algebra", {"generators": ["(1 2)", "(1 2 3)"]}, ["e"]),
+    "kg_over_itself_c4": ("dual_group_algebra", {"generators": ["(1 2 3 4)"]}, ["e"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_CONSTRUCTIONS))
+def test_closed_form_projection_is_the_integral_quotient(name):
+    # k(G/N) by the coset map and k^N by restriction have the kernel of the
+    # quotient through B's integral, and the kernel gate refuses a Hopf map
+    # that keeps B+ and one whose |H| |B| is not d
+    construction, group, b_generators = GROUP_CONSTRUCTIONS[name]
+    ext = scenarios.build_scenario(Scenario.from_dict(
+        {"name": name, "construction": construction, "group": group,
+         "b_generators": b_generators}), linalg.DEFAULT_SEED)
+    A, inc, pi = ext.A, ext.inc, ext.pi
+    ref = quotient_hopf(A, ext.b_sub)[1].matrix
+    assert pi.matrix.shape == ref.shape
+    rows, ref_rows = linalg.orthonormal_columns(pi.matrix.conj().T), ref.conj().T
+    assert linalg.contains_vectors(rows, ref_rows, linalg.TOL_ALG)
+    assert linalg.contains_vectors(ref_rows, rows, linalg.TOL_ALG)
+    hopf._check_projection_kernel(A, inc, pi)
+
+    d, k = A.dim, group_algebra(group_from_permutations(["e"]))
+    whole = HopfInclusion(small=A, big=A, embedding=np.eye(d, dtype=complex))
+    one = HopfInclusion(small=k, big=A, embedding=A.unit[:, None])
+    identity = hopf.HopfSurjection(A, A, np.eye(d, dtype=complex))
+    counit = hopf.HopfSurjection(A, k, A.counit[None, :])
+    # id_A keeps B+ unless B = k1, and pi keeps A+ there
+    keeps = (inc, identity) if inc.small.dim > 1 else (whole, pi)
+    with pytest.raises(ConsistencyError, match=r"does not kill B\+"):
+        hopf._check_projection_kernel(A, *keeps)
+    # pi kills k1+ = 0, with |H| = d only when B = k1, where the counit has |H| = 1
+    short = (one, pi) if inc.small.dim > 1 else (one, counit)
+    with pytest.raises(ConsistencyError, match=r"\|H\| \|B\| = \d+ \* 1 is not d"):
+        hopf._check_projection_kernel(A, *short)
 
 
 def test_bismash_tests_normality_and_the_kernel_once(monkeypatch, s4_pair):

@@ -303,6 +303,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "not an exact factorization" in capsys.readouterr().err
 
 
+def test_non_normal_subgroup_exits_3_on_every_command(tmp_path, capsys):
+    # B's normality is tested where the extension is built, so list-irr and
+    # verify-axioms refuse a non-normal kN as analyze does
+    nn = tmp_path / "nn.json"
+    nn.write_text(json.dumps({
+        "construction": "group_algebra",
+        "group": {"generators": ["(1 2)", "(1 2 3)"]},
+        "b_generators": ["(1 2)"],
+    }))
+    for command in ("analyze", "list-irr", "verify-axioms"):
+        assert cli.main([command, "--scenario", str(nn)]) == 3, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err == ("precondition failure: B is not a normal Hopf "
+                                "subalgebra of A\n"), command
+
+
 @pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
 def test_cli_unwritable_json_is_a_config_error(tmp_path, capsys, where):
     # a --json path in a missing directory, or one that is a directory, ends
@@ -423,6 +440,17 @@ def test_cli_rejects_boolean_alpha(tmp_path, capsys):
         run_scenario(builtin_scenario("s3_a3_classical"), alpha_selection=True)
 
 
+def test_cli_rejects_a_superscript_digit_alpha(tmp_path, capsys):
+    # "²" is a digit to str.isdigit but no decimal int() reads: a
+    # configuration error, not a traceback
+    for argv in (["analyze", "--builtin", "s3_a3_classical", "--alpha", "²"],
+                 ["analyze", "--builtin", "s3_a3_classical", "--alpha", "chi²"],
+                 ["analyze", "--scenario", _scenario_file(tmp_path, alpha="²")]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, argv
+
+
 C2_TABLE = {"order": 2, "cayley": [0, 1, 1, 0], "labels": ["1", "x"]}
 BAD_GROUPS = [
     ("cayley-order-zero", {"group": {"order": 0, "cayley": [], "labels": []},
@@ -483,7 +511,7 @@ def test_text_report_judges_axioms_at_scenario_tolerance(s4_report):
 
 
 # sha256 of the --json report at seed 1729 of each builtin and of the
-# scenario files, which take the generic-quotient and the dual paths; the
+# scenario files, which take the group_algebra and dual_group_algebra paths; the
 # `psi` numbering is canonical (Irr(Z) is sorted by each character as a
 # functional on A), so the full bytes are pinned
 BUILTIN_REPORT_SHA256 = {"s4_counterexample": "7c6dd87e73f0",
@@ -522,13 +550,15 @@ def test_builtin_report_bytes_pinned(tmp_path, capsys, name):
 
 
 def test_quotient_by_trivial_b():
-    # B = k1: A B+ = 0, so H is A on its own basis, which is group-like; F is
-    # recognised through group_algebra_form all the same, labels and all
+    # B = k1: A B+ = 0, so H = k(G/1) is A on its own basis, which is
+    # group-like; F is recognised through group_algebra_form all the same,
+    # labels and all
     sc = Scenario.from_dict({"name": "s3_trivial_b", "construction": "group_algebra",
                              "group": {"generators": ["(1 2)", "(1 2 3)"], "names": ["t", "s"]},
                              "b_generators": ["e"], "alpha": "all"})
     ext = build_scenario(sc, 1729)
-    assert np.array_equal(ext.generic_quotient.target.antipode, ext.A.antipode)
+    assert np.array_equal(ext.pi.matrix, np.eye(6))
+    assert np.array_equal(ext.pi.target.antipode, ext.A.antipode)
     assert ext.F.labels == ["1"] + [f"q{i}" for i in range(1, 6)]
     rep = run_scenario(sc, seed=1729)
     assert [r.direct_holds for r in rep.alpha_reports] == [True]
@@ -543,7 +573,7 @@ def test_quotient_that_is_no_group_algebra(tmp_path, capsys):
           "group": {"generators": ["(1 2 3 4)", "(1 2)"], "names": ["g", "t"]},
           "b_generators": ["(1 2 3)", "(1 2)(3 4)"], "alpha": "all"}
     ext = build_scenario(Scenario.from_dict(sc), 1729)
-    assert ext.generic_quotient.target.dim == 12 and ext.quotient == (None, None)
+    assert ext.pi.target.dim == 12 and ext.quotient == (None, None)
     path, out = tmp_path / "dual_s4_a4.json", tmp_path / "report.json"
     path.write_text(json.dumps(sc))
     assert cli.main(["analyze", "--scenario", str(path), "--json", str(out)]) == 0
@@ -557,22 +587,23 @@ def test_quotient_that_is_no_group_algebra(tmp_path, capsys):
 
 @pytest.mark.parametrize("gens", [["(1 2)", "(1 2 3)"], ["(1 2 3 4)"]], ids=["S3", "C4"])
 def test_quotient_group_labels_do_not_follow_the_sign_of_the_basis(monkeypatch, gens):
-    # k^G over B = A: H = A/AB+ is k, on the basis delta_1 or -delta_1 as the
-    # SVD of its complement gives it; F = 1 is labelled alike on either
+    # k^G over B = A: H = A/AB+ is k^1 = k, on the basis delta_1 or -delta_1;
+    # F = 1 is labelled alike on either
     sc = Scenario.from_dict({"name": "kg_over_itself", "construction": "dual_group_algebra",
                              "group": {"generators": gens}, "b_generators": ["e"]})
-    plain = build_scenario(sc, 1729).generic_quotient.matrix
     reports = [run_scenario(sc, seed=1729)]
+    recognise, seen = clifford.as_group_algebra_surjection, []
 
-    def negated(A, B):
-        H, pi = hopf.quotient_hopf(A, B)
+    def negated(pi, seed):
+        H = pi.target
         flipped = hopf.HopfAlgebraData(-H.mult, -H.unit, -H.comult, -H.counit,
                                        labels=H.labels, antipode=H.antipode)
-        return flipped, hopf.HopfSurjection(A, flipped, -pi.matrix)
+        seen.append(-pi.matrix)
+        return recognise(hopf.HopfSurjection(pi.source, flipped, -pi.matrix), seed=seed)
 
-    monkeypatch.setattr(clifford, "quotient_hopf", negated)
-    assert np.array_equal(build_scenario(sc, 1729).generic_quotient.matrix, -plain)
+    monkeypatch.setattr(clifford, "as_group_algebra_surjection", negated)
     reports.append(run_scenario(sc, seed=1729))
+    assert len(seen) == 1 and seen[0][0, 0] == -1
     assert reports[0].f_labels == reports[1].f_labels == ["1"]
     assert reports[0].to_json() == reports[1].to_json()
 
@@ -683,19 +714,19 @@ REQUEST_SHA256 = {"s4_counterexample": ("7c6dd87e73f0", "a9820a392077", "ceeace8
 
 @pytest.mark.parametrize("name", sorted(REQUEST_SHA256))
 def test_generic_quotient_only_without_a_bismash(tmp_path, monkeypatch, capsys, name):
-    # a bismash's projection onto kF is A -> A/AB+, shown by its kernel, so
-    # no bismash request builds the quotient through B's integral, and
-    # `bismash` tests k^G's normality; otherwise the quotient is A/AB+'s one
-    # source, built once by analyze, where it tests B's normality
-    quotients, normal = [], []
-    quotient, checked = hopf.quotient_hopf, hopf.is_normal_hopf_subalgebra
+    # every construction's projection is A -> A/AB+ in closed form, shown by
+    # its kernel, so no request builds the quotient through B's integral,
+    # whose Hopf algebra has dense tensors: every Hopf algebra a request
+    # builds is given in COO form; and every request tests B's normality
+    # once, where it is built
+    dense, normal = [], []
+    init, checked = hopf.HopfAlgebraData.__init__, hopf.is_normal_hopf_subalgebra
 
-    def counting(A, B):
-        quotients.append(B.dim)
-        return quotient(A, B)
+    def recording(self, mult, unit, comult, counit, **kw):
+        dense.append(not (isinstance(mult, hopf.Coo) and isinstance(comult, hopf.Coo)))
+        init(self, mult, unit, comult, counit, **kw)
 
-    monkeypatch.setattr(hopf, "quotient_hopf", counting)
-    monkeypatch.setattr(clifford, "quotient_hopf", counting)
+    monkeypatch.setattr(hopf.HopfAlgebraData, "__init__", recording)
     monkeypatch.setattr(hopf, "is_normal_hopf_subalgebra",
                         lambda A, B: normal.append(B.dim) or checked(A, B))
     if name in scenarios.BUILTIN_NAMES:
@@ -708,17 +739,15 @@ def test_generic_quotient_only_without_a_bismash(tmp_path, monkeypatch, capsys, 
     digests, counts = [], []
     for argv in (["analyze", *source, "--alpha", "all", "--json", str(out)],
                  ["list-irr", *source], ["verify-axioms", *source]):
-        before = len(quotients), len(normal)
+        before = len(normal)
         assert cli.main(argv) == 0
         text = capsys.readouterr().out
         data = out.read_bytes() if argv[0] == "analyze" else text.encode()
         digests.append(hashlib.sha256(data).hexdigest()[:12])
-        counts.append((len(quotients) - before[0], len(normal) - before[1]))
+        counts.append(len(normal) - before)
     assert tuple(digests) == REQUEST_SHA256[name]
-    if name in ("s4_a4", "dual_s4_v4"):
-        assert counts == [(1, 1), (0, 0), (0, 0)]
-    else:
-        assert counts == [(0, 1)] * 3
+    assert dense and not any(dense)
+    assert counts == [1, 1, 1]
 
 
 def test_solver_failure_exits_4(monkeypatch, capsys):

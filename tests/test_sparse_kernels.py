@@ -592,8 +592,8 @@ def test_graded_kernels_build_no_cube(monkeypatch, counterexample, cocentral8, c
             assert got is _projector_verdict(A, S), name
         assert built(lambda: hopf.hopf_map_residual(inc.small, A, inc.embedding),
                      inc.small.dim) < 1e-12
-        # a bismash's projection is 0/1, and so is one found from a generic
-        # quotient, once rounded
+        # a bismash's projection is 0/1, and so is k(G/N)'s read as kF, once
+        # rounded; k^N's read as kF holds |N| entries per element of N
         assert np.count_nonzero(piF.matrix) <= d
         assert built(lambda: hopf.hopf_map_residual(A, piF.target, piF.matrix), nf) < 1e-12
         assert built(lambda: hopf.is_cocentral(A, piF), nf) is _cocentral_definition(A, piF.matrix)
@@ -1181,10 +1181,11 @@ def _svd_components(A, P):
 
 def test_graded_components_match_the_svd_definition(counterexample, cocentral8, classical,
                                                     s4_a4, dual_s4_v4, a5):
-    # a bismash's A_f is spanned by unit vectors, taken as they stand; a
-    # quotient found numerically gives columns that are not orthonormal, and
-    # their SVD; in a unitary basis rho is dense, and its one join, whose
-    # limit nnz(Delta) |F| no entry of Delta can pass, forms it all the same
+    # a bismash's A_f is spanned by unit vectors, taken as they stand; k^N
+    # read as kF through its computed group-likes gives columns that are not
+    # orthonormal, and their SVD; in a unitary basis rho is dense, and its
+    # one join, whose limit nnz(Delta) |F| no entry of Delta can pass, forms
+    # it all the same
     rng = np.random.default_rng(67)
     for name, ext in _scenarios(counterexample, cocentral8, classical, s4_a4, dual_s4_v4,
                                 a5).items():
